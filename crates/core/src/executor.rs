@@ -386,17 +386,7 @@ impl Executor {
                 // fusion pass attached one.
                 let mut acc = out.acc;
                 if let Some(bias) = &lp.epilogue.bias {
-                    let (n, c, h, w) = acc.dims();
-                    for bn in 0..n {
-                        for (cc, &b) in bias.iter().enumerate().take(c) {
-                            for hh in 0..h {
-                                for ww in 0..w {
-                                    let v = acc.get((bn, cc, hh, ww)) + b;
-                                    acc.set((bn, cc, hh, ww), v);
-                                }
-                            }
-                        }
-                    }
+                    add_channel_bias(&mut acc, bias);
                 }
                 let rq = lp.epilogue.effective_requant();
                 let mut q = {
@@ -629,6 +619,34 @@ impl Executor {
     }
 }
 
+/// Adds `bias[c]` to every accumulator of channel `c`, walking the storage
+/// in contiguous runs: one `h*w` plane per channel in NCHW, one `c`-long
+/// pixel in NHWC. Channels past the end of `bias` are left untouched.
+fn add_channel_bias(acc: &mut Tensor<i32>, bias: &[i32]) {
+    let (_, c, h, w) = acc.dims();
+    if c == 0 || h * w == 0 {
+        return;
+    }
+    match acc.layout() {
+        Layout::Nchw => {
+            for (i, plane) in acc.data_mut().chunks_exact_mut(h * w).enumerate() {
+                if let Some(&b) = bias.get(i % c) {
+                    for v in plane {
+                        *v += b;
+                    }
+                }
+            }
+        }
+        Layout::Nhwc => {
+            for pixel in acc.data_mut().chunks_exact_mut(c) {
+                for (v, &b) in pixel.iter_mut().zip(bias) {
+                    *v += b;
+                }
+            }
+        }
+    }
+}
+
 /// Elementwise saturating add of two equal-shape quantized tensors, clamped
 /// into the left operand's bit-width range. This is both the standalone
 /// [`PlanOp::Add`] kernel and the tail of a fused residual epilogue — the
@@ -856,6 +874,31 @@ mod tests {
                     assert_eq!(run.output.get((0, cc, hh, ww)), base.output.get((0, cc, hh, ww)));
                 }
             }
+        }
+    }
+
+    #[test]
+    fn channel_bias_matches_per_element_reference_in_both_layouts() {
+        let dims = (2, 3, 4, 5);
+        let bias = [7, -11, i32::MAX / 4];
+        for layout in [Layout::Nchw, Layout::Nhwc] {
+            let len = dims.0 * dims.1 * dims.2 * dims.3;
+            let data: Vec<i32> = (0..len as i32).map(|i| i * 37 - 1000).collect();
+            let mut got = Tensor::from_vec(dims, layout, data);
+            let mut want = got.clone();
+            add_channel_bias(&mut got, &bias);
+            let (n, c, h, w) = dims;
+            for bn in 0..n {
+                for (cc, &b) in bias.iter().enumerate().take(c) {
+                    for hh in 0..h {
+                        for ww in 0..w {
+                            let v = want.get((bn, cc, hh, ww)) + b;
+                            want.set((bn, cc, hh, ww), v);
+                        }
+                    }
+                }
+            }
+            assert_eq!(got, want, "{layout:?}");
         }
     }
 }

@@ -6,15 +6,34 @@
 
 use lowbit_metrics::{HistSpec, Registry};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
+/// Counts allocations on the measuring thread only (armed by
+/// [`count_allocations`]), so other tests in this binary cannot leak into
+/// the measurement.
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// `Some(n)` while the current thread is measuring; `None` otherwise.
+    static ALLOCATIONS: Cell<Option<u64>> = const { Cell::new(None) };
+}
+
+fn note_allocation() {
+    // `try_with`: the allocator also runs while thread locals are torn down.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get().map(|c| c + 1)));
+}
+
+/// Runs `f` with allocation counting armed on this thread and returns how
+/// many allocations (including reallocations) it made.
+fn count_allocations(f: impl FnOnce()) -> u64 {
+    ALLOCATIONS.with(|n| n.set(Some(0)));
+    f();
+    ALLOCATIONS.with(|n| n.replace(None)).unwrap_or(0)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        note_allocation();
         System.alloc(layout)
     }
 
@@ -23,17 +42,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        note_allocation();
         System.realloc(ptr, layout, new_size)
     }
 }
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
-
-fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
-}
 
 #[test]
 fn recording_is_allocation_free_after_registration() {
@@ -55,18 +70,13 @@ fn recording_is_allocation_free_after_registration() {
     shard.record(2.5);
     hist.record(3.5);
 
-    let before = allocations();
-    for i in 0..10_000u64 {
-        counter.add(i % 3);
-        gauge.set(i as f64);
-        shard.record(0.5 + (i % 100) as f64);
-        hist.record(0.25 + (i % 50) as f64);
-    }
-    let after = allocations();
-    assert_eq!(
-        after - before,
-        0,
-        "hot-path recording must not allocate (saw {} allocations)",
-        after - before
-    );
+    let allocations = count_allocations(|| {
+        for i in 0..10_000u64 {
+            counter.add(i % 3);
+            gauge.set(i as f64);
+            shard.record(0.5 + (i % 100) as f64);
+            hist.record(0.25 + (i % 50) as f64);
+        }
+    });
+    assert_eq!(allocations, 0, "hot-path recording must not allocate (saw {allocations} allocations)");
 }

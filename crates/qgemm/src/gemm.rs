@@ -9,7 +9,7 @@
 //! The functional path and the analytic schedule are produced by the same
 //! code so they can never drift apart.
 
-use crate::micro::{run_tile, run_tile_ncnn, tile_counts};
+use crate::micro::{accumulate_tile, run_tile_ncnn, tile_counts, TILE_LEN};
 use crate::pack::{pack_a, pack_a16, pack_b, pack_b16, PackedA, PackedB, NA, NB, NCNN_NA};
 use crate::scheme::{Scheme, SchemeKind};
 use neon_sim::{InstCounts, KernelSchedule, StageCost};
@@ -60,8 +60,10 @@ pub fn gemm_prepacked(scheme: &Scheme, pa: &PackedA, pb: &PackedB) -> GemmOutput
     let (m, n, k) = (pa.m, pb.n, pa.k);
     let mut c = vec![0i32; m * n];
     for ti in 0..pa.tiles() {
+        let a_tile = pa.block(ti, 0, k);
         for tj in 0..pb.tiles() {
-            let tile = run_tile(scheme, pa, pb, ti, tj);
+            let mut tile = [0i32; TILE_LEN];
+            accumulate_tile(scheme, a_tile, pb.tile(tj), &mut tile);
             scatter_tile(&mut c, &tile, m, n, ti, tj, NA);
         }
     }

@@ -2,9 +2,11 @@
 //!
 //! Each micro-kernel exists in **three consistent forms**:
 //!
-//! 1. [`run_tile`] — a fast functional implementation with the exact lane
-//!    semantics of the NEON instructions (wrapping i8/i16 accumulation),
-//!    used at full layer scale;
+//! 1. [`accumulate_tile`] (and its wrapper [`run_tile`]) — a fast
+//!    functional implementation with the exact lane semantics of the NEON
+//!    instructions (wrapping i8/i16 accumulation), used at full layer scale.
+//!    It runs each drain interval as one branch-free loop over contiguous
+//!    packed operand blocks;
 //! 2. [`tile_counts`] — analytic instruction counts for the same shape, fed to
 //!    the cost model;
 //! 3. [`emit_tile`] — the actual instruction stream for the `neon-sim`
@@ -37,146 +39,122 @@ pub const TILE_LEN: usize = NA * NB;
 /// Elements in the ncnn-like 8x4 result tile.
 pub const NCNN_TILE_LEN: usize = NCNN_NA * NB;
 
-/// K-loop operand source for one 16x4 micro-tile.
-///
-/// The micro-kernels only ever read one 16-row A column and one 4-col B row
-/// per K step; abstracting those two reads lets the same drain-exact kernel
-/// run against whole packed matrices ([`PackedPairOps`]) or against the
-/// per-thread cache-blocked B panels of the parallel driver.
-pub trait TileOperands {
-    /// Number of K steps this operand view covers.
-    fn k_len(&self) -> usize;
-    /// The packed A rows for K step `step` (`NA` bytes, or `NA8` for the
-    /// narrow tile).
-    fn a_slice(&self, step: usize) -> &[i8];
-    /// The 4 packed B columns for K step `step` (`NB` bytes).
-    fn b_slice(&self, step: usize) -> &[i8];
-}
-
-/// [`TileOperands`] over a full packed A/B pair, as used by the serial GEMM.
-pub struct PackedPairOps<'a> {
-    pub pa: &'a PackedA,
-    pub pb: &'a PackedB,
-    pub ti: usize,
-    pub tj: usize,
-}
-
-impl TileOperands for PackedPairOps<'_> {
-    fn k_len(&self) -> usize {
-        self.pa.k
-    }
-    fn a_slice(&self, step: usize) -> &[i8] {
-        self.pa.slice(self.ti, step)
-    }
-    fn b_slice(&self, step: usize) -> &[i8] {
-        self.pb.slice(self.tj, step)
-    }
-}
-
 /// Runs one 16x4 micro-tile functionally.
 ///
 /// Output layout is column-major quarters, matching the register store order
-/// of the emitter: `out[col * 16 + row]`.
+/// of the emitter: `out[col * 16 + row]`. A thin wrapper over
+/// [`accumulate_tile`] for tests and one-off callers; the GEMM drivers
+/// accumulate into stack tiles directly.
 pub fn run_tile(scheme: &Scheme, pa: &PackedA, pb: &PackedB, ti: usize, tj: usize) -> Vec<i32> {
     assert_eq!(pa.k, pb.k, "packed operands disagree on K");
     let mut acc32 = [0i32; TILE_LEN];
-    accumulate_tile(scheme, &PackedPairOps { pa, pb, ti, tj }, &mut acc32);
+    accumulate_tile(scheme, pa.block(ti, 0, pa.k), pb.tile(tj), &mut acc32);
     acc32.to_vec()
 }
 
-/// Runs one 16x4 micro-tile over `ops`, adding into `acc32`.
+/// Runs one 16x4 micro-tile over one K block, adding into `acc32`.
+///
+/// `a` is the block's packed A (`klen * NA` bytes: `klen` contiguous
+/// 16-row columns) and `b` the matching packed B (`klen * NB` bytes), exactly
+/// as [`PackedA::block`] and the B packers lay them out.
 ///
 /// Drain cadence is relative to the start of this call, so splitting K into
 /// blocks and accumulating block partials is bit-exact versus one full-K run:
 /// within the published ratios every i8/i16 partial is exact, hence every
 /// i32 block partial is the exact sub-sum and i32 addition is associative.
-pub fn accumulate_tile<O: TileOperands>(scheme: &Scheme, ops: &O, acc32: &mut [i32; TILE_LEN]) {
+pub fn accumulate_tile(scheme: &Scheme, a: &[i8], b: &[i8], acc32: &mut [i32; TILE_LEN]) {
     match scheme.kind() {
-        SchemeKind::Smlal8 => accumulate_smlal(scheme, ops, acc32),
-        SchemeKind::Mla => accumulate_mla(scheme, ops, acc32),
+        SchemeKind::Smlal8 => accumulate_smlal::<NA>(scheme.ratio(), a, b, acc32),
+        SchemeKind::Mla => accumulate_mla(scheme, a, b, acc32),
         SchemeKind::Ncnn16 => panic!("Ncnn16 uses run_tile_ncnn on widened operands"),
     }
 }
 
-fn accumulate_smlal<O: TileOperands>(scheme: &Scheme, ops: &O, acc32: &mut [i32; TILE_LEN]) {
-    let k = ops.k_len();
-    let ratio = scheme.ratio();
-    let mut acc16 = [0i16; TILE_LEN];
-    let mut since_flush = 0usize;
-    for kk in 0..k {
-        let a = ops.a_slice(kk);
-        let b = ops.b_slice(kk);
+/// The SMLAL scheme for an `R`x4 tile (`R` = 16 wide, 8 narrow): each
+/// drain interval of `ratio` K steps accumulates wrapping i16 partials,
+/// which `SADDW` then adds into the i32 result.
+pub(crate) fn accumulate_smlal<const R: usize>(
+    ratio: usize,
+    a: &[i8],
+    b: &[i8],
+    acc32: &mut [i32],
+) {
+    assert_eq!(acc32.len(), R * NB, "result tile length");
+    let (a, b) = k_steps::<R>(a, b);
+    for (ai, bi) in a.chunks(ratio).zip(b.chunks(ratio)) {
+        let part = mac_interval(ai, bi);
         for c in 0..NB {
-            let bv = b[c] as i16;
-            let col = &mut acc16[c * NA..(c + 1) * NA];
-            for (acc, &av) in col.iter_mut().zip(a) {
-                // SMLAL: widening multiply (always fits i16), wrapping add.
-                *acc = acc.wrapping_add(av as i16 * bv);
+            for r in 0..R {
+                acc32[c * R + r] = acc32[c * R + r].wrapping_add(part[c][r] as i32);
             }
         }
-        since_flush += 1;
-        if since_flush == ratio {
-            drain16(acc32, &mut acc16);
-            since_flush = 0;
-        }
-    }
-    if since_flush > 0 {
-        drain16(acc32, &mut acc16);
     }
 }
 
-fn accumulate_mla<O: TileOperands>(scheme: &Scheme, ops: &O, acc32: &mut [i32; TILE_LEN]) {
-    let k = ops.k_len();
+/// The MLA scheme: each first-level interval of `ratio` K steps is
+/// computed in i16 and truncated to i8 at its drain, every `ratio2` such
+/// drains the i16 level is added into i32.
+///
+/// Computing the interval in i16 instead of i8 lanes is bit-exact for *any*
+/// ratio: an i8 `MLA` lane holds its true sum mod 2^8, the i16 interval
+/// holds it mod 2^16, and since 2^8 divides 2^16 `as i8` recovers exactly
+/// the wrapped i8 lane (sign-extended by `as i16`, like `SADDW`).
+fn accumulate_mla(scheme: &Scheme, a: &[i8], b: &[i8], acc32: &mut [i32; TILE_LEN]) {
+    let (a, b) = k_steps::<NA>(a, b);
     let (r1, r2) = (scheme.ratio(), scheme.ratio2());
-    let mut acc16 = [0i16; TILE_LEN];
-    let mut acc8 = [0i8; TILE_LEN];
-    let mut since8 = 0usize;
-    let mut drains8 = 0usize;
-    for kk in 0..k {
-        let a = ops.a_slice(kk);
-        let b = ops.b_slice(kk);
+    let r12 = r1.saturating_mul(r2);
+    for (ao, bo) in a.chunks(r12).zip(b.chunks(r12)) {
+        let mut acc16 = [[0i16; NA]; NB];
+        for (ai, bi) in ao.chunks(r1).zip(bo.chunks(r1)) {
+            let part = mac_interval(ai, bi);
+            for c in 0..NB {
+                for r in 0..NA {
+                    acc16[c][r] = acc16[c][r].wrapping_add(part[c][r] as i8 as i16);
+                }
+            }
+        }
         for c in 0..NB {
-            let bv = b[c];
-            let col = &mut acc8[c * NA..(c + 1) * NA];
-            for (acc, &av) in col.iter_mut().zip(a) {
-                // MLA: non-widening i8 multiply-accumulate, both wrapping.
-                *acc = acc.wrapping_add(av.wrapping_mul(bv));
-            }
-        }
-        since8 += 1;
-        if since8 == r1 {
-            drain8(&mut acc16, &mut acc8);
-            since8 = 0;
-            drains8 += 1;
-            if drains8 == r2 {
-                drain16(acc32, &mut acc16);
-                drains8 = 0;
+            for r in 0..NA {
+                acc32[c * NA + r] = acc32[c * NA + r].wrapping_add(acc16[c][r] as i32);
             }
         }
     }
-    if since8 > 0 {
-        drain8(&mut acc16, &mut acc8);
-        drains8 += 1;
-    }
-    if drains8 > 0 {
-        drain16(acc32, &mut acc16);
-    }
 }
 
-/// SADDW level: i16 partials into i32, then clear (MOVI).
-fn drain16(acc32: &mut [i32; TILE_LEN], acc16: &mut [i16; TILE_LEN]) {
-    for (w, n) in acc32.iter_mut().zip(acc16.iter_mut()) {
-        *w = w.wrapping_add(*n as i32);
-        *n = 0;
+/// One drain interval: the wrapping i16 sums of `a x b` over its K steps,
+/// per column `[c][row]`. Returning the partials (rather than threading an
+/// accumulator through) keeps them register-resident for the whole loop.
+/// Rows go in groups of eight i16 lanes, one `SMLAL` destination register
+/// each, which keeps the host's vectorizer at full register width.
+#[inline(always)]
+fn mac_interval<const R: usize>(a: &[[i8; R]], b: &[[i8; NB]]) -> [[i16; R]; NB] {
+    let mut acc = [[0i16; R]; NB];
+    for (ak, bk) in a.iter().zip(b) {
+        for h in (0..R).step_by(8) {
+            let av: [i16; 8] = std::array::from_fn(|i| ak[h + i] as i16);
+            for c in 0..NB {
+                let bv = bk[c] as i16;
+                for i in 0..8 {
+                    // SMLAL: widening multiply (always fits i16), wrapping add.
+                    acc[c][h + i] = acc[c][h + i].wrapping_add(av[i] * bv);
+                }
+            }
+        }
     }
+    acc
 }
 
-/// SADDW level: i8 partials into i16, then clear.
-fn drain8(acc16: &mut [i16; TILE_LEN], acc8: &mut [i8; TILE_LEN]) {
-    for (h, b) in acc16.iter_mut().zip(acc8.iter_mut()) {
-        *h = h.wrapping_add(*b as i16);
-        *b = 0;
-    }
+/// Views one K block's packed operands as per-step rows: `R` A bytes and
+/// [`NB`] B bytes per K step. Panics unless both cover the same steps.
+fn k_steps<'a, const R: usize>(a: &'a [i8], b: &'a [i8]) -> (&'a [[i8; R]], &'a [[i8; NB]]) {
+    let ((a, a_rest), (b, b_rest)) = (a.as_chunks::<R>(), b.as_chunks::<NB>());
+    assert!(
+        a_rest.is_empty() && b_rest.is_empty() && a.len() == b.len(),
+        "operand blocks disagree on K: {} A steps vs {} B steps",
+        a.len(),
+        b.len()
+    );
+    (a, b)
 }
 
 /// Runs one ncnn-like 8x4 micro-tile on pre-widened operands.
@@ -726,6 +704,100 @@ mod tests {
         let correct = run_tile(&Scheme::for_bits(bits), &pa, &pb, 0, 0);
         assert_ne!(wrapped, correct, "overflow must corrupt the result");
         assert_eq!(correct[0], 127 * 127 * k as i32);
+    }
+
+    #[test]
+    fn functional_kernel_matches_interpreter_under_any_ratio() {
+        // The functional kernel computes MLA intervals in i16 and truncates
+        // at the drain; the interpreter runs real wrapping i8 MLA lanes. Full
+        // range operands make every over-long interval actually wrap, so
+        // agreement here proves the mod-2^8 argument, the interval chunking
+        // and the remainder drains for ratio 1, ratio >= K and violated
+        // ratios at both MLA levels.
+        let k = 70;
+        let (m, n) = (16, 4);
+        let mut rng = StdRng::seed_from_u64(4242);
+        let mut full_range = |len: usize| -> Vec<i8> { (0..len).map(|_| rng.gen_range(-128..=127i32) as i8).collect() };
+        let (a, b) = (full_range(m * k), full_range(k * n));
+        let pa = pack_a(&a, m, k);
+        let pb = pack_b(&b, k, n);
+        let smlal = Scheme::for_bits(BitWidth::W8);
+        let mla = Scheme::for_bits(BitWidth::W2);
+        let cases = [
+            ("smlal published", smlal),
+            ("smlal ratio 1", smlal.with_ratio_unchecked(1)),
+            ("smlal violated ratio", smlal.with_ratio_unchecked(9)),
+            ("smlal ratio == K", smlal.with_ratio_unchecked(k)),
+            ("smlal ratio > K", smlal.with_ratio_unchecked(10 * k)),
+            ("mla published", mla),
+            ("mla ratio 1", mla.with_ratio_unchecked(1)),
+            ("mla violated ratio", mla.with_ratio_unchecked(13)),
+            ("mla violated ratio2", mla.with_ratio_unchecked(2).with_ratio2_unchecked(3)),
+            ("mla both violated", mla.with_ratio_unchecked(6).with_ratio2_unchecked(4)),
+            ("mla ratio2 1", mla.with_ratio2_unchecked(1)),
+            ("mla ratio == K", mla.with_ratio_unchecked(k)),
+            ("mla ratio > K", mla.with_ratio_unchecked(10 * k).with_ratio2_unchecked(3)),
+        ];
+        for (name, scheme) in cases {
+            let functional = run_tile(&scheme, &pa, &pb, 0, 0);
+            let (interpreted, counts) = interpret_tile(&scheme, &pa, &pb, 0, 0);
+            assert_eq!(interpreted, functional, "{name}: interpreter vs functional");
+            assert_eq!(counts, tile_counts(&scheme, k), "{name}: interpreter vs analytic counts");
+        }
+    }
+
+    #[test]
+    fn violated_mla_ratios_wrap_like_i8_and_i16_lanes() {
+        // Constant 11 x 11 operands: each MAC adds 121, so closed forms say
+        // exactly what wrapping i8 and i16 lanes must hold.
+        let (m, n) = (16, 4);
+        let run = |scheme: &Scheme, k: usize| {
+            let pa = pack_a(&vec![11; m * k], m, k);
+            let pb = pack_b(&vec![11; k * n], k, n);
+            let functional = run_tile(scheme, &pa, &pb, 0, 0);
+            assert_eq!(interpret_tile(scheme, &pa, &pb, 0, 0).0, functional);
+            functional
+        };
+        let mla = Scheme::for_bits(BitWidth::W2);
+        // Level 1 violated: two MACs (242) wrap the i8 lane to -14, and five
+        // such drains sum to -70 in i16.
+        let i8_wrapped = run(&mla.with_ratio_unchecked(2), 10);
+        assert!(i8_wrapped.iter().all(|&v| v == 5 * (242 - 256)));
+        // Level 2 violated: 300 single-MAC drains of 121 overflow the i16
+        // level (36300 -> 36300 - 65536) before it reaches i32.
+        let i16_wrapped = run(&mla.with_ratio_unchecked(1).with_ratio2_unchecked(300), 300);
+        assert!(i16_wrapped.iter().all(|&v| v == 36_300 - 65_536));
+        // Ratios resolved for the true bound (121: ratio 1, ratio2 270)
+        // keep both levels exact.
+        let safe = Scheme::for_product_bound(SchemeKind::Mla, 121);
+        assert!(run(&safe, 300).iter().all(|&v| v == 36_300));
+    }
+
+    #[test]
+    fn k_blocks_through_the_parallel_driver_are_exact() {
+        // The parallel driver restarts the drain cadence at every kc block;
+        // within the published ratios that must still be exact, for block
+        // lengths below, at and above the drain intervals.
+        use crate::gemm::reference_gemm;
+        use crate::parallel::{gemm_parallel_cm, ParallelConfig, SharedWeights};
+        use crate::workspace::GemmWorkspace;
+        let (m, k, n) = (20, 150, 9);
+        for bits in [BitWidth::W2, BitWidth::W3, BitWidth::W4, BitWidth::W8] {
+            let scheme = Scheme::for_bits(bits);
+            let (a, b) = random_operands(m, k, n, bits, 500 + bits.bits() as u64);
+            let want = reference_gemm(&a, &b, m, k, n);
+            let pa = pack_a(&a, m, k);
+            for (threads, kc) in [(1, 1), (1, 7), (2, 31), (2, 32), (3, 64), (1, 149), (2, 150)] {
+                let cfg = ParallelConfig { threads, kc, nc: 8 };
+                let mut ws = GemmWorkspace::new();
+                let c_cm = gemm_parallel_cm(&scheme, SharedWeights::Wide(&pa), &b, k, n, &cfg, &mut ws);
+                for i in 0..m {
+                    for j in 0..n {
+                        assert_eq!(c_cm[j * m + i], want[i * n + j], "{bits} kc {kc} ({i},{j})");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@
 
 #![allow(clippy::field_reassign_with_default)] // InstCounts builders read clearer this way
 
-use crate::micro::TileOperands;
+use crate::micro::accumulate_smlal;
 use crate::pack::{PackedB, NB};
 use crate::scheme::{Scheme, SchemeKind};
 use neon_sim::inst::{Half, Inst};
@@ -49,11 +49,12 @@ impl PackedANarrow {
         self.m_pad / NA8
     }
 
-    /// The 8-element column slice for tile `i`, step `kk`.
+    /// Steps `k0 .. k0 + klen` of tile `i` (`klen` contiguous 8-row column
+    /// slices).
     #[inline]
-    pub fn slice(&self, i: usize, kk: usize) -> &[i8] {
-        let base = (i * self.k + kk) * NA8;
-        &self.data[base..base + NA8]
+    pub fn block(&self, i: usize, k0: usize, klen: usize) -> &[i8] {
+        let base = (i * self.k + k0) * NA8;
+        &self.data[base..base + klen * NA8]
     }
 }
 
@@ -77,26 +78,6 @@ pub fn pack_a_narrow(a: &[i8], m: usize, k: usize) -> PackedANarrow {
     PackedANarrow { m, m_pad, k, data }
 }
 
-/// [`TileOperands`] over a narrow packed A and a full packed B.
-pub struct NarrowPairOps<'a> {
-    pub pa: &'a PackedANarrow,
-    pub pb: &'a PackedB,
-    pub ti: usize,
-    pub tj: usize,
-}
-
-impl TileOperands for NarrowPairOps<'_> {
-    fn k_len(&self) -> usize {
-        self.pa.k
-    }
-    fn a_slice(&self, step: usize) -> &[i8] {
-        self.pa.slice(self.ti, step)
-    }
-    fn b_slice(&self, step: usize) -> &[i8] {
-        self.pb.slice(self.tj, step)
-    }
-}
-
 /// Runs one narrow 8x4 tile functionally (`SMLAL` scheme only).
 ///
 /// Output layout: `out[col * 8 + row]`.
@@ -109,48 +90,21 @@ pub fn run_tile_narrow(
 ) -> Vec<i32> {
     assert_eq!(pa.k, pb.k);
     let mut acc32 = [0i32; NARROW_TILE_LEN];
-    accumulate_tile_narrow(scheme, &NarrowPairOps { pa, pb, ti, tj }, &mut acc32);
+    accumulate_tile_narrow(scheme, pa.block(ti, 0, pa.k), pb.tile(tj), &mut acc32);
     acc32.to_vec()
 }
 
-/// Runs one narrow 8x4 tile over `ops`, adding into `acc32` (same K-blocking
-/// exactness argument as [`crate::micro::accumulate_tile`]).
-pub fn accumulate_tile_narrow<O: TileOperands>(
+/// Runs one narrow 8x4 tile over one K block (`a`: `klen * NA8` bytes,
+/// `b`: `klen * NB` bytes), adding into `acc32` (same K-blocking exactness
+/// argument as [`crate::micro::accumulate_tile`]).
+pub fn accumulate_tile_narrow(
     scheme: &Scheme,
-    ops: &O,
+    a: &[i8],
+    b: &[i8],
     acc32: &mut [i32; NARROW_TILE_LEN],
 ) {
     assert_eq!(scheme.kind(), SchemeKind::Smlal8, "narrow tile is SMLAL-only");
-    let k = ops.k_len();
-    let ratio = scheme.ratio();
-    let mut acc16 = [0i16; NARROW_TILE_LEN];
-    let mut since = 0usize;
-    for kk in 0..k {
-        let a = ops.a_slice(kk);
-        let b = ops.b_slice(kk);
-        for c in 0..NB {
-            let bv = b[c] as i16;
-            let col = &mut acc16[c * NA8..(c + 1) * NA8];
-            for (acc, &av) in col.iter_mut().zip(a) {
-                *acc = acc.wrapping_add(av as i16 * bv);
-            }
-        }
-        since += 1;
-        if since == ratio {
-            drain(acc32, &mut acc16);
-            since = 0;
-        }
-    }
-    if since > 0 {
-        drain(acc32, &mut acc16);
-    }
-}
-
-fn drain(acc32: &mut [i32; NARROW_TILE_LEN], acc16: &mut [i16; NARROW_TILE_LEN]) {
-    for (w, n) in acc32.iter_mut().zip(acc16.iter_mut()) {
-        *w = w.wrapping_add(*n as i32);
-        *n = 0;
-    }
+    accumulate_smlal::<NA8>(scheme.ratio(), a, b, acc32);
 }
 
 /// Analytic instruction counts for one narrow tile (must match
@@ -248,8 +202,10 @@ pub fn gemm_narrow(
     let pb = crate::pack::pack_b(b, k, n);
     let mut c = vec![0i32; m * n];
     for ti in 0..pa.tiles() {
+        let a_tile = pa.block(ti, 0, k);
         for tj in 0..pb.tiles() {
-            let tile = run_tile_narrow(scheme, &pa, &pb, ti, tj);
+            let mut tile = [0i32; NARROW_TILE_LEN];
+            accumulate_tile_narrow(scheme, a_tile, pb.tile(tj), &mut tile);
             for col in 0..NB {
                 let j = tj * NB + col;
                 if j >= n {

@@ -49,6 +49,14 @@ impl PackedA {
         &self.data[base..base + NA]
     }
 
+    /// Steps `k0 .. k0 + klen` of tile `i`: `klen` contiguous 16-row column
+    /// slices, the A operand of one micro-kernel K block.
+    #[inline]
+    pub fn block(&self, i: usize, k0: usize, klen: usize) -> &[i8] {
+        let base = (i * self.k + k0) * NA;
+        &self.data[base..base + klen * NA]
+    }
+
     /// Logical element `(row, col)` (0 in the padded region).
     pub fn get(&self, row: usize, col: usize) -> i8 {
         let tile = row / NA;
@@ -82,6 +90,12 @@ impl PackedB {
     pub fn slice(&self, j: usize, kk: usize) -> &[i8] {
         let base = (j * self.k + kk) * NB;
         &self.data[base..base + NB]
+    }
+
+    /// All `k` steps of tile `j` (`k * NB` contiguous bytes).
+    #[inline]
+    pub fn tile(&self, j: usize) -> &[i8] {
+        &self.data[j * self.k * NB..(j + 1) * self.k * NB]
     }
 
     /// Logical element `(row, col)` (0 in the padded region).

@@ -15,7 +15,7 @@
 //! random shapes, bit widths, thread counts and block sizes.
 
 use crate::gemm::{schedule_gemm, GemmOutput};
-use crate::micro::{accumulate_tile, TileOperands, TILE_LEN};
+use crate::micro::{accumulate_tile, TILE_LEN};
 use crate::narrow::{accumulate_tile_narrow, PackedANarrow, NARROW_TILE_LEN, NA8};
 use crate::pack::{pack_a, PackedA, NA, NB};
 use crate::scheme::{Scheme, SchemeKind};
@@ -309,21 +309,17 @@ fn worker(
             }
             let mut tile_span = tracer.span("gemm tile", track);
             tile_span.set_label(|| format!("jt [{jt0}..{jt1}) k0 {k0}"));
-            for jt in jt0..jt1 {
-                let panel_base = (jt - jt0) * klen * NB;
+            for (jt, b_blk) in (jt0..jt1).zip(panel.chunks_exact(klen * NB)) {
                 for ti in 0..a_tiles {
                     match weights {
                         SharedWeights::Wide(pa) => {
-                            let ops = PanelOps { a: WideA { pa, ti, k0 }, panel, panel_base, klen };
                             let mut acc = [0i32; TILE_LEN];
-                            accumulate_tile(scheme, &ops, &mut acc);
+                            accumulate_tile(scheme, pa.block(ti, k0, klen), b_blk, &mut acc);
                             add_scatter(c, &acc, m, cols, jt, ti, NA);
                         }
                         SharedWeights::Narrow(pa) => {
-                            let ops =
-                                PanelOps { a: NarrowA { pa, ti, k0 }, panel, panel_base, klen };
                             let mut acc = [0i32; NARROW_TILE_LEN];
-                            accumulate_tile_narrow(scheme, &ops, &mut acc);
+                            accumulate_tile_narrow(scheme, pa.block(ti, k0, klen), b_blk, &mut acc);
                             add_scatter(c, &acc, m, cols, jt, ti, NA8);
                         }
                     }
@@ -357,57 +353,6 @@ fn pack_b_panel(
             let src = (k0 + step) * n + first;
             panel[dst..dst + width].copy_from_slice(&b[src..src + width]);
         }
-    }
-}
-
-/// A-tile half of the panel operand views.
-trait ATile {
-    fn slice(&self, step: usize) -> &[i8];
-}
-
-struct WideA<'a> {
-    pa: &'a PackedA,
-    ti: usize,
-    k0: usize,
-}
-
-impl ATile for WideA<'_> {
-    fn slice(&self, step: usize) -> &[i8] {
-        self.pa.slice(self.ti, self.k0 + step)
-    }
-}
-
-struct NarrowA<'a> {
-    pa: &'a PackedANarrow,
-    ti: usize,
-    k0: usize,
-}
-
-impl ATile for NarrowA<'_> {
-    fn slice(&self, step: usize) -> &[i8] {
-        self.pa.slice(self.ti, self.k0 + step)
-    }
-}
-
-/// [`TileOperands`] over one K block: A from the shared packed weights at
-/// offset `k0`, B from the thread-local panel.
-struct PanelOps<'a, A: ATile> {
-    a: A,
-    panel: &'a [i8],
-    panel_base: usize,
-    klen: usize,
-}
-
-impl<A: ATile> TileOperands for PanelOps<'_, A> {
-    fn k_len(&self) -> usize {
-        self.klen
-    }
-    fn a_slice(&self, step: usize) -> &[i8] {
-        self.a.slice(step)
-    }
-    fn b_slice(&self, step: usize) -> &[i8] {
-        let base = self.panel_base + step * NB;
-        &self.panel[base..base + NB]
     }
 }
 

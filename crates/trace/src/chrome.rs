@@ -263,6 +263,36 @@ mod tests {
     }
 
     #[test]
+    fn large_trace_round_trips() {
+        // 12 000 spans with non-ASCII labels: the parser must stay linear in
+        // the document size and decode every string exactly.
+        let (tracer, sink) = Tracer::recording();
+        let worker = tracer.track("wörker ✓");
+        for i in 0..12_000u64 {
+            let track = if i % 2 == 0 { MAIN_TRACK } else { worker };
+            let label = format!("tile {i} – k₀ \"{}\"", i % 7);
+            tracer.modeled_span(track, "gemm tile", i * 100, 50, Some(label), None);
+        }
+        tracer.counter("total_ms", 1.0);
+        let cap = sink.capture();
+        let text = chrome_trace_json(&cap);
+        let v = validate_chrome_trace(&text).unwrap();
+        assert_eq!(v.spans, 12_000);
+        assert_eq!(v.tracks, 2);
+        let doc = json::parse(&text).unwrap();
+        let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
+        let labels: Vec<&str> = events
+            .iter()
+            .filter_map(|e| e.get("args")?.get("label")?.as_str())
+            .collect();
+        let want: Vec<&str> = cap.spans.iter().map(|s| s.label.as_deref().unwrap()).collect();
+        assert_eq!(labels, want);
+        let track_names: Vec<&str> =
+            events.iter().filter_map(|e| e.get("args")?.get("name")?.as_str()).collect();
+        assert!(track_names.contains(&"wörker ✓"));
+    }
+
+    #[test]
     fn rejects_partial_overlap() {
         let text = r#"{"traceEvents":[
             {"ph":"X","name":"a","ts":0,"dur":10,"pid":1,"tid":0,"args":{}},

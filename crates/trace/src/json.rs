@@ -175,13 +175,20 @@ impl Parser<'_> {
                 }
                 b if b < 0x20 => return Err(format!("raw control byte in string at {}", self.pos)),
                 _ => {
-                    // Consume one UTF-8 scalar (the input is a &str, so the
-                    // byte stream is valid UTF-8 by construction).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "non-utf8 string".to_string())?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run of plain bytes up to the next quote,
+                    // backslash or control byte. Those are all ASCII, so the
+                    // run ends on a char boundary of the (valid UTF-8) input
+                    // and each byte is validated exactly once.
+                    let start = self.pos;
+                    while let Some(&b) = self.bytes.get(self.pos) {
+                        if b == b'"' || b == b'\\' || b < 0x20 {
+                            break;
+                        }
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
+                        .map_err(|_| format!("non-utf8 string at byte {start}"))?;
+                    out.push_str(run);
                 }
             }
         }

@@ -8,24 +8,44 @@ use lowbit::trace::chrome::{chrome_trace_json, validate_chrome_trace};
 use lowbit::trace::SpanKind;
 use lowbit::{stage_attribution, ArmAlgo, Network};
 use std::alloc::{GlobalAlloc, Layout as AllocLayout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 /// Counting wrapper around the system allocator: lets the steady-state test
 /// prove a code path performs literally zero heap allocations.
+///
+/// The count is per thread and only runs while armed by
+/// [`count_allocations`], so sibling tests allocating concurrently on their
+/// own threads never leak into a measurement window.
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// `Some(n)` while the current thread is measuring; `None` otherwise.
+    static ALLOCATIONS: Cell<Option<u64>> = const { Cell::new(None) };
+}
+
+fn note_allocation() {
+    // `try_with`: the allocator also runs while thread locals are torn down.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get().map(|c| c + 1)));
+}
+
+/// Runs `f` with allocation counting armed on this thread and returns how
+/// many allocations (including reallocations) it made.
+fn count_allocations(f: impl FnOnce()) -> u64 {
+    ALLOCATIONS.with(|n| n.set(Some(0)));
+    f();
+    ALLOCATIONS.with(|n| n.replace(None)).unwrap_or(0)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: AllocLayout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        note_allocation();
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: AllocLayout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: AllocLayout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        note_allocation();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -219,16 +239,12 @@ fn metric_shard_recording_allocates_nothing_at_steady_state() {
     burn.set(0.5);
     shard.record(1.25);
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
-    for i in 0..10_000u64 {
-        completed.inc();
-        burn.set(i as f64 / 100.0);
-        shard.record(0.5 + (i % 64) as f64);
-    }
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
-    assert_eq!(
-        after - before,
-        0,
-        "shard recording must be allocation-free on the hot path"
-    );
+    let allocations = count_allocations(|| {
+        for i in 0..10_000u64 {
+            completed.inc();
+            burn.set(i as f64 / 100.0);
+            shard.record(0.5 + (i % 64) as f64);
+        }
+    });
+    assert_eq!(allocations, 0, "shard recording must be allocation-free on the hot path");
 }
