@@ -173,14 +173,12 @@ pub struct ParallelScaling {
 /// min-of-N timed repeats) — keep the table small when measuring in debug
 /// builds.
 pub fn parallel_scaling(table: &[LayerDef], threads: &[usize], measure: bool) -> ParallelScaling {
-    use lowbit::conv_arm::{parallel_cycle_split, schedule_gemm_conv_prepacked};
-    use lowbit_qgemm::Scheme;
+    use lowbit::conv_arm::parallel_cycle_split;
     let engine = ArmEngine::cortex_a53();
-    let scheme = Scheme::for_bits(BitWidth::W4);
     let split: Vec<(f64, f64)> = table
         .iter()
         .map(|l| {
-            let sched = schedule_gemm_conv_prepacked(&scheme, &l.shape);
+            let sched = lowbit::arm_schedule(ArmAlgo::Gemm, BitWidth::W4, &l.shape, true);
             parallel_cycle_split(&sched, engine.model())
         })
         .collect();

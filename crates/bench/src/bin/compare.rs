@@ -43,21 +43,7 @@ fn main() {
             table.push_row(vec![format!("{algo:?}"), "n/a".into(), "-".into()]);
             continue;
         }
-        let sched = match algo {
-            ArmAlgo::Gemm => lowbit::conv_arm::schedule_gemm_conv(
-                &lowbit::qgemm::Scheme::for_bits(bits),
-                &shape,
-            ),
-            ArmAlgo::GemmNarrow => lowbit::conv_arm::schedule_gemm_conv_narrow(
-                &lowbit::qgemm::Scheme::for_bits(bits),
-                &shape,
-            ),
-            ArmAlgo::GemmSdot => lowbit::conv_arm::schedule_gemm_conv_sdot(&shape),
-            ArmAlgo::Winograd => lowbit::conv_arm::schedule_winograd_conv(bits, &shape),
-            ArmAlgo::NcnnBaseline => lowbit::conv_arm::schedule_ncnn_conv(&shape),
-            ArmAlgo::BitserialBaseline => lowbit::conv_arm::schedule_bitserial_conv(&shape),
-            ArmAlgo::Auto => unreachable!(),
-        };
+        let sched = lowbit::arm_schedule(algo, bits, &shape, false);
         let breakdown: Vec<String> = sched
             .stages
             .iter()

@@ -13,7 +13,11 @@
 //! * [`bitserial`] — the TVM-like popcount (bit-serial) 2-bit baseline
 //!   (Fig. 9),
 //! * [`range_analysis`] — computed Winograd transform ranges, deriving the
-//!   4–6-bit F(2x2,3x3) boundary and the F(4x4,3x3) rejection of Sec. 3.4.
+//!   4–6-bit F(2x2,3x3) boundary and the F(4x4,3x3) rejection of Sec. 3.4,
+//! * [`workspace`] — the engine's steady-state GEMM convolution: one entry
+//!   point, [`gemm_conv_ws`], runs any of the three GEMM micro-kernels from
+//!   [`PackedWeights`] packed once per layer, with every intermediate buffer
+//!   in a reusable [`ConvWorkspace`] arena.
 //!
 //! Every kernel returns a [`ConvOutput`]: the exact i32 accumulator tensor in
 //! NCHW plus the analytic [`neon_sim::KernelSchedule`] that prices the whole
@@ -25,7 +29,6 @@ pub mod bitserial;
 pub mod direct;
 pub mod gemm_conv;
 pub mod ncnn;
-pub mod prepared;
 pub mod range_analysis;
 pub mod winograd;
 pub mod winograd_kernel;
@@ -50,14 +53,8 @@ pub use gemm_conv::{
     schedule_gemm_conv_sdot,
 };
 pub use ncnn::{ncnn_conv, schedule_ncnn_conv};
-pub use prepared::PreparedConv;
 pub use winograd::{
     schedule_winograd_conv, winograd_conv, winograd_operand_bounds, winograd_scheme,
     winograd_supported,
 };
-pub use workspace::{
-    gemm_conv_narrow_prepacked_ws, gemm_conv_narrow_prepacked_ws_traced, gemm_conv_prepacked_ws,
-    gemm_conv_prepacked_ws_traced, gemm_conv_sdot_prepacked_ws, gemm_conv_sdot_prepacked_ws_traced,
-    parallel_cycle_split, schedule_gemm_conv_narrow_prepacked, schedule_gemm_conv_prepacked,
-    schedule_gemm_conv_sdot_prepacked, ConvWorkspace,
-};
+pub use workspace::{gemm_conv_ws, parallel_cycle_split, ConvWorkspace, PackedWeights};

@@ -92,7 +92,7 @@ impl ConvGpuPlan {
     }
 
     /// [`ConvGpuPlan::new`] with the validity check surfaced as a typed
-    /// [`TileRejection`] instead of a panic — the constructor plan-time
+    /// [`TileRejection`](crate::TileRejection) instead of a panic — the constructor plan-time
     /// callers (the planner, the verifier sweep) use.
     pub fn try_new(
         shape: ConvShape,

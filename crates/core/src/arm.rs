@@ -2,26 +2,25 @@
 //! a prepacked-weight cache, and a reusable workspace arena.
 //!
 //! The GEMM-family algorithms (`Gemm`, `GemmNarrow`, `GemmSdot`) run through
-//! the prepacked parallel paths of `lowbit_conv_arm::workspace`: weights are
+//! the prepacked parallel path `lowbit_conv_arm::gemm_conv_ws`: weights are
 //! packed once per layer (keyed by a fingerprint of the weight tensor) and
 //! reused across calls, the im2col/pack-B/result buffers live in one arena,
 //! and the GEMM spans `LOWBIT_THREADS` scoped threads. Both the executed and
-//! the estimated schedules therefore drop the `pack A` stage. The cost model
-//! stays single-core — wall-clock thread scaling is the benchmark suite's
-//! story, not the model's.
+//! the estimated schedules therefore drop the `pack A` stage; both come from
+//! the one table, [`arm_schedule`]. The cost model stays single-core —
+//! wall-clock thread scaling is the benchmark suite's story, not the
+//! model's.
 
 use lowbit_conv_arm::{
-    bitserial_conv, gemm_conv_narrow_prepacked_ws_traced, gemm_conv_prepacked_ws_traced,
-    gemm_conv_sdot_prepacked_ws_traced, ncnn_conv, schedule_bitserial_conv, schedule_gemm_conv,
-    schedule_gemm_conv_narrow, schedule_gemm_conv_narrow_prepacked, schedule_gemm_conv_prepacked,
-    schedule_gemm_conv_sdot, schedule_gemm_conv_sdot_prepacked, schedule_ncnn_conv,
-    schedule_winograd_conv, winograd_conv, ConvWorkspace,
+    bitserial_conv, gemm_conv_ws, ncnn_conv, schedule_bitserial_conv, schedule_gemm_conv,
+    schedule_gemm_conv_narrow, schedule_gemm_conv_sdot, schedule_ncnn_conv, schedule_winograd_conv,
+    winograd_conv, ConvOutput, ConvWorkspace, PackedWeights,
 };
-use lowbit_qgemm::narrow::{pack_a_narrow, PackedANarrow};
+use lowbit_qgemm::narrow::pack_a_narrow;
 use lowbit_qgemm::parallel::{threads_from_env, ParallelConfig, MAX_THREADS};
-use lowbit_qgemm::sdot::{pack_a_quads, PackedAQuads};
+use lowbit_qgemm::sdot::pack_a_quads;
 use lowbit_qgemm::workspace::WorkspaceStats;
-use lowbit_qgemm::{pack_a, PackedA, Scheme};
+use lowbit_qgemm::{pack_a, Scheme};
 use lowbit_tensor::{BitWidth, ConvShape, QTensor, Tensor};
 use lowbit_trace::{PipeAttribution, Tracer, MAIN_TRACK};
 use neon_sim::{CortexA53, CostModel, KernelSchedule, StageCost};
@@ -65,6 +64,41 @@ pub struct ArmConvResult {
     /// Bytes the shared workspace arena grew by during this call (0 in the
     /// steady state).
     pub workspace_growth_bytes: usize,
+}
+
+/// The analytic schedule of a concrete algorithm on `shape` at `bits` — the
+/// single algorithm → kernel-schedule table every pricing path reads.
+///
+/// With `warm == false` this is the one-shot pipeline, including the
+/// per-call weight pack (what the paper's per-layer figures measure). With
+/// `warm == true` it is what the engine pays on repeated calls: the three
+/// GEMM kernels run from the prepack cache, so their `pack A` stage is
+/// amortized away; every other algorithm re-derives its weight operand per
+/// call (Winograd's `pack A` included) and keeps its one-shot schedule.
+///
+/// # Panics
+/// On `ArmAlgo::Auto` — resolve it first (e.g. with
+/// [`crate::planner::select_arm_algo`]).
+pub fn arm_schedule(
+    algo: ArmAlgo,
+    bits: BitWidth,
+    shape: &ConvShape,
+    warm: bool,
+) -> KernelSchedule {
+    let scheme = Scheme::for_bits(bits);
+    let (mut sched, prepacked) = match algo {
+        ArmAlgo::Gemm => (schedule_gemm_conv(&scheme, shape), true),
+        ArmAlgo::GemmNarrow => (schedule_gemm_conv_narrow(&scheme, shape), true),
+        ArmAlgo::GemmSdot => (schedule_gemm_conv_sdot(shape), true),
+        ArmAlgo::Winograd => (schedule_winograd_conv(bits, shape), false),
+        ArmAlgo::NcnnBaseline => (schedule_ncnn_conv(shape), false),
+        ArmAlgo::BitserialBaseline => (schedule_bitserial_conv(shape), false),
+        ArmAlgo::Auto => panic!("ArmAlgo::Auto has no schedule; resolve it first"),
+    };
+    if warm && prepacked {
+        sched.stages.retain(|s| s.name != "pack A");
+    }
+    sched
 }
 
 /// Converts one analytic schedule stage into the trace's pipe attribution
@@ -147,24 +181,6 @@ pub struct PrepackStats {
 /// single model in this suite, so eviction only engages when a many-model
 /// server shares one engine. [`ArmEngine::with_prepack_capacity`] overrides.
 pub const DEFAULT_PREPACK_CAPACITY_BYTES: usize = 64 << 20;
-
-/// One cached prepacked weight matrix, in the layout its algorithm needs.
-#[derive(Debug)]
-enum PackedWeights {
-    Wide(PackedA),
-    Narrow(PackedANarrow),
-    Quads(PackedAQuads),
-}
-
-impl PackedWeights {
-    fn bytes(&self) -> usize {
-        match self {
-            PackedWeights::Wide(p) => p.data.len(),
-            PackedWeights::Narrow(p) => p.data.len(),
-            PackedWeights::Quads(p) => p.data.len(),
-        }
-    }
-}
 
 /// The prepack-cache key a weight tensor will be stored under when executed
 /// with `algo` (`None` for algorithms without a prepacked layout). This is
@@ -381,6 +397,14 @@ impl ArmEngine {
         crate::planner::select_arm_algo(&self.model, bits, shape)
     }
 
+    /// `algo` with `Auto` resolved by [`ArmEngine::select_algo`].
+    fn resolve(&self, algo: ArmAlgo, bits: BitWidth, shape: &ConvShape) -> ArmAlgo {
+        match algo {
+            ArmAlgo::Auto => self.select_algo(bits, shape),
+            other => other,
+        }
+    }
+
     /// Runs a convolution, returning exact accumulators and modeled time.
     pub fn conv(
         &self,
@@ -408,10 +432,7 @@ impl ArmEngine {
         ctx: &str,
     ) -> ArmConvResult {
         let bits = input.bits().max(weights.bits());
-        let algo = match algo {
-            ArmAlgo::Auto => self.select_algo(bits, shape),
-            other => other,
-        };
+        let algo = self.resolve(algo, bits, shape);
         let mut conv_span = tracer.span("conv", MAIN_TRACK);
         conv_span.set_label(|| format!("{ctx}: {algo:?} {bits}"));
         let mut prepack_hit = None;
@@ -426,19 +447,9 @@ impl ArmEngine {
                 let packed = st.prepacked(weights, shape, algo);
                 prepack_hit = Some(st.hits > hits_before);
                 let ws_before = st.ws.footprint_bytes();
-                let out = match &*packed {
-                    PackedWeights::Wide(pa) => gemm_conv_prepacked_ws_traced(
-                        input, pa, &scheme, shape, &cfg, &mut st.ws, tracer,
-                    ),
-                    PackedWeights::Narrow(pa) => gemm_conv_narrow_prepacked_ws_traced(
-                        input, pa, &scheme, shape, &cfg, &mut st.ws, tracer,
-                    ),
-                    PackedWeights::Quads(pa) => {
-                        gemm_conv_sdot_prepacked_ws_traced(input, pa, shape, &mut st.ws, tracer)
-                    }
-                };
+                let acc = gemm_conv_ws(input, &packed, &scheme, shape, &cfg, &mut st.ws, tracer);
                 workspace_growth_bytes = st.ws.footprint_bytes().saturating_sub(ws_before);
-                out
+                ConvOutput { acc, schedule: arm_schedule(algo, bits, shape, true) }
             }
             ArmAlgo::Winograd => winograd_conv(input, weights, shape),
             ArmAlgo::NcnnBaseline => ncnn_conv(input, weights, shape),
@@ -468,27 +479,10 @@ impl ArmEngine {
         }
     }
 
-    /// Modeled time in milliseconds without executing (used by the harness
-    /// at full layer scale).
+    /// Modeled steady-state time in milliseconds without executing: the
+    /// warm [`arm_schedule`], exactly the price [`ArmEngine::conv`] reports.
     pub fn estimate_millis(&self, bits: BitWidth, shape: &ConvShape, algo: ArmAlgo) -> f64 {
-        let algo = match algo {
-            ArmAlgo::Auto => self.select_algo(bits, shape),
-            other => other,
-        };
-        // GEMM-family estimates match the executed prepacked pipelines:
-        // no `pack A` stage (the cache amortizes it to zero per call).
-        let sched = match algo {
-            ArmAlgo::Gemm => schedule_gemm_conv_prepacked(&Scheme::for_bits(bits), shape),
-            ArmAlgo::Winograd => schedule_winograd_conv(bits, shape),
-            ArmAlgo::GemmNarrow => {
-                schedule_gemm_conv_narrow_prepacked(&Scheme::for_bits(bits), shape)
-            }
-            ArmAlgo::GemmSdot => schedule_gemm_conv_sdot_prepacked(shape),
-            ArmAlgo::NcnnBaseline => schedule_ncnn_conv(shape),
-            ArmAlgo::BitserialBaseline => schedule_bitserial_conv(shape),
-            ArmAlgo::Auto => unreachable!(),
-        };
-        sched.millis(&self.model)
+        arm_schedule(self.resolve(algo, bits, shape), bits, shape, true).millis(&self.model)
     }
 
     /// Modeled one-shot ("cold") time: prices the full pipeline including
@@ -497,20 +491,7 @@ impl ArmEngine {
     /// the paper's per-layer kernel measurements correspond to, so the
     /// figure harness uses it.
     pub fn estimate_millis_cold(&self, bits: BitWidth, shape: &ConvShape, algo: ArmAlgo) -> f64 {
-        let algo = match algo {
-            ArmAlgo::Auto => self.select_algo(bits, shape),
-            other => other,
-        };
-        let sched = match algo {
-            ArmAlgo::Gemm => schedule_gemm_conv(&Scheme::for_bits(bits), shape),
-            ArmAlgo::Winograd => schedule_winograd_conv(bits, shape),
-            ArmAlgo::GemmNarrow => schedule_gemm_conv_narrow(&Scheme::for_bits(bits), shape),
-            ArmAlgo::GemmSdot => schedule_gemm_conv_sdot(shape),
-            ArmAlgo::NcnnBaseline => schedule_ncnn_conv(shape),
-            ArmAlgo::BitserialBaseline => schedule_bitserial_conv(shape),
-            ArmAlgo::Auto => unreachable!(),
-        };
-        sched.millis(&self.model)
+        arm_schedule(self.resolve(algo, bits, shape), bits, shape, false).millis(&self.model)
     }
 }
 
@@ -577,13 +558,54 @@ mod tests {
     fn estimate_matches_executed_schedule() {
         let engine = ArmEngine::cortex_a53();
         let shape = ConvShape::new(1, 6, 10, 10, 8, 3, 1, 1);
-        let bits = BitWidth::W5;
-        let (input, weights) = tensors(&shape, bits, 9);
-        for algo in [ArmAlgo::Auto, ArmAlgo::Gemm, ArmAlgo::GemmNarrow, ArmAlgo::GemmSdot] {
+        for (bits, algo) in [
+            (BitWidth::W5, ArmAlgo::Auto),
+            (BitWidth::W5, ArmAlgo::Gemm),
+            (BitWidth::W5, ArmAlgo::GemmNarrow),
+            (BitWidth::W5, ArmAlgo::GemmSdot),
+            (BitWidth::W4, ArmAlgo::Winograd),
+            (BitWidth::W8, ArmAlgo::NcnnBaseline),
+            (BitWidth::W2, ArmAlgo::BitserialBaseline),
+        ] {
+            let (input, weights) = tensors(&shape, bits, 9);
             let out = engine.conv(&input, &weights, &shape, algo);
             let est = engine.estimate_millis(bits, &shape, algo);
-            assert!((out.millis - est).abs() < 1e-12, "{algo:?}");
+            assert!((out.millis - est).abs() < 1e-12, "{bits} {algo:?}");
         }
+    }
+
+    #[test]
+    fn prepacked_schedules_drop_pack_a_and_nothing_else() {
+        let shape = ConvShape::new(1, 16, 14, 14, 32, 3, 1, 1);
+        let model = CortexA53::cost_model();
+        for algo in [ArmAlgo::Gemm, ArmAlgo::GemmNarrow, ArmAlgo::GemmSdot] {
+            let full = arm_schedule(algo, BitWidth::W4, &shape, false);
+            let pre = arm_schedule(algo, BitWidth::W4, &shape, true);
+            assert_eq!(pre.stages.len() + 1, full.stages.len(), "{algo:?}");
+            assert!(full.stage_cycles("pack A", &model) > 0.0, "{algo:?}");
+            assert_eq!(pre.stage_cycles("pack A", &model), 0.0, "{algo:?}");
+            for stage in ["im2col", "pack B", "gemm", "requant"] {
+                assert_eq!(
+                    pre.stage_cycles(stage, &model),
+                    full.stage_cycles(stage, &model),
+                    "{algo:?} {stage}"
+                );
+            }
+        }
+        // The engine does not prepack the other algorithms' weights, so
+        // their warm price is the one-shot one (Winograd's `pack A` stays).
+        for (bits, algo) in [
+            (BitWidth::W4, ArmAlgo::Winograd),
+            (BitWidth::W8, ArmAlgo::NcnnBaseline),
+            (BitWidth::W2, ArmAlgo::BitserialBaseline),
+        ] {
+            let warm = arm_schedule(algo, bits, &shape, true);
+            let cold = arm_schedule(algo, bits, &shape, false);
+            assert_eq!(warm.stages.len(), cold.stages.len(), "{algo:?}");
+            assert_eq!(warm.cycles(&model).to_bits(), cold.cycles(&model).to_bits(), "{algo:?}");
+        }
+        let winograd = arm_schedule(ArmAlgo::Winograd, BitWidth::W4, &shape, true);
+        assert!(winograd.stage_cycles("pack A", &model) > 0.0);
     }
 
     #[test]

@@ -15,6 +15,7 @@ use crate::gpu::{GpuEngine, Tuning};
 use crate::metrics::{ExecKey, ExecMetrics};
 use crate::network::{LayerReport, Network};
 use crate::plan::{BackendKind, ExecutionPlan, LayerPlan, NodePlan, PlanAlgo, PlanOp};
+use std::borrow::Cow;
 use std::sync::Arc;
 use lowbit_qnn::{quantize_f32, Quantizer};
 use lowbit_tensor::{Layout, QTensor, Tensor};
@@ -653,8 +654,7 @@ fn add_channel_bias(acc: &mut Tensor<i32>, bias: &[i32]) {
 /// two must stay the same expression for fused plans to be bit-exact
 /// against unfused references.
 fn add_clamped(a: &QTensor, b: &QTensor) -> QTensor {
-    let a_n = if a.layout() == Layout::Nchw { a.clone() } else { a.to_layout(Layout::Nchw) };
-    let b_n = if b.layout() == Layout::Nchw { b.clone() } else { b.to_layout(Layout::Nchw) };
+    let (a_n, b_n) = (nchw(a), nchw(b));
     let bits = a_n.bits();
     let (lo, hi) = (bits.qmin() as i32, bits.qmax() as i32);
     let data: Vec<i8> = a_n
@@ -666,30 +666,30 @@ fn add_clamped(a: &QTensor, b: &QTensor) -> QTensor {
     QTensor::new(Tensor::from_vec(a_n.dims(), Layout::Nchw, data), bits, 1.0)
 }
 
-/// Concatenates quantized tensors along the channel axis in NCHW.
+/// Concatenates quantized tensors along the channel axis in NCHW: per batch
+/// item, each operand contributes one contiguous `c*h*w` run.
 fn concat_channels<'a>(operands: impl Iterator<Item = &'a QTensor>) -> QTensor {
-    let normalized: Vec<QTensor> = operands
-        .map(|t| if t.layout() == Layout::Nchw { t.clone() } else { t.to_layout(Layout::Nchw) })
-        .collect();
+    let normalized: Vec<Cow<'_, QTensor>> = operands.map(nchw).collect();
     let (n, _, h, w) = normalized[0].dims();
     let bits = normalized[0].bits();
     let c_total: usize = normalized.iter().map(|t| t.dims().1).sum();
-    let mut out = Tensor::zeros((n, c_total, h, w), Layout::Nchw);
-    let mut c_off = 0;
-    for t in &normalized {
-        let c = t.dims().1;
-        for bn in 0..n {
-            for cc in 0..c {
-                for hh in 0..h {
-                    for ww in 0..w {
-                        out.set((bn, c_off + cc, hh, ww), t.tensor().get((bn, cc, hh, ww)));
-                    }
-                }
-            }
+    let mut data = Vec::with_capacity(n * c_total * h * w);
+    for bn in 0..n {
+        for t in &normalized {
+            let run = t.dims().1 * h * w;
+            data.extend_from_slice(&t.data()[bn * run..(bn + 1) * run]);
         }
-        c_off += c;
     }
-    QTensor::new(out, bits, 1.0)
+    QTensor::new(Tensor::from_vec((n, c_total, h, w), Layout::Nchw, data), bits, 1.0)
+}
+
+/// `t` in NCHW, borrowed when it already is.
+fn nchw(t: &QTensor) -> Cow<'_, QTensor> {
+    if t.layout() == Layout::Nchw {
+        Cow::Borrowed(t)
+    } else {
+        Cow::Owned(t.to_layout(Layout::Nchw))
+    }
 }
 
 #[cfg(test)]
@@ -899,6 +899,41 @@ mod tests {
                 }
             }
             assert_eq!(got, want, "{layout:?}");
+        }
+    }
+
+    #[test]
+    fn add_and_concat_match_per_element_reference_in_both_layouts() {
+        let bits = BitWidth::W4;
+        let (lo, hi) = (bits.qmin() as i32, bits.qmax() as i32);
+        let (n, h, w) = (2, 4, 5);
+        for layout in [Layout::Nchw, Layout::Nhwc] {
+            // Mixed layouts: the right operand of the add and the last
+            // concat operand are always NCHW.
+            let a = QTensor::random((n, 3, h, w), layout, bits, 1);
+            let b = QTensor::random((n, 2, h, w), layout, bits, 2);
+            let c = QTensor::random((n, 3, h, w), Layout::Nchw, bits, 3);
+            let sum = add_clamped(&a, &c);
+            let cat = concat_channels([&a, &b, &c].into_iter());
+            assert_eq!((sum.layout(), cat.layout()), (Layout::Nchw, Layout::Nchw));
+            assert_eq!(cat.dims(), (n, 8, h, w), "{layout:?}");
+            for bn in 0..n {
+                for hh in 0..h {
+                    for ww in 0..w {
+                        for cc in 0..3 {
+                            let idx = (bn, cc, hh, ww);
+                            let want = (a.get(idx) as i32 + c.get(idx) as i32).clamp(lo, hi);
+                            assert_eq!(sum.get(idx) as i32, want, "{layout:?} add {idx:?}");
+                        }
+                        for (off, t) in [(0, &a), (3, &b), (5, &c)] {
+                            for cc in 0..t.dims().1 {
+                                let got = cat.get((bn, off + cc, hh, ww));
+                                assert_eq!(got, t.get((bn, cc, hh, ww)), "{layout:?} concat");
+                            }
+                        }
+                    }
+                }
+            }
         }
     }
 }

@@ -57,8 +57,8 @@ pub mod prelude {
 }
 
 pub use arm::{
-    prepack_fingerprint, stage_attribution, ArmAlgo, ArmConvResult, ArmEngine, PrepackStats,
-    DEFAULT_PREPACK_CAPACITY_BYTES,
+    arm_schedule, prepack_fingerprint, stage_attribution, ArmAlgo, ArmConvResult, ArmEngine,
+    PrepackStats, DEFAULT_PREPACK_CAPACITY_BYTES,
 };
 pub use error::CoreError;
 pub use executor::{Backend, BackendLayerEstimate, BackendLayerRun, Executor, NetworkRun};

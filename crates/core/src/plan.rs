@@ -356,7 +356,7 @@ impl ExecutionPlan {
     /// Builds a chain plan with an explicitly declared workspace figure.
     /// Exists so tests and the verifier's negative catalog can seed plans
     /// whose declarations diverge from the certified bound; the planner
-    /// always goes through [`ExecutionPlan::from_graph`].
+    /// always goes through the crate-private `ExecutionPlan::from_graph`.
     pub fn from_layers(layers: Vec<LayerPlan>, workspace_high_water_bytes: usize) -> ExecutionPlan {
         let (nodes, values) = chain_graph(&layers);
         ExecutionPlan::from_graph(layers, nodes, values, workspace_high_water_bytes)

@@ -16,7 +16,7 @@
 //! bit. The committed [`LayerPlan::predicted_millis`] is the *warm*
 //! (prepacked) cost — what repeated execution actually pays.
 
-use crate::arm::{prepack_fingerprint, ArmAlgo, ArmEngine};
+use crate::arm::{arm_schedule, prepack_fingerprint, ArmAlgo, ArmEngine};
 use crate::error::CoreError;
 use crate::gpu::{GpuEngine, Tuning};
 use crate::graph::NodeOp;
@@ -26,14 +26,8 @@ use crate::plan::{
     BackendKind, Epilogue, ExecutionPlan, LayerPlan, NodePlan, ParallelSchedule, PlanAlgo,
     PlanOp, ValuePlan,
 };
-use lowbit_conv_arm::{
-    schedule_bitserial_conv, schedule_gemm_conv, schedule_gemm_conv_narrow,
-    schedule_gemm_conv_narrow_prepacked, schedule_gemm_conv_prepacked,
-    schedule_gemm_conv_sdot_prepacked, schedule_ncnn_conv, schedule_winograd_conv,
-    winograd_supported,
-};
+use lowbit_conv_arm::winograd_supported;
 use lowbit_conv_gpu::{auto_search, default_config, ConvGpuPlan};
-use lowbit_qgemm::Scheme;
 use lowbit_tensor::{BitWidth, ConvShape};
 use neon_sim::CostModel;
 
@@ -54,28 +48,21 @@ pub struct ArmCandidate {
 /// SMLAL widths (4–8 bit), and Winograd `F(2x2, 3x3)` for supported widths
 /// on 3x3/stride-1 geometry.
 pub fn arm_candidates(model: &CostModel, bits: BitWidth, shape: &ConvShape) -> Vec<ArmCandidate> {
-    let scheme = Scheme::for_bits(bits);
-    let mut out = vec![ArmCandidate {
-        algo: ArmAlgo::Gemm,
-        cold_cycles: schedule_gemm_conv(&scheme, shape).cycles(model),
-        warm_millis: schedule_gemm_conv_prepacked(&scheme, shape).millis(model),
-    }];
+    let mut algos = vec![ArmAlgo::Gemm];
     if !bits.uses_mla_scheme() {
-        out.push(ArmCandidate {
-            algo: ArmAlgo::GemmNarrow,
-            cold_cycles: schedule_gemm_conv_narrow(&scheme, shape).cycles(model),
-            warm_millis: schedule_gemm_conv_narrow_prepacked(&scheme, shape).millis(model),
-        });
+        algos.push(ArmAlgo::GemmNarrow);
     }
     if winograd_supported(bits) && shape.winograd_applicable() {
-        let sched = schedule_winograd_conv(bits, shape);
-        out.push(ArmCandidate {
-            algo: ArmAlgo::Winograd,
-            cold_cycles: sched.cycles(model),
-            warm_millis: sched.millis(model),
-        });
+        algos.push(ArmAlgo::Winograd);
     }
-    out
+    algos
+        .into_iter()
+        .map(|algo| ArmCandidate {
+            algo,
+            cold_cycles: arm_schedule(algo, bits, shape, false).cycles(model),
+            warm_millis: arm_schedule(algo, bits, shape, true).millis(model),
+        })
+        .collect()
 }
 
 /// Resolves `Auto` the way the paper's offline phase does: the first
@@ -104,21 +91,6 @@ pub fn arm_workspace_bytes(shape: &ConvShape, algo: ArmAlgo) -> usize {
         Some(kind) => lowbit_verify::arm_workspace_requirement(shape, kind).total(),
         None => 0,
     }
-}
-
-/// The steady-state millis the ARM engine models for a concrete algorithm
-/// (mirrors `ArmEngine::estimate_millis` for non-`Auto` algorithms).
-fn arm_warm_millis(model: &CostModel, bits: BitWidth, shape: &ConvShape, algo: ArmAlgo) -> f64 {
-    match algo {
-        ArmAlgo::Gemm => schedule_gemm_conv_prepacked(&Scheme::for_bits(bits), shape),
-        ArmAlgo::GemmNarrow => schedule_gemm_conv_narrow_prepacked(&Scheme::for_bits(bits), shape),
-        ArmAlgo::GemmSdot => schedule_gemm_conv_sdot_prepacked(shape),
-        ArmAlgo::Winograd => schedule_winograd_conv(bits, shape),
-        ArmAlgo::NcnnBaseline => schedule_ncnn_conv(shape),
-        ArmAlgo::BitserialBaseline => schedule_bitserial_conv(shape),
-        ArmAlgo::Auto => unreachable!("plans never carry Auto"),
-    }
-    .millis(model)
 }
 
 /// Compiles networks into execution plans over the registered backends.
@@ -205,7 +177,7 @@ impl Planner {
             algo: PlanAlgo::Arm(algo),
             prepack_fingerprint: prepack_fingerprint(weights, algo),
             workspace_bytes: arm_workspace_bytes(shape, algo),
-            predicted_millis: arm_warm_millis(engine.model(), bits, shape, algo),
+            predicted_millis: engine.estimate_millis(bits, shape, algo),
             epilogue,
             // The ARM kernels are NCHW-native: no conversions at the
             // canonical inter-layer boundary.

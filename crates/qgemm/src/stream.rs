@@ -1,7 +1,7 @@
 //! Self-describing kernel instruction streams for static verification.
 //!
 //! The emitters in [`crate::micro`], [`crate::narrow`], [`crate::sdot`] and
-//! [`crate::emit_gemm`] produce bare instruction vectors against
+//! [`mod@crate::emit_gemm`] produce bare instruction vectors against
 //! caller-chosen addresses. A [`KernelStream`] bundles one such program with
 //! the *contract* needed to reason about it without running it: where the
 //! packed A/B operands live and what element type they hold, and where the

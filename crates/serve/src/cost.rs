@@ -21,10 +21,10 @@
 //! the curves cross.
 
 use crate::class::RequestClass;
-use lowbit::conv_arm::{parallel_cycle_split, schedule_gemm_conv_prepacked};
+use lowbit::conv_arm::parallel_cycle_split;
 use lowbit::prelude::*;
-use lowbit::qgemm::{partition_columns, Scheme};
-use lowbit::select_arm_algo;
+use lowbit::qgemm::partition_columns;
+use lowbit::{arm_schedule, select_arm_algo};
 
 /// The batch buckets requests are padded up to. Bounding the bucket set
 /// bounds the plan-cache key space, which is what makes a ≥90% steady-state
@@ -59,7 +59,7 @@ pub fn arm_batch_millis(class: &RequestClass, batch: usize, engine: &ArmEngine) 
         let warm = engine.estimate_millis(bits, &shape, algo);
         total += match algo {
             ArmAlgo::Gemm | ArmAlgo::GemmNarrow | ArmAlgo::GemmSdot => {
-                let sched = schedule_gemm_conv_prepacked(&Scheme::for_bits(bits), &shape);
+                let sched = arm_schedule(ArmAlgo::Gemm, bits, &shape, true);
                 let (s, p) = parallel_cycle_split(&sched, model);
                 let n = shape.gemm_n();
                 let worst = partition_columns(n, threads)

@@ -1369,15 +1369,13 @@ pub fn verify_plan(spec: &PlanSpec) -> Result<PlanProof, PlanViolation> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lowbit_conv_arm::workspace::{
-        gemm_conv_narrow_prepacked_ws, gemm_conv_prepacked_ws, gemm_conv_sdot_prepacked_ws,
-        ConvWorkspace,
-    };
+    use lowbit_conv_arm::workspace::{gemm_conv_ws, ConvWorkspace, PackedWeights};
     use lowbit_qgemm::narrow::pack_a_narrow;
     use lowbit_qgemm::parallel::ParallelConfig;
     use lowbit_qgemm::sdot::pack_a_quads;
     use lowbit_qgemm::{pack_a, Scheme};
     use lowbit_tensor::{Layout, QTensor};
+    use lowbit_trace::Tracer;
 
     /// A hand-built two-layer spec small enough to reason about exactly.
     fn toy_spec() -> PlanSpec {
@@ -1757,29 +1755,25 @@ mod tests {
                 bits,
                 4,
             );
-            let (m, k) = (shape.gemm_m(), shape.gemm_k());
-            for threads in [1, 2, 4, 16] {
-                let cfg = ParallelConfig::with_threads(threads);
-                let mut ws = ConvWorkspace::new();
-                let pa = pack_a(weights.data(), m, k);
-                gemm_conv_prepacked_ws(&input, &pa, &scheme, shape, &cfg, &mut ws);
-                let bound = arm_workspace_requirement(shape, ArmAlgoKind::GemmWide).total();
-                assert!(
-                    ws.footprint_bytes() <= bound,
-                    "wide {shape} x{threads}: {} > {bound}",
-                    ws.footprint_bytes()
-                );
-                let mut ws = ConvWorkspace::new();
-                let pan = pack_a_narrow(weights.data(), m, k);
-                gemm_conv_narrow_prepacked_ws(&input, &pan, &scheme, shape, &cfg, &mut ws);
-                let bound = arm_workspace_requirement(shape, ArmAlgoKind::GemmNarrow).total();
-                assert!(ws.footprint_bytes() <= bound, "narrow {shape} x{threads}");
+            let (w, m, k) = (weights.data(), shape.gemm_m(), shape.gemm_k());
+            let packings = [
+                (ArmAlgoKind::GemmWide, PackedWeights::Wide(pack_a(w, m, k))),
+                (ArmAlgoKind::GemmNarrow, PackedWeights::Narrow(pack_a_narrow(w, m, k))),
+                (ArmAlgoKind::GemmSdot, PackedWeights::Quads(pack_a_quads(w, m, k))),
+            ];
+            for (kind, pa) in &packings {
+                let bound = arm_workspace_requirement(shape, *kind).total();
+                for threads in [1, 2, 4, 16] {
+                    let cfg = ParallelConfig::with_threads(threads);
+                    let mut ws = ConvWorkspace::new();
+                    gemm_conv_ws(&input, pa, &scheme, shape, &cfg, &mut ws, &Tracer::null());
+                    assert!(
+                        ws.footprint_bytes() <= bound,
+                        "{kind:?} {shape} x{threads}: {} > {bound}",
+                        ws.footprint_bytes()
+                    );
+                }
             }
-            let mut ws = ConvWorkspace::new();
-            let paq = pack_a_quads(weights.data(), m, k);
-            gemm_conv_sdot_prepacked_ws(&input, &paq, shape, &mut ws);
-            let bound = arm_workspace_requirement(shape, ArmAlgoKind::GemmSdot).total();
-            assert!(ws.footprint_bytes() <= bound, "sdot {shape}");
         }
     }
 
