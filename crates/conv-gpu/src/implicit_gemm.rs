@@ -16,7 +16,7 @@
 
 use crate::precomp::Precomp;
 use crate::tiling::TileConfig;
-use lowbit_qnn::RequantParams;
+use lowbit_qnn::{requantize_with_bias, RequantParams};
 use lowbit_tensor::{BitWidth, ConvShape, Layout, QTensor, Tensor};
 use turing_sim::memory::{
     bank_conflict_degree, global_coalescing_factor, smem_load_insts, SmemWidth,
@@ -227,21 +227,9 @@ impl ConvGpuPlan {
     ) -> QTensor {
         assert_eq!(bias.len(), self.shape.c_out, "one bias per output channel");
         let (acc, _) = self.execute_traced(input, weights);
-        // The functional walk stores whole tiles; the epilogue maps each
-        // element before it would leave the registers.
-        let (n, c, h, w) = acc.dims();
-        let mut out: Tensor<i8> = Tensor::zeros((n, c, h, w), Layout::Nhwc);
-        for b in 0..n {
-            for (co, &bias_c) in bias.iter().enumerate() {
-                for y in 0..h {
-                    for x in 0..w {
-                        let v = acc.get((b, co, y, x)) + bias_c;
-                        out.set((b, co, y, x), requant.apply(v));
-                    }
-                }
-            }
-        }
-        QTensor::new(out, requant.bits, 1.0)
+        // The functional walk stores whole tiles; the shared host epilogue
+        // maps each element before it would leave the registers.
+        requantize_with_bias(&acc, Some(bias), requant)
     }
 
     /// [`ConvGpuPlan::execute`] plus the execution trace.

@@ -133,6 +133,12 @@ pub enum CoreError {
         /// The plan's declared high-water mark.
         declared: usize,
     },
+    /// An input tensor holds a NaN or ±inf element, which symmetric
+    /// quantization cannot represent.
+    NonFiniteInput {
+        /// Flat index of the first non-finite element.
+        index: usize,
+    },
     /// The serving admission queue is at capacity — typed backpressure. The
     /// caller decides whether to retry, shed load or fail the request; the
     /// server never blocks the submitter.
@@ -199,6 +205,9 @@ impl std::fmt::Display for CoreError {
                 f,
                 "activation arena exceeded: {observed} live bytes observed but the plan declared {declared}"
             ),
+            CoreError::NonFiniteInput { index } => {
+                write!(f, "input element {index} is NaN or infinite")
+            }
             CoreError::QueueFull { capacity } => {
                 write!(f, "admission queue full (capacity {capacity})")
             }
@@ -259,6 +268,7 @@ mod tests {
                 detail: "add operands disagree".into(),
             },
             CoreError::ActivationArenaExceeded { observed: 200, declared: 100 },
+            CoreError::NonFiniteInput { index: 3 },
             CoreError::QueueFull { capacity: 8 },
             CoreError::ServerShutdown,
         ]
@@ -301,6 +311,10 @@ mod tests {
         assert_eq!(e.to_string(), "graph topology broken at residual: add operands disagree");
         let e = CoreError::ActivationArenaExceeded { observed: 200, declared: 100 };
         assert!(e.to_string().contains("200") && e.to_string().contains("100"));
+        assert_eq!(
+            CoreError::NonFiniteInput { index: 3 }.to_string(),
+            "input element 3 is NaN or infinite"
+        );
         assert!(CoreError::ServerShutdown.to_string().contains("shut down"));
     }
 

@@ -17,7 +17,7 @@ use crate::network::{LayerReport, Network};
 use crate::plan::{BackendKind, ExecutionPlan, LayerPlan, NodePlan, PlanAlgo, PlanOp};
 use std::borrow::Cow;
 use std::sync::Arc;
-use lowbit_qnn::{quantize_f32, Quantizer};
+use lowbit_qnn::{quantize_f32, requantize_with_bias, Quantizer};
 use lowbit_tensor::{Layout, QTensor, Tensor};
 use lowbit_trace::{Tracer, MAIN_TRACK};
 use turing_sim::KernelTime;
@@ -273,7 +273,7 @@ impl Executor {
         if input.dims() != expected {
             return Err(CoreError::InputShapeMismatch { expected, got: input.dims() });
         }
-        let q_in = Quantizer::calibrate(values[0].bits, input.data());
+        let q_in = calibrate_input(values[0].bits, input)?;
 
         // Value slots: the runtime image of the plan's activation arena.
         // A slot holds its value from the producing node until its last
@@ -385,14 +385,10 @@ impl Executor {
                 // with the ReLU folded into the truncation bound where
                 // requested, then the folded residual add if the graph
                 // fusion pass attached one.
-                let mut acc = out.acc;
-                if let Some(bias) = &lp.epilogue.bias {
-                    add_channel_bias(&mut acc, bias);
-                }
                 let rq = lp.epilogue.effective_requant();
                 let mut q = {
                     let _span = tracer.span("requantize", MAIN_TRACK);
-                    lowbit_qnn::requantize(&acc, &rq)
+                    requantize_with_bias(&out.acc, lp.epilogue.bias.as_deref(), &rq)
                 };
                 if let Some(r) = fused_add {
                     let residual = slots[r].as_ref().expect("verified dataflow");
@@ -482,7 +478,7 @@ impl Executor {
         if input.dims() != expected {
             return Err(CoreError::InputShapeMismatch { expected, got: input.dims() });
         }
-        let q_in = Quantizer::calibrate(values[0].bits, input.data());
+        let q_in = calibrate_input(values[0].bits, input)?;
         let mut slots: Vec<Option<QTensor>> = vec![None; values.len()];
         let mut scales: Vec<f32> = vec![0.0; values.len()];
         let mut uses_left: Vec<usize> = vec![0; values.len()];
@@ -620,32 +616,16 @@ impl Executor {
     }
 }
 
-/// Adds `bias[c]` to every accumulator of channel `c`, walking the storage
-/// in contiguous runs: one `h*w` plane per channel in NCHW, one `c`-long
-/// pixel in NHWC. Channels past the end of `bias` are left untouched.
-fn add_channel_bias(acc: &mut Tensor<i32>, bias: &[i32]) {
-    let (_, c, h, w) = acc.dims();
-    if c == 0 || h * w == 0 {
-        return;
-    }
-    match acc.layout() {
-        Layout::Nchw => {
-            for (i, plane) in acc.data_mut().chunks_exact_mut(h * w).enumerate() {
-                if let Some(&b) = bias.get(i % c) {
-                    for v in plane {
-                        *v += b;
-                    }
-                }
-            }
-        }
-        Layout::Nhwc => {
-            for pixel in acc.data_mut().chunks_exact_mut(c) {
-                for (v, &b) in pixel.iter_mut().zip(bias) {
-                    *v += b;
-                }
-            }
-        }
-    }
+/// The input quantizer, calibrated over the whole (possibly batched) input.
+/// A NaN or ±inf element would silently become 0 or zero the whole tensor
+/// through an infinite scale, so it is refused with
+/// [`CoreError::NonFiniteInput`], detected in the calibration pass itself.
+fn calibrate_input(
+    bits: lowbit_tensor::BitWidth,
+    input: &Tensor<f32>,
+) -> Result<Quantizer, CoreError> {
+    Quantizer::calibrate_finite(bits, input.data())
+        .map_err(|index| CoreError::NonFiniteInput { index })
 }
 
 /// Elementwise saturating add of two equal-shape quantized tensors, clamped
@@ -836,6 +816,24 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_inputs_are_typed_errors_in_both_run_modes() {
+        let def = lowbit_models::resnet50_projection_block(8);
+        let net = Network::from_graph_defs(&def, BitWidth::W4, 11).unwrap();
+        let engine = ArmEngine::cortex_a53();
+        let plan =
+            Planner::for_arm(&engine).with_parallel_nodes(true).compile(&net).unwrap();
+        let exec = Executor::for_arm(&engine);
+        let clean = float_input((1, 256, 8, 8), 17);
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut input = clean.clone();
+            input.data_mut()[123] = bad;
+            let want = CoreError::NonFiniteInput { index: 123 };
+            assert_eq!(exec.run(&plan, &net, &input).unwrap_err(), want, "{bad}");
+            assert_eq!(exec.run_parallel(&plan, &net, &input).unwrap_err(), want, "{bad}");
+        }
+    }
+
+    #[test]
     fn per_channel_bias_shifts_accumulators_before_requant() {
         use crate::network::NetLayer;
         use lowbit_qnn::RequantParams;
@@ -879,26 +877,43 @@ mod tests {
 
     #[test]
     fn channel_bias_matches_per_element_reference_in_both_layouts() {
+        use lowbit_qnn::{requantize, RequantParams};
         let dims = (2, 3, 4, 5);
-        let bias = [7, -11, i32::MAX / 4];
+        let (n, c, h, w) = dims;
+        let bits = BitWidth::W6;
+        let (lo, hi) = (bits.qmin() as i32, bits.qmax() as i32);
+        // Channel 2's bias overflows i32 for every accumulator above 100:
+        // the epilogue wraps (as release arithmetic always did) rather than
+        // panicking in debug builds.
+        let bias = [7, -11, i32::MAX - 100];
+        let residual = QTensor::random(dims, Layout::Nchw, bits, 5);
+        let idxs: Vec<_> = (0..n)
+            .flat_map(|b| (0..c).flat_map(move |cc| (0..h * w).map(move |p| (b, cc, p / w, p % w))))
+            .collect();
         for layout in [Layout::Nchw, Layout::Nhwc] {
-            let len = dims.0 * dims.1 * dims.2 * dims.3;
-            let data: Vec<i32> = (0..len as i32).map(|i| i * 37 - 1000).collect();
-            let mut got = Tensor::from_vec(dims, layout, data);
-            let mut want = got.clone();
-            add_channel_bias(&mut got, &bias);
-            let (n, c, h, w) = dims;
-            for bn in 0..n {
-                for (cc, &b) in bias.iter().enumerate().take(c) {
-                    for hh in 0..h {
-                        for ww in 0..w {
-                            let v = want.get((bn, cc, hh, ww)) + b;
-                            want.set((bn, cc, hh, ww), v);
-                        }
-                    }
+            let data: Vec<i32> = (0..(n * c * h * w) as i32).map(|i| i * 37 - 1000).collect();
+            let acc = Tensor::from_vec(dims, layout, data);
+            let mut biased = acc.clone();
+            for &idx in &idxs {
+                biased.set(idx, acc.get(idx).wrapping_add(bias[idx.1]));
+            }
+            assert!(idxs.iter().any(|&idx| acc.get(idx).checked_add(bias[idx.1]).is_none()));
+            let plain = RequantParams::new(bits, 0.01);
+            for rq in [plain, plain.with_relu()] {
+                let folded = requantize_with_bias(&acc, Some(&bias), &rq);
+                assert_eq!(folded.layout(), layout);
+                let reference = requantize(&biased, &rq);
+                let (got_sum, want_sum) =
+                    (add_clamped(&folded, &residual), add_clamped(&reference, &residual));
+                for &idx in &idxs {
+                    let want = rq.apply(acc.get(idx).wrapping_add(bias[idx.1]));
+                    assert_eq!(folded.get(idx), want, "{layout:?} {rq:?} {idx:?}");
+                    assert_eq!(reference.get(idx), want, "{layout:?} {rq:?} {idx:?}");
+                    let fused = (want as i32 + residual.get(idx) as i32).clamp(lo, hi);
+                    assert_eq!(got_sum.get(idx) as i32, fused, "{layout:?} residual {idx:?}");
+                    assert_eq!(want_sum.get(idx), got_sum.get(idx));
                 }
             }
-            assert_eq!(got, want, "{layout:?}");
         }
     }
 

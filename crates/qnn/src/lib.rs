@@ -17,4 +17,6 @@ pub mod quant;
 pub use graph::{fuse, Graph, Node, Op, ValueId};
 pub use ops::{add_bias, relu_f32, relu_q};
 pub use per_channel::{per_tensor_mse, PerChannelQuantizer};
-pub use quant::{dequantize_i32, quantize_f32, requantize, Quantizer, RequantParams};
+pub use quant::{
+    dequantize_i32, quantize_f32, requantize, requantize_with_bias, Quantizer, RequantParams,
+};

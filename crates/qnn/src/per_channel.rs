@@ -27,13 +27,7 @@ impl PerChannelQuantizer {
         let per_ch = c_in * kh * kw;
         let scales = (0..c_out)
             .map(|co| {
-                let chunk = &weights.data()[co * per_ch..(co + 1) * per_ch];
-                let max_abs = chunk.iter().fold(0f32, |m, v| m.max(v.abs()));
-                if max_abs == 0.0 {
-                    1.0
-                } else {
-                    max_abs / bits.qmax() as f32
-                }
+                Quantizer::calibrate(bits, &weights.data()[co * per_ch..(co + 1) * per_ch]).scale
             })
             .collect();
         PerChannelQuantizer { bits, scales }

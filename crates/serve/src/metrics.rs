@@ -22,7 +22,7 @@ use std::sync::Arc;
 pub enum RejectReason {
     /// Typed backpressure at admission: the class queue was at depth.
     QueueFull,
-    /// The submitted tensor had the wrong dimensions.
+    /// The submitted tensor had the wrong dimensions or a NaN/±inf element.
     BadInput,
     /// Plan compilation failed for the batch.
     CompileError,

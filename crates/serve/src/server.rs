@@ -324,13 +324,23 @@ impl Server {
 
     /// Submits one batch-1 input to `class`. Non-blocking: typed
     /// backpressure ([`CoreError::QueueFull`]) when the class queue is at
-    /// depth, [`CoreError::InputShapeMismatch`] on wrong dims.
+    /// depth, [`CoreError::InputShapeMismatch`] on wrong dims and
+    /// [`CoreError::NonFiniteInput`] on a NaN or ±inf element — refused here
+    /// rather than failing every request batched with it.
     pub fn submit(&self, class: usize, input: Tensor<f32>) -> Result<Ticket, CoreError> {
         let rt = &self.shared.classes[class];
         let expected = rt.class.input_dims();
-        if input.dims() != expected {
+        // Admission has no calibration pass to piggyback on (the batch is
+        // calibrated after forming), so finiteness is one scan of the request.
+        let bad = if input.dims() != expected {
+            Some(CoreError::InputShapeMismatch { expected, got: input.dims() })
+        } else {
+            let index = input.data().iter().position(|v| !v.is_finite());
+            index.map(|index| CoreError::NonFiniteInput { index })
+        };
+        if let Some(e) = bad {
             self.shared.metrics.record_rejection(None, class, RejectReason::BadInput, 0.0);
-            return Err(CoreError::InputShapeMismatch { expected, got: input.dims() });
+            return Err(e);
         }
         let (tx, rx) = mpsc::channel();
         let enq_ns = self.shared.now_ns();

@@ -57,26 +57,35 @@ pub fn im2col_nchw_into(input: &QTensor, shape: &ConvShape, out: &mut Im2colMatr
     out.n = n;
     out.data.clear();
     out.data.resize(k * n, 0);
-    let data = &mut out.data;
-    for b in 0..shape.batch {
-        for c in 0..shape.c_in {
-            for kr in 0..shape.kh {
-                for kc in 0..shape.kw {
-                    let row = (c * shape.kh + kr) * shape.kw + kc;
-                    for oy in 0..oh {
-                        let iy = (oy * shape.stride + kr) as isize - shape.pad as isize;
-                        if iy < 0 || iy >= shape.h as isize {
-                            continue; // whole output row taps padding for this (kr, iy)
-                        }
-                        for ox in 0..ow {
-                            let ix = (ox * shape.stride + kc) as isize - shape.pad as isize;
-                            if ix < 0 || ix >= shape.w as isize {
-                                continue;
-                            }
-                            let col = (b * oh + oy) * ow + ox;
-                            data[row * n + col] =
-                                input.get((b, c, iy as usize, ix as usize));
-                        }
+    if k * n == 0 {
+        return;
+    }
+    let (h, w, stride, pad) = (shape.h, shape.w, shape.stride, shape.pad);
+    let src = input.data();
+    for (row, dst) in out.data.chunks_exact_mut(n).enumerate() {
+        let c = row / (shape.kh * shape.kw);
+        let (kr, kc) = (row / shape.kw % shape.kh, row % shape.kw);
+        // The output columns whose tap `ix = ox * stride + kc - pad` lands
+        // inside the input row; the rest stay zero (padding).
+        let ox_lo = pad.saturating_sub(kc).div_ceil(stride).min(ow);
+        let ox_hi = if w + pad > kc { ((w + pad - kc - 1) / stride + 1).min(ow) } else { 0 };
+        if ox_lo >= ox_hi {
+            continue;
+        }
+        let ix_lo = ox_lo * stride + kc - pad;
+        for (b, dst_image) in dst.chunks_exact_mut(oh * ow).enumerate() {
+            let plane = &src[(b * shape.c_in + c) * h * w..][..h * w];
+            for (oy, dst_row) in dst_image.chunks_exact_mut(ow).enumerate() {
+                let Some(iy) = (oy * stride + kr).checked_sub(pad).filter(|&iy| iy < h) else {
+                    continue; // the whole output row taps padding
+                };
+                let seg = &mut dst_row[ox_lo..ox_hi];
+                let src_row = &plane[iy * w + ix_lo..];
+                if stride == 1 {
+                    seg.copy_from_slice(&src_row[..seg.len()]);
+                } else {
+                    for (d, &v) in seg.iter_mut().zip(src_row.iter().step_by(stride)) {
+                        *d = v;
                     }
                 }
             }
@@ -168,17 +177,46 @@ mod tests {
 
     #[test]
     fn matches_reference_on_padded_strided_conv() {
-        let shape = ConvShape::new(2, 3, 7, 6, 4, 3, 2, 1);
-        let input = QTensor::random(
-            (shape.batch, shape.c_in, shape.h, shape.w),
-            Layout::Nchw,
-            BitWidth::W6,
-            42,
-        );
-        let m = im2col_nchw(&input, &shape);
-        assert_eq!(m.k, shape.gemm_k());
-        assert_eq!(m.n, shape.gemm_n());
-        assert_eq!(m.data, reference_im2col(&input, &shape));
+        // A grid of kernel sizes, strides, paddings (up to and past the
+        // kernel, where whole rows and columns are padding and some valid
+        // `ox` ranges are empty), batch sizes and odd non-square inputs ...
+        let mut shapes = vec![ConvShape::new(2, 3, 7, 6, 4, 3, 2, 1)];
+        for kernel in [1, 3, 5, 7] {
+            for stride in [1, 2, 3] {
+                for pad in 0..=kernel {
+                    for (batch, h, w) in [(1, 9, 7), (2, 5, 11)] {
+                        if h + 2 * pad >= kernel && w + 2 * pad >= kernel {
+                            shapes.push(ConvShape::new(batch, 2, h, w, 3, kernel, stride, pad));
+                        }
+                    }
+                }
+            }
+        }
+        // ... and the 19 ResNet-50 layer geometries, `(c_in, hw, k, stride,
+        // pad)`, at an eighth of their spatial size.
+        let resnet50 = [
+            (3, 224, 7, 2, 3), (64, 56, 3, 1, 1), (64, 56, 1, 1, 0), (64, 56, 1, 1, 0),
+            (256, 56, 1, 1, 0), (256, 56, 1, 2, 0), (128, 28, 3, 1, 1), (128, 28, 1, 1, 0),
+            (256, 56, 1, 2, 0), (512, 28, 1, 1, 0), (512, 28, 1, 2, 0), (256, 14, 3, 1, 1),
+            (256, 14, 1, 1, 0), (512, 28, 1, 2, 0), (1024, 14, 1, 1, 0), (1024, 14, 1, 2, 0),
+            (512, 7, 3, 1, 1), (512, 7, 1, 1, 0), (2048, 7, 1, 1, 0),
+        ];
+        for (c_in, hw, k, stride, pad) in resnet50 {
+            let hw = hw / 8 + 3;
+            shapes.push(ConvShape::new(1, c_in / 64 + 1, hw, hw, 4, k, stride, pad));
+        }
+        for (i, shape) in shapes.iter().enumerate() {
+            let input = QTensor::random(
+                (shape.batch, shape.c_in, shape.h, shape.w),
+                Layout::Nchw,
+                BitWidth::W6,
+                42 + i as u64,
+            );
+            let m = im2col_nchw(&input, shape);
+            assert_eq!(m.k, shape.gemm_k());
+            assert_eq!(m.n, shape.gemm_n());
+            assert_eq!(m.data, reference_im2col(&input, shape), "{shape}");
+        }
     }
 
     #[test]

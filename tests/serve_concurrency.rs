@@ -5,7 +5,7 @@
 
 use lowbit::prelude::*;
 use lowbit_serve::{
-    BatchPolicy, PlanCache, PlanKey, RequestClass, Server, ServerConfig,
+    BatchPolicy, PlanCache, PlanKey, RejectReason, RequestClass, Server, ServerConfig,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -216,6 +216,35 @@ fn full_queue_rejects_submissions_with_typed_backpressure() {
     }
     assert_eq!(stats.completed, admitted as u64);
     assert_eq!(stats.queues[0].rejected, rejected as u64);
+}
+
+#[test]
+fn non_finite_submissions_are_rejected_as_bad_input() {
+    let class = RequestClass::demo(BitWidth::W4, 12, 9);
+    let config = ServerConfig {
+        queue_depth: 16,
+        policy: BatchPolicy::Dynamic { max_batch: 4, deadline_ms: 5.0 },
+        workers: 1,
+        arm_threads: 1,
+        force_backend: Some(BackendKind::Arm),
+        parallel_nodes: false,
+        slo_p99_ms: 50.0,
+    };
+    let server = Server::start(vec![class.clone()], config, &Tracer::default());
+    for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+        let mut input = class.sample_input(1);
+        input.data_mut()[40] = bad;
+        match server.submit(0, input) {
+            Err(CoreError::NonFiniteInput { index: 40 }) => {}
+            other => panic!("{bad}: expected a non-finite rejection, got {:?}", other.err()),
+        }
+    }
+    assert_eq!(server.metrics().rejected(0, RejectReason::BadInput), 3);
+    // The rejected requests never reached a batch: a clean one still runs.
+    let ticket = server.submit(0, class.sample_input(2)).expect("clean input is admitted");
+    assert!(ticket.wait().is_ok());
+    let stats = server.shutdown();
+    assert_eq!((stats.completed, stats.queues[0].rejected), (1, 0));
 }
 
 #[test]
