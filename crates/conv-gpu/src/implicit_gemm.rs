@@ -8,8 +8,9 @@
 //! Two consistent artifacts per plan:
 //!
 //! * [`ConvGpuPlan::execute`] — a functional execution that walks the exact
-//!   block/warp/k-tile structure and computes every 8x8 fragment with the
-//!   `turing-sim` `mma` semantics (bit-exact against direct convolution),
+//!   block/warp/k-tile structure and computes every 8x8 fragment that
+//!   touches real data with the `turing-sim` `mma` semantics (bit-exact
+//!   against direct convolution),
 //! * [`ConvGpuPlan::kernel_desc`] — the analytic launch descriptor whose
 //!   fields encode each Sec. 4.3 memory optimization, timed by the
 //!   wave-quantized model.
@@ -58,8 +59,14 @@ impl Default for MemOpts {
 pub struct ExecTrace {
     /// Thread blocks executed.
     pub blocks: u64,
-    /// `mma` instructions executed.
+    /// `mma` instructions the kernel issues: every fragment of every warp
+    /// at every k-step, padding included — the work
+    /// [`KernelDesc::macs_per_block`] prices.
     pub mma_calls: u64,
+    /// The subset of `mma_calls` the host actually multiplied. A fragment
+    /// whose first row, first column or first K index lies in the tile
+    /// padding reads only zeros, so the walk counts it but skips it.
+    pub mma_computed: u64,
     /// Operand elements staged into shared memory (A + B tiles).
     pub smem_staged_elems: u64,
     /// Output elements written to global memory.
@@ -205,7 +212,10 @@ impl ConvGpuPlan {
     /// (`(c_out, c_in, kh, kw)` dims in `Nhwc` layout), NHWC i32 output.
     ///
     /// Walks the exact block/k-tile/warp/fragment structure of Alg. 2 and
-    /// computes every fragment with the Tensor Core `mma` semantics.
+    /// computes fragments with the Tensor Core `mma` semantics. Only
+    /// the real region of each tile is staged and multiplied: fragments that
+    /// start in the padding are counted as issued but skipped, since they
+    /// add exactly 0.
     pub fn execute(&self, input: &QTensor, weights: &QTensor) -> Tensor<i32> {
         self.execute_traced(input, weights).0
     }
@@ -254,16 +264,9 @@ impl ConvGpuPlan {
         let k_mma = TileConfig::k_mma(self.precision);
         let k_pad = k.next_multiple_of(cfg.k_tile);
         let pc = Precomp::new(shape);
-        // B[k][n] with k ordered (kr, kc, ci) to match the precomp taps.
-        let b_at = |kk: usize, co: usize| -> i8 {
-            if kk >= k {
-                return 0;
-            }
-            let kr = kk / (shape.kw * shape.c_in);
-            let kc = (kk / shape.c_in) % shape.kw;
-            let ci = kk % shape.c_in;
-            weights.get((co, ci, kr, kc))
-        };
+        // OHWI storage is B transposed: `B[kk][co]` sits at `co * k + kk`,
+        // with kk ordered (kr, kc, ci) to match the precomp taps.
+        let w = weights.data();
 
         let (oh, ow) = (shape.out_h(), shape.out_w());
         let mut out: Tensor<i32> = Tensor::zeros((shape.batch, shape.c_out, oh, ow), Layout::Nhwc);
@@ -272,30 +275,32 @@ impl ConvGpuPlan {
 
         let mut smem_a = vec![0i8; cfg.m_tile * cfg.k_tile];
         let mut smem_b = vec![0i8; cfg.k_tile * cfg.n_tile];
+        let mut c_tile = vec![0i32; cfg.m_tile * cfg.n_tile];
         for bm in 0..m.div_ceil(cfg.m_tile) {
+            let m0 = bm * cfg.m_tile;
+            // Real rows of this block; the rest of the tile is padding.
+            let rows = cfg.m_tile.min(m - m0);
             for bn in 0..n.div_ceil(cfg.n_tile) {
+                let n0 = bn * cfg.n_tile;
+                let cols = cfg.n_tile.min(n - n0);
                 trace.blocks += 1;
-                let mut c_tile = vec![0i32; cfg.m_tile * cfg.n_tile];
+                c_tile.fill(0);
                 for k0 in (0..k_pad).step_by(cfg.k_tile) {
+                    let klen = cfg.k_tile.min(k - k0);
                     trace.smem_staged_elems +=
                         ((cfg.m_tile + cfg.n_tile) * cfg.k_tile) as u64;
                     // Stage A via the precomputed offsets, B directly
-                    // (Alg. 2 lines 3-4).
-                    for r in 0..cfg.m_tile {
-                        let mm = bm * cfg.m_tile + r;
-                        for kk in 0..cfg.k_tile {
-                            smem_a[r * cfg.k_tile + kk] = if mm < m && k0 + kk < k {
-                                pc.gather(input, mm, k0 + kk)
-                            } else {
-                                0
-                            };
-                        }
+                    // (Alg. 2 lines 3-4). Padding stays zero.
+                    smem_a.fill(0);
+                    smem_b.fill(0);
+                    for r in 0..rows {
+                        let at = r * cfg.k_tile;
+                        pc.gather_run(input, m0 + r, k0, &mut smem_a[at..at + klen]);
                     }
-                    for kk in 0..cfg.k_tile {
-                        for c in 0..cfg.n_tile {
-                            let nn = bn * cfg.n_tile + c;
-                            smem_b[kk * cfg.n_tile + c] =
-                                if nn < n { b_at(k0 + kk, nn) } else { 0 };
+                    for c in 0..cols {
+                        let at = (n0 + c) * k + k0;
+                        for (kk, &v) in w[at..at + klen].iter().enumerate() {
+                            smem_b[kk * cfg.n_tile + c] = v;
                         }
                     }
                     // Warp loop (Alg. 2 lines 6-14).
@@ -309,6 +314,13 @@ impl ConvGpuPlan {
                                         for kf in (0..cfg.k_step).step_by(k_mma) {
                                             let kbase = ks + kf;
                                             trace.mma_calls += 1;
+                                            // A fragment that starts in the
+                                            // padding reads only zeros and
+                                            // adds exactly 0.
+                                            if row0 >= rows || col0 >= cols || kbase >= klen {
+                                                continue;
+                                            }
+                                            trace.mma_computed += 1;
                                             self.mma_fragment(
                                                 &smem_a, &smem_b, &mut c_tile, row0, col0,
                                                 kbase, k_mma,
@@ -321,22 +333,14 @@ impl ConvGpuPlan {
                     }
                 }
                 // Epilogue: store the fragment (requant/bias are applied by
-                // the fusion layer on top of these exact accumulators).
-                for r in 0..cfg.m_tile {
-                    let mm = bm * cfg.m_tile + r;
-                    if mm >= m {
-                        break;
-                    }
-                    let (b, oy, ox) = pc.row_coords(mm);
-                    for c in 0..cfg.n_tile {
-                        let nn = bn * cfg.n_tile + c;
-                        if nn >= n {
-                            break;
-                        }
-                        trace.c_writes += 1;
-                        out.set((b, nn, oy, ox), c_tile[r * cfg.n_tile + c]);
-                    }
+                // the fusion layer on top of these exact accumulators). Each
+                // NHWC output row is contiguous over `c_out`: one copy.
+                let dst = out.data_mut();
+                for r in 0..rows {
+                    let at = (m0 + r) * n + n0;
+                    dst[at..at + cols].copy_from_slice(&c_tile[r * cfg.n_tile..][..cols]);
                 }
+                trace.c_writes += (rows * cols) as u64;
             }
         }
         (out, trace)
@@ -416,7 +420,7 @@ impl ConvGpuPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tuning::default_config;
+    use crate::tuning::{auto_search, default_config};
 
     /// NHWC direct convolution oracle.
     fn direct_nhwc(input: &QTensor, weights: &QTensor, shape: &ConvShape) -> Tensor<i32> {
@@ -453,8 +457,8 @@ mod tests {
         out
     }
 
-    fn case(shape: ConvShape, bits: BitWidth, seed: u64) {
-        let precision = ConvGpuPlan::precision_for_bits(bits).unwrap();
+    /// Random NHWC activations and OHWI weights for `shape` at `bits`.
+    fn operands(shape: &ConvShape, bits: BitWidth, seed: u64) -> (QTensor, QTensor) {
         let input = QTensor::random(
             (shape.batch, shape.c_in, shape.h, shape.w),
             Layout::Nhwc,
@@ -467,47 +471,69 @@ mod tests {
             bits,
             seed + 1,
         );
-        // A small config keeps the functional walk affordable while still
-        // exercising multi-block, multi-warp, multi-k-tile structure.
-        let cfg = TileConfig {
-            m_tile: 32,
-            n_tile: 16,
-            k_tile: 64,
-            k_step: 32,
-            warps_m: 2,
-            warps_n: 1,
-        };
-        let plan = ConvGpuPlan::new(shape, cfg, precision);
-        let got = plan.execute(&input, &weights);
+        (input, weights)
+    }
+
+    /// A small config that exercises multi-block, multi-warp, multi-k-tile
+    /// structure on small shapes.
+    const SMALL: TileConfig = TileConfig {
+        m_tile: 32,
+        n_tile: 16,
+        k_tile: 64,
+        k_step: 32,
+        warps_m: 2,
+        warps_n: 1,
+    };
+
+    /// The three `demo(12)` layers (the serving mix's `demo-w4-12` class) at
+    /// batch 1 and at batch 8, the largest serving bucket.
+    fn demo12_shapes() -> Vec<ConvShape> {
+        [1, 8]
+            .into_iter()
+            .flat_map(|batch| {
+                lowbit_models::demo(12).into_iter().map(move |l| l.shape.with_batch(batch))
+            })
+            .collect()
+    }
+
+    /// GEMM m = 128, n = 128, k = 64: whole tiles under both `SMALL` and
+    /// the 128x128x64 default, so no fragment is padding.
+    const EXACT: ConvShape = ConvShape {
+        batch: 2, c_in: 64, h: 8, w: 8, c_out: 128, kh: 1, kw: 1, stride: 1, pad: 0,
+    };
+
+    /// Runs `shape` under the small config and under the heavily padded
+    /// default config, each against the direct oracle.
+    fn case(shape: ConvShape, bits: BitWidth, seed: u64) {
+        let precision = ConvGpuPlan::precision_for_bits(bits).unwrap();
+        let (input, weights) = operands(&shape, bits, seed);
         let want = direct_nhwc(&input, &weights, &shape);
-        assert_eq!(got.data(), want.data(), "{shape} {bits}");
+        for cfg in [SMALL, default_config(precision)] {
+            let plan = ConvGpuPlan::new(shape, cfg, precision);
+            let got = plan.execute(&input, &weights);
+            assert_eq!(got.data(), want.data(), "{shape} {bits} {cfg:?}");
+        }
     }
 
     #[test]
     fn int8_matches_direct_conv() {
         case(ConvShape::new(1, 19, 9, 9, 21, 3, 1, 1), BitWidth::W8, 7);
+        case(EXACT, BitWidth::W8, 15);
     }
 
     #[test]
     fn int4_matches_direct_conv() {
         case(ConvShape::new(1, 13, 8, 8, 10, 3, 1, 1), BitWidth::W4, 8);
+        for (i, shape) in demo12_shapes().into_iter().enumerate() {
+            case(shape, BitWidth::W4, 20 + 2 * i as u64);
+        }
+        case(EXACT, BitWidth::W4, 16);
     }
 
     #[test]
     fn strided_batched_pointwise_matches() {
         case(ConvShape::new(2, 17, 7, 7, 9, 1, 2, 0), BitWidth::W8, 9);
         case(ConvShape::new(2, 6, 10, 7, 5, 3, 2, 1), BitWidth::W4, 10);
-    }
-
-    #[test]
-    fn default_config_executes_correctly_too() {
-        let shape = ConvShape::new(1, 8, 6, 6, 12, 3, 1, 1);
-        let precision = Precision::TensorCoreInt8;
-        let input = QTensor::random((1, 8, 6, 6), Layout::Nhwc, BitWidth::W8, 11);
-        let weights = QTensor::random((12, 8, 3, 3), Layout::Nhwc, BitWidth::W8, 12);
-        let plan = ConvGpuPlan::new(shape, default_config(precision), precision);
-        let got = plan.execute(&input, &weights);
-        assert_eq!(got.data(), direct_nhwc(&input, &weights, &shape).data());
     }
 
     #[test]
@@ -548,52 +574,78 @@ mod tests {
         // The GPU analog of the ARM emit-vs-counts invariant: what the
         // functional walk did must equal what the cost model priced.
         let d = Device::rtx2080ti();
-        let shape = ConvShape::new(1, 12, 9, 9, 10, 3, 1, 1);
+        let padded = ConvShape::new(1, 12, 9, 9, 10, 3, 1, 1);
         for precision in [Precision::TensorCoreInt8, Precision::TensorCoreInt4] {
             let bits = if precision == Precision::TensorCoreInt4 {
                 BitWidth::W4
             } else {
                 BitWidth::W8
             };
-            let cfg = TileConfig {
-                m_tile: 32, n_tile: 16, k_tile: 64, k_step: 32, warps_m: 2, warps_n: 1,
-            };
-            let plan = ConvGpuPlan::new(shape, cfg, precision);
-            let input = QTensor::random(
-                (shape.batch, shape.c_in, shape.h, shape.w),
-                Layout::Nhwc,
-                bits,
-                51,
-            );
-            let weights = QTensor::random(
-                (shape.c_out, shape.c_in, shape.kh, shape.kw),
-                Layout::Nhwc,
-                bits,
-                52,
-            );
-            let (_, trace) = plan.execute_traced(&input, &weights);
-            let desc = plan.kernel_desc(&d);
-            assert_eq!(trace.blocks, desc.grid_blocks, "{precision:?} blocks");
-            // Every mma covers 8x8xK_mma MACs; the descriptor prices padded
-            // tile volume.
-            let k_mma = TileConfig::k_mma(precision) as u64;
-            assert_eq!(
-                trace.mma_calls * 64 * k_mma,
-                desc.macs_per_block * desc.grid_blocks,
-                "{precision:?} mma work"
-            );
-            // Staged elements match the descriptor's per-stage byte count
-            // (element-for-byte at int8; halved at int4).
-            let staged_bytes = Precision::operand_bytes(precision, trace.smem_staged_elems);
-            let k_iters = shape.gemm_k().next_multiple_of(cfg.k_tile) as u64
-                / cfg.k_tile as u64;
-            assert_eq!(
-                staged_bytes,
-                cfg.smem_stage_bytes(precision) as u64 * k_iters * desc.grid_blocks,
-                "{precision:?} staging"
-            );
-            // Every logical output is written exactly once.
-            assert_eq!(trace.c_writes, shape.output_len() as u64);
+            for (shape, cfg) in [
+                (padded, SMALL),
+                (padded, default_config(precision)),
+                (EXACT, SMALL),
+                (EXACT, default_config(precision)),
+            ] {
+                let plan = ConvGpuPlan::new(shape, cfg, precision);
+                let (input, weights) = operands(&shape, bits, 51);
+                let (_, trace) = plan.execute_traced(&input, &weights);
+                let desc = plan.kernel_desc(&d);
+                assert_eq!(trace.blocks, desc.grid_blocks, "{precision:?} blocks");
+                // Every mma covers 8x8xK_mma MACs; the descriptor prices
+                // padded tile volume.
+                let k_mma = TileConfig::k_mma(precision) as u64;
+                assert_eq!(
+                    trace.mma_calls * 64 * k_mma,
+                    desc.macs_per_block * desc.grid_blocks,
+                    "{precision:?} mma work"
+                );
+                // The host multiplies only fragments that touch real data.
+                if shape == EXACT {
+                    assert_eq!(trace.mma_computed, trace.mma_calls, "{precision:?} {cfg:?}");
+                } else {
+                    assert!(trace.mma_computed < trace.mma_calls, "{precision:?} {cfg:?}");
+                }
+                // Staged elements match the descriptor's per-stage byte count
+                // (element-for-byte at int8; halved at int4).
+                let staged_bytes = Precision::operand_bytes(precision, trace.smem_staged_elems);
+                let k_iters = shape.gemm_k().next_multiple_of(cfg.k_tile) as u64
+                    / cfg.k_tile as u64;
+                assert_eq!(
+                    staged_bytes,
+                    cfg.smem_stage_bytes(precision) as u64 * k_iters * desc.grid_blocks,
+                    "{precision:?} staging"
+                );
+                // Every logical output is written exactly once.
+                assert_eq!(trace.c_writes, shape.output_len() as u64);
+            }
+        }
+    }
+
+    #[test]
+    #[ignore = "release-only sweep: cargo test --release -p lowbit-conv-gpu -- --ignored"]
+    fn walk_matches_direct_conv_on_the_model_shapes() {
+        // The demo layers at both served sizes, and the 19 ResNet-50 shapes
+        // with their spatial size cut by 4 (at least 7) so the direct
+        // oracle stays affordable, under the default and the searched
+        // tiling at both precisions.
+        let d = Device::rtx2080ti();
+        let mut shapes: Vec<ConvShape> =
+            [12, 32].into_iter().flat_map(lowbit_models::demo).map(|l| l.shape).collect();
+        shapes.extend(lowbit_models::resnet50().into_iter().map(|l| {
+            let hw = (l.shape.h / 4).max(7);
+            ConvShape { h: hw, w: hw, ..l.shape }
+        }));
+        for (i, shape) in shapes.into_iter().enumerate() {
+            for bits in [BitWidth::W4, BitWidth::W8] {
+                let precision = ConvGpuPlan::precision_for_bits(bits).unwrap();
+                let (input, weights) = operands(&shape, bits, 100 + 2 * i as u64);
+                let want = direct_nhwc(&input, &weights, &shape);
+                for cfg in [default_config(precision), auto_search(&shape, precision, &d).0] {
+                    let got = ConvGpuPlan::new(shape, cfg, precision).execute(&input, &weights);
+                    assert_eq!(got.data(), want.data(), "{shape} {bits} {cfg:?}");
+                }
+            }
         }
     }
 

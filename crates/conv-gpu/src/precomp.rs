@@ -59,19 +59,37 @@ impl Precomp {
         (m / (oh * ow), (m / ow) % oh, m % ow)
     }
 
-    /// Gathers logical element `A[m][k]` of the implicit activation matrix
-    /// (0 for padding taps), from an NHWC input.
-    #[inline]
-    pub fn gather(&self, input: &QTensor, m: usize, k: usize) -> i8 {
+    /// Gathers the run `A[m][k0..k0 + dst.len()]` of the implicit activation
+    /// matrix into `dst` (0 for padding taps), from an NHWC input. The row's
+    /// output pixel is decoded once; taps sharing a kernel position are
+    /// consecutive input channels, so each such stretch is one slice copy.
+    pub fn gather_run(&self, input: &QTensor, m: usize, k0: usize, dst: &mut [i8]) {
         debug_assert_eq!(input.layout(), Layout::Nhwc);
+        let s = &self.shape;
         let (b, oy, ox) = self.row_coords(m);
-        let tap = self.taps[k];
-        let iy = (oy * self.shape.stride + tap.kr as usize) as isize - self.shape.pad as isize;
-        let ix = (ox * self.shape.stride + tap.kc as usize) as isize - self.shape.pad as isize;
-        if iy < 0 || iy >= self.shape.h as isize || ix < 0 || ix >= self.shape.w as isize {
-            0
-        } else {
-            input.get((b, tap.ci as usize, iy as usize, ix as usize))
+        let data = input.data();
+        let mut k = k0;
+        let mut rest = dst;
+        while !rest.is_empty() {
+            let tap = self.taps[k];
+            let ci = tap.ci as usize;
+            let len = (s.c_in - ci).min(rest.len());
+            let (run, tail) = rest.split_at_mut(len);
+            let iy = (oy * s.stride + tap.kr as usize)
+                .checked_sub(s.pad)
+                .filter(|&y| y < s.h);
+            let ix = (ox * s.stride + tap.kc as usize)
+                .checked_sub(s.pad)
+                .filter(|&x| x < s.w);
+            match (iy, ix) {
+                (Some(iy), Some(ix)) => {
+                    let off = ((b * s.h + iy) * s.w + ix) * s.c_in + ci;
+                    run.copy_from_slice(&data[off..off + len]);
+                }
+                _ => run.fill(0),
+            }
+            rest = tail;
+            k += len;
         }
     }
 }
@@ -102,23 +120,29 @@ mod tests {
             17,
         );
         let pc = Precomp::new(&shape);
-        // Check against direct index arithmetic.
+        // Check every run `A[m][k0..]` against direct index arithmetic.
         let (oh, ow) = (shape.out_h(), shape.out_w());
+        let mut row = vec![0i8; pc.k()];
         for m in 0..shape.batch * oh * ow {
-            for k in 0..pc.k() {
-                let (b, oy, ox) = pc.row_coords(m);
-                let kr = k / (shape.kw * shape.c_in);
-                let kc = (k / shape.c_in) % shape.kw;
-                let ci = k % shape.c_in;
-                let iy = (oy * shape.stride + kr) as isize - shape.pad as isize;
-                let ix = (ox * shape.stride + kc) as isize - shape.pad as isize;
-                let want = if iy < 0 || iy >= shape.h as isize || ix < 0 || ix >= shape.w as isize
-                {
-                    0
-                } else {
-                    input.get((b, ci, iy as usize, ix as usize))
-                };
-                assert_eq!(pc.gather(&input, m, k), want, "m={m} k={k}");
+            for k0 in 0..pc.k() {
+                let run = &mut row[k0..];
+                run.fill(i8::MIN);
+                pc.gather_run(&input, m, k0, run);
+                for (k, &got) in row.iter().enumerate().skip(k0) {
+                    let (b, oy, ox) = pc.row_coords(m);
+                    let kr = k / (shape.kw * shape.c_in);
+                    let kc = (k / shape.c_in) % shape.kw;
+                    let ci = k % shape.c_in;
+                    let iy = (oy * shape.stride + kr) as isize - shape.pad as isize;
+                    let ix = (ox * shape.stride + kc) as isize - shape.pad as isize;
+                    let want =
+                        if iy < 0 || iy >= shape.h as isize || ix < 0 || ix >= shape.w as isize {
+                            0
+                        } else {
+                            input.get((b, ci, iy as usize, ix as usize))
+                        };
+                    assert_eq!(got, want, "m={m} k0={k0} k={k}");
+                }
             }
         }
     }

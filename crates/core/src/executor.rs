@@ -134,17 +134,23 @@ impl Backend for GpuEngine {
         let PlanAlgo::GpuImplicitGemm(cfg) = plan.algo else {
             return Err(wrong_algo(plan, BackendKind::GpuModel));
         };
+        // The kernel's precision comes from the plan, so wider operands
+        // would not fit its Tensor Core path.
+        let wide = act.bits().max(weights.bits());
+        if wide > plan.bits {
+            return Err(CoreError::PlanMismatch {
+                detail: format!("{}: {wide} operands on a {} plan", plan.name, plan.bits),
+            });
+        }
         // The GPU kernel is NHWC-native; normalize whatever arrived.
-        let act = if act.layout() == Layout::Nhwc { act.clone() } else { act.to_layout(Layout::Nhwc) };
-        let weights = if weights.layout() == Layout::Nhwc {
-            weights.clone()
-        } else {
-            weights.to_layout(Layout::Nhwc)
-        };
-        let time = self.estimate_traced(&plan.shape, plan.bits, Tuning::Fixed(cfg), tracer, &plan.name);
-        let out = self.conv(&act, &weights, &plan.shape, Tuning::Fixed(cfg));
+        let gpu_plan = self.plan(&plan.shape, plan.bits, Tuning::Fixed(cfg));
+        let time = self.estimate_traced(&gpu_plan, plan.bits, tracer, &plan.name);
+        let acc = gpu_plan.execute(
+            &in_layout(act, Layout::Nhwc),
+            &in_layout(weights, Layout::Nhwc),
+        );
         Ok(BackendLayerRun {
-            acc: out.acc,
+            acc,
             millis: time.total_s * 1e3,
             prepack_hit: None,
             workspace_growth_bytes: 0,
@@ -160,7 +166,8 @@ impl Backend for GpuEngine {
         let PlanAlgo::GpuImplicitGemm(cfg) = plan.algo else {
             return Err(wrong_algo(plan, BackendKind::GpuModel));
         };
-        let time = self.estimate_traced(&plan.shape, plan.bits, Tuning::Fixed(cfg), tracer, &plan.name);
+        let gpu_plan = self.plan(&plan.shape, plan.bits, Tuning::Fixed(cfg));
+        let time = self.estimate_traced(&gpu_plan, plan.bits, tracer, &plan.name);
         Ok(BackendLayerEstimate {
             millis: time.total_s * 1e3,
             gpu_time: Some(time),
@@ -634,7 +641,7 @@ fn calibrate_input(
 /// two must stay the same expression for fused plans to be bit-exact
 /// against unfused references.
 fn add_clamped(a: &QTensor, b: &QTensor) -> QTensor {
-    let (a_n, b_n) = (nchw(a), nchw(b));
+    let (a_n, b_n) = (in_layout(a, Layout::Nchw), in_layout(b, Layout::Nchw));
     let bits = a_n.bits();
     let (lo, hi) = (bits.qmin() as i32, bits.qmax() as i32);
     let data: Vec<i8> = a_n
@@ -649,7 +656,7 @@ fn add_clamped(a: &QTensor, b: &QTensor) -> QTensor {
 /// Concatenates quantized tensors along the channel axis in NCHW: per batch
 /// item, each operand contributes one contiguous `c*h*w` run.
 fn concat_channels<'a>(operands: impl Iterator<Item = &'a QTensor>) -> QTensor {
-    let normalized: Vec<Cow<'_, QTensor>> = operands.map(nchw).collect();
+    let normalized: Vec<Cow<'_, QTensor>> = operands.map(|t| in_layout(t, Layout::Nchw)).collect();
     let (n, _, h, w) = normalized[0].dims();
     let bits = normalized[0].bits();
     let c_total: usize = normalized.iter().map(|t| t.dims().1).sum();
@@ -663,12 +670,12 @@ fn concat_channels<'a>(operands: impl Iterator<Item = &'a QTensor>) -> QTensor {
     QTensor::new(Tensor::from_vec((n, c_total, h, w), Layout::Nchw, data), bits, 1.0)
 }
 
-/// `t` in NCHW, borrowed when it already is.
-fn nchw(t: &QTensor) -> Cow<'_, QTensor> {
-    if t.layout() == Layout::Nchw {
+/// `t` in `layout`, borrowed when it already is.
+fn in_layout(t: &QTensor, layout: Layout) -> Cow<'_, QTensor> {
+    if t.layout() == layout {
         Cow::Borrowed(t)
     } else {
-        Cow::Owned(t.to_layout(Layout::Nchw))
+        Cow::Owned(t.to_layout(layout))
     }
 }
 
@@ -711,6 +718,15 @@ mod tests {
         assert!(matches!(err, CoreError::InputShapeMismatch { .. }));
         let other = Network::demo(BitWidth::W4, 16, 9);
         let err = exec.run(&plan, &other, &float_input((1, 3, 16, 16), 5)).unwrap_err();
+        assert!(matches!(err, CoreError::PlanMismatch { .. }));
+        // A GPU layer's precision comes from its plan: operands wider than
+        // it are a typed mismatch, not a panic inside the int4 path.
+        let gpu = GpuEngine::rtx2080ti();
+        let plan = Planner::for_gpu(&gpu, Tuning::Default).compile(&net).unwrap();
+        let wide = QTensor::random((1, 3, 12, 12), Layout::Nchw, BitWidth::W8, 3);
+        let err = gpu
+            .execute_layer(&plan.layers()[0], &wide, &net.layers()[0].weights, &Tracer::null())
+            .unwrap_err();
         assert!(matches!(err, CoreError::PlanMismatch { .. }));
     }
 

@@ -95,22 +95,22 @@ impl GpuEngine {
         self.plan(shape, bits, tuning).time(&self.device)
     }
 
-    /// [`GpuEngine::estimate`] with span recording: the modeled stages of
-    /// the launch (launch overhead, global load, shared-memory reorder, MMA,
-    /// epilogue) are laid back-to-back on a `gpu modeled/<ctx>` track. The
+    /// Models a built plan on this engine's device, with span recording:
+    /// the modeled stages of the launch (launch overhead, global load,
+    /// shared-memory reorder, MMA, epilogue) are laid back-to-back on a
+    /// `gpu modeled/<ctx>` track. The
     /// serialized layout makes per-stage magnitudes comparable in a viewer;
     /// the engine's `total_s` is *less* than the span sum whenever the
     /// double-buffer overlaps DRAM under compute (the Fig. 6 mechanism), and
     /// the parent span's label records that total.
     pub fn estimate_traced(
         &self,
-        shape: &ConvShape,
+        plan: &ConvGpuPlan,
         bits: BitWidth,
-        tuning: Tuning,
         tracer: &Tracer,
         ctx: &str,
     ) -> KernelTime {
-        let time = self.estimate(shape, bits, tuning);
+        let time = plan.time(&self.device);
         if tracer.enabled() {
             let track = tracer.track(&format!("gpu modeled/{ctx}"));
             let stages = [
