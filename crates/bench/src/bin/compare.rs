@@ -5,9 +5,44 @@
 //! cargo run --release -p lowbit-bench --bin compare -- 64 56 64 3 1 1 4
 //! #                                  c_in hw c_out k stride pad bits
 //! ```
+//!
+//! Each ARM algorithm gets two times, each naming its clock: the modeled
+//! Cortex-A53 cold time, and the measured host wall time of a warm
+//! `ArmEngine::conv` (min of [`RUNS`], on the host's dispatched vector ISA),
+//! whose output is first checked bit-exact against `direct_conv`.
+use lowbit::conv_arm::direct_conv;
 use lowbit::prelude::*;
 use lowbit::ArmAlgo;
 use lowbit_bench::harness::Table;
+use lowbit_isa::Isa;
+use std::time::Instant;
+
+/// Timed calls per algorithm; the minimum is reported.
+const RUNS: usize = 5;
+
+/// Host wall ms of `engine.conv` (min of [`RUNS`], after one warm-up call
+/// that fills the prepack cache), panicking unless the output is bit-exact
+/// against `oracle`.
+fn measure_host_ms(
+    engine: &ArmEngine,
+    input: &QTensor,
+    weights: &QTensor,
+    shape: &ConvShape,
+    algo: ArmAlgo,
+    oracle: &Tensor<i32>,
+) -> f64 {
+    let warm = engine.conv(input, weights, shape, algo);
+    assert_eq!(warm.acc.data(), oracle.data(), "{algo:?} disagrees with direct_conv");
+    (0..RUNS)
+        .map(|_| {
+            let start = Instant::now();
+            let out = engine.conv(input, weights, shape, algo);
+            let ms = start.elapsed().as_secs_f64() * 1e3;
+            std::hint::black_box(out);
+            ms
+        })
+        .fold(f64::INFINITY, f64::min)
+}
 
 fn main() {
     let args: Vec<usize> = std::env::args()
@@ -24,9 +59,15 @@ fn main() {
     let engine = ArmEngine::cortex_a53();
     let model = *engine.model();
 
+    let input = QTensor::random((1, c_in, hw, hw), Layout::Nchw, bits, 1);
+    let weights = QTensor::random((c_out, c_in, k, k), Layout::Nchw, bits, 2);
+    let oracle = direct_conv(&input, &weights, &shape);
+    let host_column = format!("host ms (min of {RUNS}, {}, x{})", Isa::host(), engine.threads());
+
     println!("Shape {shape} at {bits} (batch 1)\n");
-    println!("ARM algorithms (Cortex-A53 model):");
-    let mut table = Table::new(vec!["algorithm", "modeled ms", "stage breakdown"]);
+    println!("ARM algorithms (modeled: Cortex-A53 cold; host: measured warm ArmEngine::conv):");
+    let headers = vec!["algorithm", "modeled ms", &host_column, "stage breakdown (modeled)"];
+    let mut table = Table::new(headers);
     let algos: Vec<(ArmAlgo, bool)> = vec![
         (ArmAlgo::Gemm, true),
         (ArmAlgo::GemmNarrow, !bits.uses_mla_scheme()),
@@ -40,7 +81,7 @@ fn main() {
     ];
     for (algo, applicable) in algos {
         if !applicable {
-            table.push_row(vec![format!("{algo:?}"), "n/a".into(), "-".into()]);
+            table.push_row(vec![format!("{algo:?}"), "n/a".into(), "n/a".into(), "-".into()]);
             continue;
         }
         let sched = lowbit::arm_schedule(algo, bits, &shape, false);
@@ -49,9 +90,11 @@ fn main() {
             .iter()
             .map(|s| format!("{} {:.2}", s.name, model.millis(s.cycles(&model))))
             .collect();
+        let host_ms = measure_host_ms(&engine, &input, &weights, &shape, algo, &oracle);
         table.push_row(vec![
             format!("{algo:?}"),
             format!("{:.3}", sched.millis(&model)),
+            format!("{host_ms:.3}"),
             breakdown.join(", "),
         ]);
     }

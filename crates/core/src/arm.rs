@@ -21,7 +21,7 @@ use lowbit_qgemm::parallel::{threads_from_env, ParallelConfig, MAX_THREADS};
 use lowbit_qgemm::sdot::pack_a_quads;
 use lowbit_qgemm::workspace::WorkspaceStats;
 use lowbit_qgemm::{pack_a, Scheme};
-use lowbit_tensor::{BitWidth, ConvShape, QTensor, Tensor};
+use lowbit_tensor::{BitWidth, ConvShape, Layout, QTensor, Tensor};
 use lowbit_trace::{PipeAttribution, Tracer, MAIN_TRACK};
 use neon_sim::{CortexA53, CostModel, KernelSchedule, StageCost};
 use std::collections::HashMap;
@@ -431,6 +431,7 @@ impl ArmEngine {
         tracer: &Tracer,
         ctx: &str,
     ) -> ArmConvResult {
+        check_operands(input, weights, shape);
         let bits = input.bits().max(weights.bits());
         let algo = self.resolve(algo, bits, shape);
         let mut conv_span = tracer.span("conv", MAIN_TRACK);
@@ -493,6 +494,18 @@ impl ArmEngine {
     pub fn estimate_millis_cold(&self, bits: BitWidth, shape: &ConvShape, algo: ArmAlgo) -> f64 {
         arm_schedule(self.resolve(algo, bits, shape), bits, shape, false).millis(&self.model)
     }
+}
+
+/// Panics unless `input` is NCHW with `shape`'s input dims and `weights`
+/// has its filter dims. [`ArmEngine::conv_traced`] runs this before taking
+/// the state lock: a kernel panicking under the lock would poison the state
+/// every clone shares, and each later call on any clone would panic too.
+fn check_operands(input: &QTensor, weights: &QTensor, shape: &ConvShape) {
+    assert_eq!(input.layout(), Layout::Nchw, "ARM path expects NCHW");
+    let input_dims = (shape.batch, shape.c_in, shape.h, shape.w);
+    assert_eq!(input.dims(), input_dims, "input dims do not match conv shape");
+    let weight_dims = (shape.c_out, shape.c_in, shape.kh, shape.kw);
+    assert_eq!(weights.dims(), weight_dims, "weight dims do not match conv shape");
 }
 
 #[cfg(test)]
@@ -681,6 +694,36 @@ mod tests {
         let _ = engine.conv(&input, &weights, &shape, ArmAlgo::Gemm);
         let stats = engine.prepack_stats();
         assert_eq!((stats.hits, stats.misses, stats.entries, stats.evictions), (1, 1, 1, 0));
+    }
+
+    #[test]
+    fn a_rejected_call_leaves_every_clone_working() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let shape = ConvShape::new(1, 4, 8, 8, 6, 3, 1, 1);
+        let (input, weights) = tensors(&shape, BitWidth::W4, 33);
+        let oracle = direct_conv(&input, &weights, &shape);
+        let engine = ArmEngine::cortex_a53().with_threads(2);
+        let clone = engine.clone();
+        let _ = engine.conv(&input, &weights, &shape, ArmAlgo::Gemm);
+        let wrong_dims = ConvShape::new(1, 4, 9, 8, 6, 3, 1, 1);
+        let bad_calls: [(&str, &dyn Fn()); 3] = [
+            ("NHWC input", &|| {
+                let nhwc = input.to_layout(Layout::Nhwc);
+                let _ = engine.conv(&nhwc, &weights, &shape, ArmAlgo::Gemm);
+            }),
+            ("input dims", &|| {
+                let _ = engine.conv(&input, &weights, &wrong_dims, ArmAlgo::GemmNarrow);
+            }),
+            ("weight dims", &|| {
+                let _ = engine.conv(&input, &input, &shape, ArmAlgo::Gemm);
+            }),
+        ];
+        for (name, call) in bad_calls {
+            assert!(catch_unwind(AssertUnwindSafe(call)).is_err(), "{name} must be rejected");
+            let out = clone.conv(&input, &weights, &shape, ArmAlgo::Gemm);
+            assert_eq!(out.acc.data(), oracle.data(), "clone after {name}");
+        }
+        assert_eq!(engine.prepack_stats().hits, 3);
     }
 
     #[test]

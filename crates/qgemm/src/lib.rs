@@ -10,7 +10,9 @@
 //!   per column of A, `n_b = 4` elements per row of B),
 //! * [`micro`] — the 16x4 register-tiled micro-kernel of Alg. 1 in three
 //!   consistent forms: a fast functional path, an analytic instruction-count
-//!   schedule, and an emitter to [`neon_sim`] instructions,
+//!   schedule, and an emitter to [`neon_sim`] instructions; the functional
+//!   path runs each micro-tile on the host's widest vector ISA through
+//!   [`lowbit_isa::Isa`] (same source and same bits on every ISA),
 //! * [`mod@gemm`] — the full tiled GEMM driver with its pipeline schedule,
 //! * [`traditional`] — the Fig. 1(a) traditional GEMM used for the Eq. 1–4
 //!   load/arithmetic ablation,

@@ -6,7 +6,8 @@
 //!    functional implementation with the exact lane semantics of the NEON
 //!    instructions (wrapping i8/i16 accumulation), used at full layer scale.
 //!    It runs each drain interval as one branch-free loop over contiguous
-//!    packed operand blocks;
+//!    packed operand blocks, compiled per tile for the host's widest vector
+//!    ISA ([`Isa::host`]);
 //! 2. [`tile_counts`] — analytic instruction counts for the same shape, fed to
 //!    the cost model;
 //! 3. [`emit_tile`] — the actual instruction stream for the `neon-sim`
@@ -31,6 +32,7 @@
 
 use crate::pack::{PackedA, PackedA16, PackedB, PackedB16, NA, NB, NCNN_NA};
 use crate::scheme::{Scheme, SchemeKind};
+use lowbit_isa::Isa;
 use neon_sim::inst::{Half, Inst};
 use neon_sim::InstCounts;
 
@@ -62,17 +64,37 @@ pub fn run_tile(scheme: &Scheme, pa: &PackedA, pb: &PackedB, ti: usize, tj: usiz
 /// blocks and accumulating block partials is bit-exact versus one full-K run:
 /// within the published ratios every i8/i16 partial is exact, hence every
 /// i32 block partial is the exact sub-sum and i32 addition is associative.
+///
+/// Runs on the host's widest vector ISA ([`Isa::host`]); every ISA
+/// computes the same bits.
 pub fn accumulate_tile(scheme: &Scheme, a: &[i8], b: &[i8], acc32: &mut [i32; TILE_LEN]) {
+    accumulate_tile_on(Isa::host(), scheme, a, b, acc32);
+}
+
+/// [`accumulate_tile`] compiled for `isa`. The dispatch wraps exactly one
+/// tile: the drivers' tile loops stay out of line, where inlining the
+/// kernel into them measured several times slower.
+pub(crate) fn accumulate_tile_on(
+    isa: Isa,
+    scheme: &Scheme,
+    a: &[i8],
+    b: &[i8],
+    acc32: &mut [i32; TILE_LEN],
+) {
     match scheme.kind() {
-        SchemeKind::Smlal8 => accumulate_smlal::<NA>(scheme.ratio(), a, b, acc32),
-        SchemeKind::Mla => accumulate_mla(scheme, a, b, acc32),
+        SchemeKind::Smlal8 => {
+            isa.run(#[inline(always)] || accumulate_smlal::<NA>(scheme.ratio(), a, b, acc32))
+        }
+        SchemeKind::Mla => isa.run(#[inline(always)] || accumulate_mla(scheme, a, b, acc32)),
         SchemeKind::Ncnn16 => panic!("Ncnn16 uses run_tile_ncnn on widened operands"),
     }
 }
 
 /// The SMLAL scheme for an `R`x4 tile (`R` = 16 wide, 8 narrow): each
 /// drain interval of `ratio` K steps accumulates wrapping i16 partials,
-/// which `SADDW` then adds into the i32 result.
+/// which `SADDW` then adds into the i32 result. Always inlined, so it is
+/// compiled for the ISA of the [`Isa::run`] trampoline that calls it.
+#[inline(always)]
 pub(crate) fn accumulate_smlal<const R: usize>(
     ratio: usize,
     a: &[i8],
@@ -99,6 +121,7 @@ pub(crate) fn accumulate_smlal<const R: usize>(
 /// ratio: an i8 `MLA` lane holds its true sum mod 2^8, the i16 interval
 /// holds it mod 2^16, and since 2^8 divides 2^16 `as i8` recovers exactly
 /// the wrapped i8 lane (sign-extended by `as i16`, like `SADDW`).
+#[inline(always)]
 fn accumulate_mla(scheme: &Scheme, a: &[i8], b: &[i8], acc32: &mut [i32; TILE_LEN]) {
     let (a, b) = k_steps::<NA>(a, b);
     let (r1, r2) = (scheme.ratio(), scheme.ratio2());
@@ -739,11 +762,23 @@ mod tests {
             ("mla ratio > K", mla.with_ratio_unchecked(10 * k).with_ratio2_unchecked(3)),
         ];
         for (name, scheme) in cases {
-            let functional = run_tile(&scheme, &pa, &pb, 0, 0);
             let (interpreted, counts) = interpret_tile(&scheme, &pa, &pb, 0, 0);
-            assert_eq!(interpreted, functional, "{name}: interpreter vs functional");
             assert_eq!(counts, tile_counts(&scheme, k), "{name}: interpreter vs analytic counts");
+            let baseline = run_tile_on(Isa::BASELINE, &scheme, &pa, &pb);
+            assert_eq!(interpreted, baseline, "{name}: interpreter vs functional");
+            for isa in Isa::supported() {
+                let functional = run_tile_on(isa, &scheme, &pa, &pb);
+                assert_eq!(functional, baseline, "{name} on {isa}: vs the baseline instance");
+            }
+            assert_eq!(run_tile(&scheme, &pa, &pb, 0, 0), baseline, "{name}: host dispatch");
         }
+    }
+
+    /// [`run_tile`] compiled for `isa`, on the first tile of each operand.
+    fn run_tile_on(isa: Isa, scheme: &Scheme, pa: &PackedA, pb: &PackedB) -> Vec<i32> {
+        let mut acc32 = [0i32; TILE_LEN];
+        accumulate_tile_on(isa, scheme, pa.block(0, 0, pa.k), pb.tile(0), &mut acc32);
+        acc32.to_vec()
     }
 
     #[test]
@@ -779,8 +814,9 @@ mod tests {
         // within the published ratios that must still be exact, for block
         // lengths below, at and above the drain intervals.
         use crate::gemm::reference_gemm;
-        use crate::parallel::{gemm_parallel_cm, ParallelConfig, SharedWeights};
+        use crate::parallel::{gemm_parallel_cm_on, ParallelConfig, SharedWeights};
         use crate::workspace::GemmWorkspace;
+        use lowbit_trace::Tracer;
         let (m, k, n) = (20, 150, 9);
         for bits in [BitWidth::W2, BitWidth::W3, BitWidth::W4, BitWidth::W8] {
             let scheme = Scheme::for_bits(bits);
@@ -789,11 +825,17 @@ mod tests {
             let pa = pack_a(&a, m, k);
             for (threads, kc) in [(1, 1), (1, 7), (2, 31), (2, 32), (3, 64), (1, 149), (2, 150)] {
                 let cfg = ParallelConfig { threads, kc, nc: 8 };
-                let mut ws = GemmWorkspace::new();
-                let c_cm = gemm_parallel_cm(&scheme, SharedWeights::Wide(&pa), &b, k, n, &cfg, &mut ws);
-                for i in 0..m {
-                    for j in 0..n {
-                        assert_eq!(c_cm[j * m + i], want[i * n + j], "{bits} kc {kc} ({i},{j})");
+                for isa in Isa::supported() {
+                    let mut ws = GemmWorkspace::new();
+                    let weights = SharedWeights::Wide(&pa);
+                    let tracer = Tracer::null();
+                    let c_cm =
+                        gemm_parallel_cm_on(isa, &scheme, weights, &b, k, n, &cfg, &mut ws, &tracer);
+                    for i in 0..m {
+                        for j in 0..n {
+                            let at = format!("{bits} kc {kc} {isa} ({i},{j})");
+                            assert_eq!(c_cm[j * m + i], want[i * n + j], "{at}");
+                        }
                     }
                 }
             }

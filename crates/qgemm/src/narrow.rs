@@ -19,6 +19,7 @@
 use crate::micro::accumulate_smlal;
 use crate::pack::{PackedB, NB};
 use crate::scheme::{Scheme, SchemeKind};
+use lowbit_isa::Isa;
 use neon_sim::inst::{Half, Inst};
 use neon_sim::{InstCounts, KernelSchedule, StageCost};
 
@@ -97,14 +98,27 @@ pub fn run_tile_narrow(
 /// Runs one narrow 8x4 tile over one K block (`a`: `klen * NA8` bytes,
 /// `b`: `klen * NB` bytes), adding into `acc32` (same K-blocking exactness
 /// argument as [`crate::micro::accumulate_tile`]).
+///
+/// Runs on [`Isa::host`], like the wide kernel.
 pub fn accumulate_tile_narrow(
     scheme: &Scheme,
     a: &[i8],
     b: &[i8],
     acc32: &mut [i32; NARROW_TILE_LEN],
 ) {
+    accumulate_tile_narrow_on(Isa::host(), scheme, a, b, acc32);
+}
+
+/// [`accumulate_tile_narrow`] compiled for `isa` (one tile per dispatch).
+pub(crate) fn accumulate_tile_narrow_on(
+    isa: Isa,
+    scheme: &Scheme,
+    a: &[i8],
+    b: &[i8],
+    acc32: &mut [i32; NARROW_TILE_LEN],
+) {
     assert_eq!(scheme.kind(), SchemeKind::Smlal8, "narrow tile is SMLAL-only");
-    accumulate_smlal::<NA8>(scheme.ratio(), a, b, acc32);
+    isa.run(#[inline(always)] || accumulate_smlal::<NA8>(scheme.ratio(), a, b, acc32));
 }
 
 /// Analytic instruction counts for one narrow tile (must match
@@ -198,6 +212,19 @@ pub fn gemm_narrow(
     k: usize,
     n: usize,
 ) -> crate::gemm::GemmOutput {
+    gemm_narrow_on(Isa::host(), scheme, a, b, m, k, n)
+}
+
+/// [`gemm_narrow`] with every tile compiled for `isa`.
+pub(crate) fn gemm_narrow_on(
+    isa: Isa,
+    scheme: &Scheme,
+    a: &[i8],
+    b: &[i8],
+    m: usize,
+    k: usize,
+    n: usize,
+) -> crate::gemm::GemmOutput {
     let pa = pack_a_narrow(a, m, k);
     let pb = crate::pack::pack_b(b, k, n);
     let mut c = vec![0i32; m * n];
@@ -205,7 +232,7 @@ pub fn gemm_narrow(
         let a_tile = pa.block(ti, 0, k);
         for tj in 0..pb.tiles() {
             let mut tile = [0i32; NARROW_TILE_LEN];
-            accumulate_tile_narrow(scheme, a_tile, pb.tile(tj), &mut tile);
+            accumulate_tile_narrow_on(isa, scheme, a_tile, pb.tile(tj), &mut tile);
             for col in 0..NB {
                 let j = tj * NB + col;
                 if j >= n {
@@ -275,8 +302,11 @@ mod tests {
             let (m, k, n) = (19, 37, 11);
             let a = random_mat(m * k, bits, 60 + bits.bits() as u64);
             let b = random_mat(k * n, bits, 70 + bits.bits() as u64);
-            let out = gemm_narrow(&scheme, &a, &b, m, k, n);
-            assert_eq!(out.c, reference_gemm(&a, &b, m, k, n), "{bits}");
+            let want = reference_gemm(&a, &b, m, k, n);
+            for isa in Isa::supported() {
+                assert_eq!(gemm_narrow_on(isa, &scheme, &a, &b, m, k, n).c, want, "{bits} {isa}");
+            }
+            assert_eq!(gemm_narrow(&scheme, &a, &b, m, k, n).c, want, "{bits} host dispatch");
         }
     }
 
@@ -289,7 +319,7 @@ mod tests {
         let b = random_mat(k * n, bits, 82);
         let pa = pack_a_narrow(&a, m, k);
         let pb = pack_b(&b, k, n);
-        let functional = run_tile_narrow(&scheme, &pa, &pb, 0, 0);
+        let baseline = run_tile_narrow_on(Isa::BASELINE, &scheme, &pa, &pb);
 
         let addr_a = 0u32;
         let addr_b = (k * NA8) as u32;
@@ -298,11 +328,21 @@ mod tests {
         machine.write_mem_i8(addr_a as usize, &pa.data[..k * NA8]);
         machine.write_mem_i8(addr_b as usize, &pb.data[..k * NB]);
         machine.run(&emit_tile_narrow(&scheme, k, addr_a, addr_b, addr_c));
-        assert_eq!(
-            machine.read_mem_i32(addr_c as usize, NARROW_TILE_LEN),
-            functional
-        );
+        assert_eq!(machine.read_mem_i32(addr_c as usize, NARROW_TILE_LEN), baseline);
         assert_eq!(machine.stats().counts, tile_counts_narrow(&scheme, k));
+        for isa in Isa::supported() {
+            let functional = run_tile_narrow_on(isa, &scheme, &pa, &pb);
+            assert_eq!(functional, baseline, "{isa} vs the baseline instance");
+        }
+        assert_eq!(run_tile_narrow(&scheme, &pa, &pb, 0, 0), baseline, "host dispatch");
+    }
+
+    /// [`run_tile_narrow`] compiled for `isa`, on the first tile of each
+    /// operand.
+    fn run_tile_narrow_on(isa: Isa, scheme: &Scheme, pa: &PackedANarrow, pb: &PackedB) -> Vec<i32> {
+        let mut acc32 = [0i32; NARROW_TILE_LEN];
+        accumulate_tile_narrow_on(isa, scheme, pa.block(0, 0, pa.k), pb.tile(0), &mut acc32);
+        acc32.to_vec()
     }
 
     #[test]
@@ -358,8 +398,10 @@ mod tests {
         let (m, k, n) = (5, 10, 3); // m, n both ragged
         let a = random_mat(m * k, bits, 91);
         let b = random_mat(k * n, bits, 92);
-        let out = gemm_narrow(&scheme, &a, &b, m, k, n);
-        assert_eq!(out.c.len(), m * n);
-        assert_eq!(out.c, reference_gemm(&a, &b, m, k, n));
+        for isa in Isa::supported() {
+            let out = gemm_narrow_on(isa, &scheme, &a, &b, m, k, n);
+            assert_eq!(out.c.len(), m * n);
+            assert_eq!(out.c, reference_gemm(&a, &b, m, k, n), "{isa}");
+        }
     }
 }

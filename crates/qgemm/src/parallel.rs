@@ -15,11 +15,12 @@
 //! random shapes, bit widths, thread counts and block sizes.
 
 use crate::gemm::{schedule_gemm, GemmOutput};
-use crate::micro::{accumulate_tile, TILE_LEN};
-use crate::narrow::{accumulate_tile_narrow, PackedANarrow, NARROW_TILE_LEN, NA8};
+use crate::micro::{accumulate_tile_on, TILE_LEN};
+use crate::narrow::{accumulate_tile_narrow_on, PackedANarrow, NARROW_TILE_LEN, NA8};
 use crate::pack::{pack_a, PackedA, NA, NB};
 use crate::scheme::{Scheme, SchemeKind};
 use crate::workspace::GemmWorkspace;
+use lowbit_isa::Isa;
 use lowbit_trace::{Tracer, MAIN_TRACK};
 
 /// Default K cache-block: `kc * (NA + nc)` operand bytes stay L1-resident.
@@ -186,11 +187,28 @@ pub fn gemm_parallel_cm<'w>(
 
 /// [`gemm_parallel_cm`] with span recording: each scoped worker thread gets
 /// its own timeline track (named after its [`ColumnSpan`]) carrying a
-/// `gemm worker` parent span with `pack B panel` and `gemm tile` children.
+/// `gemm worker` parent span (labelled with its columns and the vector ISA
+/// the tiles run on) with `pack B panel` and `gemm tile` children.
 /// With a null tracer this is exactly `gemm_parallel_cm` — every recording
 /// call reduces to one branch and the path stays allocation-free.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_parallel_cm_traced<'w>(
+    scheme: &Scheme,
+    weights: SharedWeights<'_>,
+    b: &[i8],
+    k: usize,
+    n: usize,
+    cfg: &ParallelConfig,
+    ws: &'w mut GemmWorkspace,
+    tracer: &Tracer,
+) -> &'w [i32] {
+    gemm_parallel_cm_on(Isa::host(), scheme, weights, b, k, n, cfg, ws, tracer)
+}
+
+/// [`gemm_parallel_cm_traced`] with every micro-tile compiled for `isa`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn gemm_parallel_cm_on<'w>(
+    isa: Isa,
     scheme: &Scheme,
     weights: SharedWeights<'_>,
     b: &[i8],
@@ -221,6 +239,7 @@ pub fn gemm_parallel_cm_traced<'w>(
         if let Some(span) = spans.iter().find(|s| s.cols > 0) {
             let track = worker_track(tracer, span);
             worker(
+                isa,
                 scheme,
                 weights,
                 b,
@@ -252,7 +271,7 @@ pub fn gemm_parallel_cm_traced<'w>(
                 let panel = &mut s_t[0].b_panel;
                 let track = worker_track(tracer, span);
                 scope.spawn(move || {
-                    worker(scheme, weights, b, n, span, &cfg, panel, c_t, tracer, track);
+                    worker(isa, scheme, weights, b, n, span, &cfg, panel, c_t, tracer, track);
                 });
             }
         });
@@ -276,6 +295,7 @@ fn worker_track(tracer: &Tracer, span: &ColumnSpan) -> u32 {
 /// column-major into the thread-local slice `c` (`c[(j - col0) * m + i]`).
 #[allow(clippy::too_many_arguments)]
 fn worker(
+    isa: Isa,
     scheme: &Scheme,
     weights: SharedWeights<'_>,
     b: &[i8],
@@ -289,7 +309,7 @@ fn worker(
 ) {
     let (col0, cols) = (span.col0, span.cols);
     let mut worker_span = tracer.span("gemm worker", track);
-    worker_span.set_label(|| format!("cols [{col0}..{})", col0 + cols));
+    worker_span.set_label(|| format!("cols [{col0}..{}) {isa}", col0 + cols));
     let m = weights.m();
     let k = weights.k();
     debug_assert_eq!(c.len(), cols * m);
@@ -314,12 +334,14 @@ fn worker(
                     match weights {
                         SharedWeights::Wide(pa) => {
                             let mut acc = [0i32; TILE_LEN];
-                            accumulate_tile(scheme, pa.block(ti, k0, klen), b_blk, &mut acc);
+                            let a_blk = pa.block(ti, k0, klen);
+                            accumulate_tile_on(isa, scheme, a_blk, b_blk, &mut acc);
                             add_scatter(c, &acc, m, cols, jt, ti, NA);
                         }
                         SharedWeights::Narrow(pa) => {
                             let mut acc = [0i32; NARROW_TILE_LEN];
-                            accumulate_tile_narrow(scheme, pa.block(ti, k0, klen), b_blk, &mut acc);
+                            let a_blk = pa.block(ti, k0, klen);
+                            accumulate_tile_narrow_on(isa, scheme, a_blk, b_blk, &mut acc);
                             add_scatter(c, &acc, m, cols, jt, ti, NA8);
                         }
                     }
