@@ -1,6 +1,10 @@
 //! Winograd F(2x2,3x3) vs GEMM convolution: functional host wall-clock at
-//! 4-bit on a mid-size 3x3 layer (the modeled comparison is Fig. 8).
+//! 4-bit on a mid-size 3x3 layer (the modeled comparison is Fig. 8). The
+//! one-shot functions transform and pack the weights on every call; the
+//! warm `ArmEngine::conv` cases run them from the prepack cache and the
+//! workspace arena, as repeated inference does.
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use lowbit::{ArmAlgo, ArmEngine};
 use lowbit_conv_arm::{gemm_conv, winograd_conv};
 use lowbit_tensor::{BitWidth, ConvShape, Layout, QTensor};
 
@@ -18,6 +22,7 @@ fn bench_winograd(c: &mut Criterion) {
         BitWidth::W4,
         5,
     );
+    let engine = ArmEngine::cortex_a53();
     let mut group = c.benchmark_group("winograd_vs_gemm_4bit");
     group.sample_size(10);
     group.throughput(Throughput::Elements(shape.macs()));
@@ -27,6 +32,13 @@ fn bench_winograd(c: &mut Criterion) {
     group.bench_function("winograd_conv", |b| {
         b.iter(|| winograd_conv(&input, &weights, &shape).acc.data()[0])
     });
+    let warm = [("engine_gemm_warm", ArmAlgo::Gemm), ("engine_winograd_warm", ArmAlgo::Winograd)];
+    for (name, algo) in warm {
+        let _ = engine.conv(&input, &weights, &shape, algo); // fills the cache and arena
+        group.bench_function(name, |b| {
+            b.iter(|| engine.conv(&input, &weights, &shape, algo).acc.data()[0])
+        });
+    }
     group.finish();
 }
 

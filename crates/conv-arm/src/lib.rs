@@ -7,17 +7,19 @@
 //! * [`mod@gemm_conv`] — the paper's explicit-GEMM convolution: im2col → pad/pack
 //!   → the re-designed low-bit GEMM (2–8 bit via the `SMLAL` / `MLA` schemes),
 //! * [`winograd`] — the integer `F(2x2, 3x3)` fast path for 3x3/stride-1
-//!   layers at ≤ 6 bit (Sec. 3.4),
+//!   layers at ≤ 6 bit (Sec. 3.4): weights transformed once into
+//!   [`WinogradWeights`], then [`winograd_conv_ws`] on the shared arena and
+//!   the GEMM driver,
 //! * [`ncnn`] — the ncnn-like 8-bit baseline (16-bit `SMLAL` directly into
 //!   i32),
 //! * [`bitserial`] — the TVM-like popcount (bit-serial) 2-bit baseline
 //!   (Fig. 9),
 //! * [`range_analysis`] — computed Winograd transform ranges, deriving the
 //!   4–6-bit F(2x2,3x3) boundary and the F(4x4,3x3) rejection of Sec. 3.4,
-//! * [`workspace`] — the engine's steady-state GEMM convolution: one entry
-//!   point, [`gemm_conv_ws`], runs any of the three GEMM micro-kernels from
-//!   [`PackedWeights`] packed once per layer, with every intermediate buffer
-//!   in a reusable [`ConvWorkspace`] arena.
+//! * [`workspace`] — the engine's steady-state convolution: one entry
+//!   point, [`gemm_conv_ws`], runs any of the three GEMM micro-kernels or
+//!   Winograd from [`PackedWeights`] packed once per layer, with every
+//!   intermediate buffer in a reusable [`ConvWorkspace`] arena.
 //!
 //! Every kernel returns a [`ConvOutput`]: the exact i32 accumulator tensor in
 //! NCHW plus the analytic [`neon_sim::KernelSchedule`] that prices the whole
@@ -54,7 +56,7 @@ pub use gemm_conv::{
 };
 pub use ncnn::{ncnn_conv, schedule_ncnn_conv};
 pub use winograd::{
-    schedule_winograd_conv, winograd_conv, winograd_operand_bounds, winograd_scheme,
-    winograd_supported,
+    schedule_winograd_conv, winograd_conv, winograd_conv_ws, winograd_operand_bounds,
+    winograd_scheme, winograd_supported, WinogradWeights,
 };
 pub use workspace::{gemm_conv_ws, parallel_cycle_split, ConvWorkspace, PackedWeights};

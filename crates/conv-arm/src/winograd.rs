@@ -30,13 +30,27 @@
 //! Either way the elementwise-multiply stage runs the `SMLAL` scheme with a
 //! product bound computed from the transformed ranges (Sec. 3.4's reason for
 //! the 4–6 bit restriction: 7-bit would need `|Ū| ≤ 144`).
+//!
+//! On the host the two phases are separate calls: [`WinogradWeights::pack`]
+//! transforms and packs the weights once (the engine's prepack cache holds
+//! the result), and [`winograd_conv_ws`] runs the input transform, the 16
+//! position GEMMs on `lowbit_qgemm::parallel`, the output transform and the
+//! NCHW scatter over a reusable [`ConvWorkspace`].
 
 #![allow(clippy::field_reassign_with_default)] // InstCounts builders read clearer this way
 
+use crate::workspace::ConvWorkspace;
 use crate::ConvOutput;
+use lowbit_isa::Isa;
 use lowbit_qgemm::gemm::schedule_gemm;
-use lowbit_qgemm::{gemm, gemm_narrow, schedule_gemm_narrow, Scheme, SchemeKind};
+use lowbit_qgemm::narrow::{pack_a_narrow, PackedANarrow};
+use lowbit_qgemm::parallel::{gemm_parallel_cm_on, ParallelConfig, SharedWeights};
+use lowbit_qgemm::{
+    pack_a, partition_columns, schedule_gemm_narrow, ColumnSpan, GemmWorkspace, PackedA, Scheme,
+    SchemeKind,
+};
 use lowbit_tensor::{BitWidth, ConvShape, Layout, QTensor, Tensor};
+use lowbit_trace::{Tracer, MAIN_TRACK};
 use neon_sim::{InstCounts, KernelSchedule, StageCost};
 
 /// `true` when the Winograd fast path applies to this bit width (2–6 bit;
@@ -140,74 +154,404 @@ fn transform_weight(g: &[i32; 9], bits: BitWidth) -> [i8; 16] {
     out
 }
 
-/// Transforms one 4x4 input patch: `V = Bᵀ d B` (always exact).
-fn transform_input(d: &[i32; 16], bits: BitWidth) -> [i8; 16] {
-    #[inline]
-    fn apply_bt(v: [i32; 4]) -> [i32; 4] {
-        [v[0] - v[2], v[1] + v[2], v[2] - v[1], v[1] - v[3]]
-    }
-    let mut tmp = [[0i32; 4]; 4];
-    for col in 0..4 {
-        let r = apply_bt([d[col], d[4 + col], d[8 + col], d[12 + col]]);
-        for (i, v) in r.iter().enumerate() {
-            tmp[i][col] = *v;
-        }
-    }
-    let mut out = [0i8; 16];
-    for (i, row) in tmp.iter().enumerate() {
-        let r = apply_bt(*row);
-        for (j, &v) in r.iter().enumerate() {
-            debug_assert!(
-                v >= -v_bound(bits) && v < v_bound(bits),
-                "V out of bound: {v}"
-            );
-            out[i * 4 + j] = v as i8;
-        }
-    }
-    out
-}
-
-/// Output transform of one 4x4 block of i32 GEMM results into 2x2 outputs.
-///
-/// The integer rows compensate the weight-transform row scaling `γᵢ`:
-/// exact mode stored `Ū = γᵢγⱼU` with `γ = (1,2,2,1)` so uses
+/// The integer output-transform rows `(row0, row1)` and the exact final
+/// right shift, compensating the weight-transform row scaling `γᵢ`: exact
+/// mode stored `Ū = γᵢγⱼU` with `γ = (1,2,2,1)` so uses
 /// `A₂ᵀ = 2·Aᵀ·diag(1/γ)` and an exact `/4`; 5-bit stored `Ū ≈ U` so uses
 /// the plain `Aᵀ`; 6-bit stored `Ū ≈ U/2` on middle rows so uses
 /// `Aᵀ·diag(1/γ)` with `γ = (1,½,½,1)`.
-fn transform_output(m: &[i32; 16], bits: BitWidth) -> [i32; 4] {
-    let (row0, row1, shift): ([i32; 4], [i32; 4], u32) = match h_mid(bits) {
+fn output_rows(bits: BitWidth) -> ([i32; 4], [i32; 4], u32) {
+    match h_mid(bits) {
         0 => ([2, 1, 1, 0], [0, 1, -1, -2], 2),
         1 => ([1, 1, 1, 0], [0, 1, -1, -1], 0),
         _ => ([1, 2, 2, 0], [0, 2, -2, -1], 0),
-    };
-    let apply = |v: [i32; 4]| -> [i32; 2] {
-        [
-            row0[0] * v[0] + row0[1] * v[1] + row0[2] * v[2] + row0[3] * v[3],
-            row1[0] * v[0] + row1[1] * v[1] + row1[2] * v[2] + row1[3] * v[3],
-        ]
-    };
-    let mut tmp = [[0i32; 4]; 2]; // 2 x 4
-    for col in 0..4 {
-        let r = apply([m[col], m[4 + col], m[8 + col], m[12 + col]]);
-        tmp[0][col] = r[0];
-        tmp[1][col] = r[1];
     }
-    let mut out = [0i32; 4];
-    for (i, row) in tmp.iter().enumerate() {
-        let r = apply(*row);
-        for (j, &v) in r.iter().enumerate() {
-            out[i * 2 + j] = if shift > 0 {
-                debug_assert_eq!(v & ((1 << shift) - 1), 0, "exact division expected");
-                v >> shift
-            } else {
-                v
-            };
-        }
-    }
-    out
 }
 
-/// Runs the Winograd `F(2x2, 3x3)` convolution.
+/// The output transform as 16 x 4 weights plus the final shift: output
+/// `(r, c)` of a tile (plane `q = 2r + c`) is
+/// `Σ_p coef[p][q] · M_p >> shift` over the position GEMM results `M_p`,
+/// `p = 4i + j`, with `coef[p][q] = row_r[i] · row_c[j]`. The sum is exact in
+/// wrapping i32 because the final value fits i32.
+fn output_coefficients(bits: BitWidth) -> ([[i32; 4]; 16], u32) {
+    let (row0, row1, shift) = output_rows(bits);
+    let rows = [row0, row1];
+    let coef = std::array::from_fn(|p| {
+        std::array::from_fn(|q| rows[q / 2][p / 4] * rows[q % 2][p % 4])
+    });
+    (coef, shift)
+}
+
+/// One layer's transformed weights: the 16 `c_out x c_in` matrices `Ū`
+/// (one per Winograd-domain position), packed once for the GEMM tile the
+/// bit width's drain ratio picks. This is the offline weight transform of
+/// Sec. 3.4; the engine's prepack cache holds it, keyed by the weights and
+/// the effective bit width, because the transform depends on both.
+#[derive(Debug)]
+pub struct WinogradWeights {
+    bits: BitWidth,
+    c_out: usize,
+    c_in: usize,
+    positions: PositionPanels,
+}
+
+/// The 16 packed position matrices, in the layout of one GEMM tile.
+#[derive(Debug)]
+enum PositionPanels {
+    Wide(Vec<PackedA>),
+    Narrow(Vec<PackedANarrow>),
+}
+
+impl WinogradWeights {
+    /// Transforms and packs NCHW 3x3 `weights` for inputs up to `bits`
+    /// (the effective width `max(input, weight)`).
+    ///
+    /// Panics if the filter is not 3x3, the layout not NCHW, the weights
+    /// wider than `bits`, or `bits` above 6.
+    pub fn pack(weights: &QTensor, bits: BitWidth) -> WinogradWeights {
+        let (c_out, c_in, kh, kw) = weights.dims();
+        assert_eq!((kh, kw), (3, 3), "requires 3x3 stride-1");
+        assert_eq!(weights.layout(), Layout::Nchw, "ARM path expects NCHW");
+        assert!(winograd_supported(bits), "winograd supports <= 6 bit");
+        assert!(weights.bits() <= bits, "weights wider than the transform width {bits}");
+        // Row `co * c_in + ci` of every position matrix is one 3x3 filter.
+        let mut u = vec![vec![0i8; c_out * c_in]; 16];
+        for (row, g) in weights.data().chunks_exact(9).enumerate() {
+            let g = std::array::from_fn(|i| g[i] as i32);
+            for (pos, &tv) in transform_weight(&g, bits).iter().enumerate() {
+                u[pos][row] = tv;
+            }
+        }
+        let positions = if winograd_uses_narrow_tile(bits) {
+            PositionPanels::Narrow(u.iter().map(|a| pack_a_narrow(a, c_out, c_in)).collect())
+        } else {
+            PositionPanels::Wide(u.iter().map(|a| pack_a(a, c_out, c_in)).collect())
+        };
+        WinogradWeights { bits, c_out, c_in, positions }
+    }
+
+    /// Packed bytes held over all 16 positions.
+    pub fn bytes(&self) -> usize {
+        match &self.positions {
+            PositionPanels::Wide(p) => p.iter().map(|a| a.data.len()).sum(),
+            PositionPanels::Narrow(p) => p.iter().map(|a| a.data.len()).sum(),
+        }
+    }
+
+    /// The packed `Ū` of position `p` (`p = 4i + j`).
+    fn position(&self, p: usize) -> SharedWeights<'_> {
+        match &self.positions {
+            PositionPanels::Wide(a) => SharedWeights::Wide(&a[p]),
+            PositionPanels::Narrow(a) => SharedWeights::Narrow(&a[p]),
+        }
+    }
+}
+
+/// Winograd's buffers in the [`ConvWorkspace`] arena, each carved into one
+/// block per tile span (the partition of the tiles across threads).
+#[derive(Default)]
+pub(crate) struct WinogradScratch {
+    /// Transformed input: per span, 16 row-major `c_in x cols` matrices.
+    v: Vec<i8>,
+    /// Output planes: per span, 4 column-major `c_out x cols` i32 matrices.
+    planes: Vec<i32>,
+    /// Per span, the result and packed-B panel of its position GEMMs.
+    gemm: Vec<GemmWorkspace>,
+}
+
+impl WinogradScratch {
+    /// Current total buffer capacity in bytes.
+    pub(crate) fn footprint_bytes(&self) -> usize {
+        self.v.capacity()
+            + self.planes.capacity() * std::mem::size_of::<i32>()
+            + self.gemm.iter().map(GemmWorkspace::footprint_bytes).sum::<usize>()
+    }
+
+    /// Sizes the buffers for one call; capacities grow to exactly the
+    /// largest request. Neither buffer is cleared: the transform writes all
+    /// of `v`, and [`accumulate`] stores each plane's first term.
+    fn prepare(&mut self, spans: usize, v_len: usize, planes_len: usize) {
+        self.v.reserve_exact(v_len.saturating_sub(self.v.len()));
+        self.v.resize(v_len, 0);
+        self.planes.reserve_exact(planes_len.saturating_sub(self.planes.len()));
+        self.planes.resize(planes_len, 0);
+        if self.gemm.len() < spans {
+            self.gemm.resize_with(spans, GemmWorkspace::new);
+        }
+    }
+}
+
+/// Tiles per input-transform block: bounds the stack buffers of
+/// [`transform_input`].
+const TRANSFORM_BLOCK: usize = 64;
+
+/// The input transform `V = Bᵀ d B` of the tiles `[span.col0, span.end())`
+/// into `v`, position `p`'s `c_in x cols` matrix at `v[p * c_in * cols..]`.
+///
+/// Tiles are walked in runs along one tile row. For each run and channel
+/// the four input rows under it are copied into zero-padded line buffers,
+/// then every tile of the run is transformed in wrapping i8 arithmetic:
+/// `|V| <= 2^(b+1) <= 128` fits i8 (`v_bound`), so the wrapped
+/// intermediates still give the exact result, and the loop over the run
+/// vectorizes.
+#[inline(always)]
+fn transform_input(input: &[i8], shape: &ConvShape, span: ColumnSpan, v: &mut [i8]) {
+    let (c_in, h, w, pad) = (shape.c_in, shape.h, shape.w, shape.pad as isize);
+    let ty_n = shape.out_h().div_ceil(2);
+    let tx_n = shape.out_w().div_ceil(2);
+    let matrix = c_in * span.cols;
+    let mut t = span.col0;
+    while t < span.end() {
+        let (row, tx0) = (t / tx_n, t % tx_n);
+        let (b, ty) = (row / ty_n, row % ty_n);
+        let len = (tx_n - tx0).min(span.end() - t).min(TRANSFORM_BLOCK);
+        // Input columns `ix0 .. ix0 + 2 * len + 2` feed the run.
+        let ix0 = 2 * tx0 as isize - pad;
+        let x_lo = (-ix0).clamp(0, 2 * len as isize + 2) as usize;
+        let x_hi = (w as isize - ix0).clamp(x_lo as isize, 2 * len as isize + 2) as usize;
+        let dst0 = t - span.col0;
+        for ci in 0..c_in {
+            let plane = &input[(b * c_in + ci) * h * w..][..h * w];
+            let mut lines = [[0i8; 2 * TRANSFORM_BLOCK + 2]; 4];
+            for (r, line) in lines.iter_mut().enumerate() {
+                let iy = (2 * ty + r) as isize - pad;
+                if (0..h as isize).contains(&iy) && x_lo < x_hi {
+                    let src = &plane[iy as usize * w..][..w];
+                    let from = (ix0 + x_lo as isize) as usize;
+                    line[x_lo..x_hi].copy_from_slice(&src[from..from + x_hi - x_lo]);
+                }
+            }
+            let mut out = [[0i8; TRANSFORM_BLOCK]; 16];
+            for j in 0..len {
+                // Columns first (`d B`), then rows (`Bᵀ (d B)`).
+                let t: [[i8; 4]; 4] = std::array::from_fn(|r| {
+                    let d = &lines[r][2 * j..2 * j + 4];
+                    [
+                        d[0].wrapping_sub(d[2]),
+                        d[1].wrapping_add(d[2]),
+                        d[2].wrapping_sub(d[1]),
+                        d[1].wrapping_sub(d[3]),
+                    ]
+                });
+                for c in 0..4 {
+                    out[c][j] = t[0][c].wrapping_sub(t[2][c]);
+                    out[4 + c][j] = t[1][c].wrapping_add(t[2][c]);
+                    out[8 + c][j] = t[2][c].wrapping_sub(t[1][c]);
+                    out[12 + c][j] = t[1][c].wrapping_sub(t[3][c]);
+                }
+            }
+            for (p, o) in out.iter().enumerate() {
+                v[p * matrix + ci * span.cols + dst0..][..len].copy_from_slice(&o[..len]);
+            }
+        }
+        t += len;
+    }
+}
+
+/// Adds one position's column-major GEMM result `c` into the four output
+/// planes (each `c.len()` long), weighted by its output-transform
+/// coefficients. A plane's first nonzero term is stored rather than added
+/// (`started` tracks which planes have one), so the planes need no
+/// zeroing; every plane has a nonzero coefficient at some position.
+#[inline(always)]
+fn accumulate(planes: &mut [i32], c: &[i32], coef: &[i32; 4], started: &mut [bool; 4]) {
+    for ((plane, &a), started) in planes.chunks_exact_mut(c.len()).zip(coef).zip(started) {
+        if a == 0 {
+            continue;
+        }
+        if *started {
+            for (y, &x) in plane.iter_mut().zip(c) {
+                *y = y.wrapping_add(a.wrapping_mul(x));
+            }
+        } else {
+            for (y, &x) in plane.iter_mut().zip(c) {
+                *y = a.wrapping_mul(x);
+            }
+            *started = true;
+        }
+    }
+}
+
+/// Writes a span's four planes, shifted, to their 2x2 output pixels of the
+/// NCHW accumulator `out` (pixels past the output edge are dropped).
+#[inline(always)]
+fn scatter(planes: &[i32], shape: &ConvShape, span: ColumnSpan, shift: u32, out: &mut [i32]) {
+    let (m, oh, ow) = (shape.c_out, shape.out_h(), shape.out_w());
+    let ty_n = oh.div_ceil(2);
+    let tx_n = ow.div_ceil(2);
+    for (jl, t) in (span.col0..span.end()).enumerate() {
+        let (row, tx) = (t / tx_n, t % tx_n);
+        let (b, ty) = (row / ty_n, row % ty_n);
+        for q in 0..4 {
+            let (oy, ox) = (2 * ty + q / 2, 2 * tx + q % 2);
+            if oy >= oh || ox >= ow {
+                continue;
+            }
+            let src = &planes[(q * span.cols + jl) * m..][..m];
+            let dst = &mut out[(b * m * oh + oy) * ow + ox..];
+            for (co, &y) in src.iter().enumerate() {
+                dst[co * oh * ow] = y >> shift;
+            }
+        }
+    }
+}
+
+/// Everything one tile span's worker reads.
+struct SpanJob<'a> {
+    isa: Isa,
+    input: &'a [i8],
+    weights: &'a WinogradWeights,
+    shape: &'a ConvShape,
+    /// The position GEMMs run serially inside the span's thread.
+    cfg: ParallelConfig,
+    tracer: &'a Tracer,
+}
+
+impl SpanJob<'_> {
+    /// Input transform, the 16 position GEMMs and their accumulation into
+    /// the span's planes.
+    fn run(&self, span: ColumnSpan, v: &mut [i8], planes: &mut [i32], gemm: &mut GemmWorkspace) {
+        let (isa, tracer) = (self.isa, self.tracer);
+        let track = if tracer.enabled() {
+            tracer.track(&format!("winograd worker [{}..{})", span.col0, span.end()))
+        } else {
+            MAIN_TRACK
+        };
+        let mut worker_span = tracer.span("winograd worker", track);
+        worker_span.set_label(|| format!("tiles [{}..{}) {isa}", span.col0, span.end()));
+        {
+            let _s = tracer.span("wg input transform", track);
+            isa.run(
+                #[inline(always)]
+                || transform_input(self.input, self.shape, span, v),
+            );
+        }
+        let (k, cols) = (self.shape.c_in, span.cols);
+        let bits = self.weights.bits;
+        let scheme = winograd_scheme(bits);
+        let (coef, _) = output_coefficients(bits);
+        let mut started = [false; 4];
+        for (p, (v_p, coef)) in v.chunks_exact(k * cols).zip(&coef).enumerate() {
+            let c = {
+                let _s = tracer.span("wg gemm", track);
+                let pw = self.weights.position(p);
+                let null = Tracer::null();
+                gemm_parallel_cm_on(isa, &scheme, pw, v_p, k, cols, &self.cfg, gemm, &null)
+            };
+            let _s = tracer.span("wg accumulate", track);
+            isa.run(
+                #[inline(always)]
+                || accumulate(planes, c, coef, &mut started),
+            );
+        }
+    }
+}
+
+/// The engine's Winograd `F(2x2, 3x3)` convolution from prepacked
+/// [`WinogradWeights`], with every intermediate buffer in the reusable
+/// `ws` arena: the slice-based input transform, the 16 position GEMMs on
+/// the host ISA's micro-tiles (`lowbit_qgemm::parallel`), their weighted
+/// accumulation into four i32 output planes, and one shift-and-scatter
+/// into the returned NCHW accumulators.
+///
+/// With `cfg.threads > 1` the tiles are split by
+/// [`lowbit_qgemm::partition_columns`] and each span runs all of its
+/// stages on one thread, so a call spawns at most once;
+/// the output is bit-identical for every thread count. Input bits above
+/// the transform width of `weights` are rejected.
+pub fn winograd_conv_ws(
+    input: &QTensor,
+    weights: &WinogradWeights,
+    shape: &ConvShape,
+    cfg: &ParallelConfig,
+    ws: &mut ConvWorkspace,
+    tracer: &Tracer,
+) -> Tensor<i32> {
+    winograd_conv_ws_on(Isa::host(), input, weights, shape, cfg, ws, tracer)
+}
+
+/// [`winograd_conv_ws`] with every vector pass compiled for `isa`.
+pub(crate) fn winograd_conv_ws_on(
+    isa: Isa,
+    input: &QTensor,
+    weights: &WinogradWeights,
+    shape: &ConvShape,
+    cfg: &ParallelConfig,
+    ws: &mut ConvWorkspace,
+    tracer: &Tracer,
+) -> Tensor<i32> {
+    assert!(shape.winograd_applicable(), "requires 3x3 stride-1");
+    assert_eq!(input.layout(), Layout::Nchw, "ARM path expects NCHW");
+    let input_dims = (shape.batch, shape.c_in, shape.h, shape.w);
+    assert_eq!(input.dims(), input_dims, "input dims do not match conv shape");
+    let (m, k) = (shape.c_out, shape.c_in);
+    let packed_dims = (weights.c_out, weights.c_in);
+    assert_eq!(packed_dims, (m, k), "transformed weights disagree with shape");
+    let bits = weights.bits;
+    assert!(input.bits() <= bits, "input wider than the transform width {bits}");
+
+    let before = ws.footprint_bytes();
+    let tiles = shape.winograd_tiles();
+    let spans = partition_columns(tiles, cfg.threads);
+    let wg = &mut ws.wg;
+    wg.prepare(spans.len(), 16 * k * tiles, 4 * m * tiles);
+    let job = SpanJob {
+        isa,
+        input: input.data(),
+        weights,
+        shape,
+        cfg: ParallelConfig { threads: 1, ..*cfg },
+        tracer,
+    };
+    // Carve each span's blocks off the front of the arena buffers; the
+    // first non-empty span runs on the calling thread, the others on one
+    // scoped thread each.
+    std::thread::scope(|scope| {
+        let (mut v, mut planes) = (&mut wg.v[..], &mut wg.planes[..]);
+        let mut on_caller = None;
+        for (span, gemm) in spans.iter().zip(wg.gemm.iter_mut()) {
+            let (v_t, rest) = std::mem::take(&mut v).split_at_mut(16 * k * span.cols);
+            v = rest;
+            let (planes_t, rest) = std::mem::take(&mut planes).split_at_mut(4 * m * span.cols);
+            planes = rest;
+            if span.cols == 0 {
+                continue;
+            }
+            let args = (*span, v_t, planes_t, gemm);
+            if on_caller.is_none() {
+                on_caller = Some(args);
+            } else {
+                let job = &job;
+                scope.spawn(move || job.run(args.0, args.1, args.2, args.3));
+            }
+        }
+        if let Some((span, v_t, planes_t, gemm)) = on_caller {
+            job.run(span, v_t, planes_t, gemm);
+        }
+    });
+
+    let (_, shift) = output_coefficients(bits);
+    let mut acc = vec![0i32; shape.output_len()];
+    {
+        let _span = tracer.span("wg scatter nchw", MAIN_TRACK);
+        let mut planes = &wg.planes[..];
+        for span in spans.iter().filter(|s| s.cols > 0) {
+            let (planes_t, rest) = planes.split_at(4 * m * span.cols);
+            planes = rest;
+            isa.run(
+                #[inline(always)]
+                || scatter(planes_t, shape, *span, shift, &mut acc),
+            );
+        }
+    }
+    ws.note_call(before);
+    let (oh, ow) = (shape.out_h(), shape.out_w());
+    Tensor::from_vec((shape.batch, m, oh, ow), Layout::Nchw, acc)
+}
+
+/// Runs the Winograd `F(2x2, 3x3)` convolution one-shot: transforms and
+/// packs the weights, then runs [`winograd_conv_ws`] on one thread with a
+/// fresh workspace.
 ///
 /// Panics if the shape is not 3x3/stride-1 or the bit width exceeds 6.
 pub fn winograd_conv(input: &QTensor, weights: &QTensor, shape: &ConvShape) -> ConvOutput {
@@ -218,100 +562,9 @@ pub fn winograd_conv(input: &QTensor, weights: &QTensor, shape: &ConvShape) -> C
         weights.dims(),
         (shape.c_out, shape.c_in, shape.kh, shape.kw)
     );
-
-    let (oh, ow) = (shape.out_h(), shape.out_w());
-    let (ty, tx) = (oh.div_ceil(2), ow.div_ceil(2));
-    let n_tiles = shape.batch * ty * tx;
-
-    // Offline weight transform: 16 matrices of c_out x c_in.
-    let mut u = vec![vec![0i8; shape.c_out * shape.c_in]; 16];
-    for co in 0..shape.c_out {
-        for ci in 0..shape.c_in {
-            let mut g = [0i32; 9];
-            for (idx, gv) in g.iter_mut().enumerate() {
-                *gv = weights.get((co, ci, idx / 3, idx % 3)) as i32;
-            }
-            let t = transform_weight(&g, bits);
-            for (pos, &tv) in t.iter().enumerate() {
-                u[pos][co * shape.c_in + ci] = tv;
-            }
-        }
-    }
-
-    // Input transform: 16 matrices of c_in x n_tiles.
-    let mut v = vec![vec![0i8; shape.c_in * n_tiles]; 16];
-    for b in 0..shape.batch {
-        for ci in 0..shape.c_in {
-            for tyy in 0..ty {
-                for txx in 0..tx {
-                    let tile = (b * ty + tyy) * tx + txx;
-                    let mut d = [0i32; 16];
-                    for r in 0..4 {
-                        let iy = (2 * tyy + r) as isize - shape.pad as isize;
-                        if iy < 0 || iy >= shape.h as isize {
-                            continue;
-                        }
-                        for c in 0..4 {
-                            let ix = (2 * txx + c) as isize - shape.pad as isize;
-                            if ix < 0 || ix >= shape.w as isize {
-                                continue;
-                            }
-                            d[r * 4 + c] =
-                                input.get((b, ci, iy as usize, ix as usize)) as i32;
-                        }
-                    }
-                    let t = transform_input(&d, bits);
-                    for (pos, &tv) in t.iter().enumerate() {
-                        v[pos][ci * n_tiles + tile] = tv;
-                    }
-                }
-            }
-        }
-    }
-
-    // 16 position-wise GEMMs in the Winograd domain.
-    let scheme = winograd_scheme(bits);
-    let narrow = winograd_uses_narrow_tile(bits);
-    let mut m_mats = Vec::with_capacity(16);
-    for pos in 0..16 {
-        let out = if narrow {
-            gemm_narrow(&scheme, &u[pos], &v[pos], shape.c_out, shape.c_in, n_tiles)
-        } else {
-            gemm(&scheme, &u[pos], &v[pos], shape.c_out, shape.c_in, n_tiles)
-        };
-        m_mats.push(out.c);
-    }
-
-    // Output transform back to NCHW.
-    let mut acc: Tensor<i32> = Tensor::zeros((shape.batch, shape.c_out, oh, ow), Layout::Nchw);
-    for co in 0..shape.c_out {
-        for b in 0..shape.batch {
-            for tyy in 0..ty {
-                for txx in 0..tx {
-                    let tile = (b * ty + tyy) * tx + txx;
-                    let mut m = [0i32; 16];
-                    for (pos, mv) in m.iter_mut().enumerate() {
-                        *mv = m_mats[pos][co * n_tiles + tile];
-                    }
-                    let y = transform_output(&m, bits);
-                    for r in 0..2 {
-                        let oy = 2 * tyy + r;
-                        if oy >= oh {
-                            continue;
-                        }
-                        for cx in 0..2 {
-                            let ox = 2 * txx + cx;
-                            if ox >= ow {
-                                continue;
-                            }
-                            acc.set((b, co, oy, ox), y[r * 2 + cx]);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
+    let packed = WinogradWeights::pack(weights, bits);
+    let (cfg, mut ws) = (ParallelConfig::default(), ConvWorkspace::new());
+    let acc = winograd_conv_ws(input, &packed, shape, &cfg, &mut ws, &Tracer::null());
     ConvOutput {
         acc,
         schedule: schedule_winograd_conv(bits, shape),
@@ -323,8 +576,7 @@ pub fn winograd_conv(input: &QTensor, weights: &QTensor, shape: &ConvShape) -> C
 /// (model load time) and charged as a bulk stage like weight packing.
 pub fn schedule_winograd_conv(bits: BitWidth, shape: &ConvShape) -> KernelSchedule {
     assert!(shape.winograd_applicable() && winograd_supported(bits));
-    let (oh, ow) = (shape.out_h(), shape.out_w());
-    let n_tiles = shape.batch * oh.div_ceil(2) * ow.div_ceil(2);
+    let n_tiles = shape.winograd_tiles();
     let scheme = winograd_scheme(bits);
 
     let mut sched = KernelSchedule::new();
@@ -378,7 +630,278 @@ pub fn schedule_winograd_conv(bits: BitWidth, shape: &ConvShape) -> KernelSchedu
 mod tests {
     use super::*;
     use crate::{direct_conv, schedule_gemm_conv};
+    use lowbit_qgemm::{gemm, gemm_narrow};
     use neon_sim::CortexA53;
+    use proptest::prelude::*;
+
+    /// Transforms one 4x4 input patch: `V = Bᵀ d B` (always exact).
+    fn transform_input(d: &[i32; 16], bits: BitWidth) -> [i8; 16] {
+        #[inline]
+        fn apply_bt(v: [i32; 4]) -> [i32; 4] {
+            [v[0] - v[2], v[1] + v[2], v[2] - v[1], v[1] - v[3]]
+        }
+        let mut tmp = [[0i32; 4]; 4];
+        for col in 0..4 {
+            let r = apply_bt([d[col], d[4 + col], d[8 + col], d[12 + col]]);
+            for (i, v) in r.iter().enumerate() {
+                tmp[i][col] = *v;
+            }
+        }
+        let mut out = [0i8; 16];
+        for (i, row) in tmp.iter().enumerate() {
+            let r = apply_bt(*row);
+            for (j, &v) in r.iter().enumerate() {
+                debug_assert!(
+                    v >= -v_bound(bits) && v < v_bound(bits),
+                    "V out of bound: {v}"
+                );
+                out[i * 4 + j] = v as i8;
+            }
+        }
+        out
+    }
+
+    /// Output transform of one 4x4 block of i32 GEMM results into 2x2 outputs.
+    fn transform_output(m: &[i32; 16], bits: BitWidth) -> [i32; 4] {
+        let (row0, row1, shift) = output_rows(bits);
+        let apply = |v: [i32; 4]| -> [i32; 2] {
+            [
+                row0[0] * v[0] + row0[1] * v[1] + row0[2] * v[2] + row0[3] * v[3],
+                row1[0] * v[0] + row1[1] * v[1] + row1[2] * v[2] + row1[3] * v[3],
+            ]
+        };
+        let mut tmp = [[0i32; 4]; 2]; // 2 x 4
+        for col in 0..4 {
+            let r = apply([m[col], m[4 + col], m[8 + col], m[12 + col]]);
+            tmp[0][col] = r[0];
+            tmp[1][col] = r[1];
+        }
+        let mut out = [0i32; 4];
+        for (i, row) in tmp.iter().enumerate() {
+            let r = apply(*row);
+            for (j, &v) in r.iter().enumerate() {
+                out[i * 2 + j] = if shift > 0 {
+                    debug_assert_eq!(v & ((1 << shift) - 1), 0, "exact division expected");
+                    v >> shift
+                } else {
+                    v
+                };
+            }
+        }
+        out
+    }
+
+    /// The per-tile pipeline the slice-based path replaced, kept as the
+    /// oracle: per-element gathers, one 4x4 patch transform per (channel,
+    /// tile), 16 serial GEMMs that pack their own operands, and one output
+    /// transform per (channel, tile). Its rounded 5-6 bit results are the
+    /// reference the engine path must reproduce byte for byte.
+    fn per_tile_oracle(input: &QTensor, weights: &QTensor, shape: &ConvShape) -> Tensor<i32> {
+        assert!(shape.winograd_applicable(), "requires 3x3 stride-1");
+        let bits = input.bits().max(weights.bits());
+        assert!(winograd_supported(bits), "winograd supports <= 6 bit");
+        assert_eq!(
+            weights.dims(),
+            (shape.c_out, shape.c_in, shape.kh, shape.kw)
+        );
+
+        let (oh, ow) = (shape.out_h(), shape.out_w());
+        let (ty, tx) = (oh.div_ceil(2), ow.div_ceil(2));
+        let n_tiles = shape.batch * ty * tx;
+
+        // Offline weight transform: 16 matrices of c_out x c_in.
+        let mut u = vec![vec![0i8; shape.c_out * shape.c_in]; 16];
+        for co in 0..shape.c_out {
+            for ci in 0..shape.c_in {
+                let mut g = [0i32; 9];
+                for (idx, gv) in g.iter_mut().enumerate() {
+                    *gv = weights.get((co, ci, idx / 3, idx % 3)) as i32;
+                }
+                let t = transform_weight(&g, bits);
+                for (pos, &tv) in t.iter().enumerate() {
+                    u[pos][co * shape.c_in + ci] = tv;
+                }
+            }
+        }
+
+        // Input transform: 16 matrices of c_in x n_tiles.
+        let mut v = vec![vec![0i8; shape.c_in * n_tiles]; 16];
+        for b in 0..shape.batch {
+            for ci in 0..shape.c_in {
+                for tyy in 0..ty {
+                    for txx in 0..tx {
+                        let tile = (b * ty + tyy) * tx + txx;
+                        let mut d = [0i32; 16];
+                        for r in 0..4 {
+                            let iy = (2 * tyy + r) as isize - shape.pad as isize;
+                            if iy < 0 || iy >= shape.h as isize {
+                                continue;
+                            }
+                            for c in 0..4 {
+                                let ix = (2 * txx + c) as isize - shape.pad as isize;
+                                if ix < 0 || ix >= shape.w as isize {
+                                    continue;
+                                }
+                                d[r * 4 + c] =
+                                    input.get((b, ci, iy as usize, ix as usize)) as i32;
+                            }
+                        }
+                        let t = transform_input(&d, bits);
+                        for (pos, &tv) in t.iter().enumerate() {
+                            v[pos][ci * n_tiles + tile] = tv;
+                        }
+                    }
+                }
+            }
+        }
+
+        // 16 position-wise GEMMs in the Winograd domain.
+        let scheme = winograd_scheme(bits);
+        let narrow = winograd_uses_narrow_tile(bits);
+        let mut m_mats = Vec::with_capacity(16);
+        for pos in 0..16 {
+            let out = if narrow {
+                gemm_narrow(&scheme, &u[pos], &v[pos], shape.c_out, shape.c_in, n_tiles)
+            } else {
+                gemm(&scheme, &u[pos], &v[pos], shape.c_out, shape.c_in, n_tiles)
+            };
+            m_mats.push(out.c);
+        }
+
+        // Output transform back to NCHW.
+        let mut acc: Tensor<i32> = Tensor::zeros((shape.batch, shape.c_out, oh, ow), Layout::Nchw);
+        for co in 0..shape.c_out {
+            for b in 0..shape.batch {
+                for tyy in 0..ty {
+                    for txx in 0..tx {
+                        let tile = (b * ty + tyy) * tx + txx;
+                        let mut m = [0i32; 16];
+                        for (pos, mv) in m.iter_mut().enumerate() {
+                            *mv = m_mats[pos][co * n_tiles + tile];
+                        }
+                        let y = transform_output(&m, bits);
+                        for r in 0..2 {
+                            let oy = 2 * tyy + r;
+                            if oy >= oh {
+                                continue;
+                            }
+                            for cx in 0..2 {
+                                let ox = 2 * txx + cx;
+                                if ox >= ow {
+                                    continue;
+                                }
+                                acc.set((b, co, oy, ox), y[r * 2 + cx]);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+
+        acc
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+        /// The engine path is bit-identical to direct conv where Winograd is
+        /// exact and to the per-tile oracle where it rounds, on every ISA
+        /// instance and thread count, with one arena reused throughout.
+        #[test]
+        fn engine_path_matches_the_oracles(
+            batch in 1usize..=3,
+            c_in in 1usize..=21,
+            c_out in 1usize..=21,
+            h in 3usize..=13,
+            w in 3usize..=13,
+            pad in 0usize..=1,
+            bits in 2u8..=6,
+            seed in 0u64..1000,
+        ) {
+            let bits = BitWidth::new(bits).unwrap();
+            let shape = ConvShape::new(batch, c_in, h, w, c_out, 3, 1, pad);
+            let input = QTensor::random((batch, c_in, shape.h, shape.w), Layout::Nchw, bits, seed);
+            let weights = QTensor::random((c_out, c_in, 3, 3), Layout::Nchw, bits, seed + 1);
+            let oracle = if winograd_exact(bits) {
+                direct_conv(&input, &weights, &shape)
+            } else {
+                per_tile_oracle(&input, &weights, &shape)
+            };
+            let packed = WinogradWeights::pack(&weights, bits);
+            let mut ws = ConvWorkspace::new();
+            for isa in Isa::supported() {
+                for threads in [1, 2, 4] {
+                    let cfg = ParallelConfig::with_threads(threads);
+                    let null = Tracer::null();
+                    let acc =
+                        winograd_conv_ws_on(isa, &input, &packed, &shape, &cfg, &mut ws, &null);
+                    prop_assert_eq!(acc.dims(), oracle.dims());
+                    prop_assert_eq!(acc.data(), oracle.data(), "{} x{}", isa, threads);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn one_shot_is_the_engine_path_and_the_arena_stops_growing() {
+        let shape = ConvShape::new(2, 5, 9, 11, 7, 3, 1, 1);
+        let input = QTensor::random((2, 5, 9, 11), Layout::Nchw, BitWidth::W5, 41);
+        let weights = QTensor::random((7, 5, 3, 3), Layout::Nchw, BitWidth::W5, 42);
+        let one_shot = winograd_conv(&input, &weights, &shape);
+        assert_eq!(one_shot.acc.data(), per_tile_oracle(&input, &weights, &shape).data());
+        let packed = WinogradWeights::pack(&weights, BitWidth::W5);
+        let cfg = ParallelConfig::with_threads(3);
+        let mut ws = ConvWorkspace::new();
+        let _ = winograd_conv_ws(&input, &packed, &shape, &cfg, &mut ws, &Tracer::null());
+        let warm = ws.stats();
+        for _ in 0..3 {
+            let acc = winograd_conv_ws(&input, &packed, &shape, &cfg, &mut ws, &Tracer::null());
+            assert_eq!(acc.data(), one_shot.acc.data());
+        }
+        assert_eq!(ws.stats().alloc_events, warm.alloc_events, "steady state allocated");
+        assert_eq!(ws.stats().calls, warm.calls + 3);
+    }
+
+    #[test]
+    fn traced_run_records_one_track_per_tile_span_and_matches_untraced() {
+        let shape = ConvShape::new(1, 6, 12, 10, 5, 3, 1, 1);
+        let input = QTensor::random((1, 6, 12, 10), Layout::Nchw, BitWidth::W4, 51);
+        let weights = QTensor::random((5, 6, 3, 3), Layout::Nchw, BitWidth::W4, 52);
+        let packed = WinogradWeights::pack(&weights, BitWidth::W4);
+        let cfg = ParallelConfig::with_threads(2);
+        let mut ws = ConvWorkspace::new();
+        let plain = winograd_conv_ws(&input, &packed, &shape, &cfg, &mut ws, &Tracer::null());
+        let (tracer, sink) = Tracer::recording();
+        let traced = winograd_conv_ws(&input, &packed, &shape, &cfg, &mut ws, &tracer);
+        assert_eq!(traced.data(), plain.data(), "tracing must not change the result");
+        let cap = sink.capture();
+        let spans = partition_columns(shape.winograd_tiles(), 2);
+        for span in &spans {
+            let name = format!("winograd worker [{}..{})", span.col0, span.end());
+            let track = cap.track_id(&name).unwrap_or_else(|| panic!("missing track {name}"));
+            let on_track: Vec<_> = cap.spans_on(track).collect();
+            let outer = on_track.iter().find(|s| s.name == "winograd worker").expect("worker span");
+            for stage in ["wg input transform", "wg gemm", "wg accumulate"] {
+                assert!(on_track.iter().any(|s| s.name == stage), "{name}: {stage}");
+            }
+            for child in on_track.iter().filter(|s| s.name != "winograd worker") {
+                assert!(child.start_ns >= outer.start_ns && child.end_ns() <= outer.end_ns());
+            }
+        }
+        assert!(cap.spans_on(MAIN_TRACK).any(|s| s.name == "wg scatter nchw"));
+    }
+
+    #[test]
+    #[should_panic(expected = "input wider than the transform width")]
+    fn rejects_inputs_wider_than_the_transform() {
+        let shape = ConvShape::new(1, 2, 6, 6, 2, 3, 1, 1);
+        let input = QTensor::random((1, 2, 6, 6), Layout::Nchw, BitWidth::W6, 1);
+        let weights = QTensor::random((2, 2, 3, 3), Layout::Nchw, BitWidth::W4, 2);
+        let packed = WinogradWeights::pack(&weights, BitWidth::W4);
+        let cfg = ParallelConfig::default();
+        let mut ws = ConvWorkspace::new();
+        let _ = winograd_conv_ws(&input, &packed, &shape, &cfg, &mut ws, &Tracer::null());
+    }
 
     fn case(shape: ConvShape, bits: BitWidth, seed: u64) -> (ConvOutput, Tensor<i32>) {
         let input = QTensor::random(

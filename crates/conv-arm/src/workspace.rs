@@ -1,17 +1,21 @@
 //! The parallel, allocation-free convolution path: prepacked weights +
 //! caller-owned [`ConvWorkspace`] arena, behind one entry point,
-//! [`gemm_conv_ws`], for all three GEMM micro-kernels.
+//! [`gemm_conv_ws`], for all three GEMM micro-kernels and the Winograd
+//! path built on them.
 //!
 //! * the weights arrive packed once per layer as a [`PackedWeights`] value
-//!   (the engine's prepack cache holds them), so no call pays `pack A`;
-//! * the im2col matrix, the per-thread packed-B panels and the GEMM result
-//!   live in one reusable arena — after a warm-up pass over a network's
-//!   layer shapes, repeated inference performs **zero heap allocations**
-//!   in these stages (the output tensor itself is still returned by value);
+//!   (the engine's prepack cache holds them), so no call pays `pack A` —
+//!   nor, for Winograd, the weight transform;
+//! * the im2col matrix, the per-thread packed-B panels, the GEMM result and
+//!   Winograd's transform buffers live in one reusable arena — after a
+//!   warm-up pass over a network's layer shapes, repeated inference
+//!   performs **zero heap allocations** in these stages (the output tensor
+//!   itself is still returned by value);
 //! * the wide and narrow GEMMs run on `lowbit_qgemm::parallel` across N,
 //!   bit-exact versus the serial kernels for any thread count.
 
 use crate::gemm_conv::matrix_to_nchw_cm;
+use crate::winograd::{winograd_conv_ws, WinogradScratch, WinogradWeights};
 use lowbit_qgemm::narrow::PackedANarrow;
 use lowbit_qgemm::parallel::{gemm_parallel_cm_traced, ParallelConfig, SharedWeights};
 use lowbit_qgemm::sdot::{gemm_sdot_prepacked_cm, pack_b_quads_into, PackedAQuads, PackedBQuads};
@@ -31,6 +35,9 @@ pub enum PackedWeights {
     Narrow(PackedANarrow),
     /// The SDOT quad panels (`lowbit_qgemm::sdot::pack_a_quads`).
     Quads(PackedAQuads),
+    /// Winograd's 16 transformed position matrices
+    /// ([`WinogradWeights::pack`]).
+    Winograd(WinogradWeights),
 }
 
 impl PackedWeights {
@@ -40,28 +47,22 @@ impl PackedWeights {
             PackedWeights::Wide(p) => p.data.len(),
             PackedWeights::Narrow(p) => p.data.len(),
             PackedWeights::Quads(p) => p.data.len(),
-        }
-    }
-
-    /// The logical GEMM `(M, K)` of the packed matrix.
-    fn dims(&self) -> (usize, usize) {
-        match self {
-            PackedWeights::Wide(p) => (p.m, p.k),
-            PackedWeights::Narrow(p) => (p.m, p.k),
-            PackedWeights::Quads(p) => (p.m, p.k),
+            PackedWeights::Winograd(w) => w.bytes(),
         }
     }
 }
 
 /// Caller-owned scratch for [`gemm_conv_ws`]: the im2col matrix, the
-/// parallel-GEMM arena, and the SDOT kernel's quad-packed B and
-/// column-major result.
+/// parallel-GEMM arena, the SDOT kernel's quad-packed B and column-major
+/// result, and Winograd's transformed input, output planes and per-thread
+/// GEMM arenas.
 #[derive(Default)]
 pub struct ConvWorkspace {
     col: Im2colMatrix,
     gemm: GemmWorkspace,
     bq: PackedBQuads,
     c_sdot: Vec<i32>,
+    pub(crate) wg: WinogradScratch,
     stats: WorkspaceStats,
 }
 
@@ -82,9 +83,10 @@ impl ConvWorkspace {
             + self.gemm.footprint_bytes()
             + self.bq.data.capacity()
             + self.c_sdot.capacity() * std::mem::size_of::<i32>()
+            + self.wg.footprint_bytes()
     }
 
-    fn note_call(&mut self, footprint_before: usize) {
+    pub(crate) fn note_call(&mut self, footprint_before: usize) {
         self.stats.calls += 1;
         let after = self.footprint_bytes();
         if after > footprint_before {
@@ -94,12 +96,13 @@ impl ConvWorkspace {
     }
 }
 
-/// Prepacked convolution on whichever GEMM micro-kernel `pa` was packed
-/// for, returning the exact NCHW accumulators.
+/// Prepacked convolution on whichever kernel `pa` was packed for,
+/// returning the exact NCHW accumulators.
 ///
 /// `scheme` must cover the wider of the two operand bit widths, exactly as
 /// [`crate::gemm_conv()`] chooses it (the SDOT kernel has no drain machinery
-/// and ignores it). The wide and narrow kernels run the GEMM across
+/// and ignores it; Winograd weights carry their own width and run
+/// [`winograd_conv_ws`]). The wide and narrow kernels run the GEMM across
 /// `cfg`'s threads, recording onto per-worker tracks; the SDOT kernel runs
 /// serially (it has no drain cadence to block around and gains prepack +
 /// buffer reuse only) under `pack B quads` and `gemm sdot` spans on the
@@ -116,7 +119,12 @@ pub fn gemm_conv_ws(
     ws: &mut ConvWorkspace,
     tracer: &Tracer,
 ) -> Tensor<i32> {
-    let (m, k) = pa.dims();
+    let (m, k) = match pa {
+        PackedWeights::Wide(p) => (p.m, p.k),
+        PackedWeights::Narrow(p) => (p.m, p.k),
+        PackedWeights::Quads(p) => (p.m, p.k),
+        PackedWeights::Winograd(w) => return winograd_conv_ws(input, w, shape, cfg, ws, tracer),
+    };
     assert_eq!(m, shape.gemm_m(), "packed weights disagree with shape on M");
     assert_eq!(k, shape.gemm_k(), "packed weights disagree with shape on K");
     let before = ws.footprint_bytes();
@@ -145,6 +153,7 @@ pub fn gemm_conv_ws(
             }
             &ws.c_sdot
         }
+        PackedWeights::Winograd(_) => unreachable!("returned above"),
     };
     let acc = {
         let _span = tracer.span("reshape nchw", MAIN_TRACK);

@@ -1,20 +1,22 @@
 //! The ARM convolution engine: algorithm selection over the Sec. 3 kernels,
 //! a prepacked-weight cache, and a reusable workspace arena.
 //!
-//! The GEMM-family algorithms (`Gemm`, `GemmNarrow`, `GemmSdot`) run through
-//! the prepacked parallel path `lowbit_conv_arm::gemm_conv_ws`: weights are
-//! packed once per layer (keyed by a fingerprint of the weight tensor) and
-//! reused across calls, the im2col/pack-B/result buffers live in one arena,
-//! and the GEMM spans `LOWBIT_THREADS` scoped threads. Both the executed and
-//! the estimated schedules therefore drop the `pack A` stage; both come from
-//! the one table, [`arm_schedule`]. The cost model stays single-core —
-//! wall-clock thread scaling is the benchmark suite's story, not the
+//! The GEMM-family algorithms (`Gemm`, `GemmNarrow`, `GemmSdot`) and
+//! Winograd run through the prepacked parallel path
+//! `lowbit_conv_arm::gemm_conv_ws`: weights are packed once per layer —
+//! Winograd's transformed once, too — keyed by a fingerprint of the weight
+//! tensor (and, for Winograd, of the effective bit width) and reused across
+//! calls; the im2col/transform/pack-B/result buffers live in one arena; and
+//! the work spans `LOWBIT_THREADS` scoped threads. The executed and the
+//! estimated schedules both come from the one table, [`arm_schedule`]; the
+//! GEMM family's drops the `pack A` stage. The cost model stays single-core
+//! — wall-clock thread scaling is the benchmark suite's story, not the
 //! model's.
 
 use lowbit_conv_arm::{
     bitserial_conv, gemm_conv_ws, ncnn_conv, schedule_bitserial_conv, schedule_gemm_conv,
     schedule_gemm_conv_narrow, schedule_gemm_conv_sdot, schedule_ncnn_conv, schedule_winograd_conv,
-    winograd_conv, ConvOutput, ConvWorkspace, PackedWeights,
+    winograd_supported, ConvOutput, ConvWorkspace, PackedWeights, WinogradWeights,
 };
 use lowbit_qgemm::narrow::pack_a_narrow;
 use lowbit_qgemm::parallel::{threads_from_env, ParallelConfig, MAX_THREADS};
@@ -71,10 +73,12 @@ pub struct ArmConvResult {
 ///
 /// With `warm == false` this is the one-shot pipeline, including the
 /// per-call weight pack (what the paper's per-layer figures measure). With
-/// `warm == true` it is what the engine pays on repeated calls: the three
-/// GEMM kernels run from the prepack cache, so their `pack A` stage is
-/// amortized away; every other algorithm re-derives its weight operand per
-/// call (Winograd's `pack A` included) and keeps its one-shot schedule.
+/// `warm == true` it is the modeled price of repeated calls: the three GEMM
+/// kernels run from the prepack cache, so their `pack A` stage is amortized
+/// away; every other algorithm keeps its one-shot schedule. For Winograd
+/// that still charges the weight transform and the 16 `pack A` stages,
+/// which the engine caches too, so its warm price is conservative; dropping
+/// them would change the prediction of every plan with a Winograd layer.
 ///
 /// # Panics
 /// On `ArmAlgo::Auto` — resolve it first (e.g. with
@@ -165,7 +169,8 @@ fn emit_modeled_schedule(
 pub struct PrepackStats {
     /// Calls served from the cache.
     pub hits: u64,
-    /// Calls that had to pack (first sighting of a weight/algorithm pair).
+    /// Calls that had to pack (first sighting of a weight/algorithm pair —
+    /// for Winograd, of a weight/bit-width pair).
     pub misses: u64,
     /// Entries evicted by the LRU capacity bound.
     pub evictions: u64,
@@ -183,22 +188,26 @@ pub struct PrepackStats {
 pub const DEFAULT_PREPACK_CAPACITY_BYTES: usize = 64 << 20;
 
 /// The prepack-cache key a weight tensor will be stored under when executed
-/// with `algo` (`None` for algorithms without a prepacked layout). This is
-/// what [`crate::plan::LayerPlan::prepack_fingerprint`] records, so a plan
-/// can be checked against the engine's cache contents.
-pub fn prepack_fingerprint(weights: &QTensor, algo: ArmAlgo) -> Option<u64> {
-    let tag = match algo {
-        ArmAlgo::Gemm => 0u8,
-        ArmAlgo::GemmNarrow => 1,
-        ArmAlgo::GemmSdot => 2,
+/// with `algo` at the effective bit width `bits` (`max(input, weight)`;
+/// `None` for algorithms without a prepacked layout). Only Winograd's key
+/// depends on `bits`, because only its weight transform does. This is what
+/// [`crate::plan::LayerPlan::prepack_fingerprint`] records, so a plan can be
+/// checked against the engine's cache contents.
+pub fn prepack_fingerprint(weights: &QTensor, algo: ArmAlgo, bits: BitWidth) -> Option<u64> {
+    let (tag, transform_bits) = match algo {
+        ArmAlgo::Gemm => (0u8, None),
+        ArmAlgo::GemmNarrow => (1, None),
+        ArmAlgo::GemmSdot => (2, None),
+        ArmAlgo::Winograd => (3, Some(bits)),
         _ => return None,
     };
-    Some(fingerprint(weights, tag))
+    Some(fingerprint(weights, tag, transform_bits))
 }
 
 /// FNV-1a over the weight tensor's identity (algorithm layout tag, bit
-/// width, dims, raw bytes) — the prepack cache key.
-fn fingerprint(weights: &QTensor, tag: u8) -> u64 {
+/// width, dims, raw bytes, then the transform width if any) — the prepack
+/// cache key.
+fn fingerprint(weights: &QTensor, tag: u8, transform_bits: Option<BitWidth>) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     let mut eat = |byte: u8| {
         h ^= byte as u64;
@@ -214,6 +223,9 @@ fn fingerprint(weights: &QTensor, tag: u8) -> u64 {
     }
     for &v in weights.data() {
         eat(v as u8);
+    }
+    if let Some(bits) = transform_bits {
+        eat(bits.bits());
     }
     h
 }
@@ -261,8 +273,9 @@ impl EngineState {
         weights: &QTensor,
         shape: &ConvShape,
         algo: ArmAlgo,
+        bits: BitWidth,
     ) -> Arc<PackedWeights> {
-        let key = prepack_fingerprint(weights, algo)
+        let key = prepack_fingerprint(weights, algo, bits)
             .unwrap_or_else(|| unreachable!("{algo:?} has no prepacked layout"));
         self.tick += 1;
         let tick = self.tick;
@@ -277,6 +290,7 @@ impl EngineState {
             ArmAlgo::Gemm => PackedWeights::Wide(pack_a(weights.data(), m, k)),
             ArmAlgo::GemmNarrow => PackedWeights::Narrow(pack_a_narrow(weights.data(), m, k)),
             ArmAlgo::GemmSdot => PackedWeights::Quads(pack_a_quads(weights.data(), m, k)),
+            ArmAlgo::Winograd => PackedWeights::Winograd(WinogradWeights::pack(weights, bits)),
             _ => unreachable!(),
         });
         self.cache_bytes += packed.bytes();
@@ -354,7 +368,7 @@ impl ArmEngine {
         &self.model
     }
 
-    /// Worker threads used by the GEMM-family algorithms.
+    /// Worker threads used by the GEMM-family algorithms and Winograd.
     pub fn threads(&self) -> usize {
         self.threads
     }
@@ -431,7 +445,7 @@ impl ArmEngine {
         tracer: &Tracer,
         ctx: &str,
     ) -> ArmConvResult {
-        check_operands(input, weights, shape);
+        check_operands(input, weights, shape, algo);
         let bits = input.bits().max(weights.bits());
         let algo = self.resolve(algo, bits, shape);
         let mut conv_span = tracer.span("conv", MAIN_TRACK);
@@ -439,20 +453,19 @@ impl ArmEngine {
         let mut prepack_hit = None;
         let mut workspace_growth_bytes = 0;
         let out = match algo {
-            ArmAlgo::Gemm | ArmAlgo::GemmNarrow | ArmAlgo::GemmSdot => {
+            ArmAlgo::Gemm | ArmAlgo::GemmNarrow | ArmAlgo::GemmSdot | ArmAlgo::Winograd => {
                 let scheme = Scheme::for_bits(bits);
                 let cfg = ParallelConfig::with_threads(self.threads);
                 let mut guard = self.state.lock().expect("engine state poisoned");
                 let st = &mut *guard;
                 let hits_before = st.hits;
-                let packed = st.prepacked(weights, shape, algo);
+                let packed = st.prepacked(weights, shape, algo, bits);
                 prepack_hit = Some(st.hits > hits_before);
                 let ws_before = st.ws.footprint_bytes();
                 let acc = gemm_conv_ws(input, &packed, &scheme, shape, &cfg, &mut st.ws, tracer);
                 workspace_growth_bytes = st.ws.footprint_bytes().saturating_sub(ws_before);
                 ConvOutput { acc, schedule: arm_schedule(algo, bits, shape, true) }
             }
-            ArmAlgo::Winograd => winograd_conv(input, weights, shape),
             ArmAlgo::NcnnBaseline => ncnn_conv(input, weights, shape),
             ArmAlgo::BitserialBaseline => bitserial_conv(input, weights, shape),
             ArmAlgo::Auto => unreachable!("Auto resolved above"),
@@ -496,16 +509,24 @@ impl ArmEngine {
     }
 }
 
-/// Panics unless `input` is NCHW with `shape`'s input dims and `weights`
-/// has its filter dims. [`ArmEngine::conv_traced`] runs this before taking
-/// the state lock: a kernel panicking under the lock would poison the state
-/// every clone shares, and each later call on any clone would panic too.
-fn check_operands(input: &QTensor, weights: &QTensor, shape: &ConvShape) {
+/// Panics unless `input` is NCHW with `shape`'s input dims, `weights` is
+/// NCHW with its filter dims, and a forced Winograd has a 3x3/stride-1
+/// shape and at most 6 effective bits. [`ArmEngine::conv_traced`] runs this
+/// before taking the state lock: a kernel or weight transform panicking
+/// under the lock would poison the state every clone shares, and each later
+/// call on any clone would panic too.
+fn check_operands(input: &QTensor, weights: &QTensor, shape: &ConvShape, algo: ArmAlgo) {
     assert_eq!(input.layout(), Layout::Nchw, "ARM path expects NCHW");
     let input_dims = (shape.batch, shape.c_in, shape.h, shape.w);
     assert_eq!(input.dims(), input_dims, "input dims do not match conv shape");
+    assert_eq!(weights.layout(), Layout::Nchw, "ARM path expects NCHW weights");
     let weight_dims = (shape.c_out, shape.c_in, shape.kh, shape.kw);
     assert_eq!(weights.dims(), weight_dims, "weight dims do not match conv shape");
+    if algo == ArmAlgo::Winograd {
+        assert!(shape.winograd_applicable(), "Winograd requires 3x3 stride-1");
+        let bits = input.bits().max(weights.bits());
+        assert!(winograd_supported(bits), "Winograd supports <= 6 bit, not {bits}");
+    }
 }
 
 #[cfg(test)]
@@ -605,8 +626,9 @@ mod tests {
                 );
             }
         }
-        // The engine does not prepack the other algorithms' weights, so
-        // their warm price is the one-shot one (Winograd's `pack A` stays).
+        // Every other algorithm's warm price is its one-shot one: the
+        // baselines pack per call, and the Winograd model still charges the
+        // weight transform and `pack A` that the engine now caches.
         for (bits, algo) in [
             (BitWidth::W4, ArmAlgo::Winograd),
             (BitWidth::W8, ArmAlgo::NcnnBaseline),
@@ -706,7 +728,9 @@ mod tests {
         let clone = engine.clone();
         let _ = engine.conv(&input, &weights, &shape, ArmAlgo::Gemm);
         let wrong_dims = ConvShape::new(1, 4, 9, 8, 6, 3, 1, 1);
-        let bad_calls: [(&str, &dyn Fn()); 3] = [
+        let strided = ConvShape::new(1, 4, 8, 8, 6, 3, 2, 1);
+        let (input7, weights7) = tensors(&shape, BitWidth::W7, 34);
+        let bad_calls: [(&str, &dyn Fn()); 6] = [
             ("NHWC input", &|| {
                 let nhwc = input.to_layout(Layout::Nhwc);
                 let _ = engine.conv(&nhwc, &weights, &shape, ArmAlgo::Gemm);
@@ -717,13 +741,50 @@ mod tests {
             ("weight dims", &|| {
                 let _ = engine.conv(&input, &input, &shape, ArmAlgo::Gemm);
             }),
+            ("NHWC weights", &|| {
+                let nhwc = weights.to_layout(Layout::Nhwc);
+                let _ = engine.conv(&input, &nhwc, &shape, ArmAlgo::Winograd);
+            }),
+            ("Winograd on stride 2", &|| {
+                let _ = engine.conv(&input, &weights, &strided, ArmAlgo::Winograd);
+            }),
+            ("Winograd at 7 bit", &|| {
+                let _ = engine.conv(&input7, &weights7, &shape, ArmAlgo::Winograd);
+            }),
         ];
         for (name, call) in bad_calls {
             assert!(catch_unwind(AssertUnwindSafe(call)).is_err(), "{name} must be rejected");
             let out = clone.conv(&input, &weights, &shape, ArmAlgo::Gemm);
             assert_eq!(out.acc.data(), oracle.data(), "clone after {name}");
         }
-        assert_eq!(engine.prepack_stats().hits, 3);
+        assert_eq!(engine.prepack_stats().hits, 6);
+    }
+
+    #[test]
+    fn winograd_weights_are_cached_per_effective_bit_width() {
+        let shape = ConvShape::new(1, 5, 9, 7, 6, 3, 1, 1);
+        let (input4, weights) = tensors(&shape, BitWidth::W4, 61);
+        let (input6, _) = tensors(&shape, BitWidth::W6, 62);
+        let engine = ArmEngine::cortex_a53().with_threads(2);
+        let w4 = engine.conv(&input4, &weights, &shape, ArmAlgo::Winograd);
+        let w6 = engine.conv(&input6, &weights, &shape, ArmAlgo::Winograd);
+        // W4 weights under a W6 input transform at 6 bit: a second entry.
+        let stats = engine.prepack_stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (0, 2, 2));
+        assert_eq!(w4.acc.data(), direct_conv(&input4, &weights, &shape).data());
+        let one_shot = lowbit_conv_arm::winograd_conv(&input6, &weights, &shape);
+        assert_eq!(w6.acc.data(), one_shot.acc.data());
+        // Warm calls hit their own entries and stop growing the arena.
+        let again4 = engine.conv(&input4, &weights, &shape, ArmAlgo::Winograd);
+        let again6 = engine.conv(&input6, &weights, &shape, ArmAlgo::Winograd);
+        assert_eq!((again4.prepack_hit, again6.prepack_hit), (Some(true), Some(true)));
+        assert_eq!(again4.acc.data(), w4.acc.data());
+        assert_eq!(again6.acc.data(), w6.acc.data());
+        assert_eq!(again4.workspace_growth_bytes + again6.workspace_growth_bytes, 0);
+        let bits = |b| prepack_fingerprint(&weights, ArmAlgo::Winograd, b);
+        assert_ne!(bits(BitWidth::W4), bits(BitWidth::W6));
+        let gemm = |b| prepack_fingerprint(&weights, ArmAlgo::Gemm, b);
+        assert_eq!(gemm(BitWidth::W4), gemm(BitWidth::W6), "GEMM packing ignores the width");
     }
 
     #[test]

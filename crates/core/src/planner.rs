@@ -175,7 +175,9 @@ impl Planner {
             bits,
             backend: BackendKind::Arm,
             algo: PlanAlgo::Arm(algo),
-            prepack_fingerprint: prepack_fingerprint(weights, algo),
+            // The engine keys Winograd by the effective width of the call:
+            // activations at the layer's width, weights at their own.
+            prepack_fingerprint: prepack_fingerprint(weights, algo, bits.max(weights.bits())),
             workspace_bytes: arm_workspace_bytes(shape, algo),
             predicted_millis: engine.estimate_millis(bits, shape, algo),
             epilogue,
@@ -652,17 +654,28 @@ mod tests {
     #[test]
     fn gemm_family_layers_carry_fingerprint_and_workspace() {
         let engine = ArmEngine::cortex_a53();
-        let net = Network::demo(BitWidth::W4, 12, 9);
-        let plan = Planner::for_arm(&engine).compile(&net).unwrap();
-        for lp in plan.layers() {
-            match lp.algo {
-                PlanAlgo::Arm(ArmAlgo::Gemm | ArmAlgo::GemmNarrow | ArmAlgo::GemmSdot) => {
-                    assert!(lp.prepack_fingerprint.is_some(), "{}", lp.name);
-                    assert!(lp.workspace_bytes > 0, "{}", lp.name);
+        let bottleneck = lowbit_models::resnet50_bottleneck();
+        let nets = [
+            Network::demo(BitWidth::W4, 12, 9),
+            Network::from_layer_defs(&bottleneck, BitWidth::W4, 9).unwrap(),
+        ];
+        let mut winograd_layers = 0;
+        for net in &nets {
+            let plan = Planner::for_arm(&engine).compile(net).unwrap();
+            for lp in plan.layers() {
+                match lp.algo {
+                    PlanAlgo::Arm(
+                        ArmAlgo::Gemm | ArmAlgo::GemmNarrow | ArmAlgo::GemmSdot | ArmAlgo::Winograd,
+                    ) => {
+                        assert!(lp.prepack_fingerprint.is_some(), "{}", lp.name);
+                        assert!(lp.workspace_bytes > 0, "{}", lp.name);
+                        winograd_layers += usize::from(lp.algo == PlanAlgo::Arm(ArmAlgo::Winograd));
+                    }
+                    _ => assert!(lp.prepack_fingerprint.is_none(), "{}", lp.name),
                 }
-                _ => assert!(lp.prepack_fingerprint.is_none(), "{}", lp.name),
             }
         }
+        assert!(winograd_layers > 0, "the W4 bottleneck plans its 3x3 layer on Winograd");
     }
 
     #[test]

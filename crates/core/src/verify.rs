@@ -167,10 +167,10 @@ pub fn verify_compiled(plan: &ExecutionPlan, net: &Network) -> Result<PlanProof,
 
 /// Lowers a plan's node/value tables into the concurrency verifier's
 /// [`ConcSpec`], with explicit per-node workspace slices and the parallel
-/// workspace-arena size. Conv nodes on the ARM GEMM families carry their
-/// GEMM footprint and the per-thread column partition at the maximum thread
-/// count; Add/Concat, GPU and per-call-buffer layers (Winograd, baselines)
-/// get footprint-free nodes.
+/// workspace-arena size. Conv nodes on the ARM GEMM families and Winograd
+/// carry their GEMM footprint and the per-thread column (or tile) partition
+/// at the maximum thread count; Add/Concat, GPU and per-call-buffer
+/// baseline layers get footprint-free nodes.
 pub fn lower_conc_spec(
     plan: &ExecutionPlan,
     workspace_slices: &[(usize, usize)],
@@ -191,13 +191,9 @@ pub fn lower_conc_spec(
                             Some(
                                 kind @ (ArmAlgoKind::GemmWide
                                 | ArmAlgoKind::GemmNarrow
-                                | ArmAlgoKind::GemmSdot),
-                            ) => Some(GemmFootprint {
-                                m: lp.shape.gemm_m(),
-                                k: lp.shape.gemm_k(),
-                                n: lp.shape.gemm_n(),
-                                algo: kind,
-                            }),
+                                | ArmAlgoKind::GemmSdot
+                                | ArmAlgoKind::Winograd),
+                            ) => Some(GemmFootprint::of(&lp.shape, kind)),
                             _ => None,
                         },
                         _ => None,
@@ -280,7 +276,7 @@ pub fn fingerprint_layers(layers: &[NetLayer]) -> u64 {
         }
         // Reuse the prepack fingerprint as the weight digest (bits, dims
         // and raw bytes); every weight tensor has a wide-GEMM layout.
-        let wfp = crate::arm::prepack_fingerprint(&l.weights, ArmAlgo::Gemm)
+        let wfp = crate::arm::prepack_fingerprint(&l.weights, ArmAlgo::Gemm, l.weights.bits())
             .expect("Gemm always has a prepacked layout");
         eat(&mut h, &wfp.to_le_bytes());
         eat(&mut h, &[l.relu as u8]);

@@ -205,9 +205,10 @@ pub fn gemm_parallel_cm_traced<'w>(
     gemm_parallel_cm_on(Isa::host(), scheme, weights, b, k, n, cfg, ws, tracer)
 }
 
-/// [`gemm_parallel_cm_traced`] with every micro-tile compiled for `isa`.
+/// [`gemm_parallel_cm_traced`] with every micro-tile compiled for `isa`
+/// (kernel tests run each [`Isa::supported`] instance through it).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_parallel_cm_on<'w>(
+pub fn gemm_parallel_cm_on<'w>(
     isa: Isa,
     scheme: &Scheme,
     weights: SharedWeights<'_>,
@@ -235,6 +236,9 @@ pub(crate) fn gemm_parallel_cm_on<'w>(
 
     let before = ws.footprint_bytes();
     ws.prepare(spans.len(), m * n);
+    if k == 0 {
+        ws.c_cm.fill(0); // no K block stores the result
+    }
     if active <= 1 {
         if let Some(span) = spans.iter().find(|s| s.cols > 0) {
             let track = worker_track(tracer, span);
@@ -336,13 +340,13 @@ fn worker(
                             let mut acc = [0i32; TILE_LEN];
                             let a_blk = pa.block(ti, k0, klen);
                             accumulate_tile_on(isa, scheme, a_blk, b_blk, &mut acc);
-                            add_scatter(c, &acc, m, cols, jt, ti, NA);
+                            scatter_tile(c, &acc, m, cols, jt, ti, NA, k0 == 0);
                         }
                         SharedWeights::Narrow(pa) => {
                             let mut acc = [0i32; NARROW_TILE_LEN];
                             let a_blk = pa.block(ti, k0, klen);
                             accumulate_tile_narrow_on(isa, scheme, a_blk, b_blk, &mut acc);
-                            add_scatter(c, &acc, m, cols, jt, ti, NA8);
+                            scatter_tile(c, &acc, m, cols, jt, ti, NA8, k0 == 0);
                         }
                     }
                 }
@@ -366,6 +370,7 @@ fn pack_b_panel(
     panel: &mut Vec<i8>,
 ) {
     panel.clear();
+    panel.reserve_exact(tiles * klen * NB);
     panel.resize(tiles * klen * NB, 0);
     for tile in 0..tiles {
         let first = col_base + tile * NB;
@@ -378,8 +383,11 @@ fn pack_b_panel(
     }
 }
 
-/// Adds a column-major micro-tile into the thread's column-major C slice.
-fn add_scatter(
+/// Writes a column-major micro-tile into the thread's column-major C slice:
+/// stores it for the first K block (every element of C belongs to exactly
+/// one tile of it, so C needs no zeroing) and adds it for the later ones.
+#[allow(clippy::too_many_arguments)]
+fn scatter_tile(
     c: &mut [i32],
     tile: &[i32],
     m: usize,
@@ -387,6 +395,7 @@ fn add_scatter(
     jt: usize,
     ti: usize,
     rows: usize,
+    first_k_block: bool,
 ) {
     for cc in 0..NB {
         let j = jt * NB + cc;
@@ -399,7 +408,7 @@ fn add_scatter(
             if i >= m {
                 break;
             }
-            col[i] = col[i].wrapping_add(v);
+            col[i] = if first_k_block { v } else { col[i].wrapping_add(v) };
         }
     }
 }
@@ -522,6 +531,27 @@ mod tests {
         assert_eq!(stats.calls, 4);
         assert_eq!(stats.alloc_events, 1, "only the first call may allocate");
         assert!(stats.high_water_bytes >= m * n * 4);
+    }
+
+    #[test]
+    fn every_call_overwrites_the_reused_result_buffer() {
+        // The result buffer is not cleared between calls, so each call must
+        // store every element: alternate operands, shapes, thread counts
+        // and K-blocking (K = 0 included) through one arena.
+        let bits = BitWidth::W6;
+        let scheme = Scheme::for_bits(bits);
+        let cases =
+            [(21, 67, 19, 3), (5, 12, 3, 8), (21, 67, 19, 1), (16, 0, 8, 2), (13, 40, 9, 2)];
+        let mut ws = GemmWorkspace::new();
+        for (call, (m, k, n, threads)) in cases.into_iter().enumerate() {
+            let a = random_mat(m * k, bits, 300 + call as u64);
+            let b = random_mat(k * n, bits, 400 + call as u64);
+            let pa = pack_a(&a, m, k);
+            let cfg = ParallelConfig { threads, kc: 16, nc: 8 };
+            let c_cm = gemm_parallel_cm(&scheme, SharedWeights::Wide(&pa), &b, k, n, &cfg, &mut ws);
+            let want = crate::gemm::reference_gemm(&a, &b, m, k, n);
+            assert_eq!(to_row_major(c_cm, m, n), want, "call {call}");
+        }
     }
 
     #[test]

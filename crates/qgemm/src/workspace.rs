@@ -3,11 +3,13 @@
 //! thread), owned by the caller so steady-state inference re-runs the same
 //! layer shapes with **zero heap allocations**.
 //!
-//! Buffer reuse is `clear()` + `resize()`: lengths track the current call,
-//! capacities only ever grow. [`WorkspaceStats`] records the capacity
-//! high-water mark and counts calls that grew any buffer (`alloc_events`),
-//! so tests can assert that repeated runs over a fixed layer set stop
-//! allocating after the first pass.
+//! Buffer reuse is `clear()` + `reserve_exact()` + `resize()`: lengths
+//! track the current call, capacities only ever grow, and only to the
+//! largest length requested (no amortized doubling past it), so a
+//! certified bound on the requested lengths bounds the footprint.
+//! [`WorkspaceStats`] records the capacity high-water mark and counts calls
+//! that grew any buffer (`alloc_events`), so tests can assert that repeated
+//! runs over a fixed layer set stop allocating after the first pass.
 
 /// Allocation bookkeeping for a workspace arena.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -57,13 +59,15 @@ impl GemmWorkspace {
                 .sum::<usize>()
     }
 
-    /// Sizes the arena for one call: a zeroed `c_len` result buffer and at
-    /// least `threads` scratch slots.
+    /// Sizes the arena for one call: a `c_len` result buffer and at least
+    /// `threads` scratch slots. The result is not cleared (it holds the
+    /// previous call's values): the driver's first K block stores every
+    /// element.
     pub(crate) fn prepare(&mut self, threads: usize, c_len: usize) {
         if self.scratch.len() < threads {
             self.scratch.resize_with(threads, ThreadScratch::default);
         }
-        self.c_cm.clear();
+        self.c_cm.reserve_exact(c_len.saturating_sub(self.c_cm.len()));
         self.c_cm.resize(c_len, 0);
     }
 

@@ -2,6 +2,7 @@
 //! from DSQ/LSQ-style training work — performance kernels see only the
 //! integer values and the scales.
 
+use lowbit_isa::Isa;
 use lowbit_tensor::{BitWidth, Layout, QTensor, Tensor};
 
 /// A per-tensor symmetric quantizer: `real ≈ scale * q` with
@@ -20,14 +21,14 @@ impl Quantizer {
     /// NaN elements are ignored and an infinite element gives an infinite
     /// scale; [`Quantizer::calibrate_finite`] refuses both instead.
     pub fn calibrate(bits: BitWidth, data: &[f32]) -> Quantizer {
-        Quantizer::from_max_abs(bits, abs_max(data).0)
+        Quantizer::from_max_abs(bits, abs_max_on(Isa::host(), data).0)
     }
 
     /// [`Quantizer::calibrate`] for data that must be finite: in the same
     /// pass over `data`, detects a NaN or ±inf element and returns the index
     /// of the first one as the error.
     pub fn calibrate_finite(bits: BitWidth, data: &[f32]) -> Result<Quantizer, usize> {
-        match abs_max(data) {
+        match abs_max_on(Isa::host(), data) {
             (max_abs, true) => Ok(Quantizer::from_max_abs(bits, max_abs)),
             (_, false) => Err(data.iter().position(|v| !v.is_finite()).unwrap_or(0)),
         }
@@ -43,7 +44,7 @@ impl Quantizer {
     }
 
     /// Quantizes one value.
-    #[inline]
+    #[inline(always)]
     pub fn quantize(&self, v: f32) -> i8 {
         round_clamp(v / self.scale, self.bits.qmin() as i32, self.bits.qmax() as i32)
     }
@@ -56,13 +57,41 @@ impl Quantizer {
 }
 
 /// `(max |v| over the non-NaN elements, whether every element is finite)`,
-/// in one pass that vectorizes (the finiteness flag is an OR reduction next
-/// to the max reduction).
+/// in one pass over [`LANES`] independent accumulators so that it
+/// vectorizes: next to the float max, an integer max over the magnitude bits
+/// reaches the infinity pattern exactly when some element is ±inf or NaN.
+/// Max is associative and commutative (NaN operands are skipped), so the
+/// lane order does not change the result.
+#[inline(always)]
 fn abs_max(data: &[f32]) -> (f32, bool) {
-    let (max_abs, non_finite) = data
-        .iter()
-        .fold((0f32, false), |(m, bad), v| (m.max(v.abs()), bad | !v.is_finite()));
-    (max_abs, !non_finite)
+    let mut max_abs = [0f32; LANES];
+    let mut max_bits = [0u32; LANES];
+    let chunks = data.chunks_exact(LANES);
+    let tail = chunks.remainder();
+    for chunk in chunks {
+        for ((m, b), v) in max_abs.iter_mut().zip(&mut max_bits).zip(chunk) {
+            *m = m.max(v.abs());
+            *b = (*b).max(v.to_bits() & 0x7fff_ffff);
+        }
+    }
+    for ((m, b), v) in max_abs.iter_mut().zip(&mut max_bits).zip(tail) {
+        *m = m.max(v.abs());
+        *b = (*b).max(v.to_bits() & 0x7fff_ffff);
+    }
+    let bits = max_bits.iter().fold(0, |a, &b| a.max(b));
+    (max_abs.iter().fold(0f32, |a, &b| a.max(b)), bits < f32::INFINITY.to_bits())
+}
+
+/// Independent accumulator lanes of [`abs_max`]: one 512-bit vector of
+/// f32.
+const LANES: usize = 16;
+
+/// [`abs_max`] compiled for `isa`.
+fn abs_max_on(isa: Isa, data: &[f32]) -> (f32, bool) {
+    isa.run(
+        #[inline(always)]
+        || abs_max(data),
+    )
 }
 
 /// Rounds `y` half away from zero (`f32::round`), converts it with a
@@ -94,9 +123,14 @@ fn round_clamp(y: f32, lo: i32, hi: i32) -> i8 {
 /// Quantizes an `f32` tensor into a [`QTensor`].
 pub fn quantize_f32(t: &Tensor<f32>, quantizer: &Quantizer) -> QTensor {
     let mut data = vec![0i8; t.data().len()];
-    for (o, &v) in data.iter_mut().zip(t.data()) {
-        *o = quantizer.quantize(v);
-    }
+    Isa::host().run(
+        #[inline(always)]
+        || {
+            for (o, &v) in data.iter_mut().zip(t.data()) {
+                *o = quantizer.quantize(v);
+            }
+        },
+    );
     QTensor::new(
         Tensor::from_vec(t.dims(), t.layout(), data),
         quantizer.bits,
@@ -156,7 +190,7 @@ impl RequantParams {
     }
 
     /// Applies to one accumulator.
-    #[inline]
+    #[inline(always)]
     pub fn apply(&self, acc: i32) -> i8 {
         self.apply_biased(acc, 0)
     }
@@ -194,15 +228,38 @@ pub fn requantize_with_bias(
     }
     let src = acc.data();
     let mut data = vec![0i8; src.len()];
-    match (bias, acc.layout()) {
+    let layout = acc.layout();
+    Isa::host().run(
+        #[inline(always)]
+        || requantize_into(src, bias, layout, (c, h * w), params, &mut data),
+    );
+    QTensor::new(
+        Tensor::from_vec(acc.dims(), acc.layout(), data),
+        params.bits,
+        1.0, // output scale is carried by the enclosing graph
+    )
+}
+
+/// The pass of [`requantize_with_bias`] over `src` with `(channels,
+/// pixels)` per image, into `out`.
+#[inline(always)]
+fn requantize_into(
+    src: &[i32],
+    bias: Option<&[i32]>,
+    layout: Layout,
+    (c, hw): (usize, usize),
+    params: &RequantParams,
+    out: &mut [i8],
+) {
+    match (bias, layout) {
         _ if src.is_empty() => {}
         (None, _) => {
-            for (o, &v) in data.iter_mut().zip(src) {
+            for (o, &v) in out.iter_mut().zip(src) {
                 *o = params.apply(v);
             }
         }
         (Some(bias), Layout::Nchw) => {
-            let planes = data.chunks_exact_mut(h * w).zip(src.chunks_exact(h * w));
+            let planes = out.chunks_exact_mut(hw).zip(src.chunks_exact(hw));
             for ((out, plane), &b) in planes.zip(bias.iter().cycle()) {
                 for (o, &v) in out.iter_mut().zip(plane) {
                     *o = params.apply_biased(v, b);
@@ -210,18 +267,13 @@ pub fn requantize_with_bias(
             }
         }
         (Some(bias), Layout::Nhwc) => {
-            for (out, pixel) in data.chunks_exact_mut(c).zip(src.chunks_exact(c)) {
+            for (out, pixel) in out.chunks_exact_mut(c).zip(src.chunks_exact(c)) {
                 for ((o, &v), &b) in out.iter_mut().zip(pixel).zip(bias) {
                     *o = params.apply_biased(v, b);
                 }
             }
         }
     }
-    QTensor::new(
-        Tensor::from_vec(acc.dims(), acc.layout(), data),
-        params.bits,
-        1.0, // output scale is carried by the enclosing graph
-    )
 }
 
 /// Convenience: an all-zeros f32 tensor quantized at `bits` (used by tests).
@@ -270,17 +322,37 @@ mod tests {
     }
 
     /// Every f32 bit pattern through the helper at the W8 and ReLU-W8
-    /// bounds; about a minute in release:
+    /// bounds, as a slice pass compiled for each supported ISA (the form
+    /// the glue passes run in); about a minute in release:
     /// `cargo test --release -p lowbit-qnn -- --ignored`.
     #[test]
     #[ignore]
     fn round_clamp_matches_the_oracle_on_every_f32() {
         let w8 = BitWidth::W8;
         let bounds = [(w8.qmin() as i32, w8.qmax() as i32), (0, w8.qmax() as i32)];
-        for bits in 0..=u32::MAX {
-            let y = f32::from_bits(bits);
+        let isas = Isa::supported();
+        let mut ys = vec![0f32; 1 << 16];
+        let mut got = vec![0i8; 1 << 16];
+        for high in 0..1u32 << 16 {
+            for (low, y) in (0u32..).zip(ys.iter_mut()) {
+                *y = f32::from_bits(high << 16 | low);
+            }
             for (lo, hi) in bounds {
-                assert_eq!(round_clamp(y, lo, hi), round_oracle(y, lo, hi), "{bits:#010x}");
+                let want: Vec<i8> = ys.iter().map(|&y| round_oracle(y, lo, hi)).collect();
+                for &isa in &isas {
+                    isa.run(
+                        #[inline(always)]
+                        || {
+                            for (g, &y) in got.iter_mut().zip(&ys) {
+                                *g = round_clamp(y, lo, hi);
+                            }
+                        },
+                    );
+                    if let Some(i) = (0..got.len()).find(|&i| got[i] != want[i]) {
+                        let bits = ys[i].to_bits();
+                        panic!("{isa} [{lo}, {hi}] {bits:#010x}: {} != {}", got[i], want[i]);
+                    }
+                }
             }
         }
     }
@@ -291,6 +363,23 @@ mod tests {
         let finite = [0.5f32, -2.0, -0.0, 1e-40, 3.25, -3.5];
         assert_eq!(abs_max(&finite), (3.5, true));
         assert_eq!(abs_max(&[]), (0.0, true));
+        // Longer than the accumulator lanes, with the maximum and one
+        // non-finite element in every lane position and in the tail.
+        let long: Vec<f32> = (0..4 * LANES + 5).map(|i| (i as f32 * 0.37).sin()).collect();
+        for isa in Isa::supported() {
+            assert_eq!(abs_max_on(isa, &long), (fold(&long), true), "{isa}");
+            for at in 0..long.len() {
+                let mut d = long.clone();
+                d[at] = -9.0;
+                assert_eq!(abs_max_on(isa, &d), (9.0, true), "{isa} max at {at}");
+                for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+                    d[at] = bad;
+                    let (m, ok) = abs_max_on(isa, &d);
+                    assert!(!ok, "{isa} {bad} at {at}");
+                    assert_eq!(m.to_bits(), fold(&d).to_bits(), "{isa} {bad} at {at}");
+                }
+            }
+        }
         for (i, bad) in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY].into_iter().enumerate() {
             let mut d = finite.to_vec();
             d.insert(2, bad);
@@ -303,6 +392,33 @@ mod tests {
             Quantizer::calibrate_finite(BitWidth::W4, &finite),
             Ok(Quantizer::calibrate(BitWidth::W4, &finite))
         );
+    }
+
+    #[test]
+    fn glue_passes_match_the_per_element_helpers() {
+        // The passes run on the host ISA; `apply`/`quantize` called one
+        // element at a time outside them compile for the baseline.
+        let accs: Vec<i32> = (0..2 * 3 * 5 * 7).map(|i| (i * 7919 % 4001) - 2000).collect();
+        let bias = [-300, 0, 450];
+        let rq = RequantParams::new(BitWidth::W6, 0.0371);
+        for layout in [Layout::Nchw, Layout::Nhwc] {
+            let acc = Tensor::from_vec((2, 3, 5, 7), layout, accs.clone());
+            let channel = |i: usize| match layout {
+                Layout::Nchw => i / 35 % 3,
+                Layout::Nhwc => i % 3,
+            };
+            let biased = |(i, &v): (usize, &i32)| rq.apply_biased(v, bias[channel(i)]);
+            let want: Vec<i8> = accs.iter().enumerate().map(biased).collect();
+            let got = requantize_with_bias(&acc, Some(&bias), &rq);
+            assert_eq!(got.data(), &want[..], "{layout:?}");
+            let plain: Vec<i8> = accs.iter().map(|&v| rq.apply(v)).collect();
+            assert_eq!(requantize(&acc, &rq).data(), &plain[..], "{layout:?}");
+        }
+        let xs: Vec<f32> = accs.iter().map(|&v| v as f32 * 0.013).collect();
+        let q = Quantizer::calibrate(BitWidth::W4, &xs);
+        let t = Tensor::from_vec((2, 3, 5, 7), Layout::Nchw, xs.clone());
+        let want: Vec<i8> = xs.iter().map(|&v| q.quantize(v)).collect();
+        assert_eq!(quantize_f32(&t, &q).data(), &want[..]);
     }
 
     #[test]

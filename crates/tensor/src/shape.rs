@@ -128,6 +128,13 @@ impl ConvShape {
         self.kh == 3 && self.kw == 3 && self.stride == 1
     }
 
+    /// Number of 2x2 output tiles `F(2x2, 3x3)` covers: `batch *
+    /// ceil(out_h / 2) * ceil(out_w / 2)`, the N of its 16 position GEMMs.
+    #[inline]
+    pub fn winograd_tiles(&self) -> usize {
+        self.batch * self.out_h().div_ceil(2) * self.out_w().div_ceil(2)
+    }
+
     /// A cropped copy used by tests to validate big layers cheaply: clamps the
     /// spatial extent while keeping kernel/stride/padding structure intact.
     pub fn cropped(&self, max_hw: usize) -> ConvShape {

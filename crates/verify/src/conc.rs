@@ -53,19 +53,33 @@ impl MemSpan {
 
 /// The GEMM geometry of a conv node whose kernels partition work across
 /// threads — what the partition and panel proofs are checked against.
+///
+/// For Winograd this is the geometry of each of its 16 position GEMMs:
+/// `m = c_out`, `k = c_in` and `n` = the 2x2 output tiles, which its
+/// threads split exactly like a GEMM's columns.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct GemmFootprint {
     /// GEMM rows (output channels).
     pub m: usize,
     /// Shared dimension.
     pub k: usize,
-    /// GEMM columns (output pixels) — the partitioned dimension.
+    /// GEMM columns (output pixels, or Winograd tiles) — the partitioned
+    /// dimension.
     pub n: usize,
     /// The committed ARM kernel family.
     pub algo: ArmAlgoKind,
 }
 
 impl GemmFootprint {
+    /// The footprint of `algo` on `shape`.
+    pub fn of(shape: &lowbit_tensor::ConvShape, algo: ArmAlgoKind) -> GemmFootprint {
+        let (m, k, n) = match algo {
+            ArmAlgoKind::Winograd => (shape.c_out, shape.c_in, shape.winograd_tiles()),
+            _ => (shape.gemm_m(), shape.gemm_k(), shape.gemm_n()),
+        };
+        GemmFootprint { m, k, n, algo }
+    }
+
     /// The workspace bytes this node's kernels will request — the bound its
     /// declared workspace slice must dominate.
     pub fn required_workspace(&self) -> ArenaRequirement {
@@ -83,9 +97,20 @@ impl GemmFootprint {
                 c_sdot: 4 * m * n,
                 ..ArenaRequirement::default()
             },
-            // Winograd and the baselines allocate their own transform
-            // buffers per call; they do not grow the shared arena.
-            _ => ArenaRequirement::default(),
+            // The transformed input, the four output planes, and each tile
+            // span's position-GEMM result and panel.
+            ArmAlgoKind::Winograd => ArenaRequirement {
+                wg_v: 16 * k * n,
+                wg_planes: 16 * m * n,
+                wg_c_cm: 4 * m * n,
+                wg_panels: max_panel_bytes(k, n),
+                ..ArenaRequirement::default()
+            },
+            // The baselines allocate their own buffers per call; they do
+            // not grow the shared arena.
+            ArmAlgoKind::NcnnBaseline | ArmAlgoKind::BitserialBaseline => {
+                ArenaRequirement::default()
+            }
         }
     }
 }
@@ -103,7 +128,7 @@ pub struct ConcNode {
     /// (`MemSpan::default()` for nodes that touch no workspace).
     pub workspace: MemSpan,
     /// GEMM geometry for partitioned kernels (`None` for Add/Concat, GPU
-    /// layers and per-call-buffer families like Winograd).
+    /// layers and the per-call-buffer baselines).
     pub gemm: Option<GemmFootprint>,
     /// The declared per-thread column partition of the GEMM output at the
     /// maximum thread count (empty spans legal per the hardened
@@ -645,7 +670,12 @@ pub fn verify_conc(spec: &ConcSpec, sched: &ScheduleSpec) -> Result<ConcProof, C
             });
         }
         let req = g.required_workspace();
-        if matches!(g.algo, ArmAlgoKind::GemmWide | ArmAlgoKind::GemmNarrow) {
+        let certified = match g.algo {
+            ArmAlgoKind::GemmWide | ArmAlgoKind::GemmNarrow => Some(req.panels),
+            ArmAlgoKind::Winograd => Some(req.wg_panels),
+            _ => None,
+        };
+        if let Some(certified) = certified {
             let klen = DEFAULT_KC.min(g.k);
             let nc_tiles = DEFAULT_NC / NB;
             let panel_total: usize = node
@@ -653,12 +683,11 @@ pub fn verify_conc(spec: &ConcSpec, sched: &ScheduleSpec) -> Result<ConcProof, C
                 .iter()
                 .map(|s| nc_tiles.min(s.cols.div_ceil(NB)) * NB * klen)
                 .sum();
-            if panel_total > req.panels {
+            if panel_total > certified {
                 return Err(ConcViolation::PartitionOverlap {
                     node: node.name.clone(),
                     detail: format!(
-                        "packed panels need {panel_total} bytes but {} are certified",
-                        req.panels
+                        "packed panels need {panel_total} bytes but {certified} are certified"
                     ),
                 });
             }

@@ -480,12 +480,30 @@ pub struct ArenaRequirement {
     pub bq: usize,
     /// SDOT column-major result bytes (`4 * M * N`).
     pub c_sdot: usize,
+    /// Winograd transformed-input bytes (`16 x c_in x tiles` i8).
+    pub wg_v: usize,
+    /// Winograd output-plane bytes (four `c_out x tiles` i32 planes).
+    pub wg_planes: usize,
+    /// Winograd position-GEMM result bytes, summed over the tile spans
+    /// (`4 * c_out * tiles`).
+    pub wg_c_cm: usize,
+    /// Winograd position-GEMM packed-B panel bytes, summed over the tile
+    /// spans and maximized over every legal thread count.
+    pub wg_panels: usize,
 }
 
 impl ArenaRequirement {
     /// Total bytes this layer needs from the arena.
     pub fn total(&self) -> usize {
-        self.col + self.c_cm + self.panels + self.bq + self.c_sdot
+        self.col
+            + self.c_cm
+            + self.panels
+            + self.bq
+            + self.c_sdot
+            + self.wg_v
+            + self.wg_planes
+            + self.wg_c_cm
+            + self.wg_panels
     }
 
     /// Component-wise maximum (the arena's growth rule across layers).
@@ -496,6 +514,10 @@ impl ArenaRequirement {
             panels: self.panels.max(o.panels),
             bq: self.bq.max(o.bq),
             c_sdot: self.c_sdot.max(o.c_sdot),
+            wg_v: self.wg_v.max(o.wg_v),
+            wg_planes: self.wg_planes.max(o.wg_planes),
+            wg_c_cm: self.wg_c_cm.max(o.wg_c_cm),
+            wg_panels: self.wg_panels.max(o.wg_panels),
         }
     }
 }
@@ -526,13 +548,7 @@ pub fn arm_workspace_requirement(shape: &ConvShape, algo: ArmAlgoKind) -> ArenaR
     // Delegates to the pure-geometry form so the concurrency verifier can
     // recompute the same bound from a lowered GEMM footprint without the
     // original `ConvShape`.
-    crate::conc::GemmFootprint {
-        m: shape.gemm_m(),
-        k: shape.gemm_k(),
-        n: shape.gemm_n(),
-        algo,
-    }
-    .required_workspace()
+    crate::conc::GemmFootprint::of(shape, algo).required_workspace()
 }
 
 /// The arena requirement of one spec layer (GPU layers run outside the ARM

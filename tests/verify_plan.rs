@@ -105,14 +105,21 @@ fn fingerprint_audit_holds_for_both_model_classes() {
 
 #[test]
 fn certified_high_water_dominates_real_execution() {
-    // Execute each demo plan repeatedly on a fresh engine: the engine's
-    // observed arena high-water must stay under the plan's certified figure
-    // (the declared bound is what capacity planning reads).
-    for bits in [BitWidth::W4, BitWidth::W8] {
+    // Execute each plan repeatedly on a fresh engine: the engine's observed
+    // arena high-water must stay under the plan's certified figure (the
+    // declared bound is what capacity planning reads). The W4 bottleneck
+    // runs its 3x3 layer on Winograd.
+    let bottleneck = lowbit_models::resnet50_bottleneck();
+    let cases = [
+        (BitWidth::W4, Network::demo(BitWidth::W4, 12, 9)),
+        (BitWidth::W8, Network::demo(BitWidth::W8, 12, 9)),
+        (BitWidth::W4, Network::from_layer_defs(&bottleneck, BitWidth::W4, 9).unwrap()),
+    ];
+    for (bits, net) in cases {
         let engine = ArmEngine::cortex_a53();
-        let net = Network::demo(bits, 12, 9);
         let plan = Planner::for_arm(&engine).compile(&net).unwrap();
-        let input = Tensor::zeros((1, 3, 12, 12), Layout::Nchw);
+        let s = net.layers()[0].shape;
+        let input = Tensor::zeros((s.batch, s.c_in, s.h, s.w), Layout::Nchw);
         let executor = Executor::for_arm(&engine);
         for _ in 0..3 {
             executor.run(&plan, &net, &input).unwrap();
