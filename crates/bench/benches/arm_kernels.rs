@@ -1,6 +1,9 @@
-//! Host wall-clock throughput of the functional ARM micro-kernels per bit
-//! width. The drain cadence (SADDW ratio) is visible in real time, not just
-//! in the model: lower bit widths drain less and run faster per MAC.
+//! Host wall-clock throughput of the ARM micro-kernels per bit width,
+//! through the one-shot GEMMs: `gemm` and `gemm_narrow` pack A and run the
+//! engine's tiled driver at one thread, `gemm_sdot` packs and runs
+//! `gemm_sdot_prepacked_cm`; each then transposes to row-major. The drain
+//! cadence (SADDW ratio) is visible in real time, not just in the model:
+//! lower bit widths drain less and run faster per MAC.
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use lowbit_qgemm::{gemm, Scheme};
 use lowbit_tensor::BitWidth;

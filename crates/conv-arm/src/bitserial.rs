@@ -15,7 +15,7 @@
 
 #![allow(clippy::field_reassign_with_default)] // InstCounts builders read clearer this way
 
-use crate::gemm_conv::matrix_to_nchw;
+use crate::gemm_conv::{explicit_gemm_schedule, matrix_to_nchw_cm};
 use crate::ConvOutput;
 use lowbit_tensor::{im2col_nchw, BitWidth, ConvShape, QTensor};
 use neon_sim::{InstCounts, KernelSchedule, StageCost};
@@ -96,12 +96,12 @@ pub fn bitserial_conv(input: &QTensor, weights: &QTensor, shape: &ConvShape) -> 
         for (cix, bc) in b_cols.iter().enumerate() {
             let uu = popcnt_dot(wr, bc);
             let dot = uu - 2 * wr.usum - 2 * bc.usum + 4 * k as i64;
-            c[row * n + cix] = dot as i32;
+            c[cix * m + row] = dot as i32;
         }
     }
 
     ConvOutput {
-        acc: matrix_to_nchw(&c, shape),
+        acc: matrix_to_nchw_cm(&c, shape),
         schedule: schedule_bitserial_conv(shape),
     }
 }
@@ -112,11 +112,6 @@ pub fn bitserial_conv(input: &QTensor, weights: &QTensor, shape: &ConvShape) -> 
 pub fn schedule_bitserial_conv(shape: &ConvShape) -> KernelSchedule {
     let (m, k, n) = (shape.gemm_m(), shape.gemm_k(), shape.gemm_n());
     let mut sched = KernelSchedule::new();
-    sched.push(StageCost::bulk_move(
-        "im2col",
-        (k * n) as u64,
-        (k * n) as u64,
-    ));
     // Bit packing: read both operands, write 2 planes of 1 bit per element.
     sched.push(StageCost::bulk_move(
         "bit pack",
@@ -144,8 +139,7 @@ pub fn schedule_bitserial_conv(shape: &ConvShape) -> KernelSchedule {
     let mut ec = InstCounts::default();
     ec.neon_alu = ((m + n) as u64 * k.div_ceil(16) as u64) + (m * n) as u64;
     sched.push(StageCost::compute("offset correction", ec));
-    sched.push(crate::gemm_conv::requant_stage(shape));
-    sched
+    explicit_gemm_schedule(sched, shape)
 }
 
 #[cfg(test)]

@@ -5,7 +5,9 @@
 //! * [`direct`] — the plain nested-loop convolution, used as the correctness
 //!   oracle for every other path,
 //! * [`mod@gemm_conv`] — the paper's explicit-GEMM convolution: im2col → pad/pack
-//!   → the re-designed low-bit GEMM (2–8 bit via the `SMLAL` / `MLA` schemes),
+//!   → the re-designed low-bit GEMM (2–8 bit via the `SMLAL` / `MLA` schemes);
+//!   the one-shot [`gemm_conv()`] packs the weights and runs [`gemm_conv_ws`],
+//!   and [`explicit_gemm_schedule`] prices any GEMM micro-kernel inside it,
 //! * [`winograd`] — the integer `F(2x2, 3x3)` fast path for 3x3/stride-1
 //!   layers at ≤ 6 bit (Sec. 3.4): weights transformed once into
 //!   [`WinogradWeights`], then [`winograd_conv_ws`] on the shared arena and
@@ -50,10 +52,7 @@ pub struct ConvOutput {
 
 pub use bitserial::{bitserial_conv, schedule_bitserial_conv};
 pub use direct::{direct_conv, direct_conv_scheduled, schedule_direct_conv};
-pub use gemm_conv::{
-    gemm_conv, gemm_conv_narrow, gemm_conv_sdot, schedule_gemm_conv, schedule_gemm_conv_narrow,
-    schedule_gemm_conv_sdot,
-};
+pub use gemm_conv::{explicit_gemm_schedule, gemm_conv, schedule_gemm_conv};
 pub use ncnn::{ncnn_conv, schedule_ncnn_conv};
 pub use winograd::{
     schedule_winograd_conv, winograd_conv, winograd_conv_ws, winograd_operand_bounds,

@@ -3,12 +3,12 @@
 //! `SMLAL vd.4s` accumulates directly into 32-bit registers — no drain
 //! instructions, but half the MAC lanes and double the operand traffic.
 
-use crate::gemm_conv::matrix_to_nchw;
+use crate::gemm_conv::{explicit_gemm_schedule, matrix_to_nchw_cm};
 use crate::ConvOutput;
-use lowbit_qgemm::gemm::{gemm_ncnn, schedule_gemm};
+use lowbit_qgemm::gemm::{col_to_row_major, gemm_ncnn, schedule_gemm};
 use lowbit_qgemm::Scheme;
 use lowbit_tensor::{im2col_nchw, ConvShape, QTensor};
-use neon_sim::{KernelSchedule, StageCost};
+use neon_sim::KernelSchedule;
 
 /// Runs the ncnn-like 8-bit convolution.
 pub fn ncnn_conv(input: &QTensor, weights: &QTensor, shape: &ConvShape) -> ConvOutput {
@@ -19,8 +19,11 @@ pub fn ncnn_conv(input: &QTensor, weights: &QTensor, shape: &ConvShape) -> ConvO
     let (m, k, n) = (shape.gemm_m(), shape.gemm_k(), shape.gemm_n());
     let col = im2col_nchw(input, shape);
     let out = gemm_ncnn(weights.data(), &col.data, m, k, n);
+    // The row-major m x n result, read as column-major n x m, transposes to
+    // the column-major m x n the reshape takes.
+    let c_cm = col_to_row_major(&out.c, n, m);
     ConvOutput {
-        acc: matrix_to_nchw(&out.c, shape),
+        acc: matrix_to_nchw_cm(&c_cm, shape),
         schedule: schedule_ncnn_conv(shape),
     }
 }
@@ -28,17 +31,7 @@ pub fn ncnn_conv(input: &QTensor, weights: &QTensor, shape: &ConvShape) -> ConvO
 /// Analytic schedule for the ncnn-like pipeline.
 pub fn schedule_ncnn_conv(shape: &ConvShape) -> KernelSchedule {
     let (m, k, n) = (shape.gemm_m(), shape.gemm_k(), shape.gemm_n());
-    let mut sched = KernelSchedule::new();
-    sched.push(StageCost::bulk_move(
-        "im2col",
-        (k * n) as u64,
-        (k * n) as u64,
-    ));
-    for stage in schedule_gemm(&Scheme::ncnn16(), m, k, n).stages {
-        sched.push(stage);
-    }
-    sched.push(crate::gemm_conv::requant_stage(shape));
-    sched
+    explicit_gemm_schedule(schedule_gemm(&Scheme::ncnn16(), m, k, n), shape)
 }
 
 #[cfg(test)]

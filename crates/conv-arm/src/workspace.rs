@@ -1,7 +1,9 @@
 //! The parallel, allocation-free convolution path: prepacked weights +
 //! caller-owned [`ConvWorkspace`] arena, behind one entry point,
 //! [`gemm_conv_ws`], for all three GEMM micro-kernels and the Winograd
-//! path built on them.
+//! path built on them. It is the only explicit-GEMM pipeline: the one-shot
+//! [`crate::gemm_conv()`] packs the weights and runs it on a fresh arena,
+//! just as [`crate::winograd_conv()`] does for Winograd.
 //!
 //! * the weights arrive packed once per layer as a [`PackedWeights`] value
 //!   (the engine's prepack cache holds them), so no call pays `pack A` —
@@ -12,12 +14,14 @@
 //!   performs **zero heap allocations** in these stages (the output tensor
 //!   itself is still returned by value);
 //! * the wide and narrow GEMMs run on `lowbit_qgemm::parallel` across N,
-//!   bit-exact versus the serial kernels for any thread count.
+//!   bit-exact versus direct convolution for any thread count; the SDOT
+//!   GEMM runs serially on `lowbit_qgemm::sdot::gemm_sdot_prepacked_cm`.
 
 use crate::gemm_conv::matrix_to_nchw_cm;
 use crate::winograd::{winograd_conv_ws, WinogradScratch, WinogradWeights};
+use lowbit_isa::Isa;
 use lowbit_qgemm::narrow::PackedANarrow;
-use lowbit_qgemm::parallel::{gemm_parallel_cm_traced, ParallelConfig, SharedWeights};
+use lowbit_qgemm::parallel::{gemm_parallel_cm_on, ParallelConfig, SharedWeights};
 use lowbit_qgemm::sdot::{gemm_sdot_prepacked_cm, pack_b_quads_into, PackedAQuads, PackedBQuads};
 use lowbit_qgemm::workspace::{GemmWorkspace, WorkspaceStats};
 use lowbit_qgemm::{PackedA, Scheme};
@@ -134,13 +138,13 @@ pub fn gemm_conv_ws(
         span.set_label(|| format!("{k}x{n}"));
         im2col_nchw_into(input, shape, &mut ws.col);
     }
-    let (b, gemm) = (&ws.col.data, &mut ws.gemm);
+    let (isa, b, gemm) = (Isa::host(), &ws.col.data, &mut ws.gemm);
     let c_cm = match pa {
         PackedWeights::Wide(pa) => {
-            gemm_parallel_cm_traced(scheme, SharedWeights::Wide(pa), b, k, n, cfg, gemm, tracer)
+            gemm_parallel_cm_on(isa, scheme, SharedWeights::Wide(pa), b, k, n, cfg, gemm, tracer)
         }
         PackedWeights::Narrow(pa) => {
-            gemm_parallel_cm_traced(scheme, SharedWeights::Narrow(pa), b, k, n, cfg, gemm, tracer)
+            gemm_parallel_cm_on(isa, scheme, SharedWeights::Narrow(pa), b, k, n, cfg, gemm, tracer)
         }
         PackedWeights::Quads(pa) => {
             {
@@ -188,7 +192,7 @@ pub fn parallel_cycle_split(sched: &KernelSchedule, model: &neon_sim::CostModel)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{direct_conv, schedule_gemm_conv};
+    use crate::{direct_conv, gemm_conv, schedule_gemm_conv};
     use lowbit_qgemm::narrow::pack_a_narrow;
     use lowbit_qgemm::pack_a;
     use lowbit_qgemm::sdot::pack_a_quads;
@@ -213,24 +217,46 @@ mod tests {
 
     #[test]
     fn prepacked_paths_match_the_oracle_across_threads() {
-        let shape = ConvShape::new(2, 5, 9, 7, 11, 3, 2, 1);
-        let bits = BitWidth::W8; // SMLAL: valid for wide, narrow and sdot
-        let scheme = Scheme::for_bits(bits);
-        let (input, weights) = tensors(&shape, bits, 700);
-        let oracle = direct_conv(&input, &weights, &shape);
-        let (m, k) = (shape.gemm_m(), shape.gemm_k());
-        let packings = [
-            PackedWeights::Wide(pack_a(weights.data(), m, k)),
-            PackedWeights::Narrow(pack_a_narrow(weights.data(), m, k)),
-            PackedWeights::Quads(pack_a_quads(weights.data(), m, k)),
-        ];
+        let square = ConvShape::new(1, 5, 8, 8, 7, 3, 1, 1);
+        // (shape, activation bits, weight bits): every width on one shape,
+        // then strided, padded and batched shapes, then 4-bit weights under
+        // 6-bit activations (the scheme follows the wider operand).
+        let mut cases: Vec<_> = BitWidth::ALL.iter().map(|&b| (square, b, b)).collect();
+        cases.extend([
+            (ConvShape::new(2, 5, 9, 7, 11, 3, 2, 1), BitWidth::W8, BitWidth::W8),
+            (ConvShape::new(2, 3, 9, 7, 5, 3, 2, 1), BitWidth::W4, BitWidth::W4),
+            (ConvShape::new(2, 4, 7, 7, 6, 1, 1, 0), BitWidth::W2, BitWidth::W2),
+            (ConvShape::new(1, 2, 11, 11, 3, 5, 2, 2), BitWidth::W7, BitWidth::W7),
+            (ConvShape::new(1, 3, 6, 6, 4, 3, 1, 1), BitWidth::W6, BitWidth::W4),
+        ]);
+        // One arena across every shape: stale capacity must stay invisible.
         let mut ws = ConvWorkspace::new();
-        for threads in [1, 3] {
-            let cfg = ParallelConfig::with_threads(threads);
-            for pa in &packings {
-                let acc = gemm_conv_ws(&input, pa, &scheme, &shape, &cfg, &mut ws, &Tracer::null());
-                assert_eq!(acc.data(), oracle.data(), "{pa:?} x{threads}");
+        for (seed, (shape, act_bits, w_bits)) in (700..).step_by(2).zip(cases) {
+            let (input, _) = tensors(&shape, act_bits, seed);
+            let (_, weights) = tensors(&shape, w_bits, seed);
+            let bits = act_bits.max(w_bits);
+            let scheme = Scheme::for_bits(bits);
+            let oracle = direct_conv(&input, &weights, &shape);
+            let (m, k) = (shape.gemm_m(), shape.gemm_k());
+            // Wide and SDOT: 2-8 bit; narrow: the SMLAL widths 4-8.
+            let mut packings = vec![
+                PackedWeights::Wide(pack_a(weights.data(), m, k)),
+                PackedWeights::Quads(pack_a_quads(weights.data(), m, k)),
+            ];
+            if !bits.uses_mla_scheme() {
+                packings.push(PackedWeights::Narrow(pack_a_narrow(weights.data(), m, k)));
             }
+            let case = format!("{shape} a{act_bits} w{w_bits}");
+            for threads in [1, 3] {
+                let cfg = ParallelConfig::with_threads(threads);
+                for pa in &packings {
+                    let acc =
+                        gemm_conv_ws(&input, pa, &scheme, &shape, &cfg, &mut ws, &Tracer::null());
+                    assert_eq!(acc.data(), oracle.data(), "{case} {pa:?} x{threads}");
+                }
+            }
+            let one_shot = gemm_conv(&input, &weights, &shape);
+            assert_eq!(one_shot.acc.data(), oracle.data(), "{case} one-shot gemm_conv");
         }
     }
 

@@ -14,13 +14,14 @@
 //! model's.
 
 use lowbit_conv_arm::{
-    bitserial_conv, gemm_conv_ws, ncnn_conv, schedule_bitserial_conv, schedule_gemm_conv,
-    schedule_gemm_conv_narrow, schedule_gemm_conv_sdot, schedule_ncnn_conv, schedule_winograd_conv,
-    winograd_supported, ConvOutput, ConvWorkspace, PackedWeights, WinogradWeights,
+    bitserial_conv, explicit_gemm_schedule, gemm_conv_ws, ncnn_conv, schedule_bitserial_conv,
+    schedule_ncnn_conv, schedule_winograd_conv, winograd_supported, ConvOutput, ConvWorkspace,
+    PackedWeights, WinogradWeights,
 };
-use lowbit_qgemm::narrow::pack_a_narrow;
+use lowbit_qgemm::gemm::schedule_gemm;
+use lowbit_qgemm::narrow::{pack_a_narrow, schedule_gemm_narrow};
 use lowbit_qgemm::parallel::{threads_from_env, ParallelConfig, MAX_THREADS};
-use lowbit_qgemm::sdot::pack_a_quads;
+use lowbit_qgemm::sdot::{pack_a_quads, schedule_gemm_sdot};
 use lowbit_qgemm::workspace::WorkspaceStats;
 use lowbit_qgemm::{pack_a, Scheme};
 use lowbit_tensor::{BitWidth, ConvShape, Layout, QTensor, Tensor};
@@ -90,10 +91,12 @@ pub fn arm_schedule(
     warm: bool,
 ) -> KernelSchedule {
     let scheme = Scheme::for_bits(bits);
+    let (m, k, n) = (shape.gemm_m(), shape.gemm_k(), shape.gemm_n());
+    let gemm_conv = |gemm| (explicit_gemm_schedule(gemm, shape), true);
     let (mut sched, prepacked) = match algo {
-        ArmAlgo::Gemm => (schedule_gemm_conv(&scheme, shape), true),
-        ArmAlgo::GemmNarrow => (schedule_gemm_conv_narrow(&scheme, shape), true),
-        ArmAlgo::GemmSdot => (schedule_gemm_conv_sdot(shape), true),
+        ArmAlgo::Gemm => gemm_conv(schedule_gemm(&scheme, m, k, n)),
+        ArmAlgo::GemmNarrow => gemm_conv(schedule_gemm_narrow(&scheme, m, k, n)),
+        ArmAlgo::GemmSdot => gemm_conv(schedule_gemm_sdot(m, k, n)),
         ArmAlgo::Winograd => (schedule_winograd_conv(bits, shape), false),
         ArmAlgo::NcnnBaseline => (schedule_ncnn_conv(shape), false),
         ArmAlgo::BitserialBaseline => (schedule_bitserial_conv(shape), false),
@@ -510,8 +513,9 @@ impl ArmEngine {
 }
 
 /// Panics unless `input` is NCHW with `shape`'s input dims, `weights` is
-/// NCHW with its filter dims, and a forced Winograd has a 3x3/stride-1
-/// shape and at most 6 effective bits. [`ArmEngine::conv_traced`] runs this
+/// NCHW with its filter dims, a forced Winograd has a 3x3/stride-1 shape
+/// and at most 6 effective bits, and a forced narrow tile has at least 4
+/// (the tile is `SMLAL`-only). [`ArmEngine::conv_traced`] runs this
 /// before taking the state lock: a kernel or weight transform panicking
 /// under the lock would poison the state every clone shares, and each later
 /// call on any clone would panic too.
@@ -522,10 +526,13 @@ fn check_operands(input: &QTensor, weights: &QTensor, shape: &ConvShape, algo: A
     assert_eq!(weights.layout(), Layout::Nchw, "ARM path expects NCHW weights");
     let weight_dims = (shape.c_out, shape.c_in, shape.kh, shape.kw);
     assert_eq!(weights.dims(), weight_dims, "weight dims do not match conv shape");
+    let bits = input.bits().max(weights.bits());
     if algo == ArmAlgo::Winograd {
         assert!(shape.winograd_applicable(), "Winograd requires 3x3 stride-1");
-        let bits = input.bits().max(weights.bits());
         assert!(winograd_supported(bits), "Winograd supports <= 6 bit, not {bits}");
+    }
+    if algo == ArmAlgo::GemmNarrow {
+        assert!(!bits.uses_mla_scheme(), "the narrow tile needs >= 4 bit, not {bits}");
     }
 }
 
@@ -730,7 +737,8 @@ mod tests {
         let wrong_dims = ConvShape::new(1, 4, 9, 8, 6, 3, 1, 1);
         let strided = ConvShape::new(1, 4, 8, 8, 6, 3, 2, 1);
         let (input7, weights7) = tensors(&shape, BitWidth::W7, 34);
-        let bad_calls: [(&str, &dyn Fn()); 6] = [
+        let (input2, weights2) = tensors(&shape, BitWidth::W2, 35);
+        let bad_calls: [(&str, &dyn Fn()); 7] = [
             ("NHWC input", &|| {
                 let nhwc = input.to_layout(Layout::Nhwc);
                 let _ = engine.conv(&nhwc, &weights, &shape, ArmAlgo::Gemm);
@@ -751,13 +759,16 @@ mod tests {
             ("Winograd at 7 bit", &|| {
                 let _ = engine.conv(&input7, &weights7, &shape, ArmAlgo::Winograd);
             }),
+            ("narrow at 2 bit", &|| {
+                let _ = engine.conv(&input2, &weights2, &shape, ArmAlgo::GemmNarrow);
+            }),
         ];
         for (name, call) in bad_calls {
             assert!(catch_unwind(AssertUnwindSafe(call)).is_err(), "{name} must be rejected");
             let out = clone.conv(&input, &weights, &shape, ArmAlgo::Gemm);
             assert_eq!(out.acc.data(), oracle.data(), "clone after {name}");
         }
-        assert_eq!(engine.prepack_stats().hits, 6);
+        assert_eq!(engine.prepack_stats().hits, 7);
     }
 
     #[test]

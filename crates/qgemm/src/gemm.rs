@@ -1,4 +1,5 @@
-//! The full tiled GEMM driver (paper Fig. 1(b) + Fig. 2 pipeline).
+//! The one-shot GEMM entry point and its analytic schedule (paper Fig. 1(b)
+//! + Fig. 2 pipeline).
 //!
 //! Pipeline stages, mirrored in the analytic [`KernelSchedule`]:
 //! 1. pack A (weights) — amortizable across calls, but charged here as the
@@ -6,12 +7,15 @@
 //! 2. pack B (the im2col matrix),
 //! 3. the register-tiled inner loop over all `(M/16) x (N/4)` tiles.
 //!
-//! The functional path and the analytic schedule are produced by the same
-//! code so they can never drift apart.
+//! [`gemm`] packs A and runs the one tiled driver every caller shares,
+//! [`crate::parallel::gemm_parallel_cm`], at one thread; only the ncnn
+//! baseline ([`gemm_ncnn`]) keeps a loop of its own.
 
-use crate::micro::{accumulate_tile, run_tile_ncnn, tile_counts, TILE_LEN};
-use crate::pack::{pack_a, pack_a16, pack_b, pack_b16, PackedA, PackedB, NA, NB, NCNN_NA};
+use crate::micro::{run_tile_ncnn, tile_counts};
+use crate::pack::{pack_a, pack_a16, pack_b16, NA, NB, NCNN_NA};
+use crate::parallel::{gemm_row_major_on, SharedWeights};
 use crate::scheme::{Scheme, SchemeKind};
+use lowbit_isa::Isa;
 use neon_sim::{InstCounts, KernelSchedule, StageCost};
 
 /// Result of a GEMM call: the `M x N` i32 matrix plus the analytic schedule.
@@ -43,33 +47,9 @@ pub struct GemmOutput {
 /// assert_eq!(out.c, vec![19, 22, 43, 50]);
 /// ```
 pub fn gemm(scheme: &Scheme, a: &[i8], b: &[i8], m: usize, k: usize, n: usize) -> GemmOutput {
-    assert!(
-        scheme.kind() != SchemeKind::Ncnn16,
-        "use gemm_ncnn for the baseline scheme"
-    );
     let pa = pack_a(a, m, k);
-    let pb = pack_b(b, k, n);
-    let mut out = gemm_prepacked(scheme, &pa, &pb);
-    out.schedule = schedule_gemm(scheme, m, k, n); // include both packing stages
-    out
-}
-
-/// GEMM over already-packed operands (skips the packing stages' cost — used
-/// when weights are packed once at model-load time).
-pub fn gemm_prepacked(scheme: &Scheme, pa: &PackedA, pb: &PackedB) -> GemmOutput {
-    let (m, n, k) = (pa.m, pb.n, pa.k);
-    let mut c = vec![0i32; m * n];
-    for ti in 0..pa.tiles() {
-        let a_tile = pa.block(ti, 0, k);
-        for tj in 0..pb.tiles() {
-            let mut tile = [0i32; TILE_LEN];
-            accumulate_tile(scheme, a_tile, pb.tile(tj), &mut tile);
-            scatter_tile(&mut c, &tile, m, n, ti, tj, NA);
-        }
-    }
-    let mut schedule = schedule_gemm(scheme, m, k, n);
-    schedule.stages.retain(|s| s.name == "gemm");
-    GemmOutput { m, n, c, schedule }
+    let c = gemm_row_major_on(Isa::host(), scheme, SharedWeights::Wide(&pa), b, n);
+    GemmOutput { m, n, c, schedule: schedule_gemm(scheme, m, k, n) }
 }
 
 /// Computes `C = A x B` with the ncnn-like 16-bit baseline.
@@ -89,6 +69,20 @@ pub fn gemm_ncnn(a: &[i8], b: &[i8], m: usize, k: usize, n: usize) -> GemmOutput
         c,
         schedule: schedule_gemm(&Scheme::ncnn16(), m, k, n),
     }
+}
+
+/// Transposes the column-major `m x n` matrix `c_cm` (`c_cm[j * m + i]`)
+/// to row-major (`c[i * n + j]`). Read the other way round, it turns a
+/// row-major `n x m` matrix into a column-major one.
+pub fn col_to_row_major(c_cm: &[i32], m: usize, n: usize) -> Vec<i32> {
+    assert_eq!(c_cm.len(), m * n);
+    let mut c = vec![0i32; m * n];
+    for j in 0..n {
+        for i in 0..m {
+            c[i * n + j] = c_cm[j * m + i];
+        }
+    }
+    c
 }
 
 /// Scatters a column-major `rows x NB` tile into the row-major result,
@@ -294,24 +288,6 @@ mod tests {
             LoadArithmeticProfile::of(&schedule_gemm(&Scheme::for_bits(BitWidth::W4), m, k, n));
         let gain = smlal.cal_per_ld() / trad.cal_per_ld();
         assert!((7.9..=8.1).contains(&gain), "SMLAL CAL/LD gain {gain}");
-    }
-
-    #[test]
-    fn prepacked_gemm_matches_packed_path() {
-        let bits = BitWidth::W5;
-        let scheme = Scheme::for_bits(bits);
-        let (m, k, n) = (20, 30, 10);
-        let a = random_mat(m * k, bits, 41);
-        let b = random_mat(k * n, bits, 42);
-        let pa = pack_a(&a, m, k);
-        let pb = pack_b(&b, k, n);
-        let full = gemm(&scheme, &a, &b, m, k, n);
-        let pre = gemm_prepacked(&scheme, &pa, &pb);
-        assert_eq!(full.c, pre.c);
-        // The prepacked schedule must not charge packing.
-        let model = CortexA53::cost_model();
-        assert_eq!(pre.schedule.stage_cycles("pack A", &model), 0.0);
-        assert!(full.schedule.stage_cycles("pack A", &model) > 0.0);
     }
 
     #[test]

@@ -13,15 +13,18 @@
 //!   schedule, and an emitter to [`neon_sim`] instructions; the functional
 //!   path runs each micro-tile on the host's widest vector ISA through
 //!   [`lowbit_isa::Isa`] (same source and same bits on every ISA),
-//! * [`mod@gemm`] — the full tiled GEMM driver with its pipeline schedule,
+//! * [`mod@gemm`] — the one-shot GEMM (pack A, then the [`parallel`] driver
+//!   at one thread) with its pipeline schedule, the ncnn baseline and the
+//!   i32 reference oracle,
 //! * [`traditional`] — the Fig. 1(a) traditional GEMM used for the Eq. 1–4
 //!   load/arithmetic ablation,
 //! * [`narrow`] — an 8x4 spill-free micro-kernel variant that wins at tight
 //!   drain ratios (extension; see its module docs),
 //! * [`sdot`] — the ARMv8.2 `SDOT` path that makes the drain machinery
 //!   unnecessary on newer cores (extension; Sec. 2.3's forward pointer),
-//! * [`parallel`] — the scoped-thread N-partitioned GEMM driver with
-//!   per-thread cache-blocked B panels, bit-exact versus the serial path,
+//! * [`parallel`] — the one tiled driver of the wide and narrow kernels:
+//!   scoped threads over N with per-thread cache-blocked B panels,
+//!   bit-exact versus the i32 reference for every thread count,
 //! * [`workspace`] — the caller-owned scratch arena that makes steady-state
 //!   repeated GEMM calls allocation-free.
 
@@ -42,9 +45,7 @@ pub mod workspace;
 pub use emit_gemm::{emit_gemm, GemmLayout};
 pub use gemm::{gemm, GemmOutput};
 pub use narrow::{gemm_narrow, schedule_gemm_narrow};
-pub use parallel::{
-    gemm_parallel, partition_columns, threads_from_env, ColumnSpan, ParallelConfig, SharedWeights,
-};
+pub use parallel::{partition_columns, threads_from_env, ColumnSpan, ParallelConfig, SharedWeights};
 pub use sdot::{gemm_sdot, schedule_gemm_sdot};
 pub use pack::{pack_a, pack_b, PackedA, PackedB, NA, NB};
 pub use scheme::{Scheme, SchemeError, SchemeKind};

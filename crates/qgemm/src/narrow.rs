@@ -18,6 +18,7 @@
 
 use crate::micro::accumulate_smlal;
 use crate::pack::{PackedB, NB};
+use crate::parallel::{gemm_row_major_on, SharedWeights};
 use crate::scheme::{Scheme, SchemeKind};
 use lowbit_isa::Isa;
 use neon_sim::inst::{Half, Inst};
@@ -203,7 +204,8 @@ pub fn emit_tile_narrow(
     prog
 }
 
-/// Full GEMM with the narrow tile (functional path + schedule).
+/// Full GEMM with the narrow tile: packs A into 8-row tiles and runs the
+/// tiled driver at one thread (functional path + schedule).
 pub fn gemm_narrow(
     scheme: &Scheme,
     a: &[i8],
@@ -212,48 +214,9 @@ pub fn gemm_narrow(
     k: usize,
     n: usize,
 ) -> crate::gemm::GemmOutput {
-    gemm_narrow_on(Isa::host(), scheme, a, b, m, k, n)
-}
-
-/// [`gemm_narrow`] with every tile compiled for `isa`.
-pub(crate) fn gemm_narrow_on(
-    isa: Isa,
-    scheme: &Scheme,
-    a: &[i8],
-    b: &[i8],
-    m: usize,
-    k: usize,
-    n: usize,
-) -> crate::gemm::GemmOutput {
     let pa = pack_a_narrow(a, m, k);
-    let pb = crate::pack::pack_b(b, k, n);
-    let mut c = vec![0i32; m * n];
-    for ti in 0..pa.tiles() {
-        let a_tile = pa.block(ti, 0, k);
-        for tj in 0..pb.tiles() {
-            let mut tile = [0i32; NARROW_TILE_LEN];
-            accumulate_tile_narrow_on(isa, scheme, a_tile, pb.tile(tj), &mut tile);
-            for col in 0..NB {
-                let j = tj * NB + col;
-                if j >= n {
-                    break;
-                }
-                for r in 0..NA8 {
-                    let i = ti * NA8 + r;
-                    if i >= m {
-                        break;
-                    }
-                    c[i * n + j] = tile[col * NA8 + r];
-                }
-            }
-        }
-    }
-    crate::gemm::GemmOutput {
-        m,
-        n,
-        c,
-        schedule: schedule_gemm_narrow(scheme, m, k, n),
-    }
+    let c = gemm_row_major_on(Isa::host(), scheme, SharedWeights::Narrow(&pa), b, n);
+    crate::gemm::GemmOutput { m, n, c, schedule: schedule_gemm_narrow(scheme, m, k, n) }
 }
 
 /// Analytic schedule for the narrow-tile GEMM.
@@ -303,8 +266,10 @@ mod tests {
             let a = random_mat(m * k, bits, 60 + bits.bits() as u64);
             let b = random_mat(k * n, bits, 70 + bits.bits() as u64);
             let want = reference_gemm(&a, &b, m, k, n);
+            let pa = pack_a_narrow(&a, m, k);
             for isa in Isa::supported() {
-                assert_eq!(gemm_narrow_on(isa, &scheme, &a, &b, m, k, n).c, want, "{bits} {isa}");
+                let got = gemm_row_major_on(isa, &scheme, SharedWeights::Narrow(&pa), &b, n);
+                assert_eq!(got, want, "{bits} {isa}");
             }
             assert_eq!(gemm_narrow(&scheme, &a, &b, m, k, n).c, want, "{bits} host dispatch");
         }
@@ -398,10 +363,11 @@ mod tests {
         let (m, k, n) = (5, 10, 3); // m, n both ragged
         let a = random_mat(m * k, bits, 91);
         let b = random_mat(k * n, bits, 92);
+        let pa = pack_a_narrow(&a, m, k);
         for isa in Isa::supported() {
-            let out = gemm_narrow_on(isa, &scheme, &a, &b, m, k, n);
-            assert_eq!(out.c.len(), m * n);
-            assert_eq!(out.c, reference_gemm(&a, &b, m, k, n), "{isa}");
+            let c = gemm_row_major_on(isa, &scheme, SharedWeights::Narrow(&pa), &b, n);
+            assert_eq!(c.len(), m * n);
+            assert_eq!(c, reference_gemm(&a, &b, m, k, n), "{isa}");
         }
     }
 }

@@ -6,7 +6,11 @@
 //! thread packs its own cache-blocked B panels and writes a **disjoint**
 //! contiguous slice of the column-major result, so the driver needs no
 //! atomics, no locks and no `unsafe` — and the output is bit-exact versus
-//! the serial path for every thread count and blocking parameter.
+//! the plain i32 product for every thread count and blocking parameter.
+//!
+//! This is the one driver of the wide and narrow tiles: the engine, the
+//! Winograd path and the one-shot [`crate::gemm()`] and
+//! [`crate::gemm_narrow`] (one thread, then a transpose) all run it.
 //!
 //! Why bit-exactness holds under K-blocking: within the published drain
 //! ratios every i8/i16 partial is exact, so each K-block contributes the
@@ -14,10 +18,10 @@
 //! The property tests in `tests/proptest_invariants.rs` enforce this over
 //! random shapes, bit widths, thread counts and block sizes.
 
-use crate::gemm::{schedule_gemm, GemmOutput};
+use crate::gemm::col_to_row_major;
 use crate::micro::{accumulate_tile_on, TILE_LEN};
 use crate::narrow::{accumulate_tile_narrow_on, PackedANarrow, NARROW_TILE_LEN, NA8};
-use crate::pack::{pack_a, PackedA, NA, NB};
+use crate::pack::{PackedA, NA, NB};
 use crate::scheme::{Scheme, SchemeKind};
 use crate::workspace::GemmWorkspace;
 use lowbit_isa::Isa;
@@ -182,31 +186,17 @@ pub fn gemm_parallel_cm<'w>(
     cfg: &ParallelConfig,
     ws: &'w mut GemmWorkspace,
 ) -> &'w [i32] {
-    gemm_parallel_cm_traced(scheme, weights, b, k, n, cfg, ws, &Tracer::null())
+    gemm_parallel_cm_on(Isa::host(), scheme, weights, b, k, n, cfg, ws, &Tracer::null())
 }
 
-/// [`gemm_parallel_cm`] with span recording: each scoped worker thread gets
-/// its own timeline track (named after its [`ColumnSpan`]) carrying a
-/// `gemm worker` parent span (labelled with its columns and the vector ISA
-/// the tiles run on) with `pack B panel` and `gemm tile` children.
-/// With a null tracer this is exactly `gemm_parallel_cm` — every recording
-/// call reduces to one branch and the path stays allocation-free.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_parallel_cm_traced<'w>(
-    scheme: &Scheme,
-    weights: SharedWeights<'_>,
-    b: &[i8],
-    k: usize,
-    n: usize,
-    cfg: &ParallelConfig,
-    ws: &'w mut GemmWorkspace,
-    tracer: &Tracer,
-) -> &'w [i32] {
-    gemm_parallel_cm_on(Isa::host(), scheme, weights, b, k, n, cfg, ws, tracer)
-}
-
-/// [`gemm_parallel_cm_traced`] with every micro-tile compiled for `isa`
-/// (kernel tests run each [`Isa::supported`] instance through it).
+/// [`gemm_parallel_cm`] with every micro-tile compiled for `isa` (kernel
+/// tests run each [`Isa::supported`] instance through it) and with span
+/// recording: each scoped worker thread gets its own timeline track (named
+/// after its [`ColumnSpan`]) carrying a `gemm worker` parent span (labelled
+/// with its columns and the vector ISA the tiles run on) with
+/// `pack B panel` and `gemm tile` children. With a null tracer every
+/// recording call reduces to one branch and the path stays
+/// allocation-free.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_parallel_cm_on<'w>(
     isa: Isa,
@@ -224,7 +214,7 @@ pub fn gemm_parallel_cm_on<'w>(
     if matches!(weights, SharedWeights::Narrow(_)) {
         assert_eq!(scheme.kind(), SchemeKind::Smlal8, "narrow tile is SMLAL-only");
     } else {
-        assert_ne!(scheme.kind(), SchemeKind::Ncnn16, "ncnn baseline is serial-only");
+        assert_ne!(scheme.kind(), SchemeKind::Ncnn16, "the ncnn baseline runs on gemm_ncnn");
     }
     let cfg = cfg.normalized();
     let m = weights.m();
@@ -413,38 +403,30 @@ fn scatter_tile(
     }
 }
 
-/// One-shot parallel GEMM: packs A, runs [`gemm_parallel_cm`] into a fresh
-/// workspace and transposes to the row-major layout of [`GemmOutput`].
-///
-/// The modeled schedule is thread-agnostic (same stages as the serial
-/// [`crate::gemm::gemm`]); wall-clock scaling is reported by the benchmark
-/// suite, not the cost model.
-pub fn gemm_parallel(
+/// One single-threaded driver call on `isa` into a fresh workspace,
+/// transposed to the row-major layout of [`crate::GemmOutput`]: the
+/// functional half of the one-shot [`crate::gemm()`] and
+/// [`crate::gemm_narrow`].
+pub(crate) fn gemm_row_major_on(
+    isa: Isa,
     scheme: &Scheme,
-    a: &[i8],
+    weights: SharedWeights<'_>,
     b: &[i8],
-    m: usize,
-    k: usize,
     n: usize,
-    cfg: &ParallelConfig,
-) -> GemmOutput {
-    let pa = pack_a(a, m, k);
+) -> Vec<i32> {
+    let (m, k) = (weights.m(), weights.k());
     let mut ws = GemmWorkspace::new();
-    let c_cm = gemm_parallel_cm(scheme, SharedWeights::Wide(&pa), b, k, n, cfg, &mut ws);
-    let mut c = vec![0i32; m * n];
-    for j in 0..n {
-        for (i, row) in c.chunks_exact_mut(n).enumerate() {
-            row[j] = c_cm[j * m + i];
-        }
-    }
-    GemmOutput { m, n, c, schedule: schedule_gemm(scheme, m, k, n) }
+    let cfg = ParallelConfig::default();
+    let c_cm = gemm_parallel_cm_on(isa, scheme, weights, b, k, n, &cfg, &mut ws, &Tracer::null());
+    col_to_row_major(c_cm, m, n)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gemm::gemm;
-    use crate::narrow::{gemm_narrow, pack_a_narrow};
+    use crate::gemm::reference_gemm;
+    use crate::narrow::pack_a_narrow;
+    use crate::pack::pack_a;
     use lowbit_tensor::BitWidth;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -456,47 +438,40 @@ mod tests {
             .collect()
     }
 
-    fn to_row_major(c_cm: &[i32], m: usize, n: usize) -> Vec<i32> {
-        let mut c = vec![0i32; m * n];
-        for j in 0..n {
-            for i in 0..m {
-                c[i * n + j] = c_cm[j * m + i];
-            }
-        }
-        c
-    }
-
     #[test]
-    fn parallel_matches_serial_for_all_bit_widths_and_thread_counts() {
+    fn parallel_matches_reference_for_all_bit_widths_and_thread_counts() {
         for bits in BitWidth::ALL {
             let scheme = Scheme::for_bits(bits);
             let (m, k, n) = (21, 67, 19);
             let a = random_mat(m * k, bits, 100 + bits.bits() as u64);
             let b = random_mat(k * n, bits, 200 + bits.bits() as u64);
-            let serial = gemm(&scheme, &a, &b, m, k, n);
+            let want = reference_gemm(&a, &b, m, k, n);
+            let pa = pack_a(&a, m, k);
             for threads in [1, 2, 3, 4] {
                 let cfg = ParallelConfig { threads, kc: 16, nc: 8 };
-                let par = gemm_parallel(&scheme, &a, &b, m, k, n, &cfg);
-                assert_eq!(par.c, serial.c, "{bits} x{threads}");
+                let mut ws = GemmWorkspace::new();
+                let c_cm =
+                    gemm_parallel_cm(&scheme, SharedWeights::Wide(&pa), &b, k, n, &cfg, &mut ws);
+                assert_eq!(col_to_row_major(c_cm, m, n), want, "{bits} x{threads}");
             }
         }
     }
 
     #[test]
-    fn narrow_parallel_matches_serial() {
+    fn narrow_parallel_matches_reference() {
         let bits = BitWidth::W8;
         let scheme = Scheme::for_bits(bits);
         let (m, k, n) = (13, 40, 9);
         let a = random_mat(m * k, bits, 7);
         let b = random_mat(k * n, bits, 8);
-        let serial = gemm_narrow(&scheme, &a, &b, m, k, n);
+        let want = reference_gemm(&a, &b, m, k, n);
         let pa = pack_a_narrow(&a, m, k);
         for threads in [1, 2, 3] {
             let cfg = ParallelConfig { threads, kc: 7, nc: 4 };
             let mut ws = GemmWorkspace::new();
             let c_cm =
                 gemm_parallel_cm(&scheme, SharedWeights::Narrow(&pa), &b, k, n, &cfg, &mut ws);
-            assert_eq!(to_row_major(c_cm, m, n), serial.c, "x{threads}");
+            assert_eq!(col_to_row_major(c_cm, m, n), want, "x{threads}");
         }
     }
 
@@ -507,9 +482,11 @@ mod tests {
         let (m, k, n) = (5, 12, 3); // one column tile
         let a = random_mat(m * k, bits, 31);
         let b = random_mat(k * n, bits, 32);
-        let serial = gemm(&scheme, &a, &b, m, k, n);
-        let par = gemm_parallel(&scheme, &a, &b, m, k, n, &ParallelConfig::with_threads(8));
-        assert_eq!(par.c, serial.c);
+        let pa = pack_a(&a, m, k);
+        let cfg = ParallelConfig::with_threads(8);
+        let mut ws = GemmWorkspace::new();
+        let c_cm = gemm_parallel_cm(&scheme, SharedWeights::Wide(&pa), &b, k, n, &cfg, &mut ws);
+        assert_eq!(col_to_row_major(c_cm, m, n), reference_gemm(&a, &b, m, k, n));
     }
 
     #[test]
@@ -522,10 +499,10 @@ mod tests {
         let pa = pack_a(&a, m, k);
         let cfg = ParallelConfig { threads: 2, kc: 32, nc: 8 };
         let mut ws = GemmWorkspace::new();
-        let serial = gemm(&scheme, &a, &b, m, k, n);
+        let want = reference_gemm(&a, &b, m, k, n);
         for call in 0..4 {
             let c_cm = gemm_parallel_cm(&scheme, SharedWeights::Wide(&pa), &b, k, n, &cfg, &mut ws);
-            assert_eq!(to_row_major(c_cm, m, n), serial.c, "call {call}");
+            assert_eq!(col_to_row_major(c_cm, m, n), want, "call {call}");
         }
         let stats = ws.stats();
         assert_eq!(stats.calls, 4);
@@ -549,8 +526,8 @@ mod tests {
             let pa = pack_a(&a, m, k);
             let cfg = ParallelConfig { threads, kc: 16, nc: 8 };
             let c_cm = gemm_parallel_cm(&scheme, SharedWeights::Wide(&pa), &b, k, n, &cfg, &mut ws);
-            let want = crate::gemm::reference_gemm(&a, &b, m, k, n);
-            assert_eq!(to_row_major(c_cm, m, n), want, "call {call}");
+            let want = reference_gemm(&a, &b, m, k, n);
+            assert_eq!(col_to_row_major(c_cm, m, n), want, "call {call}");
         }
     }
 
@@ -652,7 +629,8 @@ mod tests {
 
         let (tracer, sink) = lowbit_trace::Tracer::recording();
         let mut ws2 = GemmWorkspace::new();
-        let traced = gemm_parallel_cm_traced(
+        let traced = gemm_parallel_cm_on(
+            Isa::host(),
             &scheme,
             SharedWeights::Wide(&pa),
             &b,

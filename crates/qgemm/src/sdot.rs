@@ -17,7 +17,7 @@
 
 #![allow(clippy::field_reassign_with_default)] // InstCounts builders read clearer this way
 
-use crate::gemm::GemmOutput;
+use crate::gemm::{col_to_row_major, GemmOutput};
 use crate::pack::NB;
 use lowbit_tensor::BitWidth;
 use neon_sim::inst::Inst;
@@ -229,30 +229,12 @@ pub fn emit_tile_sdot(k: usize, addr_a: u32, addr_b: u32, addr_c: u32) -> Vec<In
     prog
 }
 
-/// Full GEMM on the SDOT path.
+/// Full GEMM on the SDOT path: packs both operands into k-quads and runs
+/// [`gemm_sdot_prepacked_cm`].
 pub fn gemm_sdot(a: &[i8], b: &[i8], m: usize, k: usize, n: usize) -> GemmOutput {
-    let pa = pack_a_quads(a, m, k);
-    let pb = pack_b_quads(b, k, n);
-    let mut c = vec![0i32; m * n];
-    for ti in 0..pa.tiles() {
-        for tj in 0..pb.tiles() {
-            let tile = run_tile_sdot(&pa, &pb, ti, tj);
-            for col in 0..NB {
-                let j = tj * NB + col;
-                if j >= n {
-                    break;
-                }
-                for r in 0..SDOT_NA {
-                    let i = ti * SDOT_NA + r;
-                    if i >= m {
-                        break;
-                    }
-                    c[i * n + j] = tile[col * SDOT_NA + r];
-                }
-            }
-        }
-    }
-    GemmOutput { m, n, c, schedule: schedule_gemm_sdot(m, k, n) }
+    let mut c_cm = Vec::new();
+    gemm_sdot_prepacked_cm(&pack_a_quads(a, m, k), &pack_b_quads(b, k, n), &mut c_cm);
+    GemmOutput { m, n, c: col_to_row_major(&c_cm, m, n), schedule: schedule_gemm_sdot(m, k, n) }
 }
 
 /// Prepacked SDOT GEMM into a caller-owned **column-major** result buffer
