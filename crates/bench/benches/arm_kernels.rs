@@ -4,8 +4,15 @@
 //! `gemm_sdot_prepacked_cm`; each then transposes to row-major. The drain
 //! cadence (SADDW ratio) is visible in real time, not just in the model:
 //! lower bit widths drain less and run faster per MAC.
+//!
+//! `arm_driver_prepacked` times the tiled driver alone, the way the engine
+//! runs it: `gemm_parallel_cm` at one thread on prepacked A with a warm
+//! workspace, no packing of A and no transpose. It covers one shape per
+//! tile kind, taken from the benchmark workloads. Its `elem/s` figure is
+//! MAC/s.
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use lowbit_qgemm::{gemm, Scheme};
+use lowbit_qgemm::narrow::pack_a_narrow;
+use lowbit_qgemm::{gemm, pack_a, GemmWorkspace, ParallelConfig, Scheme, SharedWeights};
 use lowbit_tensor::BitWidth;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -44,5 +51,37 @@ fn bench_micro_kernels(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_micro_kernels);
+fn bench_driver_prepacked(c: &mut Criterion) {
+    // (label, bits, narrow tile, M x K x N): W4 wide is a bottleneck-w4
+    // 1x1 expand, W8 narrow a dense-w8 3x3 growth conv, W2 MLA the
+    // resnet50-layers-w2 7x7/s2 stem.
+    let shapes = [
+        ("w4_wide_256x64x3136", BitWidth::W4, false, (256, 64, 3136)),
+        ("w8_narrow_32x1152x784", BitWidth::W8, true, (32, 1152, 784)),
+        ("w2_mla_64x147x12544", BitWidth::W2, false, (64, 147, 12544)),
+    ];
+    let mut group = c.benchmark_group("arm_driver_prepacked");
+    group.sample_size(10);
+    let mut rng = StdRng::seed_from_u64(2);
+    for (label, bits, narrow, (m, k, n)) in shapes {
+        let a: Vec<i8> = (0..m * k).map(|_| rng.gen_range(bits.qmin()..=bits.qmax())).collect();
+        let b: Vec<i8> = (0..k * n).map(|_| rng.gen_range(bits.qmin()..=bits.qmax())).collect();
+        let scheme = Scheme::for_bits(bits);
+        let (wide, narrow_a) = (pack_a(&a, m, k), pack_a_narrow(&a, m, k));
+        let weights =
+            if narrow { SharedWeights::Narrow(&narrow_a) } else { SharedWeights::Wide(&wide) };
+        let cfg = ParallelConfig::with_threads(1);
+        let mut ws = GemmWorkspace::new();
+        group.throughput(Throughput::Elements((m * k * n) as u64));
+        group.bench_function(label, |bench| {
+            bench.iter(|| {
+                lowbit_qgemm::parallel::gemm_parallel_cm(&scheme, weights, &b, k, n, &cfg, &mut ws)
+                    [0]
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_micro_kernels, bench_driver_prepacked);
 criterion_main!(benches);

@@ -512,14 +512,23 @@ impl ArmEngine {
     }
 }
 
-/// Panics unless `input` is NCHW with `shape`'s input dims, `weights` is
-/// NCHW with its filter dims, a forced Winograd has a 3x3/stride-1 shape
-/// and at most 6 effective bits, and a forced narrow tile has at least 4
-/// (the tile is `SMLAL`-only). [`ArmEngine::conv_traced`] runs this
-/// before taking the state lock: a kernel or weight transform panicking
-/// under the lock would poison the state every clone shares, and each later
-/// call on any clone would panic too.
+/// Panics unless `shape` has a positive stride, kernel and channel counts
+/// and a kernel that fits the padded input, `input` is NCHW with `shape`'s
+/// input dims, `weights` is NCHW with its filter dims, a forced Winograd
+/// has a 3x3/stride-1 shape and at most 6 effective bits, and a forced
+/// narrow tile has at least 4 (the tile is `SMLAL`-only). Batch 0 passes:
+/// every algorithm returns an empty result for it. [`ArmEngine::conv_traced`]
+/// runs this before taking the state lock: a kernel or weight transform
+/// panicking under the lock would poison the state every clone shares, and
+/// each later call on any clone would panic too.
 fn check_operands(input: &QTensor, weights: &QTensor, shape: &ConvShape, algo: ArmAlgo) {
+    assert!(shape.stride > 0, "stride must be positive: {shape:?}");
+    assert!(shape.kh > 0 && shape.kw > 0, "kernel must be at least 1x1: {shape:?}");
+    assert!(shape.c_in > 0 && shape.c_out > 0, "channel counts must be positive: {shape:?}");
+    assert!(
+        shape.kh <= shape.h + 2 * shape.pad && shape.kw <= shape.w + 2 * shape.pad,
+        "kernel larger than the padded input: {shape:?}"
+    );
     assert_eq!(input.layout(), Layout::Nchw, "ARM path expects NCHW");
     let input_dims = (shape.batch, shape.c_in, shape.h, shape.w);
     assert_eq!(input.dims(), input_dims, "input dims do not match conv shape");
@@ -738,7 +747,20 @@ mod tests {
         let strided = ConvShape::new(1, 4, 8, 8, 6, 3, 2, 1);
         let (input7, weights7) = tensors(&shape, BitWidth::W7, 34);
         let (input2, weights2) = tensors(&shape, BitWidth::W2, 35);
-        let bad_calls: [(&str, &dyn Fn()); 7] = [
+        // Degenerate geometry with matching tensors: past the check, each
+        // would panic (or return an empty result) inside a kernel, under
+        // the state lock.
+        let conv_on = |shape: ConvShape, algo: ArmAlgo| {
+            let (input, weights) = tensors(&shape, BitWidth::W4, 36);
+            let _ = engine.conv(&input, &weights, &shape, algo);
+        };
+        let stride0 = ConvShape::new(1, 4, 8, 8, 6, 3, 0, 1);
+        let no_kernel = ConvShape::new(1, 4, 8, 8, 6, 0, 1, 1);
+        let no_c_in = ConvShape::new(1, 0, 8, 8, 6, 3, 1, 1);
+        let no_c_out = ConvShape::new(1, 4, 8, 8, 0, 3, 1, 1);
+        let oversized = ConvShape::new(1, 4, 2, 2, 6, 3, 1, 0);
+        let oversized_s2 = ConvShape::new(1, 4, 2, 2, 6, 3, 2, 0);
+        let bad_calls: [(&str, &dyn Fn()); 15] = [
             ("NHWC input", &|| {
                 let nhwc = input.to_layout(Layout::Nhwc);
                 let _ = engine.conv(&nhwc, &weights, &shape, ArmAlgo::Gemm);
@@ -762,13 +784,41 @@ mod tests {
             ("narrow at 2 bit", &|| {
                 let _ = engine.conv(&input2, &weights2, &shape, ArmAlgo::GemmNarrow);
             }),
+            ("Gemm at stride 0", &|| conv_on(stride0, ArmAlgo::Gemm)),
+            ("narrow at stride 0", &|| conv_on(stride0, ArmAlgo::GemmNarrow)),
+            ("0x0 kernel", &|| conv_on(no_kernel, ArmAlgo::Gemm)),
+            ("Gemm without input channels", &|| conv_on(no_c_in, ArmAlgo::Gemm)),
+            ("Winograd without input channels", &|| conv_on(no_c_in, ArmAlgo::Winograd)),
+            ("Winograd without output channels", &|| conv_on(no_c_out, ArmAlgo::Winograd)),
+            ("3x3 over an unpadded 2x2 input", &|| conv_on(oversized, ArmAlgo::Gemm)),
+            ("3x3/s2 over an unpadded 2x2 input", &|| conv_on(oversized_s2, ArmAlgo::Gemm)),
         ];
         for (name, call) in bad_calls {
             assert!(catch_unwind(AssertUnwindSafe(call)).is_err(), "{name} must be rejected");
             let out = clone.conv(&input, &weights, &shape, ArmAlgo::Gemm);
             assert_eq!(out.acc.data(), oracle.data(), "clone after {name}");
         }
-        assert_eq!(engine.prepack_stats().hits, 7);
+        assert_eq!(engine.prepack_stats().hits, bad_calls.len() as u64);
+    }
+
+    #[test]
+    fn batch_zero_returns_an_empty_result_on_every_algorithm() {
+        let shape = ConvShape::new(0, 4, 8, 8, 6, 3, 1, 1);
+        let engine = ArmEngine::cortex_a53().with_threads(2);
+        for algo in [
+            ArmAlgo::Auto,
+            ArmAlgo::Gemm,
+            ArmAlgo::Winograd,
+            ArmAlgo::GemmNarrow,
+            ArmAlgo::GemmSdot,
+            ArmAlgo::NcnnBaseline,
+            ArmAlgo::BitserialBaseline,
+        ] {
+            let bits = if algo == ArmAlgo::BitserialBaseline { BitWidth::W2 } else { BitWidth::W4 };
+            let (input, weights) = tensors(&shape, bits, 37);
+            let out = engine.conv(&input, &weights, &shape, algo);
+            assert!(out.acc.data().is_empty(), "{algo:?}");
+        }
     }
 
     #[test]

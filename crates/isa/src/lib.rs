@@ -110,8 +110,9 @@ impl Isa {
     ///
     /// Mark the closure `#[inline(always)]`, and every kernel function it
     /// calls too: code that is not inlined into the trampoline is compiled
-    /// for the baseline. Dispatch around one kernel call (one micro-tile),
-    /// not around a driver's loops: the loops should stay out of line.
+    /// for the baseline. Dispatch around one kernel call (one register
+    /// block of micro-tiles), not around a driver's loops: the loops should
+    /// stay out of line.
     #[inline(always)]
     #[allow(unsafe_code)]
     pub fn run<R>(self, f: impl FnOnce() -> R) -> R {

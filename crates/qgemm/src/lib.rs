@@ -11,8 +11,9 @@
 //! * [`micro`] — the 16x4 register-tiled micro-kernel of Alg. 1 in three
 //!   consistent forms: a fast functional path, an analytic instruction-count
 //!   schedule, and an emitter to [`neon_sim`] instructions; the functional
-//!   path runs each micro-tile on the host's widest vector ISA through
-//!   [`lowbit_isa::Isa`] (same source and same bits on every ISA),
+//!   path runs a register block of consecutive A tiles per dispatch on the
+//!   host's widest vector ISA through [`lowbit_isa::Isa`] (same source and
+//!   same bits on every ISA and at every block size),
 //! * [`mod@gemm`] — the one-shot GEMM (pack A, then the [`parallel`] driver
 //!   at one thread) with its pipeline schedule, the ncnn baseline and the
 //!   i32 reference oracle,
@@ -23,8 +24,9 @@
 //! * [`sdot`] — the ARMv8.2 `SDOT` path that makes the drain machinery
 //!   unnecessary on newer cores (extension; Sec. 2.3's forward pointer),
 //! * [`parallel`] — the one tiled driver of the wide and narrow kernels:
-//!   scoped threads over N with per-thread cache-blocked B panels,
-//!   bit-exact versus the i32 reference for every thread count,
+//!   scoped threads over N with per-thread cache-blocked B panels, register
+//!   blocks of A tiles against each B tile, bit-exact versus the i32
+//!   reference for every thread count,
 //! * [`workspace`] — the caller-owned scratch arena that makes steady-state
 //!   repeated GEMM calls allocation-free.
 

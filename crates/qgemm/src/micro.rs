@@ -6,8 +6,12 @@
 //!    functional implementation with the exact lane semantics of the NEON
 //!    instructions (wrapping i8/i16 accumulation), used at full layer scale.
 //!    It runs each drain interval as one branch-free loop over contiguous
-//!    packed operand blocks, compiled per tile for the host's widest vector
-//!    ISA ([`Isa::host`]);
+//!    packed operand blocks. The GEMM driver runs it on a *register block*
+//!    of [`SMLAL_BLOCK`] or [`MLA_BLOCK`] consecutive A tiles against one B
+//!    tile, so each B broadcast feeds every row of the block; the A53 tile
+//!    of the paper half-fills the host's vector registers. Each block is
+//!    one dispatch onto the host's widest vector ISA ([`Isa::host`]), and
+//!    [`accumulate_tile`] is the one-tile instance of the same source;
 //! 2. [`tile_counts`] — analytic instruction counts for the same shape, fed to
 //!    the cost model;
 //! 3. [`emit_tile`] — the actual instruction stream for the `neon-sim`
@@ -41,6 +45,12 @@ pub const TILE_LEN: usize = NA * NB;
 /// Elements in the ncnn-like 8x4 result tile.
 pub const NCNN_TILE_LEN: usize = NCNN_NA * NB;
 
+/// Wide SMLAL tiles per register block (see `accumulate_tiles_on`):
+/// the block size that measured fastest on the AVX-512 host.
+pub const SMLAL_BLOCK: usize = 4;
+/// Wide MLA tiles per register block, chosen the same way.
+pub const MLA_BLOCK: usize = 4;
+
 /// Runs one 16x4 micro-tile functionally.
 ///
 /// Output layout is column-major quarters, matching the register store order
@@ -65,49 +75,68 @@ pub fn run_tile(scheme: &Scheme, pa: &PackedA, pb: &PackedB, ti: usize, tj: usiz
 /// within the published ratios every i8/i16 partial is exact, hence every
 /// i32 block partial is the exact sub-sum and i32 addition is associative.
 ///
-/// Runs on the host's widest vector ISA ([`Isa::host`]); every ISA
+/// Runs on the host's widest vector ISA ([`Isa::host`]) as the one-tile
+/// instance of the register-blocked kernel; every ISA and every block size
 /// computes the same bits.
 pub fn accumulate_tile(scheme: &Scheme, a: &[i8], b: &[i8], acc32: &mut [i32; TILE_LEN]) {
-    accumulate_tile_on(Isa::host(), scheme, a, b, acc32);
+    accumulate_tiles_on(Isa::host(), scheme, [a], b, std::array::from_mut(acc32));
 }
 
-/// [`accumulate_tile`] compiled for `isa`. The dispatch wraps exactly one
-/// tile: the drivers' tile loops stay out of line, where inlining the
-/// kernel into them measured several times slower.
-pub(crate) fn accumulate_tile_on(
+/// A register block of `T` 16x4 tiles against one B block, compiled for
+/// `isa`: `a[t]` is tile `t`'s packed A block and `acc32[t]` its result, as
+/// in [`accumulate_tile`], which is the `T = 1` instance. Each K step
+/// widens every A tile once and broadcasts each B value once for all
+/// `T x 16` rows, and every tile keeps the per-call drain cadence, so each
+/// output lane sees the same wrapping i8/i16 sequence at every `T`.
+///
+/// The dispatch wraps exactly one block: the drivers' tile loops stay out of
+/// line, where inlining the kernel into them measured several times slower.
+pub(crate) fn accumulate_tiles_on<const T: usize>(
     isa: Isa,
     scheme: &Scheme,
-    a: &[i8],
+    a: [&[i8]; T],
     b: &[i8],
-    acc32: &mut [i32; TILE_LEN],
+    acc32: &mut [[i32; TILE_LEN]; T],
 ) {
+    let acc32 = acc32.as_flattened_mut();
     match scheme.kind() {
-        SchemeKind::Smlal8 => {
-            isa.run(#[inline(always)] || accumulate_smlal::<NA>(scheme.ratio(), a, b, acc32))
-        }
-        SchemeKind::Mla => isa.run(#[inline(always)] || accumulate_mla(scheme, a, b, acc32)),
+        SchemeKind::Smlal8 => isa.run(
+            #[inline(always)]
+            || accumulate_smlal::<NA, T>(scheme.ratio(), a, b, acc32),
+        ),
+        SchemeKind::Mla => isa.run(#[inline(always)] || accumulate_mla::<T>(scheme, a, b, acc32)),
         SchemeKind::Ncnn16 => panic!("Ncnn16 uses run_tile_ncnn on widened operands"),
     }
 }
 
-/// The SMLAL scheme for an `R`x4 tile (`R` = 16 wide, 8 narrow): each
-/// drain interval of `ratio` K steps accumulates wrapping i16 partials,
-/// which `SADDW` then adds into the i32 result. Always inlined, so it is
-/// compiled for the ISA of the [`Isa::run`] trampoline that calls it.
+/// The SMLAL scheme for a block of `T` `R`x4 tiles (`R` = 16 wide, 8
+/// narrow): each drain interval of `ratio` K steps accumulates wrapping i16
+/// partials, which `SADDW` then adds into the i32 result, tile `t` at
+/// `acc32[t * R * NB..]`. Always inlined, so it is compiled for the ISA of
+/// the [`Isa::run`] trampoline that calls it.
+///
+/// The drains index the partials with constant-bound loops, which the
+/// compiler unrolls, so the partials never leave the registers. Iterating
+/// over the flattened partials instead stored them to the stack at every
+/// drain, and the wide kernel at ratio 2 (W8) measured about 2x slower.
 #[inline(always)]
-pub(crate) fn accumulate_smlal<const R: usize>(
+#[allow(clippy::needless_range_loop)]
+pub(crate) fn accumulate_smlal<const R: usize, const T: usize>(
     ratio: usize,
-    a: &[i8],
+    a: [&[i8]; T],
     b: &[i8],
     acc32: &mut [i32],
 ) {
-    assert_eq!(acc32.len(), R * NB, "result tile length");
-    let (a, b) = k_steps::<R>(a, b);
-    for (ai, bi) in a.chunks(ratio).zip(b.chunks(ratio)) {
-        let part = mac_interval(ai, bi);
-        for c in 0..NB {
-            for r in 0..R {
-                acc32[c * R + r] = acc32[c * R + r].wrapping_add(part[c][r] as i32);
+    assert_eq!(acc32.len(), T * R * NB, "result block length");
+    let (a, b) = k_steps::<R, T>(a, b);
+    for (s0, bi) in (0..).step_by(ratio).zip(b.chunks(ratio)) {
+        let part = mac_interval(a.map(|at| &at[s0..s0 + bi.len()]), bi);
+        for t in 0..T {
+            for c in 0..NB {
+                for r in 0..R {
+                    let i = (t * NB + c) * R + r;
+                    acc32[i] = acc32[i].wrapping_add(part[t][c][r] as i32);
+                }
             }
         }
     }
@@ -120,46 +149,70 @@ pub(crate) fn accumulate_smlal<const R: usize>(
 /// Computing the interval in i16 instead of i8 lanes is bit-exact for *any*
 /// ratio: an i8 `MLA` lane holds its true sum mod 2^8, the i16 interval
 /// holds it mod 2^16, and since 2^8 divides 2^16 `as i8` recovers exactly
-/// the wrapped i8 lane (sign-extended by `as i16`, like `SADDW`).
+/// the wrapped i8 lane (sign-extended by `as i16`, like `SADDW`). The
+/// drains index the partials like [`accumulate_smlal`]'s.
 #[inline(always)]
-fn accumulate_mla(scheme: &Scheme, a: &[i8], b: &[i8], acc32: &mut [i32; TILE_LEN]) {
-    let (a, b) = k_steps::<NA>(a, b);
+#[allow(clippy::needless_range_loop)]
+fn accumulate_mla<const T: usize>(scheme: &Scheme, a: [&[i8]; T], b: &[i8], acc32: &mut [i32]) {
+    assert_eq!(acc32.len(), T * TILE_LEN, "result block length");
+    let (a, b) = k_steps::<NA, T>(a, b);
     let (r1, r2) = (scheme.ratio(), scheme.ratio2());
     let r12 = r1.saturating_mul(r2);
-    for (ao, bo) in a.chunks(r12).zip(b.chunks(r12)) {
-        let mut acc16 = [[0i16; NA]; NB];
-        for (ai, bi) in ao.chunks(r1).zip(bo.chunks(r1)) {
-            let part = mac_interval(ai, bi);
-            for c in 0..NB {
-                for r in 0..NA {
-                    acc16[c][r] = acc16[c][r].wrapping_add(part[c][r] as i8 as i16);
+    for (o0, bo) in (0..).step_by(r12).zip(b.chunks(r12)) {
+        let mut acc16 = [[[0i16; NA]; NB]; T];
+        for (s0, bi) in (o0..).step_by(r1).zip(bo.chunks(r1)) {
+            let part = mac_interval(a.map(|at| &at[s0..s0 + bi.len()]), bi);
+            for t in 0..T {
+                for c in 0..NB {
+                    for r in 0..NA {
+                        acc16[t][c][r] = acc16[t][c][r].wrapping_add(part[t][c][r] as i8 as i16);
+                    }
                 }
             }
         }
-        for c in 0..NB {
-            for r in 0..NA {
-                acc32[c * NA + r] = acc32[c * NA + r].wrapping_add(acc16[c][r] as i32);
+        for t in 0..T {
+            for c in 0..NB {
+                for r in 0..NA {
+                    let i = (t * NB + c) * NA + r;
+                    acc32[i] = acc32[i].wrapping_add(acc16[t][c][r] as i32);
+                }
             }
         }
     }
 }
 
-/// One drain interval: the wrapping i16 sums of `a x b` over its K steps,
-/// per column `[c][row]`. Returning the partials (rather than threading an
-/// accumulator through) keeps them register-resident for the whole loop.
-/// Rows go in groups of eight i16 lanes, one `SMLAL` destination register
-/// each, which keeps the host's vectorizer at full register width.
+/// One drain interval of a block of `T` tiles: the wrapping i16 sums of
+/// `a[t] x b` over its K steps, per tile and column `[t][c][row]`.
+/// Returning the partials (rather than threading an accumulator through)
+/// keeps them register-resident for the whole loop. Each K step widens
+/// every A tile once and multiplies it by the same 4 B broadcasts, which
+/// the host compiler hoists out of the tile loop. Rows go in groups of
+/// eight i16 lanes, one `SMLAL` destination register each, which keeps the
+/// host's vectorizer at full register width.
+///
+/// The length check up front is load-bearing: it lets the compiler drop
+/// the per-step bounds checks on `a[t]`. Without it each step keeps a
+/// panic edge and the partials may stay in memory: on the AVX-512 host the
+/// wide `T = 2` block fell to about 3 GMAC/s, and `T = 4` lost about 20%.
 #[inline(always)]
-fn mac_interval<const R: usize>(a: &[[i8; R]], b: &[[i8; NB]]) -> [[i16; R]; NB] {
-    let mut acc = [[0i16; R]; NB];
-    for (ak, bk) in a.iter().zip(b) {
-        for h in (0..R).step_by(8) {
-            let av: [i16; 8] = std::array::from_fn(|i| ak[h + i] as i16);
-            for c in 0..NB {
-                let bv = bk[c] as i16;
-                for i in 0..8 {
-                    // SMLAL: widening multiply (always fits i16), wrapping add.
-                    acc[c][h + i] = acc[c][h + i].wrapping_add(av[i] * bv);
+fn mac_interval<const R: usize, const T: usize>(
+    a: [&[[i8; R]]; T],
+    b: &[[i8; NB]],
+) -> [[[i16; R]; NB]; T] {
+    let mut acc = [[[0i16; R]; NB]; T];
+    for at in a {
+        assert!(at.len() == b.len(), "A tile and B disagree on the interval length");
+    }
+    for (s, bk) in b.iter().enumerate() {
+        for t in 0..T {
+            for h in (0..R).step_by(8) {
+                let av: [i16; 8] = std::array::from_fn(|i| a[t][s][h + i] as i16);
+                for c in 0..NB {
+                    let bv = bk[c] as i16;
+                    for i in 0..8 {
+                        // SMLAL: widening multiply (always fits i16), wrapping add.
+                        acc[t][c][h + i] = acc[t][c][h + i].wrapping_add(av[i] * bv);
+                    }
                 }
             }
         }
@@ -167,16 +220,24 @@ fn mac_interval<const R: usize>(a: &[[i8; R]], b: &[[i8; NB]]) -> [[i16; R]; NB]
     acc
 }
 
-/// Views one K block's packed operands as per-step rows: `R` A bytes and
-/// [`NB`] B bytes per K step. Panics unless both cover the same steps.
-fn k_steps<'a, const R: usize>(a: &'a [i8], b: &'a [i8]) -> (&'a [[i8; R]], &'a [[i8; NB]]) {
-    let ((a, a_rest), (b, b_rest)) = (a.as_chunks::<R>(), b.as_chunks::<NB>());
-    assert!(
-        a_rest.is_empty() && b_rest.is_empty() && a.len() == b.len(),
-        "operand blocks disagree on K: {} A steps vs {} B steps",
-        a.len(),
-        b.len()
-    );
+/// Views one K block's packed operands as per-step rows: `R` A bytes per
+/// step for each of the `T` tiles and [`NB`] B bytes per step. Panics unless
+/// every operand covers the same steps.
+fn k_steps<'a, const R: usize, const T: usize>(
+    a: [&'a [i8]; T],
+    b: &'a [i8],
+) -> ([&'a [[i8; R]]; T], &'a [[i8; NB]]) {
+    let (b, b_rest) = b.as_chunks::<NB>();
+    let a = a.map(|at| {
+        let (at, a_rest) = at.as_chunks::<R>();
+        assert!(
+            a_rest.is_empty() && b_rest.is_empty() && at.len() == b.len(),
+            "operand blocks disagree on K: {} A steps vs {} B steps",
+            at.len(),
+            b.len()
+        );
+        at
+    });
     (a, b)
 }
 
@@ -736,9 +797,10 @@ mod tests {
         // range operands make every over-long interval actually wrap, so
         // agreement here proves the mod-2^8 argument, the interval chunking
         // and the remainder drains for ratio 1, ratio >= K and violated
-        // ratios at both MLA levels.
+        // ratios at both MLA levels. Each case runs as one register block
+        // of distinct A tiles, every tile checked against the interpreter.
         let k = 70;
-        let (m, n) = (16, 4);
+        let (m, n) = (NA * SMLAL_BLOCK.max(MLA_BLOCK), 4);
         let mut rng = StdRng::seed_from_u64(4242);
         let mut full_range = |len: usize| -> Vec<i8> { (0..len).map(|_| rng.gen_range(-128..=127i32) as i8).collect() };
         let (a, b) = (full_range(m * k), full_range(k * n));
@@ -762,35 +824,55 @@ mod tests {
             ("mla ratio > K", mla.with_ratio_unchecked(10 * k).with_ratio2_unchecked(3)),
         ];
         for (name, scheme) in cases {
-            let (interpreted, counts) = interpret_tile(&scheme, &pa, &pb, 0, 0);
-            assert_eq!(counts, tile_counts(&scheme, k), "{name}: interpreter vs analytic counts");
-            let baseline = run_tile_on(Isa::BASELINE, &scheme, &pa, &pb);
-            assert_eq!(interpreted, baseline, "{name}: interpreter vs functional");
+            let run_block = match scheme.kind() {
+                SchemeKind::Mla => run_block_on::<MLA_BLOCK>,
+                _ => run_block_on::<SMLAL_BLOCK>,
+            };
+            let baseline = run_block(Isa::BASELINE, &scheme, &pa, &pb);
+            for (ti, tile) in baseline.iter().enumerate() {
+                let (interpreted, counts) = interpret_tile(&scheme, &pa, &pb, ti, 0);
+                assert_eq!(counts, tile_counts(&scheme, k), "{name}: interpreter vs analytic counts");
+                assert_eq!(&interpreted, tile, "{name} tile {ti}: interpreter vs functional block");
+                let one = run_tile(&scheme, &pa, &pb, ti, 0);
+                assert_eq!(one, interpreted, "{name} tile {ti}: one-tile host dispatch");
+            }
             for isa in Isa::supported() {
-                let functional = run_tile_on(isa, &scheme, &pa, &pb);
+                let functional = run_block_on::<1>(isa, &scheme, &pa, &pb);
+                assert_eq!(functional[0], baseline[0], "{name} on {isa}: one-tile instance");
+                let functional = run_block(isa, &scheme, &pa, &pb);
                 assert_eq!(functional, baseline, "{name} on {isa}: vs the baseline instance");
             }
-            assert_eq!(run_tile(&scheme, &pa, &pb, 0, 0), baseline, "{name}: host dispatch");
         }
     }
 
-    /// [`run_tile`] compiled for `isa`, on the first tile of each operand.
-    fn run_tile_on(isa: Isa, scheme: &Scheme, pa: &PackedA, pb: &PackedB) -> Vec<i32> {
-        let mut acc32 = [0i32; TILE_LEN];
-        accumulate_tile_on(isa, scheme, pa.block(0, 0, pa.k), pb.tile(0), &mut acc32);
-        acc32.to_vec()
+    /// The first `T` A tiles against the first B tile as one register block
+    /// compiled for `isa`, one result per tile.
+    fn run_block_on<const T: usize>(
+        isa: Isa,
+        scheme: &Scheme,
+        pa: &PackedA,
+        pb: &PackedB,
+    ) -> Vec<Vec<i32>> {
+        let mut acc32 = [[0i32; TILE_LEN]; T];
+        let a = std::array::from_fn(|t| pa.block(t, 0, pa.k));
+        accumulate_tiles_on(isa, scheme, a, pb.tile(0), &mut acc32);
+        acc32.iter().map(|tile| tile.to_vec()).collect()
     }
 
     #[test]
     fn violated_mla_ratios_wrap_like_i8_and_i16_lanes() {
         // Constant 11 x 11 operands: each MAC adds 121, so closed forms say
-        // exactly what wrapping i8 and i16 lanes must hold.
-        let (m, n) = (16, 4);
+        // exactly what wrapping i8 and i16 lanes must hold, in every tile of
+        // a register block too.
+        let (m, n) = (NA * MLA_BLOCK, 4);
         let run = |scheme: &Scheme, k: usize| {
             let pa = pack_a(&vec![11; m * k], m, k);
             let pb = pack_b(&vec![11; k * n], k, n);
             let functional = run_tile(scheme, &pa, &pb, 0, 0);
             assert_eq!(interpret_tile(scheme, &pa, &pb, 0, 0).0, functional);
+            for tile in run_block_on::<MLA_BLOCK>(Isa::host(), scheme, &pa, &pb) {
+                assert_eq!(tile, functional, "register block vs one tile");
+            }
             functional
         };
         let mla = Scheme::for_bits(BitWidth::W2);
@@ -812,29 +894,36 @@ mod tests {
     fn k_blocks_through_the_parallel_driver_are_exact() {
         // The parallel driver restarts the drain cadence at every kc block;
         // within the published ratios that must still be exact, for block
-        // lengths below, at and above the drain intervals.
+        // lengths below, at and above the drain intervals. M runs through
+        // 1 to 2T + 1 tiles (the last one ragged), so full register blocks
+        // and the one-tile remainder both run.
         use crate::gemm::reference_gemm;
         use crate::parallel::{gemm_parallel_cm_on, ParallelConfig, SharedWeights};
         use crate::workspace::GemmWorkspace;
         use lowbit_trace::Tracer;
-        let (m, k, n) = (20, 150, 9);
+        let (k, n) = (150, 9);
         for bits in [BitWidth::W2, BitWidth::W3, BitWidth::W4, BitWidth::W8] {
             let scheme = Scheme::for_bits(bits);
-            let (a, b) = random_operands(m, k, n, bits, 500 + bits.bits() as u64);
-            let want = reference_gemm(&a, &b, m, k, n);
-            let pa = pack_a(&a, m, k);
-            for (threads, kc) in [(1, 1), (1, 7), (2, 31), (2, 32), (3, 64), (1, 149), (2, 150)] {
-                let cfg = ParallelConfig { threads, kc, nc: 8 };
-                for isa in Isa::supported() {
-                    let mut ws = GemmWorkspace::new();
-                    let weights = SharedWeights::Wide(&pa);
-                    let tracer = Tracer::null();
-                    let c_cm =
-                        gemm_parallel_cm_on(isa, &scheme, weights, &b, k, n, &cfg, &mut ws, &tracer);
-                    for i in 0..m {
-                        for j in 0..n {
-                            let at = format!("{bits} kc {kc} {isa} ({i},{j})");
-                            assert_eq!(c_cm[j * m + i], want[i * n + j], "{at}");
+            let block = if bits.uses_mla_scheme() { MLA_BLOCK } else { SMLAL_BLOCK };
+            for m in (1..=2 * block + 1).map(|tiles| tiles * NA - 3) {
+                let seed = 500 + (m * 8) as u64 + bits.bits() as u64;
+                let (a, b) = random_operands(m, k, n, bits, seed);
+                let want = reference_gemm(&a, &b, m, k, n);
+                let pa = pack_a(&a, m, k);
+                for (threads, kc) in [(1, 1), (1, 7), (2, 31), (2, 32), (3, 64), (1, 149), (2, 150)] {
+                    let cfg = ParallelConfig { threads, kc, nc: 8 };
+                    for isa in Isa::supported() {
+                        let mut ws = GemmWorkspace::new();
+                        let weights = SharedWeights::Wide(&pa);
+                        let tracer = Tracer::null();
+                        let c_cm = gemm_parallel_cm_on(
+                            isa, &scheme, weights, &b, k, n, &cfg, &mut ws, &tracer,
+                        );
+                        for i in 0..m {
+                            for j in 0..n {
+                                let at = format!("{bits} m {m} kc {kc} {isa} ({i},{j})");
+                                assert_eq!(c_cm[j * m + i], want[i * n + j], "{at}");
+                            }
                         }
                     }
                 }

@@ -28,6 +28,9 @@ use neon_sim::{InstCounts, KernelSchedule, StageCost};
 pub const NA8: usize = 8;
 /// Elements in the narrow 8x4 result tile.
 pub const NARROW_TILE_LEN: usize = NA8 * NB;
+/// Narrow tiles per register block (see `accumulate_tiles_narrow_on`):
+/// the block size that measured fastest on the AVX-512 host.
+pub const NARROW_BLOCK: usize = 4;
 
 /// Packed A for the narrow kernel: 8-row tiles, same scheme as
 /// [`crate::pack::PackedA`].
@@ -100,26 +103,30 @@ pub fn run_tile_narrow(
 /// `b`: `klen * NB` bytes), adding into `acc32` (same K-blocking exactness
 /// argument as [`crate::micro::accumulate_tile`]).
 ///
-/// Runs on [`Isa::host`], like the wide kernel.
+/// Runs on [`Isa::host`] as the one-tile instance of the register-blocked
+/// kernel, like the wide kernel.
 pub fn accumulate_tile_narrow(
     scheme: &Scheme,
     a: &[i8],
     b: &[i8],
     acc32: &mut [i32; NARROW_TILE_LEN],
 ) {
-    accumulate_tile_narrow_on(Isa::host(), scheme, a, b, acc32);
+    accumulate_tiles_narrow_on(Isa::host(), scheme, [a], b, std::array::from_mut(acc32));
 }
 
-/// [`accumulate_tile_narrow`] compiled for `isa` (one tile per dispatch).
-pub(crate) fn accumulate_tile_narrow_on(
+/// A register block of `T` narrow tiles against one B block, compiled for
+/// `isa` (one block per dispatch; see
+/// [`crate::micro::accumulate_tiles_on`]).
+pub(crate) fn accumulate_tiles_narrow_on<const T: usize>(
     isa: Isa,
     scheme: &Scheme,
-    a: &[i8],
+    a: [&[i8]; T],
     b: &[i8],
-    acc32: &mut [i32; NARROW_TILE_LEN],
+    acc32: &mut [[i32; NARROW_TILE_LEN]; T],
 ) {
     assert_eq!(scheme.kind(), SchemeKind::Smlal8, "narrow tile is SMLAL-only");
-    isa.run(#[inline(always)] || accumulate_smlal::<NA8>(scheme.ratio(), a, b, acc32));
+    let acc32 = acc32.as_flattened_mut();
+    isa.run(#[inline(always)] || accumulate_smlal::<NA8, T>(scheme.ratio(), a, b, acc32));
 }
 
 /// Analytic instruction counts for one narrow tile (must match
@@ -305,9 +312,9 @@ mod tests {
     /// [`run_tile_narrow`] compiled for `isa`, on the first tile of each
     /// operand.
     fn run_tile_narrow_on(isa: Isa, scheme: &Scheme, pa: &PackedANarrow, pb: &PackedB) -> Vec<i32> {
-        let mut acc32 = [0i32; NARROW_TILE_LEN];
-        accumulate_tile_narrow_on(isa, scheme, pa.block(0, 0, pa.k), pb.tile(0), &mut acc32);
-        acc32.to_vec()
+        let mut acc32 = [[0i32; NARROW_TILE_LEN]];
+        accumulate_tiles_narrow_on(isa, scheme, [pa.block(0, 0, pa.k)], pb.tile(0), &mut acc32);
+        acc32[0].to_vec()
     }
 
     #[test]

@@ -19,13 +19,14 @@
 //! random shapes, bit widths, thread counts and block sizes.
 
 use crate::gemm::col_to_row_major;
-use crate::micro::{accumulate_tile_on, TILE_LEN};
-use crate::narrow::{accumulate_tile_narrow_on, PackedANarrow, NARROW_TILE_LEN, NA8};
-use crate::pack::{PackedA, NA, NB};
+use crate::micro::{accumulate_tiles_on, MLA_BLOCK, SMLAL_BLOCK, TILE_LEN};
+use crate::narrow::{accumulate_tiles_narrow_on, PackedANarrow, NARROW_BLOCK, NARROW_TILE_LEN};
+use crate::pack::{PackedA, NB};
 use crate::scheme::{Scheme, SchemeKind};
 use crate::workspace::GemmWorkspace;
 use lowbit_isa::Isa;
 use lowbit_trace::{Tracer, MAIN_TRACK};
+use std::ops::Range;
 
 /// Default K cache-block: `kc * (NA + nc)` operand bytes stay L1-resident.
 pub const DEFAULT_KC: usize = 384;
@@ -307,7 +308,6 @@ fn worker(
     let m = weights.m();
     let k = weights.k();
     debug_assert_eq!(c.len(), cols * m);
-    let a_tiles = weights.tiles();
     let local_tiles = cols.div_ceil(NB);
     let nc_tiles = cfg.nc / NB;
     let mut jt0 = 0usize;
@@ -324,26 +324,71 @@ fn worker(
             let mut tile_span = tracer.span("gemm tile", track);
             tile_span.set_label(|| format!("jt [{jt0}..{jt1}) k0 {k0}"));
             for (jt, b_blk) in (jt0..jt1).zip(panel.chunks_exact(klen * NB)) {
-                for ti in 0..a_tiles {
-                    match weights {
-                        SharedWeights::Wide(pa) => {
-                            let mut acc = [0i32; TILE_LEN];
-                            let a_blk = pa.block(ti, k0, klen);
-                            accumulate_tile_on(isa, scheme, a_blk, b_blk, &mut acc);
-                            scatter_tile(c, &acc, m, cols, jt, ti, NA, k0 == 0);
-                        }
-                        SharedWeights::Narrow(pa) => {
-                            let mut acc = [0i32; NARROW_TILE_LEN];
-                            let a_blk = pa.block(ti, k0, klen);
-                            accumulate_tile_narrow_on(isa, scheme, a_blk, b_blk, &mut acc);
-                            scatter_tile(c, &acc, m, cols, jt, ti, NA8, k0 == 0);
-                        }
+                let mut store = |ti: usize, tile: &[i32]| {
+                    scatter_tile(c, tile, m, cols, jt, ti, tile.len() / NB, k0 == 0);
+                };
+                let steps = k0..k0 + klen;
+                let run = match weights {
+                    SharedWeights::Wide(_) if scheme.kind() == SchemeKind::Mla => {
+                        register_blocks::<MLA_BLOCK>
                     }
-                }
+                    SharedWeights::Wide(_) => register_blocks::<SMLAL_BLOCK>,
+                    SharedWeights::Narrow(_) => register_blocks::<NARROW_BLOCK>,
+                };
+                run(isa, scheme, weights, steps, b_blk, &mut store);
             }
             k0 += klen;
         }
         jt0 = jt1;
+    }
+}
+
+/// Every A tile against the B block `b` of K `steps`, in register blocks
+/// of `T` consecutive tiles, one kernel dispatch each, then the remainder
+/// one tile per dispatch. Hands each finished tile to `store` with its
+/// tile index.
+fn register_blocks<const T: usize>(
+    isa: Isa,
+    scheme: &Scheme,
+    weights: SharedWeights<'_>,
+    steps: Range<usize>,
+    b: &[i8],
+    store: &mut impl FnMut(usize, &[i32]),
+) {
+    let tiles = weights.tiles();
+    let full = tiles - tiles % T;
+    for ti0 in (0..full).step_by(T) {
+        register_block::<T>(isa, scheme, weights, ti0, &steps, b, store);
+    }
+    for ti in full..tiles {
+        register_block::<1>(isa, scheme, weights, ti, &steps, b, store);
+    }
+}
+
+/// One register block: A tiles `[ti0, ti0 + T)` against `b`.
+fn register_block<const T: usize>(
+    isa: Isa,
+    scheme: &Scheme,
+    weights: SharedWeights<'_>,
+    ti0: usize,
+    steps: &Range<usize>,
+    b: &[i8],
+    store: &mut impl FnMut(usize, &[i32]),
+) {
+    let (k0, klen) = (steps.start, steps.len());
+    match weights {
+        SharedWeights::Wide(pa) => {
+            let mut acc = [[0i32; TILE_LEN]; T];
+            let a = std::array::from_fn(|t| pa.block(ti0 + t, k0, klen));
+            accumulate_tiles_on(isa, scheme, a, b, &mut acc);
+            acc.iter().enumerate().for_each(|(t, tile)| store(ti0 + t, tile));
+        }
+        SharedWeights::Narrow(pa) => {
+            let mut acc = [[0i32; NARROW_TILE_LEN]; T];
+            let a = std::array::from_fn(|t| pa.block(ti0 + t, k0, klen));
+            accumulate_tiles_narrow_on(isa, scheme, a, b, &mut acc);
+            acc.iter().enumerate().for_each(|(t, tile)| store(ti0 + t, tile));
+        }
     }
 }
 
@@ -425,7 +470,7 @@ pub(crate) fn gemm_row_major_on(
 mod tests {
     use super::*;
     use crate::gemm::reference_gemm;
-    use crate::narrow::pack_a_narrow;
+    use crate::narrow::{pack_a_narrow, NA8};
     use crate::pack::pack_a;
     use lowbit_tensor::BitWidth;
     use rand::rngs::StdRng;
@@ -459,19 +504,27 @@ mod tests {
 
     #[test]
     fn narrow_parallel_matches_reference() {
+        // M runs through 1 to 2T + 1 narrow tiles (the last one ragged):
+        // full register blocks and the one-tile remainder both run.
         let bits = BitWidth::W8;
         let scheme = Scheme::for_bits(bits);
-        let (m, k, n) = (13, 40, 9);
-        let a = random_mat(m * k, bits, 7);
-        let b = random_mat(k * n, bits, 8);
-        let want = reference_gemm(&a, &b, m, k, n);
-        let pa = pack_a_narrow(&a, m, k);
-        for threads in [1, 2, 3] {
-            let cfg = ParallelConfig { threads, kc: 7, nc: 4 };
-            let mut ws = GemmWorkspace::new();
-            let c_cm =
-                gemm_parallel_cm(&scheme, SharedWeights::Narrow(&pa), &b, k, n, &cfg, &mut ws);
-            assert_eq!(col_to_row_major(c_cm, m, n), want, "x{threads}");
+        let (k, n) = (40, 9);
+        for m in (1..=2 * NARROW_BLOCK + 1).map(|tiles| tiles * NA8 - 3) {
+            let a = random_mat(m * k, bits, 7 + m as u64);
+            let b = random_mat(k * n, bits, 8);
+            let want = reference_gemm(&a, &b, m, k, n);
+            let pa = pack_a_narrow(&a, m, k);
+            for threads in [1, 2, 3] {
+                let cfg = ParallelConfig { threads, kc: 7, nc: 4 };
+                for isa in Isa::supported() {
+                    let mut ws = GemmWorkspace::new();
+                    let weights = SharedWeights::Narrow(&pa);
+                    let tracer = Tracer::null();
+                    let c_cm =
+                        gemm_parallel_cm_on(isa, &scheme, weights, &b, k, n, &cfg, &mut ws, &tracer);
+                    assert_eq!(col_to_row_major(c_cm, m, n), want, "m {m} x{threads} {isa}");
+                }
+            }
         }
     }
 
