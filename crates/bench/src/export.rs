@@ -340,14 +340,21 @@ pub fn save_trace_json(dir: &Path) -> std::io::Result<PathBuf> {
         Layout::Nchw,
         (0..len).map(|i| (i % 17) as f32 / 8.5 - 1.0).collect(),
     );
+    let plan = Planner::for_arm(&engine).compile(&net).expect("ARM serves every bit width");
+    let exec = Executor::for_arm(&engine);
     // Warm-up pass: packs weights and grows the arena, so the traced run
     // below records the allocation-free steady state.
-    let _ = net.run_arm(&engine, &input);
+    let _ = exec.run(&plan, &net, &input);
 
     let (tracer, sink) = Tracer::recording();
-    let (_, reports, total_ms) = net.run_arm_traced(&engine, &input, &tracer);
+    let run = exec
+        .run_traced(&plan, &net, &input, &tracer)
+        .expect("plan compiled from this network");
+    let (reports, total_ms) = (run.reports, run.total_millis);
     let gpu = GpuEngine::rtx2080ti();
-    let gpu_layers = net.estimate_gpu_layers_traced(&gpu, Tuning::Default, &tracer);
+    let gpu_layers = Planner::for_gpu(&gpu, Tuning::Default)
+        .compile(&net)
+        .and_then(|plan| Executor::for_gpu(&gpu).estimate(&plan, &tracer));
 
     let mut s = String::new();
     s.push_str("{\n");

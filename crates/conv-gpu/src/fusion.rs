@@ -100,37 +100,6 @@ pub fn execute_fused(
     }
 }
 
-/// Prices a whole [`lowbit_qnn::Graph`] on the device model: each node is
-/// one kernel launch (convolutions through `plan`, elementwise stages as
-/// streaming kernels). This is how the Sec. 4.4 fusion rewrites turn into
-/// wall-time: `fuse(graph)` must never price higher than `graph`.
-pub fn graph_time(graph: &lowbit_qnn::Graph, plan: &ConvGpuPlan, device: &Device) -> f64 {
-    use lowbit_qnn::Op;
-    let in_elems = plan.shape.input_len() as u64;
-    let out_elems = plan.shape.output_len() as u64;
-    let mut total = 0.0;
-    for node in &graph.nodes {
-        total += match node.op {
-            Op::Quantize => elementwise_time(device, 4 * in_elems, in_elems),
-            // The fused residual read happens from registers in the conv
-            // epilogue; its cost is the conv's.
-            Op::Conv | Op::ConvRelu | Op::ConvAdd => plan.time(device).total_s,
-            Op::ConvDequant => {
-                let mut p = plan.clone();
-                p.opts.in_place_epilogue = false; // f32 output
-                p.time(device).total_s
-            }
-            Op::Dequantize => elementwise_time(device, out_elems, 4 * out_elems),
-            Op::Relu => elementwise_time(device, out_elems, out_elems),
-            // Residual add reads two operands and writes one.
-            Op::Add => elementwise_time(device, 2 * out_elems, out_elems),
-            // Concat/split are pure data movement over the output tensor.
-            Op::Concat | Op::Split => elementwise_time(device, out_elems, out_elems),
-        };
-    }
-    total
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -170,36 +139,6 @@ mod tests {
             "ReLU fusion removes three kernels, dequant fusion one"
         );
         assert!((1.2..=2.5).contains(&(u_r / f_r)), "got {}", u_r / f_r);
-    }
-
-    #[test]
-    fn graph_fusion_rewrites_never_price_higher() {
-        use lowbit_qnn::{fuse, Graph};
-        let d = Device::rtx2080ti();
-        let plan = plan_for(ConvShape::new(1, 64, 28, 28, 64, 3, 1, 1));
-        let reference = Graph::reference_block();
-        let fused = fuse(&reference);
-        let t_ref = graph_time(&reference, &plan, &d);
-        let t_fused = graph_time(&fused, &plan, &d);
-        assert!(
-            t_fused < t_ref,
-            "fusion must help: {:.2}us vs {:.2}us",
-            t_fused * 1e6,
-            t_ref * 1e6
-        );
-        // The block collapses from 6 kernels to 2; at batch-1 sizes launch
-        // overhead dominates the removed stages, so expect a solid win.
-        assert!(t_ref / t_fused > 1.2, "ratio {}", t_ref / t_fused);
-    }
-
-    #[test]
-    fn graph_time_is_additive_over_ops() {
-        use lowbit_qnn::{Graph, Op};
-        let d = Device::rtx2080ti();
-        let plan = plan_for(ConvShape::new(1, 16, 14, 14, 16, 3, 1, 1));
-        let single = graph_time(&Graph::chain(&[Op::Relu]), &plan, &d);
-        let triple = graph_time(&Graph::chain(&[Op::Relu; 3]), &plan, &d);
-        assert!((triple - 3.0 * single).abs() < 1e-12);
     }
 
     #[test]

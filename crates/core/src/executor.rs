@@ -2,19 +2,20 @@
 //! [`ExecutionPlan`] through the [`Backend`] trait without making a single
 //! algorithm or tiling decision itself.
 //!
-//! The executor owns the inter-layer glue the legacy `Network::run_arm` had
-//! inline: quantize the float input once, keep activations quantized through
-//! every layer, apply each layer's fused epilogue (bias + re-quantization +
-//! ReLU truncation), normalize layouts between heterogeneous backends, and
-//! dequantize at the end. It emits exactly the trace spans and counters the
-//! legacy path did, so the observability invariants hold unchanged.
+//! The executor owns the inter-layer glue: quantize the float input once,
+//! keep activations quantized through every node, apply each layer's fused
+//! epilogue (bias + re-quantization + ReLU truncation), normalize layouts
+//! between heterogeneous backends, and dequantize at the end. Serial and
+//! parallel runs share one wave loop: serial execution is the schedule of
+//! one-node waves in node order, the parallel mode runs the plan's
+//! certified waves.
 
 use crate::arm::ArmEngine;
 use crate::error::CoreError;
 use crate::gpu::{GpuEngine, Tuning};
 use crate::metrics::{ExecKey, ExecMetrics};
 use crate::network::{LayerReport, Network};
-use crate::plan::{BackendKind, ExecutionPlan, LayerPlan, NodePlan, PlanAlgo, PlanOp};
+use crate::plan::{BackendKind, ExecutionPlan, LayerPlan, PlanAlgo, PlanOp};
 use std::borrow::Cow;
 use std::sync::Arc;
 use lowbit_qnn::{quantize_f32, requantize_with_bias, Quantizer};
@@ -265,13 +266,68 @@ impl Executor {
     /// [`Executor::run`] with span recording: each layer gets a parent wall
     /// span (labelled with its algorithm and prepack hit/miss) over the
     /// backend's spans plus a `requantize` span, and — when the ARM engine
-    /// is registered — the three monotone engine counters of the legacy
-    /// path.
+    /// is registered — four monotone engine counters. Serial execution is
+    /// the one-node-wave schedule in node order.
     pub fn run_traced(
         &self,
         plan: &ExecutionPlan,
         net: &Network,
         input: &Tensor<f32>,
+        tracer: &Tracer,
+    ) -> Result<NetworkRun, CoreError> {
+        let order: Vec<usize> = (0..plan.nodes().len()).collect();
+        self.run_waves(plan, net, input, order.chunks(1), tracer)
+    }
+
+    /// Runs `plan` with independent DAG nodes executing concurrently —
+    /// **only** when the plan carries a certified parallel schedule (see
+    /// [`crate::planner::Planner::with_parallel_nodes`]). The certificate
+    /// is re-verified against the plan before the first node runs, so a
+    /// schedule that was forged or has drifted from the plan it was issued
+    /// for is rejected ([`CoreError::ConcRejected`]) rather than raced.
+    pub fn run_parallel(
+        &self,
+        plan: &ExecutionPlan,
+        net: &Network,
+        input: &Tensor<f32>,
+    ) -> Result<NetworkRun, CoreError> {
+        self.run_parallel_traced(plan, net, input, &Tracer::null())
+    }
+
+    /// [`Executor::run_parallel`] with span recording. Wave-mates' spans
+    /// interleave on the shared tracks (their wall spans genuinely overlap);
+    /// everything else about the observable output is bit-exact against
+    /// [`Executor::run_traced`], which runs the same wave loop one node per
+    /// wave.
+    pub fn run_parallel_traced(
+        &self,
+        plan: &ExecutionPlan,
+        net: &Network,
+        input: &Tensor<f32>,
+        tracer: &Tracer,
+    ) -> Result<NetworkRun, CoreError> {
+        let Some(schedule) = plan.parallel_schedule() else {
+            return Err(CoreError::ParallelCertificateMissing);
+        };
+        // Re-prove the schedule against the plan as compiled: disjoint
+        // footprints per wave, reachability-respecting waves, and an intact
+        // digest. Runs in micro-seconds next to the convolutions it gates.
+        crate::verify::verify_conc_compiled(plan)?;
+        self.run_waves(plan, net, input, schedule.waves.iter().map(Vec::as_slice), tracer)
+    }
+
+    /// The one execution loop. Each wave's nodes compute against an
+    /// immutable view of the value slots — a one-node wave inline on the
+    /// caller, a wider one on scoped threads — then their stores apply in
+    /// ascending node order. Reports and modeled millis accumulate in
+    /// *global* node order after the last wave, so a node scheduled ahead
+    /// of lower-numbered peers never perturbs the float summation order.
+    fn run_waves<'w>(
+        &self,
+        plan: &ExecutionPlan,
+        net: &Network,
+        input: &Tensor<f32>,
+        waves: impl Iterator<Item = &'w [usize]>,
         tracer: &Tracer,
     ) -> Result<NetworkRun, CoreError> {
         plan.validate_for(net)?;
@@ -285,7 +341,7 @@ impl Executor {
         // Value slots: the runtime image of the plan's activation arena.
         // A slot holds its value from the producing node until its last
         // consumer has read it; the live-byte sum is checked against the
-        // plan's certified high-water mark after every definition.
+        // plan's certified high-water mark after every wave.
         let mut slots: Vec<Option<QTensor>> = vec![None; values.len()];
         let mut scales: Vec<f32> = vec![0.0; values.len()];
         let mut uses_left: Vec<usize> = vec![0; values.len()];
@@ -304,33 +360,63 @@ impl Executor {
         slots[0] = Some(quantize_f32(input, &q_in));
         scales[0] = q_in.scale;
 
-        let mut reports = Vec::with_capacity(plan.layers().len());
-        let mut total = 0.0;
-        for (step, node) in plan.nodes().iter().enumerate() {
-            let (q, out_scale, report) =
-                self.execute_node(plan, net, step, node, &slots, &scales, tracer)?;
-            if let Some(r) = report {
-                total += r.millis;
-                reports.push(r);
+        let mut node_reports: Vec<Option<LayerReport>> = vec![None; plan.nodes().len()];
+        for wave in waves {
+            // The certificate proves wave-mates touch disjoint arena spans
+            // and workspace slices, so the only shared state is behind the
+            // engines' own locks.
+            let mut produced: Vec<(usize, NodeOutcome)> = match *wave {
+                [step] => vec![(step, self.execute_node(plan, net, step, &slots, &scales, tracer))],
+                _ => {
+                    let (slots, scales) = (&slots, &scales);
+                    std::thread::scope(|scope| {
+                        let handles: Vec<_> = wave
+                            .iter()
+                            .map(|&step| {
+                                scope.spawn(move || {
+                                    (step, self.execute_node(plan, net, step, slots, scales, tracer))
+                                })
+                            })
+                            .collect();
+                        handles
+                            .into_iter()
+                            .map(|h| h.join().expect("wave worker panicked"))
+                            .collect()
+                    })
+                }
+            };
+            // Apply stores — and surface the first error — in ascending
+            // node order.
+            produced.sort_by_key(|&(step, _)| step);
+            for (step, result) in produced {
+                let (q, out_scale, report) = result?;
+                node_reports[step] = report;
+                let output = plan.nodes()[step].output;
+                if slots[output].is_none() {
+                    live_bytes += values[output].bytes;
+                }
+                slots[output] = Some(q);
+                scales[output] = out_scale;
             }
-            if slots[node.output].is_none() {
-                live_bytes += values[node.output].bytes;
-            }
-            slots[node.output] = Some(q);
-            scales[node.output] = out_scale;
-            // Inputs stay live through the step that consumes them — the
-            // arena model counts both sides of a def — so check the bound
-            // before releasing anything.
+            // Wave-granular liveness: every wave output is resident before
+            // any wave input retires — the arena model counts both sides of
+            // a def, and wave-mates' ranges are the wave-coarsened ones the
+            // certificate proved disjoint — so the certified high-water mark
+            // bounds this sum for any accepted schedule.
             if live_bytes > declared {
                 return Err(CoreError::ActivationArenaExceeded { observed: live_bytes, declared });
             }
-            for &v in &node.inputs {
-                uses_left[v] -= 1;
-                if uses_left[v] == 0 && slots[v].take().is_some() {
-                    live_bytes -= values[v].bytes;
+            for &step in wave {
+                for &v in &plan.nodes()[step].inputs {
+                    uses_left[v] -= 1;
+                    if uses_left[v] == 0 && slots[v].take().is_some() {
+                        live_bytes -= values[v].bytes;
+                    }
                 }
             }
         }
+        let reports: Vec<LayerReport> = node_reports.into_iter().flatten().collect();
+        let total = reports.iter().fold(0.0, |t, r| t + r.millis);
         let act = slots[output_value].take().expect("output value is held live");
         let act = if act.layout() == Layout::Nchw { act } else { act.to_layout(Layout::Nchw) };
         let act_scale = scales[output_value];
@@ -344,21 +430,19 @@ impl Executor {
     /// Computes one DAG node over an immutable view of the value slots,
     /// returning the produced tensor (already normalized to the layout the
     /// plan recorded for its output value), its scale, and — for conv
-    /// nodes — the unified layer report. Shared verbatim by the serial loop
-    /// and the certified parallel mode so the two stay bit-exact: every
-    /// arithmetic expression a node evaluates lives here, and the callers
-    /// only differ in *when* they invoke it and how they order the stores.
-    #[allow(clippy::too_many_arguments)]
+    /// nodes — the unified layer report. Every arithmetic expression a node
+    /// evaluates lives here, so a node computes the same bits whichever
+    /// wave it runs in and whether or not it has wave-mates.
     fn execute_node(
         &self,
         plan: &ExecutionPlan,
         net: &Network,
         step: usize,
-        node: &NodePlan,
         slots: &[Option<QTensor>],
         scales: &[f32],
         tracer: &Tracer,
     ) -> NodeOutcome {
+        let node = &plan.nodes()[step];
         let (q, out_scale, report) = match node.op {
             PlanOp::Conv { layer: li, fused_add } => {
                 let lp = &plan.layers()[li];
@@ -442,164 +526,11 @@ impl Executor {
         Ok((q, out_scale, report))
     }
 
-    /// Runs `plan` with independent DAG nodes executing concurrently —
-    /// **only** when the plan carries a certified parallel schedule (see
-    /// [`crate::planner::Planner::with_parallel_nodes`]). The certificate
-    /// is re-verified against the plan before the first node runs, so a
-    /// schedule that was forged or has drifted from the plan it was issued
-    /// for is rejected ([`CoreError::ConcRejected`]) rather than raced.
-    pub fn run_parallel(
-        &self,
-        plan: &ExecutionPlan,
-        net: &Network,
-        input: &Tensor<f32>,
-    ) -> Result<NetworkRun, CoreError> {
-        self.run_parallel_traced(plan, net, input, &Tracer::null())
-    }
-
-    /// [`Executor::run_parallel`] with span recording. Wave-mates' spans
-    /// interleave on the shared tracks (their wall spans genuinely overlap);
-    /// everything else about the observable output is bit-exact against
-    /// [`Executor::run_traced`]: stores are applied in ascending node order
-    /// within each wave, and reports plus modeled-millis accumulate in
-    /// *global* node order after the last wave — a node scheduled into an
-    /// early wave ahead of lower-numbered peers must not perturb the float
-    /// summation order the serial path uses.
-    pub fn run_parallel_traced(
-        &self,
-        plan: &ExecutionPlan,
-        net: &Network,
-        input: &Tensor<f32>,
-        tracer: &Tracer,
-    ) -> Result<NetworkRun, CoreError> {
-        let Some(schedule) = plan.parallel_schedule() else {
-            return Err(CoreError::ParallelCertificateMissing);
-        };
-        // Re-prove the schedule against the plan as compiled: disjoint
-        // footprints per wave, reachability-respecting waves, and an intact
-        // digest. Runs in micro-seconds next to the convolutions it gates.
-        crate::verify::verify_conc_compiled(plan)?;
-        plan.validate_for(net)?;
-        let values = plan.values();
-        let expected = values[0].dims;
-        if input.dims() != expected {
-            return Err(CoreError::InputShapeMismatch { expected, got: input.dims() });
-        }
-        let q_in = calibrate_input(values[0].bits, input)?;
-        let mut slots: Vec<Option<QTensor>> = vec![None; values.len()];
-        let mut scales: Vec<f32> = vec![0.0; values.len()];
-        let mut uses_left: Vec<usize> = vec![0; values.len()];
-        for node in plan.nodes() {
-            for &v in &node.inputs {
-                uses_left[v] += 1;
-            }
-        }
-        let output_value = plan.output_value();
-        uses_left[output_value] += 1;
-        let declared = plan.activation_high_water_bytes();
-        let mut live_bytes = values[0].bytes;
-        if live_bytes > declared {
-            return Err(CoreError::ActivationArenaExceeded { observed: live_bytes, declared });
-        }
-        slots[0] = Some(quantize_f32(input, &q_in));
-        scales[0] = q_in.scale;
-
-        let mut node_reports: Vec<Option<LayerReport>> = vec![None; plan.nodes().len()];
-        for wave in &schedule.waves {
-            // Compute the whole wave against an immutable view of the
-            // slots; the certificate proves wave-mates touch disjoint
-            // arena spans and workspace slices, so the only shared state
-            // is behind the engines' own locks.
-            let mut produced: Vec<(usize, NodeOutcome)> =
-                if wave.len() == 1 {
-                    let step = wave[0];
-                    let node = &plan.nodes()[step];
-                    vec![(step, self.execute_node(plan, net, step, node, &slots, &scales, tracer))]
-                } else {
-                    let slots_view = &slots;
-                    let scales_view = &scales;
-                    std::thread::scope(|scope| {
-                        let handles: Vec<_> = wave
-                            .iter()
-                            .map(|&step| {
-                                scope.spawn(move || {
-                                    let node = &plan.nodes()[step];
-                                    (
-                                        step,
-                                        self.execute_node(
-                                            plan,
-                                            net,
-                                            step,
-                                            node,
-                                            slots_view,
-                                            scales_view,
-                                            tracer,
-                                        ),
-                                    )
-                                })
-                            })
-                            .collect();
-                        handles
-                            .into_iter()
-                            .map(|h| h.join().expect("wave worker panicked"))
-                            .collect()
-                    })
-                };
-            // Apply stores — and surface the first error — in ascending
-            // node order, matching serial float-summation and report order.
-            produced.sort_by_key(|&(step, _)| step);
-            for (step, result) in produced {
-                let (q, out_scale, report) = result?;
-                node_reports[step] = report;
-                let node = &plan.nodes()[step];
-                if slots[node.output].is_none() {
-                    live_bytes += values[node.output].bytes;
-                }
-                slots[node.output] = Some(q);
-                scales[node.output] = out_scale;
-            }
-            // Wave-granular liveness: every wave output is resident before
-            // any wave input retires — exactly the wave-coarsened ranges
-            // the certificate proved disjoint — so the certified high-water
-            // mark bounds this sum for any accepted schedule.
-            if live_bytes > declared {
-                return Err(CoreError::ActivationArenaExceeded { observed: live_bytes, declared });
-            }
-            for &step in wave {
-                for &v in &plan.nodes()[step].inputs {
-                    uses_left[v] -= 1;
-                    if uses_left[v] == 0 && slots[v].take().is_some() {
-                        live_bytes -= values[v].bytes;
-                    }
-                }
-            }
-        }
-        let mut reports = Vec::with_capacity(plan.layers().len());
-        let mut total = 0.0;
-        for report in node_reports.into_iter().flatten() {
-            total += report.millis;
-            reports.push(report);
-        }
-        let act = slots[output_value].take().expect("output value is held live");
-        let act = if act.layout() == Layout::Nchw { act } else { act.to_layout(Layout::Nchw) };
-        let act_scale = scales[output_value];
-        let mut output = Tensor::zeros(act.dims(), act.layout());
-        for (o, &q) in output.data_mut().iter_mut().zip(act.data()) {
-            *o = q as f32 * act_scale;
-        }
-        Ok(NetworkRun { output, reports, total_millis: total })
-    }
-
     /// Models every layer of `plan` without executing, returning the same
     /// unified reports (prepack/workspace fields zero — estimation touches
-    /// no state).
-    pub fn estimate(&self, plan: &ExecutionPlan) -> Result<Vec<LayerReport>, CoreError> {
-        self.estimate_traced(plan, &Tracer::null())
-    }
-
-    /// [`Executor::estimate`] with span recording: each modeled layer's
-    /// stages land on a backend-specific modeled track.
-    pub fn estimate_traced(
+    /// no state). GPU layers record their modeled stages on a
+    /// `gpu modeled/<layer>` track; ARM estimates record nothing.
+    pub fn estimate(
         &self,
         plan: &ExecutionPlan,
         tracer: &Tracer,
@@ -735,7 +666,7 @@ mod tests {
         let engine = ArmEngine::cortex_a53();
         let net = Network::demo(BitWidth::W6, 12, 9);
         let plan = Planner::for_arm(&engine).compile(&net).unwrap();
-        let reports = Executor::for_arm(&engine).estimate(&plan).unwrap();
+        let reports = Executor::for_arm(&engine).estimate(&plan, &Tracer::null()).unwrap();
         for (r, lp) in reports.iter().zip(plan.layers()) {
             assert!((r.millis - lp.predicted_millis).abs() < 1e-12, "{}", r.name);
             assert_eq!(r.algo, lp.algo);
@@ -797,6 +728,62 @@ mod tests {
                 assert_eq!(s.prepack_misses, p.prepack_misses, "{bits}: {}", s.name);
             }
         }
+    }
+
+    #[test]
+    fn serial_and_parallel_entry_points_record_the_same_trace() {
+        let traced = |def: &lowbit_models::GraphDef, parallel: bool| {
+            let net = Network::from_graph_defs(def, BitWidth::W4, 11).unwrap();
+            // A fresh engine per run, so prepack hit/miss labels and the
+            // cumulative counters start from the same state; one GEMM
+            // thread, so kernel worker spans cannot reorder between runs.
+            let engine = ArmEngine::cortex_a53().with_threads(1);
+            let plan =
+                Planner::for_arm(&engine).with_parallel_nodes(true).compile(&net).unwrap();
+            let (tracer, sink) = Tracer::recording();
+            let exec = Executor::for_arm(&engine);
+            let input = float_input((1, 256, 8, 8), 17);
+            if parallel {
+                exec.run_parallel_traced(&plan, &net, &input, &tracer).unwrap();
+            } else {
+                exec.run_traced(&plan, &net, &input, &tracer).unwrap();
+            }
+            (plan, sink.capture())
+        };
+        // Every wave of the residual block holds one node, so both entry
+        // points walk the same schedule and record the same event sequence.
+        let residual = lowbit_models::resnet50_residual_block(8);
+        let (plan, serial) = traced(&residual, false);
+        let schedule = plan.parallel_schedule().expect("parallel compile certifies");
+        assert_eq!(schedule.max_wave_width(), 1);
+        let (_, parallel) = traced(&residual, true);
+        let spans = |c: &lowbit_trace::TraceCapture| -> Vec<(String, Option<String>)> {
+            c.spans.iter().map(|s| (s.name.clone(), s.label.clone())).collect()
+        };
+        let counters = |c: &lowbit_trace::TraceCapture| -> Vec<String> {
+            c.counters.iter().map(|k| k.name.clone()).collect()
+        };
+        assert!(!serial.spans.is_empty() && !serial.counters.is_empty());
+        assert_eq!(spans(&serial), spans(&parallel));
+        assert_eq!(counters(&serial), counters(&parallel));
+        // The projection block runs two convs in one wave: their events
+        // interleave, but the same layers run under the same labels.
+        let projection = lowbit_models::resnet50_projection_block(8);
+        let layer_labels = |c: &lowbit_trace::TraceCapture| -> Vec<String> {
+            let mut labels: Vec<String> = c
+                .spans
+                .iter()
+                .filter(|s| s.name == "layer")
+                .map(|s| s.label.clone().expect("layer spans are labelled"))
+                .collect();
+            labels.sort();
+            labels
+        };
+        let (plan, serial) = traced(&projection, false);
+        assert!(plan.parallel_schedule().unwrap().max_wave_width() >= 2);
+        let (_, parallel) = traced(&projection, true);
+        assert_eq!(layer_labels(&serial).len(), plan.nodes().len());
+        assert_eq!(layer_labels(&serial), layer_labels(&parallel));
     }
 
     #[test]

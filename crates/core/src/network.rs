@@ -2,24 +2,18 @@
 //! stated future work: "integrate our low-bit convolution optimizations …
 //! to enable end-to-end optimization").
 //!
-//! A [`Network`] is a validated chain of quantized conv(+bias+ReLU) layers.
-//! Execution goes through the plan/execute pipeline: a
-//! [`crate::planner::Planner`] compiles the network into an
+//! A [`Network`] is a validated DAG of quantized conv(+bias+ReLU) layers
+//! joined by residual adds and dense concats. It only describes the model:
+//! a [`crate::planner::Planner`] compiles it into an
 //! [`crate::plan::ExecutionPlan`] offline, and a
-//! [`crate::executor::Executor`] runs it. The `run_arm` / `estimate_*`
-//! methods on [`Network`] remain as thin convenience shims over that
-//! pipeline (deprecated in spirit: new code should plan once and execute
-//! many times).
+//! [`crate::executor::Executor`] runs or estimates that plan.
 
-use crate::arm::{ArmAlgo, ArmEngine};
+use crate::arm::ArmAlgo;
 use crate::error::CoreError;
-use crate::executor::Executor;
 use crate::graph::{GraphNode, GraphTopology, NodeOp, ValueInfo};
 use crate::plan::{BackendKind, PlanAlgo};
-use crate::planner::Planner;
 use lowbit_qnn::RequantParams;
-use lowbit_tensor::{BitWidth, ConvShape, Layout, QTensor, Tensor};
-use lowbit_trace::Tracer;
+use lowbit_tensor::{BitWidth, ConvShape, Layout, QTensor};
 use turing_sim::KernelTime;
 
 /// One conv(+bias+ReLU) layer of a sequential network.
@@ -175,6 +169,14 @@ impl Network {
         let mut layers: Vec<NetLayer> = Vec::new();
         let mut nodes: Vec<GraphNode> = Vec::new();
         for (i, node) in def.nodes.iter().enumerate() {
+            // An add or concat infers its output value from its operands, so
+            // a missing or dangling operand is refused before that lookup.
+            if node.inputs.is_empty() || node.inputs.iter().any(|&v| v > i) {
+                return Err(CoreError::GraphTopologyBroken {
+                    node: node.name.into(),
+                    detail: format!("inputs {:?} do not all name values defined before node {i}", node.inputs),
+                });
+            }
             let out = match &node.op {
                 lowbit_models::GraphOpDef::Conv { def: ld, relu } => {
                     let shape = ld.shape;
@@ -320,93 +322,18 @@ impl Network {
     pub fn topology(&self) -> &GraphTopology {
         &self.topology
     }
-
-    /// Runs the network on a float input: quantize once, stay quantized
-    /// through every conv(+fused ReLU), dequantize at the end.
-    ///
-    /// Returns the float output, the per-layer reports and the total modeled
-    /// milliseconds.
-    ///
-    /// Convenience shim over the plan/execute pipeline — equivalent to
-    /// `Planner::for_arm(engine).compile(net)` followed by
-    /// `Executor::for_arm(engine).run(...)`. New code should hold on to the
-    /// plan and execute it many times instead.
-    pub fn run_arm(
-        &self,
-        engine: &ArmEngine,
-        input: &Tensor<f32>,
-    ) -> (Tensor<f32>, Vec<LayerReport>, f64) {
-        self.run_arm_traced(engine, input, &Tracer::null())
-    }
-
-    /// [`Network::run_arm`] with span recording: each layer gets a parent
-    /// wall span (labelled with its algorithm choice and prepack hit/miss)
-    /// over the engine's conv spans plus a `requantize` span, and three
-    /// monotone counters track the run: cumulative modeled milliseconds,
-    /// cumulative prepack hits, and the workspace high-water mark.
-    pub fn run_arm_traced(
-        &self,
-        engine: &ArmEngine,
-        input: &Tensor<f32>,
-        tracer: &Tracer,
-    ) -> (Tensor<f32>, Vec<LayerReport>, f64) {
-        let plan = Planner::for_arm(engine)
-            .compile(self)
-            .expect("ARM serves every bit width");
-        let run = Executor::for_arm(engine)
-            .run_traced(&plan, self, input, tracer)
-            .expect("plan compiled from this network");
-        (run.output, run.reports, run.total_millis)
-    }
-
-    /// Per-layer modeled GPU reports with the full stage breakdown
-    /// ([`CoreError::UnsupportedBitWidth`] when any layer's bit width has no
-    /// Tensor Core path) — the same unified [`LayerReport`] the ARM path
-    /// produces. Shim over a GPU-only plan compile + estimate.
-    pub fn estimate_gpu_layers(
-        &self,
-        engine: &crate::gpu::GpuEngine,
-        tuning: crate::gpu::Tuning,
-    ) -> Result<Vec<LayerReport>, CoreError> {
-        self.estimate_gpu_layers_traced(engine, tuning, &Tracer::null())
-    }
-
-    /// [`Network::estimate_gpu_layers`] with span recording: each layer's
-    /// modeled launch stages land on a `gpu modeled/<layer>` track.
-    pub fn estimate_gpu_layers_traced(
-        &self,
-        engine: &crate::gpu::GpuEngine,
-        tuning: crate::gpu::Tuning,
-        tracer: &Tracer,
-    ) -> Result<Vec<LayerReport>, CoreError> {
-        let plan = Planner::for_gpu(engine, tuning).compile(self)?;
-        Executor::for_gpu(engine).estimate_traced(&plan, tracer)
-    }
-
-    /// Modeled total microseconds on a GPU engine
-    /// ([`CoreError::UnsupportedBitWidth`] when any layer's bit width has no
-    /// Tensor Core path).
-    pub fn estimate_gpu(
-        &self,
-        engine: &crate::gpu::GpuEngine,
-        tuning: crate::gpu::Tuning,
-    ) -> Result<f64, CoreError> {
-        let reports = self.estimate_gpu_layers(engine, tuning)?;
-        Ok(reports.iter().map(|r| r.micros()).sum())
-    }
-
-    /// Modeled total milliseconds on an ARM engine without executing.
-    /// `Result` for symmetry with [`Network::estimate_gpu`] (the ARM backend
-    /// serves every bit width, so this only fails if compilation does).
-    pub fn estimate_arm(&self, engine: &ArmEngine) -> Result<f64, CoreError> {
-        Ok(Planner::for_arm(engine).compile(self)?.predicted_millis())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arm::ArmEngine;
+    use crate::executor::{Executor, NetworkRun};
+    use crate::gpu::{GpuEngine, Tuning};
+    use crate::planner::Planner;
     use lowbit_qnn::{quantize_f32, relu_q, Quantizer};
+    use lowbit_tensor::Tensor;
+    use lowbit_trace::Tracer;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -420,16 +347,24 @@ mod tests {
         )
     }
 
+    /// Compiles `net` for the ARM engine and runs it once.
+    fn compile_and_run(net: &Network, engine: &ArmEngine, input: &Tensor<f32>) -> NetworkRun {
+        let plan = Planner::for_arm(engine).compile(net).unwrap();
+        Executor::for_arm(engine).run(&plan, net, input).unwrap()
+    }
+
     #[test]
     fn demo_network_runs_end_to_end() {
         let net = Network::demo(BitWidth::W4, 12, 9);
         let engine = ArmEngine::cortex_a53();
         let input = float_input((1, 3, 12, 12), 5);
-        let (out, reports, total) = net.run_arm(&engine, &input);
+        let plan = Planner::for_arm(&engine).compile(&net).unwrap();
+        let NetworkRun { output: out, reports, total_millis: total } =
+            Executor::for_arm(&engine).run(&plan, &net, &input).unwrap();
         assert_eq!(out.dims(), (1, 8, 6, 6));
         assert_eq!(reports.len(), 3);
         assert!((reports.iter().map(|r| r.millis).sum::<f64>() - total).abs() < 1e-9);
-        assert!((net.estimate_arm(&engine).unwrap() - total).abs() < 1e-9);
+        assert!((plan.predicted_millis() - total).abs() < 1e-9);
         // At this tiny size the 3-channel transforms outweigh the Winograd
         // MAC saving, and c_out = 8 fits the narrow tile exactly (the wide
         // 16-row tile would waste half its lanes) — the selection is by
@@ -438,6 +373,29 @@ mod tests {
         assert_eq!(reports[0].backend, BackendKind::Arm);
         let big = ConvShape::new(1, 64, 56, 56, 64, 3, 1, 1);
         assert_eq!(engine.select_algo(BitWidth::W4, &big), ArmAlgo::Winograd);
+    }
+
+    #[test]
+    fn graph_defs_with_dangling_or_missing_operands_are_typed_errors() {
+        use lowbit_models::{GraphDef, GraphNodeDef, GraphOpDef};
+        let rejects = |edit: fn(&mut GraphDef)| {
+            let mut def = lowbit_models::resnet50_residual_block(8);
+            edit(&mut def);
+            let err = Network::from_graph_defs(&def, BitWidth::W4, 11).unwrap_err();
+            assert!(matches!(err, CoreError::GraphTopologyBroken { .. }), "{err:?}");
+        };
+        // A conv reading an undefined value (always a typed error).
+        rejects(|d| d.nodes[0].inputs = vec![7]);
+        // An add whose first operand names an undefined value.
+        rejects(|d| {
+            d.nodes[0] =
+                GraphNodeDef { name: "residual", op: GraphOpDef::Add, inputs: vec![7, 0] }
+        });
+        // A concat with no operands, and one whose later operand dangles.
+        rejects(|d| d.nodes[3] = GraphNodeDef { name: "cat", op: GraphOpDef::Concat, inputs: vec![] });
+        rejects(|d| {
+            d.nodes[3] = GraphNodeDef { name: "cat", op: GraphOpDef::Concat, inputs: vec![3, 9] }
+        });
     }
 
     #[test]
@@ -458,7 +416,7 @@ mod tests {
         let input = float_input((1, 3, 12, 12), 5);
         // Warm-up: packs each GEMM-family layer's weights once and grows the
         // workspace arena to its high-water mark.
-        let (first, ..) = net.run_arm(&engine, &input);
+        let first = compile_and_run(&net, &engine, &input).output;
         let warm_ws = engine.workspace_stats();
         let warm_pack = engine.prepack_stats();
         assert!(warm_pack.misses > 0, "demo net has GEMM-family layers");
@@ -466,7 +424,7 @@ mod tests {
         // Steady state: identical results, zero new allocations, zero new
         // weight packs — every conv hits the prepack cache.
         for _ in 0..3 {
-            let (out, ..) = net.run_arm(&engine, &input);
+            let out = compile_and_run(&net, &engine, &input).output;
             assert_eq!(out.data(), first.data());
         }
         let ws = engine.workspace_stats();
@@ -500,19 +458,25 @@ mod tests {
     #[test]
     fn lower_bits_run_the_whole_network_faster() {
         let engine = ArmEngine::cortex_a53();
-        let t2 = Network::demo(BitWidth::W2, 16, 1).estimate_arm(&engine).unwrap();
-        let t8 = Network::demo(BitWidth::W8, 16, 1).estimate_arm(&engine).unwrap();
+        let predict = |bits| {
+            let net = Network::demo(bits, 16, 1);
+            Planner::for_arm(&engine).compile(&net).unwrap().predicted_millis()
+        };
+        let (t2, t8) = (predict(BitWidth::W2), predict(BitWidth::W8));
         assert!(t2 < t8, "2-bit net ({t2:.3}ms) must beat 8-bit ({t8:.3}ms)");
     }
 
     #[test]
     fn gpu_estimate_exists_only_for_tensor_core_widths() {
-        let gpu = crate::gpu::GpuEngine::rtx2080ti();
+        let gpu = GpuEngine::rtx2080ti();
+        let planner = Planner::for_gpu(&gpu, Tuning::Default);
         let net4 = Network::demo(BitWidth::W4, 12, 3);
-        assert!(net4.estimate_gpu(&gpu, crate::gpu::Tuning::Default).unwrap() > 0.0);
+        let plan4 = planner.compile(&net4).unwrap();
+        let reports = Executor::for_gpu(&gpu).estimate(&plan4, &Tracer::null()).unwrap();
+        assert!(reports.iter().all(|r| r.millis > 0.0 && r.gpu_time.is_some()));
         let net5 = Network::demo(BitWidth::W5, 12, 3);
         assert!(matches!(
-            net5.estimate_gpu(&gpu, crate::gpu::Tuning::Default),
+            planner.compile(&net5),
             Err(CoreError::UnsupportedBitWidth { bits: BitWidth::W5, backend: BackendKind::GpuModel })
         ));
     }
@@ -566,12 +530,12 @@ mod tests {
         // Batched execution of duplicated inputs matches batch-1 per sample.
         let engine = ArmEngine::cortex_a53();
         let single = float_input((1, 3, 12, 12), 5);
-        let (ref_out, ..) = net.run_arm(&engine, &single);
+        let ref_out = compile_and_run(&net, &engine, &single).output;
         let mut dup = Tensor::zeros((2, 3, 12, 12), Layout::Nchw);
         let n = single.data().len();
         dup.data_mut()[..n].copy_from_slice(single.data());
         dup.data_mut()[n..].copy_from_slice(single.data());
-        let (out2, ..) = batched.with_batch(2).unwrap().run_arm(&engine, &dup);
+        let out2 = compile_and_run(&batched.with_batch(2).unwrap(), &engine, &dup).output;
         let m = ref_out.data().len();
         assert_eq!(&out2.data()[..m], ref_out.data());
         assert_eq!(&out2.data()[m..], ref_out.data());

@@ -12,8 +12,8 @@
 //! ARM candidate ranking deliberately uses the *cold* (one-shot) schedules,
 //! exactly as the engine's historical `select_algo` did: the relative order
 //! of algorithms is a property of the kernels, and keeping the legacy metric
-//! makes `Planner::compile` + `Executor::run` reproduce `run_arm` bit for
-//! bit. The committed [`LayerPlan::predicted_millis`] is the *warm*
+//! makes `Planner::compile` + `Executor::run` reproduce per-call
+//! `ArmAlgo::Auto` convolutions bit for bit. The committed [`LayerPlan::predicted_millis`] is the *warm*
 //! (prepacked) cost — what repeated execution actually pays.
 
 use crate::arm::{arm_schedule, prepack_fingerprint, ArmAlgo, ArmEngine};

@@ -4,17 +4,16 @@
 //! `quantize → conv(+re-quantize) → dequantize → quantize → ReLU → dequantize`;
 //! this crate provides the linear symmetric quantizer, the i32→i8
 //! re-quantization (with the adjustable truncation range that makes
-//! conv+ReLU fusion possible), the elementwise ops, and a small layer graph
-//! with the two fusion rewrites of Sec. 4.4.
+//! conv+ReLU fusion possible), per-channel quantization and the elementwise
+//! ops. The network graph lives in `lowbit::graph`; the Sec. 4.4 fusion
+//! pricing lives in `lowbit_conv_gpu::fusion`.
 
 #![forbid(unsafe_code)]
 
-pub mod graph;
 pub mod per_channel;
 pub mod ops;
 pub mod quant;
 
-pub use graph::{fuse, Graph, Node, Op, ValueId};
 pub use ops::{add_bias, relu_f32, relu_q};
 pub use per_channel::{per_tensor_mse, PerChannelQuantizer};
 pub use quant::{

@@ -1,14 +1,15 @@
-//! A full quantized network block with fusion (paper Sec. 4.4): runs the
-//! reference sequence `quantize -> conv -> dequantize -> quantize -> ReLU ->
-//! dequantize` and its fused form on real data, verifies they agree
-//! elementwise, and prices both pipelines on the GPU model.
+//! Conv+ReLU quantization fusion (paper Sec. 4.4): runs the reference
+//! sequence `quantize -> conv -> dequantize -> quantize -> ReLU ->
+//! dequantize` and its fused form (ReLU folded into the re-quantization
+//! range) on real data, verifies they agree elementwise, and prices both
+//! pipelines on the GPU model (Fig. 12).
 //!
 //! ```sh
 //! cargo run --release --example quantized_block
 //! ```
 
 use lowbit::prelude::*;
-use lowbit::qnn::{fuse, quantize_f32, relu_f32, Graph, Quantizer, RequantParams};
+use lowbit::qnn::{quantize_f32, relu_f32, Quantizer, RequantParams};
 use lowbit_conv_gpu::fusion::{execute_fused, relu_fusion_times, FusionMode};
 use lowbit_conv_gpu::{auto_search, ConvGpuPlan};
 use rand::rngs::StdRng;
@@ -32,17 +33,6 @@ fn main() {
     let weights = quantize_f32(
         &Tensor::from_vec((shape.c_out, shape.c_in, shape.kh, shape.kw), Layout::Nhwc, weight_f),
         &qw,
-    );
-
-    // The graph rewrite: 6 kernels collapse to 2.
-    let reference = Graph::reference_block();
-    let fused = fuse(&reference);
-    println!(
-        "graph : {:?} ({} kernels)\n     -> {:?} ({} kernels)",
-        reference.ops(),
-        reference.kernel_count(),
-        fused.ops(),
-        fused.kernel_count()
     );
 
     // Execute both forms of the conv+ReLU block and verify equivalence.

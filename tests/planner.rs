@@ -21,7 +21,7 @@ fn float_input(dims: (usize, usize, usize, usize), seed: u64) -> Tensor<f32> {
     )
 }
 
-/// The legacy `run_arm` loop, written out against the per-call engine API:
+/// The pre-planner network loop, written out against the per-call engine API:
 /// quantize once, `ArmAlgo::Auto` conv per layer, fused requant, dequantize.
 /// The plan/execute pipeline must reproduce this exactly.
 fn legacy_run(
@@ -54,7 +54,7 @@ fn legacy_run(
 /// Acceptance cross-check: for `Network::demo` at every `BitWidth`, the
 /// compiled plan's execution matches the legacy path bit-exactly — output
 /// tensors, chosen algorithms, and the modeled totals, which must also equal
-/// `estimate_arm`.
+/// the plan's prediction.
 #[test]
 fn plan_execute_reproduces_legacy_path_at_every_bit_width() {
     for bits in [
@@ -87,9 +87,8 @@ fn plan_execute_reproduces_legacy_path_at_every_bit_width() {
             "{bits}: totals {} vs {legacy_total}",
             run.total_millis
         );
-        let est = net.estimate_arm(&engine).unwrap();
-        assert!((est - legacy_total).abs() < 1e-12, "{bits}: estimate_arm {est} vs {legacy_total}");
-        assert!((plan.predicted_millis() - legacy_total).abs() < 1e-12, "{bits}");
+        let est = plan.predicted_millis();
+        assert!((est - legacy_total).abs() < 1e-12, "{bits}: predicted {est} vs {legacy_total}");
     }
 }
 

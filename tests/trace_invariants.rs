@@ -6,7 +6,7 @@
 use lowbit::prelude::*;
 use lowbit::trace::chrome::{chrome_trace_json, validate_chrome_trace};
 use lowbit::trace::SpanKind;
-use lowbit::{stage_attribution, ArmAlgo, Network};
+use lowbit::{stage_attribution, ArmAlgo};
 use std::alloc::{GlobalAlloc, Layout as AllocLayout, System};
 use std::cell::Cell;
 
@@ -58,6 +58,23 @@ fn demo_input(hw: usize) -> Tensor<f32> {
     Tensor::from_vec((1, 3, hw, hw), Layout::Nchw, data)
 }
 
+/// Compiles `net` for the ARM engine and runs it once under `tracer`.
+fn run_on_arm(net: &Network, engine: &ArmEngine, input: &Tensor<f32>, tracer: &Tracer) -> NetworkRun {
+    let plan = Planner::for_arm(engine).compile(net).expect("ARM serves every bit width");
+    Executor::for_arm(engine)
+        .run_traced(&plan, net, input, tracer)
+        .expect("plan compiled from this network")
+}
+
+/// Per-layer modeled GPU reports for `net`, stage spans recorded on `tracer`.
+fn estimate_gpu(net: &Network, tracer: &Tracer) -> Vec<LayerReport> {
+    let gpu = GpuEngine::rtx2080ti();
+    let plan = Planner::for_gpu(&gpu, Tuning::Default)
+        .compile(net)
+        .expect("demo network is GPU-estimable");
+    Executor::for_gpu(&gpu).estimate(&plan, tracer).expect("GPU backend registered")
+}
+
 /// The conservation invariant from DESIGN.md: summing the per-stage
 /// `modeled_cycles` attribution of the spans on a layer's modeled track and
 /// converting through the engine's cost model must reproduce the layer's
@@ -72,8 +89,9 @@ fn modeled_span_attribution_conserves_layer_millis() {
         let (tracer, sink) = Tracer::recording();
         // Warm run fills the prepack cache so the traced run's estimate
         // matches `estimate_millis` (which models the steady state).
-        net.run_arm(&engine, &input);
-        let (_, reports, total) = net.run_arm_traced(&engine, &input, &tracer);
+        run_on_arm(&net, &engine, &input, &Tracer::null());
+        let NetworkRun { reports, total_millis: total, .. } =
+            run_on_arm(&net, &engine, &input, &tracer);
         let cap = sink.capture();
 
         let mut sum_of_layers = 0.0f64;
@@ -147,12 +165,9 @@ fn modeled_spans_mirror_schedule_stages() {
 /// parent span whose extent is exactly the sum of its children.
 #[test]
 fn gpu_modeled_stages_tile_the_parent_span() {
-    let gpu = GpuEngine::rtx2080ti();
     let net = Network::demo(BitWidth::W4, 16, 5);
     let (tracer, sink) = Tracer::recording();
-    let layers = net
-        .estimate_gpu_layers_traced(&gpu, Tuning::Default, &tracer)
-        .expect("demo network is GPU-estimable");
+    let layers = estimate_gpu(&net, &tracer);
     let cap = sink.capture();
     assert_eq!(layers.len(), 3);
     for layer in &layers {
@@ -180,10 +195,9 @@ fn chrome_trace_export_round_trips() {
     let net = Network::demo(BitWidth::W4, 16, 5);
     let input = demo_input(16);
     let (tracer, sink) = Tracer::recording();
-    net.run_arm_traced(&engine, &input, &tracer);
-    net.run_arm_traced(&engine, &input, &tracer);
-    net.estimate_gpu_layers_traced(&GpuEngine::rtx2080ti(), Tuning::Default, &tracer)
-        .expect("demo network is GPU-estimable");
+    run_on_arm(&net, &engine, &input, &tracer);
+    run_on_arm(&net, &engine, &input, &tracer);
+    estimate_gpu(&net, &tracer);
     let json = chrome_trace_json(&sink.capture());
     let v = validate_chrome_trace(&json).expect("export must satisfy its own validator");
     assert!(v.spans > 0 && v.counters > 0 && v.tracks > 1, "non-trivial capture: {v:?}");
@@ -198,12 +212,14 @@ fn null_tracer_steady_state_allocates_nothing() {
     let net = Network::demo(BitWidth::W4, 16, 5);
     let input = demo_input(16);
     // Warm up: fill the prepack cache and grow the workspace arena.
-    net.run_arm(&engine, &input);
-    net.run_arm(&engine, &input);
+    let plan = Planner::for_arm(&engine).compile(&net).unwrap();
+    let exec = Executor::for_arm(&engine);
+    exec.run(&plan, &net, &input).unwrap();
+    exec.run(&plan, &net, &input).unwrap();
     let ws = engine.workspace_stats();
     let pack = engine.prepack_stats();
     for _ in 0..5 {
-        net.run_arm(&engine, &input);
+        exec.run(&plan, &net, &input).unwrap();
     }
     let after_ws = engine.workspace_stats();
     let after_pack = engine.prepack_stats();
