@@ -146,6 +146,13 @@ pub enum CoreError {
         /// The queue's configured depth.
         capacity: usize,
     },
+    /// A serving request named a class the server does not offer.
+    UnknownClass {
+        /// The class index requested.
+        class: usize,
+        /// How many classes the server offers.
+        classes: usize,
+    },
     /// The server (or one of its queues) has shut down; no further requests
     /// are accepted and in-flight tickets whose worker died resolve to this.
     ServerShutdown,
@@ -211,6 +218,9 @@ impl std::fmt::Display for CoreError {
             CoreError::QueueFull { capacity } => {
                 write!(f, "admission queue full (capacity {capacity})")
             }
+            CoreError::UnknownClass { class, classes } => {
+                write!(f, "unknown request class {class} (the server offers {classes})")
+            }
             CoreError::ServerShutdown => write!(f, "server has shut down"),
         }
     }
@@ -270,6 +280,7 @@ mod tests {
             CoreError::ActivationArenaExceeded { observed: 200, declared: 100 },
             CoreError::NonFiniteInput { index: 3 },
             CoreError::QueueFull { capacity: 8 },
+            CoreError::UnknownClass { class: 2, classes: 2 },
             CoreError::ServerShutdown,
         ]
     }

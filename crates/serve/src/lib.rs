@@ -15,14 +15,15 @@
 //! Layers, bottom-up:
 //!
 //! - [`class`]: the models a server offers, keyed by content fingerprint.
-//! - [`policy`]: batch close rules (`Fixed(n)`, `Dynamic{max,deadline}`).
-//! - [`queue`]: the bounded admission queue with typed backpressure.
+//! - [`policy`]: batch close policies (`Fixed(n)`, `Dynamic{max,deadline}`).
+//! - [`queue`]: the one batching rule ([`Batcher`]: admission with typed
+//!   backpressure, close decision, drain) and its threaded wrapper.
 //! - [`cost`]: the batch-size/backend decision rule (the Fig. 10 curves).
 //! - [`cache`]: the `(fingerprint, bucket, backend)`-keyed plan cache.
 //! - [`metrics`]: production metrics — stage histograms, SLO accounting,
 //!   rejection counters — recorded through per-worker shards.
 //! - [`server`]: the threaded server tying it all together.
-//! - [`sim`]: deterministic virtual-time traffic simulation.
+//! - [`sim`]: deterministic virtual-time simulation on the same [`Batcher`].
 //! - [`report`]: the `BENCH_serving.json` builder.
 
 #![forbid(unsafe_code)]
@@ -43,7 +44,7 @@ pub use class::RequestClass;
 pub use cost::{bucket_for, choose_point, crossover_table, CostPoint, BATCH_BUCKETS};
 pub use metrics::{RejectReason, ServeMetrics, WorkerShards};
 pub use policy::BatchPolicy;
-pub use queue::{AdmissionQueue, QueueStats};
+pub use queue::{AdmissionQueue, Batcher, Decision, QueueStats};
 pub use report::{save_serving_json, serving_report};
 pub use server::{Response, Server, ServerConfig, ServerStats, Ticket};
 pub use sim::{simulate, simulate_instrumented, Arrival, SimConfig, SimResult};

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //!  submit ──► AdmissionQueue (bounded, typed backpressure)
-//!                │  batcher thread per class: BatchPolicy close rule
+//!                │  batcher thread per class: the Batcher close rule
 //!                ▼
 //!             BatchJob ──► mpsc ──► worker pool (N threads)
 //!                                     │ bucket · backend (cost model)
@@ -284,9 +284,6 @@ impl Server {
                 std::thread::spawn(move || {
                     let queue = shared.classes[ci].queue.clone();
                     while let Some(requests) = queue.next_batch(&shared.config.policy) {
-                        if requests.is_empty() {
-                            continue;
-                        }
                         let job =
                             BatchJob { class: ci, close_ns: shared.now_ns(), requests };
                         if tx.send(job).is_err() {
@@ -324,11 +321,13 @@ impl Server {
 
     /// Submits one batch-1 input to `class`. Non-blocking: typed
     /// backpressure ([`CoreError::QueueFull`]) when the class queue is at
-    /// depth, [`CoreError::InputShapeMismatch`] on wrong dims and
+    /// depth, [`CoreError::UnknownClass`] on a class index the server does
+    /// not offer, [`CoreError::InputShapeMismatch`] on wrong dims and
     /// [`CoreError::NonFiniteInput`] on a NaN or ±inf element — refused here
     /// rather than failing every request batched with it.
     pub fn submit(&self, class: usize, input: Tensor<f32>) -> Result<Ticket, CoreError> {
-        let rt = &self.shared.classes[class];
+        let classes = self.shared.classes.len();
+        let rt = self.shared.classes.get(class).ok_or(CoreError::UnknownClass { class, classes })?;
         let expected = rt.class.input_dims();
         // Admission has no calibration pass to piggyback on (the batch is
         // calibrated after forming), so finiteness is one scan of the request.

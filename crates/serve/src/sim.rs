@@ -3,10 +3,12 @@
 //! The real [`crate::server::Server`] runs wall-clock threads, so its
 //! latencies are host-dependent. The benchmark numbers in
 //! `BENCH_serving.json` instead come from this discrete-event model of the
-//! same architecture — bounded queue, batch-policy close rule, bucketed
-//! plan cache, single modeled worker — driven by the cost model's modeled
-//! service times ([`crate::cost`]). Seeded arrivals and virtual time make
-//! every number reproducible bit-for-bit on any host.
+//! same architecture — the server's own [`Batcher`] (bounded admission and
+//! the close rule, driven on virtual time), bucketed plan cache, single
+//! modeled worker — driven by the cost model's modeled service times
+//! ([`crate::cost`]). Seeded arrivals and virtual time make every number
+//! reproducible bit-for-bit on any host. As on the server, a `Dynamic`
+//! deadline starts at the admission of the oldest queued request.
 //!
 //! Two traffic shapes:
 //!
@@ -15,15 +17,17 @@
 //!   policy's capacity exposes the policy's true throughput ceiling and its
 //!   queueing-delay p99.
 //! - **Closed loop**: a fixed client population; each client resubmits when
-//!   its previous request completes (plus think time). Arrival waiting is
-//!   deadlock-prone here (new arrivals only happen after completions), so
-//!   the batcher closes greedily at whatever is queued.
+//!   its previous request completes (plus think time).
+//!
+//! When no request can arrive — the open loop's stream has ended, or every
+//! closed-loop client is queued — a batch with no deadline flushes.
 
 use crate::cache::PlanCacheStats;
 use crate::class::RequestClass;
 use crate::cost::{self, CostPoint};
 use crate::metrics::{RejectReason, ServeMetrics, WorkerShards};
 use crate::policy::BatchPolicy;
+use crate::queue::{Batcher, Decision};
 use crate::server::RequestTiming;
 use lowbit::prelude::*;
 use rand::rngs::StdRng;
@@ -193,14 +197,6 @@ impl<'a> Tally<'a> {
         }
     }
 
-    fn reject(&mut self) {
-        if let Some(r) = &self.recorder {
-            // Open-loop rejection is instantaneous: the queue is at depth
-            // when the request arrives, so its accumulated wait is zero.
-            r.metrics.record_rejection(None, r.class, RejectReason::QueueFull, 0.0);
-        }
-    }
-
     /// Serves one batch at virtual time `t_close`; returns the completion
     /// time.
     fn serve(&mut self, model: &ServiceModel, batch: &[f64], t_close: f64) -> f64 {
@@ -253,6 +249,13 @@ impl<'a> Tally<'a> {
     }
 
     fn into_result(self, rejected: usize, first_arrival: f64) -> SimResult {
+        if let Some(r) = &self.recorder {
+            // A rejection is instantaneous: the queue is at depth when the
+            // request arrives, so its accumulated wait is zero.
+            for _ in 0..rejected {
+                r.metrics.record_rejection(None, r.class, RejectReason::QueueFull, 0.0);
+            }
+        }
         let busy_ms = (self.last_done - first_arrival).max(1e-9);
         let mut batch_histogram: Vec<(usize, u64)> =
             self.hist.iter().map(|(&b, &n)| (b, n)).collect();
@@ -304,140 +307,69 @@ fn simulate_inner(
     metrics: Option<(&ServeMetrics, usize)>,
 ) -> SimResult {
     let model = ServiceModel::build(class, cfg);
-    match cfg.arrival {
-        Arrival::OpenLoop { rate_per_s } => open_loop(&model, cfg, rate_per_s, metrics),
+    let (arrivals, think_ms) = match cfg.arrival {
+        Arrival::OpenLoop { rate_per_s } => {
+            // Seeded Poisson arrivals, in milliseconds.
+            let mut rng = StdRng::seed_from_u64(cfg.seed);
+            let rate_per_ms = (rate_per_s / 1e3).max(1e-12);
+            let mut t = 0.0;
+            let arrivals = (0..cfg.requests)
+                .map(|_| {
+                    let u: f64 = rng.gen_range(0.0..1.0);
+                    t += -(1.0 - u).ln() / rate_per_ms;
+                    t
+                })
+                .collect();
+            (arrivals, None)
+        }
+        // Staggered initial arrivals (1 µs apart) keep ordering deterministic.
         Arrival::ClosedLoop { clients, think_ms } => {
-            closed_loop(&model, cfg, clients, think_ms, metrics)
+            ((0..clients.max(1)).map(|i| i as f64 * 1e-3).collect(), Some(think_ms))
         }
-    }
-}
-
-fn open_loop(
-    model: &ServiceModel,
-    cfg: &SimConfig,
-    rate_per_s: f64,
-    metrics: Option<(&ServeMetrics, usize)>,
-) -> SimResult {
-    // Seeded Poisson arrivals, in milliseconds.
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let rate_per_ms = (rate_per_s / 1e3).max(1e-12);
-    let mut arrivals = Vec::with_capacity(cfg.requests);
-    let mut t = 0.0;
-    for _ in 0..cfg.requests {
-        let u: f64 = rng.gen_range(0.0..1.0);
-        t += -(1.0 - u).ln() / rate_per_ms;
-        arrivals.push(t);
-    }
-
-    let depth = cfg.queue_depth.max(1);
-    let mut queued: VecDeque<f64> = VecDeque::new();
-    let mut next = 0usize;
-    let mut rejected = 0usize;
-    let mut admit_until = |t: f64, queued: &mut VecDeque<f64>, rejected: &mut usize| {
-        while next < arrivals.len() && arrivals[next] <= t {
-            if queued.len() < depth {
-                queued.push_back(arrivals[next]);
-            } else {
-                *rejected += 1;
-            }
-            next += 1;
-        }
-        next
     };
-
-    let mut tally = Tally::new(metrics);
-    let mut free = 0.0f64;
-    loop {
-        let next_now = admit_until(free, &mut queued, &mut rejected);
-        if queued.is_empty() {
-            if next_now >= arrivals.len() {
-                break;
-            }
-            free = arrivals[next_now];
-            continue;
-        }
-        let target = cfg.policy.max_batch();
-        // Lazy batching: the close decision is made at server-free time,
-        // looking ahead at the arrival stream (a real batcher looks at the
-        // clock and its condvar; same information).
-        let oldest = queued[0];
-        let t_close = match cfg.policy {
-            BatchPolicy::Fixed(_) if queued.len() >= target => free,
-            BatchPolicy::Fixed(_) => {
-                let need = target - queued.len();
-                if next_now + need <= arrivals.len() {
-                    arrivals[next_now + need - 1].max(free)
-                } else {
-                    f64::INFINITY // not enough arrivals left: flush at end
-                }
-            }
-            BatchPolicy::Dynamic { deadline_ms, .. } => {
-                if queued.len() >= target {
-                    free
-                } else {
-                    let t_deadline = (oldest + deadline_ms).max(free);
-                    let need = target - queued.len();
-                    let t_full = if next_now + need <= arrivals.len() {
-                        arrivals[next_now + need - 1].max(free)
-                    } else {
-                        f64::INFINITY
-                    };
-                    t_full.min(t_deadline)
-                }
-            }
-        };
-        let t_close = if t_close.is_finite() {
-            t_close
-        } else {
-            arrivals.last().copied().unwrap_or(free).max(free)
-        };
-        admit_until(t_close, &mut queued, &mut rejected);
-        let b = queued.len().min(target);
-        let batch: Vec<f64> = queued.drain(..b).collect();
-        free = tally.serve(model, &batch, t_close);
-    }
-    for _ in 0..rejected {
-        tally.reject();
-    }
-    let first = arrivals.first().copied().unwrap_or(0.0);
-    tally.into_result(rejected, first)
+    run(&model, cfg, arrivals, think_ms, Tally::new(metrics))
 }
 
-fn closed_loop(
+/// Drives the server's [`Batcher`] on virtual time. `arrivals` holds the
+/// pending arrival times in ascending order; with `think_ms` (closed loop)
+/// every served request's client arrives again `think_ms` after its batch
+/// completes. A request is admitted at its arrival time and a batch is
+/// served by the single modeled worker from its close time, so the worker
+/// being busy only delays when the batcher looks again.
+fn run(
     model: &ServiceModel,
     cfg: &SimConfig,
-    clients: usize,
-    think_ms: f64,
-    metrics: Option<(&ServeMetrics, usize)>,
+    mut arrivals: VecDeque<f64>,
+    think_ms: Option<f64>,
+    mut tally: Tally,
 ) -> SimResult {
-    let clients = clients.max(1);
-    // Staggered initial arrivals (1 µs apart) keep ordering deterministic.
-    let mut arrivals: Vec<f64> = (0..clients).map(|i| i as f64 * 1e-3).collect();
-    let mut queued: VecDeque<f64> = VecDeque::new();
-    let mut tally = Tally::new(metrics);
-    let mut free = 0.0f64;
-    let target = cfg.policy.max_batch();
+    let first_arrival = arrivals.front().copied().unwrap_or(0.0);
+    let mut batcher = Batcher::new(cfg.queue_depth);
+    let mut now = 0.0f64;
     while tally.latencies.len() < cfg.requests {
-        arrivals.sort_by(f64::total_cmp);
-        let mut i = 0;
-        while i < arrivals.len() && arrivals[i] <= free {
-            queued.push_back(arrivals[i]);
-            i += 1;
+        while let Some(a) = arrivals.front().copied().filter(|&a| a <= now) {
+            arrivals.pop_front();
+            // The batcher counts a rejection; the tally records it below.
+            let _ = batcher.push(a, a);
         }
-        arrivals.drain(..i);
-        if queued.is_empty() {
-            free = arrivals.first().copied().unwrap_or(free);
-            continue;
+        let next = arrivals.front().copied();
+        match batcher.decide(&cfg.policy, now, next.is_some()) {
+            Decision::Close(n) => {
+                now = tally.serve(model, &batcher.take(n), now);
+                if let Some(think_ms) = think_ms {
+                    let again = now + think_ms;
+                    let at = arrivals.partition_point(|&a| a <= again);
+                    for _ in 0..n {
+                        arrivals.insert(at, again);
+                    }
+                }
+            }
+            Decision::WaitUntil(t) => now = next.map_or(t, |a| a.min(t)),
+            Decision::WaitForArrival => now = next.expect("waits only while one can arrive"),
+            Decision::Drained => break,
         }
-        let b = queued.len().min(target);
-        let batch: Vec<f64> = queued.drain(..b).collect();
-        let done = tally.serve(model, &batch, free);
-        for _ in 0..b {
-            arrivals.push(done + think_ms);
-        }
-        free = done;
     }
-    tally.into_result(0, 0.0)
+    tally.into_result(batcher.stats().rejected as usize, first_arrival)
 }
 
 #[cfg(test)]
@@ -532,5 +464,42 @@ mod tests {
         assert_eq!(r.rejected, 0);
         assert!(r.throughput_rps > 0.0);
         assert!(r.cache_hit_rate() > 0.9);
+    }
+
+    #[test]
+    fn closed_loop_flushes_a_fixed_target_larger_than_the_clients() {
+        // Eight clients can never fill a Fixed(12) batch: once all of them
+        // are queued nothing else can arrive, so the batch must flush.
+        let class = demo_class();
+        let cfg = SimConfig {
+            policy: BatchPolicy::Fixed(12),
+            arrival: Arrival::ClosedLoop { clients: 8, think_ms: 0.5 },
+            requests: 200,
+            queue_depth: 64,
+            seed: 7,
+            force_backend: None,
+        };
+        let r = simulate(&class, &cfg);
+        assert_eq!(r.completed, 200);
+        assert_eq!(r.batch_histogram, vec![(8, 25)]);
+    }
+
+    #[test]
+    fn closed_loop_batches_fill_to_the_target() {
+        // 32 clients at 1 µs stagger: the first deadline has not expired
+        // when the 16th arrives, so every batch carries 16.
+        let class = demo_class();
+        let cfg = SimConfig {
+            policy: BatchPolicy::Dynamic { max_batch: 16, deadline_ms: 2.0 },
+            arrival: Arrival::ClosedLoop { clients: 32, think_ms: 0.0 },
+            requests: 480,
+            queue_depth: 64,
+            seed: 7,
+            force_backend: None,
+        };
+        let r = simulate(&class, &cfg);
+        assert_eq!(r.completed, 480);
+        assert_eq!(r.batch_histogram, vec![(16, 30)]);
+        assert_eq!(r.cache_misses, 1);
     }
 }

@@ -248,6 +248,59 @@ fn non_finite_submissions_are_rejected_as_bad_input() {
 }
 
 #[test]
+fn unknown_class_is_a_typed_error_and_valid_classes_keep_serving() {
+    let class = RequestClass::demo(BitWidth::W4, 12, 9);
+    let config = ServerConfig {
+        queue_depth: 16,
+        policy: BatchPolicy::Fixed(1),
+        workers: 1,
+        arm_threads: 1,
+        force_backend: Some(BackendKind::Arm),
+        parallel_nodes: false,
+        slo_p99_ms: 50.0,
+    };
+    let server = Server::start(vec![class.clone()], config, &Tracer::default());
+    for bad in [1, 7, usize::MAX] {
+        match server.submit(bad, class.sample_input(1)) {
+            Err(CoreError::UnknownClass { class, classes: 1 }) => assert_eq!(class, bad),
+            other => panic!("class {bad}: expected UnknownClass, got {:?}", other.err()),
+        }
+    }
+    let ticket = server.submit(0, class.sample_input(2)).expect("class 0 is served");
+    assert!(ticket.wait().is_ok());
+    let stats = server.shutdown();
+    assert_eq!((stats.completed, stats.queues[0].admitted), (1, 1));
+}
+
+#[test]
+fn a_policy_target_past_the_largest_bucket_is_served_in_bucket_sized_batches() {
+    let class = RequestClass::demo(BitWidth::W4, 12, 9);
+    let config = ServerConfig {
+        queue_depth: 64,
+        policy: BatchPolicy::Fixed(40),
+        workers: 1,
+        arm_threads: 1,
+        force_backend: Some(BackendKind::Arm),
+        parallel_nodes: false,
+        slo_p99_ms: 50.0,
+    };
+    let server = Server::start(vec![class.clone()], config, &Tracer::default());
+    let input = class.sample_input(3);
+    let tickets: Vec<_> =
+        (0..40).map(|_| server.submit(0, input.clone()).expect("queue has room")).collect();
+    // The first 32 close as a full batch; shutdown flushes the other 8.
+    let stats = server.shutdown();
+    let responses: Vec<_> =
+        tickets.into_iter().map(|t| t.wait().expect("request served")).collect();
+    assert_eq!(stats.completed, 40);
+    assert_eq!(stats.batch_histogram, vec![(8, 1), (32, 1)]);
+    for r in &responses {
+        assert!(r.timing.batch_formed <= 32 && r.timing.batch_formed <= r.timing.batch_bucket);
+        assert_eq!(r.output.data(), responses[0].output.data(), "same input, same output");
+    }
+}
+
+#[test]
 fn dynamic_deadline_serves_partial_batches_without_shutdown() {
     let class = RequestClass::demo(BitWidth::W4, 12, 9);
     let config = ServerConfig {
