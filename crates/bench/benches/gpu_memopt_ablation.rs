@@ -61,7 +61,7 @@ fn bench_gpu(c: &mut Criterion) {
     group.sample_size(10);
     group.throughput(Throughput::Elements(small.macs()));
     group.bench_function("implicit_gemm_execute", |bench| {
-        bench.iter(|| exec_plan.execute(&input, &weights).data()[0])
+        bench.iter(|| exec_plan.execute(&input, &weights).0.data()[0])
     });
     group.bench_function("profile_run_search", |bench| {
         bench.iter(|| auto_search(&shape, Precision::TensorCoreInt8, &device).1.total_s)

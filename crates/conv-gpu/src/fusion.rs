@@ -80,7 +80,7 @@ pub fn execute_fused(
     out_scale: f32,
     mode: FusionMode,
 ) -> Tensor<f32> {
-    let acc = plan.execute(input, weights);
+    let (acc, _) = plan.execute(input, weights);
     match mode {
         FusionMode::None => {
             // conv(+requant) then separate dequantize kernel.
@@ -175,7 +175,7 @@ mod tests {
         let rq = RequantParams::new(BitWidth::W8, 1.0);
         let fused =
             execute_fused(&plan, &input, &weights, &rq, 1.0, FusionMode::Dequant);
-        let acc = plan.execute(&input, &weights);
+        let (acc, _) = plan.execute(&input, &weights);
         let want = dequantize_i32(&acc, input.scale() * weights.scale());
         assert_eq!(fused.data(), want.data());
     }

@@ -51,7 +51,7 @@ impl Default for MemOpts {
     }
 }
 
-/// Counters collected by [`ConvGpuPlan::execute_traced`]: what the
+/// Counters collected by [`ConvGpuPlan::execute`]: what the
 /// functional walk actually did, reconciled against the analytic
 /// [`KernelDesc`] by tests (the GPU analog of the ARM emit-vs-counts
 /// invariant).
@@ -208,18 +208,6 @@ impl ConvGpuPlan {
         self.kernel_desc(device).time(device)
     }
 
-    /// Executes the convolution functionally: NHWC activations, OHWI weights
-    /// (`(c_out, c_in, kh, kw)` dims in `Nhwc` layout), NHWC i32 output.
-    ///
-    /// Walks the exact block/k-tile/warp/fragment structure of Alg. 2 and
-    /// computes fragments with the Tensor Core `mma` semantics. Only
-    /// the real region of each tile is staged and multiplied: fragments that
-    /// start in the padding are counted as issued but skipped, since they
-    /// add exactly 0.
-    pub fn execute(&self, input: &QTensor, weights: &QTensor) -> Tensor<i32> {
-        self.execute_traced(input, weights).0
-    }
-
     /// Executes with the Alg. 2 line-15 epilogue: per-output-channel bias is
     /// added and the accumulator re-quantized *inside the kernel* ("on
     /// register"), so only i8 ever reaches global memory — the in-place
@@ -236,14 +224,22 @@ impl ConvGpuPlan {
         requant: &RequantParams,
     ) -> QTensor {
         assert_eq!(bias.len(), self.shape.c_out, "one bias per output channel");
-        let (acc, _) = self.execute_traced(input, weights);
+        let (acc, _) = self.execute(input, weights);
         // The functional walk stores whole tiles; the shared host epilogue
         // maps each element before it would leave the registers.
         requantize_with_bias(&acc, Some(bias), requant)
     }
 
-    /// [`ConvGpuPlan::execute`] plus the execution trace.
-    pub fn execute_traced(&self, input: &QTensor, weights: &QTensor) -> (Tensor<i32>, ExecTrace) {
+    /// Executes the convolution functionally: NHWC activations, OHWI weights
+    /// (`(c_out, c_in, kh, kw)` dims in `Nhwc` layout), NHWC i32 output,
+    /// plus the trace of what the walk did.
+    ///
+    /// Walks the exact block/k-tile/warp/fragment structure of Alg. 2 and
+    /// computes fragments with the Tensor Core `mma` semantics. Only
+    /// the real region of each tile is staged and multiplied: fragments that
+    /// start in the padding are counted as issued but skipped, since they
+    /// add exactly 0.
+    pub fn execute(&self, input: &QTensor, weights: &QTensor) -> (Tensor<i32>, ExecTrace) {
         let shape = &self.shape;
         assert_eq!(input.layout(), Layout::Nhwc, "GPU path expects NHWC");
         assert_eq!(weights.layout(), Layout::Nhwc, "weights must be OHWI");
@@ -510,7 +506,7 @@ mod tests {
         let want = direct_nhwc(&input, &weights, &shape);
         for cfg in [SMALL, default_config(precision)] {
             let plan = ConvGpuPlan::new(shape, cfg, precision);
-            let got = plan.execute(&input, &weights);
+            let (got, _) = plan.execute(&input, &weights);
             assert_eq!(got.data(), want.data(), "{shape} {bits} {cfg:?}");
         }
     }
@@ -561,7 +557,7 @@ mod tests {
         let rq = RequantParams::new(BitWidth::W8, 0.004).with_relu();
 
         let fused = plan.execute_with_epilogue(&input, &weights, &bias, &rq);
-        let mut acc = plan.execute(&input, &weights);
+        let (mut acc, _) = plan.execute(&input, &weights);
         add_bias(&mut acc, &bias, false);
         let unfused = requantize(&acc, &rq);
         assert_eq!(fused.data(), unfused.data());
@@ -589,7 +585,7 @@ mod tests {
             ] {
                 let plan = ConvGpuPlan::new(shape, cfg, precision);
                 let (input, weights) = operands(&shape, bits, 51);
-                let (_, trace) = plan.execute_traced(&input, &weights);
+                let (_, trace) = plan.execute(&input, &weights);
                 let desc = plan.kernel_desc(&d);
                 assert_eq!(trace.blocks, desc.grid_blocks, "{precision:?} blocks");
                 // Every mma covers 8x8xK_mma MACs; the descriptor prices
@@ -642,7 +638,7 @@ mod tests {
                 let (input, weights) = operands(&shape, bits, 100 + 2 * i as u64);
                 let want = direct_nhwc(&input, &weights, &shape);
                 for cfg in [default_config(precision), auto_search(&shape, precision, &d).0] {
-                    let got = ConvGpuPlan::new(shape, cfg, precision).execute(&input, &weights);
+                    let (got, _) = ConvGpuPlan::new(shape, cfg, precision).execute(&input, &weights);
                     assert_eq!(got.data(), want.data(), "{shape} {bits} {cfg:?}");
                 }
             }

@@ -146,7 +146,7 @@ impl Backend for GpuEngine {
         // The GPU kernel is NHWC-native; normalize whatever arrived.
         let gpu_plan = self.plan(&plan.shape, plan.bits, Tuning::Fixed(cfg));
         let time = self.estimate_traced(&gpu_plan, plan.bits, tracer, &plan.name);
-        let acc = gpu_plan.execute(
+        let (acc, _) = gpu_plan.execute(
             &in_layout(act, Layout::Nhwc),
             &in_layout(weights, Layout::Nhwc),
         );

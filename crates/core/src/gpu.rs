@@ -81,7 +81,7 @@ impl GpuEngine {
     ) -> GpuConvResult {
         let bits = input.bits().max(weights.bits());
         let plan = self.plan(shape, bits, tuning);
-        let acc = plan.execute(input, weights);
+        let (acc, _) = plan.execute(input, weights);
         let time = plan.time(&self.device);
         GpuConvResult {
             acc,

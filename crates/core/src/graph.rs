@@ -7,15 +7,13 @@
 //! crate the IR to say so: a [`GraphTopology`] is a list of nodes (conv /
 //! elementwise add / channel concat) in topological order over *value* ids,
 //! where value 0 is the graph input and node `i` produces value `i + 1`.
-//! Chains are the degenerate case ([`GraphTopology::chain`]), so every
-//! existing sequential network is a graph network with one consumer per
-//! value.
+//! Chains are the degenerate case ([`GraphTopology::chain`]): a sequential
+//! network is a graph network with one consumer per value.
 //!
-//! Validation ([`GraphTopology::validate`]) re-proves everything
-//! `Network::sequential` proved for chains — channel/spatial/batch agreement
-//! along every edge, now per *edge* instead of per consecutive pair — plus
-//! the graph-only obligations: add operands agree elementwise, concat
-//! operands agree on batch/spatial dims, every value's quantization scale is
+//! Validation ([`GraphTopology::validate`]) is the one network validator,
+//! chains included: channel/spatial/batch and bit-width agreement along
+//! every conv edge, add operands agreeing elementwise, concat operands
+//! agreeing on batch/spatial dims, and every value's quantization scale
 //! consistent across the operands of joining nodes (the static alignment the
 //! planner's residual fusion and the executor's raw-i8 adds rely on).
 
@@ -89,8 +87,9 @@ pub struct GraphTopology {
 
 impl GraphTopology {
     /// The chain topology of a sequential layer list: node `i` is
-    /// `Conv { layer: i }` reading value `i`. Assumes the layers already
-    /// chain (as validated by `Network::sequential`).
+    /// `Conv { layer: i }` reading value `i`, which records layer `i - 1`'s
+    /// output. [`GraphTopology::validate`] proves the layers actually chain.
+    /// Panics on an empty layer list.
     pub fn chain(layers: &[NetLayer]) -> GraphTopology {
         let first = &layers[0];
         let mut values = vec![ValueInfo {
@@ -174,10 +173,10 @@ impl GraphTopology {
 
     /// Validates the topology against its layer list: structural soundness
     /// (value ids in range and defined before use, one conv node per layer
-    /// in order, recorded outputs consistent), per-edge conv geometry (the
-    /// same channel/spatial/batch witnesses `Network::sequential` emits for
-    /// chains), add/concat operand agreement, and static scale alignment at
-    /// every joining node.
+    /// in order, recorded outputs consistent), per-edge conv geometry
+    /// (typed channel/spatial/batch witnesses naming producer and consumer),
+    /// add/concat operand agreement, and static scale alignment at every
+    /// joining node.
     pub fn validate(&self, layers: &[NetLayer]) -> Result<(), CoreError> {
         let broken = |node: &str, detail: String| CoreError::GraphTopologyBroken {
             node: node.to_string(),
@@ -220,7 +219,12 @@ impl GraphTopology {
                     if node.inputs.len() != 1 {
                         return Err(broken(&node.name, format!("conv takes 1 input, got {}", node.inputs.len())));
                     }
-                    let l = &layers[layer];
+                    let Some(l) = layers.get(layer) else {
+                        return Err(broken(
+                            &node.name,
+                            format!("conv of layer {layer}, but there are {} layers", layers.len()),
+                        ));
+                    };
                     let vi = self.values[node.inputs[0]];
                     let (b, c, h, w) = vi.dims;
                     if c != l.shape.c_in {
@@ -408,6 +412,17 @@ mod tests {
         let err = topo.validate(&layers).unwrap_err();
         assert!(
             matches!(err, CoreError::ChannelMismatch { .. } | CoreError::GraphTopologyBroken { .. }),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn more_conv_nodes_than_layers_is_a_typed_error() {
+        let net = Network::demo(BitWidth::W4, 12, 9);
+        let topo = GraphTopology::chain(net.layers());
+        let err = Network::from_graph(net.layers()[..1].to_vec(), topo).unwrap_err();
+        assert!(
+            matches!(err, CoreError::GraphTopologyBroken { ref node, .. } if node == "conv2"),
             "{err:?}"
         );
     }

@@ -71,10 +71,10 @@ pub use plan::{
     BackendKind, Epilogue, ExecutionPlan, LayerPlan, NodePlan, ParallelSchedule, PlanAlgo, PlanOp,
     ValuePlan,
 };
-pub use planner::{arm_candidates, arm_workspace_bytes, select_arm_algo, ArmCandidate, Planner};
+pub use planner::{arm_candidates, select_arm_algo, ArmCandidate, Planner};
 pub use verify::{
-    algo_kind, fingerprint_audit, fingerprint_audit_with, fingerprint_graph, fingerprint_layers,
-    lower_conc, lower_conc_spec, lower_plan, plan_high_water, topology_audit, verify_compiled,
+    fingerprint_audit, fingerprint_audit_with, fingerprint_graph, fingerprint_layers, lower_conc,
+    lower_conc_spec, lower_plan, plan_high_water, topology_audit, verify_compiled,
     verify_conc_compiled,
 };
 

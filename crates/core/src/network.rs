@@ -84,51 +84,17 @@ impl LayerReport {
 }
 
 impl Network {
-    /// Builds a network, validating that consecutive layers chain (channel
-    /// counts match, spatial dimensions follow from the convolution, batch
-    /// constant) and that any bias matches its layer's `c_out`.
+    /// Builds a chain network: layer `i + 1` reads layer `i`'s output. The
+    /// chain is validated as the graph it is ([`Network::from_graph`]):
+    /// channel counts, spatial dimensions and batch agree along every edge,
+    /// each layer requantizes into its successor's weight width, and any
+    /// bias matches its layer's `c_out`.
     pub fn sequential(layers: Vec<NetLayer>) -> Result<Network, CoreError> {
-        for w in layers.windows(2) {
-            let (a, b) = (&w[0], &w[1]);
-            if a.shape.c_out != b.shape.c_in {
-                return Err(CoreError::ChannelMismatch {
-                    producer: a.name.clone(),
-                    produces: a.shape.c_out,
-                    consumer: b.name.clone(),
-                    expects: b.shape.c_in,
-                });
-            }
-            if (a.shape.out_h(), a.shape.out_w()) != (b.shape.h, b.shape.w) {
-                return Err(CoreError::SpatialMismatch {
-                    producer: a.name.clone(),
-                    produces: (a.shape.out_h(), a.shape.out_w()),
-                    consumer: b.name.clone(),
-                    expects: (b.shape.h, b.shape.w),
-                });
-            }
-            if a.shape.batch != b.shape.batch {
-                return Err(CoreError::BatchMismatch {
-                    producer: a.name.clone(),
-                    consumer: b.name.clone(),
-                });
-            }
-        }
-        for l in &layers {
-            if let Some(bias) = &l.bias {
-                if bias.len() != l.shape.c_out {
-                    return Err(CoreError::BiasLengthMismatch {
-                        layer: l.name.clone(),
-                        expects: l.shape.c_out,
-                        got: bias.len(),
-                    });
-                }
-            }
-        }
         if layers.is_empty() {
             return Err(CoreError::EmptyNetwork);
         }
         let topology = GraphTopology::chain(&layers);
-        Ok(Network { layers, topology })
+        Network::from_graph(layers, topology)
     }
 
     /// Builds a graph-shaped network: conv layers wired by an explicit DAG
@@ -579,6 +545,11 @@ mod tests {
             mk(ConvShape::new(1, 4, 8, 8, 4, 3, 1, 1)),
         ]);
         assert!(matches!(bad, Err(CoreError::SpatialMismatch { .. })));
+        // A requant width the successor's weights were not quantized at.
+        let mut widened = mk(ConvShape::new(1, 3, 8, 8, 4, 3, 1, 1));
+        widened.requant = RequantParams::new(BitWidth::W6, 0.01);
+        let bad = Network::sequential(vec![widened, mk(ConvShape::new(1, 4, 8, 8, 4, 3, 1, 1))]);
+        assert!(matches!(bad, Err(CoreError::GraphTopologyBroken { .. })), "{bad:?}");
         // Bias length.
         let mut biased = mk(ConvShape::new(1, 3, 8, 8, 4, 3, 1, 1));
         biased.bias = Some(vec![1, 2, 3]);

@@ -236,45 +236,6 @@ pub struct ExecutionPlan {
     parallel: Option<ParallelSchedule>,
 }
 
-/// Synthesizes the chain-shaped node/value tables for a sequential layer
-/// list (value `i` feeds node `i`, which produces value `i + 1`; everything
-/// stays in canonical NCHW between nodes).
-fn chain_graph(layers: &[LayerPlan]) -> (Vec<NodePlan>, Vec<ValuePlan>) {
-    let first = &layers[0];
-    let mut values = vec![ValuePlan {
-        dims: (first.shape.batch, first.shape.c_in, first.shape.h, first.shape.w),
-        bits: first.bits,
-        layout: Layout::Nchw,
-        bytes: first.shape.batch * first.shape.c_in * first.shape.h * first.shape.w,
-        offset: 0,
-        def: 0,
-        last_use: 0,
-    }];
-    let nodes = layers
-        .iter()
-        .enumerate()
-        .map(|(i, l)| {
-            let dims = (l.shape.batch, l.shape.c_out, l.shape.out_h(), l.shape.out_w());
-            values.push(ValuePlan {
-                dims,
-                bits: l.epilogue.requant.bits,
-                layout: Layout::Nchw,
-                bytes: dims.0 * dims.1 * dims.2 * dims.3,
-                offset: 0,
-                def: 0,
-                last_use: 0,
-            });
-            NodePlan {
-                name: l.name.clone(),
-                op: PlanOp::Conv { layer: i, fused_add: None },
-                inputs: vec![i],
-                output: i + 1,
-            }
-        })
-        .collect();
-    (nodes, values)
-}
-
 impl ExecutionPlan {
     /// Builds a plan from an explicit node/value graph (the planner's DAG
     /// constructor). Re-derives every value's live range from the node
@@ -353,13 +314,24 @@ impl ExecutionPlan {
         self.parallel.as_ref()
     }
 
-    /// Builds a chain plan with an explicitly declared workspace figure.
-    /// Exists so tests and the verifier's negative catalog can seed plans
-    /// whose declarations diverge from the certified bound; the planner
-    /// always goes through the crate-private `ExecutionPlan::from_graph`.
-    pub fn from_layers(layers: Vec<LayerPlan>, workspace_high_water_bytes: usize) -> ExecutionPlan {
-        let (nodes, values) = chain_graph(&layers);
-        ExecutionPlan::from_graph(layers, nodes, values, workspace_high_water_bytes)
+    /// The same plan with edited layer payloads and an explicitly declared
+    /// workspace figure; the node/value tables, the activation arena and any
+    /// parallel schedule are kept. Exists so tests and the drift self-check
+    /// can seed plans whose declarations diverge from what was compiled;
+    /// the planner never calls this.
+    ///
+    /// # Panics
+    /// If `layers` is not as long as the plan's layer list, which the node
+    /// table indexes.
+    pub fn with_layers(
+        mut self,
+        layers: Vec<LayerPlan>,
+        workspace_high_water_bytes: usize,
+    ) -> ExecutionPlan {
+        assert_eq!(layers.len(), self.layers.len(), "the node table indexes the layer list");
+        self.layers = layers;
+        self.workspace_high_water_bytes = workspace_high_water_bytes;
+        self
     }
 
     /// The same plan with a different declared activation high-water — the

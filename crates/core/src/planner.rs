@@ -80,19 +80,6 @@ pub fn select_arm_algo(model: &CostModel, bits: BitWidth, shape: &ConvShape) -> 
     best.algo
 }
 
-/// Certified workspace sizing for an ARM layer: the exact arena bytes the
-/// prepacked path can request (im2col matrix, column-major i32 result,
-/// per-thread packed B panels maximized over every legal thread count, SDOT
-/// quad buffers), delegated to the verifier's single-source formula so the
-/// declared figure and the proven bound cannot diverge. Algorithms that do
-/// not run through the shared arena report 0.
-pub fn arm_workspace_bytes(shape: &ConvShape, algo: ArmAlgo) -> usize {
-    match crate::verify::algo_kind(algo) {
-        Some(kind) => lowbit_verify::arm_workspace_requirement(shape, kind).total(),
-        None => 0,
-    }
-}
-
 /// Compiles networks into execution plans over the registered backends.
 ///
 /// With one backend the planner resolves the per-layer algorithm choice on
@@ -169,7 +156,7 @@ impl Planner {
         epilogue: Epilogue,
     ) -> LayerPlan {
         let algo = select_arm_algo(engine.model(), bits, shape);
-        LayerPlan {
+        let mut lp = LayerPlan {
             name: name.to_string(),
             shape: *shape,
             bits,
@@ -178,14 +165,18 @@ impl Planner {
             // The engine keys Winograd by the effective width of the call:
             // activations at the layer's width, weights at their own.
             prepack_fingerprint: prepack_fingerprint(weights, algo, bits.max(weights.bits())),
-            workspace_bytes: arm_workspace_bytes(shape, algo),
+            workspace_bytes: 0,
             predicted_millis: engine.estimate_millis(bits, shape, algo),
             epilogue,
             // The ARM kernels are NCHW-native: no conversions at the
             // canonical inter-layer boundary.
             pre_conversion: None,
             post_conversion: None,
-        }
+        };
+        // The declared sizing is the verifier's certified bound, so the two
+        // cannot diverge; kernels outside the shared arena declare 0.
+        lp.workspace_bytes = crate::verify::workspace_requirement(&lp).total();
+        lp
     }
 
     /// Plans one layer on the GPU backend, or reports the width unsupported.

@@ -7,7 +7,7 @@
 //! The dependency points from `lowbit` to `lowbit-verify`, so the analysis
 //! itself lives over there; this module owns everything that needs to see
 //! core types: extracting per-channel weight sums from the real packed
-//! weights, mapping [`ArmAlgo`] onto the verifier's kernel families, and
+//! weights, mapping a [`LayerPlan`] onto the verifier's kernel families, and
 //! mutating [`NetLayer`]s to prove the fingerprint covers every
 //! verdict-relevant field.
 
@@ -16,50 +16,43 @@ use crate::error::CoreError;
 use crate::network::{NetLayer, Network};
 use crate::plan::{BackendKind, ExecutionPlan, LayerPlan, PlanAlgo, PlanOp};
 use lowbit_tensor::{BitWidth, QTensor, Tensor};
-use lowbit_verify::plan::ArenaRequirement;
 use lowbit_verify::{
-    arm_workspace_requirement, verify_conc, verify_plan, ArmAlgoKind, BackendSpec, ChannelSums,
-    ConcNode, ConcProof, ConcSpec, ConcValue, GemmFootprint, LayerSpec, MemSpan, NodeOpSpec,
-    NodeSpec, PlanProof, PlanSpec, PlanViolation, RequantSpec, ScheduleSpec, ValueSlot,
+    arena_high_water, verify_conc, verify_plan, ArenaRequirement, ArmAlgoKind, BackendSpec,
+    ChannelSums, ConcNode, ConcProof, ConcSpec, ConcValue, GemmFootprint, LayerSpec, MemSpan,
+    NodeOpSpec, NodeSpec, PlanProof, PlanSpec, PlanViolation, RequantSpec, ScheduleSpec, ValueSlot,
 };
 
-/// Maps a committed ARM kernel onto the verifier's kernel family. `Auto` has
-/// no family — plans never carry it.
-pub fn algo_kind(algo: ArmAlgo) -> Option<ArmAlgoKind> {
-    match algo {
-        ArmAlgo::Gemm => Some(ArmAlgoKind::GemmWide),
-        ArmAlgo::GemmNarrow => Some(ArmAlgoKind::GemmNarrow),
-        ArmAlgo::GemmSdot => Some(ArmAlgoKind::GemmSdot),
-        ArmAlgo::Winograd => Some(ArmAlgoKind::Winograd),
-        ArmAlgo::NcnnBaseline => Some(ArmAlgoKind::NcnnBaseline),
-        ArmAlgo::BitserialBaseline => Some(ArmAlgoKind::BitserialBaseline),
-        ArmAlgo::Auto => None,
-    }
+/// Lowers a layer plan's backend and committed kernel onto the verifier's
+/// kernel family — the one mapping behind the plan lowering, the workspace
+/// sizing and the concurrency lowering. Panics on `ArmAlgo::Auto`, which
+/// compiled plans never carry.
+pub fn backend_spec(lp: &LayerPlan) -> BackendSpec {
+    let algo = match (lp.backend, lp.algo) {
+        (BackendKind::Arm, PlanAlgo::Arm(algo)) => algo,
+        _ => return BackendSpec::Gpu,
+    };
+    BackendSpec::Arm(match algo {
+        ArmAlgo::Gemm => ArmAlgoKind::GemmWide,
+        ArmAlgo::GemmNarrow => ArmAlgoKind::GemmNarrow,
+        ArmAlgo::GemmSdot => ArmAlgoKind::GemmSdot,
+        ArmAlgo::Winograd => ArmAlgoKind::Winograd,
+        ArmAlgo::NcnnBaseline => ArmAlgoKind::NcnnBaseline,
+        ArmAlgo::BitserialBaseline => ArmAlgoKind::BitserialBaseline,
+        ArmAlgo::Auto => panic!("{}: plans never carry ArmAlgo::Auto", lp.name),
+    })
 }
 
-/// The arena requirement of one layer plan (GPU layers run outside the
-/// shared ARM arena).
-fn layer_requirement(lp: &LayerPlan) -> ArenaRequirement {
-    match (lp.backend, &lp.algo) {
-        (BackendKind::Arm, PlanAlgo::Arm(algo)) => match algo_kind(*algo) {
-            Some(kind) => arm_workspace_requirement(&lp.shape, kind),
-            None => ArenaRequirement::default(),
-        },
-        _ => ArenaRequirement::default(),
-    }
+/// The certified arena requirement of one layer plan (GPU layers run
+/// outside the shared ARM arena).
+pub fn workspace_requirement(lp: &LayerPlan) -> ArenaRequirement {
+    lowbit_verify::workspace_requirement(backend_spec(lp), &lp.shape)
 }
 
-/// The certified whole-plan arena high-water for a set of layer plans:
-/// component-wise maximum over the layers, then summed — exactly how the
-/// shared `ConvWorkspace` grows. The planner records this figure when it
-/// builds a plan and the verifier independently re-derives it from the
-/// lowered spec.
+/// The certified whole-plan arena high-water for a set of layer plans. The
+/// planner records this figure when it builds a plan and the verifier
+/// independently re-derives it from the lowered spec.
 pub fn plan_high_water(layers: &[LayerPlan]) -> usize {
-    layers
-        .iter()
-        .map(layer_requirement)
-        .fold(ArenaRequirement::default(), ArenaRequirement::max)
-        .total()
+    arena_high_water(layers.iter().map(workspace_requirement))
 }
 
 /// Per-output-channel signed weight sums from the real NCHW weights: row `c`
@@ -94,30 +87,22 @@ pub fn lower_plan(plan: &ExecutionPlan, net: &Network) -> Result<PlanSpec, CoreE
         .layers()
         .iter()
         .zip(net.layers())
-        .map(|(lp, nl)| {
-            let backend = match (&lp.backend, &lp.algo) {
-                (BackendKind::Arm, PlanAlgo::Arm(algo)) => BackendSpec::Arm(
-                    algo_kind(*algo).expect("plans never carry ArmAlgo::Auto"),
-                ),
-                _ => BackendSpec::Gpu,
-            };
-            LayerSpec {
-                name: lp.name.clone(),
-                shape: lp.shape,
-                bits: lp.bits,
-                backend,
-                pre: lp.pre_conversion,
-                post: lp.post_conversion,
-                declared_workspace_bytes: lp.workspace_bytes,
-                channel_sums: channel_sums(&nl.weights),
-                bias: lp.epilogue.bias.clone(),
-                requant: RequantSpec {
-                    bits: lp.epilogue.requant.bits,
-                    multiplier: lp.epilogue.requant.multiplier,
-                    clamp_min: lp.epilogue.requant.clamp_min,
-                },
-                relu: lp.epilogue.relu,
-            }
+        .map(|(lp, nl)| LayerSpec {
+            name: lp.name.clone(),
+            shape: lp.shape,
+            bits: lp.bits,
+            backend: backend_spec(lp),
+            pre: lp.pre_conversion,
+            post: lp.post_conversion,
+            declared_workspace_bytes: lp.workspace_bytes,
+            channel_sums: channel_sums(&nl.weights),
+            bias: lp.epilogue.bias.clone(),
+            requant: RequantSpec {
+                bits: lp.epilogue.requant.bits,
+                multiplier: lp.epilogue.requant.multiplier,
+                clamp_min: lp.epilogue.requant.clamp_min,
+            },
+            relu: lp.epilogue.relu,
         })
         .collect();
     let nodes = plan
@@ -186,16 +171,13 @@ pub fn lower_conc_spec(
             let gemm = match n.op {
                 PlanOp::Conv { layer, .. } => {
                     let lp = &plan.layers()[layer];
-                    match (&lp.backend, &lp.algo) {
-                        (BackendKind::Arm, PlanAlgo::Arm(algo)) => match algo_kind(*algo) {
-                            Some(
-                                kind @ (ArmAlgoKind::GemmWide
-                                | ArmAlgoKind::GemmNarrow
-                                | ArmAlgoKind::GemmSdot
-                                | ArmAlgoKind::Winograd),
-                            ) => Some(GemmFootprint::of(&lp.shape, kind)),
-                            _ => None,
-                        },
+                    match backend_spec(lp) {
+                        BackendSpec::Arm(
+                            kind @ (ArmAlgoKind::GemmWide
+                            | ArmAlgoKind::GemmNarrow
+                            | ArmAlgoKind::GemmSdot
+                            | ArmAlgoKind::Winograd),
+                        ) => Some(GemmFootprint::of(&lp.shape, kind)),
                         _ => None,
                     }
                 }
@@ -500,7 +482,7 @@ mod tests {
         let net = Network::demo(BitWidth::W4, 12, 9);
         let plan = Planner::for_arm(&engine).compile(&net).unwrap();
         // Understated high-water.
-        let starved = ExecutionPlan::from_layers(plan.layers().to_vec(), 0);
+        let starved = plan.clone().with_layers(plan.layers().to_vec(), 0);
         assert!(matches!(
             verify_compiled(&starved, &net),
             Err(CoreError::PlanRejected {
@@ -510,7 +492,7 @@ mod tests {
         // Understated per-layer workspace.
         let mut layers = plan.layers().to_vec();
         layers[0].workspace_bytes = 1;
-        let lying = ExecutionPlan::from_layers(layers, plan.workspace_high_water_bytes());
+        let lying = plan.clone().with_layers(layers, plan.workspace_high_water_bytes());
         assert!(matches!(
             verify_compiled(&lying, &net),
             Err(CoreError::PlanRejected {
@@ -524,7 +506,7 @@ mod tests {
             from: Layout::Nhwc,
             to: Layout::Nchw,
         });
-        let dangling = ExecutionPlan::from_layers(layers, plan.workspace_high_water_bytes());
+        let dangling = plan.clone().with_layers(layers, plan.workspace_high_water_bytes());
         assert!(matches!(
             verify_compiled(&dangling, &net),
             Err(CoreError::PlanRejected {
@@ -592,7 +574,10 @@ mod tests {
         let net = Network::demo(BitWidth::W8, 12, 9);
         let plan = Planner::for_arm(&engine).compile(&net).unwrap();
         let spec = lower_plan(&plan, &net).unwrap();
-        assert_eq!(plan.workspace_high_water_bytes(), lowbit_verify::arena_high_water(&spec.layers));
+        let certified = arena_high_water(
+            spec.layers.iter().map(|l| lowbit_verify::workspace_requirement(l.backend, &l.shape)),
+        );
+        assert_eq!(plan.workspace_high_water_bytes(), certified);
         assert!(plan.workspace_high_water_bytes() > 0);
     }
 }

@@ -208,8 +208,7 @@ fn drift_demo() -> Result<String, String> {
     let mut layers = plan.layers().to_vec();
     layers[0].predicted_millis *= 0.5;
     let perturbed_key = lowbit::ExecKey::of(&layers[0]);
-    let perturbed_plan =
-        ExecutionPlan::from_layers(layers, plan.workspace_high_water_bytes());
+    let perturbed_plan = plan.clone().with_layers(layers, plan.workspace_high_water_bytes());
     let perturbed = lowbit::ExecMetrics::new(Arc::new(Registry::new()));
     let exec = Executor::for_arm(&engine).with_metrics(&perturbed);
     for _ in 0..4 {

@@ -79,9 +79,9 @@ pub use gpu::{
 pub use interval::Interval;
 pub use lint::lint_stream;
 pub use plan::{
-    arena_high_water, arm_workspace_requirement, verify_plan, ArenaRequirement, ArmAlgoKind,
-    BackendSpec, ChannelSums, LayerSpec, LayoutConversion, NodeOpSpec, NodeSpec, PlanProof,
-    PlanSpec, PlanViolation, RequantSpec, ValueSlot,
+    arena_high_water, arm_workspace_requirement, verify_plan, workspace_requirement,
+    ArenaRequirement, ArmAlgoKind, BackendSpec, ChannelSums, LayerSpec, LayoutConversion,
+    NodeOpSpec, NodeSpec, PlanProof, PlanSpec, PlanViolation, RequantSpec, ValueSlot,
 };
 pub use report::{StreamProof, Violation};
 pub use streams::{

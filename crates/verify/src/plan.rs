@@ -9,10 +9,22 @@
 //! kernel proof assumed, a dropped NCHW/NHWC conversion between backends, or
 //! a workspace high-water figure that understates what the arena will
 //! actually grow to. This module closes that gap with a plan-level pass
-//! over a backend-neutral [`PlanSpec`]:
+//! over a backend-neutral [`PlanSpec`]: a DAG of nodes over arena-placed
+//! values, of which a layer chain is the one-consumer-per-value case.
 //!
-//! 1. **Numeric soundness** — interval abstract interpretation of the
-//!    activation range through every layer: per-output-channel accumulator
+//! 1. **Graph structure** — every value id in range and defined once before
+//!    use, one conv node per layer in order, and the value table's dims,
+//!    bytes and live ranges consistent with the node table
+//!    ([`PlanViolation::GraphStructureBroken`]).
+//! 2. **Layout/shape dataflow** — per edge: each conv's operand value must
+//!    have the layer's input shape and bit width, and its stored layout must
+//!    reach the kernel's native layout (and the kernel's output the stored
+//!    output layout) through the plan's *recorded* conversions; joins and
+//!    the plan output consume NCHW ([`PlanViolation::LayoutMismatch`],
+//!    [`PlanViolation::ShapeBreak`], [`PlanViolation::DanglingConversion`],
+//!    [`PlanViolation::RequantWidthBreak`]).
+//! 3. **Numeric soundness** — interval abstract interpretation of the
+//!    activation range through every node: per-output-channel accumulator
 //!    bounds from the actual packed weights (positive/negative column sums x
 //!    the incoming activation interval, plus the exact bias), proven to fit
 //!    i32 before re-quantization, then pushed through the fused
@@ -20,21 +32,19 @@
 //!    which must sit inside the range the *stream* proofs assumed for that
 //!    layer's bit width (Winograd layers additionally re-check the paper's
 //!    4x input-transform inflation against the live interval).
-//! 2. **Layout/shape dataflow** — each layer's input layout and shape must
-//!    match its predecessor's output modulo the plan's *recorded*
-//!    conversions, with typed witnesses ([`PlanViolation::LayoutMismatch`],
-//!    [`PlanViolation::ShapeBreak`], [`PlanViolation::DanglingConversion`]).
-//! 3. **Workspace certification** — the exact arena requirement of each ARM
+//! 4. **Workspace certification** — the exact arena requirement of each ARM
 //!    layer (im2col matrix, column-major result, per-thread packed-B panels
 //!    maximized over every legal thread count, SDOT quad buffers) is
 //!    recomputed from the blocking constants the engine really uses, and the
 //!    plan's declared per-layer and whole-plan high-water figures must be
 //!    upper bounds on it.
+//! 5. **Activation arena** — simultaneously-live values occupy disjoint
+//!    byte spans, and the declared activation high-water dominates them.
 //!
 //! The pass is deliberately independent of the `lowbit` core crate (which
 //! itself depends on this one): core lowers its `ExecutionPlan` into a
 //! [`PlanSpec`] and calls [`verify_plan`]; the negative catalog in the CLI
-//! and integration tests seeds mutants directly at this level.
+//! and the integration tests seed mutants into such a lowered spec.
 
 use crate::interval::Interval;
 use lowbit_conv_arm::range_analysis::f23_range_halved;
@@ -221,16 +231,16 @@ pub struct ValueSlot {
 
 /// The backend-neutral lowering of a compiled execution plan.
 ///
-/// `nodes`/`values` describe the DAG; when `nodes` is empty the spec is a
-/// pure layer chain and the verifier runs the chain-shaped passes (the
-/// negative catalog seeds mutants at that level).
+/// `nodes`/`values` describe the DAG the layers execute under; a layer chain
+/// is the DAG whose every value has one consumer. Both tables are required:
+/// a spec without nodes or without values is [`PlanViolation::GraphStructureBroken`].
 #[derive(Clone, Debug)]
 pub struct PlanSpec {
     /// Per-layer specs, in execution order.
     pub layers: Vec<LayerSpec>,
-    /// DAG nodes in execution order (empty for a bare layer chain).
+    /// DAG nodes in execution order.
     pub nodes: Vec<NodeSpec>,
-    /// DAG values with recorded arena placements (empty for a bare chain).
+    /// DAG values with recorded arena placements (value 0 is the input).
     pub values: Vec<ValueSlot>,
     /// The whole-plan workspace high-water bytes the plan declares.
     pub declared_high_water_bytes: usize,
@@ -242,7 +252,7 @@ pub struct PlanSpec {
 /// layer it anchors to and carries enough context to reproduce the failure.
 #[derive(Clone, Debug, PartialEq)]
 pub enum PlanViolation {
-    /// Consecutive layers disagree on activation geometry
+    /// A producer and its consumer disagree on activation geometry
     /// (`(batch, channels, h, w)` produced vs expected).
     ShapeBreak {
         /// Layer producing the activations.
@@ -298,7 +308,7 @@ pub enum PlanViolation {
         /// What assumed the bound.
         context: String,
     },
-    /// A layer re-quantizes into a different bit width than its successor's
+    /// A value arrives at a conv in a different bit width than the conv's
     /// kernels were proven for.
     RequantWidthBreak {
         /// Layer producing the activations.
@@ -551,23 +561,20 @@ pub fn arm_workspace_requirement(shape: &ConvShape, algo: ArmAlgoKind) -> ArenaR
     crate::conc::GemmFootprint::of(shape, algo).required_workspace()
 }
 
-/// The arena requirement of one spec layer (GPU layers run outside the ARM
-/// arena and require nothing from it).
-pub fn layer_workspace_requirement(layer: &LayerSpec) -> ArenaRequirement {
-    match layer.backend {
-        BackendSpec::Arm(kind) => arm_workspace_requirement(&layer.shape, kind),
+/// The arena requirement of a layer of geometry `shape` on `backend` (GPU
+/// layers run outside the ARM arena and require nothing from it).
+pub fn workspace_requirement(backend: BackendSpec, shape: &ConvShape) -> ArenaRequirement {
+    match backend {
+        BackendSpec::Arm(kind) => arm_workspace_requirement(shape, kind),
         BackendSpec::Gpu => ArenaRequirement::default(),
     }
 }
 
-/// The certified whole-plan arena high-water: component-wise maximum over
-/// the layers, then summed — exactly how the shared `ConvWorkspace` grows.
-pub fn arena_high_water(layers: &[LayerSpec]) -> usize {
-    layers
-        .iter()
-        .map(layer_workspace_requirement)
-        .fold(ArenaRequirement::default(), ArenaRequirement::max)
-        .total()
+/// The certified whole-plan arena high-water over per-layer requirements:
+/// component-wise maximum, then summed — exactly how the shared
+/// `ConvWorkspace` grows.
+pub fn arena_high_water(layers: impl IntoIterator<Item = ArenaRequirement>) -> usize {
+    layers.into_iter().fold(ArenaRequirement::default(), ArenaRequirement::max).total()
 }
 
 /// One layer's entry in the proof certificate.
@@ -692,75 +699,6 @@ fn scaled_interval(acc: Interval, multiplier: f32) -> Interval {
     Interval::new(a.min(b) - 1, a.max(b) + 1)
 }
 
-/// Runs the shape pass: consecutive layers must chain on
-/// `(batch, channels, h, w)`.
-fn check_shapes(layers: &[LayerSpec]) -> Result<(), PlanViolation> {
-    for w in layers.windows(2) {
-        let (a, b) = (&w[0], &w[1]);
-        let produces = (a.shape.batch, a.shape.c_out, a.shape.out_h(), a.shape.out_w());
-        let expects = (b.shape.batch, b.shape.c_in, b.shape.h, b.shape.w);
-        if produces != expects {
-            return Err(PlanViolation::ShapeBreak {
-                producer: a.name.clone(),
-                produces,
-                consumer: b.name.clone(),
-                expects,
-            });
-        }
-    }
-    Ok(())
-}
-
-/// Runs the layout pass: walk the recorded conversions, requiring the
-/// kernel-input layout to be the backend's native one and the inter-layer
-/// layout to be the executor's NCHW canonical form.
-fn check_layouts(layers: &[LayerSpec]) -> Result<(), PlanViolation> {
-    let canonical = Layout::Nchw;
-    let mut current = canonical;
-    for l in layers {
-        if let Some(c) = l.pre {
-            if c.from != current {
-                return Err(PlanViolation::DanglingConversion {
-                    layer: l.name.clone(),
-                    from: c.from,
-                    current,
-                });
-            }
-            current = c.to;
-        }
-        let native = l.backend.native_layout();
-        if current != native {
-            return Err(PlanViolation::LayoutMismatch {
-                layer: l.name.clone(),
-                site: "kernel input",
-                expected: native,
-                found: current,
-            });
-        }
-        // The kernel writes its native layout.
-        current = native;
-        if let Some(c) = l.post {
-            if c.from != current {
-                return Err(PlanViolation::DanglingConversion {
-                    layer: l.name.clone(),
-                    from: c.from,
-                    current,
-                });
-            }
-            current = c.to;
-        }
-        if current != canonical {
-            return Err(PlanViolation::LayoutMismatch {
-                layer: l.name.clone(),
-                site: "layer output",
-                expected: canonical,
-                found: current,
-            });
-        }
-    }
-    Ok(())
-}
-
 /// Runs the numeric pass over one layer: operand-range check, accumulator
 /// bounds, epilogue. Returns the proof entry and the next layer's operand
 /// interval.
@@ -866,18 +804,17 @@ fn check_layer_numerics(
         acc,
         output: out,
         acc_headroom: headroom,
-        required_workspace: layer_workspace_requirement(l).total(),
+        required_workspace: workspace_requirement(l.backend, &l.shape).total(),
     };
     Ok((proof, out))
 }
 
-/// Workspace certification shared by the chain and graph passes: each
-/// layer's declared bytes must dominate its recomputed requirement, and the
-/// declared whole-plan figure the component-wise arena bound. Returns the
-/// certified bound.
+/// Workspace certification: each layer's declared bytes must dominate its
+/// recomputed requirement, and the declared whole-plan figure the
+/// component-wise arena bound. Returns the certified bound.
 fn check_workspace(spec: &PlanSpec) -> Result<usize, PlanViolation> {
     for l in &spec.layers {
-        let required = layer_workspace_requirement(l).total();
+        let required = workspace_requirement(l.backend, &l.shape).total();
         if l.declared_workspace_bytes < required {
             return Err(PlanViolation::WorkspaceUnderstated {
                 layer: l.name.clone(),
@@ -886,7 +823,8 @@ fn check_workspace(spec: &PlanSpec) -> Result<usize, PlanViolation> {
             });
         }
     }
-    let certified = arena_high_water(&spec.layers);
+    let certified =
+        arena_high_water(spec.layers.iter().map(|l| workspace_requirement(l.backend, &l.shape)));
     if spec.declared_high_water_bytes < certified {
         return Err(PlanViolation::HighWaterUnderstated {
             declared: spec.declared_high_water_bytes,
@@ -894,42 +832,6 @@ fn check_workspace(spec: &PlanSpec) -> Result<usize, PlanViolation> {
         });
     }
     Ok(certified)
-}
-
-/// The chain-shaped passes: consecutive layers feed each other directly.
-fn verify_chain_plan(spec: &PlanSpec) -> Result<PlanProof, PlanViolation> {
-    check_shapes(&spec.layers)?;
-    check_layouts(&spec.layers)?;
-    // Numeric pass: the first layer's operands come from the input
-    // quantizer, which clamps into the layer's adjusted range.
-    let first = spec.layers.first().expect("plans have at least one layer");
-    let mut act = operand_interval(first.bits);
-    let mut proofs = Vec::with_capacity(spec.layers.len());
-    for (i, l) in spec.layers.iter().enumerate() {
-        let (proof, out) = check_layer_numerics(l, act)?;
-        if let Some(next) = spec.layers.get(i + 1) {
-            if l.requant.bits != next.bits {
-                return Err(PlanViolation::RequantWidthBreak {
-                    producer: l.name.clone(),
-                    produced: l.requant.bits,
-                    consumer: next.name.clone(),
-                    expects: next.bits,
-                });
-            }
-        }
-        proofs.push(proof);
-        act = out;
-    }
-    let certified = check_workspace(spec)?;
-    Ok(PlanProof {
-        layers: proofs,
-        certified_high_water: certified,
-        declared_high_water: spec.declared_high_water_bytes,
-        // A bare chain records no value table; there is nothing to certify
-        // beyond the declaration itself.
-        certified_activation_high_water: spec.declared_activation_high_water_bytes,
-        declared_activation_high_water: spec.declared_activation_high_water_bytes,
-    })
 }
 
 fn graph_broken(node: impl Into<String>, detail: String) -> PlanViolation {
@@ -941,8 +843,11 @@ fn graph_broken(node: impl Into<String>, detail: String) -> PlanViolation {
 /// the value table's dims/bytes/live-ranges consistent with the node table.
 fn check_graph_structure(spec: &PlanSpec) -> Result<(), PlanViolation> {
     let (nodes, values) = (&spec.nodes, &spec.values);
+    if nodes.is_empty() {
+        return Err(graph_broken("plan", "a plan has no nodes".into()));
+    }
     if values.is_empty() {
-        return Err(graph_broken("plan", "a DAG plan has no values".into()));
+        return Err(graph_broken("plan", "a plan has no values".into()));
     }
     let mut defined_at = vec![None; values.len()];
     defined_at[0] = Some(0usize);
@@ -1263,7 +1168,7 @@ fn check_graph_dataflow(spec: &PlanSpec) -> Result<(), PlanViolation> {
 }
 
 /// Numeric pass over the DAG: per-value intervals pushed through every
-/// node. Convolutions reuse the chain pass's per-layer machinery; a fused
+/// node. Convolutions run the per-layer numeric pass; a fused
 /// residual add widens the epilogue interval by the residual's before
 /// re-clamping into the output width — exactly the executor's arithmetic.
 fn check_graph_numerics(spec: &PlanSpec) -> Result<Vec<LayerRangeProof>, PlanViolation> {
@@ -1352,8 +1257,12 @@ fn check_activation_arena(spec: &PlanSpec) -> Result<usize, PlanViolation> {
     Ok(required)
 }
 
-/// The DAG-shaped passes.
-fn verify_graph_plan(spec: &PlanSpec) -> Result<PlanProof, PlanViolation> {
+/// Verifies a lowered plan spec: graph structure, per-edge shape and layout
+/// dataflow, numeric range propagation through every node, workspace
+/// certification, and the activation-arena disjointness proof behind
+/// `declared_activation_high_water_bytes`. Returns the proof certificate, or
+/// the first typed counterexample.
+pub fn verify_plan(spec: &PlanSpec) -> Result<PlanProof, PlanViolation> {
     check_graph_structure(spec)?;
     check_graph_dataflow(spec)?;
     let proofs = check_graph_numerics(spec)?;
@@ -1368,20 +1277,6 @@ fn verify_graph_plan(spec: &PlanSpec) -> Result<PlanProof, PlanViolation> {
     })
 }
 
-/// Verifies a lowered plan spec: shape and layout dataflow, numeric range
-/// propagation through every layer, and workspace certification. A spec
-/// with a node table additionally gets the graph passes — structural
-/// well-formedness, per-edge dataflow, and the activation-arena
-/// disjointness proof behind `declared_activation_high_water_bytes`.
-/// Returns the proof certificate, or the first typed counterexample.
-pub fn verify_plan(spec: &PlanSpec) -> Result<PlanProof, PlanViolation> {
-    if spec.nodes.is_empty() {
-        verify_chain_plan(spec)
-    } else {
-        verify_graph_plan(spec)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1393,7 +1288,14 @@ mod tests {
     use lowbit_tensor::{Layout, QTensor};
     use lowbit_trace::Tracer;
 
-    /// A hand-built two-layer spec small enough to reason about exactly.
+    /// The certified arena bound of a layer table.
+    fn high_water(layers: &[LayerSpec]) -> usize {
+        arena_high_water(layers.iter().map(|l| workspace_requirement(l.backend, &l.shape)))
+    }
+
+    /// A hand-built two-layer chain small enough to reason about exactly:
+    /// input v0 feeds l1 -> v1, which feeds l2 -> v2. Arena: v0 and v2
+    /// share offset 0 (their live ranges are disjoint), v1 sits after v0.
     fn toy_spec() -> PlanSpec {
         let s1 = ConvShape::new(1, 3, 8, 8, 4, 3, 1, 1);
         let s2 = ConvShape::new(1, 4, 8, 8, 2, 3, 2, 1);
@@ -1412,18 +1314,37 @@ mod tests {
             relu,
         };
         let layers = vec![mk("l1", s1, true), mk("l2", s2, false)];
-        let hw = arena_high_water(&layers);
+        let hw = high_water(&layers);
+        let node = |name: &str, layer: usize| NodeSpec {
+            name: name.into(),
+            op: NodeOpSpec::Conv { layer, fused_add: None },
+            inputs: vec![layer],
+            output: layer + 1,
+        };
+        let slot = |dims: (usize, usize, usize, usize), def, last_use, offset| ValueSlot {
+            dims,
+            bits: BitWidth::W4,
+            layout: Layout::Nchw,
+            bytes: dims.0 * dims.1 * dims.2 * dims.3,
+            def,
+            last_use,
+            offset,
+        };
         PlanSpec {
             layers,
-            nodes: vec![],
-            values: vec![],
+            nodes: vec![node("l1", 0), node("l2", 1)],
+            values: vec![
+                slot((1, 3, 8, 8), 0, 0, 0),
+                slot((1, 4, 8, 8), 0, 1, 192),
+                slot((1, 2, 4, 4), 1, 1, 0),
+            ],
             declared_high_water_bytes: hw,
-            declared_activation_high_water_bytes: 0,
+            declared_activation_high_water_bytes: 192 + 256,
         }
     }
 
-    /// The toy chain lifted into an explicit DAG with a residual add fused
-    /// into the second conv: input v0 feeds l1 -> v1, l1's output feeds
+    /// A residual variant of the toy chain, with an add fused into the
+    /// second conv: input v0 feeds l1 -> v1, l1's output feeds
     /// l2 whose epilogue adds v1 back in -> v2. Arena: v0 and v2 share
     /// offset 0 (their live ranges are disjoint), v1 sits after v0.
     fn toy_graph_spec() -> PlanSpec {
@@ -1443,7 +1364,7 @@ mod tests {
             relu,
         };
         let layers = vec![mk("l1", true), mk("l2", false)];
-        let hw = arena_high_water(&layers);
+        let hw = high_water(&layers);
         let bytes = 4 * 8 * 8;
         let slot = |layout, def, last_use, offset| ValueSlot {
             dims: (1, 4, 8, 8),
@@ -1550,12 +1471,16 @@ mod tests {
         }
         // A plan claiming Winograd at 7 bit: the 4x input-transform
         // inflation escapes i8 (the paper's 4-6 bit restriction, re-proven
-        // against the live interval).
+        // against the live interval). The value table is widened with the
+        // layers, so the numeric pass, not the edge check, is what fires.
         let mut spec = toy_spec();
-        spec.layers[0].bits = BitWidth::W7;
-        spec.layers[0].requant.bits = BitWidth::W7;
-        spec.layers[1].bits = BitWidth::W7;
-        spec.layers[1].requant.bits = BitWidth::W7;
+        for l in &mut spec.layers {
+            l.bits = BitWidth::W7;
+            l.requant.bits = BitWidth::W7;
+        }
+        for v in &mut spec.values {
+            v.bits = BitWidth::W7;
+        }
         spec.layers[0].backend = BackendSpec::Arm(ArmAlgoKind::Winograd);
         spec.layers[0].declared_workspace_bytes = 0;
         assert!(matches!(
@@ -1566,8 +1491,11 @@ mod tests {
 
     #[test]
     fn epilogue_witnesses_fire() {
+        // l1 re-quantizes into a width l2 was never proven for (the value
+        // record kept consistent, so the edge check fires).
         let mut spec = toy_spec();
         spec.layers[0].requant.bits = BitWidth::W6;
+        spec.values[1].bits = BitWidth::W6;
         assert!(matches!(
             verify_plan(&spec),
             Err(PlanViolation::RequantWidthBreak { .. })
@@ -1600,6 +1528,26 @@ mod tests {
             verify_plan(&spec),
             Err(PlanViolation::HighWaterUnderstated { .. })
         ));
+    }
+
+    #[test]
+    fn specs_without_nodes_or_values_are_structure_breaks() {
+        let broken = |spec: &PlanSpec| {
+            matches!(verify_plan(spec), Err(PlanViolation::GraphStructureBroken { .. }))
+        };
+        let mut spec = toy_spec();
+        spec.nodes.clear();
+        assert!(broken(&spec));
+        let mut spec = toy_spec();
+        spec.values.clear();
+        assert!(broken(&spec));
+        // No layers either: still a typed witness, not an underflow on the
+        // last step.
+        let mut spec = toy_spec();
+        spec.nodes.clear();
+        spec.layers.clear();
+        spec.values.truncate(1);
+        assert!(broken(&spec));
     }
 
     #[test]
@@ -1814,9 +1762,9 @@ mod tests {
             relu: false,
         };
         let layers = vec![mk("a", a), mk("b", b)];
-        let hw = arena_high_water(&layers);
-        let ta = layer_workspace_requirement(&layers[0]).total();
-        let tb = layer_workspace_requirement(&layers[1]).total();
+        let hw = high_water(&layers);
+        let ta = workspace_requirement(layers[0].backend, &a).total();
+        let tb = workspace_requirement(layers[1].backend, &b).total();
         assert!(hw > ta.max(tb), "{hw} vs {ta}/{tb}");
         assert!(hw <= ta + tb);
     }

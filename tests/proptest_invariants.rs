@@ -174,7 +174,7 @@ proptest! {
         let cfg = small[idx.index(small.len())];
         let (input, weights) = lowbit_suite::gpu_tensors(&shape, bits, seed);
         let plan = ConvGpuPlan::new(shape, cfg, precision);
-        let got = plan.execute(&input, &weights);
+        let (got, _) = plan.execute(&input, &weights);
         let (i_nchw, w_nchw) = lowbit_suite::arm_tensors(&shape, bits, seed);
         let oracle = lowbit::conv_arm::direct_conv(&i_nchw, &w_nchw, &shape);
         let (n, c, h, w) = oracle.dims();

@@ -86,7 +86,7 @@ fn seeded_mutants_are_rejected_with_their_witnesses() {
     // declaration must also be typed at the CoreError surface.
     let mut layers = plan.layers().to_vec();
     layers[0].workspace_bytes = 0;
-    let lying = ExecutionPlan::from_layers(layers, plan.workspace_high_water_bytes());
+    let lying = plan.clone().with_layers(layers, plan.workspace_high_water_bytes());
     assert!(matches!(
         verify_compiled(&lying, &net),
         Err(CoreError::PlanRejected {
