@@ -68,19 +68,8 @@ fn main() {
     println!("ARM algorithms (modeled: Cortex-A53 cold; host: measured warm ArmEngine::conv):");
     let headers = vec!["algorithm", "modeled ms", &host_column, "stage breakdown (modeled)"];
     let mut table = Table::new(headers);
-    let algos: Vec<(ArmAlgo, bool)> = vec![
-        (ArmAlgo::Gemm, true),
-        (ArmAlgo::GemmNarrow, !bits.uses_mla_scheme()),
-        (ArmAlgo::GemmSdot, true),
-        (
-            ArmAlgo::Winograd,
-            shape.winograd_applicable() && lowbit::conv_arm::winograd_supported(bits),
-        ),
-        (ArmAlgo::NcnnBaseline, true),
-        (ArmAlgo::BitserialBaseline, bits == BitWidth::W2),
-    ];
-    for (algo, applicable) in algos {
-        if !applicable {
+    for algo in ArmAlgo::CONCRETE {
+        if !algo.applies(bits, &shape) {
             table.push_row(vec![format!("{algo:?}"), "n/a".into(), "n/a".into(), "-".into()]);
             continue;
         }

@@ -2,6 +2,8 @@
 //!
 //! Pipelines provided:
 //!
+//! * [`algo`] — the kernel table: [`ArmAlgo`] and the rule for where each
+//!   algorithm applies,
 //! * [`direct`] — the plain nested-loop convolution, used as the correctness
 //!   oracle for every other path,
 //! * [`mod@gemm_conv`] — the paper's explicit-GEMM convolution: im2col → pad/pack
@@ -29,6 +31,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod algo;
 pub mod bitserial;
 pub mod direct;
 pub mod gemm_conv;
@@ -50,6 +53,7 @@ pub struct ConvOutput {
     pub schedule: KernelSchedule,
 }
 
+pub use algo::ArmAlgo;
 pub use bitserial::{bitserial_conv, schedule_bitserial_conv};
 pub use direct::{direct_conv, direct_conv_scheduled, schedule_direct_conv};
 pub use gemm_conv::{explicit_gemm_schedule, gemm_conv, schedule_gemm_conv};
@@ -58,4 +62,6 @@ pub use winograd::{
     schedule_winograd_conv, winograd_conv, winograd_conv_ws, winograd_operand_bounds,
     winograd_scheme, winograd_supported, WinogradWeights,
 };
-pub use workspace::{gemm_conv_ws, parallel_cycle_split, ConvWorkspace, PackedWeights};
+pub use workspace::{
+    gemm_conv_ws, parallel_cycle_split, prepack_fingerprint, ConvWorkspace, PackedWeights,
+};

@@ -40,7 +40,7 @@
 #![allow(clippy::field_reassign_with_default)] // InstCounts builders read clearer this way
 
 use crate::workspace::ConvWorkspace;
-use crate::ConvOutput;
+use crate::{ArmAlgo, ConvOutput};
 use lowbit_isa::Isa;
 use lowbit_qgemm::gemm::schedule_gemm;
 use lowbit_qgemm::narrow::{pack_a_narrow, PackedANarrow};
@@ -575,7 +575,7 @@ pub fn winograd_conv(input: &QTensor, weights: &QTensor, shape: &ConvShape) -> C
 /// (with their packing), output transform. The weight transform is offline
 /// (model load time) and charged as a bulk stage like weight packing.
 pub fn schedule_winograd_conv(bits: BitWidth, shape: &ConvShape) -> KernelSchedule {
-    assert!(shape.winograd_applicable() && winograd_supported(bits));
+    assert!(ArmAlgo::Winograd.applies(bits, shape));
     let n_tiles = shape.winograd_tiles();
     let scheme = winograd_scheme(bits);
 

@@ -17,15 +17,18 @@
 //!   bit-exact versus direct convolution for any thread count; the SDOT
 //!   GEMM runs serially on `lowbit_qgemm::sdot::gemm_sdot_prepacked_cm`.
 
+use crate::algo::ArmAlgo;
 use crate::gemm_conv::matrix_to_nchw_cm;
 use crate::winograd::{winograd_conv_ws, WinogradScratch, WinogradWeights};
 use lowbit_isa::Isa;
-use lowbit_qgemm::narrow::PackedANarrow;
+use lowbit_qgemm::narrow::{pack_a_narrow, PackedANarrow};
 use lowbit_qgemm::parallel::{gemm_parallel_cm_on, ParallelConfig, SharedWeights};
-use lowbit_qgemm::sdot::{gemm_sdot_prepacked_cm, pack_b_quads_into, PackedAQuads, PackedBQuads};
+use lowbit_qgemm::sdot::{
+    gemm_sdot_prepacked_cm, pack_a_quads, pack_b_quads_into, PackedAQuads, PackedBQuads,
+};
 use lowbit_qgemm::workspace::{GemmWorkspace, WorkspaceStats};
-use lowbit_qgemm::{PackedA, Scheme};
-use lowbit_tensor::{im2col_nchw_into, ConvShape, Im2colMatrix, QTensor, Tensor};
+use lowbit_qgemm::{pack_a, PackedA, Scheme};
+use lowbit_tensor::{im2col_nchw_into, BitWidth, ConvShape, Im2colMatrix, QTensor, Tensor};
 use lowbit_trace::{Tracer, MAIN_TRACK};
 use neon_sim::KernelSchedule;
 
@@ -45,6 +48,22 @@ pub enum PackedWeights {
 }
 
 impl PackedWeights {
+    /// Packs `weights` (NCHW) once into the layout `algo`'s kernel reads at
+    /// the effective width `bits`; only Winograd's weight transform depends
+    /// on `bits`. `None` for the baselines, which pack per call, and for
+    /// `Auto`.
+    pub fn pack(weights: &QTensor, algo: ArmAlgo, bits: BitWidth) -> Option<PackedWeights> {
+        let (c_out, c_in, kh, kw) = weights.dims();
+        let (w, m, k) = (weights.data(), c_out, c_in * kh * kw);
+        Some(match algo {
+            ArmAlgo::Gemm => PackedWeights::Wide(pack_a(w, m, k)),
+            ArmAlgo::GemmNarrow => PackedWeights::Narrow(pack_a_narrow(w, m, k)),
+            ArmAlgo::GemmSdot => PackedWeights::Quads(pack_a_quads(w, m, k)),
+            ArmAlgo::Winograd => PackedWeights::Winograd(WinogradWeights::pack(weights, bits)),
+            ArmAlgo::NcnnBaseline | ArmAlgo::BitserialBaseline | ArmAlgo::Auto => return None,
+        })
+    }
+
     /// Packed bytes held.
     pub fn bytes(&self) -> usize {
         match self {
@@ -54,6 +73,41 @@ impl PackedWeights {
             PackedWeights::Winograd(w) => w.bytes(),
         }
     }
+}
+
+/// The prepack-cache key [`PackedWeights::pack`]'s result for `weights`,
+/// `algo` and the effective width `bits` is stored under (`None` exactly
+/// when `pack` returns `None`): FNV-1a over the layout's tag, the weights'
+/// bit width, dims and raw bytes, then — for Winograd, whose transform
+/// depends on it — `bits`.
+pub fn prepack_fingerprint(weights: &QTensor, algo: ArmAlgo, bits: BitWidth) -> Option<u64> {
+    let (tag, transform_bits) = match algo {
+        ArmAlgo::Gemm => (0u8, None),
+        ArmAlgo::GemmNarrow => (1, None),
+        ArmAlgo::GemmSdot => (2, None),
+        ArmAlgo::Winograd => (3, Some(bits)),
+        ArmAlgo::NcnnBaseline | ArmAlgo::BitserialBaseline | ArmAlgo::Auto => return None,
+    };
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |byte: u8| {
+        h ^= byte as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    };
+    eat(tag);
+    eat(weights.bits().bits());
+    let (d0, d1, d2, d3) = weights.dims();
+    for d in [d0, d1, d2, d3] {
+        for b in (d as u64).to_le_bytes() {
+            eat(b);
+        }
+    }
+    for &v in weights.data() {
+        eat(v as u8);
+    }
+    if let Some(bits) = transform_bits {
+        eat(bits.bits());
+    }
+    Some(h)
 }
 
 /// Caller-owned scratch for [`gemm_conv_ws`]: the im2col matrix, the

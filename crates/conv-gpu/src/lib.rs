@@ -33,6 +33,4 @@ pub use access::{GpuAccessStream, TileSpan, TilingLevels};
 pub use implicit_gemm::{ConvGpuPlan, MemOpts};
 pub use precomp::Precomp;
 pub use tiling::{TileConfig, TileRejection};
-pub use tuning::{
-    auto_search, default_config, search_space, search_space_stats, SearchStats, TuningCache,
-};
+pub use tuning::{auto_search, default_config, search_space, search_space_stats, SearchStats};

@@ -133,108 +133,6 @@ pub fn auto_search(
     best.expect("search space is never empty")
 }
 
-/// A per-shape cache of tuning results — the paper's "optimal tiling
-/// parameters only need to be determined once per convolution shape"
-/// (Sec. 5.1). Deployments persist it next to the model; the text format is
-/// intentionally trivial (one line per entry) so it stays diffable.
-#[derive(Clone, Debug, Default)]
-pub struct TuningCache {
-    entries: std::collections::HashMap<(ConvShape, Precision), TileConfig>,
-}
-
-impl TuningCache {
-    /// Empty cache.
-    pub fn new() -> TuningCache {
-        TuningCache::default()
-    }
-
-    /// Number of cached shapes.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` when empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Returns the cached config, or runs the profile search and caches it.
-    pub fn get_or_search(
-        &mut self,
-        shape: &ConvShape,
-        precision: Precision,
-        device: &Device,
-    ) -> TileConfig {
-        if let Some(cfg) = self.entries.get(&(*shape, precision)) {
-            return *cfg;
-        }
-        let (cfg, _) = auto_search(shape, precision, device);
-        self.entries.insert((*shape, precision), cfg);
-        cfg
-    }
-
-    /// Serializes to the one-line-per-entry text format.
-    pub fn to_text(&self) -> String {
-        let mut lines: Vec<String> = self
-            .entries
-            .iter()
-            .map(|((s, p), c)| {
-                format!(
-                    "{} {} {} {} {} {} {} {} {} {:?} {} {} {} {} {} {}",
-                    s.batch, s.c_in, s.h, s.w, s.c_out, s.kh, s.kw, s.stride, s.pad,
-                    p, c.m_tile, c.n_tile, c.k_tile, c.k_step, c.warps_m, c.warps_n
-                )
-            })
-            .collect();
-        lines.sort();
-        lines.join("\n")
-    }
-
-    /// Parses the text format (inverse of [`TuningCache::to_text`]).
-    pub fn from_text(text: &str) -> Result<TuningCache, String> {
-        let mut cache = TuningCache::new();
-        for (ln, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let f: Vec<&str> = line.split_whitespace().collect();
-            if f.len() != 16 {
-                return Err(format!("line {}: expected 16 fields, got {}", ln + 1, f.len()));
-            }
-            let num = |i: usize| -> Result<usize, String> {
-                f[i].parse().map_err(|_| format!("line {}: bad number {}", ln + 1, f[i]))
-            };
-            let shape = ConvShape {
-                batch: num(0)?,
-                c_in: num(1)?,
-                h: num(2)?,
-                w: num(3)?,
-                c_out: num(4)?,
-                kh: num(5)?,
-                kw: num(6)?,
-                stride: num(7)?,
-                pad: num(8)?,
-            };
-            let precision = match f[9] {
-                "TensorCoreInt4" => Precision::TensorCoreInt4,
-                "TensorCoreInt8" => Precision::TensorCoreInt8,
-                "Dp4aInt8" => Precision::Dp4aInt8,
-                other => return Err(format!("line {}: unknown precision {other}", ln + 1)),
-            };
-            let cfg = TileConfig {
-                m_tile: num(10)?,
-                n_tile: num(11)?,
-                k_tile: num(12)?,
-                k_step: num(13)?,
-                warps_m: num(14)?,
-                warps_n: num(15)?,
-            };
-            cache.entries.insert((shape, precision), cfg);
-        }
-        Ok(cache)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -283,37 +181,6 @@ mod tests {
             cfg1.m_tile <= cfg16.m_tile,
             "batch 1 chose {cfg1:?}, batch 16 chose {cfg16:?}"
         );
-    }
-
-    #[test]
-    fn cache_avoids_repeated_searches_and_round_trips() {
-        let d = Device::rtx2080ti();
-        let mut cache = TuningCache::new();
-        let shape = ConvShape::new(1, 64, 28, 28, 64, 3, 1, 1);
-        let c1 = cache.get_or_search(&shape, Precision::TensorCoreInt8, &d);
-        assert_eq!(cache.len(), 1);
-        let c2 = cache.get_or_search(&shape, Precision::TensorCoreInt8, &d);
-        assert_eq!(c1, c2);
-        assert_eq!(cache.len(), 1);
-        // Different precision is a different entry.
-        cache.get_or_search(&shape, Precision::TensorCoreInt4, &d);
-        assert_eq!(cache.len(), 2);
-        // Text round trip preserves every entry.
-        let text = cache.to_text();
-        let back = TuningCache::from_text(&text).unwrap();
-        assert_eq!(back.len(), 2);
-        let mut back = back;
-        assert_eq!(back.get_or_search(&shape, Precision::TensorCoreInt8, &d), c1);
-    }
-
-    #[test]
-    fn cache_parser_rejects_garbage() {
-        assert!(TuningCache::from_text("1 2 3").is_err());
-        assert!(TuningCache::from_text(
-            "1 64 28 28 64 3 3 1 1 NotAPrecision 64 64 64 16 2 2"
-        )
-        .is_err());
-        assert!(TuningCache::from_text("").unwrap().is_empty());
     }
 
     #[test]

@@ -15,40 +15,21 @@
 
 use lowbit_conv_arm::{
     bitserial_conv, explicit_gemm_schedule, gemm_conv_ws, ncnn_conv, schedule_bitserial_conv,
-    schedule_ncnn_conv, schedule_winograd_conv, winograd_supported, ConvOutput, ConvWorkspace,
-    PackedWeights, WinogradWeights,
+    schedule_ncnn_conv, schedule_winograd_conv, ConvOutput, ConvWorkspace, PackedWeights,
 };
 use lowbit_qgemm::gemm::schedule_gemm;
-use lowbit_qgemm::narrow::{pack_a_narrow, schedule_gemm_narrow};
+use lowbit_qgemm::narrow::schedule_gemm_narrow;
 use lowbit_qgemm::parallel::{threads_from_env, ParallelConfig, MAX_THREADS};
-use lowbit_qgemm::sdot::{pack_a_quads, schedule_gemm_sdot};
+use lowbit_qgemm::sdot::schedule_gemm_sdot;
 use lowbit_qgemm::workspace::WorkspaceStats;
-use lowbit_qgemm::{pack_a, Scheme};
+use lowbit_qgemm::Scheme;
 use lowbit_tensor::{BitWidth, ConvShape, Layout, QTensor, Tensor};
 use lowbit_trace::{PipeAttribution, Tracer, MAIN_TRACK};
 use neon_sim::{CortexA53, CostModel, KernelSchedule, StageCost};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-/// Algorithm choice for one layer.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ArmAlgo {
-    /// Pick the modeled-fastest applicable algorithm (the paper's policy:
-    /// Winograd for 4–6-bit 3x3/s1, the scheme-matched GEMM otherwise).
-    Auto,
-    /// Force the explicit-GEMM path.
-    Gemm,
-    /// Force the Winograd `F(2x2, 3x3)` path (panics if not applicable).
-    Winograd,
-    /// The spill-free narrow 8x4 GEMM tile (extension; SMLAL widths only).
-    GemmNarrow,
-    /// The ARMv8.2 `SDOT` GEMM (extension; models a newer core's ISA).
-    GemmSdot,
-    /// The ncnn-like 8-bit baseline.
-    NcnnBaseline,
-    /// The TVM-like popcount baseline (2-bit only).
-    BitserialBaseline,
-}
+pub use lowbit_conv_arm::{prepack_fingerprint, ArmAlgo};
 
 /// Result of an ARM convolution.
 #[derive(Clone, Debug)]
@@ -132,41 +113,6 @@ pub fn stage_attribution(stage: &StageCost, model: &CostModel) -> PipeAttributio
     }
 }
 
-/// Lays a schedule's stages back-to-back on a synthetic "modeled" timeline
-/// track, one span per stage (duration = the stage's modeled wall time),
-/// under a parent span covering the whole kernel. Only the stage spans carry
-/// a [`PipeAttribution`], so summing attributions over the track counts each
-/// cycle exactly once.
-fn emit_modeled_schedule(
-    tracer: &Tracer,
-    track: u32,
-    label: &str,
-    sched: &KernelSchedule,
-    model: &CostModel,
-) {
-    if !tracer.enabled() {
-        return;
-    }
-    let mut at_ns = 0u64;
-    let mut stages = Vec::with_capacity(sched.stages.len());
-    for stage in &sched.stages {
-        let dur_ns = (model.seconds(stage.cycles(model)) * 1e9).round().max(1.0) as u64;
-        stages.push((stage, at_ns, dur_ns));
-        at_ns += dur_ns;
-    }
-    tracer.modeled_span(track, "conv modeled", 0, at_ns, Some(label.to_string()), None);
-    for (stage, start_ns, dur_ns) in stages {
-        tracer.modeled_span(
-            track,
-            stage.name,
-            start_ns,
-            dur_ns,
-            None,
-            Some(stage_attribution(stage, model)),
-        );
-    }
-}
-
 /// Cache and reuse statistics of the engine's prepacked-weight store.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PrepackStats {
@@ -189,49 +135,6 @@ pub struct PrepackStats {
 /// single model in this suite, so eviction only engages when a many-model
 /// server shares one engine. [`ArmEngine::with_prepack_capacity`] overrides.
 pub const DEFAULT_PREPACK_CAPACITY_BYTES: usize = 64 << 20;
-
-/// The prepack-cache key a weight tensor will be stored under when executed
-/// with `algo` at the effective bit width `bits` (`max(input, weight)`;
-/// `None` for algorithms without a prepacked layout). Only Winograd's key
-/// depends on `bits`, because only its weight transform does. This is what
-/// [`crate::plan::LayerPlan::prepack_fingerprint`] records, so a plan can be
-/// checked against the engine's cache contents.
-pub fn prepack_fingerprint(weights: &QTensor, algo: ArmAlgo, bits: BitWidth) -> Option<u64> {
-    let (tag, transform_bits) = match algo {
-        ArmAlgo::Gemm => (0u8, None),
-        ArmAlgo::GemmNarrow => (1, None),
-        ArmAlgo::GemmSdot => (2, None),
-        ArmAlgo::Winograd => (3, Some(bits)),
-        _ => return None,
-    };
-    Some(fingerprint(weights, tag, transform_bits))
-}
-
-/// FNV-1a over the weight tensor's identity (algorithm layout tag, bit
-/// width, dims, raw bytes, then the transform width if any) — the prepack
-/// cache key.
-fn fingerprint(weights: &QTensor, tag: u8, transform_bits: Option<BitWidth>) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |byte: u8| {
-        h ^= byte as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    eat(tag);
-    eat(weights.bits().bits());
-    let (d0, d1, d2, d3) = weights.dims();
-    for d in [d0, d1, d2, d3] {
-        for b in (d as u64).to_le_bytes() {
-            eat(b);
-        }
-    }
-    for &v in weights.data() {
-        eat(v as u8);
-    }
-    if let Some(bits) = transform_bits {
-        eat(bits.bits());
-    }
-    h
-}
 
 /// One resident prepack-cache entry: the packed panels plus the LRU
 /// recency stamp eviction orders by.
@@ -271,15 +174,8 @@ impl Default for EngineState {
 }
 
 impl EngineState {
-    fn prepacked(
-        &mut self,
-        weights: &QTensor,
-        shape: &ConvShape,
-        algo: ArmAlgo,
-        bits: BitWidth,
-    ) -> Arc<PackedWeights> {
-        let key = prepack_fingerprint(weights, algo, bits)
-            .unwrap_or_else(|| unreachable!("{algo:?} has no prepacked layout"));
+    /// The cache entry under `key`, packed by `pack` on a miss.
+    fn prepacked(&mut self, key: u64, pack: impl FnOnce() -> PackedWeights) -> Arc<PackedWeights> {
         self.tick += 1;
         let tick = self.tick;
         if let Some(entry) = self.cache.get_mut(&key) {
@@ -288,14 +184,7 @@ impl EngineState {
             return entry.packed.clone();
         }
         self.misses += 1;
-        let (m, k) = (shape.gemm_m(), shape.gemm_k());
-        let packed = Arc::new(match algo {
-            ArmAlgo::Gemm => PackedWeights::Wide(pack_a(weights.data(), m, k)),
-            ArmAlgo::GemmNarrow => PackedWeights::Narrow(pack_a_narrow(weights.data(), m, k)),
-            ArmAlgo::GemmSdot => PackedWeights::Quads(pack_a_quads(weights.data(), m, k)),
-            ArmAlgo::Winograd => PackedWeights::Winograd(WinogradWeights::pack(weights, bits)),
-            _ => unreachable!(),
-        });
+        let packed = Arc::new(pack());
         self.cache_bytes += packed.bytes();
         self.cache.insert(key, CacheEntry { packed: packed.clone(), last_used: tick });
         // LRU eviction down to the capacity bound. The entry just inserted
@@ -455,33 +344,37 @@ impl ArmEngine {
         conv_span.set_label(|| format!("{ctx}: {algo:?} {bits}"));
         let mut prepack_hit = None;
         let mut workspace_growth_bytes = 0;
-        let out = match algo {
-            ArmAlgo::Gemm | ArmAlgo::GemmNarrow | ArmAlgo::GemmSdot | ArmAlgo::Winograd => {
+        let out = match prepack_fingerprint(weights, algo, bits) {
+            Some(key) => {
                 let scheme = Scheme::for_bits(bits);
                 let cfg = ParallelConfig::with_threads(self.threads);
                 let mut guard = self.state.lock().expect("engine state poisoned");
                 let st = &mut *guard;
                 let hits_before = st.hits;
-                let packed = st.prepacked(weights, shape, algo, bits);
+                let packed = st.prepacked(key, || {
+                    PackedWeights::pack(weights, algo, bits).expect("a fingerprinted layout packs")
+                });
                 prepack_hit = Some(st.hits > hits_before);
                 let ws_before = st.ws.footprint_bytes();
                 let acc = gemm_conv_ws(input, &packed, &scheme, shape, &cfg, &mut st.ws, tracer);
                 workspace_growth_bytes = st.ws.footprint_bytes().saturating_sub(ws_before);
                 ConvOutput { acc, schedule: arm_schedule(algo, bits, shape, true) }
             }
-            ArmAlgo::NcnnBaseline => ncnn_conv(input, weights, shape),
-            ArmAlgo::BitserialBaseline => bitserial_conv(input, weights, shape),
-            ArmAlgo::Auto => unreachable!("Auto resolved above"),
+            // The baselines have no prepacked layout: they pack per call.
+            None if algo == ArmAlgo::NcnnBaseline => ncnn_conv(input, weights, shape),
+            None => bitserial_conv(input, weights, shape),
         };
         drop(conv_span);
         if tracer.enabled() {
-            let track = tracer.track(&format!("modeled/{ctx}"));
-            emit_modeled_schedule(
-                tracer,
-                track,
-                &format!("{algo:?} {bits}"),
-                &out.schedule,
-                &self.model,
+            let model = &self.model;
+            tracer.modeled_stages(
+                tracer.track(&format!("modeled/{ctx}")),
+                "conv modeled",
+                format!("{algo:?} {bits}"),
+                out.schedule.stages.iter().map(|stage| {
+                    let secs = model.seconds(stage.cycles(model));
+                    (stage.name, secs, Some(stage_attribution(stage, model)))
+                }),
             );
         }
         let millis = out.schedule.millis(&self.model);
@@ -514,9 +407,8 @@ impl ArmEngine {
 
 /// Panics unless `shape` has a positive stride, kernel and channel counts
 /// and a kernel that fits the padded input, `input` is NCHW with `shape`'s
-/// input dims, `weights` is NCHW with its filter dims, a forced Winograd
-/// has a 3x3/stride-1 shape and at most 6 effective bits, and a forced
-/// narrow tile has at least 4 (the tile is `SMLAL`-only). Batch 0 passes:
+/// input dims, `weights` is NCHW with its filter dims, and `algo` applies
+/// at the effective width ([`ArmAlgo::applies`]). Batch 0 passes:
 /// every algorithm returns an empty result for it. [`ArmEngine::conv_traced`]
 /// runs this before taking the state lock: a kernel or weight transform
 /// panicking under the lock would poison the state every clone shares, and
@@ -536,13 +428,7 @@ fn check_operands(input: &QTensor, weights: &QTensor, shape: &ConvShape, algo: A
     let weight_dims = (shape.c_out, shape.c_in, shape.kh, shape.kw);
     assert_eq!(weights.dims(), weight_dims, "weight dims do not match conv shape");
     let bits = input.bits().max(weights.bits());
-    if algo == ArmAlgo::Winograd {
-        assert!(shape.winograd_applicable(), "Winograd requires 3x3 stride-1");
-        assert!(winograd_supported(bits), "Winograd supports <= 6 bit, not {bits}");
-    }
-    if algo == ArmAlgo::GemmNarrow {
-        assert!(!bits.uses_mla_scheme(), "the narrow tile needs >= 4 bit, not {bits}");
-    }
+    assert!(algo.applies(bits, shape), "{algo:?} does not apply at {bits} to {shape:?}");
 }
 
 #[cfg(test)]

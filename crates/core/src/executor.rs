@@ -18,6 +18,7 @@ use crate::network::{LayerReport, Network};
 use crate::plan::{BackendKind, ExecutionPlan, LayerPlan, PlanAlgo, PlanOp};
 use std::borrow::Cow;
 use std::sync::Arc;
+use lowbit_conv_gpu::ConvGpuPlan;
 use lowbit_qnn::{quantize_f32, requantize_with_bias, Quantizer};
 use lowbit_tensor::{Layout, QTensor, Tensor};
 use lowbit_trace::{Tracer, MAIN_TRACK};
@@ -145,7 +146,7 @@ impl Backend for GpuEngine {
         }
         // The GPU kernel is NHWC-native; normalize whatever arrived.
         let gpu_plan = self.plan(&plan.shape, plan.bits, Tuning::Fixed(cfg));
-        let time = self.estimate_traced(&gpu_plan, plan.bits, tracer, &plan.name);
+        let time = modeled_gpu_time(self, &gpu_plan, plan, tracer);
         let (acc, _) = gpu_plan.execute(
             &in_layout(act, Layout::Nhwc),
             &in_layout(weights, Layout::Nhwc),
@@ -168,12 +169,43 @@ impl Backend for GpuEngine {
             return Err(wrong_algo(plan, BackendKind::GpuModel));
         };
         let gpu_plan = self.plan(&plan.shape, plan.bits, Tuning::Fixed(cfg));
-        let time = self.estimate_traced(&gpu_plan, plan.bits, tracer, &plan.name);
+        let time = modeled_gpu_time(self, &gpu_plan, plan, tracer);
         Ok(BackendLayerEstimate {
             millis: time.total_s * 1e3,
             gpu_time: Some(time),
         })
     }
+}
+
+/// Models a layer's built GPU plan on `engine`'s device and lays its modeled
+/// stages (launch overhead, global load, shared-memory reorder, MMA,
+/// epilogue) back to back on a `gpu modeled/<layer>` track. The serialized
+/// layout makes per-stage magnitudes comparable in a viewer; the engine's
+/// `total_s` is *less* than the span sum whenever the double buffer
+/// overlaps DRAM under compute (the Fig. 6 mechanism), and the parent
+/// span's label records that total.
+fn modeled_gpu_time(
+    engine: &GpuEngine,
+    gpu_plan: &ConvGpuPlan,
+    plan: &LayerPlan,
+    tracer: &Tracer,
+) -> KernelTime {
+    let time = gpu_plan.time(engine.device());
+    if tracer.enabled() {
+        tracer.modeled_stages(
+            tracer.track(&format!("gpu modeled/{}", plan.name)),
+            "gpu conv modeled",
+            format!("{}: {} total {:.3}us", plan.name, plan.bits, time.total_us()),
+            [
+                ("launch", time.launch_s, None),
+                ("global load", time.dram_s, None),
+                ("smem reorder", time.smem_s, None),
+                ("mma", time.mma_s, None),
+                ("epilogue", time.epilogue_s, None),
+            ],
+        );
+    }
+    time
 }
 
 /// What computing one DAG node yields: the produced tensor, its scale, and

@@ -2,7 +2,6 @@
 
 use lowbit_conv_gpu::{auto_search, default_config, ConvGpuPlan, TileConfig};
 use lowbit_tensor::{BitWidth, ConvShape, QTensor, Tensor};
-use lowbit_trace::Tracer;
 use turing_sim::{Device, KernelTime, Precision};
 
 /// How tiling parameters are chosen.
@@ -93,53 +92,6 @@ impl GpuEngine {
     /// Modeled time without executing.
     pub fn estimate(&self, shape: &ConvShape, bits: BitWidth, tuning: Tuning) -> KernelTime {
         self.plan(shape, bits, tuning).time(&self.device)
-    }
-
-    /// Models a built plan on this engine's device, with span recording:
-    /// the modeled stages of the launch (launch overhead, global load,
-    /// shared-memory reorder, MMA, epilogue) are laid back-to-back on a
-    /// `gpu modeled/<ctx>` track. The
-    /// serialized layout makes per-stage magnitudes comparable in a viewer;
-    /// the engine's `total_s` is *less* than the span sum whenever the
-    /// double-buffer overlaps DRAM under compute (the Fig. 6 mechanism), and
-    /// the parent span's label records that total.
-    pub fn estimate_traced(
-        &self,
-        plan: &ConvGpuPlan,
-        bits: BitWidth,
-        tracer: &Tracer,
-        ctx: &str,
-    ) -> KernelTime {
-        let time = plan.time(&self.device);
-        if tracer.enabled() {
-            let track = tracer.track(&format!("gpu modeled/{ctx}"));
-            let stages = [
-                ("launch", time.launch_s),
-                ("global load", time.dram_s),
-                ("smem reorder", time.smem_s),
-                ("mma", time.mma_s),
-                ("epilogue", time.epilogue_s),
-            ];
-            let mut at_ns = 0u64;
-            let mut placed = Vec::with_capacity(stages.len());
-            for (name, secs) in stages {
-                let dur_ns = (secs * 1e9).round().max(1.0) as u64;
-                placed.push((name, at_ns, dur_ns));
-                at_ns += dur_ns;
-            }
-            tracer.modeled_span(
-                track,
-                "gpu conv modeled",
-                0,
-                at_ns,
-                Some(format!("{ctx}: {bits} total {:.3}us", time.total_us())),
-                None,
-            );
-            for (name, start_ns, dur_ns) in placed {
-                tracer.modeled_span(track, name, start_ns, dur_ns, None, None);
-            }
-        }
-        time
     }
 }
 

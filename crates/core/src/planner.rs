@@ -26,7 +26,6 @@ use crate::plan::{
     BackendKind, Epilogue, ExecutionPlan, LayerPlan, NodePlan, ParallelSchedule, PlanAlgo,
     PlanOp, ValuePlan,
 };
-use lowbit_conv_arm::winograd_supported;
 use lowbit_conv_gpu::{auto_search, default_config, ConvGpuPlan};
 use lowbit_tensor::{BitWidth, ConvShape};
 use neon_sim::CostModel;
@@ -43,20 +42,18 @@ pub struct ArmCandidate {
     pub warm_millis: f64,
 }
 
+/// The algorithms the planner ranks, in tie-break order: the paper's wide
+/// 16x4 GEMM, the narrow 8x4 tile and Winograd `F(2x2, 3x3)`. The SDOT
+/// GEMM and the baselines run only when forced.
+const PLANNED_ARM_ALGOS: [ArmAlgo; 3] = [ArmAlgo::Gemm, ArmAlgo::GemmNarrow, ArmAlgo::Winograd];
+
 /// Enumerates the ARM kernel candidates for a bit width and shape: the
-/// paper's wide 16x4 GEMM always applies, the narrow 8x4 tile exists for the
-/// SMLAL widths (4–8 bit), and Winograd `F(2x2, 3x3)` for supported widths
-/// on 3x3/stride-1 geometry.
+/// planned algorithms that apply there ([`ArmAlgo::applies`]). The wide GEMM
+/// always applies, so the list is never empty.
 pub fn arm_candidates(model: &CostModel, bits: BitWidth, shape: &ConvShape) -> Vec<ArmCandidate> {
-    let mut algos = vec![ArmAlgo::Gemm];
-    if !bits.uses_mla_scheme() {
-        algos.push(ArmAlgo::GemmNarrow);
-    }
-    if winograd_supported(bits) && shape.winograd_applicable() {
-        algos.push(ArmAlgo::Winograd);
-    }
-    algos
+    PLANNED_ARM_ALGOS
         .into_iter()
+        .filter(|algo| algo.applies(bits, shape))
         .map(|algo| ArmCandidate {
             algo,
             cold_cycles: arm_schedule(algo, bits, shape, false).cycles(model),

@@ -17,29 +17,31 @@ use crate::network::{NetLayer, Network};
 use crate::plan::{BackendKind, ExecutionPlan, LayerPlan, PlanAlgo, PlanOp};
 use lowbit_tensor::{BitWidth, QTensor, Tensor};
 use lowbit_verify::{
-    arena_high_water, verify_conc, verify_plan, ArenaRequirement, ArmAlgoKind, BackendSpec,
-    ChannelSums, ConcNode, ConcProof, ConcSpec, ConcValue, GemmFootprint, LayerSpec, MemSpan,
-    NodeOpSpec, NodeSpec, PlanProof, PlanSpec, PlanViolation, RequantSpec, ScheduleSpec, ValueSlot,
+    arena_high_water, verify_conc, verify_plan, ArenaRequirement, BackendSpec, ChannelSums,
+    ConcNode, ConcProof, ConcSpec, ConcValue, GemmFootprint, LayerSpec, MemSpan, NodeOpSpec,
+    NodeSpec, PlanProof, PlanSpec, PlanViolation, RequantSpec, ScheduleSpec, ValueSlot,
 };
 
 /// Lowers a layer plan's backend and committed kernel onto the verifier's
-/// kernel family — the one mapping behind the plan lowering, the workspace
-/// sizing and the concurrency lowering. Panics on `ArmAlgo::Auto`, which
-/// compiled plans never carry.
+/// view of it — the one mapping behind the plan lowering, the workspace
+/// sizing and the concurrency lowering.
 pub fn backend_spec(lp: &LayerPlan) -> BackendSpec {
-    let algo = match (lp.backend, lp.algo) {
-        (BackendKind::Arm, PlanAlgo::Arm(algo)) => algo,
-        _ => return BackendSpec::Gpu,
-    };
-    BackendSpec::Arm(match algo {
-        ArmAlgo::Gemm => ArmAlgoKind::GemmWide,
-        ArmAlgo::GemmNarrow => ArmAlgoKind::GemmNarrow,
-        ArmAlgo::GemmSdot => ArmAlgoKind::GemmSdot,
-        ArmAlgo::Winograd => ArmAlgoKind::Winograd,
-        ArmAlgo::NcnnBaseline => ArmAlgoKind::NcnnBaseline,
-        ArmAlgo::BitserialBaseline => ArmAlgoKind::BitserialBaseline,
-        ArmAlgo::Auto => panic!("{}: plans never carry ArmAlgo::Auto", lp.name),
-    })
+    match (lp.backend, lp.algo) {
+        (BackendKind::Arm, PlanAlgo::Arm(algo)) => BackendSpec::Arm(algo),
+        _ => BackendSpec::Gpu,
+    }
+}
+
+/// Refuses a plan whose layer still carries `ArmAlgo::Auto`: the planner
+/// commits every layer to a kernel, and only a committed kernel has a
+/// footprint the verifiers can certify.
+fn check_committed(plan: &ExecutionPlan) -> Result<(), CoreError> {
+    match plan.layers().iter().find(|lp| lp.algo == PlanAlgo::Arm(ArmAlgo::Auto)) {
+        Some(lp) => Err(CoreError::PlanMismatch {
+            detail: format!("{}: plans never carry ArmAlgo::Auto", lp.name),
+        }),
+        None => Ok(()),
+    }
 }
 
 /// The certified arena requirement of one layer plan (GPU layers run
@@ -80,9 +82,10 @@ fn channel_sums(weights: &QTensor) -> Vec<ChannelSums> {
 /// holds the weights) into the verifier's backend-neutral [`PlanSpec`].
 ///
 /// Fails with [`CoreError::PlanMismatch`] if the plan does not belong to the
-/// network.
+/// network or a layer carries `ArmAlgo::Auto`.
 pub fn lower_plan(plan: &ExecutionPlan, net: &Network) -> Result<PlanSpec, CoreError> {
     plan.validate_for(net)?;
+    check_committed(plan)?;
     let layers = plan
         .layers()
         .iter()
@@ -173,11 +176,11 @@ pub fn lower_conc_spec(
                     let lp = &plan.layers()[layer];
                     match backend_spec(lp) {
                         BackendSpec::Arm(
-                            kind @ (ArmAlgoKind::GemmWide
-                            | ArmAlgoKind::GemmNarrow
-                            | ArmAlgoKind::GemmSdot
-                            | ArmAlgoKind::Winograd),
-                        ) => Some(GemmFootprint::of(&lp.shape, kind)),
+                            algo @ (ArmAlgo::Gemm
+                            | ArmAlgo::GemmNarrow
+                            | ArmAlgo::GemmSdot
+                            | ArmAlgo::Winograd),
+                        ) => Some(GemmFootprint::of(&lp.shape, algo)),
                         _ => None,
                     }
                 }
@@ -228,10 +231,12 @@ pub fn lower_conc(plan: &ExecutionPlan) -> Option<(ConcSpec, ScheduleSpec)> {
 
 /// Runs the static concurrency verifier on a compiled plan's declared
 /// parallel schedule. [`CoreError::ParallelCertificateMissing`] for
-/// serial-only plans; a typed counterexample surfaces as
+/// serial-only plans and [`CoreError::PlanMismatch`] for a layer carrying
+/// `ArmAlgo::Auto`; a typed counterexample surfaces as
 /// [`CoreError::ConcRejected`]. The parallel executor calls this on every
 /// run — a forged or stale certificate never executes.
 pub fn verify_conc_compiled(plan: &ExecutionPlan) -> Result<ConcProof, CoreError> {
+    check_committed(plan)?;
     let (spec, sched) = lower_conc(plan).ok_or(CoreError::ParallelCertificateMissing)?;
     verify_conc(&spec, &sched).map_err(|violation| CoreError::ConcRejected { violation })
 }

@@ -365,6 +365,35 @@ impl Tracer {
         }
     }
 
+    /// Lays named modeled stages back to back on `track` from time 0, under
+    /// one `parent` span labelled `label` that covers them all. Each stage
+    /// lasts its modeled seconds rounded to whole nanoseconds (at least 1),
+    /// so the parent's duration is exactly the sum of its children's. Only
+    /// the stages carry an attribution, so summing attributions over the
+    /// track counts each cycle once.
+    pub fn modeled_stages<'a>(
+        &self,
+        track: u32,
+        parent: &str,
+        label: String,
+        stages: impl IntoIterator<Item = (&'a str, f64, Option<PipeAttribution>)>,
+    ) {
+        if !self.enabled() {
+            return;
+        }
+        let mut at_ns = 0u64;
+        let mut placed = Vec::new();
+        for (name, secs, attr) in stages {
+            let dur_ns = (secs * 1e9).round().max(1.0) as u64;
+            placed.push((name, at_ns, dur_ns, attr));
+            at_ns += dur_ns;
+        }
+        self.modeled_span(track, parent, 0, at_ns, Some(label), None);
+        for (name, start_ns, dur_ns, attr) in placed {
+            self.modeled_span(track, name, start_ns, dur_ns, None, attr);
+        }
+    }
+
     fn submit(&self, record: SpanRecord) {
         if let Some(s) = &self.shared {
             s.sink.span(record);

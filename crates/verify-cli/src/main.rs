@@ -36,8 +36,8 @@
 use lowbit_verify::gpu::{gpu_demo_report, gpu_sweep_layers, precision_label};
 use lowbit_verify::{
     schedule_digest, standard_cases, verify_case, verify_conc, verify_gpu_plan, verify_plan,
-    ArmAlgoKind, BackendSpec, ChannelSums, ConcProof, ConcSpec, ConcViolation, LayoutConversion,
-    PlanProof, PlanSpec, PlanViolation, ScheduleSpec,
+    BackendSpec, ChannelSums, ConcProof, ConcSpec, ConcViolation, LayoutConversion, PlanProof,
+    PlanSpec, PlanViolation, ScheduleSpec,
 };
 
 use lowbit::prelude::*;
@@ -282,7 +282,7 @@ fn mutant_catalog(base: &PlanSpec) -> Vec<Mutant> {
         for v in &mut s.values {
             v.bits = BitWidth::W7;
         }
-        s.layers[0].backend = BackendSpec::Arm(ArmAlgoKind::Winograd);
+        s.layers[0].backend = BackendSpec::Arm(ArmAlgo::Winograd);
     });
     // A producer re-quantizing into a width its consumer's proofs never
     // assumed (again with the value record kept consistent, so the edge

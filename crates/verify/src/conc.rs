@@ -26,9 +26,9 @@
 //! returns a [`ConcProof`]; on failure a typed [`ConcViolation`] witness.
 
 use crate::geometry::check_spans;
-use crate::plan::{ArenaRequirement, ArmAlgoKind, max_panel_bytes};
+use crate::plan::{max_panel_bytes, panel_bytes, ArenaRequirement};
+use lowbit_conv_arm::ArmAlgo;
 use lowbit_qgemm::{ColumnSpan, NB};
-use lowbit_qgemm::parallel::{DEFAULT_KC, DEFAULT_NC};
 
 /// A half-open byte span `[offset, offset + bytes)` in a named arena.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -67,14 +67,14 @@ pub struct GemmFootprint {
     /// dimension.
     pub n: usize,
     /// The committed ARM kernel family.
-    pub algo: ArmAlgoKind,
+    pub algo: ArmAlgo,
 }
 
 impl GemmFootprint {
     /// The footprint of `algo` on `shape`.
-    pub fn of(shape: &lowbit_tensor::ConvShape, algo: ArmAlgoKind) -> GemmFootprint {
+    pub fn of(shape: &lowbit_tensor::ConvShape, algo: ArmAlgo) -> GemmFootprint {
         let (m, k, n) = match algo {
-            ArmAlgoKind::Winograd => (shape.c_out, shape.c_in, shape.winograd_tiles()),
+            ArmAlgo::Winograd => (shape.c_out, shape.c_in, shape.winograd_tiles()),
             _ => (shape.gemm_m(), shape.gemm_k(), shape.gemm_n()),
         };
         GemmFootprint { m, k, n, algo }
@@ -85,13 +85,13 @@ impl GemmFootprint {
     pub fn required_workspace(&self) -> ArenaRequirement {
         let (m, k, n) = (self.m, self.k, self.n);
         match self.algo {
-            ArmAlgoKind::GemmWide | ArmAlgoKind::GemmNarrow => ArenaRequirement {
+            ArmAlgo::Gemm | ArmAlgo::GemmNarrow => ArenaRequirement {
                 col: k * n,
                 c_cm: 4 * m * n,
                 panels: max_panel_bytes(k, n),
                 ..ArenaRequirement::default()
             },
-            ArmAlgoKind::GemmSdot => ArenaRequirement {
+            ArmAlgo::GemmSdot => ArenaRequirement {
                 col: k * n,
                 bq: k.next_multiple_of(4) * n.next_multiple_of(NB),
                 c_sdot: 4 * m * n,
@@ -99,7 +99,7 @@ impl GemmFootprint {
             },
             // The transformed input, the four output planes, and each tile
             // span's position-GEMM result and panel.
-            ArmAlgoKind::Winograd => ArenaRequirement {
+            ArmAlgo::Winograd => ArenaRequirement {
                 wg_v: 16 * k * n,
                 wg_planes: 16 * m * n,
                 wg_c_cm: 4 * m * n,
@@ -107,8 +107,9 @@ impl GemmFootprint {
                 ..ArenaRequirement::default()
             },
             // The baselines allocate their own buffers per call; they do
-            // not grow the shared arena.
-            ArmAlgoKind::NcnnBaseline | ArmAlgoKind::BitserialBaseline => {
+            // not grow the shared arena. `Auto` names no kernel; both
+            // verifiers reject it.
+            ArmAlgo::NcnnBaseline | ArmAlgo::BitserialBaseline | ArmAlgo::Auto => {
                 ArenaRequirement::default()
             }
         }
@@ -671,18 +672,18 @@ pub fn verify_conc(spec: &ConcSpec, sched: &ScheduleSpec) -> Result<ConcProof, C
         }
         let req = g.required_workspace();
         let certified = match g.algo {
-            ArmAlgoKind::GemmWide | ArmAlgoKind::GemmNarrow => Some(req.panels),
-            ArmAlgoKind::Winograd => Some(req.wg_panels),
-            _ => None,
+            ArmAlgo::Gemm | ArmAlgo::GemmNarrow => Some(req.panels),
+            ArmAlgo::Winograd => Some(req.wg_panels),
+            ArmAlgo::Auto => {
+                return Err(ConcViolation::PartitionOverlap {
+                    node: node.name.clone(),
+                    detail: "an unresolved Auto kernel has no certified panel budget".into(),
+                });
+            }
+            ArmAlgo::GemmSdot | ArmAlgo::NcnnBaseline | ArmAlgo::BitserialBaseline => None,
         };
         if let Some(certified) = certified {
-            let klen = DEFAULT_KC.min(g.k);
-            let nc_tiles = DEFAULT_NC / NB;
-            let panel_total: usize = node
-                .partition
-                .iter()
-                .map(|s| nc_tiles.min(s.cols.div_ceil(NB)) * NB * klen)
-                .sum();
+            let panel_total = panel_bytes(g.k, &node.partition);
             if panel_total > certified {
                 return Err(ConcViolation::PartitionOverlap {
                     node: node.name.clone(),
@@ -978,6 +979,20 @@ mod tests {
             ),
             "got {got:?}"
         );
+    }
+
+    #[test]
+    fn an_auto_footprint_has_no_certified_panel_budget() {
+        let mut spec = diamond(true);
+        let g = GemmFootprint { m: 4, k: 4, n: 8, algo: ArmAlgo::Auto };
+        spec.nodes[0].partition = lowbit_qgemm::partition_columns(g.n, 1);
+        spec.nodes[0].gemm = Some(g);
+        let sched = build_schedule(&spec);
+        assert!(matches!(
+            verify_conc(&spec, &sched),
+            Err(ConcViolation::PartitionOverlap { ref node, ref detail })
+                if node == "a" && detail.contains("Auto")
+        ));
     }
 
     #[test]

@@ -80,8 +80,8 @@ pub use interval::Interval;
 pub use lint::lint_stream;
 pub use plan::{
     arena_high_water, arm_workspace_requirement, verify_plan, workspace_requirement,
-    ArenaRequirement, ArmAlgoKind, BackendSpec, ChannelSums, LayerSpec, LayoutConversion,
-    NodeOpSpec, NodeSpec, PlanProof, PlanSpec, PlanViolation, RequantSpec, ValueSlot,
+    ArenaRequirement, BackendSpec, ChannelSums, LayerSpec, LayoutConversion, NodeOpSpec, NodeSpec,
+    PlanProof, PlanSpec, PlanViolation, RequantSpec, ValueSlot,
 };
 pub use report::{StreamProof, Violation};
 pub use streams::{

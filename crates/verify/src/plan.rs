@@ -48,49 +48,18 @@
 
 use crate::interval::Interval;
 use lowbit_conv_arm::range_analysis::f23_range_halved;
+use lowbit_conv_arm::ArmAlgo;
 use lowbit_qgemm::parallel::{partition_columns, DEFAULT_KC, DEFAULT_NC, MAX_THREADS};
-use lowbit_qgemm::NB;
+use lowbit_qgemm::{ColumnSpan, NB};
 use lowbit_tensor::{BitWidth, ConvShape, Layout};
 use neon_sim::meta::ElemWidth;
-
-/// The concrete ARM kernel family a plan layer committed to, as the
-/// workspace certifier needs to see it (mirrors `lowbit::ArmAlgo` without
-/// the `Auto` state or the core dependency).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ArmAlgoKind {
-    /// Wide 16x4 explicit-GEMM tiles through the shared arena.
-    GemmWide,
-    /// Narrow 8x4 explicit-GEMM tiles through the shared arena.
-    GemmNarrow,
-    /// ARMv8.2 SDOT quad path through the shared arena.
-    GemmSdot,
-    /// Winograd `F(2x2, 3x3)` (own transform buffers, not the arena).
-    Winograd,
-    /// ncnn-style baseline (no arena).
-    NcnnBaseline,
-    /// Bit-serial popcount baseline (no arena).
-    BitserialBaseline,
-}
-
-impl std::fmt::Display for ArmAlgoKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
-            ArmAlgoKind::GemmWide => "gemm",
-            ArmAlgoKind::GemmNarrow => "gemm-narrow",
-            ArmAlgoKind::GemmSdot => "gemm-sdot",
-            ArmAlgoKind::Winograd => "winograd",
-            ArmAlgoKind::NcnnBaseline => "ncnn",
-            ArmAlgoKind::BitserialBaseline => "bitserial",
-        };
-        write!(f, "{s}")
-    }
-}
 
 /// Which backend a spec layer runs on.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum BackendSpec {
-    /// The ARM engine with its committed kernel family.
-    Arm(ArmAlgoKind),
+    /// The ARM engine with its committed kernel. `Auto` commits to nothing,
+    /// so no pass can certify it: the structure pass rejects it.
+    Arm(ArmAlgo),
     /// The GPU model (NHWC-native implicit GEMM).
     Gpu,
 }
@@ -532,29 +501,30 @@ impl ArenaRequirement {
     }
 }
 
-/// The largest total packed-B panel allocation the parallel driver can make
-/// for a `K x N` GEMM, over every thread count the engine accepts
-/// (`1..=MAX_THREADS`) at the default cache blocking. Mirrors the sizing in
+/// The total packed-B panel bytes the parallel driver allocates for a GEMM
+/// of shared dimension `k` whose columns the workers split as `spans`, at
+/// the default cache blocking. Mirrors the sizing in
 /// `lowbit_qgemm::parallel::pack_b_panel`: each worker's panel holds
 /// `min(nc/NB, ceil(cols_t/NB))` column tiles of `min(kc, K)` packed rows.
-pub fn max_panel_bytes(k: usize, n: usize) -> usize {
+pub fn panel_bytes(k: usize, spans: &[ColumnSpan]) -> usize {
     let klen = DEFAULT_KC.min(k);
     let nc_tiles = DEFAULT_NC / NB;
-    let mut worst = 0usize;
-    for threads in 1..=MAX_THREADS {
-        let total: usize = partition_columns(n, threads)
-            .iter()
-            .map(|span| nc_tiles.min(span.cols.div_ceil(NB)) * NB * klen)
-            .sum();
-        worst = worst.max(total);
-    }
-    worst
+    spans.iter().map(|span| nc_tiles.min(span.cols.div_ceil(NB)) * NB * klen).sum()
+}
+
+/// The largest [`panel_bytes`] of a `K x N` GEMM over every thread count
+/// the engine accepts (`1..=MAX_THREADS`).
+pub fn max_panel_bytes(k: usize, n: usize) -> usize {
+    (1..=MAX_THREADS)
+        .map(|threads| panel_bytes(k, &partition_columns(n, threads)))
+        .max()
+        .unwrap_or(0)
 }
 
 /// The exact arena requirement of one ARM layer: which buffers its kernel
 /// family touches and how large each grows. This is the certified bound the
 /// plan's declared `workspace_bytes` must dominate.
-pub fn arm_workspace_requirement(shape: &ConvShape, algo: ArmAlgoKind) -> ArenaRequirement {
+pub fn arm_workspace_requirement(shape: &ConvShape, algo: ArmAlgo) -> ArenaRequirement {
     // Delegates to the pure-geometry form so the concurrency verifier can
     // recompute the same bound from a lowered GEMM footprint without the
     // original `ConvShape`.
@@ -745,7 +715,7 @@ fn check_layer_numerics(
     // Winograd: the F(2x2,3x3) input transform inflates operands 4x and the
     // transformed weights must also fit i8 — re-check against the *live*
     // interval, not just the static bit-width gate.
-    if l.backend == BackendSpec::Arm(ArmAlgoKind::Winograd) {
+    if l.backend == BackendSpec::Arm(ArmAlgo::Winograd) {
         let range = f23_range_halved(l.bits);
         if 4 * act.abs_max() > 128 || !range.fits_i8() {
             return Err(PlanViolation::OperandRangeBreak {
@@ -883,6 +853,10 @@ fn check_graph_structure(spec: &PlanSpec) -> Result<(), PlanViolation> {
                         n.name.clone(),
                         format!("references layer {layer} outside the table"),
                     ));
+                }
+                if spec.layers[layer].backend == BackendSpec::Arm(ArmAlgo::Auto) {
+                    let detail = "runs an unresolved Auto kernel".into();
+                    return Err(graph_broken(n.name.clone(), detail));
                 }
                 conv_layers.push(layer);
                 match fused_add {
@@ -1303,10 +1277,10 @@ mod tests {
             name: name.into(),
             shape,
             bits: BitWidth::W4,
-            backend: BackendSpec::Arm(ArmAlgoKind::GemmWide),
+            backend: BackendSpec::Arm(ArmAlgo::Gemm),
             pre: None,
             post: None,
-            declared_workspace_bytes: arm_workspace_requirement(&shape, ArmAlgoKind::GemmWide)
+            declared_workspace_bytes: arm_workspace_requirement(&shape, ArmAlgo::Gemm)
                 .total(),
             channel_sums: vec![ChannelSums { neg: -40, pos: 44 }; shape.c_out],
             bias: None,
@@ -1353,10 +1327,10 @@ mod tests {
             name: name.into(),
             shape,
             bits: BitWidth::W4,
-            backend: BackendSpec::Arm(ArmAlgoKind::GemmWide),
+            backend: BackendSpec::Arm(ArmAlgo::Gemm),
             pre: None,
             post: None,
-            declared_workspace_bytes: arm_workspace_requirement(&shape, ArmAlgoKind::GemmWide)
+            declared_workspace_bytes: arm_workspace_requirement(&shape, ArmAlgo::Gemm)
                 .total(),
             channel_sums: vec![ChannelSums { neg: -40, pos: 44 }; shape.c_out],
             bias: None,
@@ -1481,7 +1455,7 @@ mod tests {
         for v in &mut spec.values {
             v.bits = BitWidth::W7;
         }
-        spec.layers[0].backend = BackendSpec::Arm(ArmAlgoKind::Winograd);
+        spec.layers[0].backend = BackendSpec::Arm(ArmAlgo::Winograd);
         spec.layers[0].declared_workspace_bytes = 0;
         assert!(matches!(
             verify_plan(&spec),
@@ -1547,6 +1521,10 @@ mod tests {
         spec.nodes.clear();
         spec.layers.clear();
         spec.values.truncate(1);
+        assert!(broken(&spec));
+        // A layer that commits to no kernel has nothing to certify.
+        let mut spec = toy_spec();
+        spec.layers[1].backend = BackendSpec::Arm(ArmAlgo::Auto);
         assert!(broken(&spec));
     }
 
@@ -1721,9 +1699,9 @@ mod tests {
             );
             let (w, m, k) = (weights.data(), shape.gemm_m(), shape.gemm_k());
             let packings = [
-                (ArmAlgoKind::GemmWide, PackedWeights::Wide(pack_a(w, m, k))),
-                (ArmAlgoKind::GemmNarrow, PackedWeights::Narrow(pack_a_narrow(w, m, k))),
-                (ArmAlgoKind::GemmSdot, PackedWeights::Quads(pack_a_quads(w, m, k))),
+                (ArmAlgo::Gemm, PackedWeights::Wide(pack_a(w, m, k))),
+                (ArmAlgo::GemmNarrow, PackedWeights::Narrow(pack_a_narrow(w, m, k))),
+                (ArmAlgo::GemmSdot, PackedWeights::Quads(pack_a_quads(w, m, k))),
             ];
             for (kind, pa) in &packings {
                 let bound = arm_workspace_requirement(shape, *kind).total();
@@ -1752,7 +1730,7 @@ mod tests {
             name: name.into(),
             shape,
             bits: BitWidth::W4,
-            backend: BackendSpec::Arm(ArmAlgoKind::GemmWide),
+            backend: BackendSpec::Arm(ArmAlgo::Gemm),
             pre: None,
             post: None,
             declared_workspace_bytes: usize::MAX,

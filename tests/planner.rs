@@ -151,6 +151,72 @@ fn winograd_eligibility_window_is_4_to_6_bit() {
     assert_ne!(select_arm_algo(model, BitWidth::W3, &shape), ArmAlgo::Winograd);
 }
 
+/// One applicability rule, [`ArmAlgo::applies`], decides both what the
+/// planner enumerates and what a forced engine call accepts: at every width
+/// and on a 3x3/s1, a 3x3/s2 and a 1x1 layer, `arm_candidates` lists exactly
+/// the planned algorithms the rule admits, and a forced conv panics exactly
+/// when the rule refuses it — before the engine lock, since a clone keeps
+/// running bit-exact afterwards.
+#[test]
+fn one_applicability_rule_gates_candidates_and_forced_convs() {
+    use lowbit::conv_arm::winograd::winograd_exact;
+    use lowbit::conv_arm::{direct_conv, winograd_conv};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    let engine = ArmEngine::cortex_a53().with_threads(2);
+    let clone = engine.clone();
+    let model = engine.model();
+    let tensors = |shape: &ConvShape, bits: BitWidth, seed: u64| {
+        let input = (shape.batch, shape.c_in, shape.h, shape.w);
+        let weights = (shape.c_out, shape.c_in, shape.kh, shape.kw);
+        (
+            QTensor::random(input, Layout::Nchw, bits, seed),
+            QTensor::random(weights, Layout::Nchw, bits, seed + 1),
+        )
+    };
+    let shapes = [
+        ConvShape::new(1, 3, 6, 6, 5, 3, 1, 1),
+        ConvShape::new(1, 3, 7, 7, 5, 3, 2, 1),
+        ConvShape::new(1, 3, 6, 6, 5, 1, 1, 0),
+    ];
+    let (probe_in, probe_w) = tensors(&shapes[0], BitWidth::W4, 90);
+    let probe_oracle = direct_conv(&probe_in, &probe_w, &shapes[0]);
+    for bits in BitWidth::ALL {
+        for (seed, shape) in (100..).step_by(2).zip(&shapes) {
+            let case = format!("{bits} {shape}");
+            let planned: Vec<ArmAlgo> =
+                arm_candidates(model, bits, shape).iter().map(|c| c.algo).collect();
+            let admitted: Vec<ArmAlgo> = [ArmAlgo::Gemm, ArmAlgo::GemmNarrow, ArmAlgo::Winograd]
+                .into_iter()
+                .filter(|algo| algo.applies(bits, shape))
+                .collect();
+            assert_eq!(planned, admitted, "{case}");
+            let (input, weights) = tensors(shape, bits, seed);
+            for algo in ArmAlgo::CONCRETE {
+                let forced = catch_unwind(AssertUnwindSafe(|| {
+                    engine.conv(&input, &weights, shape, algo)
+                }));
+                match forced {
+                    Ok(out) => {
+                        assert!(algo.applies(bits, shape), "{case}: {algo:?} ran");
+                        // Winograd rounds in the transform domain past 4 bit.
+                        let expect = if algo == ArmAlgo::Winograd && !winograd_exact(bits) {
+                            winograd_conv(&input, &weights, shape).acc
+                        } else {
+                            direct_conv(&input, &weights, shape)
+                        };
+                        assert_eq!(out.acc.data(), expect.data(), "{case}: {algo:?}");
+                    }
+                    Err(_) => {
+                        assert!(!algo.applies(bits, shape), "{case}: {algo:?} panicked");
+                        let out = clone.conv(&probe_in, &probe_w, &shapes[0], ArmAlgo::Gemm);
+                        assert_eq!(out.acc.data(), probe_oracle.data(), "{case}: {algo:?}");
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// GPU precision fallback: a heterogeneous planner routes Tensor Core
 /// widths (4/8 bit) to the faster GPU model and odd widths to ARM instead of
 /// failing; a GPU-only planner surfaces the typed error.

@@ -132,3 +132,25 @@ fn certified_high_water_dominates_real_execution() {
         );
     }
 }
+
+/// A compiled plan's layers are public: one edited back to `ArmAlgo::Auto`
+/// commits to no kernel, so the plan verifier, the concurrency verifier and
+/// the parallel executor each refuse it with a typed mismatch.
+#[test]
+fn a_plan_carrying_auto_is_a_typed_mismatch() {
+    fn refuses_auto<T>(result: Result<T, CoreError>) -> bool {
+        matches!(result, Err(CoreError::PlanMismatch { ref detail }) if detail.contains("Auto"))
+    }
+    let def = lowbit_models::resnet50_projection_block(8);
+    let net = Network::from_graph_defs(&def, BitWidth::W4, 11).unwrap();
+    let engine = ArmEngine::cortex_a53();
+    let plan = Planner::for_arm(&engine).with_parallel_nodes(true).compile(&net).unwrap();
+    let mut layers = plan.layers().to_vec();
+    layers[1].algo = PlanAlgo::Arm(ArmAlgo::Auto);
+    let high_water = plan.workspace_high_water_bytes();
+    let auto = plan.with_layers(layers, high_water);
+    assert!(refuses_auto(verify_compiled(&auto, &net)));
+    assert!(refuses_auto(lowbit::verify_conc_compiled(&auto)));
+    let input = Tensor::zeros((1, 256, 8, 8), Layout::Nchw);
+    assert!(refuses_auto(Executor::for_arm(&engine).run_parallel(&auto, &net, &input)));
+}
