@@ -1,5 +1,5 @@
-//! Explicit-GEMM convolution (paper Sec. 3.2): im2col, pad/pack, the
-//! re-designed low-bit GEMM, and the reshape back to NCHW.
+//! Explicit-GEMM convolution (paper Sec. 3.2): im2col, pad/pack, and the
+//! re-designed low-bit GEMM storing straight into the NCHW output.
 //!
 //! The pipeline itself is [`gemm_conv_ws`]; the one-shot [`gemm_conv`]
 //! packs the weights and runs it on a fresh [`ConvWorkspace`]. The
@@ -38,19 +38,17 @@ pub fn gemm_conv(input: &QTensor, weights: &QTensor, shape: &ConvShape) -> ConvO
 }
 
 /// Reshapes the **column-major** `c_out x (batch*oh*ow)` GEMM result
-/// (`c[col * c_out + row]`, the layout the GEMM drivers write) to NCHW.
+/// (`c[col * c_out + row]`, the layout the SDOT and bitserial kernels
+/// write) to NCHW, one output plane at a time.
 pub(crate) fn matrix_to_nchw_cm(c: &[i32], shape: &ConvShape) -> Tensor<i32> {
     let (oh, ow) = (shape.out_h(), shape.out_w());
-    let m = shape.gemm_m();
+    let (m, hw) = (shape.gemm_m(), oh * ow);
     let mut acc: Tensor<i32> = Tensor::zeros((shape.batch, shape.c_out, oh, ow), Layout::Nchw);
-    for co in 0..shape.c_out {
-        for b in 0..shape.batch {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let col = (b * oh + oy) * ow + ox;
-                    acc.set((b, co, oy, ox), c[col * m + co]);
-                }
-            }
+    for (plane_idx, plane) in acc.data_mut().chunks_exact_mut(hw).enumerate() {
+        let (image, co) = (plane_idx / m, plane_idx % m);
+        let cols = c[image * hw * m..].chunks(m);
+        for (dst, col) in plane.iter_mut().zip(cols) {
+            *dst = col[co];
         }
     }
     acc

@@ -3,11 +3,11 @@
 //! `SMLAL vd.4s` accumulates directly into 32-bit registers — no drain
 //! instructions, but half the MAC lanes and double the operand traffic.
 
-use crate::gemm_conv::{explicit_gemm_schedule, matrix_to_nchw_cm};
+use crate::gemm_conv::explicit_gemm_schedule;
 use crate::ConvOutput;
-use lowbit_qgemm::gemm::{col_to_row_major, gemm_ncnn, schedule_gemm};
+use lowbit_qgemm::gemm::{gemm_ncnn, schedule_gemm};
 use lowbit_qgemm::Scheme;
-use lowbit_tensor::{im2col_nchw, ConvShape, QTensor};
+use lowbit_tensor::{im2col_nchw, ConvShape, Layout, QTensor, Tensor};
 use neon_sim::KernelSchedule;
 
 /// Runs the ncnn-like 8-bit convolution.
@@ -19,11 +19,17 @@ pub fn ncnn_conv(input: &QTensor, weights: &QTensor, shape: &ConvShape) -> ConvO
     let (m, k, n) = (shape.gemm_m(), shape.gemm_k(), shape.gemm_n());
     let col = im2col_nchw(input, shape);
     let out = gemm_ncnn(weights.data(), &col.data, m, k, n);
-    // The row-major m x n result, read as column-major n x m, transposes to
-    // the column-major m x n the reshape takes.
-    let c_cm = col_to_row_major(&out.c, n, m);
+    // Row `co` of the row-major m x n result holds image `b`'s plane of
+    // channel `co` at columns [b * hw, (b + 1) * hw): one copy per plane.
+    let (oh, ow) = (shape.out_h(), shape.out_w());
+    let hw = oh * ow;
+    let mut acc = Tensor::zeros((shape.batch, m, oh, ow), Layout::Nchw);
+    for (plane_idx, plane) in acc.data_mut().chunks_exact_mut(hw).enumerate() {
+        let (image, co) = (plane_idx / m, plane_idx % m);
+        plane.copy_from_slice(&out.c[co * n + image * hw..][..hw]);
+    }
     ConvOutput {
-        acc: matrix_to_nchw_cm(&c_cm, shape),
+        acc,
         schedule: schedule_ncnn_conv(shape),
     }
 }

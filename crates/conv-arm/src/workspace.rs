@@ -8,27 +8,31 @@
 //! * the weights arrive packed once per layer as a [`PackedWeights`] value
 //!   (the engine's prepack cache holds them), so no call pays `pack A` —
 //!   nor, for Winograd, the weight transform;
-//! * the im2col matrix, the per-thread packed-B panels, the GEMM result and
+//! * the im2col matrix, the per-thread packed-B panels, the SDOT result and
 //!   Winograd's transform buffers live in one reusable arena — after a
 //!   warm-up pass over a network's layer shapes, repeated inference
 //!   performs **zero heap allocations** in these stages (the output tensor
 //!   itself is still returned by value);
-//! * the wide and narrow GEMMs run on `lowbit_qgemm::parallel` across N,
-//!   bit-exact versus direct convolution for any thread count; the SDOT
-//!   GEMM runs serially on `lowbit_qgemm::sdot::gemm_sdot_prepacked_cm`.
+//! * the wide and narrow GEMMs run on `lowbit_qgemm::parallel` across N and
+//!   store their micro-tiles straight into that NCHW output, bit-exact
+//!   versus direct convolution for any thread count; the SDOT GEMM runs
+//!   serially on `lowbit_qgemm::sdot::gemm_sdot_prepacked_cm` and is
+//!   reshaped.
 
 use crate::algo::ArmAlgo;
 use crate::gemm_conv::matrix_to_nchw_cm;
 use crate::winograd::{winograd_conv_ws, WinogradScratch, WinogradWeights};
 use lowbit_isa::Isa;
 use lowbit_qgemm::narrow::{pack_a_narrow, PackedANarrow};
-use lowbit_qgemm::parallel::{gemm_parallel_cm_on, ParallelConfig, SharedWeights};
+use lowbit_qgemm::parallel::{gemm_parallel_nchw_on, ParallelConfig, SharedWeights};
 use lowbit_qgemm::sdot::{
     gemm_sdot_prepacked_cm, pack_a_quads, pack_b_quads_into, PackedAQuads, PackedBQuads,
 };
 use lowbit_qgemm::workspace::{GemmWorkspace, WorkspaceStats};
 use lowbit_qgemm::{pack_a, PackedA, Scheme};
-use lowbit_tensor::{im2col_nchw_into, BitWidth, ConvShape, Im2colMatrix, QTensor, Tensor};
+use lowbit_tensor::{
+    im2col_nchw_into, BitWidth, ConvShape, Im2colMatrix, Layout, QTensor, Tensor,
+};
 use lowbit_trace::{Tracer, MAIN_TRACK};
 use neon_sim::KernelSchedule;
 
@@ -73,21 +77,30 @@ impl PackedWeights {
             PackedWeights::Winograd(w) => w.bytes(),
         }
     }
+
+    /// What a cache key for [`PackedWeights::pack`]'s result must cover
+    /// besides the weights: the tag of the layout `algo` packs into and,
+    /// for Winograd, whose transform depends on it, the effective width
+    /// `bits`. `None` exactly when `pack` returns `None`.
+    pub fn layout_tag(algo: ArmAlgo, bits: BitWidth) -> Option<(u8, Option<BitWidth>)> {
+        Some(match algo {
+            ArmAlgo::Gemm => (0, None),
+            ArmAlgo::GemmNarrow => (1, None),
+            ArmAlgo::GemmSdot => (2, None),
+            ArmAlgo::Winograd => (3, Some(bits)),
+            ArmAlgo::NcnnBaseline | ArmAlgo::BitserialBaseline | ArmAlgo::Auto => return None,
+        })
+    }
 }
 
-/// The prepack-cache key [`PackedWeights::pack`]'s result for `weights`,
-/// `algo` and the effective width `bits` is stored under (`None` exactly
-/// when `pack` returns `None`): FNV-1a over the layout's tag, the weights'
-/// bit width, dims and raw bytes, then — for Winograd, whose transform
-/// depends on it — `bits`.
+/// The published identity of [`PackedWeights::pack`]'s result for
+/// `weights`, `algo` and the effective width `bits` (`None` exactly when
+/// `pack` returns `None`): FNV-1a over the layout's tag, the weights' bit
+/// width, dims and raw bytes, then — for Winograd — `bits`. Plans,
+/// `Network::fingerprint` and the certificates carry it; the engine's
+/// cache is found by a faster key over the same fields.
 pub fn prepack_fingerprint(weights: &QTensor, algo: ArmAlgo, bits: BitWidth) -> Option<u64> {
-    let (tag, transform_bits) = match algo {
-        ArmAlgo::Gemm => (0u8, None),
-        ArmAlgo::GemmNarrow => (1, None),
-        ArmAlgo::GemmSdot => (2, None),
-        ArmAlgo::Winograd => (3, Some(bits)),
-        ArmAlgo::NcnnBaseline | ArmAlgo::BitserialBaseline | ArmAlgo::Auto => return None,
-    };
+    let (tag, transform_bits) = PackedWeights::layout_tag(algo, bits)?;
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     let mut eat = |byte: u8| {
         h ^= byte as u64;
@@ -111,9 +124,10 @@ pub fn prepack_fingerprint(weights: &QTensor, algo: ArmAlgo, bits: BitWidth) -> 
 }
 
 /// Caller-owned scratch for [`gemm_conv_ws`]: the im2col matrix, the
-/// parallel-GEMM arena, the SDOT kernel's quad-packed B and column-major
-/// result, and Winograd's transformed input, output planes and per-thread
-/// GEMM arenas.
+/// parallel-GEMM arena (B panels only: the wide and narrow kernels store
+/// into the output tensor), the SDOT kernel's quad-packed B and
+/// column-major result, and Winograd's transformed input, output planes
+/// and per-thread GEMM arenas.
 #[derive(Default)]
 pub struct ConvWorkspace {
     col: Im2colMatrix,
@@ -161,10 +175,13 @@ impl ConvWorkspace {
 /// [`crate::gemm_conv()`] chooses it (the SDOT kernel has no drain machinery
 /// and ignores it; Winograd weights carry their own width and run
 /// [`winograd_conv_ws`]). The wide and narrow kernels run the GEMM across
-/// `cfg`'s threads, recording onto per-worker tracks; the SDOT kernel runs
-/// serially (it has no drain cadence to block around and gains prepack +
-/// buffer reuse only) under `pack B quads` and `gemm sdot` spans on the
-/// main track. `im2col` and `reshape nchw` spans bracket every kernel.
+/// `cfg`'s threads, recording onto per-worker tracks, and store each
+/// micro-tile straight into the returned NCHW tensor: the output channels
+/// are the GEMM rows and the `batch * oh * ow` columns run image by image.
+/// The SDOT kernel runs serially (it has no drain cadence to block around
+/// and gains prepack + buffer reuse only) under `pack B quads` and
+/// `gemm sdot` spans on the main track, into a column-major buffer that a
+/// `reshape nchw` pass converts. An `im2col` span opens every kernel.
 ///
 /// The call never pays `pack A`; its analytic price is the one-shot
 /// pipeline schedule without that stage.
@@ -193,13 +210,16 @@ pub fn gemm_conv_ws(
         im2col_nchw_into(input, shape, &mut ws.col);
     }
     let (isa, b, gemm) = (Isa::host(), &ws.col.data, &mut ws.gemm);
-    let c_cm = match pa {
-        PackedWeights::Wide(pa) => {
-            gemm_parallel_cm_on(isa, scheme, SharedWeights::Wide(pa), b, k, n, cfg, gemm, tracer)
-        }
-        PackedWeights::Narrow(pa) => {
-            gemm_parallel_cm_on(isa, scheme, SharedWeights::Narrow(pa), b, k, n, cfg, gemm, tracer)
-        }
+    let (oh, ow) = (shape.out_h(), shape.out_w());
+    let mut nchw = |weights| {
+        let mut acc = Tensor::zeros((shape.batch, m, oh, ow), Layout::Nchw);
+        let out = acc.data_mut();
+        gemm_parallel_nchw_on(isa, scheme, weights, b, k, n, oh * ow, cfg, gemm, out, tracer);
+        acc
+    };
+    let acc = match pa {
+        PackedWeights::Wide(pa) => nchw(SharedWeights::Wide(pa)),
+        PackedWeights::Narrow(pa) => nchw(SharedWeights::Narrow(pa)),
         PackedWeights::Quads(pa) => {
             {
                 let _span = tracer.span("pack B quads", MAIN_TRACK);
@@ -209,13 +229,10 @@ pub fn gemm_conv_ws(
                 let _span = tracer.span("gemm sdot", MAIN_TRACK);
                 gemm_sdot_prepacked_cm(pa, &ws.bq, &mut ws.c_sdot);
             }
-            &ws.c_sdot
+            let _span = tracer.span("reshape nchw", MAIN_TRACK);
+            matrix_to_nchw_cm(&ws.c_sdot, shape)
         }
         PackedWeights::Winograd(_) => unreachable!("returned above"),
-    };
-    let acc = {
-        let _span = tracer.span("reshape nchw", MAIN_TRACK);
-        matrix_to_nchw_cm(c_cm, shape)
     };
     ws.note_call(before);
     acc
@@ -248,8 +265,8 @@ mod tests {
     use super::*;
     use crate::{direct_conv, gemm_conv, schedule_gemm_conv};
     use lowbit_qgemm::narrow::pack_a_narrow;
-    use lowbit_qgemm::pack_a;
     use lowbit_qgemm::sdot::pack_a_quads;
+    use lowbit_qgemm::{pack_a, partition_columns, NB};
     use lowbit_tensor::{BitWidth, Layout};
     use neon_sim::CortexA53;
 
@@ -352,6 +369,82 @@ mod tests {
             "steady state allocated"
         );
         assert_eq!(steady.high_water_bytes, warm.high_water_bytes);
+        // The wide GEMM stores into the output tensor: the arena holds the
+        // im2col matrix and one B panel per thread, no `m x n` result.
+        let panel_bytes: usize = (0..cfg.threads)
+            .map(|t| {
+                let panel = |shape: &ConvShape| {
+                    let tiles = partition_columns(shape.gemm_n(), cfg.threads)[t].cols.div_ceil(NB);
+                    tiles.min(cfg.nc / NB) * NB * shape.gemm_k().min(cfg.kc)
+                };
+                shapes.iter().map(panel).max().unwrap_or(0)
+            })
+            .sum();
+        assert_eq!(steady.high_water_bytes, ws.col.data.capacity() + panel_bytes);
+    }
+
+    #[test]
+    fn nchw_store_matches_direct_conv_across_k_blocks_batches_and_threads() {
+        // With kc = 16, K = c_in * kh * kw runs below (9), at (16), just
+        // past (17) and past twice (36) the K block. The 5x5, 3x3 and 7x7
+        // outputs are not a multiple of 4 pixels, so from batch 2 a column
+        // tile straddles two images; the 3x3 output at batch 1 has three
+        // column tiles, fewer than 4 threads. 70 output channels fill a
+        // register block of wide and of narrow tiles and leave a remainder.
+        let shapes = |batch| {
+            [
+                ConvShape::new(batch, 1, 5, 5, 7, 3, 1, 1),
+                ConvShape::new(batch, 16, 3, 3, 18, 1, 1, 0),
+                ConvShape::new(batch, 17, 7, 7, 5, 1, 1, 0),
+                ConvShape::new(batch, 4, 9, 9, 70, 3, 2, 1),
+            ]
+        };
+        // One arena across every case: stale capacity must stay invisible.
+        let mut ws = ConvWorkspace::new();
+        for (seed, bits) in (900..).step_by(32).zip(BitWidth::ALL) {
+            let scheme = Scheme::for_bits(bits);
+            for (shape, seed) in (1..=3).flat_map(shapes).zip(seed..) {
+                let (input, weights) = tensors(&shape, bits, seed);
+                let oracle = direct_conv(&input, &weights, &shape);
+                let (m, k) = (shape.gemm_m(), shape.gemm_k());
+                let mut packings = vec![PackedWeights::Wide(pack_a(weights.data(), m, k))];
+                if !bits.uses_mla_scheme() {
+                    packings.push(PackedWeights::Narrow(pack_a_narrow(weights.data(), m, k)));
+                }
+                for threads in 1..=4 {
+                    let cfg = ParallelConfig { threads, kc: 16, nc: 8 };
+                    for pa in &packings {
+                        let null = Tracer::null();
+                        let acc = gemm_conv_ws(&input, pa, &scheme, &shape, &cfg, &mut ws, &null);
+                        assert_eq!(acc.data(), oracle.data(), "{shape} {bits} {pa:?} x{threads}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn only_the_sdot_kernel_records_a_reshape() {
+        let shape = ConvShape::new(2, 3, 7, 7, 9, 3, 1, 1);
+        let (input, weights) = tensors(&shape, BitWidth::W5, 820);
+        let (m, k) = (shape.gemm_m(), shape.gemm_k());
+        let packings = [
+            PackedWeights::Wide(pack_a(weights.data(), m, k)),
+            PackedWeights::Narrow(pack_a_narrow(weights.data(), m, k)),
+            PackedWeights::Quads(pack_a_quads(weights.data(), m, k)),
+        ];
+        let (scheme, cfg) = (Scheme::for_bits(BitWidth::W5), ParallelConfig::with_threads(2));
+        let mut ws = ConvWorkspace::new();
+        for pa in &packings {
+            let (tracer, sink) = Tracer::recording();
+            let _ = gemm_conv_ws(&input, pa, &scheme, &shape, &cfg, &mut ws, &tracer);
+            let cap = sink.capture();
+            let named = |name| cap.spans.iter().any(|s| s.name == name);
+            assert!(named("im2col"));
+            let sdot = matches!(pa, PackedWeights::Quads(_));
+            assert_eq!(named("reshape nchw"), sdot, "sdot {sdot}");
+            assert_eq!(named("gemm worker"), !sdot, "sdot {sdot}");
+        }
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //! The GEMM-family algorithms (`Gemm`, `GemmNarrow`, `GemmSdot`) and
 //! Winograd run through the prepacked parallel path
 //! `lowbit_conv_arm::gemm_conv_ws`: weights are packed once per layer —
-//! Winograd's transformed once, too — keyed by a fingerprint of the weight
-//! tensor (and, for Winograd, of the effective bit width) and reused across
-//! calls; the im2col/transform/pack-B/result buffers live in one arena; and
+//! Winograd's transformed once, too — keyed by a hash of the weight tensor
+//! (and, for Winograd, of the effective bit width) and reused across
+//! calls; the im2col/transform/pack-B buffers live in one arena, and the
+//! wide and narrow GEMMs store straight into the returned NCHW tensor; and
 //! the work spans `LOWBIT_THREADS` scoped threads. The executed and the
 //! estimated schedules both come from the one table, [`arm_schedule`]; the
 //! GEMM family's drops the `pack A` stage. The cost model stays single-core
@@ -323,7 +324,7 @@ impl ArmEngine {
     }
 
     /// [`ArmEngine::conv`] with span recording. Wall spans cover the real
-    /// pipeline (im2col, per-worker pack-B/GEMM tracks, reshape); a
+    /// pipeline (im2col, per-worker pack-B/GEMM tracks, SDOT's reshape); a
     /// dedicated `modeled/<ctx>` track carries one span per analytic stage
     /// (pack B, gemm, Winograd transforms, requant, ...) with its
     /// [`PipeAttribution`], laid back-to-back so their total reproduces
@@ -344,7 +345,7 @@ impl ArmEngine {
         conv_span.set_label(|| format!("{ctx}: {algo:?} {bits}"));
         let mut prepack_hit = None;
         let mut workspace_growth_bytes = 0;
-        let out = match prepack_fingerprint(weights, algo, bits) {
+        let out = match cache_key(weights, algo, bits) {
             Some(key) => {
                 let scheme = Scheme::for_bits(bits);
                 let cfg = ParallelConfig::with_threads(self.threads);
@@ -403,6 +404,41 @@ impl ArmEngine {
     pub fn estimate_millis_cold(&self, bits: BitWidth, shape: &ConvShape, algo: ArmAlgo) -> f64 {
         arm_schedule(self.resolve(algo, bits, shape), bits, shape, false).millis(&self.model)
     }
+}
+
+/// The prepack cache's in-process key for `weights` under `algo` at the
+/// effective width `bits`: the fields [`prepack_fingerprint`] covers (the
+/// layout tag, the weights' bit width, dims and bytes, and Winograd's
+/// width), hashed eight bytes at a time over four independent lanes
+/// instead of one byte at a time. Every step maps its lane one-to-one and
+/// the final fold is one-to-one in each lane, so weights that differ in
+/// a single byte get different keys. The key is never published: plans
+/// and certificates carry the FNV fingerprint.
+fn cache_key(weights: &QTensor, algo: ArmAlgo, bits: BitWidth) -> Option<u64> {
+    const MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+    fn step(lane: u64, word: u64) -> u64 {
+        (lane ^ word).wrapping_mul(MUL).rotate_left(29)
+    }
+    fn word(bytes: &[i8]) -> u64 {
+        let mut le = [0u8; 8];
+        le.iter_mut().zip(bytes).for_each(|(d, &b)| *d = b as u8);
+        u64::from_le_bytes(le)
+    }
+    let (tag, transform_bits) = PackedWeights::layout_tag(algo, bits)?;
+    let mut lanes = [1u64, 2, 3, 4];
+    let mut blocks = weights.data().chunks_exact(32);
+    for block in &mut blocks {
+        for (lane, bytes) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            *lane = step(*lane, word(bytes));
+        }
+    }
+    for (lane, bytes) in lanes.iter_mut().zip(blocks.remainder().chunks(8)) {
+        *lane = step(*lane, word(bytes));
+    }
+    let (d0, d1, d2, d3) = weights.dims();
+    let header = [tag, weights.bits().bits(), transform_bits.map_or(0, |b| b.bits())];
+    let dims = [d0, d1, d2, d3].map(|d| d as u64);
+    Some(header.map(u64::from).into_iter().chain(dims).chain(lanes).fold(0, step))
 }
 
 /// Panics unless `shape` has a positive stride, kernel and channel counts
@@ -728,10 +764,64 @@ mod tests {
         assert_eq!(again4.acc.data(), w4.acc.data());
         assert_eq!(again6.acc.data(), w6.acc.data());
         assert_eq!(again4.workspace_growth_bytes + again6.workspace_growth_bytes, 0);
-        let bits = |b| prepack_fingerprint(&weights, ArmAlgo::Winograd, b);
-        assert_ne!(bits(BitWidth::W4), bits(BitWidth::W6));
-        let gemm = |b| prepack_fingerprint(&weights, ArmAlgo::Gemm, b);
-        assert_eq!(gemm(BitWidth::W4), gemm(BitWidth::W6), "GEMM packing ignores the width");
+        for key in [prepack_fingerprint, cache_key] {
+            let bits = |b| key(&weights, ArmAlgo::Winograd, b);
+            assert_ne!(bits(BitWidth::W4), bits(BitWidth::W6));
+            let gemm = |b| key(&weights, ArmAlgo::Gemm, b);
+            assert_eq!(gemm(BitWidth::W4), gemm(BitWidth::W6), "GEMM packing ignores the width");
+        }
+    }
+
+    #[test]
+    fn prepack_fingerprint_is_the_published_fnv_value() {
+        // Plans, `Network::fingerprint` and the certificates publish this
+        // value: a change here moves every golden that carries it.
+        let data = vec![-2, -1, 0, 1, 1, 0, -1, -2];
+        let tensor = Tensor::from_vec((2, 1, 2, 2), Layout::Nchw, data);
+        let weights = QTensor::new(tensor, BitWidth::W2, 1.0);
+        let gemm = prepack_fingerprint(&weights, ArmAlgo::Gemm, BitWidth::W2);
+        assert_eq!(gemm, Some(12800222865419251388));
+        let winograd = prepack_fingerprint(&weights, ArmAlgo::Winograd, BitWidth::W4);
+        assert_eq!(winograd, Some(15698813941962827989));
+    }
+
+    #[test]
+    fn cache_key_finds_equal_weights_and_separates_everything_else() {
+        let shape = ConvShape::new(1, 5, 9, 7, 6, 3, 1, 1);
+        let (input, weights) = tensors(&shape, BitWidth::W4, 81);
+        let key = |w: &QTensor, algo, bits| cache_key(w, algo, bits).expect("a packed layout");
+        let with_data = |data| {
+            let tensor = Tensor::from_vec(weights.dims(), Layout::Nchw, data);
+            QTensor::new(tensor, weights.bits(), weights.scale())
+        };
+        // An equal tensor built separately hits the same entry.
+        let engine = ArmEngine::cortex_a53();
+        let first = engine.conv(&input, &weights, &shape, ArmAlgo::Gemm);
+        let twin = with_data(weights.data().to_vec());
+        let second = engine.conv(&input, &twin, &shape, ArmAlgo::Gemm);
+        assert_eq!((first.prepack_hit, second.prepack_hit), (Some(false), Some(true)));
+        assert_eq!(engine.prepack_stats().entries, 1);
+        // A one-byte change anywhere misses: each byte of the 270-byte
+        // tensor (whole 32-byte blocks, then the tail) is changed in turn.
+        let gemm = key(&weights, ArmAlgo::Gemm, BitWidth::W4);
+        let flipped = |at: usize| {
+            let mut data = weights.data().to_vec();
+            data[at] = if data[at] == 0 { 1 } else { 0 };
+            with_data(data)
+        };
+        for at in 0..weights.data().len() {
+            assert_ne!(key(&flipped(at), ArmAlgo::Gemm, BitWidth::W4), gemm, "byte {at}");
+        }
+        let miss = engine.conv(&input, &flipped(0), &shape, ArmAlgo::Gemm);
+        assert_eq!(miss.prepack_hit, Some(false));
+        // The layout and Winograd's width are part of the key; the GEMM
+        // layouts ignore the width.
+        assert_ne!(key(&weights, ArmAlgo::GemmNarrow, BitWidth::W4), gemm);
+        assert_ne!(key(&weights, ArmAlgo::GemmSdot, BitWidth::W4), gemm);
+        assert_eq!(key(&weights, ArmAlgo::Gemm, BitWidth::W6), gemm);
+        let winograd = |bits| key(&weights, ArmAlgo::Winograd, bits);
+        assert_ne!(winograd(BitWidth::W4), winograd(BitWidth::W6));
+        assert_eq!(cache_key(&weights, ArmAlgo::NcnnBaseline, BitWidth::W4), None);
     }
 
     #[test]

@@ -71,20 +71,6 @@ pub fn gemm_ncnn(a: &[i8], b: &[i8], m: usize, k: usize, n: usize) -> GemmOutput
     }
 }
 
-/// Transposes the column-major `m x n` matrix `c_cm` (`c_cm[j * m + i]`)
-/// to row-major (`c[i * n + j]`). Read the other way round, it turns a
-/// row-major `n x m` matrix into a column-major one.
-pub fn col_to_row_major(c_cm: &[i32], m: usize, n: usize) -> Vec<i32> {
-    assert_eq!(c_cm.len(), m * n);
-    let mut c = vec![0i32; m * n];
-    for j in 0..n {
-        for i in 0..m {
-            c[i * n + j] = c_cm[j * m + i];
-        }
-    }
-    c
-}
-
 /// Scatters a column-major `rows x NB` tile into the row-major result,
 /// dropping the zero-padded fringe.
 fn scatter_tile(

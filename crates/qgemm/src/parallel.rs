@@ -4,13 +4,21 @@
 //! dimension (output pixels) is partitioned into per-thread column-tile
 //! blocks. Packed A (the weights) is shared read-only across threads; each
 //! thread packs its own cache-blocked B panels and writes a **disjoint**
-//! contiguous slice of the column-major result, so the driver needs no
-//! atomics, no locks and no `unsafe` — and the output is bit-exact versus
-//! the plain i32 product for every thread count and blocking parameter.
+//! share of the result, so the driver needs no atomics, no locks and no
+//! `unsafe` — and the output is bit-exact versus the plain i32 product for
+//! every thread count and blocking parameter.
+//!
+//! The result has one of two layouts. [`gemm_parallel_cm`] fills a
+//! column-major buffer in the workspace, each thread's share one contiguous
+//! column range. [`gemm_parallel_nchw_on`] stores every micro-tile straight
+//! into a caller's NCHW tensor (rows are output channels, columns run image
+//! by image), each thread's share the plane-row runs its columns cover: the
+//! convolution needs no reshape pass, and at one image the same target is
+//! the row-major matrix.
 //!
 //! This is the one driver of the wide and narrow tiles: the engine, the
 //! Winograd path and the one-shot [`crate::gemm()`] and
-//! [`crate::gemm_narrow`] (one thread, then a transpose) all run it.
+//! [`crate::gemm_narrow`] (one thread, row-major target) all run it.
 //!
 //! Why bit-exactness holds under K-blocking: within the published drain
 //! ratios every i8/i16 partial is exact, so each K-block contributes the
@@ -18,12 +26,11 @@
 //! The property tests in `tests/proptest_invariants.rs` enforce this over
 //! random shapes, bit widths, thread counts and block sizes.
 
-use crate::gemm::col_to_row_major;
 use crate::micro::{accumulate_tiles_on, MLA_BLOCK, SMLAL_BLOCK, TILE_LEN};
 use crate::narrow::{accumulate_tiles_narrow_on, PackedANarrow, NARROW_BLOCK, NARROW_TILE_LEN};
 use crate::pack::{PackedA, NB};
 use crate::scheme::{Scheme, SchemeKind};
-use crate::workspace::GemmWorkspace;
+use crate::workspace::{GemmWorkspace, ThreadScratch};
 use lowbit_isa::Isa;
 use lowbit_trace::{Tracer, MAIN_TRACK};
 use std::ops::Range;
@@ -87,7 +94,7 @@ impl ParallelConfig {
 }
 
 /// One thread's contiguous column range `[col0, col0 + cols)` of the
-/// column-major output.
+/// output.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct ColumnSpan {
     /// First column owned by the thread.
@@ -113,7 +120,7 @@ impl ColumnSpan {
 /// `[0, n)`, and all interior boundaries are [`NB`]-aligned.
 ///
 /// This is the **only** place the parallel driver's work split is computed —
-/// [`gemm_parallel_cm`] carves its `split_at_mut` slices from these spans,
+/// both result layouts carve their `split_at_mut` shares from these spans,
 /// and `lowbit-verify` checks the same spans for disjointness and coverage.
 /// The returned length is exactly the requested thread count clamped to
 /// `1..=MAX_THREADS`, so callers may index spans by thread id; threads
@@ -210,6 +217,70 @@ pub fn gemm_parallel_cm_on<'w>(
     ws: &'w mut GemmWorkspace,
     tracer: &Tracer,
 ) -> &'w [i32] {
+    check_operands(scheme, weights, b, k, n);
+    let cfg = cfg.normalized();
+    let m = weights.m();
+    let spans = partition_columns(n, cfg.threads);
+    let before = ws.footprint_bytes();
+    ws.prepare(spans.len(), m * n);
+    if k == 0 {
+        ws.c_cm.fill(0); // no K block stores the result
+    }
+    // Each span's share is its contiguous column range, carved off with
+    // split_at_mut.
+    let mut rest: &mut [i32] = &mut ws.c_cm;
+    let shares = spans.iter().map(|&span| {
+        let (c, tail) = std::mem::take(&mut rest).split_at_mut(span.cols * m);
+        rest = tail;
+        ColMajorShare { c, m, cols: span.cols }
+    });
+    drive(isa, scheme, weights, b, n, &cfg, &spans, &mut ws.scratch, shares, tracer);
+    ws.note_call(before);
+    &ws.c_cm
+}
+
+/// [`gemm_parallel_cm_on`] into an **NCHW** result instead: `out` holds
+/// `n / hw` images of `m x hw` (`out[(image * m + row) * hw + pixel]`),
+/// and column `image * hw + pixel` of C lands on its pixel. At `hw == n`
+/// that is the row-major `m x n` product.
+///
+/// Each worker stores its micro-tiles straight into the plane-row runs its
+/// [`ColumnSpan`] owns, so there is no column-major result buffer and no
+/// reshape pass; `ws` holds only the B panels. The first K block stores
+/// every element, so `out` need not be zeroed.
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_parallel_nchw_on(
+    isa: Isa,
+    scheme: &Scheme,
+    weights: SharedWeights<'_>,
+    b: &[i8],
+    k: usize,
+    n: usize,
+    hw: usize,
+    cfg: &ParallelConfig,
+    ws: &mut GemmWorkspace,
+    out: &mut [i32],
+    tracer: &Tracer,
+) {
+    check_operands(scheme, weights, b, k, n);
+    let m = weights.m();
+    assert_eq!(out.len(), m * n, "NCHW result has wrong length");
+    assert!(n.is_multiple_of(hw), "{n} columns are not whole images of {hw}");
+    let cfg = cfg.normalized();
+    let spans = partition_columns(n, cfg.threads);
+    let before = ws.footprint_bytes();
+    ws.prepare_scratch(spans.len());
+    if k == 0 {
+        out.fill(0); // no K block stores the result
+    }
+    let shares = nchw_shares(out, m, hw, &spans);
+    drive(isa, scheme, weights, b, n, &cfg, &spans, &mut ws.scratch, shares, tracer);
+    ws.note_call(before);
+}
+
+/// Panics unless the operands agree with each other and the tile kind
+/// runs `scheme`.
+fn check_operands(scheme: &Scheme, weights: SharedWeights<'_>, b: &[i8], k: usize, n: usize) {
     assert_eq!(weights.k(), k, "weights disagree on K");
     assert_eq!(b.len(), k * n, "B operand has wrong length");
     if matches!(weights, SharedWeights::Narrow(_)) {
@@ -217,62 +288,45 @@ pub fn gemm_parallel_cm_on<'w>(
     } else {
         assert_ne!(scheme.kind(), SchemeKind::Ncnn16, "the ncnn baseline runs on gemm_ncnn");
     }
-    let cfg = cfg.normalized();
-    let m = weights.m();
-    let spans = partition_columns(n, cfg.threads);
-    // Empty spans (more threads than column tiles) own no work and get no
-    // worker; the split_at_mut carving below still walks them so C slices
-    // stay aligned with span order.
-    let active = spans.iter().filter(|s| s.cols > 0).count();
+}
 
-    let before = ws.footprint_bytes();
-    ws.prepare(spans.len(), m * n);
-    if k == 0 {
-        ws.c_cm.fill(0); // no K block stores the result
-    }
+/// Runs one worker per non-empty span against that span's share of C: on
+/// the caller thread when at most one span has work, else one scoped
+/// thread each. The shares are disjoint because the spans are (checked
+/// statically by lowbit-verify), so the workers need no lock and no
+/// `unsafe`. Empty spans (more threads than column tiles) get no worker.
+#[allow(clippy::too_many_arguments)]
+fn drive<S: TileSink + Send>(
+    isa: Isa,
+    scheme: &Scheme,
+    weights: SharedWeights<'_>,
+    b: &[i8],
+    n: usize,
+    cfg: &ParallelConfig,
+    spans: &[ColumnSpan],
+    scratch: &mut [ThreadScratch],
+    shares: impl IntoIterator<Item = S>,
+    tracer: &Tracer,
+) {
+    let active = spans.iter().filter(|s| s.cols > 0).count();
+    let jobs = spans.iter().zip(scratch).zip(shares).filter(|((span, _), _)| span.cols > 0);
     if active <= 1 {
-        if let Some(span) = spans.iter().find(|s| s.cols > 0) {
+        for ((span, s), mut share) in jobs {
             let track = worker_track(tracer, span);
-            worker(
-                isa,
-                scheme,
-                weights,
-                b,
-                n,
-                span,
-                &cfg,
-                &mut ws.scratch[0].b_panel,
-                &mut ws.c_cm,
-                tracer,
-                track,
-            );
+            let panel = &mut s.b_panel;
+            worker(isa, scheme, weights, b, n, span, cfg, panel, &mut share, tracer, track);
         }
     } else {
-        // Each thread's C slice is the contiguous column range of its span,
-        // carved off with split_at_mut — disjointness and coverage of the
-        // spans (checked statically by lowbit-verify) make this partition
-        // lock- and unsafe-free.
         std::thread::scope(|scope| {
-            let mut c_rest: &mut [i32] = &mut ws.c_cm;
-            let mut scratch_rest: &mut [crate::workspace::ThreadScratch] = &mut ws.scratch;
-            for span in &spans {
-                let (c_t, rest) = c_rest.split_at_mut(span.cols * m);
-                c_rest = rest;
-                let (s_t, rest) = scratch_rest.split_at_mut(1);
-                scratch_rest = rest;
-                if span.cols == 0 {
-                    continue;
-                }
-                let panel = &mut s_t[0].b_panel;
+            for ((span, s), mut share) in jobs {
                 let track = worker_track(tracer, span);
                 scope.spawn(move || {
-                    worker(isa, scheme, weights, b, n, span, &cfg, panel, c_t, tracer, track);
+                    let panel = &mut s.b_panel;
+                    worker(isa, scheme, weights, b, n, span, cfg, panel, &mut share, tracer, track);
                 });
             }
         });
     }
-    ws.note_call(before);
-    &ws.c_cm
 }
 
 /// Registers the per-thread timeline track, named after the worker's owned
@@ -286,8 +340,131 @@ fn worker_track(tracer: &Tracer, span: &ColumnSpan) -> u32 {
     }
 }
 
-/// One thread's share: columns `[span.col0, span.end())`, written
-/// column-major into the thread-local slice `c` (`c[(j - col0) * m + i]`).
+/// One worker's share of C: where it stores each finished micro-tile.
+trait TileSink {
+    /// Stores (first K block) or adds (later ones) the column-major
+    /// `rows x NB` micro-tile of A tile `ti` and the worker's local column
+    /// tile `jt`, dropping the zero-padded fringe. Every element of C
+    /// belongs to exactly one tile of a K block, so C needs no zeroing.
+    fn put(&mut self, tile: &[i32], ti: usize, jt: usize, first_k_block: bool);
+}
+
+/// A span's contiguous column range of the column-major result
+/// (`c[j * m + i]` for local column `j`).
+struct ColMajorShare<'c> {
+    c: &'c mut [i32],
+    m: usize,
+    cols: usize,
+}
+
+impl TileSink for ColMajorShare<'_> {
+    fn put(&mut self, tile: &[i32], ti: usize, jt: usize, first_k_block: bool) {
+        let rows = tile.len() / NB;
+        let (row0, m) = (ti * rows, self.m);
+        let live = rows.min(m - row0);
+        for (j, src) in (jt * NB..self.cols).zip(tile.chunks_exact(rows)) {
+            let dst = &mut self.c[j * m + row0..][..live];
+            store_run(dst, src.iter().copied(), first_k_block);
+        }
+    }
+}
+
+/// A span's share of an NCHW result: the run of every `(image, row)`
+/// plane row its columns cover, in `(image, row)` order. Runs of the
+/// span's first image start at `span.col0`, later ones at pixel 0.
+struct NchwShare<'o> {
+    runs: Vec<&'o mut [i32]>,
+    m: usize,
+    hw: usize,
+    span: ColumnSpan,
+}
+
+impl TileSink for NchwShare<'_> {
+    /// One run of up to [`NB`] contiguous pixels per live row, two where
+    /// the tile's columns straddle an image boundary.
+    fn put(&mut self, tile: &[i32], ti: usize, jt: usize, first_k_block: bool) {
+        let (rows, hw, col0) = (tile.len() / NB, self.hw, self.span.col0);
+        let row0 = ti * rows;
+        let live = rows.min(self.m - row0);
+        let (j0, end) = (jt * NB, (jt * NB + NB).min(self.span.cols));
+        let first_image = col0 / hw;
+        let mut j = j0;
+        while j < end {
+            let image = (col0 + j) / hw;
+            let image_start = image * hw;
+            let piece_end = end.min(image_start + hw - col0);
+            let at = col0 + j - image_start.max(col0);
+            let runs = &mut self.runs[(image - first_image) * self.m + row0..][..live];
+            if piece_end - j == NB {
+                // The common case, all four columns in one image: each row
+                // is one fixed-width run, read across the tile's columns.
+                let [c0, c1, c2, c3]: [&[i32]; NB] =
+                    std::array::from_fn(|c| &tile[c * rows..][..rows]);
+                for ((((run, &v0), &v1), &v2), &v3) in
+                    runs.iter_mut().zip(c0).zip(c1).zip(c2).zip(c3)
+                {
+                    let dst: &mut [i32; NB] = run[at..].first_chunk_mut().expect("a whole tile");
+                    store_run(dst, [v0, v1, v2, v3].into_iter(), first_k_block);
+                }
+            } else {
+                for (r, run) in runs.iter_mut().enumerate() {
+                    let src = tile[(j - j0) * rows + r..].iter().step_by(rows).copied();
+                    store_run(&mut run[at..at + piece_end - j], src, first_k_block);
+                }
+            }
+            j = piece_end;
+        }
+    }
+}
+
+/// Stores `src` into `dst` for the first K block, adds it for later ones.
+#[inline(always)]
+fn store_run(dst: &mut [i32], src: impl Iterator<Item = i32>, first_k_block: bool) {
+    if first_k_block {
+        dst.iter_mut().zip(src).for_each(|(d, v)| *d = v);
+    } else {
+        dst.iter_mut().zip(src).for_each(|(d, v)| *d = d.wrapping_add(v));
+    }
+}
+
+/// Cuts the NCHW result `out` into one share per span: each `(image, row)`
+/// plane row is split at the span boundaries inside it with
+/// `split_at_mut`. The spans are contiguous and cover `[0, n)`, so each
+/// plane row is used up in span order.
+fn nchw_shares<'o>(
+    out: &'o mut [i32],
+    m: usize,
+    hw: usize,
+    spans: &[ColumnSpan],
+) -> Vec<NchwShare<'o>> {
+    let mut shares: Vec<NchwShare<'o>> = spans
+        .iter()
+        .map(|&span| {
+            let images = match span.cols {
+                0 => 0,
+                _ => (span.end() - 1) / hw - span.col0 / hw + 1,
+            };
+            NchwShare { runs: Vec::with_capacity(images * m), m, hw, span }
+        })
+        .collect();
+    // `hw` is 0 only when `n` and so `out` are empty.
+    for (plane_row, mut row) in out.chunks_exact_mut(hw.max(1)).enumerate() {
+        let image_start = plane_row / m * hw;
+        for share in &mut shares {
+            let lo = share.span.col0.max(image_start);
+            let hi = share.span.end().min(image_start + hw);
+            if lo < hi {
+                let (run, tail) = std::mem::take(&mut row).split_at_mut(hi - lo);
+                share.runs.push(run);
+                row = tail;
+            }
+        }
+    }
+    shares
+}
+
+/// One thread's share: columns `[span.col0, span.end())`, each finished
+/// micro-tile handed to `sink`.
 #[allow(clippy::too_many_arguments)]
 fn worker(
     isa: Isa,
@@ -298,16 +475,14 @@ fn worker(
     span: &ColumnSpan,
     cfg: &ParallelConfig,
     panel: &mut Vec<i8>,
-    c: &mut [i32],
+    sink: &mut impl TileSink,
     tracer: &Tracer,
     track: u32,
 ) {
     let (col0, cols) = (span.col0, span.cols);
     let mut worker_span = tracer.span("gemm worker", track);
     worker_span.set_label(|| format!("cols [{col0}..{}) {isa}", col0 + cols));
-    let m = weights.m();
     let k = weights.k();
-    debug_assert_eq!(c.len(), cols * m);
     let local_tiles = cols.div_ceil(NB);
     let nc_tiles = cfg.nc / NB;
     let mut jt0 = 0usize;
@@ -324,9 +499,7 @@ fn worker(
             let mut tile_span = tracer.span("gemm tile", track);
             tile_span.set_label(|| format!("jt [{jt0}..{jt1}) k0 {k0}"));
             for (jt, b_blk) in (jt0..jt1).zip(panel.chunks_exact(klen * NB)) {
-                let mut store = |ti: usize, tile: &[i32]| {
-                    scatter_tile(c, tile, m, cols, jt, ti, tile.len() / NB, k0 == 0);
-                };
+                let mut store = |ti: usize, tile: &[i32]| sink.put(tile, ti, jt, k0 == 0);
                 let steps = k0..k0 + klen;
                 let run = match weights {
                     SharedWeights::Wide(_) if scheme.kind() == SchemeKind::Mla => {
@@ -418,39 +591,9 @@ fn pack_b_panel(
     }
 }
 
-/// Writes a column-major micro-tile into the thread's column-major C slice:
-/// stores it for the first K block (every element of C belongs to exactly
-/// one tile of it, so C needs no zeroing) and adds it for the later ones.
-#[allow(clippy::too_many_arguments)]
-fn scatter_tile(
-    c: &mut [i32],
-    tile: &[i32],
-    m: usize,
-    cols: usize,
-    jt: usize,
-    ti: usize,
-    rows: usize,
-    first_k_block: bool,
-) {
-    for cc in 0..NB {
-        let j = jt * NB + cc;
-        if j >= cols {
-            break;
-        }
-        let col = &mut c[j * m..];
-        for (r, &v) in tile[cc * rows..(cc + 1) * rows].iter().enumerate() {
-            let i = ti * rows + r;
-            if i >= m {
-                break;
-            }
-            col[i] = if first_k_block { v } else { col[i].wrapping_add(v) };
-        }
-    }
-}
-
-/// One single-threaded driver call on `isa` into a fresh workspace,
-/// transposed to the row-major layout of [`crate::GemmOutput`]: the
-/// functional half of the one-shot [`crate::gemm()`] and
+/// One single-threaded driver call on `isa` into a fresh workspace and a
+/// row-major `m x n` result (the NCHW target as one image of `n` pixels):
+/// the functional half of the one-shot [`crate::gemm()`] and
 /// [`crate::gemm_narrow`].
 pub(crate) fn gemm_row_major_on(
     isa: Isa,
@@ -460,10 +603,10 @@ pub(crate) fn gemm_row_major_on(
     n: usize,
 ) -> Vec<i32> {
     let (m, k) = (weights.m(), weights.k());
-    let mut ws = GemmWorkspace::new();
-    let cfg = ParallelConfig::default();
-    let c_cm = gemm_parallel_cm_on(isa, scheme, weights, b, k, n, &cfg, &mut ws, &Tracer::null());
-    col_to_row_major(c_cm, m, n)
+    let mut c = vec![0; m * n];
+    let (cfg, mut ws) = (ParallelConfig::default(), GemmWorkspace::new());
+    gemm_parallel_nchw_on(isa, scheme, weights, b, k, n, n, &cfg, &mut ws, &mut c, &Tracer::null());
+    c
 }
 
 #[cfg(test)]
@@ -475,6 +618,13 @@ mod tests {
     use lowbit_tensor::BitWidth;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// The column-major `m x n` matrix `c_cm` (`c_cm[j * m + i]`) in
+    /// row-major order (`c[i * n + j]`).
+    fn col_to_row_major(c_cm: &[i32], m: usize, n: usize) -> Vec<i32> {
+        assert_eq!(c_cm.len(), m * n);
+        (0..m * n).map(|idx| c_cm[(idx % n) * m + idx / n]).collect()
+    }
 
     fn random_mat(len: usize, bits: BitWidth, seed: u64) -> Vec<i8> {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -526,6 +676,51 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn nchw_target_matches_reference_across_images_and_threads() {
+        // hw of 5, 7 and 9 makes 4-column tiles straddle images; K runs
+        // below, at, just past and past twice kc; threads up to 6 exceed
+        // the column tiles of the small cases; M, K and N each reach 0.
+        // Every result starts as garbage, so each element must be stored,
+        // through one workspace.
+        let mut ws = GemmWorkspace::new();
+        let cases = [
+            (21, 40, 5, 3),
+            (9, 16, 7, 1),
+            (16, 17, 1, 6),
+            (3, 9, 9, 2),
+            (5, 0, 3, 2),
+            (0, 7, 5, 2),
+            (4, 6, 0, 0),
+        ];
+        for (bits, narrow) in [(BitWidth::W2, false), (BitWidth::W5, false), (BitWidth::W8, true)] {
+            let scheme = Scheme::for_bits(bits);
+            for (m, k, hw, images) in cases {
+                let n = hw * images;
+                let a = random_mat(m * k, bits, 500 + m as u64);
+                let b = random_mat(k * n, bits, 600 + n as u64);
+                let want = reference_gemm(&a, &b, m, k, n);
+                let (pa, pn) = (pack_a(&a, m, k), pack_a_narrow(&a, m, k));
+                let weights =
+                    if narrow { SharedWeights::Narrow(&pn) } else { SharedWeights::Wide(&pa) };
+                for threads in 1..=6 {
+                    let cfg = ParallelConfig { threads, kc: 16, nc: 8 };
+                    let mut out = vec![i32::MIN; m * n];
+                    let (isa, null) = (Isa::host(), Tracer::null());
+                    gemm_parallel_nchw_on(
+                        isa, &scheme, weights, &b, k, n, hw, &cfg, &mut ws, &mut out, &null,
+                    );
+                    for (idx, &got) in out.iter().enumerate() {
+                        let (image, row, pixel) = (idx / (m * hw), idx / hw % m, idx % hw);
+                        let case = format!("{bits} m {m} k {k} hw {hw} x{threads} at {idx}");
+                        assert_eq!(got, want[row * n + image * hw + pixel], "{case}");
+                    }
+                }
+            }
+        }
+        assert_eq!(ws.c_cm.capacity(), 0, "the NCHW target needs no result buffer");
     }
 
     #[test]

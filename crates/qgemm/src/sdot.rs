@@ -17,7 +17,7 @@
 
 #![allow(clippy::field_reassign_with_default)] // InstCounts builders read clearer this way
 
-use crate::gemm::{col_to_row_major, GemmOutput};
+use crate::gemm::GemmOutput;
 use crate::pack::NB;
 use lowbit_tensor::BitWidth;
 use neon_sim::inst::Inst;
@@ -230,11 +230,13 @@ pub fn emit_tile_sdot(k: usize, addr_a: u32, addr_b: u32, addr_c: u32) -> Vec<In
 }
 
 /// Full GEMM on the SDOT path: packs both operands into k-quads and runs
-/// [`gemm_sdot_prepacked_cm`].
+/// the prepacked tile loop into a row-major result.
 pub fn gemm_sdot(a: &[i8], b: &[i8], m: usize, k: usize, n: usize) -> GemmOutput {
-    let mut c_cm = Vec::new();
-    gemm_sdot_prepacked_cm(&pack_a_quads(a, m, k), &pack_b_quads(b, k, n), &mut c_cm);
-    GemmOutput { m, n, c: col_to_row_major(&c_cm, m, n), schedule: schedule_gemm_sdot(m, k, n) }
+    let mut c = vec![0i32; m * n];
+    for_each_sdot_element(&pack_a_quads(a, m, k), &pack_b_quads(b, k, n), |i, j, v| {
+        c[i * n + j] = v;
+    });
+    GemmOutput { m, n, c, schedule: schedule_gemm_sdot(m, k, n) }
 }
 
 /// Prepacked SDOT GEMM into a caller-owned **column-major** result buffer
@@ -245,9 +247,20 @@ pub fn gemm_sdot(a: &[i8], b: &[i8], m: usize, k: usize, n: usize) -> GemmOutput
 /// prepack/workspace reuse only.
 pub fn gemm_sdot_prepacked_cm(pa: &PackedAQuads, pb: &PackedBQuads, c_cm: &mut Vec<i32>) {
     assert_eq!(pa.k_pad, pb.k_pad, "packed operands disagree on K");
-    let (m, n) = (pa.m, pb.n);
+    let m = pa.m;
     c_cm.clear();
-    c_cm.resize(m * n, 0);
+    c_cm.resize(m * pb.n, 0);
+    for_each_sdot_element(pa, pb, |i, j, v| c_cm[j * m + i] = v);
+}
+
+/// Runs every SDOT tile and hands each in-range result element to `store`
+/// as `(row, col, value)`, dropping the zero-padded fringe.
+fn for_each_sdot_element(
+    pa: &PackedAQuads,
+    pb: &PackedBQuads,
+    mut store: impl FnMut(usize, usize, i32),
+) {
+    let (m, n) = (pa.m, pb.n);
     for ti in 0..pa.tiles() {
         for tj in 0..pb.tiles() {
             let mut tile = [0i32; SDOT_NA * NB];
@@ -262,7 +275,7 @@ pub fn gemm_sdot_prepacked_cm(pa: &PackedAQuads, pb: &PackedBQuads, c_cm: &mut V
                     if i >= m {
                         break;
                     }
-                    c_cm[j * m + i] = tile[col * SDOT_NA + r];
+                    store(i, j, tile[col * SDOT_NA + r]);
                 }
             }
         }

@@ -1,7 +1,7 @@
 //! Reusable GEMM workspace: the scratch memory the parallel driver needs
-//! per call (the column-major result buffer plus one packed-B panel per
-//! thread), owned by the caller so steady-state inference re-runs the same
-//! layer shapes with **zero heap allocations**.
+//! per call (one packed-B panel per thread, plus the result buffer of the
+//! column-major entry point), owned by the caller so steady-state inference
+//! re-runs the same layer shapes with **zero heap allocations**.
 //!
 //! Buffer reuse is `clear()` + `reserve_exact()` + `resize()`: lengths
 //! track the current call, capacities only ever grow, and only to the
@@ -28,11 +28,13 @@ pub(crate) struct ThreadScratch {
     pub(crate) b_panel: Vec<i8>,
 }
 
-/// Caller-owned arena for [`crate::parallel::gemm_parallel_cm`].
+/// Caller-owned arena for [`crate::parallel::gemm_parallel_cm`] and
+/// [`crate::parallel::gemm_parallel_nchw_on`].
 #[derive(Default)]
 pub struct GemmWorkspace {
     /// Column-major `m x n` result (`c_cm[col * m + row]`), so each worker
-    /// thread's column range is one contiguous `&mut [i32]`.
+    /// thread's column range is one contiguous `&mut [i32]`. Only the
+    /// column-major entry point sizes it; the NCHW one leaves it empty.
     pub(crate) c_cm: Vec<i32>,
     pub(crate) scratch: Vec<ThreadScratch>,
     stats: WorkspaceStats,
@@ -64,11 +66,16 @@ impl GemmWorkspace {
     /// previous call's values): the driver's first K block stores every
     /// element.
     pub(crate) fn prepare(&mut self, threads: usize, c_len: usize) {
+        self.prepare_scratch(threads);
+        self.c_cm.reserve_exact(c_len.saturating_sub(self.c_cm.len()));
+        self.c_cm.resize(c_len, 0);
+    }
+
+    /// Ensures at least `threads` scratch slots.
+    pub(crate) fn prepare_scratch(&mut self, threads: usize) {
         if self.scratch.len() < threads {
             self.scratch.resize_with(threads, ThreadScratch::default);
         }
-        self.c_cm.reserve_exact(c_len.saturating_sub(self.c_cm.len()));
-        self.c_cm.resize(c_len, 0);
     }
 
     /// Records one served call given the footprint measured before it.

@@ -450,7 +450,10 @@ impl std::fmt::Display for PlanViolation {
 pub struct ArenaRequirement {
     /// im2col matrix bytes (`K x N` i8).
     pub col: usize,
-    /// Column-major parallel-GEMM result bytes (`4 * M * N`).
+    /// Column-major parallel-GEMM result bytes (`4 * M * N`). The engine's
+    /// wide and narrow conv path stores into its output tensor and
+    /// allocates no such buffer, so this term is slack but sound; it stays
+    /// until the plan goldens are next regenerated.
     pub c_cm: usize,
     /// Per-thread packed-B panel bytes, maximized over every legal thread
     /// count the engine accepts.

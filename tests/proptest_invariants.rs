@@ -25,6 +25,12 @@ fn conv_shape() -> impl Strategy<Value = ConvShape> {
         })
 }
 
+/// The column-major `m x n` matrix `c_cm` (`c_cm[j * m + i]`) in row-major
+/// order, to compare with the reference product.
+fn row_major(c_cm: &[i32], m: usize, n: usize) -> Vec<i32> {
+    (0..m * n).map(|idx| c_cm[(idx % n) * m + idx / n]).collect()
+}
+
 fn any_bits() -> impl Strategy<Value = BitWidth> {
     (2u8..=8).prop_map(|b| BitWidth::new(b).unwrap())
 }
@@ -207,7 +213,7 @@ proptest! {
         nc_tiles in 1usize..=4,
         seed in 0u64..1000,
     ) {
-        use lowbit::qgemm::gemm::{col_to_row_major, reference_gemm};
+        use lowbit::qgemm::gemm::reference_gemm;
         use lowbit::qgemm::parallel::gemm_parallel_cm;
         use lowbit::qgemm::{GemmWorkspace, ParallelConfig, SharedWeights, NB};
         use rand::{Rng, SeedableRng};
@@ -219,7 +225,7 @@ proptest! {
         let pa = pack_a(&a, m, k);
         let mut ws = GemmWorkspace::new();
         let c_cm = gemm_parallel_cm(&scheme, SharedWeights::Wide(&pa), &b, k, n, &cfg, &mut ws);
-        prop_assert_eq!(col_to_row_major(c_cm, m, n), reference_gemm(&a, &b, m, k, n));
+        prop_assert_eq!(row_major(c_cm, m, n), reference_gemm(&a, &b, m, k, n));
     }
 
     /// Parallel-engine invariant: reusing one workspace arena across calls
@@ -232,7 +238,7 @@ proptest! {
         threads in 1usize..=4,
         seed in 0u64..1000,
     ) {
-        use lowbit::qgemm::gemm::{col_to_row_major, reference_gemm};
+        use lowbit::qgemm::gemm::reference_gemm;
         use lowbit::qgemm::parallel::gemm_parallel_cm;
         use lowbit::qgemm::{GemmWorkspace, ParallelConfig, SharedWeights};
         use rand::{Rng, SeedableRng};
@@ -248,7 +254,7 @@ proptest! {
             let pa = pack_a(&a, m, k);
             let c_cm =
                 gemm_parallel_cm(&scheme, SharedWeights::Wide(&pa), &b, k, n, &cfg, &mut ws);
-            prop_assert_eq!(col_to_row_major(c_cm, m, n), reference_gemm(&a, &b, m, k, n));
+            prop_assert_eq!(row_major(c_cm, m, n), reference_gemm(&a, &b, m, k, n));
         }
     }
 
