@@ -1,15 +1,14 @@
 //! Host wall-clock throughput of the ARM micro-kernels per bit width,
-//! through the one-shot GEMMs: `gemm` and `gemm_narrow` pack A and run the
-//! engine's tiled driver at one thread, `gemm_sdot` packs and runs
-//! `gemm_sdot_prepacked_cm`; each then transposes to row-major. The drain
-//! cadence (SADDW ratio) is visible in real time, not just in the model:
-//! lower bit widths drain less and run faster per MAC.
+//! through the one-shot GEMMs: `gemm`, `gemm_narrow` and `gemm_sdot` pack A
+//! and run the engine's tiled driver at one thread, storing the row-major
+//! result straight from the micro-tiles. The drain cadence (SADDW ratio)
+//! is visible in real time, not just in the model: lower bit widths drain
+//! less and run faster per MAC.
 //!
-//! `arm_driver_prepacked` times the tiled driver alone, the way the engine
-//! runs it: `gemm_parallel_cm` at one thread on prepacked A with a warm
-//! workspace, no packing of A and no transpose. It covers one shape per
-//! tile kind, taken from the benchmark workloads. Its `elem/s` figure is
-//! MAC/s.
+//! `arm_driver_prepacked` times the tiled driver alone: `gemm_parallel_cm`
+//! at one thread on prepacked A with a warm workspace and no packing of A.
+//! It covers one shape per tile kind, taken from the benchmark workloads.
+//! Its `elem/s` figure is MAC/s.
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use lowbit_qgemm::narrow::pack_a_narrow;
 use lowbit_qgemm::{gemm, pack_a, GemmWorkspace, ParallelConfig, Scheme, SharedWeights};

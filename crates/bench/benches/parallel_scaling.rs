@@ -1,7 +1,7 @@
 //! Wall-clock thread scaling of the parallel GEMM-conv engine on the
 //! ResNet-50 layer set: serial (1 thread) vs. 2 and 4 threads, through the
 //! warm `ArmEngine` path (weights prepacked, workspace reused — each
-//! iteration is an allocation-free steady-state convolution).
+//! iteration is a steady-state convolution that grows no buffer).
 //!
 //! On single-core CI hosts the scoped threads time-slice one core, so the
 //! wall-clock curve is flat there; `BENCH_parallel.json` (see

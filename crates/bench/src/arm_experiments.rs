@@ -207,7 +207,8 @@ pub fn parallel_scaling(table: &[LayerDef], threads: &[usize], measure: bool) ->
                     QTensor::random((s.c_out, s.c_in, s.kh, s.kw), Layout::Nchw, BitWidth::W4, 2);
                 // Warm-up packs the weights, sizes the arena and settles the
                 // host (caches, frequency); the timed repeats are the
-                // allocation-free steady state and the minimum is reported.
+                // steady state, which grows no arena buffer, and the
+                // minimum is reported.
                 let policy = crate::harness::MeasurePolicy::default();
                 for _ in 0..policy.warmup {
                     eng.conv(&input, &weights, s, ArmAlgo::Gemm);

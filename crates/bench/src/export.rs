@@ -343,7 +343,7 @@ pub fn save_trace_json(dir: &Path) -> std::io::Result<PathBuf> {
     let plan = Planner::for_arm(&engine).compile(&net).expect("ARM serves every bit width");
     let exec = Executor::for_arm(&engine);
     // Warm-up pass: packs weights and grows the arena, so the traced run
-    // below records the allocation-free steady state.
+    // below records the steady state.
     let _ = exec.run(&plan, &net, &input);
 
     let (tracer, sink) = Tracer::recording();

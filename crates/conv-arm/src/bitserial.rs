@@ -15,9 +15,9 @@
 
 #![allow(clippy::field_reassign_with_default)] // InstCounts builders read clearer this way
 
-use crate::gemm_conv::{explicit_gemm_schedule, matrix_to_nchw_cm};
+use crate::gemm_conv::explicit_gemm_schedule;
 use crate::ConvOutput;
-use lowbit_tensor::{im2col_nchw, BitWidth, ConvShape, QTensor};
+use lowbit_tensor::{im2col_nchw, BitWidth, ConvShape, Layout, QTensor, Tensor};
 use neon_sim::{InstCounts, KernelSchedule, StageCost};
 
 /// Issue efficiency of the TVM-generated popcount kernel relative to
@@ -91,19 +91,19 @@ pub fn bitserial_conv(input: &QTensor, weights: &QTensor, shape: &ConvShape) -> 
         .map(|cix| pack_planes((0..k).map(|r| col.get(r, cix)), k))
         .collect();
 
-    let mut c = vec![0i32; m * n];
-    for (row, wr) in w_rows.iter().enumerate() {
-        for (cix, bc) in b_cols.iter().enumerate() {
+    // Each (image, output channel) plane is one weight row against that
+    // image's run of im2col columns.
+    let (oh, ow) = (shape.out_h(), shape.out_w());
+    let mut acc: Tensor<i32> = Tensor::zeros((shape.batch, m, oh, ow), Layout::Nchw);
+    for (plane_idx, plane) in acc.data_mut().chunks_exact_mut(oh * ow).enumerate() {
+        let (image, wr) = (plane_idx / m, &w_rows[plane_idx % m]);
+        for (dst, bc) in plane.iter_mut().zip(&b_cols[image * oh * ow..]) {
             let uu = popcnt_dot(wr, bc);
-            let dot = uu - 2 * wr.usum - 2 * bc.usum + 4 * k as i64;
-            c[cix * m + row] = dot as i32;
+            *dst = (uu - 2 * wr.usum - 2 * bc.usum + 4 * k as i64) as i32;
         }
     }
 
-    ConvOutput {
-        acc: matrix_to_nchw_cm(&c, shape),
-        schedule: schedule_bitserial_conv(shape),
-    }
+    ConvOutput { acc, schedule: schedule_bitserial_conv(shape) }
 }
 
 /// Analytic schedule for the TVM-like pipeline: im2col, bit-plane packing,

@@ -11,7 +11,7 @@ use crate::ConvOutput;
 use lowbit_qgemm::gemm::schedule_gemm;
 use lowbit_qgemm::parallel::ParallelConfig;
 use lowbit_qgemm::{pack_a, Scheme};
-use lowbit_tensor::{ConvShape, Layout, QTensor, Tensor};
+use lowbit_tensor::{ConvShape, QTensor};
 use lowbit_trace::Tracer;
 use neon_sim::{KernelSchedule, StageCost};
 
@@ -35,23 +35,6 @@ pub fn gemm_conv(input: &QTensor, weights: &QTensor, shape: &ConvShape) -> ConvO
         acc,
         schedule: schedule_gemm_conv(&scheme, shape),
     }
-}
-
-/// Reshapes the **column-major** `c_out x (batch*oh*ow)` GEMM result
-/// (`c[col * c_out + row]`, the layout the SDOT and bitserial kernels
-/// write) to NCHW, one output plane at a time.
-pub(crate) fn matrix_to_nchw_cm(c: &[i32], shape: &ConvShape) -> Tensor<i32> {
-    let (oh, ow) = (shape.out_h(), shape.out_w());
-    let (m, hw) = (shape.gemm_m(), oh * ow);
-    let mut acc: Tensor<i32> = Tensor::zeros((shape.batch, shape.c_out, oh, ow), Layout::Nchw);
-    for (plane_idx, plane) in acc.data_mut().chunks_exact_mut(hw).enumerate() {
-        let (image, co) = (plane_idx / m, plane_idx % m);
-        let cols = c[image * hw * m..].chunks(m);
-        for (dst, col) in plane.iter_mut().zip(cols) {
-            *dst = col[co];
-        }
-    }
-    acc
 }
 
 /// Analytic schedule for the whole explicit-GEMM pipeline on the paper's

@@ -1,33 +1,32 @@
-//! The parallel, allocation-free convolution path: prepacked weights +
-//! caller-owned [`ConvWorkspace`] arena, behind one entry point,
-//! [`gemm_conv_ws`], for all three GEMM micro-kernels and the Winograd
-//! path built on them. It is the only explicit-GEMM pipeline: the one-shot
-//! [`crate::gemm_conv()`] packs the weights and runs it on a fresh arena,
-//! just as [`crate::winograd_conv()`] does for Winograd.
+//! The parallel convolution path: prepacked weights + caller-owned
+//! [`ConvWorkspace`] arena, behind one entry point, [`gemm_conv_ws`], for
+//! all three GEMM micro-kernels and the Winograd path built on them. It is
+//! the only explicit-GEMM pipeline: the one-shot [`crate::gemm_conv()`]
+//! packs the weights and runs it on a fresh arena, just as
+//! [`crate::winograd_conv()`] does for Winograd.
 //!
 //! * the weights arrive packed once per layer as a [`PackedWeights`] value
 //!   (the engine's prepack cache holds them), so no call pays `pack A` —
 //!   nor, for Winograd, the weight transform;
-//! * the im2col matrix, the per-thread packed-B panels, the SDOT result and
-//!   Winograd's transform buffers live in one reusable arena — after a
-//!   warm-up pass over a network's layer shapes, repeated inference
-//!   performs **zero heap allocations** in these stages (the output tensor
-//!   itself is still returned by value);
-//! * the wide and narrow GEMMs run on `lowbit_qgemm::parallel` across N and
-//!   store their micro-tiles straight into that NCHW output, bit-exact
-//!   versus direct convolution for any thread count; the SDOT GEMM runs
-//!   serially on `lowbit_qgemm::sdot::gemm_sdot_prepacked_cm` and is
-//!   reshaped.
+//! * the im2col matrix, the per-thread packed-B panels and Winograd's
+//!   transform buffers live in one reusable arena, which stops growing
+//!   after a warm-up pass over a network's layer shapes. What a warm call
+//!   still allocates does not grow with the layer: the returned output
+//!   tensor, the driver's `partition_columns` list, and on the GEMM kernels
+//!   the NCHW share list and one row-slice list per working thread; on
+//!   Winograd, its span list, one `partition_columns` list per position
+//!   GEMM, its output buffer and the thread scope;
+//! * the wide, narrow and SDOT GEMMs are three tile kinds of one driver,
+//!   `lowbit_qgemm::parallel`: it splits N across threads and stores the
+//!   micro-tiles straight into that NCHW output, bit-exact versus direct
+//!   convolution for any thread count.
 
 use crate::algo::ArmAlgo;
-use crate::gemm_conv::matrix_to_nchw_cm;
 use crate::winograd::{winograd_conv_ws, WinogradScratch, WinogradWeights};
 use lowbit_isa::Isa;
 use lowbit_qgemm::narrow::{pack_a_narrow, PackedANarrow};
 use lowbit_qgemm::parallel::{gemm_parallel_nchw_on, ParallelConfig, SharedWeights};
-use lowbit_qgemm::sdot::{
-    gemm_sdot_prepacked_cm, pack_a_quads, pack_b_quads_into, PackedAQuads, PackedBQuads,
-};
+use lowbit_qgemm::sdot::{pack_a_quads, PackedAQuads};
 use lowbit_qgemm::workspace::{GemmWorkspace, WorkspaceStats};
 use lowbit_qgemm::{pack_a, PackedA, Scheme};
 use lowbit_tensor::{
@@ -124,16 +123,13 @@ pub fn prepack_fingerprint(weights: &QTensor, algo: ArmAlgo, bits: BitWidth) -> 
 }
 
 /// Caller-owned scratch for [`gemm_conv_ws`]: the im2col matrix, the
-/// parallel-GEMM arena (B panels only: the wide and narrow kernels store
-/// into the output tensor), the SDOT kernel's quad-packed B and
-/// column-major result, and Winograd's transformed input, output planes
-/// and per-thread GEMM arenas.
+/// parallel-GEMM arena (B panels only: every GEMM kernel stores into the
+/// output tensor), and Winograd's transformed input, output planes and
+/// per-thread GEMM arenas.
 #[derive(Default)]
 pub struct ConvWorkspace {
     col: Im2colMatrix,
     gemm: GemmWorkspace,
-    bq: PackedBQuads,
-    c_sdot: Vec<i32>,
     pub(crate) wg: WinogradScratch,
     stats: WorkspaceStats,
 }
@@ -153,18 +149,11 @@ impl ConvWorkspace {
     pub fn footprint_bytes(&self) -> usize {
         self.col.data.capacity()
             + self.gemm.footprint_bytes()
-            + self.bq.data.capacity()
-            + self.c_sdot.capacity() * std::mem::size_of::<i32>()
             + self.wg.footprint_bytes()
     }
 
     pub(crate) fn note_call(&mut self, footprint_before: usize) {
-        self.stats.calls += 1;
-        let after = self.footprint_bytes();
-        if after > footprint_before {
-            self.stats.alloc_events += 1;
-        }
-        self.stats.high_water_bytes = self.stats.high_water_bytes.max(after);
+        self.stats.note_call(footprint_before, self.footprint_bytes());
     }
 }
 
@@ -174,14 +163,10 @@ impl ConvWorkspace {
 /// `scheme` must cover the wider of the two operand bit widths, exactly as
 /// [`crate::gemm_conv()`] chooses it (the SDOT kernel has no drain machinery
 /// and ignores it; Winograd weights carry their own width and run
-/// [`winograd_conv_ws`]). The wide and narrow kernels run the GEMM across
-/// `cfg`'s threads, recording onto per-worker tracks, and store each
+/// [`winograd_conv_ws`]). Every GEMM kernel runs across `cfg`'s threads,
+/// recording onto per-worker tracks after an `im2col` span, and stores each
 /// micro-tile straight into the returned NCHW tensor: the output channels
 /// are the GEMM rows and the `batch * oh * ow` columns run image by image.
-/// The SDOT kernel runs serially (it has no drain cadence to block around
-/// and gains prepack + buffer reuse only) under `pack B quads` and
-/// `gemm sdot` spans on the main track, into a column-major buffer that a
-/// `reshape nchw` pass converts. An `im2col` span opens every kernel.
 ///
 /// The call never pays `pack A`; its analytic price is the one-shot
 /// pipeline schedule without that stage.
@@ -194,46 +179,25 @@ pub fn gemm_conv_ws(
     ws: &mut ConvWorkspace,
     tracer: &Tracer,
 ) -> Tensor<i32> {
-    let (m, k) = match pa {
-        PackedWeights::Wide(p) => (p.m, p.k),
-        PackedWeights::Narrow(p) => (p.m, p.k),
-        PackedWeights::Quads(p) => (p.m, p.k),
+    let weights = match pa {
+        PackedWeights::Wide(p) => SharedWeights::Wide(p),
+        PackedWeights::Narrow(p) => SharedWeights::Narrow(p),
+        PackedWeights::Quads(p) => SharedWeights::Quads(p),
         PackedWeights::Winograd(w) => return winograd_conv_ws(input, w, shape, cfg, ws, tracer),
     };
+    let (m, k, n) = (weights.m(), weights.k(), shape.gemm_n());
     assert_eq!(m, shape.gemm_m(), "packed weights disagree with shape on M");
     assert_eq!(k, shape.gemm_k(), "packed weights disagree with shape on K");
     let before = ws.footprint_bytes();
-    let n = shape.gemm_n();
     {
         let mut span = tracer.span("im2col", MAIN_TRACK);
         span.set_label(|| format!("{k}x{n}"));
         im2col_nchw_into(input, shape, &mut ws.col);
     }
-    let (isa, b, gemm) = (Isa::host(), &ws.col.data, &mut ws.gemm);
     let (oh, ow) = (shape.out_h(), shape.out_w());
-    let mut nchw = |weights| {
-        let mut acc = Tensor::zeros((shape.batch, m, oh, ow), Layout::Nchw);
-        let out = acc.data_mut();
-        gemm_parallel_nchw_on(isa, scheme, weights, b, k, n, oh * ow, cfg, gemm, out, tracer);
-        acc
-    };
-    let acc = match pa {
-        PackedWeights::Wide(pa) => nchw(SharedWeights::Wide(pa)),
-        PackedWeights::Narrow(pa) => nchw(SharedWeights::Narrow(pa)),
-        PackedWeights::Quads(pa) => {
-            {
-                let _span = tracer.span("pack B quads", MAIN_TRACK);
-                pack_b_quads_into(b, k, n, &mut ws.bq);
-            }
-            {
-                let _span = tracer.span("gemm sdot", MAIN_TRACK);
-                gemm_sdot_prepacked_cm(pa, &ws.bq, &mut ws.c_sdot);
-            }
-            let _span = tracer.span("reshape nchw", MAIN_TRACK);
-            matrix_to_nchw_cm(&ws.c_sdot, shape)
-        }
-        PackedWeights::Winograd(_) => unreachable!("returned above"),
-    };
+    let mut acc = Tensor::zeros((shape.batch, m, oh, ow), Layout::Nchw);
+    let (isa, b, gemm, out) = (Isa::host(), &ws.col.data, &mut ws.gemm, acc.data_mut());
+    gemm_parallel_nchw_on(isa, scheme, weights, b, k, n, oh * ow, cfg, gemm, out, tracer);
     ws.note_call(before);
     acc
 }
@@ -341,12 +305,16 @@ mod tests {
         let scheme = Scheme::for_bits(bits);
         let cfg = ParallelConfig::with_threads(2);
         let mut ws = ConvWorkspace::new();
+        // The wide and SDOT tiles over each shape: the two kernels share one
+        // set of B panels.
         let cases: Vec<_> = shapes
             .iter()
-            .map(|shape| {
+            .flat_map(|shape| {
                 let (input, weights) = tensors(shape, bits, 800);
-                let pa = pack_a(weights.data(), shape.gemm_m(), shape.gemm_k());
-                (*shape, input, PackedWeights::Wide(pa))
+                let (w, m, k) = (weights.data(), shape.gemm_m(), shape.gemm_k());
+                let wide = PackedWeights::Wide(pack_a(w, m, k));
+                let sdot = PackedWeights::Quads(pack_a_quads(w, m, k));
+                [wide, sdot].map(|pa| (*shape, input.clone(), pa))
             })
             .collect();
         let pass = |ws: &mut ConvWorkspace| {
@@ -363,14 +331,15 @@ mod tests {
             pass(&mut ws);
         }
         let steady = ws.stats();
-        assert_eq!(steady.calls, warm.calls + 6);
+        assert_eq!(steady.calls, warm.calls + 3 * cases.len() as u64);
         assert_eq!(
             steady.alloc_events, warm.alloc_events,
             "steady state allocated"
         );
         assert_eq!(steady.high_water_bytes, warm.high_water_bytes);
-        // The wide GEMM stores into the output tensor: the arena holds the
-        // im2col matrix and one B panel per thread, no `m x n` result.
+        // Both GEMMs store into the output tensor: the arena holds the
+        // im2col matrix and one B panel per thread, no `m x n` result and
+        // no SDOT buffer.
         let panel_bytes: usize = (0..cfg.threads)
             .map(|t| {
                 let panel = |shape: &ConvShape| {
@@ -386,7 +355,8 @@ mod tests {
     #[test]
     fn nchw_store_matches_direct_conv_across_k_blocks_batches_and_threads() {
         // With kc = 16, K = c_in * kh * kw runs below (9), at (16), just
-        // past (17) and past twice (36) the K block. The 5x5, 3x3 and 7x7
+        // past (17) and past twice (36) the K block; K of 9 and 17 ends the
+        // last block inside an SDOT quad. The 5x5, 3x3 and 7x7
         // outputs are not a multiple of 4 pixels, so from batch 2 a column
         // tile straddles two images; the 3x3 output at batch 1 has three
         // column tiles, fewer than 4 threads. 70 output channels fill a
@@ -407,7 +377,10 @@ mod tests {
                 let (input, weights) = tensors(&shape, bits, seed);
                 let oracle = direct_conv(&input, &weights, &shape);
                 let (m, k) = (shape.gemm_m(), shape.gemm_k());
-                let mut packings = vec![PackedWeights::Wide(pack_a(weights.data(), m, k))];
+                let mut packings = vec![
+                    PackedWeights::Wide(pack_a(weights.data(), m, k)),
+                    PackedWeights::Quads(pack_a_quads(weights.data(), m, k)),
+                ];
                 if !bits.uses_mla_scheme() {
                     packings.push(PackedWeights::Narrow(pack_a_narrow(weights.data(), m, k)));
                 }
@@ -424,7 +397,7 @@ mod tests {
     }
 
     #[test]
-    fn only_the_sdot_kernel_records_a_reshape() {
+    fn no_kernel_records_a_reshape() {
         let shape = ConvShape::new(2, 3, 7, 7, 9, 3, 1, 1);
         let (input, weights) = tensors(&shape, BitWidth::W5, 820);
         let (m, k) = (shape.gemm_m(), shape.gemm_k());
@@ -440,10 +413,8 @@ mod tests {
             let _ = gemm_conv_ws(&input, pa, &scheme, &shape, &cfg, &mut ws, &tracer);
             let cap = sink.capture();
             let named = |name| cap.spans.iter().any(|s| s.name == name);
-            assert!(named("im2col"));
-            let sdot = matches!(pa, PackedWeights::Quads(_));
-            assert_eq!(named("reshape nchw"), sdot, "sdot {sdot}");
-            assert_eq!(named("gemm worker"), !sdot, "sdot {sdot}");
+            assert!(named("im2col") && named("gemm worker"), "{pa:?}");
+            assert!(!named("reshape nchw"), "{pa:?}");
         }
     }
 

@@ -7,8 +7,9 @@
 //! Winograd's transformed once, too — keyed by a hash of the weight tensor
 //! (and, for Winograd, of the effective bit width) and reused across
 //! calls; the im2col/transform/pack-B buffers live in one arena, and the
-//! wide and narrow GEMMs store straight into the returned NCHW tensor; and
-//! the work spans `LOWBIT_THREADS` scoped threads. The executed and the
+//! three GEMM kernels, tile kinds of one driver, store straight into the
+//! returned NCHW tensor; and the work spans `LOWBIT_THREADS` scoped
+//! threads. The executed and the
 //! estimated schedules both come from the one table, [`arm_schedule`]; the
 //! GEMM family's drops the `pack A` stage. The cost model stays single-core
 //! — wall-clock thread scaling is the benchmark suite's story, not the
@@ -324,11 +325,12 @@ impl ArmEngine {
     }
 
     /// [`ArmEngine::conv`] with span recording. Wall spans cover the real
-    /// pipeline (im2col, per-worker pack-B/GEMM tracks, SDOT's reshape); a
-    /// dedicated `modeled/<ctx>` track carries one span per analytic stage
-    /// (pack B, gemm, Winograd transforms, requant, ...) with its
-    /// [`PipeAttribution`], laid back-to-back so their total reproduces
-    /// `millis` exactly. `ctx` names the call site (usually the layer).
+    /// pipeline (im2col, per-worker pack-B/GEMM tracks, Winograd's
+    /// transforms and scatter); a dedicated `modeled/<ctx>` track carries
+    /// one span per analytic stage (pack B, gemm, Winograd transforms,
+    /// requant, ...) with its [`PipeAttribution`], laid back-to-back so
+    /// their total reproduces `millis` exactly. `ctx` names the call site
+    /// (usually the layer).
     pub fn conv_traced(
         &self,
         input: &QTensor,

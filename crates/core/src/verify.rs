@@ -246,15 +246,7 @@ pub fn verify_conc_compiled(plan: &ExecutionPlan) -> Result<ConcProof, CoreError
 /// [`Network::sequential`] validation. [`Network::fingerprint`] delegates
 /// here.
 pub fn fingerprint_layers(layers: &[NetLayer]) -> u64 {
-    const OFFSET: u64 = 0xcbf29ce484222325;
-    const PRIME: u64 = 0x100000001b3;
-    fn eat(h: &mut u64, bytes: &[u8]) {
-        for &b in bytes {
-            *h ^= b as u64;
-            *h = h.wrapping_mul(PRIME);
-        }
-    }
-    let mut h = OFFSET;
+    let mut h = 0xcbf29ce484222325; // the FNV-1a offset basis
     for l in layers {
         eat(&mut h, l.name.as_bytes());
         let s = &l.shape;
@@ -291,13 +283,6 @@ pub fn fingerprint_layers(layers: &[NetLayer]) -> u64 {
 /// half stays available as [`fingerprint_layers`] for audits over mutated
 /// layer vectors.
 pub fn fingerprint_graph(layers: &[NetLayer], topology: &crate::graph::GraphTopology) -> u64 {
-    const PRIME: u64 = 0x100000001b3;
-    fn eat(h: &mut u64, bytes: &[u8]) {
-        for &b in bytes {
-            *h ^= b as u64;
-            *h = h.wrapping_mul(PRIME);
-        }
-    }
     let mut h = fingerprint_layers(layers);
     for node in &topology.nodes {
         let tag: u8 = match node.op {
@@ -314,6 +299,15 @@ pub fn fingerprint_graph(layers: &[NetLayer], topology: &crate::graph::GraphTopo
         eat(&mut h, &(node.output as u64).to_le_bytes());
     }
     h
+}
+
+/// One FNV-1a step per byte of `bytes` into the running hash `h`: the step
+/// both network fingerprints are built from.
+fn eat(h: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *h ^= b as u64;
+        *h = h.wrapping_mul(0x100000001b3);
+    }
 }
 
 /// One fingerprint-audit mutation: a verdict-relevant field and an edit that

@@ -23,12 +23,13 @@
 //!   drain ratios (extension; see its module docs),
 //! * [`sdot`] — the ARMv8.2 `SDOT` path that makes the drain machinery
 //!   unnecessary on newer cores (extension; Sec. 2.3's forward pointer),
-//! * [`parallel`] — the one tiled driver of the wide and narrow kernels:
-//!   scoped threads over N with per-thread cache-blocked B panels, register
-//!   blocks of A tiles against each B tile, bit-exact versus the i32
-//!   reference for every thread count,
-//! * [`workspace`] — the caller-owned scratch arena that makes steady-state
-//!   repeated GEMM calls allocation-free.
+//! * [`parallel`] — the one tiled driver of the wide, narrow and SDOT
+//!   kernels: scoped threads over N with per-thread cache-blocked B panels,
+//!   register blocks of A tiles against each B tile, bit-exact versus the
+//!   i32 reference for every thread count,
+//! * [`workspace`] — the caller-owned scratch arena that repeated GEMM
+//!   calls stop growing after the first (a call still allocates its small,
+//!   shape-independent span and share lists).
 
 #![forbid(unsafe_code)]
 

@@ -16,13 +16,17 @@
 //! convolution needs no reshape pass, and at one image the same target is
 //! the row-major matrix.
 //!
-//! This is the one driver of the wide and narrow tiles: the engine, the
-//! Winograd path and the one-shot [`crate::gemm()`] and
-//! [`crate::gemm_narrow`] (one thread, row-major target) all run it.
+//! This is the one driver of the wide, narrow and SDOT tiles: the engine,
+//! the Winograd path and the one-shot [`crate::gemm()`],
+//! [`crate::gemm_narrow`] and [`crate::gemm_sdot`] (one thread, row-major
+//! target) all run it. A tile kind is one [`SharedWeights`] variant and one
+//! block kernel.
 //!
 //! Why bit-exactness holds under K-blocking: within the published drain
 //! ratios every i8/i16 partial is exact, so each K-block contributes the
 //! exact i32 sub-sum and i32 addition of exact sub-sums is associative.
+//! The SDOT tile adds every product straight into i32, so it holds there
+//! for any block boundary, quad-aligned or not.
 //! The property tests in `tests/proptest_invariants.rs` enforce this over
 //! random shapes, bit widths, thread counts and block sizes.
 
@@ -30,6 +34,7 @@ use crate::micro::{accumulate_tiles_on, MLA_BLOCK, SMLAL_BLOCK, TILE_LEN};
 use crate::narrow::{accumulate_tiles_narrow_on, PackedANarrow, NARROW_BLOCK, NARROW_TILE_LEN};
 use crate::pack::{PackedA, NB};
 use crate::scheme::{Scheme, SchemeKind};
+use crate::sdot::{accumulate_sdot_on, PackedAQuads, KQ, SDOT_BLOCK};
 use crate::workspace::{GemmWorkspace, ThreadScratch};
 use lowbit_isa::Isa;
 use lowbit_trace::{Tracer, MAIN_TRACK};
@@ -152,6 +157,8 @@ pub enum SharedWeights<'a> {
     Wide(&'a PackedA),
     /// 8-row tiles (narrow SMLAL kernel).
     Narrow(&'a PackedANarrow),
+    /// 16-row k-quad tiles (the ARMv8.2 `SDOT` kernel).
+    Quads(&'a PackedAQuads),
 }
 
 impl SharedWeights<'_> {
@@ -160,6 +167,7 @@ impl SharedWeights<'_> {
         match self {
             SharedWeights::Wide(pa) => pa.m,
             SharedWeights::Narrow(pa) => pa.m,
+            SharedWeights::Quads(pa) => pa.m,
         }
     }
 
@@ -168,6 +176,7 @@ impl SharedWeights<'_> {
         match self {
             SharedWeights::Wide(pa) => pa.k,
             SharedWeights::Narrow(pa) => pa.k,
+            SharedWeights::Quads(pa) => pa.k,
         }
     }
 
@@ -175,6 +184,7 @@ impl SharedWeights<'_> {
         match self {
             SharedWeights::Wide(pa) => pa.tiles(),
             SharedWeights::Narrow(pa) => pa.tiles(),
+            SharedWeights::Quads(pa) => pa.tiles(),
         }
     }
 }
@@ -183,8 +193,9 @@ impl SharedWeights<'_> {
 /// workspace, returning the **column-major** `m x n` result
 /// (`c[col * m + row]`) borrowed from `ws`.
 ///
-/// Steady state (same or smaller shape, same thread count) performs zero
-/// heap allocations; see [`GemmWorkspace::stats`].
+/// Steady state (same or smaller shape, same thread count) grows no
+/// workspace buffer; see [`GemmWorkspace::stats`]. The call's one heap
+/// allocation is its [`partition_columns`] list.
 pub fn gemm_parallel_cm<'w>(
     scheme: &Scheme,
     weights: SharedWeights<'_>,
@@ -203,8 +214,7 @@ pub fn gemm_parallel_cm<'w>(
 /// after its [`ColumnSpan`]) carrying a `gemm worker` parent span (labelled
 /// with its columns and the vector ISA the tiles run on) with
 /// `pack B panel` and `gemm tile` children. With a null tracer every
-/// recording call reduces to one branch and the path stays
-/// allocation-free.
+/// recording call reduces to one branch and allocates nothing.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_parallel_cm_on<'w>(
     isa: Isa,
@@ -279,14 +289,19 @@ pub fn gemm_parallel_nchw_on(
 }
 
 /// Panics unless the operands agree with each other and the tile kind
-/// runs `scheme`.
+/// runs `scheme`. The SDOT tile accumulates straight into i32 with no drain
+/// cadence, so it runs under any scheme and ignores it.
 fn check_operands(scheme: &Scheme, weights: SharedWeights<'_>, b: &[i8], k: usize, n: usize) {
     assert_eq!(weights.k(), k, "weights disagree on K");
     assert_eq!(b.len(), k * n, "B operand has wrong length");
-    if matches!(weights, SharedWeights::Narrow(_)) {
-        assert_eq!(scheme.kind(), SchemeKind::Smlal8, "narrow tile is SMLAL-only");
-    } else {
-        assert_ne!(scheme.kind(), SchemeKind::Ncnn16, "the ncnn baseline runs on gemm_ncnn");
+    match weights {
+        SharedWeights::Wide(_) => {
+            assert_ne!(scheme.kind(), SchemeKind::Ncnn16, "the ncnn baseline runs on gemm_ncnn")
+        }
+        SharedWeights::Narrow(_) => {
+            assert_eq!(scheme.kind(), SchemeKind::Smlal8, "narrow tile is SMLAL-only")
+        }
+        SharedWeights::Quads(_) => {}
     }
 }
 
@@ -507,6 +522,7 @@ fn worker(
                     }
                     SharedWeights::Wide(_) => register_blocks::<SMLAL_BLOCK>,
                     SharedWeights::Narrow(_) => register_blocks::<NARROW_BLOCK>,
+                    SharedWeights::Quads(_) => register_blocks::<SDOT_BLOCK>,
                 };
                 run(isa, scheme, weights, steps, b_blk, &mut store);
             }
@@ -562,6 +578,12 @@ fn register_block<const T: usize>(
             accumulate_tiles_narrow_on(isa, scheme, a, b, &mut acc);
             acc.iter().enumerate().for_each(|(t, tile)| store(ti0 + t, tile));
         }
+        SharedWeights::Quads(pa) => {
+            let mut acc = [[0i32; TILE_LEN]; T];
+            let a = std::array::from_fn(|t| pa.block(ti0 + t, k0, klen));
+            accumulate_sdot_on(isa, a, k0 % KQ, b, &mut acc);
+            acc.iter().enumerate().for_each(|(t, tile)| store(ti0 + t, tile));
+        }
     }
 }
 
@@ -593,8 +615,8 @@ fn pack_b_panel(
 
 /// One single-threaded driver call on `isa` into a fresh workspace and a
 /// row-major `m x n` result (the NCHW target as one image of `n` pixels):
-/// the functional half of the one-shot [`crate::gemm()`] and
-/// [`crate::gemm_narrow`].
+/// the functional half of the one-shot [`crate::gemm()`],
+/// [`crate::gemm_narrow`] and [`crate::gemm_sdot`].
 pub(crate) fn gemm_row_major_on(
     isa: Isa,
     scheme: &Scheme,
@@ -615,6 +637,7 @@ mod tests {
     use crate::gemm::reference_gemm;
     use crate::narrow::{pack_a_narrow, NA8};
     use crate::pack::pack_a;
+    use crate::sdot::pack_a_quads;
     use lowbit_tensor::BitWidth;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -681,10 +704,11 @@ mod tests {
     #[test]
     fn nchw_target_matches_reference_across_images_and_threads() {
         // hw of 5, 7 and 9 makes 4-column tiles straddle images; K runs
-        // below, at, just past and past twice kc; threads up to 6 exceed
-        // the column tiles of the small cases; M, K and N each reach 0.
-        // Every result starts as garbage, so each element must be stored,
-        // through one workspace.
+        // below, at, just past and past twice kc (K of 9, 17 and 40 ends a
+        // block inside an SDOT quad); threads up to 6 exceed the column
+        // tiles of the small cases; M, K and N each reach 0. Every result
+        // starts as garbage, so each element must be stored, through one
+        // workspace.
         let mut ws = GemmWorkspace::new();
         let cases = [
             (21, 40, 5, 3),
@@ -695,7 +719,13 @@ mod tests {
             (0, 7, 5, 2),
             (4, 6, 0, 0),
         ];
-        for (bits, narrow) in [(BitWidth::W2, false), (BitWidth::W5, false), (BitWidth::W8, true)] {
+        let tiles = [
+            (BitWidth::W2, "wide"),
+            (BitWidth::W5, "wide"),
+            (BitWidth::W8, "narrow"),
+            (BitWidth::W8, "sdot"),
+        ];
+        for (bits, tile) in tiles {
             let scheme = Scheme::for_bits(bits);
             for (m, k, hw, images) in cases {
                 let n = hw * images;
@@ -703,8 +733,12 @@ mod tests {
                 let b = random_mat(k * n, bits, 600 + n as u64);
                 let want = reference_gemm(&a, &b, m, k, n);
                 let (pa, pn) = (pack_a(&a, m, k), pack_a_narrow(&a, m, k));
-                let weights =
-                    if narrow { SharedWeights::Narrow(&pn) } else { SharedWeights::Wide(&pa) };
+                let pq = pack_a_quads(&a, m, k);
+                let weights = match tile {
+                    "narrow" => SharedWeights::Narrow(&pn),
+                    "sdot" => SharedWeights::Quads(&pq),
+                    _ => SharedWeights::Wide(&pa),
+                };
                 for threads in 1..=6 {
                     let cfg = ParallelConfig { threads, kc: 16, nc: 8 };
                     let mut out = vec![i32::MIN; m * n];
@@ -714,7 +748,7 @@ mod tests {
                     );
                     for (idx, &got) in out.iter().enumerate() {
                         let (image, row, pixel) = (idx / (m * hw), idx / hw % m, idx % hw);
-                        let case = format!("{bits} m {m} k {k} hw {hw} x{threads} at {idx}");
+                        let case = format!("{tile} {bits} m {m} k {k} hw {hw} x{threads} at {idx}");
                         assert_eq!(got, want[row * n + image * hw + pixel], "{case}");
                     }
                 }

@@ -14,11 +14,21 @@
 //!   registers and 4 B registers — exactly the register budget;
 //! * per k-quad: 4x `LD1` + 1x `LD4R.4s` + 16x `SDOT` = 256 MACs in 21
 //!   instructions, vs 2-bit MLA's 64 MACs in ~6.3.
+//!
+//! On the host the tile is the third tile kind of [`crate::parallel`]
+//! ([`crate::SharedWeights::Quads`]): A stays quad-packed, B comes from the
+//! driver's step-major panels, and [`gemm_sdot`], the engine and
+//! [`run_tile_sdot`] all run the one kernel. [`pack_b_quads`] is the B image
+//! the emitted `LD4R.4s` stream reads.
 
 #![allow(clippy::field_reassign_with_default)] // InstCounts builders read clearer this way
 
 use crate::gemm::GemmOutput;
-use crate::pack::NB;
+use crate::micro::TILE_LEN;
+use crate::pack::{PackedB, NB};
+use crate::parallel::{gemm_row_major_on, SharedWeights};
+use crate::scheme::Scheme;
+use lowbit_isa::Isa;
 use lowbit_tensor::BitWidth;
 use neon_sim::inst::Inst;
 use neon_sim::{InstCounts, KernelSchedule, StageCost};
@@ -27,6 +37,8 @@ use neon_sim::{InstCounts, KernelSchedule, StageCost};
 pub const SDOT_NA: usize = 16;
 /// K elements consumed per SDOT step.
 pub const KQ: usize = 4;
+/// SDOT tiles per register block of the parallel driver.
+pub const SDOT_BLOCK: usize = 4;
 
 /// Packed A for the SDOT kernel: 16-row tiles of k-quads.
 ///
@@ -53,17 +65,17 @@ impl PackedAQuads {
         self.m_pad / SDOT_NA
     }
 
-    /// The 64-byte quad slice for tile `i`, quad `q` (16 rows x 4 k).
-    pub fn slice(&self, i: usize, q: usize) -> &[i8] {
-        let quads = self.k_pad / KQ;
-        let base = (i * quads + q) * SDOT_NA * KQ;
-        &self.data[base..base + SDOT_NA * KQ]
+    /// Tile `i`'s quads covering K steps `[k0, k0 + klen)`: the block's
+    /// first step sits at lane `k0 % KQ` of the first quad.
+    pub fn block(&self, i: usize, k0: usize, klen: usize) -> &[i8] {
+        let quad = |q: usize| (i * self.k_pad / KQ + q) * SDOT_NA * KQ;
+        &self.data[quad(k0 / KQ)..quad((k0 + klen).div_ceil(KQ))]
     }
 }
 
 /// Packed B for the SDOT kernel: 4-column tiles of k-quads; quad `q` stores
 /// the 4 columns' 4-byte groups contiguously (16 bytes, fed to `LD4R.4s`).
-#[derive(Clone, PartialEq, Debug, Default)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct PackedBQuads {
     /// Logical K.
     pub k: usize,
@@ -75,20 +87,6 @@ pub struct PackedBQuads {
     pub n_pad: usize,
     /// Tile-major storage.
     pub data: Vec<i8>,
-}
-
-impl PackedBQuads {
-    /// Number of 4-column tiles.
-    pub fn tiles(&self) -> usize {
-        self.n_pad / NB
-    }
-
-    /// The 16-byte quad slice for tile `j`, quad `q` (4 cols x 4 k).
-    pub fn slice(&self, j: usize, q: usize) -> &[i8] {
-        let quads = self.k_pad / KQ;
-        let base = (j * quads + q) * NB * KQ;
-        &self.data[base..base + NB * KQ]
-    }
 }
 
 /// Packs a row-major `M x K` matrix into SDOT quad layout.
@@ -115,26 +113,14 @@ pub fn pack_a_quads(a: &[i8], m: usize, k: usize) -> PackedAQuads {
     PackedAQuads { m, m_pad, k, k_pad, data }
 }
 
-/// Packs a row-major `K x N` matrix into SDOT quad layout.
+/// Packs a row-major `K x N` matrix into SDOT quad layout: the operand
+/// image the emitted `LD4R.4s` stream reads ([`emit_tile_sdot`]).
 pub fn pack_b_quads(b: &[i8], k: usize, n: usize) -> PackedBQuads {
-    let mut out = PackedBQuads { k: 0, k_pad: 0, n: 0, n_pad: 0, data: Vec::new() };
-    pack_b_quads_into(b, k, n, &mut out);
-    out
-}
-
-/// [`pack_b_quads`] into a caller-owned buffer (steady-state reuse performs
-/// no allocation once the capacity has grown to the largest shape seen).
-pub fn pack_b_quads_into(b: &[i8], k: usize, n: usize, out: &mut PackedBQuads) {
     assert_eq!(b.len(), k * n);
     let k_pad = k.div_ceil(KQ) * KQ;
     let n_pad = n.div_ceil(NB) * NB;
     let quads = k_pad / KQ;
-    out.k = k;
-    out.k_pad = k_pad;
-    out.n = n;
-    out.n_pad = n_pad;
-    out.data.clear();
-    out.data.resize(k_pad * n_pad, 0);
+    let mut data = vec![0i8; k_pad * n_pad];
     for tile in 0..n_pad / NB {
         for q in 0..quads {
             let base = (tile * quads + q) * NB * KQ;
@@ -143,40 +129,86 @@ pub fn pack_b_quads_into(b: &[i8], k: usize, n: usize, out: &mut PackedBQuads) {
                 for j in 0..KQ {
                     let kk = q * KQ + j;
                     if col < n && kk < k {
-                        out.data[base + c * KQ + j] = b[kk * n + col];
+                        data[base + c * KQ + j] = b[kk * n + col];
                     }
                 }
             }
         }
     }
+    PackedBQuads { k, k_pad, n, n_pad, data }
 }
 
-/// Runs one 16x4 SDOT tile functionally. Output: `out[col * 16 + row]`.
-pub fn run_tile_sdot(pa: &PackedAQuads, pb: &PackedBQuads, ti: usize, tj: usize) -> Vec<i32> {
-    let mut acc = [0i32; SDOT_NA * NB];
-    accumulate_tile_sdot(pa, pb, ti, tj, &mut acc);
+/// Runs one 16x4 SDOT tile functionally on a [`PackedB`] tile, through the
+/// driver's kernel. Output: `out[col * 16 + row]`.
+pub fn run_tile_sdot(pa: &PackedAQuads, pb: &PackedB, ti: usize, tj: usize) -> Vec<i32> {
+    assert_eq!(pa.k, pb.k, "packed operands disagree on K");
+    let mut acc = [0i32; TILE_LEN];
+    let a = [pa.block(ti, 0, pa.k)];
+    accumulate_sdot_on(Isa::host(), a, 0, pb.tile(tj), std::array::from_mut(&mut acc));
     acc.to_vec()
 }
 
-/// Runs one 16x4 SDOT tile, adding into `acc` (`acc[col * 16 + row]`).
-pub fn accumulate_tile_sdot(
-    pa: &PackedAQuads,
-    pb: &PackedBQuads,
-    ti: usize,
-    tj: usize,
-    acc: &mut [i32; SDOT_NA * NB],
+/// A register block of `T` 16x4 SDOT tiles against one K block of the
+/// driver's step-major B panel (`b[step * NB + col]`), compiled for `isa`.
+/// `a[t]` is tile `t`'s quads covering the block ([`PackedAQuads::block`]),
+/// its first step at lane `lane0` of the first quad; `acc[t]` is the tile's
+/// result, `acc[t][col * 16 + row]`.
+///
+/// Each i8 x i8 product goes straight into i32, as `SDOT` does: B lanes
+/// outside the block read as zero, so a block may start and end inside a
+/// quad and every split of K sums to the same bits.
+pub(crate) fn accumulate_sdot_on<const T: usize>(
+    isa: Isa,
+    a: [&[i8]; T],
+    lane0: usize,
+    b: &[i8],
+    acc: &mut [[i32; TILE_LEN]; T],
 ) {
-    assert_eq!(pa.k_pad, pb.k_pad);
-    for q in 0..pa.k_pad / KQ {
-        let a = pa.slice(ti, q);
-        let b = pb.slice(tj, q);
-        for c in 0..NB {
-            for r in 0..SDOT_NA {
-                let mut dot = 0i32;
-                for j in 0..KQ {
-                    dot += a[r * KQ + j] as i32 * b[c * KQ + j] as i32;
+    isa.run(
+        #[inline(always)]
+        || accumulate_sdot(a, lane0, b, acc),
+    )
+}
+
+/// The body of [`accumulate_sdot_on`], always inlined so it is compiled for
+/// the ISA of the [`Isa::run`] trampoline. Per quad, B's four steps are
+/// gathered per column (zero outside the block) and every row's quad is
+/// dotted with them: 16 MACs per output, the `SDOT` shape.
+#[inline(always)]
+#[allow(clippy::needless_range_loop)]
+fn accumulate_sdot<const T: usize>(
+    a: [&[i8]; T],
+    lane0: usize,
+    b: &[i8],
+    acc: &mut [[i32; TILE_LEN]; T],
+) {
+    let (b, b_rest) = b.as_chunks::<NB>();
+    let quads = (lane0 + b.len()).div_ceil(KQ);
+    let a = a.map(|at| {
+        let (at, a_rest) = at.as_chunks::<{ SDOT_NA * KQ }>();
+        assert!(
+            a_rest.is_empty() && b_rest.is_empty() && at.len() == quads,
+            "operand blocks disagree on K: {} A quads for {} B steps from lane {lane0}",
+            at.len(),
+            b.len()
+        );
+        at
+    });
+    for q in 0..quads {
+        let b_quad: [[i32; KQ]; NB] = std::array::from_fn(|c| {
+            std::array::from_fn(|j| {
+                let step = (q * KQ + j).wrapping_sub(lane0);
+                b.get(step).map_or(0, |row| row[c] as i32)
+            })
+        });
+        for t in 0..T {
+            let quad = &a[t][q];
+            for c in 0..NB {
+                for r in 0..SDOT_NA {
+                    let dot: i32 = (0..KQ).map(|j| quad[r * KQ + j] as i32 * b_quad[c][j]).sum();
+                    let i = c * SDOT_NA + r;
+                    acc[t][i] = acc[t][i].wrapping_add(dot);
                 }
-                acc[c * SDOT_NA + r] += dot;
             }
         }
     }
@@ -229,57 +261,14 @@ pub fn emit_tile_sdot(k: usize, addr_a: u32, addr_b: u32, addr_c: u32) -> Vec<In
     prog
 }
 
-/// Full GEMM on the SDOT path: packs both operands into k-quads and runs
-/// the prepacked tile loop into a row-major result.
+/// Full GEMM on the SDOT path: packs A into k-quads and runs the one tiled
+/// driver, [`crate::parallel`], at one thread into a row-major result.
 pub fn gemm_sdot(a: &[i8], b: &[i8], m: usize, k: usize, n: usize) -> GemmOutput {
-    let mut c = vec![0i32; m * n];
-    for_each_sdot_element(&pack_a_quads(a, m, k), &pack_b_quads(b, k, n), |i, j, v| {
-        c[i * n + j] = v;
-    });
+    let pa = pack_a_quads(a, m, k);
+    // The SDOT tile has no drain machinery: any scheme passes and none applies.
+    let scheme = Scheme::for_bits(BitWidth::W8);
+    let c = gemm_row_major_on(Isa::host(), &scheme, SharedWeights::Quads(&pa), b, n);
     GemmOutput { m, n, c, schedule: schedule_gemm_sdot(m, k, n) }
-}
-
-/// Prepacked SDOT GEMM into a caller-owned **column-major** result buffer
-/// (`c_cm[col * m + row]`), allocation-free once `c_cm` has capacity.
-///
-/// The SDOT path accumulates straight into i32 with no drain machinery, so
-/// it has no K-blocking story to tell; it stays serial and gains the
-/// prepack/workspace reuse only.
-pub fn gemm_sdot_prepacked_cm(pa: &PackedAQuads, pb: &PackedBQuads, c_cm: &mut Vec<i32>) {
-    assert_eq!(pa.k_pad, pb.k_pad, "packed operands disagree on K");
-    let m = pa.m;
-    c_cm.clear();
-    c_cm.resize(m * pb.n, 0);
-    for_each_sdot_element(pa, pb, |i, j, v| c_cm[j * m + i] = v);
-}
-
-/// Runs every SDOT tile and hands each in-range result element to `store`
-/// as `(row, col, value)`, dropping the zero-padded fringe.
-fn for_each_sdot_element(
-    pa: &PackedAQuads,
-    pb: &PackedBQuads,
-    mut store: impl FnMut(usize, usize, i32),
-) {
-    let (m, n) = (pa.m, pb.n);
-    for ti in 0..pa.tiles() {
-        for tj in 0..pb.tiles() {
-            let mut tile = [0i32; SDOT_NA * NB];
-            accumulate_tile_sdot(pa, pb, ti, tj, &mut tile);
-            for col in 0..NB {
-                let j = tj * NB + col;
-                if j >= n {
-                    break;
-                }
-                for r in 0..SDOT_NA {
-                    let i = ti * SDOT_NA + r;
-                    if i >= m {
-                        break;
-                    }
-                    store(i, j, tile[col * SDOT_NA + r]);
-                }
-            }
-        }
-    }
 }
 
 /// Analytic schedule of the SDOT GEMM.
@@ -337,7 +326,7 @@ mod tests {
         let b = random_mat(k * n, bits, 302);
         let pa = pack_a_quads(&a, m, k);
         let pb = pack_b_quads(&b, k, n);
-        let functional = run_tile_sdot(&pa, &pb, 0, 0);
+        let functional = run_tile_sdot(&pa, &crate::pack::pack_b(&b, k, n), 0, 0);
 
         let addr_a = 0u32;
         let addr_b = (pa.k_pad * SDOT_NA) as u32;
@@ -378,13 +367,13 @@ mod tests {
             for kk in 0..k {
                 let tile = row / SDOT_NA;
                 let r = row % SDOT_NA;
-                let got = pa.slice(tile, kk / KQ)[r * KQ + kk % KQ];
+                let got = pa.block(tile, kk, 1)[r * KQ + kk % KQ];
                 assert_eq!(got, a[row * k + kk], "({row},{kk})");
             }
         }
         // Padding (both row and k) is zero.
-        assert_eq!(pa.slice(1, 2)[(m % SDOT_NA) * KQ], 0);
-        assert_eq!(pa.slice(0, 2)[2], 0); // row 0: k=10,11 of quad 2 are padded
+        assert_eq!(pa.block(1, 8, 1)[(m % SDOT_NA) * KQ], 0);
+        assert_eq!(pa.block(0, 8, 1)[2], 0); // row 0: k=10,11 of quad 2 are padded
     }
 
     #[test]

@@ -1,7 +1,10 @@
 //! Reusable GEMM workspace: the scratch memory the parallel driver needs
 //! per call (one packed-B panel per thread, plus the result buffer of the
 //! column-major entry point), owned by the caller so steady-state inference
-//! re-runs the same layer shapes with **zero heap allocations**.
+//! re-runs the same layer shapes without growing it. What a warm call
+//! still allocates is small and independent of the shape: the driver's
+//! [`crate::partition_columns`] list and, on the NCHW target, the list of
+//! per-thread shares and each share's list of plane-row slices.
 //!
 //! Buffer reuse is `clear()` + `reserve_exact()` + `resize()`: lengths
 //! track the current call, capacities only ever grow, and only to the
@@ -20,6 +23,18 @@ pub struct WorkspaceStats {
     pub alloc_events: u64,
     /// Total calls served.
     pub calls: u64,
+}
+
+impl WorkspaceStats {
+    /// Records one served call that took the arena's footprint from
+    /// `before` to `after` bytes: the one growth rule of every arena.
+    pub fn note_call(&mut self, before: usize, after: usize) {
+        self.calls += 1;
+        if after > before {
+            self.alloc_events += 1;
+        }
+        self.high_water_bytes = self.high_water_bytes.max(after);
+    }
 }
 
 /// Per-thread scratch: the cache-blocked packed-B panel.
@@ -80,12 +95,7 @@ impl GemmWorkspace {
 
     /// Records one served call given the footprint measured before it.
     pub(crate) fn note_call(&mut self, footprint_before: usize) {
-        self.stats.calls += 1;
-        let after = self.footprint_bytes();
-        if after > footprint_before {
-            self.stats.alloc_events += 1;
-        }
-        self.stats.high_water_bytes = self.stats.high_water_bytes.max(after);
+        self.stats.note_call(footprint_before, self.footprint_bytes());
     }
 }
 

@@ -28,7 +28,7 @@
 use crate::geometry::check_spans;
 use crate::plan::{max_panel_bytes, panel_bytes, ArenaRequirement};
 use lowbit_conv_arm::ArmAlgo;
-use lowbit_qgemm::{ColumnSpan, NB};
+use lowbit_qgemm::ColumnSpan;
 
 /// A half-open byte span `[offset, offset + bytes)` in a named arena.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -85,16 +85,10 @@ impl GemmFootprint {
     pub fn required_workspace(&self) -> ArenaRequirement {
         let (m, k, n) = (self.m, self.k, self.n);
         match self.algo {
-            ArmAlgo::Gemm | ArmAlgo::GemmNarrow => ArenaRequirement {
+            ArmAlgo::Gemm | ArmAlgo::GemmNarrow | ArmAlgo::GemmSdot => ArenaRequirement {
                 col: k * n,
                 c_cm: 4 * m * n,
                 panels: max_panel_bytes(k, n),
-                ..ArenaRequirement::default()
-            },
-            ArmAlgo::GemmSdot => ArenaRequirement {
-                col: k * n,
-                bq: k.next_multiple_of(4) * n.next_multiple_of(NB),
-                c_sdot: 4 * m * n,
                 ..ArenaRequirement::default()
             },
             // The transformed input, the four output planes, and each tile
@@ -658,10 +652,10 @@ pub fn verify_conc(spec: &ConcSpec, sched: &ScheduleSpec) -> Result<ConcProof, C
     // -- 4. Per-thread partitions: disjoint, covering, panel-bounded. --------
     // `check_spans` accepts the hardened empty spans and proves contiguity,
     // disjointness, NB alignment and coverage; on top of it the packed-panel
-    // slices (prefix-carved per thread) must fit the certified panel budget,
-    // and SDOT's NB-aligned interior boundaries guarantee the final padded
-    // tile — the columns `[n, n.next_multiple_of(NB))` the kernel zero-fills
-    // — belongs to exactly one thread.
+    // slices (prefix-carved per thread) must fit the certified panel budget.
+    // The NB-aligned interior boundaries give the final padded column tile —
+    // the columns `[n, n.next_multiple_of(NB))` a B panel zero-fills — to
+    // exactly one thread, for every tile kind of the driver.
     for node in &spec.nodes {
         let Some(g) = &node.gemm else { continue };
         if let Err(v) = check_spans(&node.partition, g.n) {
@@ -672,7 +666,7 @@ pub fn verify_conc(spec: &ConcSpec, sched: &ScheduleSpec) -> Result<ConcProof, C
         }
         let req = g.required_workspace();
         let certified = match g.algo {
-            ArmAlgo::Gemm | ArmAlgo::GemmNarrow => Some(req.panels),
+            ArmAlgo::Gemm | ArmAlgo::GemmNarrow | ArmAlgo::GemmSdot => Some(req.panels),
             ArmAlgo::Winograd => Some(req.wg_panels),
             ArmAlgo::Auto => {
                 return Err(ConcViolation::PartitionOverlap {
@@ -680,7 +674,7 @@ pub fn verify_conc(spec: &ConcSpec, sched: &ScheduleSpec) -> Result<ConcProof, C
                     detail: "an unresolved Auto kernel has no certified panel budget".into(),
                 });
             }
-            ArmAlgo::GemmSdot | ArmAlgo::NcnnBaseline | ArmAlgo::BitserialBaseline => None,
+            ArmAlgo::NcnnBaseline | ArmAlgo::BitserialBaseline => None,
         };
         if let Some(certified) = certified {
             let panel_total = panel_bytes(g.k, &node.partition);

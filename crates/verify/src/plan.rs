@@ -451,17 +451,13 @@ pub struct ArenaRequirement {
     /// im2col matrix bytes (`K x N` i8).
     pub col: usize,
     /// Column-major parallel-GEMM result bytes (`4 * M * N`). The engine's
-    /// wide and narrow conv path stores into its output tensor and
-    /// allocates no such buffer, so this term is slack but sound; it stays
-    /// until the plan goldens are next regenerated.
+    /// GEMM conv path (wide, narrow and SDOT tiles) stores into its output
+    /// tensor and allocates no such buffer, so this term is slack but sound;
+    /// it stays until the plan goldens are next regenerated.
     pub c_cm: usize,
     /// Per-thread packed-B panel bytes, maximized over every legal thread
     /// count the engine accepts.
     pub panels: usize,
-    /// SDOT quad-packed B bytes (K and N padded to the quad/tile grid).
-    pub bq: usize,
-    /// SDOT column-major result bytes (`4 * M * N`).
-    pub c_sdot: usize,
     /// Winograd transformed-input bytes (`16 x c_in x tiles` i8).
     pub wg_v: usize,
     /// Winograd output-plane bytes (four `c_out x tiles` i32 planes).
@@ -480,8 +476,6 @@ impl ArenaRequirement {
         self.col
             + self.c_cm
             + self.panels
-            + self.bq
-            + self.c_sdot
             + self.wg_v
             + self.wg_planes
             + self.wg_c_cm
@@ -494,8 +488,6 @@ impl ArenaRequirement {
             col: self.col.max(o.col),
             c_cm: self.c_cm.max(o.c_cm),
             panels: self.panels.max(o.panels),
-            bq: self.bq.max(o.bq),
-            c_sdot: self.c_sdot.max(o.c_sdot),
             wg_v: self.wg_v.max(o.wg_v),
             wg_planes: self.wg_planes.max(o.wg_planes),
             wg_c_cm: self.wg_c_cm.max(o.wg_c_cm),

@@ -201,7 +201,8 @@ proptest! {
 
     /// Parallel-engine invariant: the scoped-thread, cache-blocked GEMM
     /// driver is bit-exact versus plain i32 matrix multiplication for every
-    /// shape, bit width, thread count and block geometry.
+    /// shape, bit width, thread count and block geometry, on the wide and
+    /// the SDOT tile (whose K blocks may start and end inside a quad).
     #[test]
     fn parallel_gemm_is_bit_exact(
         m in 1usize..=40,
@@ -215,6 +216,7 @@ proptest! {
     ) {
         use lowbit::qgemm::gemm::reference_gemm;
         use lowbit::qgemm::parallel::gemm_parallel_cm;
+        use lowbit::qgemm::sdot::pack_a_quads;
         use lowbit::qgemm::{GemmWorkspace, ParallelConfig, SharedWeights, NB};
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -222,10 +224,14 @@ proptest! {
         let b: Vec<i8> = (0..k * n).map(|_| rng.gen_range(bits.qmin()..=bits.qmax())).collect();
         let scheme = Scheme::for_bits(bits);
         let cfg = ParallelConfig { threads, kc, nc: nc_tiles * NB };
-        let pa = pack_a(&a, m, k);
+        let (pa, pq) = (pack_a(&a, m, k), pack_a_quads(&a, m, k));
+        let want = reference_gemm(&a, &b, m, k, n);
         let mut ws = GemmWorkspace::new();
-        let c_cm = gemm_parallel_cm(&scheme, SharedWeights::Wide(&pa), &b, k, n, &cfg, &mut ws);
-        prop_assert_eq!(row_major(c_cm, m, n), reference_gemm(&a, &b, m, k, n));
+        let tiles = [("wide", SharedWeights::Wide(&pa)), ("sdot", SharedWeights::Quads(&pq))];
+        for (tile, weights) in tiles {
+            let c_cm = gemm_parallel_cm(&scheme, weights, &b, k, n, &cfg, &mut ws);
+            prop_assert_eq!(row_major(c_cm, m, n), want.clone(), "{} tile", tile);
+        }
     }
 
     /// Parallel-engine invariant: reusing one workspace arena across calls

@@ -264,3 +264,29 @@ fn metric_shard_recording_allocates_nothing_at_steady_state() {
     });
     assert_eq!(allocations, 0, "shard recording must be allocation-free on the hot path");
 }
+
+/// What a warm `ArmEngine::conv` allocates is a fixed set of small buffers
+/// (the output tensor, the schedule, and the GEMM driver's span and share
+/// lists; DESIGN.md §4c names them), not scratch that grows with the layer:
+/// on every engine kernel a small and a large layer make the same number of
+/// allocations once the weights are packed and the arena is grown.
+#[test]
+fn warm_conv_allocations_do_not_grow_with_the_layer() {
+    let engine = ArmEngine::cortex_a53().with_threads(1);
+    let bits = BitWidth::W4;
+    // The large layer spans two K blocks (K = 432) and four N blocks
+    // (N = 400) of the default blocking; the small one a single block of each.
+    let shapes = [ConvShape::new(1, 4, 6, 6, 8, 3, 1, 1), ConvShape::new(1, 48, 20, 20, 40, 3, 1, 1)];
+    let layers = shapes.map(|shape| {
+        let (input, weights) = lowbit_suite::arm_tensors(&shape, bits, 7);
+        (shape, input, weights)
+    });
+    for algo in [ArmAlgo::Gemm, ArmAlgo::GemmNarrow, ArmAlgo::GemmSdot, ArmAlgo::Winograd] {
+        let conv = |(shape, input, weights): &(ConvShape, QTensor, QTensor)| {
+            engine.conv(input, weights, shape, algo);
+        };
+        layers.iter().for_each(conv);
+        let [small, large] = layers.each_ref().map(|layer| count_allocations(|| conv(layer)));
+        assert_eq!(small, large, "{algo:?}: {small} allocations on the small layer vs {large}");
+    }
+}
