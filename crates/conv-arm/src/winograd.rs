@@ -44,7 +44,9 @@ use crate::{ArmAlgo, ConvOutput};
 use lowbit_isa::Isa;
 use lowbit_qgemm::gemm::schedule_gemm;
 use lowbit_qgemm::narrow::{pack_a_narrow, PackedANarrow};
-use lowbit_qgemm::parallel::{gemm_parallel_cm_on, ParallelConfig, SharedWeights};
+use lowbit_qgemm::parallel::{
+    fan_out, gemm_parallel_cm_on, worker_track, ParallelConfig, SharedWeights,
+};
 use lowbit_qgemm::{
     pack_a, partition_columns, schedule_gemm_narrow, ColumnSpan, GemmWorkspace, PackedA, Scheme,
     SchemeKind,
@@ -396,6 +398,10 @@ fn scatter(planes: &[i32], shape: &ConvShape, span: ColumnSpan, shift: u32, out:
     }
 }
 
+/// One tile span's share of the arena, carved on the caller: its span,
+/// trace track, `v` and `planes` blocks, and GEMM workspace.
+type SpanShare<'w> = (ColumnSpan, u32, &'w mut [i8], &'w mut [i32], &'w mut GemmWorkspace);
+
 /// Everything one tile span's worker reads.
 struct SpanJob<'a> {
     isa: Isa,
@@ -409,14 +415,9 @@ struct SpanJob<'a> {
 
 impl SpanJob<'_> {
     /// Input transform, the 16 position GEMMs and their accumulation into
-    /// the span's planes.
-    fn run(&self, span: ColumnSpan, v: &mut [i8], planes: &mut [i32], gemm: &mut GemmWorkspace) {
+    /// the span's planes, recorded on the span's track.
+    fn run(&self, (span, track, v, planes, gemm): SpanShare<'_>) {
         let (isa, tracer) = (self.isa, self.tracer);
-        let track = if tracer.enabled() {
-            tracer.track(&format!("winograd worker [{}..{})", span.col0, span.end()))
-        } else {
-            MAIN_TRACK
-        };
         let mut worker_span = tracer.span("winograd worker", track);
         worker_span.set_label(|| format!("tiles [{}..{}) {isa}", span.col0, span.end()));
         {
@@ -456,9 +457,9 @@ impl SpanJob<'_> {
 ///
 /// With `cfg.threads > 1` the tiles are split by
 /// [`lowbit_qgemm::partition_columns`] and each span runs all of its
-/// stages on one thread, so a call spawns at most once;
-/// the output is bit-identical for every thread count. Input bits above
-/// the transform width of `weights` are rejected.
+/// stages on one thread through [`lowbit_qgemm::parallel::fan_out`], the
+/// first span on the caller; the output is bit-identical for every thread
+/// count. Input bits above the transform width of `weights` are rejected.
 pub fn winograd_conv_ws(
     input: &QTensor,
     weights: &WinogradWeights,
@@ -503,32 +504,18 @@ pub(crate) fn winograd_conv_ws_on(
         cfg: ParallelConfig { threads: 1, ..*cfg },
         tracer,
     };
-    // Carve each span's blocks off the front of the arena buffers; the
-    // first non-empty span runs on the calling thread, the others on one
-    // scoped thread each.
-    std::thread::scope(|scope| {
-        let (mut v, mut planes) = (&mut wg.v[..], &mut wg.planes[..]);
-        let mut on_caller = None;
-        for (span, gemm) in spans.iter().zip(wg.gemm.iter_mut()) {
-            let (v_t, rest) = std::mem::take(&mut v).split_at_mut(16 * k * span.cols);
-            v = rest;
-            let (planes_t, rest) = std::mem::take(&mut planes).split_at_mut(4 * m * span.cols);
-            planes = rest;
-            if span.cols == 0 {
-                continue;
-            }
-            let args = (*span, v_t, planes_t, gemm);
-            if on_caller.is_none() {
-                on_caller = Some(args);
-            } else {
-                let job = &job;
-                scope.spawn(move || job.run(args.0, args.1, args.2, args.3));
-            }
-        }
-        if let Some((span, v_t, planes_t, gemm)) = on_caller {
-            job.run(span, v_t, planes_t, gemm);
-        }
+    // Carve each span's blocks off the front of the arena buffers and
+    // register its track, on the calling thread in span order.
+    let (mut v, mut planes) = (&mut wg.v[..], &mut wg.planes[..]);
+    let shares = spans.iter().zip(wg.gemm.iter_mut()).filter(|(span, _)| span.cols > 0);
+    let shares = shares.map(|(&span, gemm)| {
+        let (v_t, rest) = std::mem::take(&mut v).split_at_mut(16 * k * span.cols);
+        v = rest;
+        let (planes_t, rest) = std::mem::take(&mut planes).split_at_mut(4 * m * span.cols);
+        planes = rest;
+        (span, worker_track(tracer, "winograd worker", &span), v_t, planes_t, gemm)
     });
+    fan_out(shares, |share| job.run(share));
 
     let (_, shift) = output_coefficients(bits);
     let mut acc = vec![0i32; shape.output_len()];
@@ -868,27 +855,37 @@ mod tests {
         let input = QTensor::random((1, 6, 12, 10), Layout::Nchw, BitWidth::W4, 51);
         let weights = QTensor::random((5, 6, 3, 3), Layout::Nchw, BitWidth::W4, 52);
         let packed = WinogradWeights::pack(&weights, BitWidth::W4);
-        let cfg = ParallelConfig::with_threads(2);
         let mut ws = ConvWorkspace::new();
-        let plain = winograd_conv_ws(&input, &packed, &shape, &cfg, &mut ws, &Tracer::null());
-        let (tracer, sink) = Tracer::recording();
-        let traced = winograd_conv_ws(&input, &packed, &shape, &cfg, &mut ws, &tracer);
-        assert_eq!(traced.data(), plain.data(), "tracing must not change the result");
-        let cap = sink.capture();
-        let spans = partition_columns(shape.winograd_tiles(), 2);
-        for span in &spans {
-            let name = format!("winograd worker [{}..{})", span.col0, span.end());
-            let track = cap.track_id(&name).unwrap_or_else(|| panic!("missing track {name}"));
-            let on_track: Vec<_> = cap.spans_on(track).collect();
-            let outer = on_track.iter().find(|s| s.name == "winograd worker").expect("worker span");
-            for stage in ["wg input transform", "wg gemm", "wg accumulate"] {
-                assert!(on_track.iter().any(|s| s.name == stage), "{name}: {stage}");
+        for threads in [2, 4] {
+            let cfg = ParallelConfig::with_threads(threads);
+            let plain = winograd_conv_ws(&input, &packed, &shape, &cfg, &mut ws, &Tracer::null());
+            let (tracer, sink) = Tracer::recording();
+            let traced = winograd_conv_ws(&input, &packed, &shape, &cfg, &mut ws, &tracer);
+            assert_eq!(traced.data(), plain.data(), "tracing must not change the result");
+            let cap = sink.capture();
+            let spans = partition_columns(shape.winograd_tiles(), threads);
+            let names: Vec<String> = (spans.iter().filter(|s| s.cols > 0))
+                .map(|s| format!("winograd worker [{}..{})", s.col0, s.end()))
+                .collect();
+            // Tracks are registered on the caller, in span order, whatever
+            // order the workers run in.
+            let workers: Vec<&String> =
+                cap.tracks.iter().filter(|t| t.starts_with("winograd worker")).collect();
+            assert_eq!(workers, names.iter().collect::<Vec<_>>(), "x{threads}: track order");
+            for name in &names {
+                let track = cap.track_id(name).unwrap_or_else(|| panic!("missing track {name}"));
+                let on_track: Vec<_> = cap.spans_on(track).collect();
+                let outer =
+                    on_track.iter().find(|s| s.name == "winograd worker").expect("worker span");
+                for stage in ["wg input transform", "wg gemm", "wg accumulate"] {
+                    assert!(on_track.iter().any(|s| s.name == stage), "{name}: {stage}");
+                }
+                for child in on_track.iter().filter(|s| s.name != "winograd worker") {
+                    assert!(child.start_ns >= outer.start_ns && child.end_ns() <= outer.end_ns());
+                }
             }
-            for child in on_track.iter().filter(|s| s.name != "winograd worker") {
-                assert!(child.start_ns >= outer.start_ns && child.end_ns() <= outer.end_ns());
-            }
+            assert!(cap.spans_on(MAIN_TRACK).any(|s| s.name == "wg scatter nchw"));
         }
-        assert!(cap.spans_on(MAIN_TRACK).any(|s| s.name == "wg scatter nchw"));
     }
 
     #[test]

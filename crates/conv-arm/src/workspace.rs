@@ -15,7 +15,8 @@
 //!   tensor, the driver's `partition_columns` list, and on the GEMM kernels
 //!   the NCHW share list and one row-slice list per working thread; on
 //!   Winograd, its span list, one `partition_columns` list per position
-//!   GEMM, its output buffer and the thread scope;
+//!   GEMM, its output buffer and, above one thread, the thread scope that
+//!   `lowbit_qgemm::parallel::fan_out` opens;
 //! * the wide, narrow and SDOT GEMMs are three tile kinds of one driver,
 //!   `lowbit_qgemm::parallel`: it splits N across threads and stores the
 //!   micro-tiles straight into that NCHW output, bit-exact versus direct

@@ -8,8 +8,8 @@
 //! (and, for Winograd, of the effective bit width) and reused across
 //! calls; the im2col/transform/pack-B buffers live in one arena, and the
 //! three GEMM kernels, tile kinds of one driver, store straight into the
-//! returned NCHW tensor; and the work spans `LOWBIT_THREADS` scoped
-//! threads. The executed and the
+//! returned NCHW tensor; and the work spans `LOWBIT_THREADS` threads, the
+//! caller's among them. The executed and the
 //! estimated schedules both come from the one table, [`arm_schedule`]; the
 //! GEMM family's drops the `pack A` stage. The cost model stays single-core
 //! — wall-clock thread scaling is the benchmark suite's story, not the
@@ -17,7 +17,7 @@
 
 use lowbit_conv_arm::{
     bitserial_conv, explicit_gemm_schedule, gemm_conv_ws, ncnn_conv, schedule_bitserial_conv,
-    schedule_ncnn_conv, schedule_winograd_conv, ConvOutput, ConvWorkspace, PackedWeights,
+    schedule_ncnn_conv, schedule_winograd_conv, ConvWorkspace, PackedWeights,
 };
 use lowbit_qgemm::gemm::schedule_gemm;
 use lowbit_qgemm::narrow::schedule_gemm_narrow;
@@ -347,7 +347,7 @@ impl ArmEngine {
         conv_span.set_label(|| format!("{ctx}: {algo:?} {bits}"));
         let mut prepack_hit = None;
         let mut workspace_growth_bytes = 0;
-        let out = match cache_key(weights, algo, bits) {
+        let acc = match cache_key(weights, algo, bits) {
             Some(key) => {
                 let scheme = Scheme::for_bits(bits);
                 let cfg = ParallelConfig::with_threads(self.threads);
@@ -361,35 +361,31 @@ impl ArmEngine {
                 let ws_before = st.ws.footprint_bytes();
                 let acc = gemm_conv_ws(input, &packed, &scheme, shape, &cfg, &mut st.ws, tracer);
                 workspace_growth_bytes = st.ws.footprint_bytes().saturating_sub(ws_before);
-                ConvOutput { acc, schedule: arm_schedule(algo, bits, shape, true) }
+                acc
             }
             // The baselines have no prepacked layout: they pack per call.
-            None if algo == ArmAlgo::NcnnBaseline => ncnn_conv(input, weights, shape),
-            None => bitserial_conv(input, weights, shape),
+            None if algo == ArmAlgo::NcnnBaseline => ncnn_conv(input, weights, shape).acc,
+            None => bitserial_conv(input, weights, shape).acc,
         };
         drop(conv_span);
+        // Built outside the engine lock, which wave-mates contend on. The
+        // baselines' warm schedule is the one their conv returns.
+        let schedule = arm_schedule(algo, bits, shape, true);
         if tracer.enabled() {
             let model = &self.model;
             tracer.modeled_stages(
                 tracer.track(&format!("modeled/{ctx}")),
                 "conv modeled",
                 format!("{algo:?} {bits}"),
-                out.schedule.stages.iter().map(|stage| {
+                schedule.stages.iter().map(|stage| {
                     let secs = model.seconds(stage.cycles(model));
                     (stage.name, secs, Some(stage_attribution(stage, model)))
                 }),
             );
         }
-        let millis = out.schedule.millis(&self.model);
+        let millis = schedule.millis(&self.model);
         self.state.lock().expect("engine state poisoned").modeled_millis += millis;
-        ArmConvResult {
-            acc: out.acc,
-            algo,
-            schedule: out.schedule,
-            millis,
-            prepack_hit,
-            workspace_growth_bytes,
-        }
+        ArmConvResult { acc, algo, schedule, millis, prepack_hit, workspace_growth_bytes }
     }
 
     /// Modeled steady-state time in milliseconds without executing: the

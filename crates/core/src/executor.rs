@@ -19,6 +19,7 @@ use crate::plan::{BackendKind, ExecutionPlan, LayerPlan, PlanAlgo, PlanOp};
 use std::borrow::Cow;
 use std::sync::Arc;
 use lowbit_conv_gpu::ConvGpuPlan;
+use lowbit_qgemm::parallel::fan_out;
 use lowbit_qnn::{quantize_f32, requantize_with_bias, Quantizer};
 use lowbit_tensor::{Layout, QTensor, Tensor};
 use lowbit_trace::{Tracer, MAIN_TRACK};
@@ -349,8 +350,9 @@ impl Executor {
     }
 
     /// The one execution loop. Each wave's nodes compute against an
-    /// immutable view of the value slots — a one-node wave inline on the
-    /// caller, a wider one on scoped threads — then their stores apply in
+    /// immutable view of the value slots through
+    /// [`lowbit_qgemm::parallel::fan_out`] — the first node on the caller,
+    /// each wave-mate on its own scoped thread — then their stores apply in
     /// ascending node order. Reports and modeled millis accumulate in
     /// *global* node order after the last wave, so a node scheduled ahead
     /// of lower-numbered peers never perturbs the float summation order.
@@ -397,30 +399,15 @@ impl Executor {
             // The certificate proves wave-mates touch disjoint arena spans
             // and workspace slices, so the only shared state is behind the
             // engines' own locks.
-            let mut produced: Vec<(usize, NodeOutcome)> = match *wave {
-                [step] => vec![(step, self.execute_node(plan, net, step, &slots, &scales, tracer))],
-                _ => {
-                    let (slots, scales) = (&slots, &scales);
-                    std::thread::scope(|scope| {
-                        let handles: Vec<_> = wave
-                            .iter()
-                            .map(|&step| {
-                                scope.spawn(move || {
-                                    (step, self.execute_node(plan, net, step, slots, scales, tracer))
-                                })
-                            })
-                            .collect();
-                        handles
-                            .into_iter()
-                            .map(|h| h.join().expect("wave worker panicked"))
-                            .collect()
-                    })
-                }
-            };
+            let mut produced: Vec<(usize, Option<NodeOutcome>)> =
+                wave.iter().map(|&step| (step, None)).collect();
+            fan_out(&mut produced, |(step, outcome)| {
+                *outcome = Some(self.execute_node(plan, net, *step, &slots, &scales, tracer));
+            });
             // Apply stores — and surface the first error — in ascending
-            // node order.
+            // node order. `fan_out` runs every job, so every outcome is set.
             produced.sort_by_key(|&(step, _)| step);
-            for (step, result) in produced {
+            for (step, result) in produced.into_iter().filter_map(|(step, o)| Some((step, o?))) {
                 let (q, out_scale, report) = result?;
                 node_reports[step] = report;
                 let output = plan.nodes()[step].output;

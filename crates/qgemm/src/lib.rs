@@ -24,9 +24,11 @@
 //! * [`sdot`] — the ARMv8.2 `SDOT` path that makes the drain machinery
 //!   unnecessary on newer cores (extension; Sec. 2.3's forward pointer),
 //! * [`parallel`] — the one tiled driver of the wide, narrow and SDOT
-//!   kernels: scoped threads over N with per-thread cache-blocked B panels,
+//!   kernels: column spans over N with per-span cache-blocked B panels,
 //!   register blocks of A tiles against each B tile, bit-exact versus the
-//!   i32 reference for every thread count,
+//!   i32 reference for every thread count; its [`parallel::fan_out`] is
+//!   the one place the ARM path starts threads (the caller runs the first
+//!   job, each other job gets a scoped thread),
 //! * [`workspace`] — the caller-owned scratch arena that repeated GEMM
 //!   calls stop growing after the first (a call still allocates its small,
 //!   shape-independent span and share lists).

@@ -1,12 +1,15 @@
-//! Scoped-thread parallel GEMM driver.
+//! Scoped-thread parallel GEMM driver, and [`fan_out`], the one function
+//! through which the ARM path starts threads.
 //!
 //! Parallelism follows the im2col structure of the convolution: the N
 //! dimension (output pixels) is partitioned into per-thread column-tile
 //! blocks. Packed A (the weights) is shared read-only across threads; each
-//! thread packs its own cache-blocked B panels and writes a **disjoint**
-//! share of the result, so the driver needs no atomics, no locks and no
-//! `unsafe` — and the output is bit-exact versus the plain i32 product for
-//! every thread count and blocking parameter.
+//! span's worker packs its own cache-blocked B panels and writes a
+//! **disjoint** share of the result, so the driver needs no atomics, no
+//! locks and no `unsafe` — and the output is bit-exact versus the plain i32
+//! product for every thread count and blocking parameter. The caller runs
+//! the first span and each other span gets one scoped thread ([`fan_out`]);
+//! Winograd's tile spans and the executor's waves start the same way.
 //!
 //! The result has one of two layouts. [`gemm_parallel_cm`] fills a
 //! column-major buffer in the workspace, each thread's share one contiguous
@@ -83,11 +86,6 @@ impl ParallelConfig {
     /// Default blocking with an explicit thread count.
     pub fn with_threads(threads: usize) -> ParallelConfig {
         ParallelConfig { threads: threads.clamp(1, MAX_THREADS), kc: DEFAULT_KC, nc: DEFAULT_NC }
-    }
-
-    /// Default blocking with the `LOWBIT_THREADS` thread count.
-    pub fn from_env() -> ParallelConfig {
-        ParallelConfig::with_threads(threads_from_env())
     }
 
     fn normalized(mut self) -> ParallelConfig {
@@ -210,7 +208,7 @@ pub fn gemm_parallel_cm<'w>(
 
 /// [`gemm_parallel_cm`] with every micro-tile compiled for `isa` (kernel
 /// tests run each [`Isa::supported`] instance through it) and with span
-/// recording: each scoped worker thread gets its own timeline track (named
+/// recording: each span's worker gets its own timeline track (named
 /// after its [`ColumnSpan`]) carrying a `gemm worker` parent span (labelled
 /// with its columns and the vector ISA the tiles run on) with
 /// `pack B panel` and `gemm tile` children. With a null tracer every
@@ -305,11 +303,10 @@ fn check_operands(scheme: &Scheme, weights: SharedWeights<'_>, b: &[i8], k: usiz
     }
 }
 
-/// Runs one worker per non-empty span against that span's share of C: on
-/// the caller thread when at most one span has work, else one scoped
-/// thread each. The shares are disjoint because the spans are (checked
-/// statically by lowbit-verify), so the workers need no lock and no
-/// `unsafe`. Empty spans (more threads than column tiles) get no worker.
+/// Runs one worker per non-empty span against that span's share of C
+/// through [`fan_out`]. The shares are disjoint because the spans are
+/// (checked statically by lowbit-verify), so the workers need no lock and
+/// no `unsafe`. Empty spans (more threads than column tiles) get no worker.
 #[allow(clippy::too_many_arguments)]
 fn drive<S: TileSink + Send>(
     isa: Isa,
@@ -323,33 +320,44 @@ fn drive<S: TileSink + Send>(
     shares: impl IntoIterator<Item = S>,
     tracer: &Tracer,
 ) {
-    let active = spans.iter().filter(|s| s.cols > 0).count();
     let jobs = spans.iter().zip(scratch).zip(shares).filter(|((span, _), _)| span.cols > 0);
-    if active <= 1 {
-        for ((span, s), mut share) in jobs {
-            let track = worker_track(tracer, span);
-            let panel = &mut s.b_panel;
-            worker(isa, scheme, weights, b, n, span, cfg, panel, &mut share, tracer, track);
-        }
-    } else {
-        std::thread::scope(|scope| {
-            for ((span, s), mut share) in jobs {
-                let track = worker_track(tracer, span);
-                scope.spawn(move || {
-                    let panel = &mut s.b_panel;
-                    worker(isa, scheme, weights, b, n, span, cfg, panel, &mut share, tracer, track);
-                });
-            }
-        });
-    }
+    let jobs = jobs.map(|((span, s), share)| {
+        (span, worker_track(tracer, "gemm worker", span), &mut s.b_panel, share)
+    });
+    fan_out(jobs, |(span, track, panel, mut share)| {
+        worker(isa, scheme, weights, b, n, span, cfg, panel, &mut share, tracer, track)
+    });
 }
 
-/// Registers the per-thread timeline track, named after the worker's owned
-/// column range. Registration happens on the caller thread so track ids are
-/// assigned in span order regardless of worker scheduling.
-fn worker_track(tracer: &Tracer, span: &ColumnSpan) -> u32 {
+/// Runs `run` once on every job: the first on the calling thread, each
+/// other on its own scoped thread, and a lone job inline with no thread
+/// scope. Jobs are taken from `jobs` on the calling thread, in order, so
+/// whatever the iterator does (carving shares, registering trace tracks)
+/// happens there in job order. A panicking job panics the caller once
+/// every other job of the call has finished.
+///
+/// This is the one place the ARM path starts threads: the GEMM column
+/// spans, Winograd's tile spans and the executor's waves all fan out here.
+pub fn fan_out<J: Send>(jobs: impl IntoIterator<Item = J>, run: impl Fn(J) + Sync) {
+    let mut jobs = jobs.into_iter();
+    let Some(first) = jobs.next() else { return };
+    let Some(second) = jobs.next() else { return run(first) };
+    let run = &run;
+    std::thread::scope(|scope| {
+        for job in std::iter::once(second).chain(jobs) {
+            scope.spawn(move || run(job));
+        }
+        run(first);
+    });
+}
+
+/// Registers a per-span timeline track, named `worker` and the span's owned
+/// column range. Called from a [`fan_out`] job iterator, on the caller
+/// thread, so track ids are assigned in span order regardless of worker
+/// scheduling.
+pub fn worker_track(tracer: &Tracer, worker: &str, span: &ColumnSpan) -> u32 {
     if tracer.enabled() {
-        tracer.track(&format!("gemm worker [{}..{})", span.col0, span.end()))
+        tracer.track(&format!("{worker} [{}..{})", span.col0, span.end()))
     } else {
         MAIN_TRACK
     }
@@ -641,6 +649,11 @@ mod tests {
     use lowbit_tensor::BitWidth;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::panic::AssertUnwindSafe;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Mutex;
+    use std::thread;
+    use std::time::Duration;
 
     /// The column-major `m x n` matrix `c_cm` (`c_cm[j * m + i]`) in
     /// row-major order (`c[i * n + j]`).
@@ -893,6 +906,57 @@ mod tests {
         // Absurdly large values clamp to the supported maximum.
         assert_eq!(threads_from_str(Some("99999")), MAX_THREADS);
         assert_eq!(threads_from_str(Some("170141183460469231731687303715884105727")), 1);
+    }
+
+    #[test]
+    fn fan_out_of_no_jobs_runs_nothing() {
+        fan_out(std::iter::empty::<usize>(), |job| panic!("ran job {job}"));
+    }
+
+    #[test]
+    fn fan_out_runs_a_lone_job_on_the_caller() {
+        let ran_on = Mutex::new(None);
+        fan_out([7], |job| *ran_on.lock().unwrap() = Some((job, thread::current().id())));
+        assert_eq!(ran_on.into_inner().unwrap(), Some((7, thread::current().id())));
+    }
+
+    #[test]
+    fn fan_out_runs_every_job_once_and_the_first_on_the_caller() {
+        for jobs in [2, 3, 5] {
+            let runs = Mutex::new(Vec::new());
+            fan_out(0..jobs, |job| runs.lock().unwrap().push((job, thread::current().id())));
+            let mut runs = runs.into_inner().unwrap();
+            runs.sort_by_key(|&(job, _)| job);
+            let order: Vec<usize> = runs.iter().map(|&(job, _)| job).collect();
+            assert_eq!(order, (0..jobs).collect::<Vec<_>>(), "{jobs} jobs");
+            assert_eq!(runs[0].1, thread::current().id(), "{jobs} jobs: first on the caller");
+            for (job, id) in &runs[1..] {
+                assert_ne!(*id, thread::current().id(), "{jobs} jobs: job {job} spawned");
+            }
+        }
+    }
+
+    #[test]
+    fn fan_out_panics_only_after_every_other_job_finished() {
+        // Job 0 runs on the caller, the others on scoped threads; whichever
+        // panics, the other jobs must all have finished when the panic
+        // reaches the caller. A correct fan-out passes at any timing; the
+        // sleep only widens the window in which one that let the panic out
+        // early would be caught.
+        for panicking in [0, 2] {
+            let finished = AtomicUsize::new(0);
+            let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                fan_out(0..4, |job| {
+                    if job == panicking {
+                        panic!("job {job} fails");
+                    }
+                    thread::sleep(Duration::from_millis(20));
+                    finished.fetch_add(1, Ordering::SeqCst);
+                })
+            }));
+            assert!(result.is_err(), "job {panicking}'s panic reaches the caller");
+            assert_eq!(finished.load(Ordering::SeqCst), 3, "job {panicking} panicked early");
+        }
     }
 
     #[test]

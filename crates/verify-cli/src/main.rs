@@ -616,6 +616,19 @@ fn plan_sweep(json: bool) -> usize {
     let gpu = GpuEngine::rtx2080ti();
     let mut failures = 0usize;
     let mut rows: Vec<SweepRow> = Vec::new();
+    // One row per compiled plan; a rejected plan is a failure, reported on
+    // stderr and recorded as an unproven row.
+    let mut record = |net, bits, backends, verdict: Result<PlanProof, CoreError>| {
+        let (layers, headroom, high_water, proven) = match verdict {
+            Ok(p) => (p.layers.len(), p.tightest_headroom(), p.certified_high_water, true),
+            Err(e) => {
+                failures += 1;
+                eprintln!("{net} {bits} {backends}: {e}");
+                (0, 0.0, 0, false)
+            }
+        };
+        rows.push(SweepRow { net, bits, backends, layers, headroom, high_water, proven });
+    };
 
     let nets: [(&'static str, Vec<lowbit::models::LayerDef>); 2] = [
         ("demo", lowbit::models::demo(12)),
@@ -628,30 +641,7 @@ fn plan_sweep(json: bool) -> usize {
             let verdict = Planner::for_arm(&arm)
                 .compile(&net)
                 .and_then(|plan| lowbit::verify::verify_compiled(&plan, &net));
-            match verdict {
-                Ok(proof) => rows.push(SweepRow {
-                    net: name,
-                    bits,
-                    backends: "arm",
-                    layers: proof.layers.len(),
-                    headroom: proof.tightest_headroom(),
-                    high_water: proof.certified_high_water,
-                    proven: true,
-                }),
-                Err(e) => {
-                    failures += 1;
-                    eprintln!("{name} {bits} arm: {e}");
-                    rows.push(SweepRow {
-                        net: name,
-                        bits,
-                        backends: "arm",
-                        layers: 0,
-                        headroom: 0.0,
-                        high_water: 0,
-                        proven: false,
-                    });
-                }
-            }
+            record(name, bits, "arm", verdict);
         }
     }
     // Heterogeneous ARM+GPU plans at the Tensor Core widths.
@@ -663,30 +653,7 @@ fn plan_sweep(json: bool) -> usize {
                 .with_gpu(&gpu, Tuning::Default)
                 .compile(&net)
                 .and_then(|plan| lowbit::verify::verify_compiled(&plan, &net));
-            match verdict {
-                Ok(proof) => rows.push(SweepRow {
-                    net: name,
-                    bits,
-                    backends: "arm+gpu",
-                    layers: proof.layers.len(),
-                    headroom: proof.tightest_headroom(),
-                    high_water: proof.certified_high_water,
-                    proven: true,
-                }),
-                Err(e) => {
-                    failures += 1;
-                    eprintln!("{name} {bits} arm+gpu: {e}");
-                    rows.push(SweepRow {
-                        net: name,
-                        bits,
-                        backends: "arm+gpu",
-                        layers: 0,
-                        headroom: 0.0,
-                        high_water: 0,
-                        proven: false,
-                    });
-                }
-            }
+            record(name, bits, "arm+gpu", verdict);
         }
     }
 
@@ -703,30 +670,7 @@ fn plan_sweep(json: bool) -> usize {
             let verdict = Planner::for_arm(&arm)
                 .compile(&net)
                 .and_then(|plan| lowbit::verify::verify_compiled(&plan, &net));
-            match verdict {
-                Ok(proof) => rows.push(SweepRow {
-                    net: name,
-                    bits,
-                    backends: "arm",
-                    layers: proof.layers.len(),
-                    headroom: proof.tightest_headroom(),
-                    high_water: proof.certified_high_water,
-                    proven: true,
-                }),
-                Err(e) => {
-                    failures += 1;
-                    eprintln!("{name} {bits} arm: {e}");
-                    rows.push(SweepRow {
-                        net: name,
-                        bits,
-                        backends: "arm",
-                        layers: 0,
-                        headroom: 0.0,
-                        high_water: 0,
-                        proven: false,
-                    });
-                }
-            }
+            record(name, bits, "arm", verdict);
         }
     }
 
