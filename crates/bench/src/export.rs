@@ -206,7 +206,7 @@ pub fn save_parallel_json(dir: &Path) -> std::io::Result<PathBuf> {
 /// compares each block (plus the genuinely wide ResNet-50 projection
 /// block) under the certified parallel node scheduler: wave-makespan
 /// (per-wave critical path of modeled layer millis) against the serial
-/// predicted total, and the interference-aware arena high-water against
+/// predicted total, and the any-schedule arena high-water against
 /// the serial placement's. All figures are modeled plan constants, so the
 /// file is deterministic and gates the bench-diff CI step (dense-block
 /// target: ≥2x reduction).
@@ -285,10 +285,6 @@ pub fn save_graph_json(dir: &Path) -> std::io::Result<PathBuf> {
         s.push_str(&format!(
             "      \"max_wave_width\": {},\n",
             schedule.max_wave_width()
-        ));
-        s.push_str(&format!(
-            "      \"interference_edges\": {},\n",
-            schedule.interference.len()
         ));
         s.push_str(&format!(
             "      \"serial_makespan_ms\": {:.9},\n",

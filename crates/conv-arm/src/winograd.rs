@@ -507,8 +507,8 @@ pub(crate) fn winograd_conv_ws_on(
     // Carve each span's blocks off the front of the arena buffers and
     // register its track, on the calling thread in span order.
     let (mut v, mut planes) = (&mut wg.v[..], &mut wg.planes[..]);
-    let shares = spans.iter().zip(wg.gemm.iter_mut()).filter(|(span, _)| span.cols > 0);
-    let shares = shares.map(|(&span, gemm)| {
+    let shares = spans.clone().zip(wg.gemm.iter_mut()).filter(|(span, _)| span.cols > 0);
+    let shares = shares.map(|(span, gemm)| {
         let (v_t, rest) = std::mem::take(&mut v).split_at_mut(16 * k * span.cols);
         v = rest;
         let (planes_t, rest) = std::mem::take(&mut planes).split_at_mut(4 * m * span.cols);
@@ -522,12 +522,12 @@ pub(crate) fn winograd_conv_ws_on(
     {
         let _span = tracer.span("wg scatter nchw", MAIN_TRACK);
         let mut planes = &wg.planes[..];
-        for span in spans.iter().filter(|s| s.cols > 0) {
+        for span in spans.filter(|s| s.cols > 0) {
             let (planes_t, rest) = planes.split_at(4 * m * span.cols);
             planes = rest;
             isa.run(
                 #[inline(always)]
-                || scatter(planes_t, shape, *span, shift, &mut acc),
+                || scatter(planes_t, shape, span, shift, &mut acc),
             );
         }
     }
@@ -864,7 +864,7 @@ mod tests {
             assert_eq!(traced.data(), plain.data(), "tracing must not change the result");
             let cap = sink.capture();
             let spans = partition_columns(shape.winograd_tiles(), threads);
-            let names: Vec<String> = (spans.iter().filter(|s| s.cols > 0))
+            let names: Vec<String> = (spans.filter(|s| s.cols > 0))
                 .map(|s| format!("winograd worker [{}..{})", s.col0, s.end()))
                 .collect();
             // Tracks are registered on the caller, in span order, whatever

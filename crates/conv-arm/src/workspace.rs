@@ -12,11 +12,10 @@
 //!   transform buffers live in one reusable arena, which stops growing
 //!   after a warm-up pass over a network's layer shapes. What a warm call
 //!   still allocates does not grow with the layer: the returned output
-//!   tensor, the driver's `partition_columns` list, and on the GEMM kernels
-//!   the NCHW share list and one row-slice list per working thread; on
-//!   Winograd, its span list, one `partition_columns` list per position
-//!   GEMM, its output buffer and, above one thread, the thread scope that
-//!   `lowbit_qgemm::parallel::fan_out` opens;
+//!   tensor, and on the GEMM kernels the NCHW share list and one row-slice
+//!   list per working thread; on Winograd, its output buffer and, above
+//!   one thread, the thread scope that `lowbit_qgemm::parallel::fan_out`
+//!   opens. The column spans are computed, not listed;
 //! * the wide, narrow and SDOT GEMMs are three tile kinds of one driver,
 //!   `lowbit_qgemm::parallel`: it splits N across threads and stores the
 //!   micro-tiles straight into that NCHW output, bit-exact versus direct
@@ -344,7 +343,8 @@ mod tests {
         let panel_bytes: usize = (0..cfg.threads)
             .map(|t| {
                 let panel = |shape: &ConvShape| {
-                    let tiles = partition_columns(shape.gemm_n(), cfg.threads)[t].cols.div_ceil(NB);
+                    let span = partition_columns(shape.gemm_n(), cfg.threads).nth(t).unwrap();
+                    let tiles = span.cols.div_ceil(NB);
                     tiles.min(cfg.nc / NB) * NB * shape.gemm_k().min(cfg.kc)
                 };
                 shapes.iter().map(panel).max().unwrap_or(0)

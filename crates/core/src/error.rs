@@ -86,9 +86,9 @@ pub enum CoreError {
         violation: PlanViolation,
     },
     /// A declared parallel wave schedule failed the static concurrency
-    /// verifier — an arena or workspace interference, an escaped footprint,
-    /// a broken partition, a reachability violation or a forged
-    /// certificate. Carries the typed counterexample from
+    /// verifier — concurrent nodes overlapping in the arena or workspace,
+    /// an escaped footprint, a broken partition, a reachability violation
+    /// or a forged certificate. Carries the typed counterexample from
     /// `lowbit_verify::conc`.
     ConcRejected {
         /// The typed counterexample.

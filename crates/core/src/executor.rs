@@ -343,8 +343,9 @@ impl Executor {
             return Err(CoreError::ParallelCertificateMissing);
         };
         // Re-prove the schedule against the plan as compiled: disjoint
-        // footprints per wave, reachability-respecting waves, and an intact
-        // digest. Runs in micro-seconds next to the convolutions it gates.
+        // footprints for every node pair that may run concurrently,
+        // reachability-respecting waves, and an intact digest. Runs in
+        // micro-seconds next to the convolutions it gates.
         crate::verify::verify_conc_compiled(plan)?;
         self.run_waves(plan, net, input, schedule.waves.iter().map(Vec::as_slice), tracer)
     }
@@ -396,8 +397,9 @@ impl Executor {
 
         let mut node_reports: Vec<Option<LayerReport>> = vec![None; plan.nodes().len()];
         for wave in waves {
-            // The certificate proves wave-mates touch disjoint arena spans
-            // and workspace slices, so the only shared state is behind the
+            // Wave-mates may run concurrently, and the certificate proves
+            // that every such pair touches disjoint arena spans and
+            // workspace slices, so the only shared state is behind the
             // engines' own locks.
             let mut produced: Vec<(usize, Option<NodeOutcome>)> =
                 wave.iter().map(|&step| (step, None)).collect();

@@ -199,9 +199,6 @@ pub struct ParallelSchedule {
     /// Node indices grouped into waves: wave `w + 1` starts only after wave
     /// `w` completes; nodes within a wave may run concurrently.
     pub waves: Vec<Vec<usize>>,
-    /// Certified interference edges `(a, b)`, `a < b`: incomparable node
-    /// pairs with overlapping footprints that must never share a wave.
-    pub interference: Vec<(usize, usize)>,
     /// Per-node `(offset, bytes)` slice of the parallel workspace arena
     /// (parallel to the plan's node list; `(0, 0)` for nodes that touch no
     /// workspace).
@@ -539,11 +536,10 @@ impl ExecutionPlan {
                 })
                 .collect();
             out.push_str(&format!(
-                "parallel: {} waves (max width {}), {} interference edges, \
-workspace arena {} bytes, certificate {:016x}\n",
+                "parallel: {} waves (max width {}), workspace arena {} bytes, \
+certificate {:016x}\n",
                 p.waves.len(),
                 p.max_wave_width(),
-                p.interference.len(),
                 p.workspace_arena_bytes,
                 p.certificate
             ));
@@ -649,15 +645,12 @@ workspace arena {} bytes, certificate {:016x}\n",
                     format!("[{}]", ids.join(","))
                 })
                 .collect();
-            let edges: Vec<String> =
-                p.interference.iter().map(|(a, b)| format!("[{a},{b}]")).collect();
             let slices: Vec<String> =
                 p.workspace_slices.iter().map(|(o, b)| format!("[{o},{b}]")).collect();
             s.push_str(&format!(
-                ",\n  \"parallel\": {{\"waves\":[{}],\"interference\":[{}],\
-\"workspace_slices\":[{}],\"workspace_arena_bytes\":{},\"certificate\":\"{:016x}\"}}",
+                ",\n  \"parallel\": {{\"waves\":[{}],\"workspace_slices\":[{}],\
+\"workspace_arena_bytes\":{},\"certificate\":\"{:016x}\"}}",
                 waves.join(","),
-                edges.join(","),
                 slices.join(","),
                 p.workspace_arena_bytes,
                 p.certificate

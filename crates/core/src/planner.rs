@@ -133,9 +133,10 @@ impl Planner {
     /// a certified [`ParallelSchedule`]: the activation arena is re-packed
     /// under the any-schedule co-liveness relation (values of independent
     /// nodes never share bytes — this can raise the high-water, the price
-    /// of concurrency), every node gets a disjoint slice of a parallel
-    /// workspace arena, and the wave schedule plus interference graph are
-    /// certified by `verify::conc`. Off by default: serial plans stay
+    /// of concurrency), nodes that may run concurrently get disjoint slices
+    /// of a parallel workspace arena, and `verify::conc` certifies the
+    /// dependency-level waves under its one rule: nodes that may run
+    /// concurrently never overlap. Off by default: serial plans stay
     /// byte-identical to previous releases.
     pub fn with_parallel_nodes(mut self, enabled: bool) -> Planner {
         self.parallel_nodes = enabled;
@@ -437,7 +438,6 @@ fn parallelize(mut plan: ExecutionPlan) -> ExecutionPlan {
     let sched = lowbit_verify::build_schedule(&spec);
     plan.with_parallel_schedule(ParallelSchedule {
         waves: sched.waves,
-        interference: sched.interference,
         workspace_slices: slices,
         workspace_arena_bytes: ws.high_water_bytes,
         certificate: sched.certificate,
@@ -747,7 +747,6 @@ mod tests {
         let sched = plan.parallel_schedule().unwrap();
         assert_eq!(sched.max_wave_width(), 1);
         assert_eq!(sched.waves.len(), plan.nodes().len());
-        assert!(sched.interference.is_empty());
     }
 
     #[test]

@@ -188,7 +188,7 @@ pub fn lower_conc_spec(
             };
             let partition = gemm
                 .as_ref()
-                .map(|g| partition_columns(g.n, MAX_THREADS))
+                .map(|g| partition_columns(g.n, MAX_THREADS).collect())
                 .unwrap_or_default();
             let (offset, bytes) = workspace_slices.get(i).copied().unwrap_or((0, 0));
             ConcNode {
@@ -223,7 +223,6 @@ pub fn lower_conc(plan: &ExecutionPlan) -> Option<(ConcSpec, ScheduleSpec)> {
     let spec = lower_conc_spec(plan, &p.workspace_slices, p.workspace_arena_bytes);
     let sched = ScheduleSpec {
         waves: p.waves.clone(),
-        interference: p.interference.clone(),
         certificate: p.certificate,
     };
     Some((spec, sched))

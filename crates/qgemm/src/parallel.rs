@@ -118,34 +118,32 @@ impl ColumnSpan {
 }
 
 /// Splits `n` output columns into per-thread spans: column tiles of [`NB`]
-/// are distributed round-robin-evenly (the first `col_tiles % threads` spans
-/// get one extra tile), so spans are contiguous, pairwise disjoint, cover
-/// `[0, n)`, and all interior boundaries are [`NB`]-aligned.
+/// are distributed evenly over `workers`, the thread count capped at the
+/// tile count (the first `col_tiles % workers` spans get one extra tile),
+/// so spans are contiguous, pairwise disjoint, cover `[0, n)`, and all
+/// interior boundaries are [`NB`]-aligned.
 ///
 /// This is the **only** place the parallel driver's work split is computed —
 /// both result layouts carve their `split_at_mut` shares from these spans,
 /// and `lowbit-verify` checks the same spans for disjointness and coverage.
-/// The returned length is exactly the requested thread count clamped to
-/// `1..=MAX_THREADS`, so callers may index spans by thread id; threads
-/// beyond the tile count receive well-formed **empty** spans (`cols == 0`,
-/// `col0` at the partition cursor) which the driver never spawns workers
-/// for and which the partition proof accepts as covered.
-pub fn partition_columns(n: usize, threads: usize) -> Vec<ColumnSpan> {
+/// The spans are computed in closed form as they are taken, so a call
+/// allocates nothing. It yields one span per requested thread (the count
+/// clamped to `1..=MAX_THREADS`), so span `t` belongs to thread `t`;
+/// threads beyond the tile count receive well-formed **empty** spans
+/// (`cols == 0`, `col0` at the partition cursor) which the driver never
+/// spawns workers for and which the partition proof accepts as covered.
+pub fn partition_columns(
+    n: usize,
+    threads: usize,
+) -> impl ExactSizeIterator<Item = ColumnSpan> + Clone {
     let col_tiles = n.div_ceil(NB);
     let threads = threads.clamp(1, MAX_THREADS);
     let workers = threads.min(col_tiles).max(1);
-    let base = col_tiles / workers;
-    let extra = col_tiles % workers;
-    let mut spans = Vec::with_capacity(threads);
-    let mut tile0 = 0usize;
-    for t in 0..threads {
-        let tiles_t = if t < workers { base + usize::from(t < extra) } else { 0 };
-        let col0 = (tile0 * NB).min(n);
-        let cols = ((tile0 + tiles_t) * NB).min(n) - col0;
-        tile0 += tiles_t;
-        spans.push(ColumnSpan { col0, cols });
-    }
-    spans
+    let (base, extra) = (col_tiles / workers, col_tiles % workers);
+    // The first `extra` spans hold `base + 1` tiles, the other workers
+    // `base`, and the spans past the workers none.
+    let start = move |t: usize| ((t.min(workers) * base + t.min(extra)) * NB).min(n);
+    (0..threads).map(move |t| ColumnSpan { col0: start(t), cols: start(t + 1) - start(t) })
 }
 
 /// The shared, read-only packed weights a parallel GEMM runs against.
@@ -192,8 +190,8 @@ impl SharedWeights<'_> {
 /// (`c[col * m + row]`) borrowed from `ws`.
 ///
 /// Steady state (same or smaller shape, same thread count) grows no
-/// workspace buffer; see [`GemmWorkspace::stats`]. The call's one heap
-/// allocation is its [`partition_columns`] list.
+/// workspace buffer (see [`GemmWorkspace::stats`]) and makes no heap
+/// allocation.
 pub fn gemm_parallel_cm<'w>(
     scheme: &Scheme,
     weights: SharedWeights<'_>,
@@ -237,12 +235,12 @@ pub fn gemm_parallel_cm_on<'w>(
     // Each span's share is its contiguous column range, carved off with
     // split_at_mut.
     let mut rest: &mut [i32] = &mut ws.c_cm;
-    let shares = spans.iter().map(|&span| {
+    let shares = spans.clone().map(|span| {
         let (c, tail) = std::mem::take(&mut rest).split_at_mut(span.cols * m);
         rest = tail;
         ColMajorShare { c, m, cols: span.cols }
     });
-    drive(isa, scheme, weights, b, n, &cfg, &spans, &mut ws.scratch, shares, tracer);
+    drive(isa, scheme, weights, b, n, &cfg, spans, &mut ws.scratch, shares, tracer);
     ws.note_call(before);
     &ws.c_cm
 }
@@ -281,8 +279,8 @@ pub fn gemm_parallel_nchw_on(
     if k == 0 {
         out.fill(0); // no K block stores the result
     }
-    let shares = nchw_shares(out, m, hw, &spans);
-    drive(isa, scheme, weights, b, n, &cfg, &spans, &mut ws.scratch, shares, tracer);
+    let shares = nchw_shares(out, m, hw, spans.clone());
+    drive(isa, scheme, weights, b, n, &cfg, spans, &mut ws.scratch, shares, tracer);
     ws.note_call(before);
 }
 
@@ -315,17 +313,17 @@ fn drive<S: TileSink + Send>(
     b: &[i8],
     n: usize,
     cfg: &ParallelConfig,
-    spans: &[ColumnSpan],
+    spans: impl Iterator<Item = ColumnSpan>,
     scratch: &mut [ThreadScratch],
     shares: impl IntoIterator<Item = S>,
     tracer: &Tracer,
 ) {
-    let jobs = spans.iter().zip(scratch).zip(shares).filter(|((span, _), _)| span.cols > 0);
+    let jobs = spans.zip(scratch).zip(shares).filter(|((span, _), _)| span.cols > 0);
     let jobs = jobs.map(|((span, s), share)| {
-        (span, worker_track(tracer, "gemm worker", span), &mut s.b_panel, share)
+        (span, worker_track(tracer, "gemm worker", &span), &mut s.b_panel, share)
     });
     fan_out(jobs, |(span, track, panel, mut share)| {
-        worker(isa, scheme, weights, b, n, span, cfg, panel, &mut share, tracer, track)
+        worker(isa, scheme, weights, b, n, &span, cfg, panel, &mut share, tracer, track)
     });
 }
 
@@ -458,11 +456,10 @@ fn nchw_shares<'o>(
     out: &'o mut [i32],
     m: usize,
     hw: usize,
-    spans: &[ColumnSpan],
+    spans: impl Iterator<Item = ColumnSpan>,
 ) -> Vec<NchwShare<'o>> {
     let mut shares: Vec<NchwShare<'o>> = spans
-        .iter()
-        .map(|&span| {
+        .map(|span| {
             let images = match span.cols {
                 0 => 0,
                 _ => (span.end() - 1) / hw - span.col0 / hw + 1,
@@ -830,7 +827,7 @@ mod tests {
     fn partition_is_disjoint_covering_and_aligned() {
         for n in [0usize, 1, 3, 4, 5, 16, 17, 64, 127, 1000] {
             for threads in [1usize, 2, 3, 5, 8, 16, 99] {
-                let spans = partition_columns(n, threads);
+                let spans: Vec<_> = partition_columns(n, threads).collect();
                 assert_eq!(
                     spans.len(),
                     threads.clamp(1, MAX_THREADS),
@@ -853,7 +850,7 @@ mod tests {
     fn degenerate_thread_counts_emit_wellformed_empty_spans() {
         // n = 3 is a single column tile; threads 8 must still yield 8 spans,
         // with the 7 surplus spans empty and parked at the partition cursor.
-        let spans = partition_columns(3, 8);
+        let spans: Vec<_> = partition_columns(3, 8).collect();
         assert_eq!(spans.len(), 8);
         let nonempty: Vec<_> = spans.iter().filter(|s| s.cols > 0).collect();
         assert_eq!(nonempty.len(), 1);
@@ -873,7 +870,7 @@ mod tests {
 
     #[test]
     fn partition_balances_tiles_within_one() {
-        let spans = partition_columns(100, 3); // 25 tiles over 3 threads
+        let spans: Vec<_> = partition_columns(100, 3).collect(); // 25 tiles over 3 threads
         let tiles: Vec<usize> = spans.iter().map(|s| s.cols.div_ceil(NB)).collect();
         assert_eq!(tiles.iter().sum::<usize>(), 25);
         assert!(tiles.iter().max().unwrap() - tiles.iter().min().unwrap() <= 1);
@@ -991,7 +988,7 @@ mod tests {
 
         let cap = sink.capture();
         let spans: Vec<ColumnSpan> =
-            partition_columns(n, cfg.threads).into_iter().filter(|s| s.cols > 0).collect();
+            partition_columns(n, cfg.threads).filter(|s| s.cols > 0).collect();
         assert_eq!(cap.tracks.len(), 1 + spans.len(), "one track per active worker plus main");
         for span in &spans {
             let name = format!("gemm worker [{}..{})", span.col0, span.end());

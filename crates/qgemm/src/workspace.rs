@@ -2,9 +2,10 @@
 //! per call (one packed-B panel per thread, plus the result buffer of the
 //! column-major entry point), owned by the caller so steady-state inference
 //! re-runs the same layer shapes without growing it. What a warm call
-//! still allocates is small and independent of the shape: the driver's
-//! [`crate::partition_columns`] list and, on the NCHW target, the list of
-//! per-thread shares and each share's list of plane-row slices.
+//! still allocates is small and independent of the shape: on the NCHW
+//! target, the list of per-thread shares and each share's list of
+//! plane-row slices ([`crate::partition_columns`] computes the spans
+//! without a list).
 //!
 //! Buffer reuse is `clear()` + `reserve_exact()` + `resize()`: lengths
 //! track the current call, capacities only ever grow, and only to the

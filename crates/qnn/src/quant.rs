@@ -276,11 +276,6 @@ fn requantize_into(
     }
 }
 
-/// Convenience: an all-zeros f32 tensor quantized at `bits` (used by tests).
-pub fn zeros_q(dims: (usize, usize, usize, usize), layout: Layout, bits: BitWidth) -> QTensor {
-    QTensor::new(Tensor::zeros(dims, layout), bits, 1.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -63,7 +63,6 @@ pub fn arm_batch_millis(class: &RequestClass, batch: usize, engine: &ArmEngine) 
                 let (s, p) = parallel_cycle_split(&sched, model);
                 let n = shape.gemm_n();
                 let worst = partition_columns(n, threads)
-                    .iter()
                     .map(|sp| sp.cols)
                     .max()
                     .unwrap_or(n);

@@ -21,10 +21,11 @@
 //!   certificate as a golden-file report.
 //! * `--conc` — the concurrency sweep: compile the demo and every DAG block
 //!   with the parallel node scheduler at every supported bit width, prove
-//!   each certified interference graph (disjoint arena spans under
-//!   wave-coarsened liveness, disjoint workspace slices, partition
-//!   geometry, reachability-respecting waves, intact digest), and reject
-//!   every seeded schedule mutant with its expected typed witness.
+//!   each certified schedule (disjoint footprints for every node pair that
+//!   may run concurrently, disjoint arena spans under wave-coarsened
+//!   liveness, partition geometry, reachability-respecting waves, intact
+//!   digest), and reject every seeded schedule mutant with its expected
+//!   typed witness.
 //! * `--conc --report` / `--conc --check <golden>` — the demo plan's
 //!   concurrency certificate as a golden-file report.
 //! * `--json` (with `--plan` or `--conc`) — machine-readable output for CI
@@ -334,7 +335,6 @@ fn conc_witness_label(v: &ConcViolation) -> &'static str {
         ConcViolation::FootprintEscape { .. } => "FootprintEscape",
         ConcViolation::PartitionOverlap { .. } => "PartitionOverlap",
         ConcViolation::ReachabilityError { .. } => "ReachabilityError",
-        ConcViolation::InterferenceEdgeMissing { .. } => "InterferenceEdgeMissing",
         ConcViolation::CertificateForged { .. } => "CertificateForged",
         ConcViolation::ScheduleBroken { .. } => "ScheduleBroken",
     }
@@ -376,7 +376,7 @@ struct ConcMutant {
 /// values are co-live under *every* schedule, so the wave-liveness pass is
 /// what has to catch the overlap. `dag` is a certified wide plan (the
 /// ResNet-50 projection block) whose genuinely incomparable nodes exercise
-/// the interference-edge and reachability obligations.
+/// the concurrent-disjointness and reachability obligations.
 fn conc_mutant_catalog(
     chain: &(ConcSpec, ScheduleSpec),
     dag: &(ConcSpec, ScheduleSpec),
@@ -417,11 +417,11 @@ fn conc_mutant_catalog(
             .expect("chain base has a gemm node with workspace");
         g.workspace.bytes = 1;
     });
-    // Two may-run-concurrently convs whose workspace slices collide with no
-    // interference edge declared between them: the smaller slice is slid
-    // onto the larger one so the mutation cannot escape the workspace arena
-    // and be caught by the (earlier) footprint pass instead.
-    push("dropped-interference-edge", "InterferenceEdgeMissing", dag, &|spec, _| {
+    // Two may-run-concurrently convs whose workspace slices collide: the
+    // smaller slice is slid onto the larger one so the mutation cannot
+    // escape the workspace arena and be caught by the (earlier) footprint
+    // pass instead.
+    push("aliased-concurrent-slices", "WorkspaceAliasing", dag, &|spec, _| {
         let a = spec.nodes.iter().position(|n| n.name.contains("reduce")).expect("reduce");
         let b = spec.nodes.iter().position(|n| n.name.contains("project")).expect("project");
         let (small, large) = if spec.nodes[a].workspace.bytes <= spec.nodes[b].workspace.bytes {
@@ -442,7 +442,7 @@ fn conc_mutant_catalog(
         let hoisted = sched.waves[1].remove(0);
         sched.waves[0].push(hoisted);
         sched.waves.retain(|w| !w.is_empty());
-        sched.certificate = schedule_digest(spec, &sched.waves, &sched.interference);
+        sched.certificate = schedule_digest(spec, &sched.waves);
     });
     out
 }
@@ -454,7 +454,6 @@ struct ConcRow {
     nodes: usize,
     waves: usize,
     width: usize,
-    edges: usize,
     certified: bool,
 }
 
@@ -494,7 +493,6 @@ fn conc_sweep(json: bool) -> usize {
                     nodes: proof.nodes,
                     waves: proof.waves.len(),
                     width: proof.max_wave_width,
-                    edges: proof.interference_edges,
                     certified: true,
                 }),
                 Err(e) => {
@@ -506,7 +504,6 @@ fn conc_sweep(json: bool) -> usize {
                         nodes: 0,
                         waves: 0,
                         width: 0,
-                        edges: 0,
                         certified: false,
                     });
                 }
@@ -555,8 +552,8 @@ fn conc_sweep(json: bool) -> usize {
             .map(|r| {
                 format!(
                     "    {{\"net\":\"{}\",\"bits\":{},\"nodes\":{},\"waves\":{},\
-\"max_wave_width\":{},\"interference_edges\":{},\"certified\":{}}}",
-                    r.net, r.bits.bits(), r.nodes, r.waves, r.width, r.edges, r.certified
+\"max_wave_width\":{},\"certified\":{}}}",
+                    r.net, r.bits.bits(), r.nodes, r.waves, r.width, r.certified
                 )
             })
             .collect();
@@ -580,18 +577,17 @@ fn conc_sweep(json: bool) -> usize {
     }
 
     println!(
-        "{:<26} {:>4} {:>6} {:>6} {:>6} {:>6} {:>10}",
-        "plan", "bits", "nodes", "waves", "width", "edges", "status"
+        "{:<26} {:>4} {:>6} {:>6} {:>6} {:>10}",
+        "plan", "bits", "nodes", "waves", "width", "status"
     );
     for r in &rows {
         println!(
-            "{:<26} {:>4} {:>6} {:>6} {:>6} {:>6} {:>10}",
+            "{:<26} {:>4} {:>6} {:>6} {:>6} {:>10}",
             r.net,
             r.bits.to_string(),
             r.nodes,
             r.waves,
             r.width,
-            r.edges,
             if r.certified { "certified" } else { "FAIL" }
         );
     }

@@ -11,14 +11,15 @@
 //!    modeled workspace slice, and for GEMM nodes the per-thread column
 //!    partition and packed-panel slices the parallel driver will write;
 //! 2. the DAG's **may-run-concurrently** relation is the set of node pairs
-//!    incomparable under topological reachability; every such pair must
-//!    have disjoint arena spans and disjoint workspace slices, or carry an
-//!    explicit **interference edge** that constrains scheduling;
+//!    incomparable under topological reachability, and the one concurrency
+//!    rule is that every such pair has disjoint arena and workspace
+//!    footprints — the data partition the paper parallelizes by, where each
+//!    worker owns a disjoint share and nothing is ordered around a conflict;
 //! 3. a declared wave schedule is admitted only when dependencies strictly
-//!    increase across waves, wave-mates are interference-free, every value
-//!    placement stays disjoint under wave-coarsened liveness, and the
-//!    certificate digest matches a full recomputation — so a forged or
-//!    stale certificate is rejected, not trusted.
+//!    increase across waves, every value placement stays disjoint under
+//!    wave-coarsened liveness, and the certificate digest matches a full
+//!    recomputation — so a forged or stale certificate is rejected, not
+//!    trusted.
 //!
 //! Like `verify::plan`, everything here is backend-neutral: `lowbit` lowers
 //! its `ExecutionPlan` into a [`ConcSpec`] + [`ScheduleSpec`] and the
@@ -161,16 +162,13 @@ pub struct ConcSpec {
     pub workspace_bytes: usize,
 }
 
-/// The wave schedule and interference graph a plan declares — the claim
-/// [`verify_conc`] re-proves.
+/// The wave schedule a plan declares — the claim [`verify_conc`]
+/// re-proves.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ScheduleSpec {
     /// Node ids grouped into waves; wave `w` may start only after wave
     /// `w - 1` completes, and nodes within a wave may run concurrently.
     pub waves: Vec<Vec<usize>>,
-    /// Interference edges `(a, b)` with `a < b`: incomparable node pairs
-    /// whose footprints overlap and which therefore must never share a wave.
-    pub interference: Vec<(usize, usize)>,
     /// FNV-1a digest over the footprints and the schedule — the certificate
     /// the executor checks before engaging parallel node execution.
     pub certificate: u64,
@@ -179,8 +177,9 @@ pub struct ScheduleSpec {
 /// A typed counterexample from the concurrency verifier.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ConcViolation {
-    /// Two values that can be live at the same time under the declared wave
-    /// schedule were placed on overlapping arena byte ranges.
+    /// Two values that can be live at the same time — under the declared
+    /// wave schedule, or touched by two nodes that may run concurrently —
+    /// were placed on overlapping arena byte ranges.
     ArenaInterference {
         /// First value id.
         a: usize,
@@ -193,7 +192,7 @@ pub enum ConcViolation {
         /// Where the two lifetimes collide.
         context: String,
     },
-    /// Two nodes scheduled into the same wave share workspace bytes.
+    /// Two nodes that may run concurrently share workspace bytes.
     WorkspaceAliasing {
         /// First node name.
         a: String,
@@ -238,17 +237,6 @@ pub enum ConcViolation {
         /// Wave of the consumer.
         to_wave: usize,
     },
-    /// An incomparable node pair whose footprints overlap is missing from
-    /// the declared interference edge set — the scheduler would be free to
-    /// run them together.
-    InterferenceEdgeMissing {
-        /// First node name.
-        a: String,
-        /// Second node name.
-        b: String,
-        /// Which resource overlaps (`"arena"` / `"workspace"`).
-        resource: &'static str,
-    },
     /// The certificate digest does not match a recomputation over the
     /// footprints and schedule — the certificate was forged or is stale.
     CertificateForged {
@@ -257,8 +245,8 @@ pub enum ConcViolation {
         /// The digest the verifier computed.
         computed: u64,
     },
-    /// The wave list is not a permutation of the nodes, a declared
-    /// interference edge is violated, or an id is out of range.
+    /// The wave list is not a permutation of the nodes, or an id is out of
+    /// range.
     ScheduleBroken {
         /// What is broken.
         detail: String,
@@ -276,7 +264,8 @@ impl std::fmt::Display for ConcViolation {
             ),
             ConcViolation::WorkspaceAliasing { a, a_span, b, b_span } => write!(
                 f,
-                "{a} [{}, {}) and {b} [{}, {}) share a wave but their workspace slices overlap",
+                "{a} [{}, {}) and {b} [{}, {}) may run concurrently but their workspace slices \
+                 overlap",
                 a_span.0, a_span.1, b_span.0, b_span.1
             ),
             ConcViolation::FootprintEscape { node, what, span, bound } => write!(
@@ -291,11 +280,6 @@ impl std::fmt::Display for ConcViolation {
                 f,
                 "{to} (wave {to_wave}) depends on {from} (wave {from_wave}) but is not \
                  scheduled strictly later"
-            ),
-            ConcViolation::InterferenceEdgeMissing { a, b, resource } => write!(
-                f,
-                "{a} and {b} may run concurrently and overlap on {resource} but the \
-                 interference graph has no edge between them"
             ),
             ConcViolation::CertificateForged { declared, computed } => write!(
                 f,
@@ -322,8 +306,6 @@ pub struct ConcProof {
     pub waves: Vec<Vec<String>>,
     /// Count of incomparable (may-run-concurrently) node pairs.
     pub incomparable_pairs: usize,
-    /// Count of certified interference edges.
-    pub interference_edges: usize,
     /// Widest wave (1 = the plan is effectively serial).
     pub max_wave_width: usize,
     /// Declared activation-arena bytes the placements were proven within.
@@ -350,10 +332,7 @@ impl ConcProof {
             self.waves.len(),
             self.max_wave_width
         ));
-        out.push_str(&format!(
-            "may-run-concurrently pairs {}  interference edges {}\n",
-            self.incomparable_pairs, self.interference_edges
-        ));
+        out.push_str(&format!("may-run-concurrently pairs {}\n", self.incomparable_pairs));
         out.push_str(&format!(
             "arena: wave-coarsened liveness disjoint within {} declared bytes\n",
             self.arena_bytes
@@ -378,15 +357,13 @@ impl ConcProof {
             .collect();
         format!(
             "{{\n  \"nodes\":{},\n  \"gemm_nodes\":{},\n  \"values\":{},\n  \
-\"waves\": [{}],\n  \"incomparable_pairs\":{},\n  \"interference_edges\":{},\n  \
-\"max_wave_width\":{},\n  \"arena_bytes\":{},\n  \"workspace_bytes\":{},\n  \
-\"certificate\":\"{:#018x}\"\n}}\n",
+\"waves\": [{}],\n  \"incomparable_pairs\":{},\n  \"max_wave_width\":{},\n  \
+\"arena_bytes\":{},\n  \"workspace_bytes\":{},\n  \"certificate\":\"{:#018x}\"\n}}\n",
             self.nodes,
             self.gemm_nodes,
             self.values,
             waves.join(","),
             self.incomparable_pairs,
-            self.interference_edges,
             self.max_wave_width,
             self.arena_bytes,
             self.workspace_bytes,
@@ -433,21 +410,35 @@ fn may_run_concurrently(reach: &[Vec<bool>], i: usize, j: usize) -> bool {
     !reach[i][j] && !reach[j][i]
 }
 
-/// How two node footprints can collide: `"arena"` when one's write span
-/// touches the other's read or write spans, `"workspace"` when their
-/// workspace slices share bytes.
-fn overlap_resource(spec: &ConcSpec, i: usize, j: usize) -> Option<&'static str> {
+/// The witness of two node footprints colliding: [`ConcViolation::ArenaInterference`]
+/// when one's write span touches the other's read or write spans,
+/// [`ConcViolation::WorkspaceAliasing`] when their workspace slices share
+/// bytes, `None` when the footprints are disjoint.
+fn overlap_witness(spec: &ConcSpec, i: usize, j: usize) -> Option<ConcViolation> {
     let (a, b) = (&spec.nodes[i], &spec.nodes[j]);
-    let wa = spec.values[a.output].span();
-    let wb = spec.values[b.output].span();
-    let arena = wa.overlaps(&wb)
-        || b.inputs.iter().any(|&v| wa.overlaps(&spec.values[v].span()))
-        || a.inputs.iter().any(|&v| wb.overlaps(&spec.values[v].span()));
-    if arena {
-        return Some("arena");
+    let span = |v: usize| spec.values[v].span();
+    // The first value `x` reads or writes that `y`'s write span touches.
+    let hit = |x: &ConcNode, y: &ConcNode| {
+        let mut touched = std::iter::once(x.output).chain(x.inputs.iter().copied());
+        touched.find(|&v| span(y.output).overlaps(&span(v))).map(|v| (y.output, v))
+    };
+    if let Some((u, v)) = hit(a, b).or_else(|| hit(b, a)) {
+        let (u, v) = (u.min(v), u.max(v));
+        return Some(ConcViolation::ArenaInterference {
+            a: u,
+            a_span: (span(u).offset, span(u).end()),
+            b: v,
+            b_span: (span(v).offset, span(v).end()),
+            context: format!("{} and {} may run concurrently", a.name, b.name),
+        });
     }
     if a.workspace.overlaps(&b.workspace) {
-        return Some("workspace");
+        return Some(ConcViolation::WorkspaceAliasing {
+            a: a.name.clone(),
+            a_span: (a.workspace.offset, a.workspace.end()),
+            b: b.name.clone(),
+            b_span: (b.workspace.offset, b.workspace.end()),
+        });
     }
     None
 }
@@ -467,10 +458,10 @@ fn fnv_usize(h: &mut u64, v: usize) {
 }
 
 /// The certificate digest: FNV-1a over every fact the proof depends on —
-/// node footprints, value placements, arena bounds, waves and interference
-/// edges. Any drift between what was certified and what is executed changes
-/// the digest, so a schedule cannot be spliced onto a different plan.
-pub fn schedule_digest(spec: &ConcSpec, waves: &[Vec<usize>], interference: &[(usize, usize)]) -> u64 {
+/// node footprints, value placements, arena bounds and waves. Any drift
+/// between what was certified and what is executed changes the digest, so a
+/// schedule cannot be spliced onto a different plan.
+pub fn schedule_digest(spec: &ConcSpec, waves: &[Vec<usize>]) -> u64 {
     let mut h = FNV_OFFSET;
     fnv_usize(&mut h, spec.nodes.len());
     for node in &spec.nodes {
@@ -507,66 +498,37 @@ pub fn schedule_digest(spec: &ConcSpec, waves: &[Vec<usize>], interference: &[(u
             fnv_usize(&mut h, n);
         }
     }
-    fnv_usize(&mut h, interference.len());
-    for &(a, b) in interference {
-        fnv_usize(&mut h, a);
-        fnv_usize(&mut h, b);
-    }
     h
 }
 
-/// Computes the certified schedule for a spec: the interference edge set
-/// over all may-run-concurrently pairs, greedy dependency-level waves that
-/// never co-schedule an interfering pair, and the certificate digest.
+/// Computes the schedule for a spec: dependency-level waves, where a node
+/// runs one wave after its last dependency, and the certificate digest.
 ///
-/// The result verifies by construction: `verify_conc(spec, &schedule)` is
-/// the planner's debug gate.
+/// The waves need no conflict handling because the planner places every
+/// footprint so that nodes which may run concurrently never overlap;
+/// `verify_conc(spec, &schedule)` re-proves that as the planner's debug
+/// gate.
 pub fn build_schedule(spec: &ConcSpec) -> ScheduleSpec {
     let n = spec.nodes.len();
     let reach = reachability(&spec.nodes);
-    let mut interference = Vec::new();
-    for i in 0..n {
-        for j in i + 1..n {
-            if may_run_concurrently(&reach, i, j) && overlap_resource(spec, i, j).is_some() {
-                interference.push((i, j));
-            }
-        }
-    }
-    // Level schedule: a node starts one wave after its last dependency, then
-    // moves later until no wave-mate interferes with it.
     let mut wave_of = vec![0usize; n];
     for j in 0..n {
-        let mut w = (0..j)
-            .filter(|&i| reach[i][j])
-            .map(|i| wave_of[i] + 1)
-            .max()
-            .unwrap_or(0);
-        loop {
-            let clash = (0..j).any(|i| {
-                wave_of[i] == w
-                    && (interference.contains(&(i, j)) || interference.contains(&(j, i)))
-            });
-            if !clash {
-                break;
-            }
-            w += 1;
-        }
-        wave_of[j] = w;
+        wave_of[j] = (0..j).filter(|&i| reach[i][j]).map(|i| wave_of[i] + 1).max().unwrap_or(0);
     }
     let wave_count = wave_of.iter().copied().max().map_or(0, |m| m + 1);
     let mut waves: Vec<Vec<usize>> = vec![Vec::new(); wave_count];
     for (node, &w) in wave_of.iter().enumerate() {
         waves[w].push(node);
     }
-    let certificate = schedule_digest(spec, &waves, &interference);
-    ScheduleSpec { waves, interference, certificate }
+    let certificate = schedule_digest(spec, &waves);
+    ScheduleSpec { waves, certificate }
 }
 
 /// Verifies a declared wave schedule against a spec, re-proving every claim
 /// from scratch. Check order is fixed so each mutant of the negative catalog
 /// is caught by its own witness before the certificate comparison runs:
-/// schedule structure, reachability, footprints, partitions, interference
-/// completeness, wave disjointness, wave-coarsened value liveness, and
+/// schedule structure, reachability, footprints, partitions, disjointness
+/// of every may-run-concurrently pair, wave-coarsened value liveness, and
 /// finally the certificate digest.
 pub fn verify_conc(spec: &ConcSpec, sched: &ScheduleSpec) -> Result<ConcProof, ConcViolation> {
     let n = spec.nodes.len();
@@ -592,13 +554,6 @@ pub fn verify_conc(spec: &ConcSpec, sched: &ScheduleSpec) -> Result<ConcProof, C
         return Err(ConcViolation::ScheduleBroken {
             detail: format!("node {} is not scheduled in any wave", spec.nodes[missing].name),
         });
-    }
-    for &(a, b) in &sched.interference {
-        if a >= n || b >= n {
-            return Err(ConcViolation::ScheduleBroken {
-                detail: format!("interference edge ({a}, {b}) is out of range"),
-            });
-        }
     }
 
     // -- 2. Dependencies strictly increase across waves. ---------------------
@@ -677,7 +632,7 @@ pub fn verify_conc(spec: &ConcSpec, sched: &ScheduleSpec) -> Result<ConcProof, C
             ArmAlgo::NcnnBaseline | ArmAlgo::BitserialBaseline => None,
         };
         if let Some(certified) = certified {
-            let panel_total = panel_bytes(g.k, &node.partition);
+            let panel_total = panel_bytes(g.k, node.partition.iter().copied());
             if panel_total > certified {
                 return Err(ConcViolation::PartitionOverlap {
                     node: node.name.clone(),
@@ -689,63 +644,23 @@ pub fn verify_conc(spec: &ConcSpec, sched: &ScheduleSpec) -> Result<ConcProof, C
         }
     }
 
-    // -- 5. Every overlapping may-run-concurrently pair has an edge. ---------
-    let has_edge = |i: usize, j: usize| {
-        sched.interference.contains(&(i, j)) || sched.interference.contains(&(j, i))
-    };
+    // -- 5. Nodes that may run concurrently never overlap. -------------------
+    // Whatever waves the pair sits in. Check 2 makes every pair of
+    // wave-mates a may-run-concurrently pair, and this check compares a
+    // superset of what a wave-mate check would: each node's write span
+    // against the other's read and write spans, plus the workspace slices.
+    // So co-scheduled nodes need no check of their own.
     for i in 0..n {
         for j in i + 1..n {
             if may_run_concurrently(&reach, i, j) {
-                if let Some(resource) = overlap_resource(spec, i, j) {
-                    if !has_edge(i, j) {
-                        return Err(ConcViolation::InterferenceEdgeMissing {
-                            a: spec.nodes[i].name.clone(),
-                            b: spec.nodes[j].name.clone(),
-                            resource,
-                        });
-                    }
+                if let Some(witness) = overlap_witness(spec, i, j) {
+                    return Err(witness);
                 }
             }
         }
     }
 
-    // -- 6. Wave-mates are interference-free. --------------------------------
-    for wave in &sched.waves {
-        for (x, &i) in wave.iter().enumerate() {
-            for &j in wave.iter().skip(x + 1) {
-                let (a, b) = (&spec.nodes[i], &spec.nodes[j]);
-                let wa = spec.values[a.output].span();
-                let wb = spec.values[b.output].span();
-                if wa.overlaps(&wb) {
-                    return Err(ConcViolation::ArenaInterference {
-                        a: a.output,
-                        a_span: (wa.offset, wa.end()),
-                        b: b.output,
-                        b_span: (wb.offset, wb.end()),
-                        context: format!("both written in wave {}", wave_of[i]),
-                    });
-                }
-                if a.workspace.overlaps(&b.workspace) {
-                    return Err(ConcViolation::WorkspaceAliasing {
-                        a: a.name.clone(),
-                        a_span: (a.workspace.offset, a.workspace.end()),
-                        b: b.name.clone(),
-                        b_span: (b.workspace.offset, b.workspace.end()),
-                    });
-                }
-                if has_edge(i, j) {
-                    return Err(ConcViolation::ScheduleBroken {
-                        detail: format!(
-                            "interference edge between {} and {} violated within wave {}",
-                            a.name, b.name, wave_of[i]
-                        ),
-                    });
-                }
-            }
-        }
-    }
-
-    // -- 7. Value placements disjoint under wave-coarsened liveness. ---------
+    // -- 6. Value placements disjoint under wave-coarsened liveness. ---------
     // Under wave execution a value exists from the start of its defining
     // wave (inputs: before wave 0) until the end of the last wave that reads
     // it (the output value: the final wave). Overlapping wave ranges must
@@ -792,8 +707,8 @@ pub fn verify_conc(spec: &ConcSpec, sched: &ScheduleSpec) -> Result<ConcProof, C
         }
     }
 
-    // -- 8. The certificate digest matches a full recomputation. -------------
-    let computed = schedule_digest(spec, &sched.waves, &sched.interference);
+    // -- 7. The certificate digest matches a full recomputation. -------------
+    let computed = schedule_digest(spec, &sched.waves);
     if computed != sched.certificate {
         return Err(ConcViolation::CertificateForged {
             declared: sched.certificate,
@@ -819,7 +734,6 @@ pub fn verify_conc(spec: &ConcSpec, sched: &ScheduleSpec) -> Result<ConcProof, C
             .map(|wave| wave.iter().map(|&i| spec.nodes[i].name.clone()).collect())
             .collect(),
         incomparable_pairs: incomparable,
-        interference_edges: sched.interference.len(),
         max_wave_width: sched.waves.iter().map(Vec::len).max().unwrap_or(0),
         arena_bytes: spec.arena_bytes,
         workspace_bytes: spec.workspace_bytes,
@@ -835,7 +749,7 @@ mod tests {
     /// incomparable. Arena placements are always disjoint (both branch
     /// outputs feed the join, so they are co-live under *every* schedule);
     /// `disjoint` controls whether the branches' workspace slices collide —
-    /// the overlap an interference edge can legitimately schedule around.
+    /// an overlap no schedule may carry.
     fn diamond(disjoint: bool) -> ConcSpec {
         let ws_c = if disjoint { 64 } else { 32 };
         ConcSpec {
@@ -893,31 +807,22 @@ mod tests {
         let proof = verify_conc(&spec, &sched).expect("disjoint diamond certifies");
         assert_eq!(proof.max_wave_width, 2);
         assert_eq!(proof.incomparable_pairs, 1);
-        assert_eq!(proof.interference_edges, 0);
         assert_eq!(sched.waves, vec![vec![0], vec![1, 2], vec![3]]);
     }
 
     #[test]
-    fn overlapping_branches_get_an_interference_edge_and_separate_waves() {
+    fn overlapping_concurrent_branches_are_rejected_in_any_waves() {
+        // b and c share workspace bytes and may run concurrently, so no
+        // waves certify them: neither co-scheduled nor kept apart.
         let spec = diamond(false);
-        let sched = build_schedule(&spec);
-        assert_eq!(sched.interference, vec![(1, 2)]);
-        assert_eq!(sched.waves, vec![vec![0], vec![1], vec![2], vec![3]]);
-        let proof = verify_conc(&spec, &sched).expect("edge-constrained schedule certifies");
-        assert_eq!(proof.max_wave_width, 1);
-        assert_eq!(proof.interference_edges, 1);
-    }
-
-    #[test]
-    fn dropped_interference_edge_is_caught() {
-        let spec = diamond(false);
-        let mut sched = build_schedule(&spec);
-        sched.interference.clear();
-        sched.certificate = schedule_digest(&spec, &sched.waves, &sched.interference);
-        assert!(matches!(
-            verify_conc(&spec, &sched),
-            Err(ConcViolation::InterferenceEdgeMissing { resource: "workspace", .. })
-        ));
+        let co_scheduled = build_schedule(&spec).waves;
+        assert_eq!(co_scheduled, vec![vec![0], vec![1, 2], vec![3]]);
+        let separated = vec![vec![0], vec![1], vec![2], vec![3]];
+        for waves in [co_scheduled, separated] {
+            let certificate = schedule_digest(&spec, &waves);
+            let got = verify_conc(&spec, &ScheduleSpec { waves, certificate });
+            assert!(matches!(got, Err(ConcViolation::WorkspaceAliasing { .. })), "got {got:?}");
+        }
     }
 
     #[test]
@@ -925,7 +830,7 @@ mod tests {
         let spec = diamond(true);
         let mut sched = build_schedule(&spec);
         sched.waves = vec![vec![0, 1], vec![2], vec![3]];
-        sched.certificate = schedule_digest(&spec, &sched.waves, &sched.interference);
+        sched.certificate = schedule_digest(&spec, &sched.waves);
         assert!(matches!(
             verify_conc(&spec, &sched),
             Err(ConcViolation::ReachabilityError { .. })
@@ -944,21 +849,6 @@ mod tests {
     }
 
     #[test]
-    fn same_wave_workspace_aliasing_is_caught() {
-        // The interference edge between b and c is declared, but the waves
-        // co-schedule them anyway: the slice overlap is caught before the
-        // edge-violation fallback.
-        let spec = diamond(false);
-        let mut sched = build_schedule(&spec);
-        sched.waves = vec![vec![0], vec![1, 2], vec![3]];
-        sched.certificate = schedule_digest(&spec, &sched.waves, &sched.interference);
-        assert!(matches!(
-            verify_conc(&spec, &sched),
-            Err(ConcViolation::WorkspaceAliasing { .. })
-        ));
-    }
-
-    #[test]
     fn shifted_arena_offset_is_caught_under_wave_liveness() {
         let mut spec = diamond(true);
         let sched = build_schedule(&spec);
@@ -966,11 +856,7 @@ mod tests {
         spec.values[3].offset = spec.values[2].offset;
         let got = verify_conc(&spec, &sched);
         assert!(
-            matches!(
-                got,
-                Err(ConcViolation::ArenaInterference { a: 2, b: 3, .. })
-                    | Err(ConcViolation::InterferenceEdgeMissing { resource: "arena", .. })
-            ),
+            matches!(got, Err(ConcViolation::ArenaInterference { a: 2, b: 3, .. })),
             "got {got:?}"
         );
     }
@@ -979,7 +865,7 @@ mod tests {
     fn an_auto_footprint_has_no_certified_panel_budget() {
         let mut spec = diamond(true);
         let g = GemmFootprint { m: 4, k: 4, n: 8, algo: ArmAlgo::Auto };
-        spec.nodes[0].partition = lowbit_qgemm::partition_columns(g.n, 1);
+        spec.nodes[0].partition = lowbit_qgemm::partition_columns(g.n, 1).collect();
         spec.nodes[0].gemm = Some(g);
         let sched = build_schedule(&spec);
         assert!(matches!(

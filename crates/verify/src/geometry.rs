@@ -58,7 +58,7 @@ pub fn check_spans(spans: &[ColumnSpan], n: usize) -> Result<(), Violation> {
 /// Verifies the partition `qgemm::parallel` would use for an `n`-column
 /// output on `threads` threads.
 pub fn check_partition(n: usize, threads: usize) -> Result<(), Violation> {
-    check_spans(&partition_columns(n, threads), n)
+    check_spans(&partition_columns(n, threads).collect::<Vec<_>>(), n)
 }
 
 #[cfg(test)]

@@ -40,10 +40,10 @@
 //! [`conc::verify_conc`] lifts every DAG node to a typed memory footprint
 //! (activation-arena spans, GEMM workspace slices, per-thread column
 //! partitions) and proves a proposed wave-parallel schedule sound — every
-//! pair of nodes that may run concurrently either has disjoint footprints
-//! or a declared interference edge the waves respect, the arena packing
-//! stays sound under wave-coarsened lifetimes, and an FNV-1a digest seals
-//! the certificate the executor demands before racing any nodes.
+//! pair of nodes that may run concurrently has disjoint footprints, the
+//! arena packing stays sound under wave-coarsened lifetimes, and an FNV-1a
+//! digest seals the certificate the executor demands before racing any
+//! nodes.
 //!
 //! The `lowbit-verify` binary (crate `lowbit-verify-cli`) sweeps the
 //! [`streams::standard_cases`] catalog (every bit width 2–8, both schemes,

@@ -501,17 +501,17 @@ impl ArenaRequirement {
 /// the default cache blocking. Mirrors the sizing in
 /// `lowbit_qgemm::parallel::pack_b_panel`: each worker's panel holds
 /// `min(nc/NB, ceil(cols_t/NB))` column tiles of `min(kc, K)` packed rows.
-pub fn panel_bytes(k: usize, spans: &[ColumnSpan]) -> usize {
+pub fn panel_bytes(k: usize, spans: impl IntoIterator<Item = ColumnSpan>) -> usize {
     let klen = DEFAULT_KC.min(k);
     let nc_tiles = DEFAULT_NC / NB;
-    spans.iter().map(|span| nc_tiles.min(span.cols.div_ceil(NB)) * NB * klen).sum()
+    spans.into_iter().map(|span| nc_tiles.min(span.cols.div_ceil(NB)) * NB * klen).sum()
 }
 
 /// The largest [`panel_bytes`] of a `K x N` GEMM over every thread count
 /// the engine accepts (`1..=MAX_THREADS`).
 pub fn max_panel_bytes(k: usize, n: usize) -> usize {
     (1..=MAX_THREADS)
-        .map(|threads| panel_bytes(k, &partition_columns(n, threads)))
+        .map(|threads| panel_bytes(k, partition_columns(n, threads)))
         .max()
         .unwrap_or(0)
 }

@@ -32,10 +32,9 @@ fn main() {
         println!("  wave {w}: {}", names.join(" || "));
     }
     println!(
-        "max wave width {} over {} nodes, {} interference edge(s)",
+        "max wave width {} over {} nodes",
         schedule.max_wave_width(),
-        parallel_plan.nodes().len(),
-        schedule.interference.len()
+        parallel_plan.nodes().len()
     );
 
     let executor = Executor::for_arm(&arm);

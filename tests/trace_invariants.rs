@@ -266,8 +266,8 @@ fn metric_shard_recording_allocates_nothing_at_steady_state() {
 }
 
 /// What a warm `ArmEngine::conv` allocates is a fixed set of small buffers
-/// (the output tensor, the schedule, and the GEMM driver's span and share
-/// lists; DESIGN.md §4c names them), not scratch that grows with the layer:
+/// (the output tensor, the schedule, and the GEMM driver's share lists;
+/// DESIGN.md §4c names them), not scratch that grows with the layer:
 /// on every engine kernel a small and a large layer make the same number of
 /// allocations once the weights are packed and the arena is grown.
 #[test]

@@ -3,11 +3,14 @@
 //! supported bit width, the golden proof report must not drift, seeded plan
 //! mutants must be rejected with their expected typed witnesses, and the
 //! certified arena high-water must dominate what executing the plan really
-//! allocates.
+//! allocates. Random branchy DAGs compiled for parallel nodes must pass the
+//! concurrency verifier with a wave wider than one.
 
 use lowbit::prelude::*;
 use lowbit::verify::{fingerprint_audit, lower_plan, verify_compiled};
+use lowbit_models::{GraphDef, GraphNodeDef, GraphOpDef, LayerDef};
 use lowbit_verify::{verify_plan, PlanViolation};
+use proptest::prelude::*;
 
 #[test]
 fn demo_and_bottleneck_prove_at_every_width() {
@@ -153,4 +156,100 @@ fn a_plan_carrying_auto_is_a_typed_mismatch() {
     assert!(refuses_auto(lowbit::verify_conc_compiled(&auto)));
     let input = Tensor::zeros((1, 256, 8, 8), Layout::Nchw);
     assert!(refuses_auto(Executor::for_arm(&engine).run_parallel(&auto, &net, &input)));
+}
+
+/// Names for the random DAGs below: the largest (four branches, the first
+/// nested with four more, every join an `Add` chain) has 14 nodes.
+const DAG_NAMES: [&str; 14] = [
+    "n0", "n1", "n2", "n3", "n4", "n5", "n6", "n7", "n8", "n9", "n10", "n11", "n12", "n13",
+];
+
+/// Appends `op` over `inputs` and returns its `(value, channels)`; node `i`
+/// produces value `i + 1`.
+fn push_node(
+    nodes: &mut Vec<GraphNodeDef>,
+    op: GraphOpDef,
+    inputs: Vec<usize>,
+    channels: usize,
+) -> (usize, usize) {
+    let name = DAG_NAMES[nodes.len()];
+    let op = match op {
+        GraphOpDef::Conv { def, relu } => GraphOpDef::Conv {
+            def: LayerDef { name, ..def },
+            relu,
+        },
+        op => op,
+    };
+    nodes.push(GraphNodeDef { name, op, inputs });
+    (nodes.len(), channels)
+}
+
+/// One parallel conv per `(3x3, c_out)` branch off `src`, joined by a chain
+/// of `Add`s (every branch then takes the first branch's width) or by one
+/// `Concat`. With `nested`, the first branch's conv feeds a fork-join of
+/// its own. Returns the join's `(value, channels)`.
+fn fork_join(
+    nodes: &mut Vec<GraphNodeDef>,
+    (src, c_in): (usize, usize),
+    hw: usize,
+    (branches, add): (&[(bool, usize)], bool),
+    nested: Option<(&[(bool, usize)], bool)>,
+) -> (usize, usize) {
+    let mut outs: Vec<(usize, usize)> = Vec::new();
+    for &(k3, c_out) in branches {
+        let c_out = match outs.first() {
+            Some(first) if add => first.1,
+            _ => c_out,
+        };
+        let (k, pad) = if k3 { (3, 1) } else { (1, 0) };
+        let shape = ConvShape::new(1, c_in, hw, hw, c_out, k, 1, pad);
+        let def = LayerDef { name: "", shape };
+        let conv = GraphOpDef::Conv { def, relu: true };
+        let mut out = push_node(nodes, conv, vec![src], c_out);
+        if let (true, Some(inner)) = (outs.is_empty(), nested) {
+            out = fork_join(nodes, out, hw, inner, None);
+        }
+        outs.push(out);
+    }
+    if add {
+        let mut sum = outs[0];
+        for &o in &outs[1..] {
+            sum = push_node(nodes, GraphOpDef::Add, vec![sum.0, o.0], sum.1);
+        }
+        sum
+    } else {
+        let values = outs.iter().map(|o| o.0).collect();
+        let channels = outs.iter().map(|o| o.1).sum();
+        push_node(nodes, GraphOpDef::Concat, values, channels)
+    }
+}
+
+fn branches() -> impl Strategy<Value = Vec<(bool, usize)>> {
+    proptest::collection::vec((any::<bool>(), 2usize..=8), 2..=4)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+    /// Whatever branchy DAG the planner's parallel mode compiles, its
+    /// placement already satisfies the concurrency verifier's one rule
+    /// (nodes that may run concurrently never overlap), and the branches
+    /// share a wave.
+    #[test]
+    fn random_branchy_dags_certify_with_wide_waves(
+        (hw, c_in, bits) in (4usize..=8, 2usize..=8, 0usize..BitWidth::ALL.len()),
+        outer in branches(),
+        inner in branches(),
+        (add, inner_add, nest) in (any::<bool>(), any::<bool>(), any::<bool>()),
+    ) {
+        let mut nodes = Vec::new();
+        let nested = nest.then_some((&inner[..], inner_add));
+        fork_join(&mut nodes, (0, c_in), hw, (&outer, add), nested);
+        let def = GraphDef { input: (c_in, hw, hw), nodes };
+        let net = Network::from_graph_defs(&def, BitWidth::ALL[bits], 5).unwrap();
+        let engine = ArmEngine::cortex_a53();
+        let plan = Planner::for_arm(&engine).with_parallel_nodes(true).compile(&net).unwrap();
+        let proof = lowbit::verify_conc_compiled(&plan).unwrap();
+        prop_assert!(proof.max_wave_width > 1, "waves {:?}", proof.waves);
+    }
 }
