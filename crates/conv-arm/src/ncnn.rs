@@ -2,32 +2,33 @@
 //! im2col explicit GEMM where 8-bit operands are pre-widened to 16 bits and
 //! `SMLAL vd.4s` accumulates directly into 32-bit registers — no drain
 //! instructions, but half the MAC lanes and double the operand traffic.
+//!
+//! On the host it is the narrow 8x4 tile under [`Scheme::ncnn16`] (i8
+//! panels widened in registers) on [`crate::gemm_conv()`]'s pipeline; the
+//! schedule still prices ncnn's pre-widened i16 panels.
 
 use crate::gemm_conv::explicit_gemm_schedule;
+use crate::workspace::{gemm_conv_ws, ConvWorkspace, PackedWeights};
 use crate::ConvOutput;
-use lowbit_qgemm::gemm::{gemm_ncnn, schedule_gemm};
+use lowbit_qgemm::gemm::schedule_gemm;
+use lowbit_qgemm::narrow::pack_a_narrow;
+use lowbit_qgemm::parallel::ParallelConfig;
 use lowbit_qgemm::Scheme;
-use lowbit_tensor::{im2col_nchw, ConvShape, Layout, QTensor, Tensor};
+use lowbit_tensor::{ConvShape, QTensor};
+use lowbit_trace::Tracer;
 use neon_sim::KernelSchedule;
 
-/// Runs the ncnn-like 8-bit convolution.
+/// Runs the ncnn-like 8-bit convolution. The weights are packed on every
+/// call and the pipeline runs at one thread.
 pub fn ncnn_conv(input: &QTensor, weights: &QTensor, shape: &ConvShape) -> ConvOutput {
     assert_eq!(
         weights.dims(),
         (shape.c_out, shape.c_in, shape.kh, shape.kw)
     );
-    let (m, k, n) = (shape.gemm_m(), shape.gemm_k(), shape.gemm_n());
-    let col = im2col_nchw(input, shape);
-    let out = gemm_ncnn(weights.data(), &col.data, m, k, n);
-    // Row `co` of the row-major m x n result holds image `b`'s plane of
-    // channel `co` at columns [b * hw, (b + 1) * hw): one copy per plane.
-    let (oh, ow) = (shape.out_h(), shape.out_w());
-    let hw = oh * ow;
-    let mut acc = Tensor::zeros((shape.batch, m, oh, ow), Layout::Nchw);
-    for (plane_idx, plane) in acc.data_mut().chunks_exact_mut(hw).enumerate() {
-        let (image, co) = (plane_idx / m, plane_idx % m);
-        plane.copy_from_slice(&out.c[co * n + image * hw..][..hw]);
-    }
+    let (m, k) = (shape.gemm_m(), shape.gemm_k());
+    let packed = PackedWeights::Narrow(pack_a_narrow(weights.data(), m, k));
+    let (scheme, cfg, mut ws) = (Scheme::ncnn16(), ParallelConfig::default(), ConvWorkspace::new());
+    let acc = gemm_conv_ws(input, &packed, &scheme, shape, &cfg, &mut ws, &Tracer::null());
     ConvOutput {
         acc,
         schedule: schedule_ncnn_conv(shape),

@@ -19,7 +19,8 @@
 //! * the wide, narrow and SDOT GEMMs are three tile kinds of one driver,
 //!   `lowbit_qgemm::parallel`: it splits N across threads and stores the
 //!   micro-tiles straight into that NCHW output, bit-exact versus direct
-//!   convolution for any thread count.
+//!   convolution for any thread count. The ncnn baseline
+//!   ([`crate::ncnn_conv()`]) is the narrow tile under its own scheme.
 
 use crate::algo::ArmAlgo;
 use crate::winograd::{winograd_conv_ws, WinogradScratch, WinogradWeights};
@@ -161,8 +162,9 @@ impl ConvWorkspace {
 /// returning the exact NCHW accumulators.
 ///
 /// `scheme` must cover the wider of the two operand bit widths, exactly as
-/// [`crate::gemm_conv()`] chooses it (the SDOT kernel has no drain machinery
-/// and ignores it; Winograd weights carry their own width and run
+/// [`crate::gemm_conv()`] chooses it, or be [`Scheme::ncnn16`] on narrow
+/// weights, as [`crate::ncnn_conv()`] runs it (the SDOT kernel has no drain
+/// machinery and ignores it; Winograd weights carry their own width and run
 /// [`winograd_conv_ws`]). Every GEMM kernel runs across `cfg`'s threads,
 /// recording onto per-worker tracks after an `im2col` span, and stores each
 /// micro-tile straight into the returned NCHW tensor: the output channels
@@ -378,19 +380,24 @@ mod tests {
                 let (input, weights) = tensors(&shape, bits, seed);
                 let oracle = direct_conv(&input, &weights, &shape);
                 let (m, k) = (shape.gemm_m(), shape.gemm_k());
+                // The narrow tile runs the ncnn baseline's scheme at every
+                // width and SMLAL at 4-8 bits.
+                let narrow = || PackedWeights::Narrow(pack_a_narrow(weights.data(), m, k));
                 let mut packings = vec![
-                    PackedWeights::Wide(pack_a(weights.data(), m, k)),
-                    PackedWeights::Quads(pack_a_quads(weights.data(), m, k)),
+                    (PackedWeights::Wide(pack_a(weights.data(), m, k)), scheme),
+                    (PackedWeights::Quads(pack_a_quads(weights.data(), m, k)), scheme),
+                    (narrow(), Scheme::ncnn16()),
                 ];
                 if !bits.uses_mla_scheme() {
-                    packings.push(PackedWeights::Narrow(pack_a_narrow(weights.data(), m, k)));
+                    packings.push((narrow(), scheme));
                 }
                 for threads in 1..=4 {
                     let cfg = ParallelConfig { threads, kc: 16, nc: 8 };
-                    for pa in &packings {
+                    for (pa, scheme) in &packings {
                         let null = Tracer::null();
-                        let acc = gemm_conv_ws(&input, pa, &scheme, &shape, &cfg, &mut ws, &null);
-                        assert_eq!(acc.data(), oracle.data(), "{shape} {bits} {pa:?} x{threads}");
+                        let acc = gemm_conv_ws(&input, pa, scheme, &shape, &cfg, &mut ws, &null);
+                        let at = format!("{shape} {bits} {pa:?} {:?} x{threads}", scheme.kind());
+                        assert_eq!(acc.data(), oracle.data(), "{at}");
                     }
                 }
             }

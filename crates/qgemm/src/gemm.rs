@@ -8,11 +8,12 @@
 //! 3. the register-tiled inner loop over all `(M/16) x (N/4)` tiles.
 //!
 //! [`gemm`] packs A and runs the one tiled driver every caller shares,
-//! [`crate::parallel::gemm_parallel_cm`], at one thread; only the ncnn
-//! baseline ([`gemm_ncnn`]) keeps a loop of its own.
+//! [`crate::parallel::gemm_parallel_cm`], at one thread; so does the ncnn
+//! baseline ([`gemm_ncnn`]), on the narrow tile under its own scheme.
 
-use crate::micro::{run_tile_ncnn, tile_counts};
-use crate::pack::{pack_a, pack_a16, pack_b16, NA, NB, NCNN_NA};
+use crate::micro::tile_counts;
+use crate::narrow::{pack_a_narrow, NA8};
+use crate::pack::{pack_a, NA, NB};
 use crate::parallel::{gemm_row_major_on, SharedWeights};
 use crate::scheme::{Scheme, SchemeKind};
 use lowbit_isa::Isa;
@@ -52,56 +53,21 @@ pub fn gemm(scheme: &Scheme, a: &[i8], b: &[i8], m: usize, k: usize, n: usize) -
     GemmOutput { m, n, c, schedule: schedule_gemm(scheme, m, k, n) }
 }
 
-/// Computes `C = A x B` with the ncnn-like 16-bit baseline.
+/// Computes `C = A x B` with the ncnn-like 16-bit baseline: the narrow 8x4
+/// tile under [`Scheme::ncnn16`], packed and run like [`gemm`].
 pub fn gemm_ncnn(a: &[i8], b: &[i8], m: usize, k: usize, n: usize) -> GemmOutput {
-    let pa = pack_a16(a, m, k);
-    let pb = pack_b16(b, k, n);
-    let mut c = vec![0i32; m * n];
-    for ti in 0..pa.tiles() {
-        for tj in 0..pb.tiles() {
-            let tile = run_tile_ncnn(&pa, &pb, ti, tj);
-            scatter_tile(&mut c, &tile, m, n, ti, tj, NCNN_NA);
-        }
-    }
-    GemmOutput {
-        m,
-        n,
-        c,
-        schedule: schedule_gemm(&Scheme::ncnn16(), m, k, n),
-    }
-}
-
-/// Scatters a column-major `rows x NB` tile into the row-major result,
-/// dropping the zero-padded fringe.
-fn scatter_tile(
-    c: &mut [i32],
-    tile: &[i32],
-    m: usize,
-    n: usize,
-    ti: usize,
-    tj: usize,
-    rows: usize,
-) {
-    for col in 0..NB {
-        let j = tj * NB + col;
-        if j >= n {
-            break;
-        }
-        for r in 0..rows {
-            let i = ti * rows + r;
-            if i >= m {
-                break;
-            }
-            c[i * n + j] = tile[col * rows + r];
-        }
-    }
+    let (scheme, pa) = (Scheme::ncnn16(), pack_a_narrow(a, m, k));
+    let c = gemm_row_major_on(Isa::host(), &scheme, SharedWeights::Narrow(&pa), b, n);
+    GemmOutput { m, n, c, schedule: schedule_gemm(&scheme, m, k, n) }
 }
 
 /// Analytic schedule for a full GEMM of the given logical dimensions,
 /// including both packing stages (paper Fig. 2) and the tiled inner loop.
+/// Under [`Scheme::ncnn16`] it prices ncnn's own 8-row panels pre-widened to
+/// i16, which the host kernel does not build: it widens in registers.
 pub fn schedule_gemm(scheme: &Scheme, m: usize, k: usize, n: usize) -> KernelSchedule {
     let (na, elem) = match scheme.kind() {
-        SchemeKind::Ncnn16 => (NCNN_NA, 2u64), // baseline packs widened i16
+        SchemeKind::Ncnn16 => (NA8, 2u64), // ncnn packs widened i16
         _ => (NA, 1u64),
     };
     let m_pad = m.div_ceil(na) * na;

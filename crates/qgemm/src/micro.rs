@@ -11,13 +11,17 @@
 //!    tile, so each B broadcast feeds every row of the block; the A53 tile
 //!    of the paper half-fills the host's vector registers. Each block is
 //!    one dispatch onto the host's widest vector ISA ([`Isa::host`]), and
-//!    [`accumulate_tile`] is the one-tile instance of the same source;
+//!    [`accumulate_tile`] is the one-tile instance of the same source. The
+//!    ncnn baseline's functional form is the narrow tile under
+//!    [`Scheme::ncnn16`] ([`crate::narrow::accumulate_tile_narrow`]), which
+//!    runs the SMLAL block kernel draining after every K step;
 //! 2. [`tile_counts`] — analytic instruction counts for the same shape, fed to
 //!    the cost model;
-//! 3. [`emit_tile`] — the actual instruction stream for the `neon-sim`
-//!    interpreter, used by tests to prove (1) and (2) faithful: the
-//!    interpreted output must equal the functional output, and the
-//!    interpreter's instruction counters must equal the analytic counts.
+//! 3. [`emit_tile`] (and [`emit_tile_ncnn`]) — the actual instruction stream
+//!    for the `neon-sim` interpreter, used by tests to prove (1) and (2)
+//!    faithful: the interpreted output must equal the functional output,
+//!    and the interpreter's instruction counters must equal the analytic
+//!    counts.
 //!
 //! Register allocation follows the paper:
 //!
@@ -28,13 +32,15 @@
 //! * **MLA scheme** (2–3 bit, 16x4 tile): `v0..v3` read A, `v4..v7` read B,
 //!   `v8..v11` hold i8 partials, `v12..v19` i16 partials, `v20..v31` plus
 //!   `x0..x7` the i32 result.
-//! * **ncnn-like baseline** (8x4 tile): pre-widened i16 operands,
-//!   `SMLAL vd.4s` accumulates directly into i32 in `v10..v17` — no drains,
-//!   no spills.
+//! * **ncnn-like baseline** (8x4 tile): on the A53, pre-widened i16
+//!   operands, and `SMLAL vd.4s` accumulates directly into i32 in
+//!   `v10..v17` — no drains, no spills. The host kernel reads the narrow
+//!   tile's i8 panels and widens in registers, with the same arithmetic
+//!   per lane.
 
 #![allow(clippy::field_reassign_with_default)] // InstCounts builders read clearer this way
 
-use crate::pack::{PackedA, PackedA16, PackedB, PackedB16, NA, NB, NCNN_NA};
+use crate::pack::{PackedA, PackedB, NA, NB};
 use crate::scheme::{Scheme, SchemeKind};
 use lowbit_isa::Isa;
 use neon_sim::inst::{Half, Inst};
@@ -42,8 +48,6 @@ use neon_sim::InstCounts;
 
 /// Elements in the 16x4 i32 result tile.
 pub const TILE_LEN: usize = NA * NB;
-/// Elements in the ncnn-like 8x4 result tile.
-pub const NCNN_TILE_LEN: usize = NCNN_NA * NB;
 
 /// Wide SMLAL tiles per register block (see `accumulate_tiles_on`):
 /// the block size that measured fastest on the AVX-512 host.
@@ -105,7 +109,7 @@ pub(crate) fn accumulate_tiles_on<const T: usize>(
             || accumulate_smlal::<NA, T>(scheme.ratio(), a, b, acc32),
         ),
         SchemeKind::Mla => isa.run(#[inline(always)] || accumulate_mla::<T>(scheme, a, b, acc32)),
-        SchemeKind::Ncnn16 => panic!("Ncnn16 uses run_tile_ncnn on widened operands"),
+        SchemeKind::Ncnn16 => panic!("the ncnn baseline runs on the narrow tile"),
     }
 }
 
@@ -239,27 +243,6 @@ fn k_steps<'a, const R: usize, const T: usize>(
         at
     });
     (a, b)
-}
-
-/// Runs one ncnn-like 8x4 micro-tile on pre-widened operands.
-///
-/// Output layout: `out[col * 8 + row]`.
-pub fn run_tile_ncnn(pa: &PackedA16, pb: &PackedB16, ti: usize, tj: usize) -> Vec<i32> {
-    assert_eq!(pa.k, pb.k);
-    let k = pa.k;
-    let mut acc32 = [0i32; NCNN_TILE_LEN];
-    for kk in 0..k {
-        let a = pa.slice(ti, kk);
-        let b = pb.slice(tj, kk);
-        for c in 0..NB {
-            let bv = b[c] as i32;
-            let col = &mut acc32[c * NCNN_NA..(c + 1) * NCNN_NA];
-            for (acc, &av) in col.iter_mut().zip(a) {
-                *acc = acc.wrapping_add(av as i32 * bv);
-            }
-        }
-    }
-    acc32.to_vec()
 }
 
 /// Number of first-level drains a K-loop of length `k` performs.
@@ -540,9 +523,10 @@ fn emit_tile_mla(scheme: &Scheme, k: usize, addr_a: u32, addr_b: u32, addr_c: u3
 
 /// Emits the ncnn-like 8x4 micro-tile on pre-widened i16 operands.
 ///
-/// The packed A tile (i16) must be at `addr_a` (`k * 16` bytes), B (i16) at
-/// `addr_b` (`k * 8` bytes); the 128-byte result is stored to `addr_c` in the
-/// `out[col*8+row]` layout of [`run_tile_ncnn`].
+/// A must be at `addr_a` (`k * 16` bytes: the narrow A block widened to
+/// i16) and B at `addr_b` (`k * 8` bytes: the [`crate::pack::pack_b`] tile
+/// widened to i16); the 128-byte result is stored to `addr_c` in the
+/// `out[col*8+row]` layout of [`crate::narrow::run_tile_narrow`].
 pub fn emit_tile_ncnn(k: usize, addr_a: u32, addr_b: u32, addr_c: u32) -> Vec<Inst> {
     assert!(k > 0);
     let mut prog = Vec::new();
@@ -569,7 +553,8 @@ pub fn emit_tile_ncnn(k: usize, addr_a: u32, addr_b: u32, addr_c: u32) -> Vec<In
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pack::{pack_a, pack_a16, pack_b, pack_b16};
+    use crate::narrow::{pack_a_narrow, run_tile_narrow, NA8, NARROW_TILE_LEN};
+    use crate::pack::{pack_a, pack_b};
     use lowbit_tensor::BitWidth;
     use neon_sim::{CortexA53, Machine};
     use rand::rngs::StdRng;
@@ -655,15 +640,26 @@ mod tests {
 
     #[test]
     fn ncnn_tile_matches_reference() {
-        let (m, k, n) = (11, 29, 7);
+        // Five narrow tiles: one register block of four on every ISA, and
+        // each tile alone through the host dispatch.
+        use crate::narrow::{accumulate_tiles_narrow_on, NARROW_BLOCK};
+        let (m, k, n) = (NA8 * NARROW_BLOCK + 3, 29, 7);
         let (a, b) = random_operands(m, k, n, BitWidth::W8, 5);
-        let pa = pack_a16(&a, m, k);
-        let pb = pack_b16(&b, k, n);
-        for ti in 0..pa.tiles() {
-            for tj in 0..pb.tiles() {
-                let got = run_tile_ncnn(&pa, &pb, ti, tj);
-                let want = reference_tile(&a, &b, m, k, n, ti, tj, NCNN_NA);
-                assert_eq!(got, want, "tile ({ti},{tj})");
+        let (pa, pb) = (pack_a_narrow(&a, m, k), pack_b(&b, k, n));
+        let scheme = Scheme::ncnn16();
+        for tj in 0..pb.tiles() {
+            let want: Vec<_> =
+                (0..pa.tiles()).map(|ti| reference_tile(&a, &b, m, k, n, ti, tj, NA8)).collect();
+            for (ti, want) in want.iter().enumerate() {
+                assert_eq!(&run_tile_narrow(&scheme, &pa, &pb, ti, tj), want, "tile ({ti},{tj})");
+            }
+            for isa in Isa::supported() {
+                let mut block = [[0i32; NARROW_TILE_LEN]; NARROW_BLOCK];
+                let a_blk = std::array::from_fn(|t| pa.block(t, 0, k));
+                accumulate_tiles_narrow_on(isa, &scheme, a_blk, pb.tile(tj), &mut block);
+                for (ti, tile) in block.iter().enumerate() {
+                    assert_eq!(&tile.to_vec(), &want[ti], "{isa} block tile ({ti},{tj})");
+                }
             }
         }
     }
@@ -740,29 +736,27 @@ mod tests {
 
     #[test]
     fn emitted_ncnn_kernel_matches_functional_and_counts() {
+        // The A53 program reads ncnn's pre-widened i16 panels: the narrow A
+        // block and the `pack_b` tile, each widened to i16. The host kernel
+        // reads the same panels as i8 and must compute the same tile.
         let (m, k, n) = (8, 33, 4);
         let (a, b) = random_operands(m, k, n, BitWidth::W8, 13);
-        let pa = pack_a16(&a, m, k);
-        let pb = pack_b16(&b, k, n);
-        let functional = run_tile_ncnn(&pa, &pb, 0, 0);
+        let pa = pack_a_narrow(&a, m, k);
+        let pb = pack_b(&b, k, n);
+        let functional = run_tile_narrow(&Scheme::ncnn16(), &pa, &pb, 0, 0);
 
         let addr_a = 0u32;
         let addr_b = (k * 16) as u32;
         let addr_c = (k * 16 + k * 8).next_multiple_of(16) as u32;
         let mut machine = Machine::new(addr_c as usize + 256, CortexA53::cost_model());
-        let a_bytes: Vec<u8> = pa.data[..k * NCNN_NA]
-            .iter()
-            .flat_map(|v| v.to_le_bytes())
-            .collect();
-        let b_bytes: Vec<u8> = pb.data[..k * NB]
-            .iter()
-            .flat_map(|v| v.to_le_bytes())
-            .collect();
-        machine.write_mem(addr_a as usize, &a_bytes);
-        machine.write_mem(addr_b as usize, &b_bytes);
+        let widened = |panel: &[i8]| -> Vec<u8> {
+            panel.iter().flat_map(|&v| (v as i16).to_le_bytes()).collect()
+        };
+        machine.write_mem(addr_a as usize, &widened(pa.block(0, 0, k)));
+        machine.write_mem(addr_b as usize, &widened(pb.tile(0)));
         machine.run(&emit_tile_ncnn(k, addr_a, addr_b, addr_c));
         assert_eq!(
-            machine.read_mem_i32(addr_c as usize, NCNN_TILE_LEN),
+            machine.read_mem_i32(addr_c as usize, NARROW_TILE_LEN),
             functional
         );
         assert_eq!(

@@ -83,7 +83,8 @@ pub fn pack_a_narrow(a: &[i8], m: usize, k: usize) -> PackedANarrow {
     PackedANarrow { m, m_pad, k, data }
 }
 
-/// Runs one narrow 8x4 tile functionally (`SMLAL` scheme only).
+/// Runs one narrow 8x4 tile functionally, under the `SMLAL` scheme or the
+/// ncnn baseline's ([`Scheme::ncnn16`]).
 ///
 /// Output layout: `out[col * 8 + row]`.
 pub fn run_tile_narrow(
@@ -101,7 +102,10 @@ pub fn run_tile_narrow(
 
 /// Runs one narrow 8x4 tile over one K block (`a`: `klen * NA8` bytes,
 /// `b`: `klen * NB` bytes), adding into `acc32` (same K-blocking exactness
-/// argument as [`crate::micro::accumulate_tile`]).
+/// argument as [`crate::micro::accumulate_tile`]). The `SMLAL` scheme drains
+/// i16 partials into i32 every `ratio` steps; the ncnn scheme adds every
+/// product into i32, as the same kernel draining after each step. Panics
+/// on the MLA scheme.
 ///
 /// Runs on [`Isa::host`] as the one-tile instance of the register-blocked
 /// kernel, like the wide kernel.
@@ -124,9 +128,19 @@ pub(crate) fn accumulate_tiles_narrow_on<const T: usize>(
     b: &[i8],
     acc32: &mut [[i32; NARROW_TILE_LEN]; T],
 ) {
-    assert_eq!(scheme.kind(), SchemeKind::Smlal8, "narrow tile is SMLAL-only");
     let acc32 = acc32.as_flattened_mut();
-    isa.run(#[inline(always)] || accumulate_smlal::<NA8, T>(scheme.ratio(), a, b, acc32));
+    match scheme.kind() {
+        SchemeKind::Smlal8 => isa.run(
+            #[inline(always)]
+            || accumulate_smlal::<NA8, T>(scheme.ratio(), a, b, acc32),
+        ),
+        // A one-step i16 partial of an i8 product is exact (|a·b| <= 2^14).
+        SchemeKind::Ncnn16 => isa.run(
+            #[inline(always)]
+            || accumulate_smlal::<NA8, T>(1, a, b, acc32),
+        ),
+        SchemeKind::Mla => panic!("narrow tile runs the SMLAL or the ncnn scheme, not MLA"),
+    }
 }
 
 /// Analytic instruction counts for one narrow tile (must match
@@ -355,12 +369,20 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "SMLAL-only")]
+    #[should_panic(expected = "narrow tile runs the SMLAL or the ncnn scheme, not MLA")]
     fn narrow_tile_rejects_mla_scheme() {
         let scheme = Scheme::for_bits(BitWidth::W2);
         let pa = pack_a_narrow(&[0i8; 8], 8, 1);
         let pb = pack_b(&[0i8; 4], 1, 4);
         let _ = run_tile_narrow(&scheme, &pa, &pb, 0, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "the ncnn baseline runs on the narrow tile")]
+    fn wide_tile_rejects_ncnn_scheme() {
+        let pa = crate::pack::pack_a(&[0i8; 16], 16, 1);
+        let weights = SharedWeights::Wide(&pa);
+        let _ = gemm_row_major_on(Isa::host(), &Scheme::ncnn16(), weights, &[0; 4], 4);
     }
 
     #[test]

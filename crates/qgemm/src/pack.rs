@@ -10,15 +10,14 @@
 //! * **B** (`K x N`, row-major in) → column-tiles of width 4; within a tile,
 //!   `K` contiguous 4-element row slices (`LD4R` broadcasts 4 columns).
 //!
-//! The ncnn-like baseline packs the same shapes but **pre-widened to i16**
-//! (its `SMLAL` form consumes 16-bit operands), with an 8-row granule.
+//! The ncnn-like baseline runs on the narrow tile's 8-row i8 panels
+//! ([`crate::narrow::pack_a_narrow`]) and widens in registers; only its
+//! A53 model still prices ncnn's pre-widened i16 panels.
 
 /// Micro-kernel rows per A tile (`n_a` in the paper).
 pub const NA: usize = 16;
 /// Micro-kernel columns per B tile (`n_b` in the paper).
 pub const NB: usize = 4;
-/// A-tile rows for the ncnn-like 16-bit baseline.
-pub const NCNN_NA: usize = 8;
 
 /// Packed representation of the `M x K` weight matrix A.
 #[derive(Clone, PartialEq, Debug)]
@@ -145,102 +144,6 @@ pub fn pack_b(b: &[i8], k: usize, n: usize) -> PackedB {
     PackedB { k, n, n_pad, data }
 }
 
-/// Packed A for the ncnn-like baseline: 8-row tiles, elements widened to i16.
-#[derive(Clone, PartialEq, Debug)]
-pub struct PackedA16 {
-    /// Logical rows.
-    pub m: usize,
-    /// Rows padded to a multiple of [`NCNN_NA`].
-    pub m_pad: usize,
-    /// Shared dimension.
-    pub k: usize,
-    /// Tile-major i16 storage, same scheme as [`PackedA`] with 8-row tiles.
-    pub data: Vec<i16>,
-}
-
-impl PackedA16 {
-    /// Number of 8-row tiles.
-    #[inline]
-    pub fn tiles(&self) -> usize {
-        self.m_pad / NCNN_NA
-    }
-
-    /// The 8-element column slice for tile `i`, step `kk`.
-    #[inline]
-    pub fn slice(&self, i: usize, kk: usize) -> &[i16] {
-        let base = (i * self.k + kk) * NCNN_NA;
-        &self.data[base..base + NCNN_NA]
-    }
-}
-
-/// Packed B for the ncnn-like baseline: 4-column tiles widened to i16.
-#[derive(Clone, PartialEq, Debug)]
-pub struct PackedB16 {
-    /// Shared dimension.
-    pub k: usize,
-    /// Logical columns.
-    pub n: usize,
-    /// Columns padded to a multiple of [`NB`].
-    pub n_pad: usize,
-    /// Tile-major i16 storage, same scheme as [`PackedB`].
-    pub data: Vec<i16>,
-}
-
-impl PackedB16 {
-    /// Number of 4-column tiles.
-    #[inline]
-    pub fn tiles(&self) -> usize {
-        self.n_pad / NB
-    }
-
-    /// The 4-element row slice for tile `j`, step `kk`.
-    #[inline]
-    pub fn slice(&self, j: usize, kk: usize) -> &[i16] {
-        let base = (j * self.k + kk) * NB;
-        &self.data[base..base + NB]
-    }
-}
-
-/// Packs and widens A for the ncnn-like baseline.
-pub fn pack_a16(a: &[i8], m: usize, k: usize) -> PackedA16 {
-    assert_eq!(a.len(), m * k);
-    let m_pad = m.div_ceil(NCNN_NA) * NCNN_NA;
-    let mut data = vec![0i16; m_pad * k];
-    for tile in 0..m_pad / NCNN_NA {
-        let tile_base = tile * k * NCNN_NA;
-        for kk in 0..k {
-            let dst = tile_base + kk * NCNN_NA;
-            for r in 0..NCNN_NA {
-                let row = tile * NCNN_NA + r;
-                if row < m {
-                    data[dst + r] = a[row * k + kk] as i16;
-                }
-            }
-        }
-    }
-    PackedA16 { m, m_pad, k, data }
-}
-
-/// Packs and widens B for the ncnn-like baseline.
-pub fn pack_b16(b: &[i8], k: usize, n: usize) -> PackedB16 {
-    assert_eq!(b.len(), k * n);
-    let n_pad = n.div_ceil(NB) * NB;
-    let mut data = vec![0i16; k * n_pad];
-    for tile in 0..n_pad / NB {
-        let tile_base = tile * k * NB;
-        for kk in 0..k {
-            let dst = tile_base + kk * NB;
-            for c in 0..NB {
-                let col = tile * NB + c;
-                if col < n {
-                    data[dst + c] = b[kk * n + col] as i16;
-                }
-            }
-        }
-    }
-    PackedB16 { k, n, n_pad, data }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -313,21 +216,5 @@ mod tests {
         let b = random_matrix(5, 8, 6);
         let pb = pack_b(&b, 5, 8);
         assert_eq!(pb.n_pad, 8);
-    }
-
-    #[test]
-    fn ncnn_packing_widens_and_pads() {
-        let (m, k) = (9, 3);
-        let a = random_matrix(m, k, 7);
-        let p = pack_a16(&a, m, k);
-        assert_eq!(p.m_pad, 16);
-        assert_eq!(p.slice(0, 1)[2], a[2 * k + 1] as i16);
-        // Padded rows are zero.
-        assert_eq!(p.slice(1, 0)[7], 0);
-
-        let b = random_matrix(3, 5, 8);
-        let pb = pack_b16(&b, 3, 5);
-        assert_eq!(pb.n_pad, 8);
-        assert_eq!(pb.slice(0, 2)[1], b[2 * 5 + 1] as i16);
     }
 }

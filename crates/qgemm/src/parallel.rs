@@ -21,15 +21,16 @@
 //!
 //! This is the one driver of the wide, narrow and SDOT tiles: the engine,
 //! the Winograd path and the one-shot [`crate::gemm()`],
-//! [`crate::gemm_narrow`] and [`crate::gemm_sdot`] (one thread, row-major
-//! target) all run it. A tile kind is one [`SharedWeights`] variant and one
-//! block kernel.
+//! [`crate::gemm_narrow`], [`crate::gemm::gemm_ncnn`] and
+//! [`crate::gemm_sdot`] (one thread, row-major target) all run it, and it
+//! holds the only host loop over GEMM tiles. A tile kind is one
+//! [`SharedWeights`] variant and one block kernel per scheme it runs.
 //!
 //! Why bit-exactness holds under K-blocking: within the published drain
 //! ratios every i8/i16 partial is exact, so each K-block contributes the
 //! exact i32 sub-sum and i32 addition of exact sub-sums is associative.
-//! The SDOT tile adds every product straight into i32, so it holds there
-//! for any block boundary, quad-aligned or not.
+//! The SDOT tile and the ncnn scheme add every product straight into i32,
+//! so it holds there for any block boundary (for SDOT, quad-aligned or not).
 //! The property tests in `tests/proptest_invariants.rs` enforce this over
 //! random shapes, bit widths, thread counts and block sizes.
 
@@ -151,7 +152,8 @@ pub fn partition_columns(
 pub enum SharedWeights<'a> {
     /// 16-row tiles (SMLAL and MLA schemes).
     Wide(&'a PackedA),
-    /// 8-row tiles (narrow SMLAL kernel).
+    /// 8-row tiles (the narrow kernel: SMLAL, or the ncnn baseline's
+    /// drain-free scheme).
     Narrow(&'a PackedANarrow),
     /// 16-row k-quad tiles (the ARMv8.2 `SDOT` kernel).
     Quads(&'a PackedAQuads),
@@ -290,14 +292,14 @@ pub fn gemm_parallel_nchw_on(
 fn check_operands(scheme: &Scheme, weights: SharedWeights<'_>, b: &[i8], k: usize, n: usize) {
     assert_eq!(weights.k(), k, "weights disagree on K");
     assert_eq!(b.len(), k * n, "B operand has wrong length");
-    match weights {
-        SharedWeights::Wide(_) => {
-            assert_ne!(scheme.kind(), SchemeKind::Ncnn16, "the ncnn baseline runs on gemm_ncnn")
+    match (weights, scheme.kind()) {
+        (SharedWeights::Wide(_), SchemeKind::Ncnn16) => {
+            panic!("the ncnn baseline runs on the narrow tile")
         }
-        SharedWeights::Narrow(_) => {
-            assert_eq!(scheme.kind(), SchemeKind::Smlal8, "narrow tile is SMLAL-only")
+        (SharedWeights::Narrow(_), SchemeKind::Mla) => {
+            panic!("narrow tile runs the SMLAL or the ncnn scheme, not MLA")
         }
-        SharedWeights::Quads(_) => {}
+        _ => {}
     }
 }
 
@@ -621,7 +623,8 @@ fn pack_b_panel(
 /// One single-threaded driver call on `isa` into a fresh workspace and a
 /// row-major `m x n` result (the NCHW target as one image of `n` pixels):
 /// the functional half of the one-shot [`crate::gemm()`],
-/// [`crate::gemm_narrow`] and [`crate::gemm_sdot`].
+/// [`crate::gemm_narrow`], [`crate::gemm::gemm_ncnn`] and
+/// [`crate::gemm_sdot`].
 pub(crate) fn gemm_row_major_on(
     isa: Isa,
     scheme: &Scheme,

@@ -57,7 +57,8 @@ pub enum SchemeKind {
     Mla,
     /// ncnn-like baseline: operands pre-widened to i16,
     /// `SMLAL vd.4s, vn.4h, vm.4h` accumulates straight into i32 — no drain,
-    /// but only 4 lanes per instruction and double the load traffic.
+    /// but only 4 lanes per instruction and double the load traffic. On the
+    /// host it runs on the narrow 8x4 tile, which widens in registers.
     Ncnn16,
 }
 

@@ -12,7 +12,7 @@
 use crate::emit_gemm::emit_gemm;
 use crate::micro::{emit_tile, emit_tile_ncnn, TILE_LEN};
 use crate::narrow::{emit_tile_narrow, NA8, NARROW_TILE_LEN};
-use crate::pack::{pack_a, pack_b, NA, NB, NCNN_NA};
+use crate::pack::{pack_a, pack_b, NA, NB};
 use crate::scheme::{Scheme, SchemeKind};
 use crate::sdot::{emit_tile_sdot, KQ, SDOT_NA};
 use neon_sim::inst::Inst;
@@ -81,9 +81,10 @@ pub fn tile_stream_wide(scheme: &Scheme, k: usize) -> KernelStream {
     }
 }
 
-/// The spill-free narrow 8x4 tile (SMLAL-only).
+/// The spill-free narrow 8x4 tile under the SMLAL scheme (the ncnn
+/// scheme's A53 program is [`tile_stream_ncnn`]).
 pub fn tile_stream_narrow(scheme: &Scheme, k: usize) -> KernelStream {
-    assert_eq!(scheme.kind(), SchemeKind::Smlal8, "narrow tile is SMLAL-only");
+    assert_eq!(scheme.kind(), SchemeKind::Smlal8, "the emitted narrow tile is SMLAL-only");
     let a_len = (k * NA8) as u32;
     let b_len = (k * NB) as u32;
     let addr_c = (a_len + b_len).next_multiple_of(16);
@@ -117,7 +118,7 @@ pub fn tile_stream_sdot(k: usize) -> KernelStream {
 /// The ncnn-like 8x4 baseline on pre-widened i16 operands (accumulates
 /// straight into i32 — the stream the drain schemes are measured against).
 pub fn tile_stream_ncnn(k: usize) -> KernelStream {
-    let a_len = (k * NCNN_NA * 2) as u32;
+    let a_len = (k * NA8 * 2) as u32;
     let b_len = (k * NB * 2) as u32;
     let addr_c = (a_len + b_len).next_multiple_of(16);
     KernelStream {
@@ -125,7 +126,7 @@ pub fn tile_stream_ncnn(k: usize) -> KernelStream {
         prog: emit_tile_ncnn(k, 0, a_len, addr_c),
         a: OperandRegion { span: MemSpan::new(0, a_len), elem: ElemWidth::H },
         b: OperandRegion { span: MemSpan::new(a_len, b_len), elem: ElemWidth::H },
-        c: MemSpan::new(addr_c, (NCNN_NA * NB * 4) as u32),
+        c: MemSpan::new(addr_c, (NARROW_TILE_LEN * 4) as u32),
         k,
     }
 }

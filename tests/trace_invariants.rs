@@ -269,7 +269,9 @@ fn metric_shard_recording_allocates_nothing_at_steady_state() {
 /// (the output tensor, the schedule, and the GEMM driver's share lists;
 /// DESIGN.md §4c names them), not scratch that grows with the layer:
 /// on every engine kernel a small and a large layer make the same number of
-/// allocations once the weights are packed and the arena is grown.
+/// allocations once the weights are packed and the arena is grown. The ncnn
+/// baseline packs its weights and grows a fresh arena on every call, and its
+/// count does not grow with the layer either: it allocates nothing per tile.
 #[test]
 fn warm_conv_allocations_do_not_grow_with_the_layer() {
     let engine = ArmEngine::cortex_a53().with_threads(1);
@@ -281,7 +283,13 @@ fn warm_conv_allocations_do_not_grow_with_the_layer() {
         let (input, weights) = lowbit_suite::arm_tensors(&shape, bits, 7);
         (shape, input, weights)
     });
-    for algo in [ArmAlgo::Gemm, ArmAlgo::GemmNarrow, ArmAlgo::GemmSdot, ArmAlgo::Winograd] {
+    for algo in [
+        ArmAlgo::Gemm,
+        ArmAlgo::GemmNarrow,
+        ArmAlgo::GemmSdot,
+        ArmAlgo::Winograd,
+        ArmAlgo::NcnnBaseline,
+    ] {
         let conv = |(shape, input, weights): &(ConvShape, QTensor, QTensor)| {
             engine.conv(input, weights, shape, algo);
         };
