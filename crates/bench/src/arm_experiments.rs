@@ -41,7 +41,7 @@ pub fn lowbit_vs_ncnn(table: &[LayerDef]) -> LowbitVsNcnn {
     let layers: Vec<&'static str> = table.iter().map(|l| l.name).collect();
     let baseline_ms: Vec<f64> = table
         .iter()
-        .map(|l| engine.estimate_millis(BitWidth::W8, &l.shape, ArmAlgo::NcnnBaseline))
+        .map(|l| engine.estimate_millis_cold(BitWidth::W8, &l.shape, ArmAlgo::NcnnBaseline))
         .collect();
     let speedups: Vec<Vec<f64>> = bits
         .iter()
@@ -84,7 +84,7 @@ pub fn winograd_figure(table: &[LayerDef]) -> WinogradFigure {
     let bits = vec![BitWidth::W4, BitWidth::W5, BitWidth::W6];
     let baseline_ms: Vec<f64> = layers
         .iter()
-        .map(|l| engine.estimate_millis(BitWidth::W8, &l.shape, ArmAlgo::NcnnBaseline))
+        .map(|l| engine.estimate_millis_cold(BitWidth::W8, &l.shape, ArmAlgo::NcnnBaseline))
         .collect();
     let run = |algo: ArmAlgo| -> Vec<Vec<f64>> {
         bits.iter()
@@ -99,7 +99,6 @@ pub fn winograd_figure(table: &[LayerDef]) -> WinogradFigure {
     };
     let gemm = run(ArmAlgo::Gemm);
     let winograd = run(ArmAlgo::Winograd);
-    let _ = &run;
     WinogradFigure {
         layers: layers.iter().map(|l| l.name).collect(),
         baseline_ms,
@@ -125,7 +124,7 @@ pub fn tvm_figure(table: &[LayerDef]) -> TvmFigure {
     let engine = ArmEngine::cortex_a53();
     let baseline_ms: Vec<f64> = table
         .iter()
-        .map(|l| engine.estimate_millis(BitWidth::W2, &l.shape, ArmAlgo::BitserialBaseline))
+        .map(|l| engine.estimate_millis_cold(BitWidth::W2, &l.shape, ArmAlgo::BitserialBaseline))
         .collect();
     let speedups = table
         .iter()

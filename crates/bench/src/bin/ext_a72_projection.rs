@@ -18,7 +18,7 @@ fn main() {
             resnet50()
                 .iter()
                 .map(|l| {
-                    engine.estimate_millis(BitWidth::W8, &l.shape, ArmAlgo::NcnnBaseline)
+                    engine.estimate_millis_cold(BitWidth::W8, &l.shape, ArmAlgo::NcnnBaseline)
                         / engine.estimate_millis(bits, &l.shape, ArmAlgo::Gemm)
                 })
                 .collect()

@@ -16,7 +16,9 @@ fn main() {
     let layers = resnet50_with_counts();
     let ncnn_total: f64 = layers
         .iter()
-        .map(|(l, c)| *c as f64 * arm.estimate_millis(BitWidth::W8, &l.shape, ArmAlgo::NcnnBaseline))
+        .map(|(l, c)| {
+            *c as f64 * arm.estimate_millis_cold(BitWidth::W8, &l.shape, ArmAlgo::NcnnBaseline)
+        })
         .sum();
     let cudnn_total: f64 = layers
         .iter()

@@ -1,11 +1,12 @@
 //! The ARM kernel table: [`ArmAlgo`] names every convolution algorithm this
-//! crate implements, and the facts that decide where each one may run live
-//! beside it — the applicability rule ([`ArmAlgo::applies`]) here, the
-//! prepacked weight layout and its cache tag in
-//! [`crate::workspace::PackedWeights::pack`] and
+//! crate implements, and the facts that decide where and how each one runs
+//! live beside it — the applicability rule ([`ArmAlgo::applies`]) and the
+//! drain scheme ([`ArmAlgo::scheme`]) here, the prepacked weight layout and
+//! its cache tag in [`crate::workspace::PackedWeights::pack`] and
 //! [`crate::workspace::prepack_fingerprint`].
 
 use crate::winograd::winograd_supported;
+use lowbit_qgemm::Scheme;
 use lowbit_tensor::{BitWidth, ConvShape};
 
 /// Algorithm choice for one layer.
@@ -22,7 +23,14 @@ pub enum ArmAlgo {
     GemmNarrow,
     /// The ARMv8.2 `SDOT` GEMM (extension; models a newer core's ISA).
     GemmSdot,
-    /// The ncnn-like 8-bit baseline.
+    /// The ncnn-like 8-bit baseline (paper Sec. 5.2's description of ncnn):
+    /// im2col explicit GEMM where 8-bit operands are pre-widened to 16 bits
+    /// and `SMLAL vd.4s` accumulates directly into 32-bit registers — no
+    /// drain instructions, but half the MAC lanes and double the operand
+    /// traffic. On the host it is the narrow 8x4 tile under
+    /// [`Scheme::ncnn16`] (i8 panels widened in registers), sharing
+    /// `GemmNarrow`'s packed weights; its schedule prices ncnn's
+    /// pre-widened i16 panels.
     NcnnBaseline,
     /// The TVM-like popcount baseline (2-bit only).
     BitserialBaseline,
@@ -51,6 +59,18 @@ impl ArmAlgo {
             ArmAlgo::Winograd => shape.winograd_applicable() && winograd_supported(bits),
             ArmAlgo::BitserialBaseline => bits == BitWidth::W2,
             ArmAlgo::Auto | ArmAlgo::Gemm | ArmAlgo::GemmSdot | ArmAlgo::NcnnBaseline => true,
+        }
+    }
+
+    /// The drain scheme the algorithm's GEMM runs, and is priced at, for
+    /// operands at most `bits` wide: the baseline's drain-free
+    /// [`Scheme::ncnn16`], and the paper's [`Scheme::for_bits`] for every
+    /// other kernel (the SDOT kernel has no drain machinery and ignores it;
+    /// Winograd's weights carry their own width).
+    pub fn scheme(self, bits: BitWidth) -> Scheme {
+        match self {
+            ArmAlgo::NcnnBaseline => Scheme::ncnn16(),
+            _ => Scheme::for_bits(bits),
         }
     }
 }

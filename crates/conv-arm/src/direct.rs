@@ -3,7 +3,6 @@
 #![allow(clippy::field_reassign_with_default)] // InstCounts builders read clearer this way
 
 use crate::gemm_conv::requant_stage;
-use crate::ConvOutput;
 use lowbit_qgemm::Scheme;
 use lowbit_tensor::{BitWidth, ConvShape, Layout, QTensor, Tensor};
 use neon_sim::{InstCounts, KernelSchedule, StageCost};
@@ -57,8 +56,8 @@ pub fn direct_conv(input: &QTensor, weights: &QTensor, shape: &ConvShape) -> Ten
     out
 }
 
-/// Direct convolution as a *schedulable algorithm* (paper Sec. 2.2's first
-/// class: "simple to implement but inefficient").
+/// Analytic schedule of the vectorized direct convolution (paper Sec. 2.2's
+/// first class: "simple to implement but inefficient").
 ///
 /// The modeled kernel vectorizes 16 output pixels along a row per step: for
 /// each kernel tap it loads the corresponding input segment, broadcasts the
@@ -66,19 +65,6 @@ pub fn direct_conv(input: &QTensor, weights: &QTensor, shape: &ConvShape) -> Ten
 /// needs no im2col or packing stages, but re-reads the input once per tap
 /// and loses vector efficiency on strided layers — which is exactly why the
 /// paper (and this crate's `Auto` policy) picks the GEMM-based method.
-pub fn direct_conv_scheduled(
-    input: &QTensor,
-    weights: &QTensor,
-    shape: &ConvShape,
-) -> ConvOutput {
-    let bits = input.bits().max(weights.bits());
-    ConvOutput {
-        acc: direct_conv(input, weights, shape),
-        schedule: schedule_direct_conv(bits, shape),
-    }
-}
-
-/// Analytic schedule of the vectorized direct convolution.
 pub fn schedule_direct_conv(bits: BitWidth, shape: &ConvShape) -> KernelSchedule {
     let scheme = Scheme::for_bits(bits);
     let k = shape.gemm_k();
@@ -162,15 +148,9 @@ mod tests {
     }
 
     #[test]
-    fn scheduled_direct_conv_is_exact_but_models_slower_than_gemm() {
+    fn direct_conv_models_slower_than_gemm() {
         // Sec. 2.2: direct convolution is "simple to implement but
         // inefficient" — the reason every optimized path here is GEMM-based.
-        let shape = ConvShape::new(1, 4, 8, 8, 5, 3, 1, 1);
-        let input = QTensor::random((1, 4, 8, 8), Layout::Nchw, BitWidth::W4, 3);
-        let weights = QTensor::random((5, 4, 3, 3), Layout::Nchw, BitWidth::W4, 4);
-        let out = direct_conv_scheduled(&input, &weights, &shape);
-        assert_eq!(out.acc.data(), direct_conv(&input, &weights, &shape).data());
-
         let model = neon_sim::CortexA53::cost_model();
         let big = ConvShape::new(1, 64, 56, 56, 64, 3, 1, 1);
         let direct = schedule_direct_conv(BitWidth::W4, &big).cycles(&model);

@@ -92,6 +92,23 @@ mod tests {
     }
 
     #[test]
+    fn low_bit_gemm_conv_models_faster_than_ncnn() {
+        // The headline of Fig. 7: 2-bit and 4-bit beat the ncnn 8-bit
+        // baseline on the same layer; 8-bit does not beat it.
+        let shape = ConvShape::new(1, 64, 56, 56, 64, 3, 1, 1);
+        let model = CortexA53::cost_model();
+        let ncnn = schedule_gemm_conv(&Scheme::ncnn16(), &shape).cycles(&model);
+        let ours = |bits| schedule_gemm_conv(&Scheme::for_bits(bits), &shape).cycles(&model);
+        assert!(ours(BitWidth::W2) < ncnn, "2-bit must beat ncnn");
+        assert!(ours(BitWidth::W4) < ncnn, "4-bit must beat ncnn");
+        let speedup8 = ncnn / ours(BitWidth::W8);
+        assert!(
+            (0.7..=1.1).contains(&speedup8),
+            "8-bit should be at or below parity, got {speedup8}"
+        );
+    }
+
+    #[test]
     fn sdot_pipeline_models_faster_than_ncnn_at_8_bit() {
         // The ARMv8.2 projection: with SDOT, even 8-bit convincingly beats
         // the v8.1 ncnn baseline.
@@ -99,7 +116,7 @@ mod tests {
         let model = neon_sim::CortexA53::cost_model();
         let (m, k, n) = (shape.gemm_m(), shape.gemm_k(), shape.gemm_n());
         let sdot = explicit_gemm_schedule(schedule_gemm_sdot(m, k, n), &shape).cycles(&model);
-        let ncnn = crate::schedule_ncnn_conv(&shape).cycles(&model);
+        let ncnn = schedule_gemm_conv(&Scheme::ncnn16(), &shape).cycles(&model);
         assert!(
             sdot * 1.5 < ncnn,
             "SDOT conv ({sdot:.0}) should handily beat ncnn ({ncnn:.0})"

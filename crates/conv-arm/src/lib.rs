@@ -2,8 +2,9 @@
 //!
 //! Pipelines provided:
 //!
-//! * [`algo`] — the kernel table: [`ArmAlgo`] and the rule for where each
-//!   algorithm applies,
+//! * [`algo`] — the kernel table: [`ArmAlgo`], where each algorithm
+//!   applies and which drain scheme it runs (the ncnn-like 8-bit baseline
+//!   is the narrow tile under `Scheme::ncnn16`),
 //! * [`direct`] — the plain nested-loop convolution, used as the correctness
 //!   oracle for every other path,
 //! * [`mod@gemm_conv`] — the paper's explicit-GEMM convolution: im2col → pad/pack
@@ -14,8 +15,6 @@
 //!   layers at ≤ 6 bit (Sec. 3.4): weights transformed once into
 //!   [`WinogradWeights`], then [`winograd_conv_ws`] on the shared arena and
 //!   the GEMM driver,
-//! * [`ncnn`] — the ncnn-like 8-bit baseline (16-bit `SMLAL` directly into
-//!   i32),
 //! * [`bitserial`] — the TVM-like popcount (bit-serial) 2-bit baseline
 //!   (Fig. 9),
 //! * [`range_analysis`] — computed Winograd transform ranges, deriving the
@@ -35,7 +34,6 @@ pub mod algo;
 pub mod bitserial;
 pub mod direct;
 pub mod gemm_conv;
-pub mod ncnn;
 pub mod range_analysis;
 pub mod winograd;
 pub mod winograd_kernel;
@@ -55,9 +53,8 @@ pub struct ConvOutput {
 
 pub use algo::ArmAlgo;
 pub use bitserial::{bitserial_conv, schedule_bitserial_conv};
-pub use direct::{direct_conv, direct_conv_scheduled, schedule_direct_conv};
+pub use direct::{direct_conv, schedule_direct_conv};
 pub use gemm_conv::{explicit_gemm_schedule, gemm_conv, schedule_gemm_conv};
-pub use ncnn::{ncnn_conv, schedule_ncnn_conv};
 pub use winograd::{
     schedule_winograd_conv, winograd_conv, winograd_conv_ws, winograd_operand_bounds,
     winograd_scheme, winograd_supported, WinogradWeights,

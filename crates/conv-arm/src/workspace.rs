@@ -20,7 +20,8 @@
 //!   `lowbit_qgemm::parallel`: it splits N across threads and stores the
 //!   micro-tiles straight into that NCHW output, bit-exact versus direct
 //!   convolution for any thread count. The ncnn baseline
-//!   ([`crate::ncnn_conv()`]) is the narrow tile under its own scheme.
+//!   ([`ArmAlgo::NcnnBaseline`]) is the narrow tile under its own scheme
+//!   ([`ArmAlgo::scheme`]), on the narrow tile's packed weights.
 
 use crate::algo::ArmAlgo;
 use crate::winograd::{winograd_conv_ws, WinogradScratch, WinogradWeights};
@@ -54,17 +55,19 @@ pub enum PackedWeights {
 impl PackedWeights {
     /// Packs `weights` (NCHW) once into the layout `algo`'s kernel reads at
     /// the effective width `bits`; only Winograd's weight transform depends
-    /// on `bits`. `None` for the baselines, which pack per call, and for
-    /// `Auto`.
+    /// on `bits`. The ncnn baseline reads the narrow tile's layout. `None`
+    /// for the bitserial baseline, which packs per call, and for `Auto`.
     pub fn pack(weights: &QTensor, algo: ArmAlgo, bits: BitWidth) -> Option<PackedWeights> {
         let (c_out, c_in, kh, kw) = weights.dims();
         let (w, m, k) = (weights.data(), c_out, c_in * kh * kw);
         Some(match algo {
             ArmAlgo::Gemm => PackedWeights::Wide(pack_a(w, m, k)),
-            ArmAlgo::GemmNarrow => PackedWeights::Narrow(pack_a_narrow(w, m, k)),
+            ArmAlgo::GemmNarrow | ArmAlgo::NcnnBaseline => {
+                PackedWeights::Narrow(pack_a_narrow(w, m, k))
+            }
             ArmAlgo::GemmSdot => PackedWeights::Quads(pack_a_quads(w, m, k)),
             ArmAlgo::Winograd => PackedWeights::Winograd(WinogradWeights::pack(weights, bits)),
-            ArmAlgo::NcnnBaseline | ArmAlgo::BitserialBaseline | ArmAlgo::Auto => return None,
+            ArmAlgo::BitserialBaseline | ArmAlgo::Auto => return None,
         })
     }
 
@@ -81,14 +84,15 @@ impl PackedWeights {
     /// What a cache key for [`PackedWeights::pack`]'s result must cover
     /// besides the weights: the tag of the layout `algo` packs into and,
     /// for Winograd, whose transform depends on it, the effective width
-    /// `bits`. `None` exactly when `pack` returns `None`.
+    /// `bits`. Kernels that read one layout share its tag, and so one cache
+    /// entry. `None` exactly when `pack` returns `None`.
     pub fn layout_tag(algo: ArmAlgo, bits: BitWidth) -> Option<(u8, Option<BitWidth>)> {
         Some(match algo {
             ArmAlgo::Gemm => (0, None),
-            ArmAlgo::GemmNarrow => (1, None),
+            ArmAlgo::GemmNarrow | ArmAlgo::NcnnBaseline => (1, None),
             ArmAlgo::GemmSdot => (2, None),
             ArmAlgo::Winograd => (3, Some(bits)),
-            ArmAlgo::NcnnBaseline | ArmAlgo::BitserialBaseline | ArmAlgo::Auto => return None,
+            ArmAlgo::BitserialBaseline | ArmAlgo::Auto => return None,
         })
     }
 }
@@ -161,14 +165,15 @@ impl ConvWorkspace {
 /// Prepacked convolution on whichever kernel `pa` was packed for,
 /// returning the exact NCHW accumulators.
 ///
-/// `scheme` must cover the wider of the two operand bit widths, exactly as
-/// [`crate::gemm_conv()`] chooses it, or be [`Scheme::ncnn16`] on narrow
-/// weights, as [`crate::ncnn_conv()`] runs it (the SDOT kernel has no drain
-/// machinery and ignores it; Winograd weights carry their own width and run
-/// [`winograd_conv_ws`]). Every GEMM kernel runs across `cfg`'s threads,
-/// recording onto per-worker tracks after an `im2col` span, and stores each
-/// micro-tile straight into the returned NCHW tensor: the output channels
-/// are the GEMM rows and the `batch * oh * ow` columns run image by image.
+/// `scheme` is the one [`ArmAlgo::scheme`] names for the kernel at the
+/// wider of the two operand bit widths: the paper's scheme for that width,
+/// or [`Scheme::ncnn16`] on narrow weights for the ncnn baseline (the SDOT
+/// kernel has no drain machinery and ignores it; Winograd weights carry
+/// their own width and run [`winograd_conv_ws`]). Every GEMM kernel runs
+/// across `cfg`'s threads, recording onto per-worker tracks after an
+/// `im2col` span, and stores each micro-tile straight into the returned
+/// NCHW tensor: the output channels are the GEMM rows and the
+/// `batch * oh * ow` columns run image by image.
 ///
 /// The call never pays `pack A`; its analytic price is the one-shot
 /// pipeline schedule without that stage.

@@ -1,30 +1,30 @@
 //! The ARM convolution engine: algorithm selection over the Sec. 3 kernels,
 //! a prepacked-weight cache, and a reusable workspace arena.
 //!
-//! The GEMM-family algorithms (`Gemm`, `GemmNarrow`, `GemmSdot`) and
-//! Winograd run through the prepacked parallel path
-//! `lowbit_conv_arm::gemm_conv_ws`: weights are packed once per layer —
+//! Every algorithm but the bitserial baseline — the GEMM family (`Gemm`,
+//! `GemmNarrow`, `GemmSdot` and the ncnn baseline, the narrow tile under its
+//! own scheme) and Winograd — runs through the prepacked parallel path
+//! `lowbit_conv_arm::gemm_conv_ws`: weights are packed once per layout —
 //! Winograd's transformed once, too — keyed by a hash of the weight tensor
 //! (and, for Winograd, of the effective bit width) and reused across
 //! calls; the im2col/transform/pack-B buffers live in one arena, and the
-//! three GEMM kernels, tile kinds of one driver, store straight into the
+//! GEMM kernels, tile kinds of one driver, store straight into the
 //! returned NCHW tensor; and the work spans `LOWBIT_THREADS` threads, the
-//! caller's among them. The executed and the
-//! estimated schedules both come from the one table, [`arm_schedule`]; the
-//! GEMM family's drops the `pack A` stage. The cost model stays single-core
-//! — wall-clock thread scaling is the benchmark suite's story, not the
-//! model's.
+//! caller's among them. The bitserial baseline packs per call and runs at
+//! one thread. The executed and the estimated schedules both come from the
+//! one table, [`arm_schedule`]; the GEMM family's drops the `pack A` stage.
+//! The cost model stays single-core — wall-clock thread scaling is the
+//! benchmark suite's story, not the model's.
 
 use lowbit_conv_arm::{
-    bitserial_conv, explicit_gemm_schedule, gemm_conv_ws, ncnn_conv, schedule_bitserial_conv,
-    schedule_ncnn_conv, schedule_winograd_conv, ConvWorkspace, PackedWeights,
+    bitserial_conv, explicit_gemm_schedule, gemm_conv_ws, schedule_bitserial_conv,
+    schedule_winograd_conv, ConvWorkspace, PackedWeights,
 };
 use lowbit_qgemm::gemm::schedule_gemm;
 use lowbit_qgemm::narrow::schedule_gemm_narrow;
 use lowbit_qgemm::parallel::{threads_from_env, ParallelConfig, MAX_THREADS};
 use lowbit_qgemm::sdot::schedule_gemm_sdot;
 use lowbit_qgemm::workspace::WorkspaceStats;
-use lowbit_qgemm::Scheme;
 use lowbit_tensor::{BitWidth, ConvShape, Layout, QTensor, Tensor};
 use lowbit_trace::{PipeAttribution, Tracer, MAIN_TRACK};
 use neon_sim::{CortexA53, CostModel, KernelSchedule, StageCost};
@@ -57,7 +57,7 @@ pub struct ArmConvResult {
 ///
 /// With `warm == false` this is the one-shot pipeline, including the
 /// per-call weight pack (what the paper's per-layer figures measure). With
-/// `warm == true` it is the modeled price of repeated calls: the three GEMM
+/// `warm == true` it is the modeled price of repeated calls: the four GEMM
 /// kernels run from the prepack cache, so their `pack A` stage is amortized
 /// away; every other algorithm keeps its one-shot schedule. For Winograd
 /// that still charges the weight transform and the 16 `pack A` stages,
@@ -73,15 +73,16 @@ pub fn arm_schedule(
     shape: &ConvShape,
     warm: bool,
 ) -> KernelSchedule {
-    let scheme = Scheme::for_bits(bits);
+    let scheme = algo.scheme(bits);
     let (m, k, n) = (shape.gemm_m(), shape.gemm_k(), shape.gemm_n());
     let gemm_conv = |gemm| (explicit_gemm_schedule(gemm, shape), true);
     let (mut sched, prepacked) = match algo {
-        ArmAlgo::Gemm => gemm_conv(schedule_gemm(&scheme, m, k, n)),
+        // The baseline's schedule prices ncnn's pre-widened i16 panels on
+        // the wide kernel's loop, not the host's narrow tile.
+        ArmAlgo::Gemm | ArmAlgo::NcnnBaseline => gemm_conv(schedule_gemm(&scheme, m, k, n)),
         ArmAlgo::GemmNarrow => gemm_conv(schedule_gemm_narrow(&scheme, m, k, n)),
         ArmAlgo::GemmSdot => gemm_conv(schedule_gemm_sdot(m, k, n)),
         ArmAlgo::Winograd => (schedule_winograd_conv(bits, shape), false),
-        ArmAlgo::NcnnBaseline => (schedule_ncnn_conv(shape), false),
         ArmAlgo::BitserialBaseline => (schedule_bitserial_conv(shape), false),
         ArmAlgo::Auto => panic!("ArmAlgo::Auto has no schedule; resolve it first"),
     };
@@ -120,8 +121,9 @@ pub fn stage_attribution(stage: &StageCost, model: &CostModel) -> PipeAttributio
 pub struct PrepackStats {
     /// Calls served from the cache.
     pub hits: u64,
-    /// Calls that had to pack (first sighting of a weight/algorithm pair —
-    /// for Winograd, of a weight/bit-width pair).
+    /// Calls that had to pack: the first sighting of a weight tensor in a
+    /// layout (kernels that read one layout share its entry; Winograd's
+    /// layout is per effective bit width).
     pub misses: u64,
     /// Entries evicted by the LRU capacity bound.
     pub evictions: u64,
@@ -262,7 +264,8 @@ impl ArmEngine {
         &self.model
     }
 
-    /// Worker threads used by the GEMM-family algorithms and Winograd.
+    /// Worker threads used by the GEMM-family algorithms (the ncnn baseline
+    /// among them) and Winograd.
     pub fn threads(&self) -> usize {
         self.threads
     }
@@ -349,7 +352,7 @@ impl ArmEngine {
         let mut workspace_growth_bytes = 0;
         let acc = match cache_key(weights, algo, bits) {
             Some(key) => {
-                let scheme = Scheme::for_bits(bits);
+                let scheme = algo.scheme(bits);
                 let cfg = ParallelConfig::with_threads(self.threads);
                 let mut guard = self.state.lock().expect("engine state poisoned");
                 let st = &mut *guard;
@@ -363,13 +366,13 @@ impl ArmEngine {
                 workspace_growth_bytes = st.ws.footprint_bytes().saturating_sub(ws_before);
                 acc
             }
-            // The baselines have no prepacked layout: they pack per call.
-            None if algo == ArmAlgo::NcnnBaseline => ncnn_conv(input, weights, shape).acc,
+            // The bitserial baseline has no prepacked layout: it packs per
+            // call.
             None => bitserial_conv(input, weights, shape).acc,
         };
         drop(conv_span);
         // Built outside the engine lock, which wave-mates contend on. The
-        // baselines' warm schedule is the one their conv returns.
+        // bitserial baseline's warm schedule is the one its conv returns.
         let schedule = arm_schedule(algo, bits, shape, true);
         if tracer.enabled() {
             let model = &self.model;
@@ -548,7 +551,7 @@ mod tests {
     fn prepacked_schedules_drop_pack_a_and_nothing_else() {
         let shape = ConvShape::new(1, 16, 14, 14, 32, 3, 1, 1);
         let model = CortexA53::cost_model();
-        for algo in [ArmAlgo::Gemm, ArmAlgo::GemmNarrow, ArmAlgo::GemmSdot] {
+        for algo in [ArmAlgo::Gemm, ArmAlgo::GemmNarrow, ArmAlgo::GemmSdot, ArmAlgo::NcnnBaseline] {
             let full = arm_schedule(algo, BitWidth::W4, &shape, false);
             let pre = arm_schedule(algo, BitWidth::W4, &shape, true);
             assert_eq!(pre.stages.len() + 1, full.stages.len(), "{algo:?}");
@@ -563,11 +566,10 @@ mod tests {
             }
         }
         // Every other algorithm's warm price is its one-shot one: the
-        // baselines pack per call, and the Winograd model still charges the
-        // weight transform and `pack A` that the engine now caches.
+        // bitserial baseline packs per call, and the Winograd model still
+        // charges the weight transform and `pack A` that the engine caches.
         for (bits, algo) in [
             (BitWidth::W4, ArmAlgo::Winograd),
-            (BitWidth::W8, ArmAlgo::NcnnBaseline),
             (BitWidth::W2, ArmAlgo::BitserialBaseline),
         ] {
             let warm = arm_schedule(algo, bits, &shape, true);
@@ -601,7 +603,7 @@ mod tests {
         assert_eq!(first.acc.data(), second.acc.data());
         let stats = engine.prepack_stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
-        // Another algorithm needs its own layout: a second cache entry.
+        // Another layout needs its own cache entry.
         let _ = engine.conv(&input, &weights, &shape, ArmAlgo::GemmNarrow);
         let stats = engine.prepack_stats();
         assert_eq!((stats.misses, stats.entries), (2, 2));
@@ -813,13 +815,16 @@ mod tests {
         let miss = engine.conv(&input, &flipped(0), &shape, ArmAlgo::Gemm);
         assert_eq!(miss.prepack_hit, Some(false));
         // The layout and Winograd's width are part of the key; the GEMM
-        // layouts ignore the width.
-        assert_ne!(key(&weights, ArmAlgo::GemmNarrow, BitWidth::W4), gemm);
+        // layouts ignore the width, and the ncnn baseline reads the narrow
+        // tile's layout.
+        let narrow = key(&weights, ArmAlgo::GemmNarrow, BitWidth::W4);
+        assert_ne!(narrow, gemm);
         assert_ne!(key(&weights, ArmAlgo::GemmSdot, BitWidth::W4), gemm);
+        assert_eq!(key(&weights, ArmAlgo::NcnnBaseline, BitWidth::W4), narrow);
         assert_eq!(key(&weights, ArmAlgo::Gemm, BitWidth::W6), gemm);
         let winograd = |bits| key(&weights, ArmAlgo::Winograd, bits);
         assert_ne!(winograd(BitWidth::W4), winograd(BitWidth::W6));
-        assert_eq!(cache_key(&weights, ArmAlgo::NcnnBaseline, BitWidth::W4), None);
+        assert_eq!(cache_key(&weights, ArmAlgo::BitserialBaseline, BitWidth::W2), None);
     }
 
     #[test]
@@ -829,8 +834,24 @@ mod tests {
         let oracle = direct_conv(&input, &weights, &shape);
         for threads in [1, 2, 4] {
             let engine = ArmEngine::cortex_a53().with_threads(threads);
-            let out = engine.conv(&input, &weights, &shape, ArmAlgo::Gemm);
-            assert_eq!(out.acc.data(), oracle.data(), "x{threads}");
+            for algo in [ArmAlgo::Gemm, ArmAlgo::NcnnBaseline] {
+                let out = engine.conv(&input, &weights, &shape, algo);
+                assert_eq!(out.acc.data(), oracle.data(), "{algo:?} x{threads}");
+            }
         }
+    }
+
+    #[test]
+    fn the_ncnn_baseline_shares_the_narrow_tiles_cache_entry() {
+        let shape = ConvShape::new(2, 5, 9, 7, 6, 3, 1, 1);
+        let (input, weights) = tensors(&shape, BitWidth::W8, 91);
+        let oracle = direct_conv(&input, &weights, &shape);
+        let engine = ArmEngine::cortex_a53().with_threads(2);
+        let narrow = engine.conv(&input, &weights, &shape, ArmAlgo::GemmNarrow);
+        let ncnn = engine.conv(&input, &weights, &shape, ArmAlgo::NcnnBaseline);
+        assert_eq!((narrow.prepack_hit, ncnn.prepack_hit), (Some(false), Some(true)));
+        assert_eq!(engine.prepack_stats().entries, 1);
+        assert_eq!(narrow.acc.data(), oracle.data());
+        assert_eq!(ncnn.acc.data(), oracle.data());
     }
 }

@@ -155,10 +155,11 @@ pub fn verify_compiled(plan: &ExecutionPlan, net: &Network) -> Result<PlanProof,
 
 /// Lowers a plan's node/value tables into the concurrency verifier's
 /// [`ConcSpec`], with explicit per-node workspace slices and the parallel
-/// workspace-arena size. Conv nodes on the ARM GEMM families and Winograd
-/// carry their GEMM footprint and the per-thread column (or tile) partition
-/// at the maximum thread count; Add/Concat, GPU and per-call-buffer
-/// baseline layers get footprint-free nodes.
+/// workspace-arena size. Conv nodes on the ARM GEMM families (the ncnn
+/// baseline among them) and Winograd carry their GEMM footprint and the
+/// per-thread column (or tile) partition at the maximum thread count;
+/// Add/Concat, GPU and per-call-buffer bitserial layers get footprint-free
+/// nodes.
 pub fn lower_conc_spec(
     plan: &ExecutionPlan,
     workspace_slices: &[(usize, usize)],
@@ -179,6 +180,7 @@ pub fn lower_conc_spec(
                             algo @ (ArmAlgo::Gemm
                             | ArmAlgo::GemmNarrow
                             | ArmAlgo::GemmSdot
+                            | ArmAlgo::NcnnBaseline
                             | ArmAlgo::Winograd),
                         ) => Some(GemmFootprint::of(&lp.shape, algo)),
                         _ => None,

@@ -86,12 +86,14 @@ impl GemmFootprint {
     pub fn required_workspace(&self) -> ArenaRequirement {
         let (m, k, n) = (self.m, self.k, self.n);
         match self.algo {
-            ArmAlgo::Gemm | ArmAlgo::GemmNarrow | ArmAlgo::GemmSdot => ArenaRequirement {
-                col: k * n,
-                c_cm: 4 * m * n,
-                panels: max_panel_bytes(k, n),
-                ..ArenaRequirement::default()
-            },
+            ArmAlgo::Gemm | ArmAlgo::GemmNarrow | ArmAlgo::GemmSdot | ArmAlgo::NcnnBaseline => {
+                ArenaRequirement {
+                    col: k * n,
+                    c_cm: 4 * m * n,
+                    panels: max_panel_bytes(k, n),
+                    ..ArenaRequirement::default()
+                }
+            }
             // The transformed input, the four output planes, and each tile
             // span's position-GEMM result and panel.
             ArmAlgo::Winograd => ArenaRequirement {
@@ -101,12 +103,10 @@ impl GemmFootprint {
                 wg_panels: max_panel_bytes(k, n),
                 ..ArenaRequirement::default()
             },
-            // The baselines allocate their own buffers per call; they do
-            // not grow the shared arena. `Auto` names no kernel; both
+            // The bitserial baseline allocates its own buffers per call; it
+            // does not grow the shared arena. `Auto` names no kernel; both
             // verifiers reject it.
-            ArmAlgo::NcnnBaseline | ArmAlgo::BitserialBaseline | ArmAlgo::Auto => {
-                ArenaRequirement::default()
-            }
+            ArmAlgo::BitserialBaseline | ArmAlgo::Auto => ArenaRequirement::default(),
         }
     }
 }
@@ -124,7 +124,7 @@ pub struct ConcNode {
     /// (`MemSpan::default()` for nodes that touch no workspace).
     pub workspace: MemSpan,
     /// GEMM geometry for partitioned kernels (`None` for Add/Concat, GPU
-    /// layers and the per-call-buffer baselines).
+    /// layers and the per-call-buffer bitserial baseline).
     pub gemm: Option<GemmFootprint>,
     /// The declared per-thread column partition of the GEMM output at the
     /// maximum thread count (empty spans legal per the hardened
@@ -621,7 +621,9 @@ pub fn verify_conc(spec: &ConcSpec, sched: &ScheduleSpec) -> Result<ConcProof, C
         }
         let req = g.required_workspace();
         let certified = match g.algo {
-            ArmAlgo::Gemm | ArmAlgo::GemmNarrow | ArmAlgo::GemmSdot => Some(req.panels),
+            ArmAlgo::Gemm | ArmAlgo::GemmNarrow | ArmAlgo::GemmSdot | ArmAlgo::NcnnBaseline => {
+                Some(req.panels)
+            }
             ArmAlgo::Winograd => Some(req.wg_panels),
             ArmAlgo::Auto => {
                 return Err(ConcViolation::PartitionOverlap {
@@ -629,7 +631,7 @@ pub fn verify_conc(spec: &ConcSpec, sched: &ScheduleSpec) -> Result<ConcProof, C
                     detail: "an unresolved Auto kernel has no certified panel budget".into(),
                 });
             }
-            ArmAlgo::NcnnBaseline | ArmAlgo::BitserialBaseline => None,
+            ArmAlgo::BitserialBaseline => None,
         };
         if let Some(certified) = certified {
             let panel_total = panel_bytes(g.k, node.partition.iter().copied());

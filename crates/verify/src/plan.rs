@@ -1253,7 +1253,7 @@ mod tests {
     use lowbit_qgemm::narrow::pack_a_narrow;
     use lowbit_qgemm::parallel::ParallelConfig;
     use lowbit_qgemm::sdot::pack_a_quads;
-    use lowbit_qgemm::{pack_a, Scheme};
+    use lowbit_qgemm::pack_a;
     use lowbit_tensor::{Layout, QTensor};
     use lowbit_trace::Tracer;
 
@@ -1678,7 +1678,6 @@ mod tests {
             ConvShape::new(1, 8, 5, 5, 16, 1, 1, 0),
         ];
         let bits = BitWidth::W8;
-        let scheme = Scheme::for_bits(bits);
         for shape in &shapes {
             let input = QTensor::random(
                 (shape.batch, shape.c_in, shape.h, shape.w),
@@ -1693,13 +1692,18 @@ mod tests {
                 4,
             );
             let (w, m, k) = (weights.data(), shape.gemm_m(), shape.gemm_k());
+            // Each packing runs its kernel's own scheme; the ncnn baseline
+            // runs the narrow tile's packing under its own.
+            let narrow = || PackedWeights::Narrow(pack_a_narrow(w, m, k));
             let packings = [
                 (ArmAlgo::Gemm, PackedWeights::Wide(pack_a(w, m, k))),
-                (ArmAlgo::GemmNarrow, PackedWeights::Narrow(pack_a_narrow(w, m, k))),
+                (ArmAlgo::GemmNarrow, narrow()),
                 (ArmAlgo::GemmSdot, PackedWeights::Quads(pack_a_quads(w, m, k))),
+                (ArmAlgo::NcnnBaseline, narrow()),
             ];
             for (kind, pa) in &packings {
                 let bound = arm_workspace_requirement(shape, *kind).total();
+                let scheme = kind.scheme(bits);
                 for threads in [1, 2, 4, 16] {
                     let cfg = ParallelConfig::with_threads(threads);
                     let mut ws = ConvWorkspace::new();

@@ -31,7 +31,7 @@ fn main() {
     for l in resnet50() {
         let algo = engine.select_algo(bits, &l.shape);
         let ours = engine.estimate_millis(bits, &l.shape, ArmAlgo::Auto);
-        let ncnn = engine.estimate_millis(BitWidth::W8, &l.shape, ArmAlgo::NcnnBaseline);
+        let ncnn = engine.estimate_millis_cold(BitWidth::W8, &l.shape, ArmAlgo::NcnnBaseline);
         total_ours += ours;
         total_ncnn += ncnn;
         println!(

@@ -270,8 +270,8 @@ fn metric_shard_recording_allocates_nothing_at_steady_state() {
 /// DESIGN.md §4c names them), not scratch that grows with the layer:
 /// on every engine kernel a small and a large layer make the same number of
 /// allocations once the weights are packed and the arena is grown. The ncnn
-/// baseline packs its weights and grows a fresh arena on every call, and its
-/// count does not grow with the layer either: it allocates nothing per tile.
+/// baseline, the narrow tile under its own scheme on the narrow tile's
+/// packed weights, makes exactly as many as the narrow tile.
 #[test]
 fn warm_conv_allocations_do_not_grow_with_the_layer() {
     let engine = ArmEngine::cortex_a53().with_threads(1);
@@ -283,18 +283,22 @@ fn warm_conv_allocations_do_not_grow_with_the_layer() {
         let (input, weights) = lowbit_suite::arm_tensors(&shape, bits, 7);
         (shape, input, weights)
     });
-    for algo in [
+    let algos = [
         ArmAlgo::Gemm,
         ArmAlgo::GemmNarrow,
         ArmAlgo::GemmSdot,
         ArmAlgo::Winograd,
         ArmAlgo::NcnnBaseline,
-    ] {
+    ];
+    let counts = algos.map(|algo| {
         let conv = |(shape, input, weights): &(ConvShape, QTensor, QTensor)| {
             engine.conv(input, weights, shape, algo);
         };
         layers.iter().for_each(conv);
         let [small, large] = layers.each_ref().map(|layer| count_allocations(|| conv(layer)));
         assert_eq!(small, large, "{algo:?}: {small} allocations on the small layer vs {large}");
-    }
+        small
+    });
+    let (narrow, ncnn) = (counts[1], counts[4]);
+    assert_eq!(ncnn, narrow, "the ncnn baseline makes {ncnn} allocations, the narrow tile {narrow}");
 }
