@@ -19,7 +19,7 @@ fn main() {
                 .iter()
                 .map(|l| {
                     engine.estimate_millis_cold(BitWidth::W8, &l.shape, ArmAlgo::NcnnBaseline)
-                        / engine.estimate_millis(bits, &l.shape, ArmAlgo::Gemm)
+                        / engine.estimate_millis_cold(bits, &l.shape, ArmAlgo::Gemm)
                 })
                 .collect()
         };

@@ -30,7 +30,7 @@ fn main() {
     for bits in BitWidth::ALL {
         let arm_total: f64 = layers
             .iter()
-            .map(|(l, c)| *c as f64 * arm.estimate_millis(bits, &l.shape, ArmAlgo::Auto))
+            .map(|(l, c)| *c as f64 * arm.estimate_millis_cold(bits, &l.shape, ArmAlgo::Auto))
             .sum();
         let gpu_total = GpuEngine::precision_for(bits).map(|_| {
             layers

@@ -16,9 +16,9 @@ fn main() {
     let mut sdot_speedups = Vec::new();
     for l in resnet50() {
         let ncnn = engine.estimate_millis_cold(BitWidth::W8, &l.shape, ArmAlgo::NcnnBaseline);
-        let sdot = engine.estimate_millis(BitWidth::W8, &l.shape, ArmAlgo::GemmSdot);
-        let v81_8 = engine.estimate_millis(BitWidth::W8, &l.shape, ArmAlgo::Gemm);
-        let v81_2 = engine.estimate_millis(BitWidth::W2, &l.shape, ArmAlgo::Gemm);
+        let sdot = engine.estimate_millis_cold(BitWidth::W8, &l.shape, ArmAlgo::GemmSdot);
+        let v81_8 = engine.estimate_millis_cold(BitWidth::W8, &l.shape, ArmAlgo::Gemm);
+        let v81_2 = engine.estimate_millis_cold(BitWidth::W2, &l.shape, ArmAlgo::Gemm);
         sdot_speedups.push(ncnn / sdot);
         table.push_row(vec![
             l.name.to_string(),

@@ -47,6 +47,20 @@ impl ArmAlgo {
         ArmAlgo::BitserialBaseline,
     ];
 
+    /// The algorithm's display name, as plans, reports and the concurrency
+    /// certificate spell it.
+    pub fn name(self) -> &'static str {
+        match self {
+            ArmAlgo::Auto => "auto",
+            ArmAlgo::Gemm => "gemm",
+            ArmAlgo::GemmNarrow => "gemm-narrow",
+            ArmAlgo::GemmSdot => "gemm-sdot",
+            ArmAlgo::Winograd => "winograd",
+            ArmAlgo::NcnnBaseline => "ncnn",
+            ArmAlgo::BitserialBaseline => "bitserial",
+        }
+    }
+
     /// Whether the algorithm can run a layer of `shape` whose wider operand
     /// is `bits` wide (Sec. 3.3–3.4): the narrow tile is `SMLAL`-only, so it
     /// needs at least 4 bit; Winograd `F(2x2, 3x3)` needs a 3x3/stride-1
@@ -79,14 +93,6 @@ impl ArmAlgo {
 /// concurrency certificate digest hashes.
 impl std::fmt::Display for ArmAlgo {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            ArmAlgo::Auto => "auto",
-            ArmAlgo::Gemm => "gemm",
-            ArmAlgo::GemmNarrow => "gemm-narrow",
-            ArmAlgo::GemmSdot => "gemm-sdot",
-            ArmAlgo::Winograd => "winograd",
-            ArmAlgo::NcnnBaseline => "ncnn",
-            ArmAlgo::BitserialBaseline => "bitserial",
-        })
+        f.write_str(self.name())
     }
 }

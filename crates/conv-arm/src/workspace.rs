@@ -32,7 +32,7 @@ use lowbit_qgemm::sdot::{pack_a_quads, PackedAQuads};
 use lowbit_qgemm::workspace::{GemmWorkspace, WorkspaceStats};
 use lowbit_qgemm::{pack_a, PackedA, Scheme};
 use lowbit_tensor::{
-    im2col_nchw_into, BitWidth, ConvShape, Im2colMatrix, Layout, QTensor, Tensor,
+    im2col_nchw_into, BitWidth, ConvShape, Fnv1a, Im2colMatrix, Layout, QTensor, Tensor,
 };
 use lowbit_trace::{Tracer, MAIN_TRACK};
 use neon_sim::KernelSchedule;
@@ -105,26 +105,19 @@ impl PackedWeights {
 /// cache is found by a faster key over the same fields.
 pub fn prepack_fingerprint(weights: &QTensor, algo: ArmAlgo, bits: BitWidth) -> Option<u64> {
     let (tag, transform_bits) = PackedWeights::layout_tag(algo, bits)?;
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |byte: u8| {
-        h ^= byte as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    eat(tag);
-    eat(weights.bits().bits());
+    let mut h = Fnv1a::default();
+    h.eat(&[tag, weights.bits().bits()]);
     let (d0, d1, d2, d3) = weights.dims();
     for d in [d0, d1, d2, d3] {
-        for b in (d as u64).to_le_bytes() {
-            eat(b);
-        }
+        h.eat_word(d);
     }
     for &v in weights.data() {
-        eat(v as u8);
+        h.eat(&[v as u8]);
     }
     if let Some(bits) = transform_bits {
-        eat(bits.bits());
+        h.eat(&[bits.bits()]);
     }
-    Some(h)
+    Some(h.0)
 }
 
 /// Caller-owned scratch for [`gemm_conv_ws`]: the im2col matrix, the

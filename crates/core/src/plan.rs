@@ -23,8 +23,11 @@ use crate::memplan::{assign_arena, ValueSpec};
 use crate::network::Network;
 use lowbit_conv_gpu::TileConfig;
 use lowbit_qnn::RequantParams;
-use lowbit_tensor::{BitWidth, ConvShape, Layout};
+use lowbit_tensor::{BitWidth, ConvShape};
 use lowbit_verify::LayoutConversion;
+// The plan's graph tables are defined beside the verifiers that check
+// them, so the verifiers read the very tables the executor runs.
+pub use lowbit_verify::{NodePlan, PlanOp, ValuePlan};
 
 /// Which engine a layer runs on. `Hash` so serving-layer caches can key
 /// compiled plans by `(network fingerprint, batch, backend)`.
@@ -129,62 +132,6 @@ pub struct LayerPlan {
     /// Layout conversion applied to the kernel output to restore the
     /// canonical inter-layer form.
     pub post_conversion: Option<LayoutConversion>,
-}
-
-/// What a plan node computes. The planner's graph-level fusion shows up
-/// here: a residual add folded into its producing conv records the residual
-/// value in `fused_add` and the standalone `Add` node disappears.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum PlanOp {
-    /// A conv layer (index into [`ExecutionPlan::layers`]). When
-    /// `fused_add` is set, the executor adds that value elementwise onto
-    /// the re-quantized output inside the conv's epilogue (the node's
-    /// second input is the residual).
-    Conv {
-        /// Index into the plan's layer list.
-        layer: usize,
-        /// Residual value folded into this conv's epilogue, if any.
-        fused_add: Option<ValueId>,
-    },
-    /// Standalone elementwise saturating add (an unfused residual join).
-    Add,
-    /// Channel-axis concatenation.
-    Concat,
-}
-
-/// One step of the compiled DAG: a named op over plan value ids.
-#[derive(Clone, Debug)]
-pub struct NodePlan {
-    /// Display name (conv nodes reuse their layer's name).
-    pub name: String,
-    /// The op.
-    pub op: PlanOp,
-    /// Input value ids. For a conv with `fused_add: Some(r)` this is
-    /// `[activation, r]`.
-    pub inputs: Vec<ValueId>,
-    /// Output value id.
-    pub output: ValueId,
-}
-
-/// One activation value of the compiled plan: its geometry, its inter-node
-/// layout (NHWC when the planner elided a round-trip between same-backend
-/// GPU neighbors), and its slot in the shared activation arena.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct ValuePlan {
-    /// `(batch, channels, h, w)`.
-    pub dims: (usize, usize, usize, usize),
-    /// Quantized element width.
-    pub bits: BitWidth,
-    /// The layout the value is stored in between nodes.
-    pub layout: Layout,
-    /// Bytes of backing storage (one byte per element).
-    pub bytes: usize,
-    /// Byte offset in the activation arena.
-    pub offset: usize,
-    /// Step (node index) at which the value is defined (0 for the input).
-    pub def: usize,
-    /// Last step that reads the value (the output value is held to the end).
-    pub last_use: usize,
 }
 
 /// A certified wave schedule for parallel DAG node execution: the output of

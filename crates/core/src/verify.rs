@@ -5,21 +5,23 @@
 //! [`Network::fingerprint`].
 //!
 //! The dependency points from `lowbit` to `lowbit-verify`, so the analysis
-//! itself lives over there; this module owns everything that needs to see
-//! core types: extracting per-channel weight sums from the real packed
-//! weights, mapping a [`LayerPlan`] onto the verifier's kernel families, and
-//! mutating [`NetLayer`]s to prove the fingerprint covers every
-//! verdict-relevant field.
+//! itself lives over there, and so do the plan's graph tables
+//! ([`crate::plan::NodePlan`], [`crate::plan::ValuePlan`]): a lowering
+//! clones the plan's node and value tables as they are. This module owns
+//! everything that needs to see core types: extracting per-channel weight
+//! sums from the real weights, mapping a [`LayerPlan`] onto the verifier's
+//! kernel families, and mutating [`NetLayer`]s to prove the fingerprint
+//! covers every verdict-relevant field.
 
 use crate::arm::ArmAlgo;
 use crate::error::CoreError;
 use crate::network::{NetLayer, Network};
 use crate::plan::{BackendKind, ExecutionPlan, LayerPlan, PlanAlgo, PlanOp};
-use lowbit_tensor::{BitWidth, QTensor, Tensor};
+use lowbit_tensor::{BitWidth, Fnv1a, QTensor, Tensor};
 use lowbit_verify::{
     arena_high_water, verify_conc, verify_plan, ArenaRequirement, BackendSpec, ChannelSums,
-    ConcNode, ConcProof, ConcSpec, ConcValue, GemmFootprint, LayerSpec, MemSpan, NodeOpSpec,
-    NodeSpec, PlanProof, PlanSpec, PlanViolation, RequantSpec, ScheduleSpec, ValueSlot,
+    ConcNode, ConcProof, ConcSpec, GemmFootprint, LayerSpec, MemSpan, PlanProof, PlanSpec,
+    PlanViolation, ScheduleSpec,
 };
 
 /// Lowers a layer plan's backend and committed kernel onto the verifier's
@@ -79,7 +81,10 @@ fn channel_sums(weights: &QTensor) -> Vec<ChannelSums> {
 }
 
 /// Lowers a compiled plan (plus the network it was compiled from, which
-/// holds the weights) into the verifier's backend-neutral [`PlanSpec`].
+/// holds the weights) into the verifier's backend-neutral [`PlanSpec`]: the
+/// plan's own node and value tables, cloned, beside one [`LayerSpec`] per
+/// layer that adds what the plan does not hold — the channel weight sums
+/// and the verifier's view of the committed kernel.
 ///
 /// Fails with [`CoreError::PlanMismatch`] if the plan does not belong to the
 /// network or a layer carries `ArmAlgo::Auto`.
@@ -100,45 +105,14 @@ pub fn lower_plan(plan: &ExecutionPlan, net: &Network) -> Result<PlanSpec, CoreE
             declared_workspace_bytes: lp.workspace_bytes,
             channel_sums: channel_sums(&nl.weights),
             bias: lp.epilogue.bias.clone(),
-            requant: RequantSpec {
-                bits: lp.epilogue.requant.bits,
-                multiplier: lp.epilogue.requant.multiplier,
-                clamp_min: lp.epilogue.requant.clamp_min,
-            },
+            requant: lp.epilogue.requant,
             relu: lp.epilogue.relu,
-        })
-        .collect();
-    let nodes = plan
-        .nodes()
-        .iter()
-        .map(|n| NodeSpec {
-            name: n.name.clone(),
-            op: match n.op {
-                PlanOp::Conv { layer, fused_add } => NodeOpSpec::Conv { layer, fused_add },
-                PlanOp::Add => NodeOpSpec::Add,
-                PlanOp::Concat => NodeOpSpec::Concat,
-            },
-            inputs: n.inputs.clone(),
-            output: n.output,
-        })
-        .collect();
-    let values = plan
-        .values()
-        .iter()
-        .map(|v| ValueSlot {
-            dims: v.dims,
-            bits: v.bits,
-            layout: v.layout,
-            bytes: v.bytes,
-            def: v.def,
-            last_use: v.last_use,
-            offset: v.offset,
         })
         .collect();
     Ok(PlanSpec {
         layers,
-        nodes,
-        values,
+        nodes: plan.nodes().to_vec(),
+        values: plan.values().to_vec(),
         declared_high_water_bytes: plan.workspace_high_water_bytes(),
         declared_activation_high_water_bytes: plan.activation_high_water_bytes(),
     })
@@ -153,13 +127,13 @@ pub fn verify_compiled(plan: &ExecutionPlan, net: &Network) -> Result<PlanProof,
     verify_plan(&spec).map_err(|violation| CoreError::PlanRejected { violation })
 }
 
-/// Lowers a plan's node/value tables into the concurrency verifier's
-/// [`ConcSpec`], with explicit per-node workspace slices and the parallel
-/// workspace-arena size. Conv nodes on the ARM GEMM families (the ncnn
-/// baseline among them) and Winograd carry their GEMM footprint and the
-/// per-thread column (or tile) partition at the maximum thread count;
-/// Add/Concat, GPU and per-call-buffer bitserial layers get footprint-free
-/// nodes.
+/// Lowers a plan into the concurrency verifier's [`ConcSpec`]: each of the
+/// plan's nodes, cloned, beside its explicit workspace slice, and the
+/// plan's value table, cloned, under the parallel workspace-arena size.
+/// Conv nodes on the ARM GEMM families (the ncnn baseline among them) and
+/// Winograd carry their GEMM footprint and the per-thread column (or tile)
+/// partition at the maximum thread count; Add/Concat, GPU and
+/// per-call-buffer bitserial layers get footprint-free nodes.
 pub fn lower_conc_spec(
     plan: &ExecutionPlan,
     workspace_slices: &[(usize, usize)],
@@ -171,8 +145,8 @@ pub fn lower_conc_spec(
         .nodes()
         .iter()
         .enumerate()
-        .map(|(i, n)| {
-            let gemm = match n.op {
+        .map(|(i, node)| {
+            let gemm = match node.op {
                 PlanOp::Conv { layer, .. } => {
                     let lp = &plan.layers()[layer];
                     match backend_spec(lp) {
@@ -193,24 +167,12 @@ pub fn lower_conc_spec(
                 .map(|g| partition_columns(g.n, MAX_THREADS).collect())
                 .unwrap_or_default();
             let (offset, bytes) = workspace_slices.get(i).copied().unwrap_or((0, 0));
-            ConcNode {
-                name: n.name.clone(),
-                inputs: n.inputs.clone(),
-                output: n.output,
-                workspace: MemSpan { offset, bytes },
-                gemm,
-                partition,
-            }
+            ConcNode { node: node.clone(), workspace: MemSpan { offset, bytes }, gemm, partition }
         })
-        .collect();
-    let values = plan
-        .values()
-        .iter()
-        .map(|v| ConcValue { offset: v.offset, bytes: v.bytes })
         .collect();
     ConcSpec {
         nodes,
-        values,
+        values: plan.values().to_vec(),
         output_value: plan.output_value(),
         arena_bytes: plan.activation_high_water_bytes(),
         workspace_bytes: workspace_arena_bytes,
@@ -247,33 +209,32 @@ pub fn verify_conc_compiled(plan: &ExecutionPlan) -> Result<ConcProof, CoreError
 /// [`Network::sequential`] validation. [`Network::fingerprint`] delegates
 /// here.
 pub fn fingerprint_layers(layers: &[NetLayer]) -> u64 {
-    let mut h = 0xcbf29ce484222325; // the FNV-1a offset basis
+    let mut h = Fnv1a::default();
     for l in layers {
-        eat(&mut h, l.name.as_bytes());
+        h.eat(l.name.as_bytes());
         let s = &l.shape;
         for dim in [s.c_in, s.h, s.w, s.c_out, s.kh, s.kw, s.stride, s.pad] {
-            eat(&mut h, &(dim as u64).to_le_bytes());
+            h.eat_word(dim);
         }
         // Reuse the prepack fingerprint as the weight digest (bits, dims
         // and raw bytes); every weight tensor has a wide-GEMM layout.
         let wfp = crate::arm::prepack_fingerprint(&l.weights, ArmAlgo::Gemm, l.weights.bits())
             .expect("Gemm always has a prepacked layout");
-        eat(&mut h, &wfp.to_le_bytes());
-        eat(&mut h, &[l.relu as u8]);
-        eat(&mut h, &[l.requant.bits.bits()]);
-        eat(&mut h, &l.requant.multiplier.to_bits().to_le_bytes());
-        eat(&mut h, &[l.requant.clamp_min as u8]);
+        h.eat(&wfp.to_le_bytes());
+        h.eat(&[l.relu as u8, l.requant.bits.bits()]);
+        h.eat(&l.requant.multiplier.to_bits().to_le_bytes());
+        h.eat(&[l.requant.clamp_min as u8]);
         match &l.bias {
-            None => eat(&mut h, &[0]),
+            None => h.eat(&[0]),
             Some(bias) => {
-                eat(&mut h, &[1]);
+                h.eat(&[1]);
                 for &v in bias {
-                    eat(&mut h, &(v as i64).to_le_bytes());
+                    h.eat(&(v as i64).to_le_bytes());
                 }
             }
         }
     }
-    h
+    h.0
 }
 
 /// The full network content hash: the layer hash continued over the DAG
@@ -284,31 +245,22 @@ pub fn fingerprint_layers(layers: &[NetLayer]) -> u64 {
 /// half stays available as [`fingerprint_layers`] for audits over mutated
 /// layer vectors.
 pub fn fingerprint_graph(layers: &[NetLayer], topology: &crate::graph::GraphTopology) -> u64 {
-    let mut h = fingerprint_layers(layers);
+    let mut h = Fnv1a(fingerprint_layers(layers));
     for node in &topology.nodes {
         let tag: u8 = match node.op {
             crate::graph::NodeOp::Conv { .. } => 0,
             crate::graph::NodeOp::Add => 1,
             crate::graph::NodeOp::Concat => 2,
         };
-        eat(&mut h, &[tag]);
-        eat(&mut h, node.name.as_bytes());
-        eat(&mut h, &(node.inputs.len() as u64).to_le_bytes());
+        h.eat(&[tag]);
+        h.eat(node.name.as_bytes());
+        h.eat_word(node.inputs.len());
         for &v in &node.inputs {
-            eat(&mut h, &(v as u64).to_le_bytes());
+            h.eat_word(v);
         }
-        eat(&mut h, &(node.output as u64).to_le_bytes());
+        h.eat_word(node.output);
     }
-    h
-}
-
-/// One FNV-1a step per byte of `bytes` into the running hash `h`: the step
-/// both network fingerprints are built from.
-fn eat(h: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *h ^= b as u64;
-        *h = h.wrapping_mul(0x100000001b3);
-    }
+    h.0
 }
 
 /// One fingerprint-audit mutation: a verdict-relevant field and an edit that

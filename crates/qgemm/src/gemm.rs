@@ -7,9 +7,11 @@
 //! 2. pack B (the im2col matrix),
 //! 3. the register-tiled inner loop over all `(M/16) x (N/4)` tiles.
 //!
-//! [`gemm`] packs A and runs the one tiled driver every caller shares,
-//! [`crate::parallel::gemm_parallel_cm`], at one thread; so does the ncnn
-//! baseline ([`gemm_ncnn`]), on the narrow tile under its own scheme.
+//! [`gemm`] packs A and runs the one tiled driver every caller shares at one
+//! thread, into its row-major NCHW target
+//! ([`crate::parallel::gemm_parallel_nchw_on`] with the whole result as one
+//! image of `n` pixels, so no column-major result or transpose); so does the
+//! ncnn baseline ([`gemm_ncnn`]), on the narrow tile under its own scheme.
 
 use crate::micro::tile_counts;
 use crate::narrow::{pack_a_narrow, NA8};

@@ -9,11 +9,13 @@
 //! * [`ConvShape`] — convolution problem geometry plus derived quantities
 //!   (output size, MAC count, GEMM dimensions),
 //! * [`im2col`] — the explicit GEMM lowering used on the ARM path, including the
-//!   space-overhead accounting behind Fig. 13 of the paper.
+//!   space-overhead accounting behind Fig. 13 of the paper,
+//! * [`Fnv1a`] — the hash step every published fingerprint is built from.
 
 #![forbid(unsafe_code)]
 
 pub mod bits;
+pub mod fnv;
 pub mod im2col;
 pub mod layout;
 pub mod packed_bits;
@@ -21,6 +23,7 @@ pub mod shape;
 pub mod tensor;
 
 pub use bits::BitWidth;
+pub use fnv::Fnv1a;
 pub use im2col::{im2col_nchw, im2col_nchw_into, Im2colMatrix, SpaceOverhead};
 pub use layout::Layout;
 pub use packed_bits::PackedBits;

@@ -422,8 +422,8 @@ fn conc_mutant_catalog(
     // escape the workspace arena and be caught by the (earlier) footprint
     // pass instead.
     push("aliased-concurrent-slices", "WorkspaceAliasing", dag, &|spec, _| {
-        let a = spec.nodes.iter().position(|n| n.name.contains("reduce")).expect("reduce");
-        let b = spec.nodes.iter().position(|n| n.name.contains("project")).expect("project");
+        let a = spec.nodes.iter().position(|n| n.node.name.contains("reduce")).expect("reduce");
+        let b = spec.nodes.iter().position(|n| n.node.name.contains("project")).expect("project");
         let (small, large) = if spec.nodes[a].workspace.bytes <= spec.nodes[b].workspace.bytes {
             (a, b)
         } else {

@@ -23,13 +23,18 @@
 //!
 //! Like `verify::plan`, everything here is backend-neutral: `lowbit` lowers
 //! its `ExecutionPlan` into a [`ConcSpec`] + [`ScheduleSpec`] and the
-//! verifier re-proves the claims from scratch. On success [`verify_conc`]
-//! returns a [`ConcProof`]; on failure a typed [`ConcViolation`] witness.
+//! verifier re-proves the claims from scratch. The spec holds clones of the
+//! plan's own node and value tables ([`NodePlan`], [`ValuePlan`]); each
+//! [`ConcNode`] adds only what the plan does not record — the node's
+//! workspace slice, GEMM footprint and column partition. On success
+//! [`verify_conc`] returns a [`ConcProof`]; on failure a typed
+//! [`ConcViolation`] witness.
 
 use crate::geometry::check_spans;
-use crate::plan::{max_panel_bytes, panel_bytes, ArenaRequirement};
+use crate::plan::{max_panel_bytes, panel_bytes, ArenaRequirement, NodePlan, ValuePlan};
 use lowbit_conv_arm::ArmAlgo;
 use lowbit_qgemm::ColumnSpan;
+use lowbit_tensor::Fnv1a;
 
 /// A half-open byte span `[offset, offset + bytes)` in a named arena.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -111,15 +116,13 @@ impl GemmFootprint {
     }
 }
 
-/// One DAG node's declared access footprint.
+/// One DAG node's declared access footprint: the plan's node (its name,
+/// the value ids it reads, including a fused residual operand, and the one
+/// it writes) beside the three facts the plan's node table does not hold.
 #[derive(Clone, Debug)]
 pub struct ConcNode {
-    /// Node name (for witnesses).
-    pub name: String,
-    /// Value ids this node reads (including a fused residual operand).
-    pub inputs: Vec<usize>,
-    /// Value id this node writes.
-    pub output: usize,
+    /// The plan's node.
+    pub node: NodePlan,
     /// The modeled workspace slice the node's kernels are confined to
     /// (`MemSpan::default()` for nodes that touch no workspace).
     pub workspace: MemSpan,
@@ -132,19 +135,9 @@ pub struct ConcNode {
     pub partition: Vec<ColumnSpan>,
 }
 
-/// One value's recorded activation-arena placement.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct ConcValue {
-    /// Recorded arena byte offset.
-    pub offset: usize,
-    /// Recorded byte size.
-    pub bytes: usize,
-}
-
-impl ConcValue {
-    fn span(&self) -> MemSpan {
-        MemSpan { offset: self.offset, bytes: self.bytes }
-    }
+/// A value's recorded activation-arena placement.
+fn placement(value: &ValuePlan) -> MemSpan {
+    MemSpan { offset: value.offset, bytes: value.bytes }
 }
 
 /// The backend-neutral concurrency lowering of a compiled execution plan.
@@ -152,8 +145,9 @@ impl ConcValue {
 pub struct ConcSpec {
     /// DAG nodes in topological (execution) order.
     pub nodes: Vec<ConcNode>,
-    /// Value placements in the activation arena.
-    pub values: Vec<ConcValue>,
+    /// The plan's values, whose recorded placements in the activation arena
+    /// the footprints read.
+    pub values: Vec<ValuePlan>,
     /// The value held live through the final dequantization.
     pub output_value: usize,
     /// Declared activation-arena high-water bytes.
@@ -379,7 +373,7 @@ fn reachability(nodes: &[ConcNode]) -> Vec<Vec<bool>> {
     let n = nodes.len();
     // producer[v] = node that writes value v.
     let mut producer: Vec<Option<usize>> = Vec::new();
-    for (i, node) in nodes.iter().enumerate() {
+    for (i, ConcNode { node, .. }) in nodes.iter().enumerate() {
         if producer.len() <= node.output {
             producer.resize(node.output + 1, None);
         }
@@ -387,7 +381,7 @@ fn reachability(nodes: &[ConcNode]) -> Vec<Vec<bool>> {
     }
     let mut reach = vec![vec![false; n]; n];
     for j in 0..n {
-        for &v in &nodes[j].inputs {
+        for &v in &nodes[j].node.inputs {
             if let Some(i) = producer.get(v).copied().flatten() {
                 if i < j {
                     reach[i][j] = true;
@@ -416,45 +410,31 @@ fn may_run_concurrently(reach: &[Vec<bool>], i: usize, j: usize) -> bool {
 /// bytes, `None` when the footprints are disjoint.
 fn overlap_witness(spec: &ConcSpec, i: usize, j: usize) -> Option<ConcViolation> {
     let (a, b) = (&spec.nodes[i], &spec.nodes[j]);
-    let span = |v: usize| spec.values[v].span();
+    let span = |v: usize| placement(&spec.values[v]);
     // The first value `x` reads or writes that `y`'s write span touches.
-    let hit = |x: &ConcNode, y: &ConcNode| {
+    let hit = |x: &NodePlan, y: &NodePlan| {
         let mut touched = std::iter::once(x.output).chain(x.inputs.iter().copied());
         touched.find(|&v| span(y.output).overlaps(&span(v))).map(|v| (y.output, v))
     };
-    if let Some((u, v)) = hit(a, b).or_else(|| hit(b, a)) {
+    if let Some((u, v)) = hit(&a.node, &b.node).or_else(|| hit(&b.node, &a.node)) {
         let (u, v) = (u.min(v), u.max(v));
         return Some(ConcViolation::ArenaInterference {
             a: u,
             a_span: (span(u).offset, span(u).end()),
             b: v,
             b_span: (span(v).offset, span(v).end()),
-            context: format!("{} and {} may run concurrently", a.name, b.name),
+            context: format!("{} and {} may run concurrently", a.node.name, b.node.name),
         });
     }
     if a.workspace.overlaps(&b.workspace) {
         return Some(ConcViolation::WorkspaceAliasing {
-            a: a.name.clone(),
+            a: a.node.name.clone(),
             a_span: (a.workspace.offset, a.workspace.end()),
-            b: b.name.clone(),
+            b: b.node.name.clone(),
             b_span: (b.workspace.offset, b.workspace.end()),
         });
     }
     None
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv(h: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *h ^= b as u64;
-        *h = h.wrapping_mul(FNV_PRIME);
-    }
-}
-
-fn fnv_usize(h: &mut u64, v: usize) {
-    fnv(h, &(v as u64).to_le_bytes());
 }
 
 /// The certificate digest: FNV-1a over every fact the proof depends on —
@@ -462,43 +442,43 @@ fn fnv_usize(h: &mut u64, v: usize) {
 /// between what was certified and what is executed changes the digest, so a
 /// schedule cannot be spliced onto a different plan.
 pub fn schedule_digest(spec: &ConcSpec, waves: &[Vec<usize>]) -> u64 {
-    let mut h = FNV_OFFSET;
-    fnv_usize(&mut h, spec.nodes.len());
-    for node in &spec.nodes {
-        fnv(&mut h, node.name.as_bytes());
+    let mut h = Fnv1a::default();
+    h.eat_word(spec.nodes.len());
+    for ConcNode { node, workspace, gemm, partition } in &spec.nodes {
+        h.eat(node.name.as_bytes());
         for &v in &node.inputs {
-            fnv_usize(&mut h, v);
+            h.eat_word(v);
         }
-        fnv_usize(&mut h, node.output);
-        fnv_usize(&mut h, node.workspace.offset);
-        fnv_usize(&mut h, node.workspace.bytes);
-        if let Some(g) = &node.gemm {
-            fnv_usize(&mut h, g.m);
-            fnv_usize(&mut h, g.k);
-            fnv_usize(&mut h, g.n);
-            fnv(&mut h, g.algo.to_string().as_bytes());
+        h.eat_word(node.output);
+        h.eat_word(workspace.offset);
+        h.eat_word(workspace.bytes);
+        if let Some(g) = gemm {
+            h.eat_word(g.m);
+            h.eat_word(g.k);
+            h.eat_word(g.n);
+            h.eat(g.algo.name().as_bytes());
         }
-        for s in &node.partition {
-            fnv_usize(&mut h, s.col0);
-            fnv_usize(&mut h, s.cols);
+        for s in partition {
+            h.eat_word(s.col0);
+            h.eat_word(s.cols);
         }
     }
-    fnv_usize(&mut h, spec.values.len());
+    h.eat_word(spec.values.len());
     for v in &spec.values {
-        fnv_usize(&mut h, v.offset);
-        fnv_usize(&mut h, v.bytes);
+        h.eat_word(v.offset);
+        h.eat_word(v.bytes);
     }
-    fnv_usize(&mut h, spec.output_value);
-    fnv_usize(&mut h, spec.arena_bytes);
-    fnv_usize(&mut h, spec.workspace_bytes);
-    fnv_usize(&mut h, waves.len());
+    h.eat_word(spec.output_value);
+    h.eat_word(spec.arena_bytes);
+    h.eat_word(spec.workspace_bytes);
+    h.eat_word(waves.len());
     for wave in waves {
-        fnv_usize(&mut h, wave.len());
+        h.eat_word(wave.len());
         for &n in wave {
-            fnv_usize(&mut h, n);
+            h.eat_word(n);
         }
     }
-    h
+    h.0
 }
 
 /// Computes the schedule for a spec: dependency-level waves, where a node
@@ -544,7 +524,7 @@ pub fn verify_conc(spec: &ConcSpec, sched: &ScheduleSpec) -> Result<ConcProof, C
             }
             if wave_of[node] != usize::MAX {
                 return Err(ConcViolation::ScheduleBroken {
-                    detail: format!("node {} appears in two waves", spec.nodes[node].name),
+                    detail: format!("node {} appears in two waves", spec.nodes[node].node.name),
                 });
             }
             wave_of[node] = w;
@@ -552,7 +532,7 @@ pub fn verify_conc(spec: &ConcSpec, sched: &ScheduleSpec) -> Result<ConcProof, C
     }
     if let Some(missing) = wave_of.iter().position(|&w| w == usize::MAX) {
         return Err(ConcViolation::ScheduleBroken {
-            detail: format!("node {} is not scheduled in any wave", spec.nodes[missing].name),
+            detail: format!("node {} is not scheduled in any wave", spec.nodes[missing].node.name),
         });
     }
 
@@ -562,8 +542,8 @@ pub fn verify_conc(spec: &ConcSpec, sched: &ScheduleSpec) -> Result<ConcProof, C
         for i in 0..j {
             if reach[i][j] && wave_of[i] >= wave_of[j] {
                 return Err(ConcViolation::ReachabilityError {
-                    from: spec.nodes[i].name.clone(),
-                    to: spec.nodes[j].name.clone(),
+                    from: spec.nodes[i].node.name.clone(),
+                    to: spec.nodes[j].node.name.clone(),
                     from_wave: wave_of[i],
                     to_wave: wave_of[j],
                 });
@@ -573,32 +553,32 @@ pub fn verify_conc(spec: &ConcSpec, sched: &ScheduleSpec) -> Result<ConcProof, C
 
     // -- 3. Footprints stay inside their declared spans. ---------------------
     for (v, value) in spec.values.iter().enumerate() {
-        if value.span().end() > spec.arena_bytes {
+        if placement(value).end() > spec.arena_bytes {
             return Err(ConcViolation::FootprintEscape {
                 node: format!("v{v}"),
                 what: "arena placement".into(),
-                span: (value.offset, value.span().end()),
+                span: (value.offset, placement(value).end()),
                 bound: spec.arena_bytes,
             });
         }
     }
-    for node in &spec.nodes {
-        if node.workspace.end() > spec.workspace_bytes {
+    for ConcNode { node, workspace, gemm, .. } in &spec.nodes {
+        if workspace.end() > spec.workspace_bytes {
             return Err(ConcViolation::FootprintEscape {
                 node: node.name.clone(),
                 what: "workspace slice".into(),
-                span: (node.workspace.offset, node.workspace.end()),
+                span: (workspace.offset, workspace.end()),
                 bound: spec.workspace_bytes,
             });
         }
-        if let Some(g) = &node.gemm {
+        if let Some(g) = gemm {
             let required = g.required_workspace().total();
-            if node.workspace.bytes < required {
+            if workspace.bytes < required {
                 return Err(ConcViolation::FootprintEscape {
                     node: node.name.clone(),
                     what: "workspace requirement".into(),
-                    span: (node.workspace.offset, node.workspace.offset + required),
-                    bound: node.workspace.end(),
+                    span: (workspace.offset, workspace.offset + required),
+                    bound: workspace.end(),
                 });
             }
         }
@@ -611,9 +591,9 @@ pub fn verify_conc(spec: &ConcSpec, sched: &ScheduleSpec) -> Result<ConcProof, C
     // The NB-aligned interior boundaries give the final padded column tile —
     // the columns `[n, n.next_multiple_of(NB))` a B panel zero-fills — to
     // exactly one thread, for every tile kind of the driver.
-    for node in &spec.nodes {
-        let Some(g) = &node.gemm else { continue };
-        if let Err(v) = check_spans(&node.partition, g.n) {
+    for ConcNode { node, gemm, partition, .. } in &spec.nodes {
+        let Some(g) = gemm else { continue };
+        if let Err(v) = check_spans(partition, g.n) {
             return Err(ConcViolation::PartitionOverlap {
                 node: node.name.clone(),
                 detail: v.to_string(),
@@ -634,7 +614,7 @@ pub fn verify_conc(spec: &ConcSpec, sched: &ScheduleSpec) -> Result<ConcProof, C
             ArmAlgo::BitserialBaseline => None,
         };
         if let Some(certified) = certified {
-            let panel_total = panel_bytes(g.k, node.partition.iter().copied());
+            let panel_total = panel_bytes(g.k, partition.iter().copied());
             if panel_total > certified {
                 return Err(ConcViolation::PartitionOverlap {
                     node: node.name.clone(),
@@ -676,12 +656,12 @@ pub fn verify_conc(spec: &ConcSpec, sched: &ScheduleSpec) -> Result<ConcProof, C
             .nodes
             .iter()
             .enumerate()
-            .find(|(_, node)| node.output == v)
+            .find(|(_, n)| n.node.output == v)
             .map(|(i, _)| wave_of[i])
             .unwrap_or(0);
         let mut last = def;
-        for (i, node) in spec.nodes.iter().enumerate() {
-            if node.inputs.contains(&v) {
+        for (i, n) in spec.nodes.iter().enumerate() {
+            if n.node.inputs.contains(&v) {
                 last = last.max(wave_of[i]);
             }
         }
@@ -695,7 +675,7 @@ pub fn verify_conc(spec: &ConcSpec, sched: &ScheduleSpec) -> Result<ConcProof, C
             let (da, la) = live[a];
             let (db, lb) = live[b];
             if da <= lb && db <= la {
-                let (sa, sb) = (spec.values[a].span(), spec.values[b].span());
+                let (sa, sb) = (placement(&spec.values[a]), placement(&spec.values[b]));
                 if sa.overlaps(&sb) {
                     return Err(ConcViolation::ArenaInterference {
                         a,
@@ -733,7 +713,7 @@ pub fn verify_conc(spec: &ConcSpec, sched: &ScheduleSpec) -> Result<ConcProof, C
         waves: sched
             .waves
             .iter()
-            .map(|wave| wave.iter().map(|&i| spec.nodes[i].name.clone()).collect())
+            .map(|wave| wave.iter().map(|&i| spec.nodes[i].node.name.clone()).collect())
             .collect(),
         incomparable_pairs: incomparable,
         max_wave_width: sched.waves.iter().map(Vec::len).max().unwrap_or(0),
@@ -747,6 +727,24 @@ pub fn verify_conc(spec: &ConcSpec, sched: &ScheduleSpec) -> Result<ConcProof, C
 mod tests {
     use super::*;
 
+    /// A conv-free node with a workspace slice.
+    fn node(name: &str, inputs: Vec<usize>, output: usize, workspace: MemSpan) -> ConcNode {
+        let op = crate::plan::PlanOp::Add;
+        ConcNode {
+            node: NodePlan { name: name.into(), op, inputs, output },
+            workspace,
+            gemm: None,
+            partition: Vec::new(),
+        }
+    }
+
+    /// A value placed at `[offset, offset + bytes)` (the concurrency checks
+    /// read nothing else of it).
+    fn value(offset: usize, bytes: usize) -> ValuePlan {
+        let (bits, layout) = (lowbit_tensor::BitWidth::W4, lowbit_tensor::Layout::Nchw);
+        ValuePlan { dims: (1, bytes, 1, 1), bits, layout, bytes, offset, def: 0, last_use: 0 }
+    }
+
     /// A diamond: input -> a; a -> b; a -> c; (b, c) -> d. b and c are
     /// incomparable. Arena placements are always disjoint (both branch
     /// outputs feed the join, so they are co-live under *every* schedule);
@@ -756,46 +754,12 @@ mod tests {
         let ws_c = if disjoint { 64 } else { 32 };
         ConcSpec {
             nodes: vec![
-                ConcNode {
-                    name: "a".into(),
-                    inputs: vec![0],
-                    output: 1,
-                    workspace: MemSpan { offset: 0, bytes: 64 },
-                    gemm: None,
-                    partition: Vec::new(),
-                },
-                ConcNode {
-                    name: "b".into(),
-                    inputs: vec![1],
-                    output: 2,
-                    workspace: MemSpan { offset: 0, bytes: 64 },
-                    gemm: None,
-                    partition: Vec::new(),
-                },
-                ConcNode {
-                    name: "c".into(),
-                    inputs: vec![1],
-                    output: 3,
-                    workspace: MemSpan { offset: ws_c, bytes: 64 },
-                    gemm: None,
-                    partition: Vec::new(),
-                },
-                ConcNode {
-                    name: "d".into(),
-                    inputs: vec![2, 3],
-                    output: 4,
-                    workspace: MemSpan::default(),
-                    gemm: None,
-                    partition: Vec::new(),
-                },
+                node("a", vec![0], 1, MemSpan { offset: 0, bytes: 64 }),
+                node("b", vec![1], 2, MemSpan { offset: 0, bytes: 64 }),
+                node("c", vec![1], 3, MemSpan { offset: ws_c, bytes: 64 }),
+                node("d", vec![2, 3], 4, MemSpan::default()),
             ],
-            values: vec![
-                ConcValue { offset: 0, bytes: 100 },
-                ConcValue { offset: 100, bytes: 100 },
-                ConcValue { offset: 200, bytes: 100 },
-                ConcValue { offset: 300, bytes: 100 },
-                ConcValue { offset: 0, bytes: 100 },
-            ],
+            values: [0, 100, 200, 300, 0].map(|offset| value(offset, 100)).to_vec(),
             output_value: 4,
             arena_bytes: 400,
             workspace_bytes: 128,
@@ -882,28 +846,10 @@ mod tests {
         // input -> a -> b: no incomparable pairs, one node per wave.
         let spec = ConcSpec {
             nodes: vec![
-                ConcNode {
-                    name: "a".into(),
-                    inputs: vec![0],
-                    output: 1,
-                    workspace: MemSpan { offset: 0, bytes: 64 },
-                    gemm: None,
-                    partition: Vec::new(),
-                },
-                ConcNode {
-                    name: "b".into(),
-                    inputs: vec![1],
-                    output: 2,
-                    workspace: MemSpan { offset: 0, bytes: 64 },
-                    gemm: None,
-                    partition: Vec::new(),
-                },
+                node("a", vec![0], 1, MemSpan { offset: 0, bytes: 64 }),
+                node("b", vec![1], 2, MemSpan { offset: 0, bytes: 64 }),
             ],
-            values: vec![
-                ConcValue { offset: 0, bytes: 10 },
-                ConcValue { offset: 10, bytes: 10 },
-                ConcValue { offset: 0, bytes: 10 },
-            ],
+            values: vec![value(0, 10), value(10, 10), value(0, 10)],
             output_value: 2,
             arena_bytes: 20,
             workspace_bytes: 64,

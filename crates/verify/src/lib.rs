@@ -34,7 +34,11 @@
 //! propagate through every layer without i32 overflow and land inside the
 //! operand ranges the stream proofs assumed, the recorded NCHW/NHWC
 //! conversions stitch the layers' layouts together, and the declared
-//! workspace figures dominate what the engines will actually request.
+//! workspace figures dominate what the engines will actually request. The
+//! plan's graph tables ([`NodePlan`], [`ValuePlan`], [`PlanOp`]) and its
+//! [`LayoutConversion`] are defined in [`plan`] and re-exported by core, so
+//! a lowering carries the tables the executor runs, cloned, not a mirror
+//! of them.
 //!
 //! The fourth family, [`conc`], certifies *concurrency*:
 //! [`conc::verify_conc`] lifts every DAG node to a typed memory footprint
@@ -69,8 +73,8 @@ pub mod streams;
 
 pub use absint::{check_stream, OperandBounds};
 pub use conc::{
-    build_schedule, schedule_digest, verify_conc, ConcNode, ConcProof, ConcSpec, ConcValue,
-    ConcViolation, GemmFootprint, MemSpan, ScheduleSpec,
+    build_schedule, schedule_digest, verify_conc, ConcNode, ConcProof, ConcSpec, ConcViolation,
+    GemmFootprint, MemSpan, ScheduleSpec,
 };
 pub use geometry::{check_partition, check_spans};
 pub use gpu::{
@@ -80,8 +84,8 @@ pub use interval::Interval;
 pub use lint::lint_stream;
 pub use plan::{
     arena_high_water, arm_workspace_requirement, verify_plan, workspace_requirement,
-    ArenaRequirement, BackendSpec, ChannelSums, LayerSpec, LayoutConversion, NodeOpSpec, NodeSpec,
-    PlanProof, PlanSpec, PlanViolation, RequantSpec, ValueSlot,
+    ArenaRequirement, BackendSpec, ChannelSums, LayerSpec, LayoutConversion, NodePlan, PlanOp,
+    PlanProof, PlanSpec, PlanViolation, ValuePlan,
 };
 pub use report::{StreamProof, Violation};
 pub use streams::{

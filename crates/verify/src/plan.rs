@@ -32,25 +32,32 @@
 //!    which must sit inside the range the *stream* proofs assumed for that
 //!    layer's bit width (Winograd layers additionally re-check the paper's
 //!    4x input-transform inflation against the live interval).
-//! 4. **Workspace certification** — the exact arena requirement of each ARM
-//!    layer (im2col matrix, column-major result, per-thread packed-B panels
-//!    maximized over every legal thread count, SDOT quad buffers) is
+//! 4. **Workspace certification** — a sound upper bound on the arena each
+//!    ARM layer grows (im2col matrix, per-thread packed-B panels maximized
+//!    over every legal thread count, Winograd's transform buffers) is
 //!    recomputed from the blocking constants the engine really uses, and the
-//!    plan's declared per-layer and whole-plan high-water figures must be
-//!    upper bounds on it.
+//!    plan's declared per-layer and whole-plan high-water figures must
+//!    dominate it. The bound still counts a column-major GEMM result that
+//!    the GEMM layers no longer allocate (see [`ArenaRequirement::c_cm`]).
 //! 5. **Activation arena** — simultaneously-live values occupy disjoint
 //!    byte spans, and the declared activation high-water dominates them.
 //!
 //! The pass is deliberately independent of the `lowbit` core crate (which
-//! itself depends on this one): core lowers its `ExecutionPlan` into a
-//! [`PlanSpec`] and calls [`verify_plan`]; the negative catalog in the CLI
-//! and the integration tests seed mutants into such a lowered spec.
+//! itself depends on this one). The plan's graph tables are defined here —
+//! [`PlanOp`], [`NodePlan`] and [`ValuePlan`], which core's `ExecutionPlan`
+//! stores and re-exports — so the spec carries the very node and value
+//! tables the executor runs. Core lowers a plan into a [`PlanSpec`] by
+//! cloning those tables and adding what the plan does not hold (per-channel
+//! weight sums and the verifier's view of each kernel), then calls
+//! [`verify_plan`]; the negative catalog in the CLI and the integration
+//! tests seed mutants into such a lowered spec.
 
 use crate::interval::Interval;
 use lowbit_conv_arm::range_analysis::f23_range_halved;
 use lowbit_conv_arm::ArmAlgo;
 use lowbit_qgemm::parallel::{partition_columns, DEFAULT_KC, DEFAULT_NC, MAX_THREADS};
 use lowbit_qgemm::{ColumnSpan, NB};
+use lowbit_qnn::RequantParams;
 use lowbit_tensor::{BitWidth, ConvShape, Layout};
 use neon_sim::meta::ElemWidth;
 
@@ -98,18 +105,6 @@ impl std::fmt::Display for LayoutConversion {
     }
 }
 
-/// Re-quantization parameters as the verifier needs them (mirrors
-/// `lowbit_qnn::RequantParams` without the dependency).
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub struct RequantSpec {
-    /// Output bit width the requant truncates into.
-    pub bits: BitWidth,
-    /// Combined multiplier.
-    pub multiplier: f32,
-    /// Lower truncation bound before any ReLU fold.
-    pub clamp_min: i8,
-}
-
 /// Per-output-channel signed weight sums: the exact extreme contributions a
 /// channel's row of the GEMM can make given an activation interval.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -142,60 +137,66 @@ pub struct LayerSpec {
     /// Per-output-channel bias added to the accumulators.
     pub bias: Option<Vec<i32>>,
     /// Re-quantization into the next layer's operand range.
-    pub requant: RequantSpec,
+    pub requant: RequantParams,
     /// Whether a ReLU is fused into the truncation.
     pub relu: bool,
 }
 
-/// A node operation in the lowered DAG (mirrors `lowbit::PlanOp` without
-/// the core dependency).
+/// What a plan node computes. The planner's graph-level fusion shows up
+/// here: a residual add folded into its producing conv records the residual
+/// value in `fused_add` and the standalone `Add` node disappears.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum NodeOpSpec {
-    /// A planned convolution, indexing [`PlanSpec::layers`], optionally
-    /// carrying a fused residual-add operand (a value id).
+pub enum PlanOp {
+    /// A conv layer. When `fused_add` is set, the executor adds that value
+    /// elementwise onto the re-quantized output inside the conv's epilogue
+    /// (the node's second input is the residual).
     Conv {
-        /// Index into the layer table.
+        /// Index into the plan's layer list (and [`PlanSpec::layers`]).
         layer: usize,
-        /// Fused residual operand, if the planner folded an add here.
+        /// Residual value folded into this conv's epilogue, if any.
         fused_add: Option<usize>,
     },
-    /// Elementwise saturating add of two equal-shape values.
+    /// Standalone elementwise saturating add (an unfused residual join).
     Add,
-    /// Channel-axis concatenation in NCHW.
+    /// Channel-axis concatenation.
     Concat,
 }
 
-/// One node of the lowered DAG, in execution order.
+/// One step of the compiled DAG: a named op over plan value ids.
 #[derive(Clone, Debug)]
-pub struct NodeSpec {
-    /// Node name (for witnesses).
+pub struct NodePlan {
+    /// Display name (conv nodes reuse their layer's name).
     pub name: String,
-    /// The operation.
-    pub op: NodeOpSpec,
-    /// Value ids this node reads.
+    /// The op.
+    pub op: PlanOp,
+    /// Input value ids. For a conv with `fused_add: Some(r)` this is
+    /// `[activation, r]`.
     pub inputs: Vec<usize>,
-    /// Value id this node defines.
+    /// Output value id.
     pub output: usize,
 }
 
-/// One value of the lowered DAG with its recorded activation-arena
-/// placement and live range (both re-proven, not trusted).
+/// One activation value of the compiled plan: its geometry, its inter-node
+/// layout (NHWC when the planner elided a round-trip between same-backend
+/// GPU neighbors), and its slot in the shared activation arena. The
+/// verifiers re-prove the recorded placement and live range, not trust
+/// them.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct ValueSlot {
+pub struct ValuePlan {
     /// `(batch, channels, h, w)`.
     pub dims: (usize, usize, usize, usize),
-    /// Quantized bit width of the stored elements.
+    /// Quantized element width.
     pub bits: BitWidth,
     /// The layout the value is stored in between nodes.
     pub layout: Layout,
-    /// Recorded byte size.
+    /// Bytes of backing storage (one byte per element).
     pub bytes: usize,
-    /// Recorded defining step (0 for the graph input).
-    pub def: usize,
-    /// Recorded last consuming step.
-    pub last_use: usize,
-    /// Recorded activation-arena byte offset.
+    /// Byte offset in the activation arena.
     pub offset: usize,
+    /// Step (node index) at which the value is defined (0 for the input).
+    pub def: usize,
+    /// Last step that reads the value (the output value is held to the end).
+    pub last_use: usize,
 }
 
 /// The backend-neutral lowering of a compiled execution plan.
@@ -207,10 +208,11 @@ pub struct ValueSlot {
 pub struct PlanSpec {
     /// Per-layer specs, in execution order.
     pub layers: Vec<LayerSpec>,
-    /// DAG nodes in execution order.
-    pub nodes: Vec<NodeSpec>,
-    /// DAG values with recorded arena placements (value 0 is the input).
-    pub values: Vec<ValueSlot>,
+    /// The plan's DAG nodes in execution order.
+    pub nodes: Vec<NodePlan>,
+    /// The plan's DAG values with recorded arena placements (value 0 is the
+    /// input).
+    pub values: Vec<ValuePlan>,
     /// The whole-plan workspace high-water bytes the plan declares.
     pub declared_high_water_bytes: usize,
     /// The activation-arena high-water bytes the plan declares.
@@ -842,7 +844,7 @@ fn check_graph_structure(spec: &PlanSpec) -> Result<(), PlanViolation> {
             }
         }
         match n.op {
-            NodeOpSpec::Conv { layer, fused_add } => {
+            PlanOp::Conv { layer, fused_add } => {
                 if layer >= spec.layers.len() {
                     return Err(graph_broken(
                         n.name.clone(),
@@ -868,7 +870,7 @@ fn check_graph_structure(spec: &PlanSpec) -> Result<(), PlanViolation> {
                     }
                 }
             }
-            NodeOpSpec::Add => {
+            PlanOp::Add => {
                 if n.inputs.len() != 2 {
                     return Err(graph_broken(
                         n.name.clone(),
@@ -876,7 +878,7 @@ fn check_graph_structure(spec: &PlanSpec) -> Result<(), PlanViolation> {
                     ));
                 }
             }
-            NodeOpSpec::Concat => {
+            PlanOp::Concat => {
                 if n.inputs.len() < 2 {
                     return Err(graph_broken(
                         n.name.clone(),
@@ -960,7 +962,7 @@ fn check_graph_dataflow(spec: &PlanSpec) -> Result<(), PlanViolation> {
     for n in nodes {
         let out = &values[n.output];
         match n.op {
-            NodeOpSpec::Conv { layer, fused_add } => {
+            PlanOp::Conv { layer, fused_add } => {
                 let l = &spec.layers[layer];
                 let act = &values[n.inputs[0]];
                 let expects = (l.shape.batch, l.shape.c_in, l.shape.h, l.shape.w);
@@ -1051,7 +1053,7 @@ fn check_graph_dataflow(spec: &PlanSpec) -> Result<(), PlanViolation> {
                     });
                 }
             }
-            NodeOpSpec::Add => {
+            PlanOp::Add => {
                 let (a, b) = (&values[n.inputs[0]], &values[n.inputs[1]]);
                 if a.dims != b.dims {
                     return Err(PlanViolation::ShapeBreak {
@@ -1071,7 +1073,7 @@ fn check_graph_dataflow(spec: &PlanSpec) -> Result<(), PlanViolation> {
                     ));
                 }
             }
-            NodeOpSpec::Concat => {
+            PlanOp::Concat => {
                 let first = &values[n.inputs[0]];
                 let mut c_total = 0;
                 for &v in &n.inputs {
@@ -1103,7 +1105,7 @@ fn check_graph_dataflow(spec: &PlanSpec) -> Result<(), PlanViolation> {
             }
         }
         // Joins and the plan boundary consume canonical NCHW.
-        if !matches!(n.op, NodeOpSpec::Conv { .. }) {
+        if !matches!(n.op, PlanOp::Conv { .. }) {
             for &v in &n.inputs {
                 if values[v].layout != Layout::Nchw {
                     return Err(PlanViolation::LayoutMismatch {
@@ -1147,7 +1149,7 @@ fn check_graph_numerics(spec: &PlanSpec) -> Result<Vec<LayerRangeProof>, PlanVio
     let mut proofs: Vec<Option<LayerRangeProof>> = vec![None; spec.layers.len()];
     for n in &spec.nodes {
         let out = match n.op {
-            NodeOpSpec::Conv { layer, fused_add } => {
+            PlanOp::Conv { layer, fused_add } => {
                 let l = &spec.layers[layer];
                 let act = intervals[n.inputs[0]].expect("structure pass proved def-before-use");
                 let (proof, out) = check_layer_numerics(l, act)?;
@@ -1165,14 +1167,14 @@ fn check_graph_numerics(spec: &PlanSpec) -> Result<Vec<LayerRangeProof>, PlanVio
                     None => out,
                 }
             }
-            NodeOpSpec::Add => {
+            PlanOp::Add => {
                 let a = intervals[n.inputs[0]].expect("def-before-use");
                 let b = intervals[n.inputs[1]].expect("def-before-use");
                 let bits = values[n.output].bits;
                 let (qmin, qmax) = (bits.qmin() as i64, bits.qmax() as i64);
                 Interval::new((a.lo + b.lo).clamp(qmin, qmax), (a.hi + b.hi).clamp(qmin, qmax))
             }
-            NodeOpSpec::Concat => {
+            PlanOp::Concat => {
                 let mut u = intervals[n.inputs[0]].expect("def-before-use");
                 for &v in &n.inputs[1..] {
                     let t = intervals[v].expect("def-before-use");
@@ -1279,18 +1281,18 @@ mod tests {
                 .total(),
             channel_sums: vec![ChannelSums { neg: -40, pos: 44 }; shape.c_out],
             bias: None,
-            requant: RequantSpec { bits: BitWidth::W4, multiplier: 0.01, clamp_min: -8 },
+            requant: RequantParams { bits: BitWidth::W4, multiplier: 0.01, clamp_min: -8 },
             relu,
         };
         let layers = vec![mk("l1", s1, true), mk("l2", s2, false)];
         let hw = high_water(&layers);
-        let node = |name: &str, layer: usize| NodeSpec {
+        let node = |name: &str, layer: usize| NodePlan {
             name: name.into(),
-            op: NodeOpSpec::Conv { layer, fused_add: None },
+            op: PlanOp::Conv { layer, fused_add: None },
             inputs: vec![layer],
             output: layer + 1,
         };
-        let slot = |dims: (usize, usize, usize, usize), def, last_use, offset| ValueSlot {
+        let slot = |dims: (usize, usize, usize, usize), def, last_use, offset| ValuePlan {
             dims,
             bits: BitWidth::W4,
             layout: Layout::Nchw,
@@ -1329,13 +1331,13 @@ mod tests {
                 .total(),
             channel_sums: vec![ChannelSums { neg: -40, pos: 44 }; shape.c_out],
             bias: None,
-            requant: RequantSpec { bits: BitWidth::W4, multiplier: 0.01, clamp_min: -8 },
+            requant: RequantParams { bits: BitWidth::W4, multiplier: 0.01, clamp_min: -8 },
             relu,
         };
         let layers = vec![mk("l1", true), mk("l2", false)];
         let hw = high_water(&layers);
         let bytes = 4 * 8 * 8;
-        let slot = |layout, def, last_use, offset| ValueSlot {
+        let slot = |layout, def, last_use, offset| ValuePlan {
             dims: (1, 4, 8, 8),
             bits: BitWidth::W4,
             layout,
@@ -1347,15 +1349,15 @@ mod tests {
         PlanSpec {
             layers,
             nodes: vec![
-                NodeSpec {
+                NodePlan {
                     name: "l1".into(),
-                    op: NodeOpSpec::Conv { layer: 0, fused_add: None },
+                    op: PlanOp::Conv { layer: 0, fused_add: None },
                     inputs: vec![0],
                     output: 1,
                 },
-                NodeSpec {
+                NodePlan {
                     name: "l2".into(),
-                    op: NodeOpSpec::Conv { layer: 1, fused_add: Some(1) },
+                    op: PlanOp::Conv { layer: 1, fused_add: Some(1) },
                     inputs: vec![1, 1],
                     output: 2,
                 },
@@ -1735,7 +1737,7 @@ mod tests {
             declared_workspace_bytes: usize::MAX,
             channel_sums: vec![ChannelSums { neg: -1, pos: 1 }; shape.c_out],
             bias: None,
-            requant: RequantSpec { bits: BitWidth::W4, multiplier: 0.01, clamp_min: -8 },
+            requant: RequantParams { bits: BitWidth::W4, multiplier: 0.01, clamp_min: -8 },
             relu: false,
         };
         let layers = vec![mk("a", a), mk("b", b)];

@@ -30,7 +30,7 @@ fn main() {
     let mut total_ncnn = 0.0;
     for l in resnet50() {
         let algo = engine.select_algo(bits, &l.shape);
-        let ours = engine.estimate_millis(bits, &l.shape, ArmAlgo::Auto);
+        let ours = engine.estimate_millis_cold(bits, &l.shape, ArmAlgo::Auto);
         let ncnn = engine.estimate_millis_cold(BitWidth::W8, &l.shape, ArmAlgo::NcnnBaseline);
         total_ours += ours;
         total_ncnn += ncnn;

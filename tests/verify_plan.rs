@@ -106,6 +106,23 @@ fn fingerprint_audit_holds_for_both_model_classes() {
     }
 }
 
+/// The published hashes stay put: the demo network's fingerprint keys the
+/// serving plan cache, and the dense block's parallel-plan certificate is
+/// the one `BENCH_graph.json` records. Both are FNV-1a digests; a change to
+/// the hash step, or to what it covers or in which order, moves them.
+#[test]
+fn published_fingerprint_and_certificate_are_pinned() {
+    let demo = Network::demo(BitWidth::W4, 12, 9);
+    assert_eq!(demo.fingerprint(), 0xde59_3b80_d292_d335);
+    let def = lowbit_models::densenet121_dense_block_n(12, 6);
+    let net = Network::from_graph_defs(&def, BitWidth::W4, 9).unwrap();
+    let engine = ArmEngine::cortex_a53();
+    let plan = Planner::for_arm(&engine).with_parallel_nodes(true).compile(&net).unwrap();
+    let schedule = plan.parallel_schedule().expect("parallel plans carry a certificate");
+    assert_eq!(schedule.certificate, 0x170f_bf05_0fb6_b211);
+    assert_eq!(lowbit::verify_conc_compiled(&plan).unwrap().certificate, schedule.certificate);
+}
+
 #[test]
 fn certified_high_water_dominates_real_execution() {
     // Execute each plan repeatedly on a fresh engine: the engine's observed
