@@ -43,13 +43,13 @@ use crate::workspace::ConvWorkspace;
 use crate::{ArmAlgo, ConvOutput};
 use lowbit_isa::Isa;
 use lowbit_qgemm::gemm::schedule_gemm;
-use lowbit_qgemm::narrow::{pack_a_narrow, PackedANarrow};
+use lowbit_qgemm::narrow::pack_a_narrow;
 use lowbit_qgemm::parallel::{
     fan_out, gemm_parallel_cm_on, worker_track, ParallelConfig, SharedWeights,
 };
 use lowbit_qgemm::{
-    pack_a, partition_columns, schedule_gemm_narrow, ColumnSpan, GemmWorkspace, PackedA, Scheme,
-    SchemeKind,
+    pack_a, partition_columns, schedule_gemm_narrow, ColumnSpan, GemmWorkspace, PackedA,
+    PackedANarrow, Scheme, SchemeKind,
 };
 use lowbit_tensor::{BitWidth, ConvShape, Layout, QTensor, Tensor};
 use lowbit_trace::{Tracer, MAIN_TRACK};

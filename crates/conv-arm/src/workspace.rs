@@ -26,11 +26,10 @@
 use crate::algo::ArmAlgo;
 use crate::winograd::{winograd_conv_ws, WinogradScratch, WinogradWeights};
 use lowbit_isa::Isa;
-use lowbit_qgemm::narrow::{pack_a_narrow, PackedANarrow};
+use lowbit_qgemm::narrow::pack_a_narrow;
 use lowbit_qgemm::parallel::{gemm_parallel_nchw_on, ParallelConfig, SharedWeights};
-use lowbit_qgemm::sdot::{pack_a_quads, PackedAQuads};
 use lowbit_qgemm::workspace::{GemmWorkspace, WorkspaceStats};
-use lowbit_qgemm::{pack_a, PackedA, Scheme};
+use lowbit_qgemm::{pack_a, PackedA, PackedANarrow, PackedAQuads, Scheme};
 use lowbit_tensor::{
     im2col_nchw_into, BitWidth, ConvShape, Fnv1a, Im2colMatrix, Layout, QTensor, Tensor,
 };
@@ -45,7 +44,7 @@ pub enum PackedWeights {
     Wide(PackedA),
     /// The narrow 8x4 tiles (`lowbit_qgemm::narrow::pack_a_narrow`).
     Narrow(PackedANarrow),
-    /// The SDOT quad panels (`lowbit_qgemm::sdot::pack_a_quads`).
+    /// The SDOT quad panels (`PackedAQuads::from_a`).
     Quads(PackedAQuads),
     /// Winograd's 16 transformed position matrices
     /// ([`WinogradWeights::pack`]).
@@ -65,7 +64,7 @@ impl PackedWeights {
             ArmAlgo::GemmNarrow | ArmAlgo::NcnnBaseline => {
                 PackedWeights::Narrow(pack_a_narrow(w, m, k))
             }
-            ArmAlgo::GemmSdot => PackedWeights::Quads(pack_a_quads(w, m, k)),
+            ArmAlgo::GemmSdot => PackedWeights::Quads(PackedAQuads::from_a(w, m, k)),
             ArmAlgo::Winograd => PackedWeights::Winograd(WinogradWeights::pack(weights, bits)),
             ArmAlgo::BitserialBaseline | ArmAlgo::Auto => return None,
         })
@@ -229,7 +228,6 @@ mod tests {
     use super::*;
     use crate::{direct_conv, gemm_conv, schedule_gemm_conv};
     use lowbit_qgemm::narrow::pack_a_narrow;
-    use lowbit_qgemm::sdot::pack_a_quads;
     use lowbit_qgemm::{pack_a, partition_columns, NB};
     use lowbit_tensor::{BitWidth, Layout};
     use neon_sim::CortexA53;
@@ -276,7 +274,7 @@ mod tests {
             // Wide and SDOT: 2-8 bit; narrow: the SMLAL widths 4-8.
             let mut packings = vec![
                 PackedWeights::Wide(pack_a(weights.data(), m, k)),
-                PackedWeights::Quads(pack_a_quads(weights.data(), m, k)),
+                PackedWeights::Quads(PackedAQuads::from_a(weights.data(), m, k)),
             ];
             if !bits.uses_mla_scheme() {
                 packings.push(PackedWeights::Narrow(pack_a_narrow(weights.data(), m, k)));
@@ -313,7 +311,7 @@ mod tests {
                 let (input, weights) = tensors(shape, bits, 800);
                 let (w, m, k) = (weights.data(), shape.gemm_m(), shape.gemm_k());
                 let wide = PackedWeights::Wide(pack_a(w, m, k));
-                let sdot = PackedWeights::Quads(pack_a_quads(w, m, k));
+                let sdot = PackedWeights::Quads(PackedAQuads::from_a(w, m, k));
                 [wide, sdot].map(|pa| (*shape, input.clone(), pa))
             })
             .collect();
@@ -383,7 +381,7 @@ mod tests {
                 let narrow = || PackedWeights::Narrow(pack_a_narrow(weights.data(), m, k));
                 let mut packings = vec![
                     (PackedWeights::Wide(pack_a(weights.data(), m, k)), scheme),
-                    (PackedWeights::Quads(pack_a_quads(weights.data(), m, k)), scheme),
+                    (PackedWeights::Quads(PackedAQuads::from_a(weights.data(), m, k)), scheme),
                     (narrow(), Scheme::ncnn16()),
                 ];
                 if !bits.uses_mla_scheme() {
@@ -410,7 +408,7 @@ mod tests {
         let packings = [
             PackedWeights::Wide(pack_a(weights.data(), m, k)),
             PackedWeights::Narrow(pack_a_narrow(weights.data(), m, k)),
-            PackedWeights::Quads(pack_a_quads(weights.data(), m, k)),
+            PackedWeights::Quads(PackedAQuads::from_a(weights.data(), m, k)),
         ];
         let (scheme, cfg) = (Scheme::for_bits(BitWidth::W5), ParallelConfig::with_threads(2));
         let mut ws = ConvWorkspace::new();

@@ -19,7 +19,7 @@
 use crate::arm::ArmAlgo;
 use crate::error::CoreError;
 use crate::graph::ValueId;
-use crate::memplan::{assign_arena, ValueSpec};
+use crate::memplan::{assign_arena, assign_arena_with, Assignment, ValueSpec};
 use crate::network::Network;
 use lowbit_conv_gpu::TileConfig;
 use lowbit_qnn::RequantParams;
@@ -180,6 +180,24 @@ pub struct ExecutionPlan {
     parallel: Option<ParallelSchedule>,
 }
 
+/// Lays the value table out in the activation arena with `assign` (one of
+/// the memplan allocators, given each value's bytes and live range),
+/// records every value's offset and returns the arena's high-water bytes.
+fn pack_arena(
+    values: &mut [ValuePlan],
+    assign: impl FnOnce(&[ValueSpec]) -> Assignment,
+) -> usize {
+    let specs: Vec<ValueSpec> = values
+        .iter()
+        .map(|v| ValueSpec { bytes: v.bytes, def: v.def, last_use: v.last_use })
+        .collect();
+    let arena = assign(&specs);
+    for (v, &offset) in values.iter_mut().zip(&arena.offsets) {
+        v.offset = offset;
+    }
+    arena.high_water_bytes
+}
+
 impl ExecutionPlan {
     /// Builds a plan from an explicit node/value graph (the planner's DAG
     /// constructor). Re-derives every value's live range from the node
@@ -206,20 +224,13 @@ impl ExecutionPlan {
         for v in &mut values {
             v.last_use = v.last_use.max(v.def);
         }
-        let specs: Vec<ValueSpec> = values
-            .iter()
-            .map(|v| ValueSpec { bytes: v.bytes, def: v.def, last_use: v.last_use })
-            .collect();
-        let arena = assign_arena(&specs);
-        for (v, &offset) in values.iter_mut().zip(&arena.offsets) {
-            v.offset = offset;
-        }
+        let activation_high_water_bytes = pack_arena(&mut values, assign_arena);
         ExecutionPlan {
             layers,
             nodes,
             values,
             workspace_high_water_bytes,
-            activation_high_water_bytes: arena.high_water_bytes,
+            activation_high_water_bytes,
             parallel: None,
         }
     }
@@ -230,16 +241,8 @@ impl ExecutionPlan {
     /// any-schedule co-liveness relation so values of independent DAG nodes
     /// never share bytes.
     pub(crate) fn reassign_arena_with(&mut self, conflict: impl Fn(usize, usize) -> bool) {
-        let specs: Vec<ValueSpec> = self
-            .values
-            .iter()
-            .map(|v| ValueSpec { bytes: v.bytes, def: v.def, last_use: v.last_use })
-            .collect();
-        let arena = crate::memplan::assign_arena_with(&specs, conflict);
-        for (v, &offset) in self.values.iter_mut().zip(&arena.offsets) {
-            v.offset = offset;
-        }
-        self.activation_high_water_bytes = arena.high_water_bytes;
+        self.activation_high_water_bytes =
+            pack_arena(&mut self.values, |specs| assign_arena_with(specs, conflict));
     }
 
     /// Attaches a certified parallel schedule. The planner calls this after

@@ -56,7 +56,7 @@ pub fn emit_gemm(scheme: &Scheme, pa: &PackedA, pb: &PackedB) -> (Vec<Inst>, Gem
 mod tests {
     use super::*;
     use crate::gemm::{gemm, schedule_gemm};
-    use crate::pack::{pack_a, pack_b};
+    use crate::pack::{pack_a, PackedB};
     use lowbit_tensor::BitWidth;
     use neon_sim::{CortexA53, Machine};
     use rand::rngs::StdRng;
@@ -75,7 +75,7 @@ mod tests {
                 .map(|_| rng.gen_range(bits.qmin()..=bits.qmax()))
                 .collect();
             let pa = pack_a(&a, m, k);
-            let pb = pack_b(&b, k, n);
+            let pb = PackedB::from_b(&b, k, n);
 
             let (prog, layout) = emit_gemm(&scheme, &pa, &pb);
             let mut machine = Machine::new(layout.mem_len, CortexA53::cost_model());

@@ -7,8 +7,11 @@
 //!   4–8 bit, `MLA`+`SADDW` for 2–3 bit) with the published saturation-safe
 //!   accumulation ratios, plus the ncnn-like baseline's drain-free scheme
 //!   (i16 operands into i32), which runs on the narrow tile,
-//! * [`pack`] — the data padding and packing of Fig. 2 (`n_a = 16` elements
-//!   per column of A, `n_b = 4` elements per row of B),
+//! * [`pack`] — the data padding and packing of Fig. 2: one operand image,
+//!   [`Panels`], whose lane count and K grouping are parameters, with one
+//!   alias per tile kind's A or B (`n_a = 16` elements per column of A,
+//!   `n_b = 4` per row of B, 8 rows for the narrow tile, K in quads for
+//!   `SDOT`),
 //! * [`micro`] — the 16x4 register-tiled micro-kernel of Alg. 1 in three
 //!   consistent forms: a fast functional path, an analytic instruction-count
 //!   schedule, and an emitter to [`neon_sim`] instructions; the functional
@@ -55,7 +58,9 @@ pub use gemm::{gemm, GemmOutput};
 pub use narrow::{gemm_narrow, schedule_gemm_narrow};
 pub use parallel::{partition_columns, threads_from_env, ColumnSpan, ParallelConfig, SharedWeights};
 pub use sdot::{gemm_sdot, schedule_gemm_sdot};
-pub use pack::{pack_a, pack_b, PackedA, PackedB, NA, NB};
+pub use pack::{
+    pack_a, PackedA, PackedANarrow, PackedAQuads, PackedB, PackedBQuads, Panels, NA, NB,
+};
 pub use scheme::{Scheme, SchemeError, SchemeKind};
 pub use stream::{
     gemm_stream, tile_stream_narrow, tile_stream_ncnn, tile_stream_sdot, tile_stream_wide,

@@ -2,19 +2,19 @@
 //!
 //! Each micro-kernel exists in **three consistent forms**:
 //!
-//! 1. [`accumulate_tile`] (and its wrapper [`run_tile`]) — a fast
-//!    functional implementation with the exact lane semantics of the NEON
-//!    instructions (wrapping i8/i16 accumulation), used at full layer scale.
-//!    It runs each drain interval as one branch-free loop over contiguous
-//!    packed operand blocks. The GEMM driver runs it on a *register block*
-//!    of [`SMLAL_BLOCK`] or [`MLA_BLOCK`] consecutive A tiles against one B
-//!    tile, so each B broadcast feeds every row of the block; the A53 tile
-//!    of the paper half-fills the host's vector registers. Each block is
-//!    one dispatch onto the host's widest vector ISA ([`Isa::host`]), and
-//!    [`accumulate_tile`] is the one-tile instance of the same source. The
+//! 1. `accumulate_tiles_on` — a fast functional implementation with
+//!    the exact lane semantics of the NEON instructions (wrapping i8/i16
+//!    accumulation), used at full layer scale. It runs each drain interval
+//!    as one branch-free loop over contiguous packed operand blocks, on a
+//!    *register block* of [`SMLAL_BLOCK`] or [`MLA_BLOCK`] consecutive A
+//!    tiles against one B tile, so each B broadcast feeds every row of the
+//!    block; the A53 tile of the paper half-fills the host's vector
+//!    registers. Each block is one dispatch onto the host's widest vector
+//!    ISA ([`Isa::host`]). The GEMM driver is its one caller, and
+//!    [`crate::parallel::run_tile`] runs the driver's one-tile block. The
 //!    ncnn baseline's functional form is the narrow tile under
-//!    [`Scheme::ncnn16`] ([`crate::narrow::accumulate_tile_narrow`]), which
-//!    runs the SMLAL block kernel draining after every K step;
+//!    [`Scheme::ncnn16`], which runs the SMLAL block kernel draining after
+//!    every K step;
 //! 2. [`tile_counts`] — analytic instruction counts for the same shape, fed to
 //!    the cost model;
 //! 3. [`emit_tile`] (and [`emit_tile_ncnn`]) — the actual instruction stream
@@ -40,7 +40,7 @@
 
 #![allow(clippy::field_reassign_with_default)] // InstCounts builders read clearer this way
 
-use crate::pack::{PackedA, PackedB, NA, NB};
+use crate::pack::{NA, NB};
 use crate::scheme::{Scheme, SchemeKind};
 use lowbit_isa::Isa;
 use neon_sim::inst::{Half, Inst};
@@ -55,43 +55,21 @@ pub const SMLAL_BLOCK: usize = 4;
 /// Wide MLA tiles per register block, chosen the same way.
 pub const MLA_BLOCK: usize = 4;
 
-/// Runs one 16x4 micro-tile functionally.
-///
-/// Output layout is column-major quarters, matching the register store order
-/// of the emitter: `out[col * 16 + row]`. A thin wrapper over
-/// [`accumulate_tile`] for tests and one-off callers; the GEMM drivers
-/// accumulate into stack tiles directly.
-pub fn run_tile(scheme: &Scheme, pa: &PackedA, pb: &PackedB, ti: usize, tj: usize) -> Vec<i32> {
-    assert_eq!(pa.k, pb.k, "packed operands disagree on K");
-    let mut acc32 = [0i32; TILE_LEN];
-    accumulate_tile(scheme, pa.block(ti, 0, pa.k), pb.tile(tj), &mut acc32);
-    acc32.to_vec()
-}
-
-/// Runs one 16x4 micro-tile over one K block, adding into `acc32`.
-///
-/// `a` is the block's packed A (`klen * NA` bytes: `klen` contiguous
-/// 16-row columns) and `b` the matching packed B (`klen * NB` bytes), exactly
-/// as [`PackedA::block`] and the B packers lay them out.
+/// A register block of `T` 16x4 tiles against one K block, compiled for
+/// `isa`, adding into `acc32`. `a[t]` is tile `t`'s
+/// [`crate::pack::PackedA::block`] (`klen * NA` bytes: `klen` contiguous
+/// 16-row columns), `b` the matching B block (`klen * NB` bytes, as
+/// [`crate::pack::PackedB::block`] and the driver's panels lay it out) and
+/// `acc32[t]` the tile's result, column-major quarters in the emitter's
+/// store order (`acc32[t][col * 16 + row]`).
 ///
 /// Drain cadence is relative to the start of this call, so splitting K into
 /// blocks and accumulating block partials is bit-exact versus one full-K run:
 /// within the published ratios every i8/i16 partial is exact, hence every
 /// i32 block partial is the exact sub-sum and i32 addition is associative.
-///
-/// Runs on the host's widest vector ISA ([`Isa::host`]) as the one-tile
-/// instance of the register-blocked kernel; every ISA and every block size
-/// computes the same bits.
-pub fn accumulate_tile(scheme: &Scheme, a: &[i8], b: &[i8], acc32: &mut [i32; TILE_LEN]) {
-    accumulate_tiles_on(Isa::host(), scheme, [a], b, std::array::from_mut(acc32));
-}
-
-/// A register block of `T` 16x4 tiles against one B block, compiled for
-/// `isa`: `a[t]` is tile `t`'s packed A block and `acc32[t]` its result, as
-/// in [`accumulate_tile`], which is the `T = 1` instance. Each K step
-/// widens every A tile once and broadcasts each B value once for all
-/// `T x 16` rows, and every tile keeps the per-call drain cadence, so each
-/// output lane sees the same wrapping i8/i16 sequence at every `T`.
+/// Each K step widens every A tile once and broadcasts each B value once
+/// for all `T x 16` rows, and every tile keeps the per-call drain cadence,
+/// so each output lane sees the same wrapping i8/i16 sequence at every `T`.
 ///
 /// The dispatch wraps exactly one block: the drivers' tile loops stay out of
 /// line, where inlining the kernel into them measured several times slower.
@@ -302,7 +280,8 @@ pub fn tile_counts(scheme: &Scheme, k: usize) -> InstCounts {
 ///
 /// The packed A tile must be at `addr_a` (`k * 16` bytes), the packed B tile
 /// at `addr_b` (`k * 4` bytes), and the 256-byte i32 result tile is stored to
-/// `addr_c` in the same `out[col*16+row]` layout as [`run_tile`].
+/// `addr_c` in the same `out[col*16+row]` layout as
+/// [`crate::parallel::run_tile`].
 pub fn emit_tile(scheme: &Scheme, k: usize, addr_a: u32, addr_b: u32, addr_c: u32) -> Vec<Inst> {
     match scheme.kind() {
         SchemeKind::Smlal8 => emit_tile_smlal(scheme, k, addr_a, addr_b, addr_c),
@@ -524,9 +503,10 @@ fn emit_tile_mla(scheme: &Scheme, k: usize, addr_a: u32, addr_b: u32, addr_c: u3
 /// Emits the ncnn-like 8x4 micro-tile on pre-widened i16 operands.
 ///
 /// A must be at `addr_a` (`k * 16` bytes: the narrow A block widened to
-/// i16) and B at `addr_b` (`k * 8` bytes: the [`crate::pack::pack_b`] tile
+/// i16) and B at `addr_b` (`k * 8` bytes: the [`crate::pack::PackedB`] tile
 /// widened to i16); the 128-byte result is stored to `addr_c` in the
-/// `out[col*8+row]` layout of [`crate::narrow::run_tile_narrow`].
+/// `out[col*8+row]` layout [`crate::parallel::run_tile`] gives the narrow
+/// tile.
 pub fn emit_tile_ncnn(k: usize, addr_a: u32, addr_b: u32, addr_c: u32) -> Vec<Inst> {
     assert!(k > 0);
     let mut prog = Vec::new();
@@ -553,8 +533,9 @@ pub fn emit_tile_ncnn(k: usize, addr_a: u32, addr_b: u32, addr_c: u32) -> Vec<In
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::narrow::{pack_a_narrow, run_tile_narrow, NA8, NARROW_TILE_LEN};
-    use crate::pack::{pack_a, pack_b};
+    use crate::narrow::{pack_a_narrow, NA8, NARROW_TILE_LEN};
+    use crate::pack::{pack_a, PackedA, PackedB};
+    use crate::parallel::{run_tile, SharedWeights};
     use lowbit_tensor::BitWidth;
     use neon_sim::{CortexA53, Machine};
     use rand::rngs::StdRng;
@@ -611,10 +592,10 @@ mod tests {
             let (m, k, n) = (21, 37, 9);
             let (a, b) = random_operands(m, k, n, bits, bits.bits() as u64);
             let pa = pack_a(&a, m, k);
-            let pb = pack_b(&b, k, n);
+            let pb = PackedB::from_b(&b, k, n);
             for ti in 0..pa.tiles() {
                 for tj in 0..pb.tiles() {
-                    let got = run_tile(&scheme, &pa, &pb, ti, tj);
+                    let got = run_tile(&scheme, SharedWeights::Wide(&pa), &pb, ti, tj);
                     let want = reference_tile(&a, &b, m, k, n, ti, tj, NA);
                     assert_eq!(got, want, "{bits} tile ({ti},{tj})");
                 }
@@ -631,8 +612,8 @@ mod tests {
             let (m, k, n) = (16, 500, 4);
             let (a, b) = random_operands(m, k, n, bits, 99);
             let pa = pack_a(&a, m, k);
-            let pb = pack_b(&b, k, n);
-            let got = run_tile(&scheme, &pa, &pb, 0, 0);
+            let pb = PackedB::from_b(&b, k, n);
+            let got = run_tile(&scheme, SharedWeights::Wide(&pa), &pb, 0, 0);
             let want = reference_tile(&a, &b, m, k, n, 0, 0, NA);
             assert_eq!(got, want, "{bits}");
         }
@@ -645,18 +626,19 @@ mod tests {
         use crate::narrow::{accumulate_tiles_narrow_on, NARROW_BLOCK};
         let (m, k, n) = (NA8 * NARROW_BLOCK + 3, 29, 7);
         let (a, b) = random_operands(m, k, n, BitWidth::W8, 5);
-        let (pa, pb) = (pack_a_narrow(&a, m, k), pack_b(&b, k, n));
+        let (pa, pb) = (pack_a_narrow(&a, m, k), PackedB::from_b(&b, k, n));
         let scheme = Scheme::ncnn16();
         for tj in 0..pb.tiles() {
             let want: Vec<_> =
                 (0..pa.tiles()).map(|ti| reference_tile(&a, &b, m, k, n, ti, tj, NA8)).collect();
             for (ti, want) in want.iter().enumerate() {
-                assert_eq!(&run_tile_narrow(&scheme, &pa, &pb, ti, tj), want, "tile ({ti},{tj})");
+                let got = run_tile(&scheme, SharedWeights::Narrow(&pa), &pb, ti, tj);
+                assert_eq!(&got, want, "tile ({ti},{tj})");
             }
             for isa in Isa::supported() {
                 let mut block = [[0i32; NARROW_TILE_LEN]; NARROW_BLOCK];
                 let a_blk = std::array::from_fn(|t| pa.block(t, 0, k));
-                accumulate_tiles_narrow_on(isa, &scheme, a_blk, pb.tile(tj), &mut block);
+                accumulate_tiles_narrow_on(isa, &scheme, a_blk, pb.block(tj, 0, k), &mut block);
                 for (ti, tile) in block.iter().enumerate() {
                     assert_eq!(&tile.to_vec(), &want[ti], "{isa} block tile ({ti},{tj})");
                 }
@@ -679,10 +661,8 @@ mod tests {
         let addr_c = (k * NA + k * NB).next_multiple_of(16) as u32;
         let mem_len = addr_c as usize + TILE_LEN * 4 + 64;
         let mut machine = Machine::new(mem_len, CortexA53::cost_model());
-        let a_tile = &pa.data[ti * k * NA..(ti + 1) * k * NA];
-        let b_tile = &pb.data[tj * k * NB..(tj + 1) * k * NB];
-        machine.write_mem_i8(addr_a as usize, a_tile);
-        machine.write_mem_i8(addr_b as usize, b_tile);
+        machine.write_mem_i8(addr_a as usize, pa.block(ti, 0, k));
+        machine.write_mem_i8(addr_b as usize, pb.block(tj, 0, k));
         let prog = emit_tile(scheme, k, addr_a, addr_b, addr_c);
         machine.run(&prog);
         (
@@ -704,8 +684,8 @@ mod tests {
             let (m, n) = (16, 4);
             let (a, b) = random_operands(m, k, n, bits, 1000 + bits.bits() as u64);
             let pa = pack_a(&a, m, k);
-            let pb = pack_b(&b, k, n);
-            let functional = run_tile(&scheme, &pa, &pb, 0, 0);
+            let pb = PackedB::from_b(&b, k, n);
+            let functional = run_tile(&scheme, SharedWeights::Wide(&pa), &pb, 0, 0);
             let (interpreted, counts) = interpret_tile(&scheme, &pa, &pb, 0, 0);
             assert_eq!(interpreted, functional, "{bits}: interpreter vs functional");
             let analytic = tile_counts(&scheme, k);
@@ -725,8 +705,8 @@ mod tests {
         let (m, n) = (16, 4);
         let (a, b) = random_operands(m, k, n, BitWidth::W2, 77);
         let pa = pack_a(&a, m, k);
-        let pb = pack_b(&b, k, n);
-        let functional = run_tile(&scheme, &pa, &pb, 0, 0);
+        let pb = PackedB::from_b(&b, k, n);
+        let functional = run_tile(&scheme, SharedWeights::Wide(&pa), &pb, 0, 0);
         let want = reference_tile(&a, &b, m, k, n, 0, 0, NA);
         assert_eq!(functional, want);
         let (interpreted, counts) = interpret_tile(&scheme, &pa, &pb, 0, 0);
@@ -737,13 +717,13 @@ mod tests {
     #[test]
     fn emitted_ncnn_kernel_matches_functional_and_counts() {
         // The A53 program reads ncnn's pre-widened i16 panels: the narrow A
-        // block and the `pack_b` tile, each widened to i16. The host kernel
+        // block and the `PackedB` tile, each widened to i16. The host kernel
         // reads the same panels as i8 and must compute the same tile.
         let (m, k, n) = (8, 33, 4);
         let (a, b) = random_operands(m, k, n, BitWidth::W8, 13);
         let pa = pack_a_narrow(&a, m, k);
-        let pb = pack_b(&b, k, n);
-        let functional = run_tile_narrow(&Scheme::ncnn16(), &pa, &pb, 0, 0);
+        let pb = PackedB::from_b(&b, k, n);
+        let functional = run_tile(&Scheme::ncnn16(), SharedWeights::Narrow(&pa), &pb, 0, 0);
 
         let addr_a = 0u32;
         let addr_b = (k * 16) as u32;
@@ -753,7 +733,7 @@ mod tests {
             panel.iter().flat_map(|&v| (v as i16).to_le_bytes()).collect()
         };
         machine.write_mem(addr_a as usize, &widened(pa.block(0, 0, k)));
-        machine.write_mem(addr_b as usize, &widened(pb.tile(0)));
+        machine.write_mem(addr_b as usize, &widened(pb.block(0, 0, k)));
         machine.run(&emit_tile_ncnn(k, addr_a, addr_b, addr_c));
         assert_eq!(
             machine.read_mem_i32(addr_c as usize, NARROW_TILE_LEN),
@@ -777,9 +757,9 @@ mod tests {
         let a = vec![bits.qmax(); m * k];
         let b = vec![bits.qmax(); k * n];
         let pa = pack_a(&a, m, k);
-        let pb = pack_b(&b, k, n);
-        let wrapped = run_tile(&bad, &pa, &pb, 0, 0);
-        let correct = run_tile(&Scheme::for_bits(bits), &pa, &pb, 0, 0);
+        let pb = PackedB::from_b(&b, k, n);
+        let wrapped = run_tile(&bad, SharedWeights::Wide(&pa), &pb, 0, 0);
+        let correct = run_tile(&Scheme::for_bits(bits), SharedWeights::Wide(&pa), &pb, 0, 0);
         assert_ne!(wrapped, correct, "overflow must corrupt the result");
         assert_eq!(correct[0], 127 * 127 * k as i32);
     }
@@ -799,7 +779,7 @@ mod tests {
         let mut full_range = |len: usize| -> Vec<i8> { (0..len).map(|_| rng.gen_range(-128..=127i32) as i8).collect() };
         let (a, b) = (full_range(m * k), full_range(k * n));
         let pa = pack_a(&a, m, k);
-        let pb = pack_b(&b, k, n);
+        let pb = PackedB::from_b(&b, k, n);
         let smlal = Scheme::for_bits(BitWidth::W8);
         let mla = Scheme::for_bits(BitWidth::W2);
         let cases = [
@@ -827,7 +807,7 @@ mod tests {
                 let (interpreted, counts) = interpret_tile(&scheme, &pa, &pb, ti, 0);
                 assert_eq!(counts, tile_counts(&scheme, k), "{name}: interpreter vs analytic counts");
                 assert_eq!(&interpreted, tile, "{name} tile {ti}: interpreter vs functional block");
-                let one = run_tile(&scheme, &pa, &pb, ti, 0);
+                let one = run_tile(&scheme, SharedWeights::Wide(&pa), &pb, ti, 0);
                 assert_eq!(one, interpreted, "{name} tile {ti}: one-tile host dispatch");
             }
             for isa in Isa::supported() {
@@ -849,7 +829,7 @@ mod tests {
     ) -> Vec<Vec<i32>> {
         let mut acc32 = [[0i32; TILE_LEN]; T];
         let a = std::array::from_fn(|t| pa.block(t, 0, pa.k));
-        accumulate_tiles_on(isa, scheme, a, pb.tile(0), &mut acc32);
+        accumulate_tiles_on(isa, scheme, a, pb.block(0, 0, pb.k), &mut acc32);
         acc32.iter().map(|tile| tile.to_vec()).collect()
     }
 
@@ -861,8 +841,8 @@ mod tests {
         let (m, n) = (NA * MLA_BLOCK, 4);
         let run = |scheme: &Scheme, k: usize| {
             let pa = pack_a(&vec![11; m * k], m, k);
-            let pb = pack_b(&vec![11; k * n], k, n);
-            let functional = run_tile(scheme, &pa, &pb, 0, 0);
+            let pb = PackedB::from_b(&vec![11; k * n], k, n);
+            let functional = run_tile(scheme, SharedWeights::Wide(&pa), &pb, 0, 0);
             assert_eq!(interpret_tile(scheme, &pa, &pb, 0, 0).0, functional);
             for tile in run_block_on::<MLA_BLOCK>(Isa::host(), scheme, &pa, &pb) {
                 assert_eq!(tile, functional, "register block vs one tile");

@@ -13,11 +13,16 @@
 //! The crossover is verified by tests: the narrow tile models faster at
 //! ratio ≤ ~8 (7/8-bit and the ratio-3..8 Winograd domains) and slower at
 //! the loose 4–6-bit ratios.
+//!
+//! Its A image is [`PackedANarrow`], the 8-lane instance of
+//! [`crate::pack::Panels`], against the wide tile's [`crate::pack::PackedB`];
+//! on the host it is the driver's [`SharedWeights::Narrow`] tile kind, and
+//! [`crate::parallel::run_tile`] runs one of its tiles.
 
 #![allow(clippy::field_reassign_with_default)] // InstCounts builders read clearer this way
 
 use crate::micro::accumulate_smlal;
-use crate::pack::{PackedB, NB};
+use crate::pack::{PackedANarrow, NB};
 use crate::parallel::{gemm_row_major_on, SharedWeights};
 use crate::scheme::{Scheme, SchemeKind};
 use lowbit_isa::Isa;
@@ -32,95 +37,18 @@ pub const NARROW_TILE_LEN: usize = NA8 * NB;
 /// the block size that measured fastest on the AVX-512 host.
 pub const NARROW_BLOCK: usize = 4;
 
-/// Packed A for the narrow kernel: 8-row tiles, same scheme as
-/// [`crate::pack::PackedA`].
-#[derive(Clone, PartialEq, Debug)]
-pub struct PackedANarrow {
-    /// Logical rows.
-    pub m: usize,
-    /// Rows padded to a multiple of [`NA8`].
-    pub m_pad: usize,
-    /// Shared dimension.
-    pub k: usize,
-    /// Tile-major storage: tile `i` holds `k` contiguous 8-row column
-    /// slices.
-    pub data: Vec<i8>,
-}
-
-impl PackedANarrow {
-    /// Number of 8-row tiles.
-    #[inline]
-    pub fn tiles(&self) -> usize {
-        self.m_pad / NA8
-    }
-
-    /// Steps `k0 .. k0 + klen` of tile `i` (`klen` contiguous 8-row column
-    /// slices).
-    #[inline]
-    pub fn block(&self, i: usize, k0: usize, klen: usize) -> &[i8] {
-        let base = (i * self.k + k0) * NA8;
-        &self.data[base..base + klen * NA8]
-    }
-}
-
 /// Packs a row-major `M x K` matrix into 8-row tiles.
 pub fn pack_a_narrow(a: &[i8], m: usize, k: usize) -> PackedANarrow {
-    assert_eq!(a.len(), m * k);
-    let m_pad = m.div_ceil(NA8) * NA8;
-    let mut data = vec![0i8; m_pad * k];
-    for tile in 0..m_pad / NA8 {
-        let tile_base = tile * k * NA8;
-        for kk in 0..k {
-            let dst = tile_base + kk * NA8;
-            for r in 0..NA8 {
-                let row = tile * NA8 + r;
-                if row < m {
-                    data[dst + r] = a[row * k + kk];
-                }
-            }
-        }
-    }
-    PackedANarrow { m, m_pad, k, data }
-}
-
-/// Runs one narrow 8x4 tile functionally, under the `SMLAL` scheme or the
-/// ncnn baseline's ([`Scheme::ncnn16`]).
-///
-/// Output layout: `out[col * 8 + row]`.
-pub fn run_tile_narrow(
-    scheme: &Scheme,
-    pa: &PackedANarrow,
-    pb: &PackedB,
-    ti: usize,
-    tj: usize,
-) -> Vec<i32> {
-    assert_eq!(pa.k, pb.k);
-    let mut acc32 = [0i32; NARROW_TILE_LEN];
-    accumulate_tile_narrow(scheme, pa.block(ti, 0, pa.k), pb.tile(tj), &mut acc32);
-    acc32.to_vec()
-}
-
-/// Runs one narrow 8x4 tile over one K block (`a`: `klen * NA8` bytes,
-/// `b`: `klen * NB` bytes), adding into `acc32` (same K-blocking exactness
-/// argument as [`crate::micro::accumulate_tile`]). The `SMLAL` scheme drains
-/// i16 partials into i32 every `ratio` steps; the ncnn scheme adds every
-/// product into i32, as the same kernel draining after each step. Panics
-/// on the MLA scheme.
-///
-/// Runs on [`Isa::host`] as the one-tile instance of the register-blocked
-/// kernel, like the wide kernel.
-pub fn accumulate_tile_narrow(
-    scheme: &Scheme,
-    a: &[i8],
-    b: &[i8],
-    acc32: &mut [i32; NARROW_TILE_LEN],
-) {
-    accumulate_tiles_narrow_on(Isa::host(), scheme, [a], b, std::array::from_mut(acc32));
+    PackedANarrow::from_a(a, m, k)
 }
 
 /// A register block of `T` narrow tiles against one B block, compiled for
 /// `isa` (one block per dispatch; see
-/// [`crate::micro::accumulate_tiles_on`]).
+/// [`crate::micro::accumulate_tiles_on`]): `a[t]` is tile `t`'s
+/// [`PackedANarrow::block`], `b` the matching `klen * NB` bytes. The
+/// `SMLAL` scheme drains i16 partials into i32 every `ratio` steps; the
+/// ncnn scheme adds every product into i32, as the same kernel draining
+/// after each step. Panics on the MLA scheme.
 pub(crate) fn accumulate_tiles_narrow_on<const T: usize>(
     isa: Isa,
     scheme: &Scheme,
@@ -266,7 +194,8 @@ pub fn schedule_gemm_narrow(scheme: &Scheme, m: usize, k: usize, n: usize) -> Ke
 mod tests {
     use super::*;
     use crate::gemm::{reference_gemm, schedule_gemm};
-    use crate::pack::pack_b;
+    use crate::pack::PackedB;
+    use crate::parallel::{run_tile, run_tile_on};
     use lowbit_tensor::BitWidth;
     use neon_sim::{CortexA53, Machine};
     use rand::rngs::StdRng;
@@ -304,8 +233,9 @@ mod tests {
         let a = random_mat(m * k, bits, 81);
         let b = random_mat(k * n, bits, 82);
         let pa = pack_a_narrow(&a, m, k);
-        let pb = pack_b(&b, k, n);
-        let baseline = run_tile_narrow_on(Isa::BASELINE, &scheme, &pa, &pb);
+        let pb = PackedB::from_b(&b, k, n);
+        let weights = SharedWeights::Narrow(&pa);
+        let baseline = run_tile_on(Isa::BASELINE, &scheme, weights, &pb, 0, 0);
 
         let addr_a = 0u32;
         let addr_b = (k * NA8) as u32;
@@ -317,18 +247,10 @@ mod tests {
         assert_eq!(machine.read_mem_i32(addr_c as usize, NARROW_TILE_LEN), baseline);
         assert_eq!(machine.stats().counts, tile_counts_narrow(&scheme, k));
         for isa in Isa::supported() {
-            let functional = run_tile_narrow_on(isa, &scheme, &pa, &pb);
+            let functional = run_tile_on(isa, &scheme, weights, &pb, 0, 0);
             assert_eq!(functional, baseline, "{isa} vs the baseline instance");
         }
-        assert_eq!(run_tile_narrow(&scheme, &pa, &pb, 0, 0), baseline, "host dispatch");
-    }
-
-    /// [`run_tile_narrow`] compiled for `isa`, on the first tile of each
-    /// operand.
-    fn run_tile_narrow_on(isa: Isa, scheme: &Scheme, pa: &PackedANarrow, pb: &PackedB) -> Vec<i32> {
-        let mut acc32 = [[0i32; NARROW_TILE_LEN]];
-        accumulate_tiles_narrow_on(isa, scheme, [pa.block(0, 0, pa.k)], pb.tile(0), &mut acc32);
-        acc32[0].to_vec()
+        assert_eq!(run_tile(&scheme, weights, &pb, 0, 0), baseline, "host dispatch");
     }
 
     #[test]
@@ -373,8 +295,8 @@ mod tests {
     fn narrow_tile_rejects_mla_scheme() {
         let scheme = Scheme::for_bits(BitWidth::W2);
         let pa = pack_a_narrow(&[0i8; 8], 8, 1);
-        let pb = pack_b(&[0i8; 4], 1, 4);
-        let _ = run_tile_narrow(&scheme, &pa, &pb, 0, 0);
+        let pb = PackedB::from_b(&[0i8; 4], 1, 4);
+        let _ = run_tile(&scheme, SharedWeights::Narrow(&pa), &pb, 0, 0);
     }
 
     #[test]

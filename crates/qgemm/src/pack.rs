@@ -1,147 +1,129 @@
-//! Data padding and packing (paper Fig. 2).
+//! Data padding and packing (paper Fig. 2), for every tile kind.
 //!
-//! The micro-kernel consumes `n_a = 16` elements from a column of `A` and
-//! `n_b = 4` elements from a row of `B` per step, so both matrices are
-//! zero-padded to multiples of the granule and re-laid-out so that every
-//! load in the inner loop is contiguous:
+//! A micro-kernel consumes a fixed number of *lanes* of each operand per
+//! K step (`n_a = 16` rows of A, `n_b = 4` columns of B), so both matrices
+//! are zero-padded to the lane granule and re-laid-out so that every load
+//! in the inner loop is contiguous. [`Panels`] is that image, with the lane
+//! count and the K grouping as parameters: tile `i` holds its lanes' K
+//! steps in groups of `KG`, each group `LANES x KG` bytes, lane-major.
 //!
-//! * **A** (`M x K`, row-major in) → row-tiles of height 16; within a tile,
-//!   `K` contiguous 16-element column slices (`LD1` feeds 16 rows at once).
-//! * **B** (`K x N`, row-major in) → column-tiles of width 4; within a tile,
-//!   `K` contiguous 4-element row slices (`LD4R` broadcasts 4 columns).
-//!
-//! The ncnn-like baseline runs on the narrow tile's 8-row i8 panels
-//! ([`crate::narrow::pack_a_narrow`]) and widens in registers; only its
-//! A53 model still prices ncnn's pre-widened i16 panels.
+//! * [`PackedA`] (`M x K` in) → 16-row tiles; within a tile, `K`
+//!   contiguous 16-element column slices (`LD1` feeds 16 rows at once).
+//! * [`PackedB`] (`K x N` in) → 4-column tiles; within a tile, `K`
+//!   contiguous 4-element row slices (`LD4R` broadcasts 4 columns).
+//! * [`PackedANarrow`] is the narrow 8x4 tile's A, 8-row tiles; the
+//!   ncnn-like baseline runs on it and widens in registers (only its A53
+//!   model still prices ncnn's pre-widened i16 panels).
+//! * [`PackedAQuads`] and [`PackedBQuads`] are the `SDOT` tile's images
+//!   (Sec. 2.3): K grouped in quads, so each lane's four consecutive K
+//!   elements sit together and one `SDOT` lane dots them at once.
+
+use crate::narrow::NA8;
+use crate::sdot::{KQ, SDOT_NA};
 
 /// Micro-kernel rows per A tile (`n_a` in the paper).
 pub const NA: usize = 16;
 /// Micro-kernel columns per B tile (`n_b` in the paper).
 pub const NB: usize = 4;
 
-/// Packed representation of the `M x K` weight matrix A.
+/// One packed operand: tiles of `LANES` lanes (A's rows or B's columns),
+/// each tile's K steps in groups of `KG`.
+///
+/// Tile `i` occupies `k_pad * LANES` bytes from `i * k_pad * LANES`; its
+/// step group `g` holds `LANES x KG` bytes, lane `l`'s steps
+/// `g*KG .. g*KG + KG` at `l * KG`. Lanes past `lanes` and steps past `k`
+/// are zero. With `KG = 1` step `kk` of a tile is one contiguous `LANES`
+/// slice.
 #[derive(Clone, PartialEq, Debug)]
-pub struct PackedA {
-    /// Logical rows.
-    pub m: usize,
-    /// Rows after padding to a multiple of [`NA`].
-    pub m_pad: usize,
-    /// Shared dimension.
+pub struct Panels<const LANES: usize, const KG: usize> {
+    /// Logical lanes: A's rows (GEMM M) or B's columns (GEMM N).
+    pub lanes: usize,
+    /// Lanes after padding to a multiple of `LANES`.
+    pub lanes_pad: usize,
+    /// Logical K.
     pub k: usize,
-    /// Tile-major storage: tile `i` occupies `k * NA` bytes starting at
-    /// `i * k * NA`; within the tile, step `kk` holds rows
-    /// `i*NA .. i*NA+NA` of column `kk`.
+    /// K after padding to a multiple of `KG`.
+    pub k_pad: usize,
+    /// Tile-major storage.
     pub data: Vec<i8>,
 }
 
-impl PackedA {
-    /// Number of 16-row tiles.
+/// The wide 16x4 tile's A: 16-row tiles, one K step per group.
+pub type PackedA = Panels<NA, 1>;
+/// The narrow 8x4 tile's A (SMLAL and the ncnn baseline): 8-row tiles.
+pub type PackedANarrow = Panels<NA8, 1>;
+/// The `SDOT` tile's A: 16-row tiles of k-quads.
+pub type PackedAQuads = Panels<SDOT_NA, KQ>;
+/// B for the 16x4 and 8x4 tiles: 4-column tiles, one K step per group.
+pub type PackedB = Panels<NB, 1>;
+/// B for the `SDOT` tile: 4-column tiles of k-quads, the image the emitted
+/// `LD4R.4s` stream reads.
+pub type PackedBQuads = Panels<NB, KQ>;
+
+impl<const LANES: usize, const KG: usize> Panels<LANES, KG> {
+    /// Packs a row-major `M x K` matrix A, lanes over its rows.
+    pub fn from_a(a: &[i8], m: usize, k: usize) -> Self {
+        assert_eq!(a.len(), m * k, "A must be M x K row-major");
+        Self::pack(m, k, |row, kk| a[row * k + kk])
+    }
+
+    /// Packs a row-major `K x N` matrix B, lanes over its columns.
+    pub fn from_b(b: &[i8], k: usize, n: usize) -> Self {
+        assert_eq!(b.len(), k * n, "B must be K x N row-major");
+        Self::pack(n, k, |col, kk| b[kk * n + col])
+    }
+
+    /// The one packing loop: tile, then step group, then lane, then the
+    /// group's steps, reading logical element `(lane, step)` through `at`.
+    #[inline(always)]
+    fn pack(lanes: usize, k: usize, at: impl Fn(usize, usize) -> i8) -> Self {
+        let lanes_pad = lanes.div_ceil(LANES) * LANES;
+        let k_pad = k.div_ceil(KG) * KG;
+        let mut data = vec![0i8; lanes_pad * k_pad];
+        let mut dst = 0;
+        for tile in 0..lanes_pad / LANES {
+            for g in 0..k_pad / KG {
+                for l in 0..LANES {
+                    let lane = tile * LANES + l;
+                    for j in 0..KG {
+                        let kk = g * KG + j;
+                        if lane < lanes && kk < k {
+                            data[dst] = at(lane, kk);
+                        }
+                        dst += 1;
+                    }
+                }
+            }
+        }
+        Panels { lanes, lanes_pad, k, k_pad, data }
+    }
+
+    /// Number of `LANES`-lane tiles.
     #[inline]
     pub fn tiles(&self) -> usize {
-        self.m_pad / NA
+        self.lanes_pad / LANES
     }
 
-    /// The 16-element column slice for tile `i`, step `kk`.
-    #[inline]
-    pub fn slice(&self, i: usize, kk: usize) -> &[i8] {
-        let base = (i * self.k + kk) * NA;
-        &self.data[base..base + NA]
-    }
-
-    /// Steps `k0 .. k0 + klen` of tile `i`: `klen` contiguous 16-row column
-    /// slices, the A operand of one micro-kernel K block.
+    /// Tile `i`'s step groups covering K steps `[k0, k0 + klen)`, the
+    /// operand of one micro-kernel K block: with `KG = 1` exactly `klen`
+    /// contiguous `LANES` slices; otherwise the block's first step sits at
+    /// position `k0 % KG` of the first group.
     #[inline]
     pub fn block(&self, i: usize, k0: usize, klen: usize) -> &[i8] {
-        let base = (i * self.k + k0) * NA;
-        &self.data[base..base + klen * NA]
+        let group = |g: usize| (i * (self.k_pad / KG) + g) * LANES * KG;
+        &self.data[group(k0 / KG)..group((k0 + klen).div_ceil(KG))]
     }
 
-    /// Logical element `(row, col)` (0 in the padded region).
-    pub fn get(&self, row: usize, col: usize) -> i8 {
-        let tile = row / NA;
-        self.slice(tile, col)[row % NA]
-    }
-}
-
-/// Packed representation of the `K x N` im2col matrix B.
-#[derive(Clone, PartialEq, Debug)]
-pub struct PackedB {
-    /// Shared dimension.
-    pub k: usize,
-    /// Logical columns.
-    pub n: usize,
-    /// Columns after padding to a multiple of [`NB`].
-    pub n_pad: usize,
-    /// Tile-major storage: tile `j` occupies `k * NB` bytes; within the tile,
-    /// step `kk` holds columns `j*NB .. j*NB+NB` of row `kk`.
-    pub data: Vec<i8>,
-}
-
-impl PackedB {
-    /// Number of 4-column tiles.
-    #[inline]
-    pub fn tiles(&self) -> usize {
-        self.n_pad / NB
-    }
-
-    /// The 4-element row slice for tile `j`, step `kk`.
-    #[inline]
-    pub fn slice(&self, j: usize, kk: usize) -> &[i8] {
-        let base = (j * self.k + kk) * NB;
-        &self.data[base..base + NB]
-    }
-
-    /// All `k` steps of tile `j` (`k * NB` contiguous bytes).
-    #[inline]
-    pub fn tile(&self, j: usize) -> &[i8] {
-        &self.data[j * self.k * NB..(j + 1) * self.k * NB]
-    }
-
-    /// Logical element `(row, col)` (0 in the padded region).
-    pub fn get(&self, row: usize, col: usize) -> i8 {
-        let tile = col / NB;
-        self.slice(tile, row)[col % NB]
+    /// Logical element `(lane, step)`: A's `(row, col)` or B's
+    /// `(col, row)` (0 in the padded region).
+    pub fn get(&self, lane: usize, step: usize) -> i8 {
+        self.block(lane / LANES, step, 1)[lane % LANES * KG + step % KG]
     }
 }
 
 /// Packs a row-major `M x K` matrix into 16-row tiles (zero padding `M`).
 pub fn pack_a(a: &[i8], m: usize, k: usize) -> PackedA {
-    assert_eq!(a.len(), m * k, "A must be M x K row-major");
-    let m_pad = m.div_ceil(NA) * NA;
-    let mut data = vec![0i8; m_pad * k];
-    for tile in 0..m_pad / NA {
-        let tile_base = tile * k * NA;
-        for kk in 0..k {
-            let dst = tile_base + kk * NA;
-            for r in 0..NA {
-                let row = tile * NA + r;
-                if row < m {
-                    data[dst + r] = a[row * k + kk];
-                }
-            }
-        }
-    }
-    PackedA { m, m_pad, k, data }
-}
-
-/// Packs a row-major `K x N` matrix into 4-column tiles (zero padding `N`).
-pub fn pack_b(b: &[i8], k: usize, n: usize) -> PackedB {
-    assert_eq!(b.len(), k * n, "B must be K x N row-major");
-    let n_pad = n.div_ceil(NB) * NB;
-    let mut data = vec![0i8; k * n_pad];
-    for tile in 0..n_pad / NB {
-        let tile_base = tile * k * NB;
-        for kk in 0..k {
-            let dst = tile_base + kk * NB;
-            for c in 0..NB {
-                let col = tile * NB + c;
-                if col < n {
-                    data[dst + c] = b[kk * n + col];
-                }
-            }
-        }
-    }
-    PackedB { k, n, n_pad, data }
+    PackedA::from_a(a, m, k)
 }
 
 #[cfg(test)]
@@ -152,69 +134,87 @@ mod tests {
 
     fn random_matrix(rows: usize, cols: usize, seed: u64) -> Vec<i8> {
         let mut rng = StdRng::seed_from_u64(seed);
-        (0..rows * cols).map(|_| rng.gen_range(-8..8) as i8).collect()
+        // Never zero, so a logical element cannot pass for padding.
+        (0..rows * cols)
+            .map(|_| match rng.gen_range(-8..8) as i8 {
+                0 => 8,
+                v => v,
+            })
+            .collect()
     }
 
-    #[test]
-    fn pack_a_round_trips_logical_elements() {
-        let (m, k) = (19, 7); // deliberately not multiples of the granule
-        let a = random_matrix(m, k, 1);
-        let p = pack_a(&a, m, k);
-        assert_eq!(p.m_pad, 32);
-        for row in 0..m {
-            for col in 0..k {
-                assert_eq!(p.get(row, col), a[row * k + col], "({row},{col})");
+    /// Checks one packed image of the `rows x cols` row-major `src`, whose
+    /// lanes are its rows (`lanes_are_rows`) or its columns.
+    fn check<const LANES: usize, const KG: usize>(
+        p: &Panels<LANES, KG>,
+        src: &[i8],
+        (rows, cols): (usize, usize),
+        lanes_are_rows: bool,
+    ) {
+        let (lanes, k) = if lanes_are_rows { (rows, cols) } else { (cols, rows) };
+        let at = |lane: usize, kk: usize| match lanes_are_rows {
+            true => src[lane * cols + kk],
+            false => src[kk * cols + lane],
+        };
+        let case = format!("{LANES}x{KG} lanes {lanes} k {k}");
+        assert_eq!((p.lanes, p.k), (lanes, k), "{case}");
+        assert_eq!(p.lanes_pad, lanes.div_ceil(LANES) * LANES, "{case}: lane padding");
+        assert_eq!(p.k_pad, k.div_ceil(KG) * KG, "{case}: K padding");
+        assert_eq!(p.data.len(), p.lanes_pad * p.k_pad, "{case}");
+        assert!(p.lanes_pad - lanes < LANES && p.k_pad - k < KG, "{case}: minimal padding");
+        // Every logical element round-trips; every padded one is zero.
+        let want = |lane: usize, kk: usize| if lane < lanes && kk < k { at(lane, kk) } else { 0 };
+        for lane in 0..p.lanes_pad {
+            for kk in 0..p.k_pad {
+                assert_eq!(p.get(lane, kk), want(lane, kk), "{case} at ({lane},{kk})");
+            }
+        }
+        let nonzero = p.data.iter().filter(|&&v| v != 0).count();
+        assert_eq!(nonzero, lanes * k, "{case}: zero bytes only in the padding");
+        // The tiles lie back to back, each all of its K steps.
+        let tiles: Vec<i8> = (0..p.tiles()).flat_map(|i| p.block(i, 0, k).to_vec()).collect();
+        assert_eq!(tiles, p.data, "{case}: tile-major");
+        // A block is its steps' groups, each lane-major, whether its ends
+        // fall on group boundaries or inside a group.
+        for i in 0..p.tiles() {
+            for k0 in 0..k {
+                for klen in 1..=k - k0 {
+                    let blk = p.block(i, k0, klen);
+                    let (g0, g1) = (k0 / KG, (k0 + klen).div_ceil(KG));
+                    let at = format!("{case} block ({i},{k0},{klen})");
+                    assert_eq!(blk.len(), (g1 - g0) * LANES * KG, "{at}");
+                    for (g, group) in (g0..g1).zip(blk.chunks_exact(LANES * KG)) {
+                        for (l, steps) in group.chunks_exact(KG).enumerate() {
+                            for (j, &v) in steps.iter().enumerate() {
+                                let (lane, kk) = (i * LANES + l, g * KG + j);
+                                assert_eq!(v, want(lane, kk), "{at}: lane {lane} step {kk}");
+                            }
+                        }
+                    }
+                }
             }
         }
     }
 
     #[test]
-    fn pack_a_pads_with_zeros() {
-        let (m, k) = (5, 3);
-        let a = random_matrix(m, k, 2);
-        let p = pack_a(&a, m, k);
-        for row in m..p.m_pad {
-            for col in 0..k {
-                assert_eq!(p.get(row, col), 0);
-            }
+    fn every_image_packs_ragged_shapes_exactly() {
+        // Lanes past, short of and on each granule (16, 8, 4), and K of
+        // every residue mod 4, K below one quad included.
+        let shapes =
+            [(19, 7), (5, 3), (16, 4), (32, 5), (17, 10), (13, 1), (10, 6), (21, 9), (8, 8)];
+        let residues: std::collections::BTreeSet<_> = shapes.iter().map(|&(_, k)| k % KQ).collect();
+        assert_eq!(residues.len(), KQ);
+        for (seed, (lanes, k)) in shapes.into_iter().enumerate() {
+            let a = random_matrix(lanes, k, seed as u64);
+            check(&PackedA::from_a(&a, lanes, k), &a, (lanes, k), true);
+            check(&PackedANarrow::from_a(&a, lanes, k), &a, (lanes, k), true);
+            check(&PackedAQuads::from_a(&a, lanes, k), &a, (lanes, k), true);
+            let b = random_matrix(k, lanes, 100 + seed as u64);
+            check(&PackedB::from_b(&b, k, lanes), &b, (k, lanes), false);
+            check(&PackedBQuads::from_b(&b, k, lanes), &b, (k, lanes), false);
         }
-    }
-
-    #[test]
-    fn pack_b_round_trips_logical_elements() {
-        let (k, n) = (6, 10);
-        let b = random_matrix(k, n, 3);
-        let p = pack_b(&b, k, n);
-        assert_eq!(p.n_pad, 12);
-        for row in 0..k {
-            for col in 0..n {
-                assert_eq!(p.get(row, col), b[row * n + col], "({row},{col})");
-            }
-        }
-        for row in 0..k {
-            for col in n..p.n_pad {
-                assert_eq!(p.get(row, col), 0);
-            }
-        }
-    }
-
-    #[test]
-    fn packed_slices_are_contiguous_tile_steps() {
-        let (m, k) = (16, 4);
-        let a = random_matrix(m, k, 4);
-        let p = pack_a(&a, m, k);
-        // Tile 0, step 2 must be column 2 of rows 0..16.
-        let col2: Vec<i8> = (0..16).map(|r| a[r * k + 2]).collect();
-        assert_eq!(p.slice(0, 2), col2.as_slice());
-    }
-
-    #[test]
-    fn exact_multiples_need_no_padding() {
-        let a = random_matrix(32, 5, 5);
-        let p = pack_a(&a, 32, 5);
-        assert_eq!(p.m_pad, 32);
-        let b = random_matrix(5, 8, 6);
-        let pb = pack_b(&b, 5, 8);
-        assert_eq!(pb.n_pad, 8);
+        // Exact multiples need no padding.
+        assert_eq!(pack_a(&random_matrix(32, 5, 5), 32, 5).lanes_pad, 32);
+        assert_eq!(PackedB::from_b(&random_matrix(5, 8, 6), 5, 8).lanes_pad, 8);
     }
 }

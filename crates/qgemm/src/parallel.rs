@@ -35,10 +35,10 @@
 //! random shapes, bit widths, thread counts and block sizes.
 
 use crate::micro::{accumulate_tiles_on, MLA_BLOCK, SMLAL_BLOCK, TILE_LEN};
-use crate::narrow::{accumulate_tiles_narrow_on, PackedANarrow, NARROW_BLOCK, NARROW_TILE_LEN};
-use crate::pack::{PackedA, NB};
+use crate::narrow::{accumulate_tiles_narrow_on, NARROW_BLOCK, NARROW_TILE_LEN};
+use crate::pack::{PackedA, PackedANarrow, PackedAQuads, PackedB, NB};
 use crate::scheme::{Scheme, SchemeKind};
-use crate::sdot::{accumulate_sdot_on, PackedAQuads, KQ, SDOT_BLOCK};
+use crate::sdot::{accumulate_sdot_on, KQ, SDOT_BLOCK};
 use crate::workspace::{GemmWorkspace, ThreadScratch};
 use lowbit_isa::Isa;
 use lowbit_trace::{Tracer, MAIN_TRACK};
@@ -147,43 +147,44 @@ pub fn partition_columns(
     (0..threads).map(move |t| ColumnSpan { col0: start(t), cols: start(t + 1) - start(t) })
 }
 
-/// The shared, read-only packed weights a parallel GEMM runs against.
+/// The shared, read-only packed weights a parallel GEMM runs against: one
+/// variant per tile kind, each holding that kind's [`crate::pack::Panels`]
+/// image, so weights packed for one kind cannot reach another's kernel.
 #[derive(Clone, Copy)]
 pub enum SharedWeights<'a> {
-    /// 16-row tiles (SMLAL and MLA schemes).
+    /// The wide 16x4 tile's [`PackedA`], `Panels<16, 1>` (SMLAL and MLA
+    /// schemes).
     Wide(&'a PackedA),
-    /// 8-row tiles (the narrow kernel: SMLAL, or the ncnn baseline's
-    /// drain-free scheme).
+    /// The narrow 8x4 tile's [`PackedANarrow`], `Panels<8, 1>` (SMLAL, or
+    /// the ncnn baseline's drain-free scheme).
     Narrow(&'a PackedANarrow),
-    /// 16-row k-quad tiles (the ARMv8.2 `SDOT` kernel).
+    /// The ARMv8.2 `SDOT` tile's [`PackedAQuads`], `Panels<16, 4>`: 16-row
+    /// tiles of k-quads (any scheme; it has no drains).
     Quads(&'a PackedAQuads),
 }
 
 impl SharedWeights<'_> {
+    /// Logical rows (GEMM M), shared dimension (GEMM K) and A tiles.
+    fn dims(&self) -> (usize, usize, usize) {
+        match self {
+            SharedWeights::Wide(pa) => (pa.lanes, pa.k, pa.tiles()),
+            SharedWeights::Narrow(pa) => (pa.lanes, pa.k, pa.tiles()),
+            SharedWeights::Quads(pa) => (pa.lanes, pa.k, pa.tiles()),
+        }
+    }
+
     /// Logical rows (GEMM M).
     pub fn m(&self) -> usize {
-        match self {
-            SharedWeights::Wide(pa) => pa.m,
-            SharedWeights::Narrow(pa) => pa.m,
-            SharedWeights::Quads(pa) => pa.m,
-        }
+        self.dims().0
     }
 
     /// Shared dimension (GEMM K).
     pub fn k(&self) -> usize {
-        match self {
-            SharedWeights::Wide(pa) => pa.k,
-            SharedWeights::Narrow(pa) => pa.k,
-            SharedWeights::Quads(pa) => pa.k,
-        }
+        self.dims().1
     }
 
     fn tiles(&self) -> usize {
-        match self {
-            SharedWeights::Wide(pa) => pa.tiles(),
-            SharedWeights::Narrow(pa) => pa.tiles(),
-            SharedWeights::Quads(pa) => pa.tiles(),
-        }
+        self.dims().2
     }
 }
 
@@ -594,6 +595,39 @@ fn register_block<const T: usize>(
     }
 }
 
+/// Runs one micro-tile functionally: A tile `ti` of `weights` against
+/// tile `tj` of `pb` over all of K, through the driver's own one-tile
+/// register block on [`Isa::host`]. The result is column-major in the
+/// emitters' store order, `out[col * rows + row]` for the kind's `rows`
+/// (16 wide and SDOT, 8 narrow). Panics where the kernels do: on a scheme
+/// the tile kind does not run, or on operands that disagree on K.
+pub fn run_tile(
+    scheme: &Scheme,
+    weights: SharedWeights<'_>,
+    pb: &PackedB,
+    ti: usize,
+    tj: usize,
+) -> Vec<i32> {
+    run_tile_on(Isa::host(), scheme, weights, pb, ti, tj)
+}
+
+/// [`run_tile`] compiled for `isa`.
+pub(crate) fn run_tile_on(
+    isa: Isa,
+    scheme: &Scheme,
+    weights: SharedWeights<'_>,
+    pb: &PackedB,
+    ti: usize,
+    tj: usize,
+) -> Vec<i32> {
+    let k = weights.k();
+    assert_eq!(k, pb.k, "packed operands disagree on K");
+    let mut out = Vec::new();
+    let store = &mut |_, tile: &[i32]| out.extend_from_slice(tile);
+    register_block::<1>(isa, scheme, weights, ti, &(0..k), pb.block(tj, 0, k), store);
+    out
+}
+
 /// Packs the `klen x (tiles * NB)` sub-block of row-major B starting at row
 /// `k0`, column `col_base` into panel layout
 /// `panel[(tile * klen + step) * NB + c]` (columns past `n` zero-padded).
@@ -645,7 +679,6 @@ mod tests {
     use crate::gemm::reference_gemm;
     use crate::narrow::{pack_a_narrow, NA8};
     use crate::pack::pack_a;
-    use crate::sdot::pack_a_quads;
     use lowbit_tensor::BitWidth;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -746,7 +779,7 @@ mod tests {
                 let b = random_mat(k * n, bits, 600 + n as u64);
                 let want = reference_gemm(&a, &b, m, k, n);
                 let (pa, pn) = (pack_a(&a, m, k), pack_a_narrow(&a, m, k));
-                let pq = pack_a_quads(&a, m, k);
+                let pq = PackedAQuads::from_a(&a, m, k);
                 let weights = match tile {
                     "narrow" => SharedWeights::Narrow(&pn),
                     "sdot" => SharedWeights::Quads(&pq),

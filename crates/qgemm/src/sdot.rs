@@ -15,17 +15,19 @@
 //! * per k-quad: 4x `LD1` + 1x `LD4R.4s` + 16x `SDOT` = 256 MACs in 21
 //!   instructions, vs 2-bit MLA's 64 MACs in ~6.3.
 //!
-//! On the host the tile is the third tile kind of [`crate::parallel`]
-//! ([`crate::SharedWeights::Quads`]): A stays quad-packed, B comes from the
-//! driver's step-major panels, and [`gemm_sdot`], the engine and
-//! [`run_tile_sdot`] all run the one kernel. [`pack_b_quads`] is the B image
-//! the emitted `LD4R.4s` stream reads.
+//! Both operand images are [`crate::pack::Panels`] with K grouped in quads:
+//! [`PackedAQuads`] (16 lanes) and [`crate::pack::PackedBQuads`] (4 lanes),
+//! the B image the emitted `LD4R.4s` stream reads. On the host the tile is
+//! the third tile kind of [`crate::parallel`] ([`crate::SharedWeights::Quads`]):
+//! A stays quad-packed, B comes from the driver's step-major panels, and
+//! [`gemm_sdot`], the engine and [`crate::parallel::run_tile`] all run the
+//! one kernel.
 
 #![allow(clippy::field_reassign_with_default)] // InstCounts builders read clearer this way
 
 use crate::gemm::GemmOutput;
 use crate::micro::TILE_LEN;
-use crate::pack::{PackedB, NB};
+use crate::pack::{PackedAQuads, NB};
 use crate::parallel::{gemm_row_major_on, SharedWeights};
 use crate::scheme::Scheme;
 use lowbit_isa::Isa;
@@ -40,117 +42,11 @@ pub const KQ: usize = 4;
 /// SDOT tiles per register block of the parallel driver.
 pub const SDOT_BLOCK: usize = 4;
 
-/// Packed A for the SDOT kernel: 16-row tiles of k-quads.
-///
-/// Within a tile, quad `q` stores rows `0..16` as 16 consecutive 4-byte
-/// groups `a[row][4q..4q+4]` — i.e. each 128-bit register holds four rows'
-/// quads, lane-aligned for `SDOT`.
-#[derive(Clone, PartialEq, Debug)]
-pub struct PackedAQuads {
-    /// Logical rows.
-    pub m: usize,
-    /// Rows padded to a multiple of 16.
-    pub m_pad: usize,
-    /// Logical K.
-    pub k: usize,
-    /// K padded to a multiple of 4.
-    pub k_pad: usize,
-    /// Tile-major storage.
-    pub data: Vec<i8>,
-}
-
-impl PackedAQuads {
-    /// Number of 16-row tiles.
-    pub fn tiles(&self) -> usize {
-        self.m_pad / SDOT_NA
-    }
-
-    /// Tile `i`'s quads covering K steps `[k0, k0 + klen)`: the block's
-    /// first step sits at lane `k0 % KQ` of the first quad.
-    pub fn block(&self, i: usize, k0: usize, klen: usize) -> &[i8] {
-        let quad = |q: usize| (i * self.k_pad / KQ + q) * SDOT_NA * KQ;
-        &self.data[quad(k0 / KQ)..quad((k0 + klen).div_ceil(KQ))]
-    }
-}
-
-/// Packed B for the SDOT kernel: 4-column tiles of k-quads; quad `q` stores
-/// the 4 columns' 4-byte groups contiguously (16 bytes, fed to `LD4R.4s`).
-#[derive(Clone, PartialEq, Debug)]
-pub struct PackedBQuads {
-    /// Logical K.
-    pub k: usize,
-    /// K padded to a multiple of 4.
-    pub k_pad: usize,
-    /// Logical columns.
-    pub n: usize,
-    /// Columns padded to a multiple of 4.
-    pub n_pad: usize,
-    /// Tile-major storage.
-    pub data: Vec<i8>,
-}
-
-/// Packs a row-major `M x K` matrix into SDOT quad layout.
-pub fn pack_a_quads(a: &[i8], m: usize, k: usize) -> PackedAQuads {
-    assert_eq!(a.len(), m * k);
-    let m_pad = m.div_ceil(SDOT_NA) * SDOT_NA;
-    let k_pad = k.div_ceil(KQ) * KQ;
-    let quads = k_pad / KQ;
-    let mut data = vec![0i8; m_pad * k_pad];
-    for tile in 0..m_pad / SDOT_NA {
-        for q in 0..quads {
-            let base = (tile * quads + q) * SDOT_NA * KQ;
-            for r in 0..SDOT_NA {
-                let row = tile * SDOT_NA + r;
-                for j in 0..KQ {
-                    let kk = q * KQ + j;
-                    if row < m && kk < k {
-                        data[base + r * KQ + j] = a[row * k + kk];
-                    }
-                }
-            }
-        }
-    }
-    PackedAQuads { m, m_pad, k, k_pad, data }
-}
-
-/// Packs a row-major `K x N` matrix into SDOT quad layout: the operand
-/// image the emitted `LD4R.4s` stream reads ([`emit_tile_sdot`]).
-pub fn pack_b_quads(b: &[i8], k: usize, n: usize) -> PackedBQuads {
-    assert_eq!(b.len(), k * n);
-    let k_pad = k.div_ceil(KQ) * KQ;
-    let n_pad = n.div_ceil(NB) * NB;
-    let quads = k_pad / KQ;
-    let mut data = vec![0i8; k_pad * n_pad];
-    for tile in 0..n_pad / NB {
-        for q in 0..quads {
-            let base = (tile * quads + q) * NB * KQ;
-            for c in 0..NB {
-                let col = tile * NB + c;
-                for j in 0..KQ {
-                    let kk = q * KQ + j;
-                    if col < n && kk < k {
-                        data[base + c * KQ + j] = b[kk * n + col];
-                    }
-                }
-            }
-        }
-    }
-    PackedBQuads { k, k_pad, n, n_pad, data }
-}
-
-/// Runs one 16x4 SDOT tile functionally on a [`PackedB`] tile, through the
-/// driver's kernel. Output: `out[col * 16 + row]`.
-pub fn run_tile_sdot(pa: &PackedAQuads, pb: &PackedB, ti: usize, tj: usize) -> Vec<i32> {
-    assert_eq!(pa.k, pb.k, "packed operands disagree on K");
-    let mut acc = [0i32; TILE_LEN];
-    let a = [pa.block(ti, 0, pa.k)];
-    accumulate_sdot_on(Isa::host(), a, 0, pb.tile(tj), std::array::from_mut(&mut acc));
-    acc.to_vec()
-}
-
 /// A register block of `T` 16x4 SDOT tiles against one K block of the
 /// driver's step-major B panel (`b[step * NB + col]`), compiled for `isa`.
-/// `a[t]` is tile `t`'s quads covering the block ([`PackedAQuads::block`]),
+/// `a[t]` is tile `t`'s quads covering the block ([`PackedAQuads::block`]:
+/// within a quad, each row's four K elements sit together, so one 128-bit
+/// register holds four rows' quads, lane-aligned for `SDOT`),
 /// its first step at lane `lane0` of the first quad; `acc[t]` is the tile's
 /// result, `acc[t][col * 16 + row]`.
 ///
@@ -264,7 +160,7 @@ pub fn emit_tile_sdot(k: usize, addr_a: u32, addr_b: u32, addr_c: u32) -> Vec<In
 /// Full GEMM on the SDOT path: packs A into k-quads and runs the one tiled
 /// driver, [`crate::parallel`], at one thread into a row-major result.
 pub fn gemm_sdot(a: &[i8], b: &[i8], m: usize, k: usize, n: usize) -> GemmOutput {
-    let pa = pack_a_quads(a, m, k);
+    let pa = PackedAQuads::from_a(a, m, k);
     // The SDOT tile has no drain machinery: any scheme passes and none applies.
     let scheme = Scheme::for_bits(BitWidth::W8);
     let c = gemm_row_major_on(Isa::host(), &scheme, SharedWeights::Quads(&pa), b, n);
@@ -295,6 +191,8 @@ pub fn sdot_supported(bits: BitWidth) -> bool {
 mod tests {
     use super::*;
     use crate::gemm::{reference_gemm, schedule_gemm};
+    use crate::pack::{PackedB, PackedBQuads};
+    use crate::parallel::run_tile;
     use crate::scheme::Scheme;
     use neon_sim::{CortexA53, Machine};
     use rand::rngs::StdRng;
@@ -324,9 +222,10 @@ mod tests {
         let (m, k, n) = (16, 22, 4); // k not a multiple of 4: quad padding
         let a = random_mat(m * k, bits, 301);
         let b = random_mat(k * n, bits, 302);
-        let pa = pack_a_quads(&a, m, k);
-        let pb = pack_b_quads(&b, k, n);
-        let functional = run_tile_sdot(&pa, &crate::pack::pack_b(&b, k, n), 0, 0);
+        let pa = PackedAQuads::from_a(&a, m, k);
+        let pb = PackedBQuads::from_b(&b, k, n);
+        let (scheme, weights) = (Scheme::for_bits(bits), SharedWeights::Quads(&pa));
+        let functional = run_tile(&scheme, weights, &PackedB::from_b(&b, k, n), 0, 0);
 
         let addr_a = 0u32;
         let addr_b = (pa.k_pad * SDOT_NA) as u32;
@@ -356,24 +255,6 @@ mod tests {
         let mla = schedule_gemm(&Scheme::for_bits(BitWidth::W2), m, k, n)
             .stage_cycles("gemm", &model);
         assert!(sdot < mla, "SDOT ({sdot:.0}) vs MLA ({mla:.0})");
-    }
-
-    #[test]
-    fn quad_packing_round_trips() {
-        let (m, k) = (17, 10);
-        let a = random_mat(m * k, BitWidth::W8, 400);
-        let pa = pack_a_quads(&a, m, k);
-        for row in 0..m {
-            for kk in 0..k {
-                let tile = row / SDOT_NA;
-                let r = row % SDOT_NA;
-                let got = pa.block(tile, kk, 1)[r * KQ + kk % KQ];
-                assert_eq!(got, a[row * k + kk], "({row},{kk})");
-            }
-        }
-        // Padding (both row and k) is zero.
-        assert_eq!(pa.block(1, 8, 1)[(m % SDOT_NA) * KQ], 0);
-        assert_eq!(pa.block(0, 8, 1)[2], 0); // row 0: k=10,11 of quad 2 are padded
     }
 
     #[test]

@@ -12,7 +12,7 @@
 use crate::emit_gemm::emit_gemm;
 use crate::micro::{emit_tile, emit_tile_ncnn, TILE_LEN};
 use crate::narrow::{emit_tile_narrow, NA8, NARROW_TILE_LEN};
-use crate::pack::{pack_a, pack_b, NA, NB};
+use crate::pack::{pack_a, PackedB, NA, NB};
 use crate::scheme::{Scheme, SchemeKind};
 use crate::sdot::{emit_tile_sdot, KQ, SDOT_NA};
 use neon_sim::inst::Inst;
@@ -137,7 +137,7 @@ pub fn tile_stream_ncnn(k: usize) -> KernelStream {
 /// are built from zeros purely to size the layout.
 pub fn gemm_stream(scheme: &Scheme, m: usize, k: usize, n: usize) -> KernelStream {
     let pa = pack_a(&vec![0i8; m * k], m, k);
-    let pb = pack_b(&vec![0i8; k * n], k, n);
+    let pb = PackedB::from_b(&vec![0i8; k * n], k, n);
     let (prog, layout) = emit_gemm(scheme, &pa, &pb);
     let c_len = (pa.tiles() * pb.tiles() * NA * NB * 4) as u32;
     KernelStream {

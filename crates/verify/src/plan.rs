@@ -1254,8 +1254,7 @@ mod tests {
     use lowbit_conv_arm::workspace::{gemm_conv_ws, ConvWorkspace, PackedWeights};
     use lowbit_qgemm::narrow::pack_a_narrow;
     use lowbit_qgemm::parallel::ParallelConfig;
-    use lowbit_qgemm::sdot::pack_a_quads;
-    use lowbit_qgemm::pack_a;
+    use lowbit_qgemm::{pack_a, PackedAQuads};
     use lowbit_tensor::{Layout, QTensor};
     use lowbit_trace::Tracer;
 
@@ -1700,7 +1699,7 @@ mod tests {
             let packings = [
                 (ArmAlgo::Gemm, PackedWeights::Wide(pack_a(w, m, k))),
                 (ArmAlgo::GemmNarrow, narrow()),
-                (ArmAlgo::GemmSdot, PackedWeights::Quads(pack_a_quads(w, m, k))),
+                (ArmAlgo::GemmSdot, PackedWeights::Quads(PackedAQuads::from_a(w, m, k))),
                 (ArmAlgo::NcnnBaseline, narrow()),
             ];
             for (kind, pa) in &packings {

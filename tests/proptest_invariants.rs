@@ -2,7 +2,7 @@
 //! public API over randomized shapes, bit widths and data.
 
 use lowbit::prelude::*;
-use lowbit::qgemm::{gemm, pack_a, pack_b, Scheme};
+use lowbit::qgemm::{gemm, pack_a, PackedB, Scheme};
 use lowbit::qnn::{Quantizer, RequantParams};
 use lowbit::ArmAlgo;
 use proptest::prelude::*;
@@ -83,7 +83,7 @@ proptest! {
         let b: Vec<i8> = (0..k * n).map(|_| rng.gen_range(bits.qmin()..=bits.qmax())).collect();
         // Round trip.
         let pa = pack_a(&a, m, k);
-        let pb = pack_b(&b, k, n);
+        let pb = PackedB::from_b(&b, k, n);
         for r in 0..m {
             for c in 0..k {
                 prop_assert_eq!(pa.get(r, c), a[r * k + c]);
@@ -91,7 +91,7 @@ proptest! {
         }
         for r in 0..k {
             for c in 0..n {
-                prop_assert_eq!(pb.get(r, c), b[r * n + c]);
+                prop_assert_eq!(pb.get(c, r), b[r * n + c]);
             }
         }
         // GEMM equivalence.
@@ -218,15 +218,15 @@ proptest! {
         use lowbit::qgemm::gemm::reference_gemm;
         use lowbit::qgemm::narrow::pack_a_narrow;
         use lowbit::qgemm::parallel::gemm_parallel_cm;
-        use lowbit::qgemm::sdot::pack_a_quads;
-        use lowbit::qgemm::{GemmWorkspace, ParallelConfig, SharedWeights, NB};
+        use lowbit::qgemm::{GemmWorkspace, PackedAQuads, ParallelConfig, SharedWeights, NB};
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let a: Vec<i8> = (0..m * k).map(|_| rng.gen_range(bits.qmin()..=bits.qmax())).collect();
         let b: Vec<i8> = (0..k * n).map(|_| rng.gen_range(bits.qmin()..=bits.qmax())).collect();
         let scheme = Scheme::for_bits(bits);
         let cfg = ParallelConfig { threads, kc, nc: nc_tiles * NB };
-        let (pa, pq, pn) = (pack_a(&a, m, k), pack_a_quads(&a, m, k), pack_a_narrow(&a, m, k));
+        let pq = PackedAQuads::from_a(&a, m, k);
+        let (pa, pn) = (pack_a(&a, m, k), pack_a_narrow(&a, m, k));
         let want = reference_gemm(&a, &b, m, k, n);
         let mut ws = GemmWorkspace::new();
         let tiles = [
