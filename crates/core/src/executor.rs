@@ -54,9 +54,6 @@ pub struct BackendLayerEstimate {
 /// [`ArmEngine`] and [`GpuEngine`]; the executor only ever talks through
 /// this trait.
 pub trait Backend {
-    /// Which [`BackendKind`] this engine serves.
-    fn kind(&self) -> BackendKind;
-
     /// Executes one planned layer on quantized activations, recording the
     /// same spans the engine's direct API records.
     fn execute_layer(
@@ -76,6 +73,9 @@ pub trait Backend {
     ) -> Result<BackendLayerEstimate, CoreError>;
 }
 
+/// The error of a [`Backend`] handed a layer whose algorithm another engine
+/// runs (the executor routes by [`PlanAlgo::backend`]; direct trait calls
+/// can still mismatch).
 fn wrong_algo(plan: &LayerPlan, backend: BackendKind) -> CoreError {
     CoreError::PlanMismatch {
         detail: format!("{}: {} layer routed to the {backend} backend", plan.name, plan.algo),
@@ -83,10 +83,6 @@ fn wrong_algo(plan: &LayerPlan, backend: BackendKind) -> CoreError {
 }
 
 impl Backend for ArmEngine {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Arm
-    }
-
     fn execute_layer(
         &self,
         plan: &LayerPlan,
@@ -123,10 +119,6 @@ impl Backend for ArmEngine {
 }
 
 impl Backend for GpuEngine {
-    fn kind(&self) -> BackendKind {
-        BackendKind::GpuModel
-    }
-
     fn execute_layer(
         &self,
         plan: &LayerPlan,
@@ -468,7 +460,7 @@ impl Executor {
             PlanOp::Conv { layer: li, fused_add } => {
                 let lp = &plan.layers()[li];
                 let layer = &net.layers()[li];
-                let backend = self.backend_for(lp.backend)?;
+                let backend = self.backend_for(lp.algo.backend())?;
                 let mut layer_span = tracer.span("layer", MAIN_TRACK);
                 let act = slots[node.inputs[0]].as_ref().expect("verified dataflow");
                 let out = backend.execute_layer(lp, act, &layer.weights, tracer)?;
@@ -485,7 +477,6 @@ impl Executor {
                 });
                 let report = LayerReport {
                     name: lp.name.clone(),
-                    backend: lp.backend,
                     algo: lp.algo,
                     millis: out.millis,
                     prepack_hits: u64::from(out.prepack_hit == Some(true)),
@@ -558,11 +549,10 @@ impl Executor {
     ) -> Result<Vec<LayerReport>, CoreError> {
         let mut reports = Vec::with_capacity(plan.layers().len());
         for lp in plan.layers() {
-            let backend = self.backend_for(lp.backend)?;
+            let backend = self.backend_for(lp.algo.backend())?;
             let est = backend.estimate_layer(lp, tracer)?;
             reports.push(LayerReport {
                 name: lp.name.clone(),
-                backend: lp.backend,
                 algo: lp.algo,
                 millis: est.millis,
                 prepack_hits: 0,

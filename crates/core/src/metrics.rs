@@ -33,7 +33,7 @@ pub struct ExecKey {
 impl ExecKey {
     /// The key for one planned layer.
     pub fn of(plan: &LayerPlan) -> ExecKey {
-        ExecKey { shape: plan.shape, bits: plan.bits.bits(), backend: plan.backend }
+        ExecKey { shape: plan.shape, bits: plan.bits.bits(), backend: plan.algo.backend() }
     }
 
     fn as_tuple(&self) -> (usize, usize, usize, usize, usize, usize, usize, usize, usize, u8, u8) {

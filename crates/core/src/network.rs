@@ -11,7 +11,7 @@
 use crate::arm::ArmAlgo;
 use crate::error::CoreError;
 use crate::graph::{GraphNode, GraphTopology, NodeOp, ValueInfo};
-use crate::plan::{BackendKind, PlanAlgo};
+use crate::plan::PlanAlgo;
 use lowbit_qnn::RequantParams;
 use lowbit_tensor::{BitWidth, ConvShape, Layout, QTensor};
 use turing_sim::KernelTime;
@@ -50,9 +50,8 @@ pub struct Network {
 pub struct LayerReport {
     /// Layer name.
     pub name: String,
-    /// The backend that served the layer.
-    pub backend: BackendKind,
-    /// The concrete algorithm that ran (always resolved, never `Auto`).
+    /// The concrete algorithm that ran (always resolved, never `Auto`); its
+    /// [`PlanAlgo::backend`] is the engine that served the layer.
     pub algo: PlanAlgo,
     /// Modeled milliseconds.
     pub millis: f64,
@@ -296,6 +295,7 @@ mod tests {
     use crate::arm::ArmEngine;
     use crate::executor::{Executor, NetworkRun};
     use crate::gpu::{GpuEngine, Tuning};
+    use crate::plan::BackendKind;
     use crate::planner::Planner;
     use lowbit_qnn::{quantize_f32, relu_q, Quantizer};
     use lowbit_tensor::Tensor;
@@ -336,7 +336,7 @@ mod tests {
         // 16-row tile would waste half its lanes) — the selection is by
         // modeled time, not by a static rule.
         assert_eq!(reports[0].arm_algo(), Some(ArmAlgo::GemmNarrow));
-        assert_eq!(reports[0].backend, BackendKind::Arm);
+        assert_eq!(reports[0].algo.backend(), BackendKind::Arm);
         let big = ConvShape::new(1, 64, 56, 56, 64, 3, 1, 1);
         assert_eq!(engine.select_algo(BitWidth::W4, &big), ArmAlgo::Winograd);
     }

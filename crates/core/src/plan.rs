@@ -5,134 +5,28 @@
 //! allocation and instruction-scheme choice on ARM; profile-run tiling
 //! auto-search on the GPU, Sec. 5.1) and an online phase that just executes
 //! the chosen kernels. A compiled plan is the artifact that crosses that
-//! boundary: one [`LayerPlan`] per layer carrying the backend choice, the
-//! concrete algorithm (never `Auto`), the prepack-cache fingerprint the
-//! online phase will hit, an advisory workspace high-water size, the modeled
-//! time, and the fused epilogue (bias + re-quantization + ReLU).
+//! boundary: one [`LayerPlan`] per layer carrying the concrete algorithm
+//! (never `Auto`; its [`PlanAlgo::backend`] names the engine), the
+//! prepack-cache fingerprint the online phase will hit, the certified
+//! workspace bytes the verifier re-derives, the modeled time, and the fused
+//! epilogue (bias + re-quantization + ReLU).
 //!
-//! Plans are produced by [`crate::planner::Planner`] and consumed by
-//! [`crate::executor::Executor`]; they are plain data — inspectable,
-//! printable ([`ExecutionPlan::table`]) and serializable
+//! The layer, node and value tables are defined in [`lowbit_verify::plan`]
+//! and re-exported here, so the plan verifier checks the tables the
+//! executor runs. Plans are produced by [`crate::planner::Planner`] and
+//! consumed by [`crate::executor::Executor`]; they are plain data —
+//! inspectable, printable ([`ExecutionPlan::table`]) and serializable
 //! ([`ExecutionPlan::to_json`]) so planner regressions show up in review as
 //! golden-file diffs.
 
-use crate::arm::ArmAlgo;
 use crate::error::CoreError;
 use crate::graph::ValueId;
 use crate::memplan::{assign_arena, assign_arena_with, Assignment, ValueSpec};
 use crate::network::Network;
-use lowbit_conv_gpu::TileConfig;
-use lowbit_qnn::RequantParams;
-use lowbit_tensor::{BitWidth, ConvShape};
 use lowbit_verify::LayoutConversion;
-// The plan's graph tables are defined beside the verifiers that check
-// them, so the verifiers read the very tables the executor runs.
-pub use lowbit_verify::{NodePlan, PlanOp, ValuePlan};
-
-/// Which engine a layer runs on. `Hash` so serving-layer caches can key
-/// compiled plans by `(network fingerprint, batch, backend)`.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum BackendKind {
-    /// The ARM CPU engine (executes kernels, models a Cortex core).
-    Arm,
-    /// The Turing-like GPU model (executes functionally, models launches).
-    GpuModel,
-}
-
-impl std::fmt::Display for BackendKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            BackendKind::Arm => write!(f, "arm"),
-            BackendKind::GpuModel => write!(f, "gpu-model"),
-        }
-    }
-}
-
-/// The concrete algorithm a layer plan commits to. Unlike
-/// [`ArmAlgo`], this can never be `Auto`: compilation resolves every
-/// choice offline.
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub enum PlanAlgo {
-    /// An ARM kernel (wide/narrow GEMM, SDOT, Winograd, or a baseline).
-    Arm(ArmAlgo),
-    /// The GPU implicit-precomp-GEMM kernel with its tiling parameters.
-    GpuImplicitGemm(TileConfig),
-}
-
-impl std::fmt::Display for PlanAlgo {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PlanAlgo::Arm(a) => write!(f, "{a:?}"),
-            PlanAlgo::GpuImplicitGemm(c) => write!(
-                f,
-                "ImplicitGemm {}x{}x{}/{} w{}x{}",
-                c.m_tile, c.n_tile, c.k_tile, c.k_step, c.warps_m, c.warps_n
-            ),
-        }
-    }
-}
-
-/// The fused tail of a layer: optional per-channel i32 bias, re-quantization
-/// into the next layer's width, and the Sec. 4.4 ReLU-folded-into-truncation
-/// trick.
-#[derive(Clone, Debug)]
-pub struct Epilogue {
-    /// Per-`c_out` bias added to the accumulators before re-quantization.
-    pub bias: Option<Vec<i32>>,
-    /// Re-quantization parameters (before the ReLU fold).
-    pub requant: RequantParams,
-    /// Whether the ReLU is fused into the truncation.
-    pub relu: bool,
-}
-
-impl Epilogue {
-    /// The requant parameters actually applied (ReLU folded when
-    /// requested). The fold raises the truncation floor to 0 but never
-    /// lowers it: a layer that already clamps above zero keeps its tighter
-    /// bound (`relu(clamp(x, m, ..)) = clamp(x, m, ..)` for `m >= 0`).
-    pub fn effective_requant(&self) -> RequantParams {
-        if self.relu {
-            let mut rq = self.requant;
-            rq.clamp_min = rq.clamp_min.max(0);
-            rq
-        } else {
-            self.requant
-        }
-    }
-}
-
-/// One layer's fully-resolved execution recipe.
-#[derive(Clone, Debug)]
-pub struct LayerPlan {
-    /// Layer name (matches the network's).
-    pub name: String,
-    /// Convolution geometry.
-    pub shape: ConvShape,
-    /// Operand bit width.
-    pub bits: BitWidth,
-    /// Which engine runs it.
-    pub backend: BackendKind,
-    /// The concrete kernel choice.
-    pub algo: PlanAlgo,
-    /// The prepack-cache key the online phase will hit (`None` for
-    /// algorithms without a prepacked weight layout).
-    pub prepack_fingerprint: Option<u64>,
-    /// Advisory workspace high-water sizing: an analytic upper estimate of
-    /// the arena bytes this layer needs (im2col + packed panels + result).
-    pub workspace_bytes: usize,
-    /// Modeled steady-state milliseconds (the cost the plan was ranked by,
-    /// after prepacking amortizes the weight pack away).
-    pub predicted_millis: f64,
-    /// The fused epilogue.
-    pub epilogue: Epilogue,
-    /// Layout conversion the executor applies to the activations before the
-    /// kernel (`None` when the canonical NCHW inter-layer form is already
-    /// the kernel's native layout). The plan verifier walks these.
-    pub pre_conversion: Option<LayoutConversion>,
-    /// Layout conversion applied to the kernel output to restore the
-    /// canonical inter-layer form.
-    pub post_conversion: Option<LayoutConversion>,
-}
+// The plan's tables are defined beside the verifiers that check them, so
+// the verifiers read the very tables the executor runs.
+pub use lowbit_verify::{BackendKind, Epilogue, LayerPlan, NodePlan, PlanAlgo, PlanOp, ValuePlan};
 
 /// A certified wave schedule for parallel DAG node execution: the output of
 /// `Planner::with_parallel_nodes`, carried inside the plan and re-verified
@@ -343,8 +237,9 @@ impl ExecutionPlan {
     pub fn backends(&self) -> Vec<BackendKind> {
         let mut out = Vec::new();
         for l in &self.layers {
-            if !out.contains(&l.backend) {
-                out.push(l.backend);
+            let backend = l.algo.backend();
+            if !out.contains(&backend) {
+                out.push(backend);
             }
         }
         out
@@ -405,7 +300,7 @@ impl ExecutionPlan {
                     [
                         format!("n{step}"),
                         format!("{layer}:{}", l.name),
-                        l.backend.to_string(),
+                        l.algo.backend().to_string(),
                         algo,
                         l.bits.to_string(),
                         format!("{:.6}", l.predicted_millis),
@@ -521,7 +416,7 @@ certificate {:016x}\n",
 \"pre_conversion\":{},\"post_conversion\":{}}}",
                     l.name,
                     self.node_of_layer(i),
-                    l.backend,
+                    l.algo.backend(),
                     l.algo,
                     l.bits.bits(),
                     l.predicted_millis,
@@ -616,6 +511,7 @@ mod tests {
     use super::*;
     use crate::planner::Planner;
     use crate::ArmEngine;
+    use lowbit_tensor::BitWidth;
 
     #[test]
     fn plan_renders_table_and_json() {
@@ -649,61 +545,5 @@ mod tests {
         ));
         let other_bits = Network::demo(BitWidth::W5, 12, 9);
         assert!(plan.validate_for(&other_bits).is_err());
-    }
-
-    #[test]
-    fn epilogue_folds_relu_into_requant() {
-        let ep = Epilogue {
-            bias: None,
-            requant: RequantParams::new(BitWidth::W4, 0.5),
-            relu: true,
-        };
-        assert_eq!(ep.effective_requant().clamp_min, 0);
-        let ep = Epilogue { relu: false, ..ep };
-        assert_eq!(ep.effective_requant().clamp_min, BitWidth::W4.qmin());
-    }
-
-    #[test]
-    fn relu_fold_never_lowers_a_positive_clamp() {
-        // A layer already clamping at +3 stays at +3 under the ReLU fold:
-        // relu is a no-op on a range that starts above zero.
-        let mut requant = RequantParams::new(BitWidth::W4, 0.5);
-        requant.clamp_min = 3;
-        let ep = Epilogue { bias: None, requant, relu: true };
-        assert_eq!(ep.effective_requant().clamp_min, 3);
-        // Without the fold the positive clamp passes through untouched too.
-        let ep = Epilogue { relu: false, ..ep };
-        assert_eq!(ep.effective_requant().clamp_min, 3);
-    }
-
-    #[test]
-    fn relu_fold_at_the_extreme_widths() {
-        // W2's adjusted range is [-1, 1]; W8's is [-127, 127]. The fold
-        // moves the floor to 0 at both extremes, the ceiling never moves,
-        // and the multiplier passes through bit-identically.
-        for bits in [BitWidth::W2, BitWidth::W8] {
-            let ep = Epilogue {
-                bias: None,
-                requant: RequantParams::new(bits, 0.125),
-                relu: true,
-            };
-            let rq = ep.effective_requant();
-            assert_eq!(rq.clamp_min, 0, "{bits}");
-            assert_eq!(rq.bits, bits);
-            assert_eq!(rq.multiplier.to_bits(), 0.125f32.to_bits());
-            assert_eq!(rq.apply(i32::MIN / 2), 0, "{bits}: floor clamps at 0");
-            assert_eq!(rq.apply(i32::MAX / 2), bits.qmax(), "{bits}: ceiling is qmax");
-        }
-    }
-
-    #[test]
-    fn biasless_epilogue_requant_is_untouched_by_the_fold_machinery() {
-        // A bias-less, relu-less epilogue must hand back its requant
-        // exactly (the executor's hot loop relies on this being identity).
-        let requant = RequantParams::new(BitWidth::W2, 0.7);
-        let ep = Epilogue { bias: None, requant, relu: false };
-        assert!(ep.bias.is_none());
-        assert_eq!(ep.effective_requant(), requant);
-        assert_eq!(ep.effective_requant().clamp_min, BitWidth::W2.qmin());
     }
 }

@@ -143,8 +143,8 @@ impl Planner {
         self
     }
 
-    /// Plans one layer on the ARM backend. `algo` forces a kernel;
-    /// `ArmAlgo::Auto` (or `None`) enumerates and cost-ranks.
+    /// Plans one layer on the ARM backend: enumerates the applicable kernels
+    /// and commits the cheapest ([`select_arm_algo`]).
     fn plan_arm_layer(
         engine: &ArmEngine,
         name: &str,
@@ -158,7 +158,6 @@ impl Planner {
             name: name.to_string(),
             shape: *shape,
             bits,
-            backend: BackendKind::Arm,
             algo: PlanAlgo::Arm(algo),
             // The engine keys Winograd by the effective width of the call:
             // activations at the layer's width, weights at their own.
@@ -173,7 +172,7 @@ impl Planner {
         };
         // The declared sizing is the verifier's certified bound, so the two
         // cannot diverge; kernels outside the shared arena declare 0.
-        lp.workspace_bytes = crate::verify::workspace_requirement(&lp).total();
+        lp.workspace_bytes = lowbit_verify::workspace_requirement(lp.algo, shape).total();
         lp
     }
 
@@ -211,7 +210,6 @@ impl Planner {
             name: name.to_string(),
             shape: *shape,
             bits,
-            backend: BackendKind::GpuModel,
             algo: PlanAlgo::GpuImplicitGemm(cfg),
             prepack_fingerprint: None,
             workspace_bytes: 0,
@@ -349,41 +347,17 @@ impl Planner {
     }
 }
 
-/// Transitive reachability over a plan's node list: `reach[i][j]` is true
-/// when node `j` transitively consumes node `i`'s output. Nodes are in
-/// topological order, so one forward sweep inheriting each producer's
-/// ancestors closes the relation.
-fn node_reachability(nodes: &[NodePlan], value_count: usize) -> (Vec<Option<usize>>, Vec<Vec<bool>>) {
-    let n = nodes.len();
-    let mut producer: Vec<Option<usize>> = vec![None; value_count];
-    for (i, node) in nodes.iter().enumerate() {
-        producer[node.output] = Some(i);
-    }
-    let mut reach = vec![vec![false; n]; n];
-    for j in 0..n {
-        for &v in &nodes[j].inputs {
-            if let Some(i) = producer[v] {
-                if i < j {
-                    reach[i][j] = true;
-                    for row in reach.iter_mut().take(i) {
-                        if row[i] {
-                            row[j] = true;
-                        }
-                    }
-                }
-            }
-        }
-    }
-    (producer, reach)
-}
-
 /// The parallel-node compilation pass: re-packs the activation arena so
 /// that values which could coexist under *any* dependency-respecting
 /// schedule never share bytes, carves every node a disjoint slice of a
 /// parallel workspace arena, and attaches the certified wave schedule
 /// (built and digested by `verify::conc::build_schedule`).
 fn parallelize(mut plan: ExecutionPlan) -> ExecutionPlan {
-    let (producer, reach) = node_reachability(plan.nodes(), plan.values().len());
+    let reach = lowbit_verify::reachability(plan.nodes());
+    let mut producer: Vec<Option<usize>> = vec![None; plan.values().len()];
+    for (i, node) in plan.nodes().iter().enumerate() {
+        producer[node.output] = Some(i);
+    }
     // touchers[v]: every node that writes or reads value v.
     let touchers: Vec<Vec<usize>> = (0..plan.values().len())
         .map(|v| {
@@ -493,9 +467,7 @@ fn fuse_residual_adds(nodes: &mut Vec<NodePlan>, preserve_width: bool) {
             }
             if preserve_width {
                 if let Some(pr) = producer_of(nodes, r) {
-                    let value_count = nodes.iter().map(|n| n.output).max().unwrap_or(0) + 1;
-                    let (_, reach) = node_reachability(nodes, value_count);
-                    if !reach[pr][p] {
+                    if !lowbit_verify::reachability(nodes)[pr][p] {
                         continue;
                     }
                 }
@@ -526,13 +498,14 @@ fn elide_layout_roundtrips(
     layers: &mut [LayerPlan],
 ) {
     let plan_output = nodes.last().expect("plans are non-empty").output;
+    let on_gpu = |l: &LayerPlan| l.algo.backend() == BackendKind::GpuModel;
     for (v, value) in values.iter_mut().enumerate().skip(1) {
         if v == plan_output {
             continue;
         }
         let Some(p) = producer_of(nodes, v) else { continue };
         let PlanOp::Conv { layer: pl, .. } = nodes[p].op else { continue };
-        if layers[pl].backend != BackendKind::GpuModel || layers[pl].post_conversion.is_none() {
+        if !on_gpu(&layers[pl]) || layers[pl].post_conversion.is_none() {
             continue;
         }
         // Every read of v must be a GPU conv's activation input (not a
@@ -547,7 +520,7 @@ fn elide_layout_roundtrips(
                 match node.op {
                     PlanOp::Conv { layer: cl, .. }
                         if slot == 0
-                            && layers[cl].backend == BackendKind::GpuModel
+                            && on_gpu(&layers[cl])
                             && layers[cl].pre_conversion.is_some() =>
                     {
                         consumer_layers.push(cl);
@@ -628,7 +601,7 @@ mod tests {
                 assert_eq!(lp.algo, PlanAlgo::Arm(legacy), "{bits} {}", lp.name);
                 let est = engine.estimate_millis(bits, &layer.shape, legacy);
                 assert!((lp.predicted_millis - est).abs() < 1e-12);
-                assert_eq!(lp.backend, BackendKind::Arm);
+                assert_eq!(lp.algo.backend(), BackendKind::Arm);
             }
             let est_total: f64 = net
                 .layers()

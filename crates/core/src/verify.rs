@@ -5,34 +5,24 @@
 //! [`Network::fingerprint`].
 //!
 //! The dependency points from `lowbit` to `lowbit-verify`, so the analysis
-//! itself lives over there, and so do the plan's graph tables
-//! ([`crate::plan::NodePlan`], [`crate::plan::ValuePlan`]): a lowering
-//! clones the plan's node and value tables as they are. This module owns
-//! everything that needs to see core types: extracting per-channel weight
-//! sums from the real weights, mapping a [`LayerPlan`] onto the verifier's
-//! kernel families, and mutating [`NetLayer`]s to prove the fingerprint
-//! covers every verdict-relevant field.
+//! itself lives over there, and so do the plan's tables
+//! ([`LayerPlan`], [`crate::plan::NodePlan`], [`crate::plan::ValuePlan`]):
+//! a lowering clones the plan's layer, node and value tables as they are.
+//! This module owns everything that needs to see core types: extracting
+//! per-channel weight sums from the real weights, and mutating
+//! [`NetLayer`]s to prove the fingerprint covers every verdict-relevant
+//! field.
 
 use crate::arm::ArmAlgo;
 use crate::error::CoreError;
 use crate::network::{NetLayer, Network};
-use crate::plan::{BackendKind, ExecutionPlan, LayerPlan, PlanAlgo, PlanOp};
+use crate::plan::{ExecutionPlan, LayerPlan, PlanAlgo, PlanOp};
 use lowbit_tensor::{BitWidth, Fnv1a, QTensor, Tensor};
 use lowbit_verify::{
-    arena_high_water, verify_conc, verify_plan, ArenaRequirement, BackendSpec, ChannelSums,
-    ConcNode, ConcProof, ConcSpec, GemmFootprint, LayerSpec, MemSpan, PlanProof, PlanSpec,
-    PlanViolation, ScheduleSpec,
+    arena_high_water, verify_conc, verify_plan, workspace_requirement, ChannelSums, ConcNode,
+    ConcProof, ConcSpec, GemmFootprint, LayerSpec, MemSpan, PlanProof, PlanSpec, PlanViolation,
+    ScheduleSpec,
 };
-
-/// Lowers a layer plan's backend and committed kernel onto the verifier's
-/// view of it — the one mapping behind the plan lowering, the workspace
-/// sizing and the concurrency lowering.
-pub fn backend_spec(lp: &LayerPlan) -> BackendSpec {
-    match (lp.backend, lp.algo) {
-        (BackendKind::Arm, PlanAlgo::Arm(algo)) => BackendSpec::Arm(algo),
-        _ => BackendSpec::Gpu,
-    }
-}
 
 /// Refuses a plan whose layer still carries `ArmAlgo::Auto`: the planner
 /// commits every layer to a kernel, and only a committed kernel has a
@@ -46,17 +36,11 @@ fn check_committed(plan: &ExecutionPlan) -> Result<(), CoreError> {
     }
 }
 
-/// The certified arena requirement of one layer plan (GPU layers run
-/// outside the shared ARM arena).
-pub fn workspace_requirement(lp: &LayerPlan) -> ArenaRequirement {
-    lowbit_verify::workspace_requirement(backend_spec(lp), &lp.shape)
-}
-
 /// The certified whole-plan arena high-water for a set of layer plans. The
 /// planner records this figure when it builds a plan and the verifier
 /// independently re-derives it from the lowered spec.
 pub fn plan_high_water(layers: &[LayerPlan]) -> usize {
-    arena_high_water(layers.iter().map(workspace_requirement))
+    arena_high_water(layers.iter().map(|lp| workspace_requirement(lp.algo, &lp.shape)))
 }
 
 /// Per-output-channel signed weight sums from the real NCHW weights: row `c`
@@ -82,9 +66,8 @@ fn channel_sums(weights: &QTensor) -> Vec<ChannelSums> {
 
 /// Lowers a compiled plan (plus the network it was compiled from, which
 /// holds the weights) into the verifier's backend-neutral [`PlanSpec`]: the
-/// plan's own node and value tables, cloned, beside one [`LayerSpec`] per
-/// layer that adds what the plan does not hold — the channel weight sums
-/// and the verifier's view of the committed kernel.
+/// plan's own layer, node and value tables, cloned, each layer beside the
+/// one fact the plan does not hold — its channel weight sums.
 ///
 /// Fails with [`CoreError::PlanMismatch`] if the plan does not belong to the
 /// network or a layer carries `ArmAlgo::Auto`.
@@ -94,20 +77,9 @@ pub fn lower_plan(plan: &ExecutionPlan, net: &Network) -> Result<PlanSpec, CoreE
     let layers = plan
         .layers()
         .iter()
+        .cloned()
         .zip(net.layers())
-        .map(|(lp, nl)| LayerSpec {
-            name: lp.name.clone(),
-            shape: lp.shape,
-            bits: lp.bits,
-            backend: backend_spec(lp),
-            pre: lp.pre_conversion,
-            post: lp.post_conversion,
-            declared_workspace_bytes: lp.workspace_bytes,
-            channel_sums: channel_sums(&nl.weights),
-            bias: lp.epilogue.bias.clone(),
-            requant: lp.epilogue.requant,
-            relu: lp.epilogue.relu,
-        })
+        .map(|(plan, nl)| LayerSpec { plan, channel_sums: channel_sums(&nl.weights) })
         .collect();
     Ok(PlanSpec {
         layers,
@@ -149,8 +121,8 @@ pub fn lower_conc_spec(
             let gemm = match node.op {
                 PlanOp::Conv { layer, .. } => {
                     let lp = &plan.layers()[layer];
-                    match backend_spec(lp) {
-                        BackendSpec::Arm(
+                    match lp.algo {
+                        PlanAlgo::Arm(
                             algo @ (ArmAlgo::Gemm
                             | ArmAlgo::GemmNarrow
                             | ArmAlgo::GemmSdot
@@ -527,7 +499,7 @@ mod tests {
         let plan = Planner::for_arm(&engine).compile(&net).unwrap();
         let spec = lower_plan(&plan, &net).unwrap();
         let certified = arena_high_water(
-            spec.layers.iter().map(|l| lowbit_verify::workspace_requirement(l.backend, &l.shape)),
+            spec.layers.iter().map(|l| workspace_requirement(l.plan.algo, &l.plan.shape)),
         );
         assert_eq!(plan.workspace_high_water_bytes(), certified);
         assert!(plan.workspace_high_water_bytes() > 0);

@@ -37,12 +37,12 @@
 use lowbit_verify::gpu::{gpu_demo_report, gpu_sweep_layers, precision_label};
 use lowbit_verify::{
     schedule_digest, standard_cases, verify_case, verify_conc, verify_gpu_plan, verify_plan,
-    BackendSpec, ChannelSums, ConcProof, ConcSpec, ConcViolation, LayoutConversion, PlanProof,
-    PlanSpec, PlanViolation, ScheduleSpec,
+    ChannelSums, ConcProof, ConcSpec, ConcViolation, LayoutConversion, PlanProof, PlanSpec,
+    PlanViolation, ScheduleSpec,
 };
 
 use lowbit::prelude::*;
-use lowbit_conv_gpu::{search_space_stats, ConvGpuPlan};
+use lowbit_conv_gpu::{default_config, search_space_stats, ConvGpuPlan};
 use turing_sim::{Device, Precision};
 
 fn arm_sweep() -> usize {
@@ -258,16 +258,18 @@ fn mutant_catalog(base: &PlanSpec) -> Vec<Mutant> {
         f(&mut spec);
         out.push(Mutant { name, expected, spec });
     };
-    push("shape-break", "ShapeBreak", &|s| s.layers[1].shape.c_in += 1);
+    push("shape-break", "ShapeBreak", &|s| s.layers[1].plan.shape.c_in += 1);
     // A layer rerouted to the NHWC-native GPU kernel with the entry
     // conversion dropped.
     push("dropped-layout-conversion", "LayoutMismatch", &|s| {
-        s.layers[0].backend = BackendSpec::Gpu;
-        s.layers[0].pre = None;
-        s.layers[0].post = Some(LayoutConversion { from: Layout::Nhwc, to: Layout::Nchw });
+        let l = &mut s.layers[0].plan;
+        l.algo = PlanAlgo::GpuImplicitGemm(default_config(Precision::TensorCoreInt4));
+        l.pre_conversion = None;
+        l.post_conversion = Some(LayoutConversion { from: Layout::Nhwc, to: Layout::Nchw });
     });
     push("dangling-conversion", "DanglingConversion", &|s| {
-        s.layers[1].pre = Some(LayoutConversion { from: Layout::Nhwc, to: Layout::Nchw });
+        s.layers[1].plan.pre_conversion =
+            Some(LayoutConversion { from: Layout::Nhwc, to: Layout::Nchw });
     });
     push("acc-overflow", "AccOverflow", &|s| {
         s.layers[0].channel_sums[0] = ChannelSums { neg: 0, pos: i32::MAX as i64 };
@@ -277,19 +279,19 @@ fn mutant_catalog(base: &PlanSpec) -> Vec<Mutant> {
     // table-consistency check, is what rejects it).
     push("winograd-at-w7", "OperandRangeBreak", &|s| {
         for l in &mut s.layers {
-            l.bits = BitWidth::W7;
-            l.requant.bits = BitWidth::W7;
+            l.plan.bits = BitWidth::W7;
+            l.plan.epilogue.requant.bits = BitWidth::W7;
         }
         for v in &mut s.values {
             v.bits = BitWidth::W7;
         }
-        s.layers[0].backend = BackendSpec::Arm(ArmAlgo::Winograd);
+        s.layers[0].plan.algo = PlanAlgo::Arm(ArmAlgo::Winograd);
     });
     // A producer re-quantizing into a width its consumer's proofs never
     // assumed (again with the value record kept consistent, so the edge
     // check fires).
     push("requant-width-skew", "RequantWidthBreak", &|s| {
-        s.layers[0].requant.bits = BitWidth::W6;
+        s.layers[0].plan.epilogue.requant.bits = BitWidth::W6;
         s.values[1].bits = BitWidth::W6;
     });
     // The issue's "corrupted requant shift": a truncation clamp outside the
@@ -297,16 +299,16 @@ fn mutant_catalog(base: &PlanSpec) -> Vec<Mutant> {
     // epilogue applies clamp_min as-is.
     push("corrupted-requant-clamp", "ClampRangeBreak", &|s| {
         let last = s.layers.len() - 1;
-        s.layers[last].requant.clamp_min = -100;
+        s.layers[last].plan.epilogue.requant.clamp_min = -100;
     });
     push("bias-length-break", "EpilogueBiasBreak", &|s| {
-        s.layers[0].bias = Some(vec![1; s.layers[0].shape.c_out + 1]);
+        s.layers[0].plan.epilogue.bias = Some(vec![1; s.layers[0].plan.shape.c_out + 1]);
     });
     push("channel-sums-break", "ChannelSumsBreak", &|s| {
         s.layers[0].channel_sums.pop();
     });
     push("understated-workspace", "WorkspaceUnderstated", &|s| {
-        s.layers[0].declared_workspace_bytes /= 2;
+        s.layers[0].plan.workspace_bytes /= 2;
     });
     push("understated-high-water", "HighWaterUnderstated", &|s| {
         s.declared_high_water_bytes -= 1;

@@ -35,6 +35,7 @@ use crate::plan::{max_panel_bytes, panel_bytes, ArenaRequirement, NodePlan, Valu
 use lowbit_conv_arm::ArmAlgo;
 use lowbit_qgemm::ColumnSpan;
 use lowbit_tensor::Fnv1a;
+use std::borrow::Borrow;
 
 /// A half-open byte span `[offset, offset + bytes)` in a named arena.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -133,6 +134,12 @@ pub struct ConcNode {
     /// maximum thread count (empty spans legal per the hardened
     /// `partition_columns` contract; empty vec for non-GEMM nodes).
     pub partition: Vec<ColumnSpan>,
+}
+
+impl Borrow<NodePlan> for ConcNode {
+    fn borrow(&self) -> &NodePlan {
+        &self.node
+    }
 }
 
 /// A value's recorded activation-arena placement.
@@ -368,20 +375,23 @@ impl ConcProof {
 
 /// Reachability under the dependency relation: `reach[i][j]` is true when
 /// node `j` transitively consumes node `i`'s output. Nodes are required to
-/// be in topological order (the plan verifier proves this independently).
-fn reachability(nodes: &[ConcNode]) -> Vec<Vec<bool>> {
+/// be in topological order (the plan verifier proves this independently),
+/// so one forward sweep inheriting each producer's ancestors closes the
+/// relation. Takes the plan's node table or the concurrency spec's nodes.
+pub fn reachability<N: Borrow<NodePlan>>(nodes: &[N]) -> Vec<Vec<bool>> {
     let n = nodes.len();
     // producer[v] = node that writes value v.
     let mut producer: Vec<Option<usize>> = Vec::new();
-    for (i, ConcNode { node, .. }) in nodes.iter().enumerate() {
-        if producer.len() <= node.output {
-            producer.resize(node.output + 1, None);
+    for (i, node) in nodes.iter().enumerate() {
+        let output = node.borrow().output;
+        if producer.len() <= output {
+            producer.resize(output + 1, None);
         }
-        producer[node.output] = Some(i);
+        producer[output] = Some(i);
     }
     let mut reach = vec![vec![false; n]; n];
     for j in 0..n {
-        for &v in &nodes[j].node.inputs {
+        for &v in &nodes[j].borrow().inputs {
             if let Some(i) = producer.get(v).copied().flatten() {
                 if i < j {
                     reach[i][j] = true;

@@ -1,4 +1,9 @@
-//! # lowbit-verify — static saturation-safety verifier and kernel lint
+//! # lowbit-verify — static verifiers for kernels, plans and schedules
+//!
+//! Four verifier families prove, without executing, what the workspace's
+//! tests can only sample: the emitted NEON streams (below), the GPU tile
+//! configurations ([`gpu`]), whole execution plans ([`plan`]) and parallel
+//! node schedules ([`conc`]).
 //!
 //! The low-bit kernels in this workspace (paper Sec. 3.3, Alg. 1) are only
 //! correct because of a numeric contract: every `SMLAL`/`MLA` partial sum
@@ -35,10 +40,11 @@
 //! operand ranges the stream proofs assumed, the recorded NCHW/NHWC
 //! conversions stitch the layers' layouts together, and the declared
 //! workspace figures dominate what the engines will actually request. The
-//! plan's graph tables ([`NodePlan`], [`ValuePlan`], [`PlanOp`]) and its
-//! [`LayoutConversion`] are defined in [`plan`] and re-exported by core, so
-//! a lowering carries the tables the executor runs, cloned, not a mirror
-//! of them.
+//! plan's tables — its layers ([`LayerPlan`] with [`PlanAlgo`] and
+//! [`Epilogue`]), nodes ([`NodePlan`], [`PlanOp`]) and values
+//! ([`ValuePlan`]) — are defined in [`plan`] and re-exported by core, so a
+//! lowering carries the tables the executor runs, cloned, not a mirror of
+//! them: a [`LayerSpec`] is a plan layer plus its channel weight sums.
 //!
 //! The fourth family, [`conc`], certifies *concurrency*:
 //! [`conc::verify_conc`] lifts every DAG node to a typed memory footprint
@@ -73,8 +79,8 @@ pub mod streams;
 
 pub use absint::{check_stream, OperandBounds};
 pub use conc::{
-    build_schedule, schedule_digest, verify_conc, ConcNode, ConcProof, ConcSpec, ConcViolation,
-    GemmFootprint, MemSpan, ScheduleSpec,
+    build_schedule, reachability, schedule_digest, verify_conc, ConcNode, ConcProof, ConcSpec,
+    ConcViolation, GemmFootprint, MemSpan, ScheduleSpec,
 };
 pub use geometry::{check_partition, check_spans};
 pub use gpu::{
@@ -84,8 +90,8 @@ pub use interval::Interval;
 pub use lint::lint_stream;
 pub use plan::{
     arena_high_water, arm_workspace_requirement, verify_plan, workspace_requirement,
-    ArenaRequirement, BackendSpec, ChannelSums, LayerSpec, LayoutConversion, NodePlan, PlanOp,
-    PlanProof, PlanSpec, PlanViolation, ValuePlan,
+    ArenaRequirement, BackendKind, ChannelSums, Epilogue, LayerPlan, LayerSpec, LayoutConversion,
+    NodePlan, PlanAlgo, PlanOp, PlanProof, PlanSpec, PlanViolation, ValuePlan,
 };
 pub use report::{StreamProof, Violation};
 pub use streams::{

@@ -28,7 +28,8 @@
 //!    bounds from the actual packed weights (positive/negative column sums x
 //!    the incoming activation interval, plus the exact bias), proven to fit
 //!    i32 before re-quantization, then pushed through the fused
-//!    bias+requant+ReLU epilogue to the next layer's operand interval —
+//!    bias+requant+ReLU epilogue ([`Epilogue::effective_requant`], the
+//!    executor's own expression) to the next layer's operand interval —
 //!    which must sit inside the range the *stream* proofs assumed for that
 //!    layer's bit width (Winograd layers additionally re-check the paper's
 //!    4x input-transform inflation against the live interval).
@@ -43,52 +44,25 @@
 //!    byte spans, and the declared activation high-water dominates them.
 //!
 //! The pass is deliberately independent of the `lowbit` core crate (which
-//! itself depends on this one). The plan's graph tables are defined here —
-//! [`PlanOp`], [`NodePlan`] and [`ValuePlan`], which core's `ExecutionPlan`
-//! stores and re-exports — so the spec carries the very node and value
-//! tables the executor runs. Core lowers a plan into a [`PlanSpec`] by
-//! cloning those tables and adding what the plan does not hold (per-channel
-//! weight sums and the verifier's view of each kernel), then calls
+//! itself depends on this one). The plan's tables are defined here — the
+//! layers ([`LayerPlan`], [`PlanAlgo`], [`Epilogue`], [`BackendKind`]), the
+//! nodes ([`NodePlan`], [`PlanOp`]) and the values ([`ValuePlan`]), which
+//! core's `ExecutionPlan` stores and re-exports — so the spec carries the
+//! very tables the executor runs. Core lowers a plan into a [`PlanSpec`] by
+//! cloning those tables and adding the one fact the plan does not hold,
+//! each layer's per-channel weight sums ([`LayerSpec`]), then calls
 //! [`verify_plan`]; the negative catalog in the CLI and the integration
 //! tests seed mutants into such a lowered spec.
 
 use crate::interval::Interval;
 use lowbit_conv_arm::range_analysis::f23_range_halved;
 use lowbit_conv_arm::ArmAlgo;
+use lowbit_conv_gpu::TileConfig;
 use lowbit_qgemm::parallel::{partition_columns, DEFAULT_KC, DEFAULT_NC, MAX_THREADS};
 use lowbit_qgemm::{ColumnSpan, NB};
 use lowbit_qnn::RequantParams;
 use lowbit_tensor::{BitWidth, ConvShape, Layout};
 use neon_sim::meta::ElemWidth;
-
-/// Which backend a spec layer runs on.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum BackendSpec {
-    /// The ARM engine with its committed kernel. `Auto` commits to nothing,
-    /// so no pass can certify it: the structure pass rejects it.
-    Arm(ArmAlgo),
-    /// The GPU model (NHWC-native implicit GEMM).
-    Gpu,
-}
-
-impl BackendSpec {
-    /// The memory layout the backend's kernel consumes and produces.
-    pub fn native_layout(&self) -> Layout {
-        match self {
-            BackendSpec::Arm(_) => Layout::Nchw,
-            BackendSpec::Gpu => Layout::Nhwc,
-        }
-    }
-}
-
-impl std::fmt::Display for BackendSpec {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            BackendSpec::Arm(a) => write!(f, "arm/{a}"),
-            BackendSpec::Gpu => write!(f, "gpu"),
-        }
-    }
-}
 
 /// One recorded layout conversion the executor performs at a plan boundary.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -115,31 +89,140 @@ pub struct ChannelSums {
     pub pos: i64,
 }
 
-/// One layer of the backend-neutral plan spec.
+/// Which engine a layer runs on. `Hash` so serving-layer caches can key
+/// compiled plans by `(network fingerprint, batch, backend)`.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub enum BackendKind {
+    /// The ARM CPU engine (executes kernels, models a Cortex core).
+    Arm,
+    /// The Turing-like GPU model (executes functionally, models launches).
+    GpuModel,
+}
+
+impl BackendKind {
+    /// The memory layout the backend's kernels consume and produce.
+    pub fn native_layout(self) -> Layout {
+        match self {
+            BackendKind::Arm => Layout::Nchw,
+            BackendKind::GpuModel => Layout::Nhwc,
+        }
+    }
+}
+
+impl std::fmt::Display for BackendKind {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            BackendKind::Arm => write!(f, "arm"),
+            BackendKind::GpuModel => write!(f, "gpu-model"),
+        }
+    }
+}
+
+/// The concrete algorithm a layer plan commits to. Unlike
+/// [`ArmAlgo`], this can never be `Auto`: compilation resolves every
+/// choice offline.
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub enum PlanAlgo {
+    /// An ARM kernel (wide/narrow GEMM, SDOT, Winograd, or a baseline).
+    Arm(ArmAlgo),
+    /// The GPU implicit-precomp-GEMM kernel with its tiling parameters.
+    GpuImplicitGemm(TileConfig),
+}
+
+impl PlanAlgo {
+    /// The engine that runs this algorithm.
+    pub fn backend(&self) -> BackendKind {
+        match self {
+            PlanAlgo::Arm(_) => BackendKind::Arm,
+            PlanAlgo::GpuImplicitGemm(_) => BackendKind::GpuModel,
+        }
+    }
+}
+
+impl std::fmt::Display for PlanAlgo {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            PlanAlgo::Arm(a) => write!(f, "{a:?}"),
+            PlanAlgo::GpuImplicitGemm(c) => write!(
+                f,
+                "ImplicitGemm {}x{}x{}/{} w{}x{}",
+                c.m_tile, c.n_tile, c.k_tile, c.k_step, c.warps_m, c.warps_n
+            ),
+        }
+    }
+}
+
+/// The fused tail of a layer: optional per-channel i32 bias, re-quantization
+/// into the next layer's width, and the Sec. 4.4 ReLU-folded-into-truncation
+/// trick.
 #[derive(Clone, Debug)]
-pub struct LayerSpec {
-    /// Layer name.
+pub struct Epilogue {
+    /// Per-`c_out` bias added to the accumulators before re-quantization.
+    pub bias: Option<Vec<i32>>,
+    /// Re-quantization parameters (before the ReLU fold).
+    pub requant: RequantParams,
+    /// Whether the ReLU is fused into the truncation.
+    pub relu: bool,
+}
+
+impl Epilogue {
+    /// The requant parameters actually applied (ReLU folded when
+    /// requested). The fold raises the truncation floor to 0 but never
+    /// lowers it: a layer that already clamps above zero keeps its tighter
+    /// bound (`relu(clamp(x, m, ..)) = clamp(x, m, ..)` for `m >= 0`).
+    pub fn effective_requant(&self) -> RequantParams {
+        if self.relu {
+            let mut rq = self.requant;
+            rq.clamp_min = rq.clamp_min.max(0);
+            rq
+        } else {
+            self.requant
+        }
+    }
+}
+
+/// One layer's fully-resolved execution recipe.
+#[derive(Clone, Debug)]
+pub struct LayerPlan {
+    /// Layer name (matches the network's).
     pub name: String,
     /// Convolution geometry.
     pub shape: ConvShape,
-    /// Operand bit width the layer's kernel proofs assumed.
+    /// Operand bit width.
     pub bits: BitWidth,
-    /// Backend and committed kernel family.
-    pub backend: BackendSpec,
-    /// Recorded conversion applied to the activations before the kernel.
-    pub pre: Option<LayoutConversion>,
-    /// Recorded conversion applied to the kernel output.
-    pub post: Option<LayoutConversion>,
-    /// The workspace bytes the plan declares for this layer.
-    pub declared_workspace_bytes: usize,
-    /// Per-output-channel signed weight sums (length `c_out`).
+    /// The concrete kernel choice; [`PlanAlgo::backend`] names the engine
+    /// that runs it.
+    pub algo: PlanAlgo,
+    /// The prepack-cache key the online phase will hit (`None` for
+    /// algorithms without a prepacked weight layout).
+    pub prepack_fingerprint: Option<u64>,
+    /// The arena bytes this layer needs: the certified
+    /// [`workspace_requirement`] of its kernel, which [`verify_plan`]
+    /// re-derives and requires this figure to dominate.
+    pub workspace_bytes: usize,
+    /// Modeled steady-state milliseconds (the cost the plan was ranked by,
+    /// after prepacking amortizes the weight pack away).
+    pub predicted_millis: f64,
+    /// The fused epilogue.
+    pub epilogue: Epilogue,
+    /// Layout conversion the executor applies to the activations before the
+    /// kernel (`None` when the canonical NCHW inter-layer form is already
+    /// the kernel's native layout). The plan verifier walks these.
+    pub pre_conversion: Option<LayoutConversion>,
+    /// Layout conversion applied to the kernel output to restore the
+    /// canonical inter-layer form.
+    pub post_conversion: Option<LayoutConversion>,
+}
+
+/// One layer of the plan spec: the plan's own layer, cloned, beside the one
+/// fact the plan does not hold.
+#[derive(Clone, Debug)]
+pub struct LayerSpec {
+    /// The plan's layer.
+    pub plan: LayerPlan,
+    /// Per-output-channel signed weight sums (length `c_out`), taken from
+    /// the real weights.
     pub channel_sums: Vec<ChannelSums>,
-    /// Per-output-channel bias added to the accumulators.
-    pub bias: Option<Vec<i32>>,
-    /// Re-quantization into the next layer's operand range.
-    pub requant: RequantParams,
-    /// Whether a ReLU is fused into the truncation.
-    pub relu: bool,
 }
 
 /// What a plan node computes. The planner's graph-level fusion shows up
@@ -528,12 +611,12 @@ pub fn arm_workspace_requirement(shape: &ConvShape, algo: ArmAlgo) -> ArenaRequi
     crate::conc::GemmFootprint::of(shape, algo).required_workspace()
 }
 
-/// The arena requirement of a layer of geometry `shape` on `backend` (GPU
+/// The arena requirement of a layer of geometry `shape` running `algo` (GPU
 /// layers run outside the ARM arena and require nothing from it).
-pub fn workspace_requirement(backend: BackendSpec, shape: &ConvShape) -> ArenaRequirement {
-    match backend {
-        BackendSpec::Arm(kind) => arm_workspace_requirement(shape, kind),
-        BackendSpec::Gpu => ArenaRequirement::default(),
+pub fn workspace_requirement(algo: PlanAlgo, shape: &ConvShape) -> ArenaRequirement {
+    match algo {
+        PlanAlgo::Arm(kind) => arm_workspace_requirement(shape, kind),
+        PlanAlgo::GpuImplicitGemm(_) => ArenaRequirement::default(),
     }
 }
 
@@ -549,8 +632,8 @@ pub fn arena_high_water(layers: impl IntoIterator<Item = ArenaRequirement>) -> u
 pub struct LayerRangeProof {
     /// Layer name.
     pub name: String,
-    /// Backend/kernel label.
-    pub backend: BackendSpec,
+    /// The layer's committed kernel.
+    pub algo: PlanAlgo,
     /// The activation interval entering the layer.
     pub input: Interval,
     /// The proven pre-requant accumulator interval (union over channels,
@@ -597,7 +680,7 @@ impl PlanProof {
             out.push_str(&format!(
                 "{:<8} {:<16} {:>16} {:>26} {:>14} {:>8.1}% {:>10}\n",
                 l.name,
-                l.backend.to_string(),
+                proof_label(&l.algo),
                 l.input.to_string(),
                 l.acc.to_string(),
                 l.output.to_string(),
@@ -626,7 +709,7 @@ impl PlanProof {
                     "    {{\"name\":\"{}\",\"backend\":\"{}\",\"input\":[{},{}],\
 \"acc\":[{},{}],\"output\":[{},{}],\"acc_headroom\":{:.6},\"required_workspace\":{}}}",
                     l.name,
-                    l.backend,
+                    proof_label(&l.algo),
                     l.input.lo,
                     l.input.hi,
                     l.acc.lo,
@@ -648,6 +731,15 @@ impl PlanProof {
             self.certified_activation_high_water,
             self.declared_activation_high_water
         )
+    }
+}
+
+/// A layer's kernel as the proof certificate labels it: `arm/<kernel>` or
+/// `gpu`.
+fn proof_label(algo: &PlanAlgo) -> String {
+    match algo {
+        PlanAlgo::Arm(a) => format!("arm/{a}"),
+        PlanAlgo::GpuImplicitGemm(_) => "gpu".into(),
     }
 }
 
@@ -673,18 +765,20 @@ fn check_layer_numerics(
     l: &LayerSpec,
     act: Interval,
 ) -> Result<(LayerRangeProof, Interval), PlanViolation> {
-    let c_out = l.shape.c_out;
+    let lp = &l.plan;
+    let c_out = lp.shape.c_out;
     if l.channel_sums.len() != c_out {
         return Err(PlanViolation::ChannelSumsBreak {
-            layer: l.name.clone(),
+            layer: lp.name.clone(),
             expects: c_out,
             got: l.channel_sums.len(),
         });
     }
-    if let Some(bias) = &l.bias {
+    let bias = lp.epilogue.bias.as_deref();
+    if let Some(bias) = bias {
         if bias.len() != c_out {
             return Err(PlanViolation::EpilogueBiasBreak {
-                layer: l.name.clone(),
+                layer: lp.name.clone(),
                 expects: c_out,
                 got: bias.len(),
             });
@@ -692,18 +786,20 @@ fn check_layer_numerics(
     }
     // The layer's kernel proofs assume operands inside the adjusted range
     // of its bit width.
-    let assumed = operand_interval(l.bits);
+    let assumed = operand_interval(lp.bits);
     if act.lo < assumed.lo || act.hi > assumed.hi {
         return Err(PlanViolation::OperandRangeBreak {
-            layer: l.name.clone(),
+            layer: lp.name.clone(),
             interval: act,
             bound: assumed.abs_max(),
-            context: format!("{} operand range for the {} stream proofs", l.bits, l.bits),
+            context: format!("{} operand range for the {} stream proofs", lp.bits, lp.bits),
         });
     }
-    if !l.requant.multiplier.is_finite() {
+    // The executor's own expression for the applied requant (ReLU folded).
+    let rq = lp.epilogue.effective_requant();
+    if !rq.multiplier.is_finite() {
         return Err(PlanViolation::OperandRangeBreak {
-            layer: l.name.clone(),
+            layer: lp.name.clone(),
             interval: act,
             bound: assumed.abs_max(),
             context: "non-finite requant multiplier".into(),
@@ -712,11 +808,11 @@ fn check_layer_numerics(
     // Winograd: the F(2x2,3x3) input transform inflates operands 4x and the
     // transformed weights must also fit i8 — re-check against the *live*
     // interval, not just the static bit-width gate.
-    if l.backend == BackendSpec::Arm(ArmAlgo::Winograd) {
-        let range = f23_range_halved(l.bits);
+    if lp.algo == PlanAlgo::Arm(ArmAlgo::Winograd) {
+        let range = f23_range_halved(lp.bits);
         if 4 * act.abs_max() > 128 || !range.fits_i8() {
             return Err(PlanViolation::OperandRangeBreak {
-                layer: l.name.clone(),
+                layer: lp.name.clone(),
                 interval: act,
                 bound: 32,
                 context: "Winograd F(2x2,3x3) input transform inflates 4x past i8".into(),
@@ -724,7 +820,7 @@ fn check_layer_numerics(
         }
     }
     // Zero-padding contributes zero-valued taps.
-    let act_padded = if l.shape.pad > 0 {
+    let act_padded = if lp.shape.pad > 0 {
         Interval::new(act.lo.min(0), act.hi.max(0))
     } else {
         act
@@ -735,10 +831,10 @@ fn check_layer_numerics(
     for (channel, sums) in l.channel_sums.iter().enumerate() {
         let lo = sums.pos * act_padded.lo + sums.neg * act_padded.hi;
         let hi = sums.pos * act_padded.hi + sums.neg * act_padded.lo;
-        let bias = l.bias.as_ref().map_or(0, |b| b[channel]) as i64;
+        let bias = bias.map_or(0, |b| b[channel]) as i64;
         let acc = Interval::new(lo + bias, hi + bias);
         if !acc.fits(ElemWidth::S) {
-            return Err(PlanViolation::AccOverflow { layer: l.name.clone(), channel, acc });
+            return Err(PlanViolation::AccOverflow { layer: lp.name.clone(), channel, acc });
         }
         acc_union = Some(match acc_union {
             Some(u) => Interval::new(u.lo.min(acc.lo), u.hi.max(acc.hi)),
@@ -746,32 +842,31 @@ fn check_layer_numerics(
         });
     }
     let acc = acc_union.expect("c_out >= 1 by ConvShape construction");
-    // Epilogue: requant + optional ReLU fold. The effective truncation range
-    // must sit inside the declared output width.
-    let (qmin, qmax) = (l.requant.bits.qmin(), l.requant.bits.qmax());
-    let clamp_min = if l.relu { 0 } else { l.requant.clamp_min };
-    if clamp_min < qmin || clamp_min > qmax {
+    // Epilogue: the effective truncation range must sit inside the declared
+    // output width.
+    let (qmin, qmax) = (rq.bits.qmin(), rq.bits.qmax());
+    if rq.clamp_min < qmin || rq.clamp_min > qmax {
         return Err(PlanViolation::ClampRangeBreak {
-            layer: l.name.clone(),
-            clamp_min,
+            layer: lp.name.clone(),
+            clamp_min: rq.clamp_min,
             qmin,
             qmax,
         });
     }
-    let scaled = scaled_interval(acc, l.requant.multiplier);
+    let scaled = scaled_interval(acc, rq.multiplier);
     let out = Interval::new(
-        scaled.lo.clamp(clamp_min as i64, qmax as i64),
-        scaled.hi.clamp(clamp_min as i64, qmax as i64),
+        scaled.lo.clamp(rq.clamp_min as i64, qmax as i64),
+        scaled.hi.clamp(rq.clamp_min as i64, qmax as i64),
     );
     let headroom = 1.0 - acc.abs_max() as f64 / i32::MAX as f64;
     let proof = LayerRangeProof {
-        name: l.name.clone(),
-        backend: l.backend,
+        name: lp.name.clone(),
+        algo: lp.algo,
         input: act,
         acc,
         output: out,
         acc_headroom: headroom,
-        required_workspace: workspace_requirement(l.backend, &l.shape).total(),
+        required_workspace: workspace_requirement(lp.algo, &lp.shape).total(),
     };
     Ok((proof, out))
 }
@@ -780,18 +875,18 @@ fn check_layer_numerics(
 /// recomputed requirement, and the declared whole-plan figure the
 /// component-wise arena bound. Returns the certified bound.
 fn check_workspace(spec: &PlanSpec) -> Result<usize, PlanViolation> {
+    let required = |l: &LayerSpec| workspace_requirement(l.plan.algo, &l.plan.shape);
     for l in &spec.layers {
-        let required = workspace_requirement(l.backend, &l.shape).total();
-        if l.declared_workspace_bytes < required {
+        let total = required(l).total();
+        if l.plan.workspace_bytes < total {
             return Err(PlanViolation::WorkspaceUnderstated {
-                layer: l.name.clone(),
-                declared: l.declared_workspace_bytes,
-                required,
+                layer: l.plan.name.clone(),
+                declared: l.plan.workspace_bytes,
+                required: total,
             });
         }
     }
-    let certified =
-        arena_high_water(spec.layers.iter().map(|l| workspace_requirement(l.backend, &l.shape)));
+    let certified = arena_high_water(spec.layers.iter().map(required));
     if spec.declared_high_water_bytes < certified {
         return Err(PlanViolation::HighWaterUnderstated {
             declared: spec.declared_high_water_bytes,
@@ -851,7 +946,7 @@ fn check_graph_structure(spec: &PlanSpec) -> Result<(), PlanViolation> {
                         format!("references layer {layer} outside the table"),
                     ));
                 }
-                if spec.layers[layer].backend == BackendSpec::Arm(ArmAlgo::Auto) {
+                if spec.layers[layer].plan.algo == PlanAlgo::Arm(ArmAlgo::Auto) {
                     let detail = "runs an unresolved Auto kernel".into();
                     return Err(graph_broken(n.name.clone(), detail));
                 }
@@ -963,7 +1058,7 @@ fn check_graph_dataflow(spec: &PlanSpec) -> Result<(), PlanViolation> {
         let out = &values[n.output];
         match n.op {
             PlanOp::Conv { layer, fused_add } => {
-                let l = &spec.layers[layer];
+                let l = &spec.layers[layer].plan;
                 let act = &values[n.inputs[0]];
                 let expects = (l.shape.batch, l.shape.c_in, l.shape.h, l.shape.w);
                 if act.dims != expects {
@@ -990,23 +1085,23 @@ fn check_graph_dataflow(spec: &PlanSpec) -> Result<(), PlanViolation> {
                         format!("produces {produces:?} but value v{} records {:?}", n.output, out.dims),
                     ));
                 }
-                if out.bits != l.requant.bits {
+                if out.bits != l.epilogue.requant.bits {
                     return Err(graph_broken(
                         n.name.clone(),
                         format!(
                             "requantizes into {} but value v{} records {}",
-                            l.requant.bits, n.output, out.bits
+                            l.epilogue.requant.bits, n.output, out.bits
                         ),
                     ));
                 }
                 if let Some(r) = fused_add {
                     let res = &values[r];
-                    if res.dims != produces || res.bits != l.requant.bits {
+                    if res.dims != produces || res.bits != l.epilogue.requant.bits {
                         return Err(graph_broken(
                             n.name.clone(),
                             format!(
                                 "fused residual v{r} is {:?}@{} but the conv produces {:?}@{}",
-                                res.dims, res.bits, produces, l.requant.bits
+                                res.dims, res.bits, produces, l.epilogue.requant.bits
                             ),
                         ));
                     }
@@ -1014,7 +1109,7 @@ fn check_graph_dataflow(spec: &PlanSpec) -> Result<(), PlanViolation> {
                 // Layout walk: stored layout -> (pre) -> kernel-native ->
                 // (post) -> stored output layout.
                 let mut current = act.layout;
-                if let Some(c) = l.pre {
+                if let Some(c) = l.pre_conversion {
                     if c.from != current {
                         return Err(PlanViolation::DanglingConversion {
                             layer: l.name.clone(),
@@ -1024,7 +1119,7 @@ fn check_graph_dataflow(spec: &PlanSpec) -> Result<(), PlanViolation> {
                     }
                     current = c.to;
                 }
-                let native = l.backend.native_layout();
+                let native = l.algo.backend().native_layout();
                 if current != native {
                     return Err(PlanViolation::LayoutMismatch {
                         layer: l.name.clone(),
@@ -1034,7 +1129,7 @@ fn check_graph_dataflow(spec: &PlanSpec) -> Result<(), PlanViolation> {
                     });
                 }
                 current = native;
-                if let Some(c) = l.post {
+                if let Some(c) = l.post_conversion {
                     if c.from != current {
                         return Err(PlanViolation::DanglingConversion {
                             layer: l.name.clone(),
@@ -1157,8 +1252,8 @@ fn check_graph_numerics(spec: &PlanSpec) -> Result<Vec<LayerRangeProof>, PlanVio
                 match fused_add {
                     Some(r) => {
                         let res = intervals[r].expect("structure pass proved def-before-use");
-                        let (qmin, qmax) =
-                            (l.requant.bits.qmin() as i64, l.requant.bits.qmax() as i64);
+                        let bits = l.plan.epilogue.requant.bits;
+                        let (qmin, qmax) = (bits.qmin() as i64, bits.qmax() as i64);
                         Interval::new(
                             (out.lo + res.lo).clamp(qmin, qmax),
                             (out.hi + res.hi).clamp(qmin, qmax),
@@ -1260,7 +1355,33 @@ mod tests {
 
     /// The certified arena bound of a layer table.
     fn high_water(layers: &[LayerSpec]) -> usize {
-        arena_high_water(layers.iter().map(|l| workspace_requirement(l.backend, &l.shape)))
+        arena_high_water(
+            layers.iter().map(|l| workspace_requirement(l.plan.algo, &l.plan.shape)),
+        )
+    }
+
+    /// A W4 wide-GEMM layer declaring its certified workspace, with the same
+    /// weight sums in every channel.
+    fn gemm_layer(name: &str, shape: ConvShape, relu: bool) -> LayerSpec {
+        LayerSpec {
+            plan: LayerPlan {
+                name: name.into(),
+                shape,
+                bits: BitWidth::W4,
+                algo: PlanAlgo::Arm(ArmAlgo::Gemm),
+                prepack_fingerprint: None,
+                workspace_bytes: arm_workspace_requirement(&shape, ArmAlgo::Gemm).total(),
+                predicted_millis: 0.0,
+                epilogue: Epilogue {
+                    bias: None,
+                    requant: RequantParams { bits: BitWidth::W4, multiplier: 0.01, clamp_min: -8 },
+                    relu,
+                },
+                pre_conversion: None,
+                post_conversion: None,
+            },
+            channel_sums: vec![ChannelSums { neg: -40, pos: 44 }; shape.c_out],
+        }
     }
 
     /// A hand-built two-layer chain small enough to reason about exactly:
@@ -1269,21 +1390,7 @@ mod tests {
     fn toy_spec() -> PlanSpec {
         let s1 = ConvShape::new(1, 3, 8, 8, 4, 3, 1, 1);
         let s2 = ConvShape::new(1, 4, 8, 8, 2, 3, 2, 1);
-        let mk = |name: &str, shape: ConvShape, relu: bool| LayerSpec {
-            name: name.into(),
-            shape,
-            bits: BitWidth::W4,
-            backend: BackendSpec::Arm(ArmAlgo::Gemm),
-            pre: None,
-            post: None,
-            declared_workspace_bytes: arm_workspace_requirement(&shape, ArmAlgo::Gemm)
-                .total(),
-            channel_sums: vec![ChannelSums { neg: -40, pos: 44 }; shape.c_out],
-            bias: None,
-            requant: RequantParams { bits: BitWidth::W4, multiplier: 0.01, clamp_min: -8 },
-            relu,
-        };
-        let layers = vec![mk("l1", s1, true), mk("l2", s2, false)];
+        let layers = vec![gemm_layer("l1", s1, true), gemm_layer("l2", s2, false)];
         let hw = high_water(&layers);
         let node = |name: &str, layer: usize| NodePlan {
             name: name.into(),
@@ -1319,21 +1426,7 @@ mod tests {
     /// offset 0 (their live ranges are disjoint), v1 sits after v0.
     fn toy_graph_spec() -> PlanSpec {
         let shape = ConvShape::new(1, 4, 8, 8, 4, 3, 1, 1);
-        let mk = |name: &str, relu: bool| LayerSpec {
-            name: name.into(),
-            shape,
-            bits: BitWidth::W4,
-            backend: BackendSpec::Arm(ArmAlgo::Gemm),
-            pre: None,
-            post: None,
-            declared_workspace_bytes: arm_workspace_requirement(&shape, ArmAlgo::Gemm)
-                .total(),
-            channel_sums: vec![ChannelSums { neg: -40, pos: 44 }; shape.c_out],
-            bias: None,
-            requant: RequantParams { bits: BitWidth::W4, multiplier: 0.01, clamp_min: -8 },
-            relu,
-        };
-        let layers = vec![mk("l1", true), mk("l2", false)];
+        let layers = vec![gemm_layer("l1", shape, true), gemm_layer("l2", shape, false)];
         let hw = high_water(&layers);
         let bytes = 4 * 8 * 8;
         let slot = |layout, def, last_use, offset| ValuePlan {
@@ -1392,7 +1485,7 @@ mod tests {
     #[test]
     fn shape_break_is_caught() {
         let mut spec = toy_spec();
-        spec.layers[1].shape.c_in = 5;
+        spec.layers[1].plan.shape.c_in = 5;
         assert!(matches!(
             verify_plan(&spec),
             Err(PlanViolation::ShapeBreak { .. })
@@ -1404,25 +1497,28 @@ mod tests {
         // A GPU layer with no recorded pre-conversion: NCHW hits an
         // NHWC-native kernel.
         let mut spec = toy_spec();
-        spec.layers[0].backend = BackendSpec::Gpu;
-        spec.layers[0].declared_workspace_bytes = 0;
-        spec.layers[0].post = Some(LayoutConversion { from: Layout::Nhwc, to: Layout::Nchw });
+        let gpu = lowbit_conv_gpu::default_config(turing_sim::Precision::TensorCoreInt4);
+        spec.layers[0].plan.algo = PlanAlgo::GpuImplicitGemm(gpu);
+        spec.layers[0].plan.post_conversion =
+            Some(LayoutConversion { from: Layout::Nhwc, to: Layout::Nchw });
         assert!(matches!(
             verify_plan(&spec),
             Err(PlanViolation::LayoutMismatch { site: "kernel input", .. })
         ));
         // Recorded properly, it proves.
-        spec.layers[0].pre = Some(LayoutConversion { from: Layout::Nchw, to: Layout::Nhwc });
+        spec.layers[0].plan.pre_conversion =
+            Some(LayoutConversion { from: Layout::Nchw, to: Layout::Nhwc });
         assert!(verify_plan(&spec).is_ok());
         // Dropping the post-conversion leaves NHWC at the plan boundary.
-        spec.layers[0].post = None;
+        spec.layers[0].plan.post_conversion = None;
         assert!(matches!(
             verify_plan(&spec),
             Err(PlanViolation::LayoutMismatch { site: "layer output", .. })
         ));
         // A conversion anchored to the wrong source layout dangles.
         let mut spec = toy_spec();
-        spec.layers[1].pre = Some(LayoutConversion { from: Layout::Nhwc, to: Layout::Nchw });
+        spec.layers[1].plan.pre_conversion =
+            Some(LayoutConversion { from: Layout::Nhwc, to: Layout::Nchw });
         assert!(matches!(
             verify_plan(&spec),
             Err(PlanViolation::DanglingConversion { .. })
@@ -1445,14 +1541,13 @@ mod tests {
         // layers, so the numeric pass, not the edge check, is what fires.
         let mut spec = toy_spec();
         for l in &mut spec.layers {
-            l.bits = BitWidth::W7;
-            l.requant.bits = BitWidth::W7;
+            l.plan.bits = BitWidth::W7;
+            l.plan.epilogue.requant.bits = BitWidth::W7;
         }
         for v in &mut spec.values {
             v.bits = BitWidth::W7;
         }
-        spec.layers[0].backend = BackendSpec::Arm(ArmAlgo::Winograd);
-        spec.layers[0].declared_workspace_bytes = 0;
+        spec.layers[0].plan.algo = PlanAlgo::Arm(ArmAlgo::Winograd);
         assert!(matches!(
             verify_plan(&spec),
             Err(PlanViolation::OperandRangeBreak { .. })
@@ -1464,20 +1559,20 @@ mod tests {
         // l1 re-quantizes into a width l2 was never proven for (the value
         // record kept consistent, so the edge check fires).
         let mut spec = toy_spec();
-        spec.layers[0].requant.bits = BitWidth::W6;
+        spec.layers[0].plan.epilogue.requant.bits = BitWidth::W6;
         spec.values[1].bits = BitWidth::W6;
         assert!(matches!(
             verify_plan(&spec),
             Err(PlanViolation::RequantWidthBreak { .. })
         ));
         let mut spec = toy_spec();
-        spec.layers[1].requant.clamp_min = -100;
+        spec.layers[1].plan.epilogue.requant.clamp_min = -100;
         assert!(matches!(
             verify_plan(&spec),
             Err(PlanViolation::ClampRangeBreak { clamp_min: -100, .. })
         ));
         let mut spec = toy_spec();
-        spec.layers[0].bias = Some(vec![1; 3]);
+        spec.layers[0].plan.epilogue.bias = Some(vec![1; 3]);
         assert!(matches!(
             verify_plan(&spec),
             Err(PlanViolation::EpilogueBiasBreak { expects: 4, got: 3, .. })
@@ -1485,9 +1580,27 @@ mod tests {
     }
 
     #[test]
+    fn relu_clamp_is_proven_through_the_executors_fold() {
+        // The executor folds ReLU as `clamp_min.max(0)`: a ReLU layer that
+        // clamps at +2 keeps its floor, so the proven output is [2, qmax].
+        let mut spec = toy_spec();
+        spec.layers[0].plan.epilogue.requant.clamp_min = 2;
+        let proof = verify_plan(&spec).unwrap();
+        assert_eq!(proof.layers[0].output, Interval::new(2, 7));
+        assert_eq!(proof.layers[1].input, Interval::new(2, 7));
+        // A ReLU does not rescue a floor above the output width's ceiling.
+        let mut spec = toy_spec();
+        spec.layers[0].plan.epilogue.requant.clamp_min = 8;
+        assert!(matches!(
+            verify_plan(&spec),
+            Err(PlanViolation::ClampRangeBreak { clamp_min: 8, qmax: 7, .. })
+        ));
+    }
+
+    #[test]
     fn workspace_witnesses_fire() {
         let mut spec = toy_spec();
-        spec.layers[0].declared_workspace_bytes /= 2;
+        spec.layers[0].plan.workspace_bytes /= 2;
         assert!(matches!(
             verify_plan(&spec),
             Err(PlanViolation::WorkspaceUnderstated { layer, .. }) if layer == "l1"
@@ -1520,7 +1633,7 @@ mod tests {
         assert!(broken(&spec));
         // A layer that commits to no kernel has nothing to certify.
         let mut spec = toy_spec();
-        spec.layers[1].backend = BackendSpec::Arm(ArmAlgo::Auto);
+        spec.layers[1].plan.algo = PlanAlgo::Arm(ArmAlgo::Auto);
         assert!(broken(&spec));
     }
 
@@ -1600,7 +1713,7 @@ mod tests {
         // proofs never assumed (value table kept consistent so the edge
         // check, not the table check, is what fires).
         let mut spec = toy_graph_spec();
-        spec.layers[0].requant.bits = BitWidth::W6;
+        spec.layers[0].plan.epilogue.requant.bits = BitWidth::W6;
         spec.values[1].bits = BitWidth::W6;
         assert!(matches!(
             verify_plan(&spec),
@@ -1726,24 +1839,67 @@ mod tests {
         // layer's own total.
         let a = ConvShape::new(1, 32, 16, 16, 4, 3, 1, 1); // big K -> big col
         let b = ConvShape::new(1, 4, 16, 16, 64, 1, 1, 0); // big M -> big c_cm
-        let mk = |name: &str, shape: ConvShape| LayerSpec {
-            name: name.into(),
-            shape,
-            bits: BitWidth::W4,
-            backend: BackendSpec::Arm(ArmAlgo::Gemm),
-            pre: None,
-            post: None,
-            declared_workspace_bytes: usize::MAX,
-            channel_sums: vec![ChannelSums { neg: -1, pos: 1 }; shape.c_out],
-            bias: None,
-            requant: RequantParams { bits: BitWidth::W4, multiplier: 0.01, clamp_min: -8 },
-            relu: false,
-        };
-        let layers = vec![mk("a", a), mk("b", b)];
+        let layers = vec![gemm_layer("a", a, false), gemm_layer("b", b, false)];
         let hw = high_water(&layers);
-        let ta = workspace_requirement(layers[0].backend, &a).total();
-        let tb = workspace_requirement(layers[1].backend, &b).total();
+        let ta = arm_workspace_requirement(&a, ArmAlgo::Gemm).total();
+        let tb = arm_workspace_requirement(&b, ArmAlgo::Gemm).total();
         assert!(hw > ta.max(tb), "{hw} vs {ta}/{tb}");
         assert!(hw <= ta + tb);
+    }
+
+    #[test]
+    fn epilogue_folds_relu_into_requant() {
+        let ep = Epilogue {
+            bias: None,
+            requant: RequantParams::new(BitWidth::W4, 0.5),
+            relu: true,
+        };
+        assert_eq!(ep.effective_requant().clamp_min, 0);
+        let ep = Epilogue { relu: false, ..ep };
+        assert_eq!(ep.effective_requant().clamp_min, BitWidth::W4.qmin());
+    }
+
+    #[test]
+    fn relu_fold_never_lowers_a_positive_clamp() {
+        // A layer already clamping at +3 stays at +3 under the ReLU fold:
+        // relu is a no-op on a range that starts above zero.
+        let mut requant = RequantParams::new(BitWidth::W4, 0.5);
+        requant.clamp_min = 3;
+        let ep = Epilogue { bias: None, requant, relu: true };
+        assert_eq!(ep.effective_requant().clamp_min, 3);
+        // Without the fold the positive clamp passes through untouched too.
+        let ep = Epilogue { relu: false, ..ep };
+        assert_eq!(ep.effective_requant().clamp_min, 3);
+    }
+
+    #[test]
+    fn relu_fold_at_the_extreme_widths() {
+        // W2's adjusted range is [-1, 1]; W8's is [-127, 127]. The fold
+        // moves the floor to 0 at both extremes, the ceiling never moves,
+        // and the multiplier passes through bit-identically.
+        for bits in [BitWidth::W2, BitWidth::W8] {
+            let ep = Epilogue {
+                bias: None,
+                requant: RequantParams::new(bits, 0.125),
+                relu: true,
+            };
+            let rq = ep.effective_requant();
+            assert_eq!(rq.clamp_min, 0, "{bits}");
+            assert_eq!(rq.bits, bits);
+            assert_eq!(rq.multiplier.to_bits(), 0.125f32.to_bits());
+            assert_eq!(rq.apply(i32::MIN / 2), 0, "{bits}: floor clamps at 0");
+            assert_eq!(rq.apply(i32::MAX / 2), bits.qmax(), "{bits}: ceiling is qmax");
+        }
+    }
+
+    #[test]
+    fn biasless_epilogue_requant_is_untouched_by_the_fold_machinery() {
+        // A bias-less, relu-less epilogue must hand back its requant
+        // exactly (the executor's hot loop relies on this being identity).
+        let requant = RequantParams::new(BitWidth::W2, 0.7);
+        let ep = Epilogue { bias: None, requant, relu: false };
+        assert!(ep.bias.is_none());
+        assert_eq!(ep.effective_requant(), requant);
+        assert_eq!(ep.effective_requant().clamp_min, BitWidth::W2.qmin());
     }
 }

@@ -54,7 +54,7 @@ fn main() {
             println!(
                 "  {:<8} {:>9} {:>12} {:>8.3} ms  {:<12} ws +{} B",
                 r.name,
-                r.backend.to_string(),
+                r.algo.backend().to_string(),
                 r.algo.to_string(),
                 r.millis,
                 cache,

@@ -68,7 +68,7 @@ fn main() {
         .expect("demo network compiles");
     println!("plan : demo network, {} layers, predicted {:.3} ms", plan.layers().len(), plan.predicted_millis());
     for l in plan.layers() {
-        println!("       {:<6} -> {} via {}", l.name, l.backend, l.algo);
+        println!("       {:<6} -> {} via {}", l.name, l.algo.backend(), l.algo);
     }
     let input = Tensor::zeros((1, 3, 12, 12), Layout::Nchw);
     let run = Executor::for_arm(&arm)

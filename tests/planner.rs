@@ -230,7 +230,7 @@ fn gpu_precision_fallback_for_odd_widths() {
         let net = Network::demo(bits, 12, 9);
         let plan = planner.compile(&net).unwrap();
         assert!(
-            plan.layers().iter().all(|l| l.backend == BackendKind::Arm),
+            plan.layers().iter().all(|l| l.algo.backend() == BackendKind::Arm),
             "{bits}: odd widths must fall back to ARM"
         );
     }
@@ -240,7 +240,7 @@ fn gpu_precision_fallback_for_odd_widths() {
         // The modeled 2080 Ti beats the modeled Cortex-A53 on every demo
         // layer, so the cost ranking sends them all to the GPU.
         assert!(
-            plan.layers().iter().all(|l| l.backend == BackendKind::GpuModel),
+            plan.layers().iter().all(|l| l.algo.backend() == BackendKind::GpuModel),
             "{bits}: Tensor Core widths should win on the GPU model"
         );
         assert_eq!(plan.backends(), vec![BackendKind::GpuModel]);
@@ -267,7 +267,7 @@ fn heterogeneous_execution_matches_arm_output() {
 
     let both = Planner::for_arm(&arm).with_gpu(&gpu, Tuning::Default);
     let gpu_plan = both.compile(&net).unwrap();
-    assert!(gpu_plan.layers().iter().all(|l| l.backend == BackendKind::GpuModel));
+    assert!(gpu_plan.layers().iter().all(|l| l.algo.backend() == BackendKind::GpuModel));
     let gpu_run = Executor::for_arm(&arm)
         .with_gpu(&gpu)
         .run(&gpu_plan, &net, &input)
@@ -276,7 +276,7 @@ fn heterogeneous_execution_matches_arm_output() {
     assert_eq!(gpu_run.output.dims(), arm_run.output.dims());
     assert_eq!(gpu_run.output.data(), arm_run.output.data());
     for r in &gpu_run.reports {
-        assert_eq!(r.backend, BackendKind::GpuModel);
+        assert_eq!(r.algo.backend(), BackendKind::GpuModel);
         assert!(r.gpu_time.is_some(), "{}: GPU layers carry a stage breakdown", r.name);
         assert!(r.arm_algo().is_none());
     }
@@ -304,7 +304,7 @@ proptest! {
         for (r, lp) in run.reports.iter().zip(plan.layers()) {
             prop_assert_eq!(&r.name, &lp.name);
             prop_assert_eq!(r.algo, lp.algo);
-            prop_assert_eq!(r.backend, lp.backend);
+            prop_assert_eq!(r.algo.backend(), lp.algo.backend());
             prop_assert!((r.millis - lp.predicted_millis).abs() < 1e-12);
         }
     }

@@ -69,7 +69,7 @@ fn seeded_mutants_are_rejected_with_their_witnesses() {
     let base = lower_plan(&plan, &net).unwrap();
     // Corrupted requant on the last (ReLU-free) layer.
     let mut spec = base.clone();
-    spec.layers[2].requant.clamp_min = -100;
+    spec.layers[2].plan.epilogue.requant.clamp_min = -100;
     assert!(matches!(
         verify_plan(&spec),
         Err(PlanViolation::ClampRangeBreak { clamp_min: -100, .. })
@@ -83,7 +83,7 @@ fn seeded_mutants_are_rejected_with_their_witnesses() {
     ));
     // A broken layer chain.
     let mut spec = base.clone();
-    spec.layers[1].shape.c_in += 1;
+    spec.layers[1].plan.shape.c_in += 1;
     assert!(matches!(verify_plan(&spec), Err(PlanViolation::ShapeBreak { .. })));
     // Plan-level mutants through the core lowering: an understated per-layer
     // declaration must also be typed at the CoreError surface.
