@@ -1,12 +1,14 @@
 //! The ARM kernel table: [`ArmAlgo`] names every convolution algorithm this
 //! crate implements, and the facts that decide where and how each one runs
-//! live beside it — the applicability rule ([`ArmAlgo::applies`]) and the
-//! drain scheme ([`ArmAlgo::scheme`]) here, the prepacked weight layout and
-//! its cache tag in [`crate::workspace::PackedWeights::pack`] and
+//! live beside it — the applicability rule ([`ArmAlgo::applies`]), the
+//! modeled GEMM tile kind ([`ArmAlgo::tile`], which also says whether the
+//! algorithm is one of the GEMM family) and the drain scheme
+//! ([`ArmAlgo::scheme`]) here, the prepacked weight layout and its cache
+//! tag in [`crate::workspace::PackedWeights::pack`] and
 //! [`crate::workspace::prepack_fingerprint`].
 
 use crate::winograd::winograd_supported;
-use lowbit_qgemm::Scheme;
+use lowbit_qgemm::{Scheme, TileKind};
 use lowbit_tensor::{BitWidth, ConvShape};
 
 /// Algorithm choice for one layer.
@@ -73,6 +75,21 @@ impl ArmAlgo {
             ArmAlgo::Winograd => shape.winograd_applicable() && winograd_supported(bits),
             ArmAlgo::BitserialBaseline => bits == BitWidth::W2,
             ArmAlgo::Auto | ArmAlgo::Gemm | ArmAlgo::GemmSdot | ArmAlgo::NcnnBaseline => true,
+        }
+    }
+
+    /// The modeled GEMM tile kind the algorithm runs: its row of the tile
+    /// table, which the schedule, the verifiers and the serving cost model
+    /// read. `Some` exactly for the GEMM family (the wide, narrow and SDOT
+    /// tiles and the ncnn baseline); `None` for Winograd, whose 16 position
+    /// GEMMs pick their own tile, the bitserial baseline and `Auto`.
+    pub fn tile(self) -> Option<TileKind> {
+        match self {
+            ArmAlgo::Gemm => Some(TileKind::Wide),
+            ArmAlgo::GemmNarrow => Some(TileKind::Narrow),
+            ArmAlgo::GemmSdot => Some(TileKind::Sdot),
+            ArmAlgo::NcnnBaseline => Some(TileKind::Ncnn),
+            ArmAlgo::Winograd | ArmAlgo::BitserialBaseline | ArmAlgo::Auto => None,
         }
     }
 

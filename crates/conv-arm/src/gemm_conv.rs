@@ -39,6 +39,11 @@ pub fn gemm_conv(input: &QTensor, weights: &QTensor, shape: &ConvShape) -> ConvO
 
 /// Analytic schedule for the whole explicit-GEMM pipeline on the paper's
 /// wide 16x4 kernel.
+///
+/// # Panics
+/// Under [`Scheme::ncnn16`], which the wide tile does not run: price the
+/// ncnn baseline with [`lowbit_qgemm::TileKind::Ncnn`]'s schedule, as
+/// `lowbit::arm_schedule` does.
 pub fn schedule_gemm_conv(scheme: &Scheme, shape: &ConvShape) -> KernelSchedule {
     let (m, k, n) = (shape.gemm_m(), shape.gemm_k(), shape.gemm_n());
     explicit_gemm_schedule(schedule_gemm(scheme, m, k, n), shape)
@@ -74,9 +79,16 @@ pub(crate) fn requant_stage(shape: &ConvShape) -> StageCost {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lowbit_qgemm::sdot::schedule_gemm_sdot;
+    use lowbit_qgemm::TileKind;
     use lowbit_tensor::BitWidth;
     use neon_sim::CortexA53;
+
+    /// Modeled A53 cycles of the explicit-GEMM conv on `tile`.
+    fn conv_cycles(tile: TileKind, scheme: &Scheme, shape: &ConvShape) -> f64 {
+        let (m, k, n) = (shape.gemm_m(), shape.gemm_k(), shape.gemm_n());
+        let gemm = tile.schedule(scheme, m, k, n);
+        explicit_gemm_schedule(gemm, shape).cycles(&CortexA53::cost_model())
+    }
 
     #[test]
     fn schedule_includes_all_pipeline_stages() {
@@ -97,7 +109,7 @@ mod tests {
         // baseline on the same layer; 8-bit does not beat it.
         let shape = ConvShape::new(1, 64, 56, 56, 64, 3, 1, 1);
         let model = CortexA53::cost_model();
-        let ncnn = schedule_gemm_conv(&Scheme::ncnn16(), &shape).cycles(&model);
+        let ncnn = conv_cycles(TileKind::Ncnn, &Scheme::ncnn16(), &shape);
         let ours = |bits| schedule_gemm_conv(&Scheme::for_bits(bits), &shape).cycles(&model);
         assert!(ours(BitWidth::W2) < ncnn, "2-bit must beat ncnn");
         assert!(ours(BitWidth::W4) < ncnn, "4-bit must beat ncnn");
@@ -113,10 +125,8 @@ mod tests {
         // The ARMv8.2 projection: with SDOT, even 8-bit convincingly beats
         // the v8.1 ncnn baseline.
         let shape = ConvShape::new(1, 64, 56, 56, 64, 3, 1, 1);
-        let model = neon_sim::CortexA53::cost_model();
-        let (m, k, n) = (shape.gemm_m(), shape.gemm_k(), shape.gemm_n());
-        let sdot = explicit_gemm_schedule(schedule_gemm_sdot(m, k, n), &shape).cycles(&model);
-        let ncnn = schedule_gemm_conv(&Scheme::ncnn16(), &shape).cycles(&model);
+        let sdot = conv_cycles(TileKind::Sdot, &Scheme::for_bits(BitWidth::W8), &shape);
+        let ncnn = conv_cycles(TileKind::Ncnn, &Scheme::ncnn16(), &shape);
         assert!(
             sdot * 1.5 < ncnn,
             "SDOT conv ({sdot:.0}) should handily beat ncnn ({ncnn:.0})"

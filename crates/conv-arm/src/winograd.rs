@@ -39,18 +39,11 @@
 
 #![allow(clippy::field_reassign_with_default)] // InstCounts builders read clearer this way
 
-use crate::workspace::ConvWorkspace;
+use crate::workspace::{ConvWorkspace, PackedWeights};
 use crate::{ArmAlgo, ConvOutput};
 use lowbit_isa::Isa;
-use lowbit_qgemm::gemm::schedule_gemm;
-use lowbit_qgemm::narrow::pack_a_narrow;
-use lowbit_qgemm::parallel::{
-    fan_out, gemm_parallel_cm_on, worker_track, ParallelConfig, SharedWeights,
-};
-use lowbit_qgemm::{
-    pack_a, partition_columns, schedule_gemm_narrow, ColumnSpan, GemmWorkspace, PackedA,
-    PackedANarrow, Scheme, SchemeKind,
-};
+use lowbit_qgemm::parallel::{fan_out, gemm_parallel_cm_on, worker_track, ParallelConfig};
+use lowbit_qgemm::{partition_columns, ColumnSpan, GemmWorkspace, Scheme, SchemeKind, TileKind};
 use lowbit_tensor::{BitWidth, ConvShape, Layout, QTensor, Tensor};
 use lowbit_trace::{Tracer, MAIN_TRACK};
 use neon_sim::{InstCounts, KernelSchedule, StageCost};
@@ -110,13 +103,18 @@ pub fn winograd_scheme(bits: BitWidth) -> Scheme {
     Scheme::for_product_bound(SchemeKind::Smlal8, bound)
 }
 
-/// At tight drain ratios the 16x4 tile's per-drain spill MOVs outweigh its
-/// operand reuse, so the Winograd GEMM switches to the spill-free narrow
-/// 8x4 tile (see `lowbit_qgemm::narrow`). The paper fixes Alg. 1's 16x4 for
-/// the direct GEMM path; the Winograd-domain kernel is unspecified, and this
-/// is the register allocation "tailored for the instruction scheme".
-fn winograd_uses_narrow_tile(bits: BitWidth) -> bool {
-    winograd_scheme(bits).ratio() <= 8
+/// The GEMM tile of the 16 position GEMMs at `bits`: at tight drain
+/// ratios the 16x4 tile's per-drain spill MOVs outweigh its operand reuse,
+/// so the Winograd GEMM switches to the spill-free narrow 8x4 tile (see
+/// `lowbit_qgemm::narrow`). The paper fixes Alg. 1's 16x4 for the direct
+/// GEMM path; the Winograd-domain kernel is unspecified, and this is the
+/// register allocation "tailored for the instruction scheme".
+fn position_gemm(bits: BitWidth) -> TileKind {
+    if winograd_scheme(bits).ratio() <= 8 {
+        TileKind::Narrow
+    } else {
+        TileKind::Wide
+    }
 }
 
 /// Transforms one 3x3 weight into the 16 stored i8 coefficients:
@@ -194,14 +192,9 @@ pub struct WinogradWeights {
     bits: BitWidth,
     c_out: usize,
     c_in: usize,
-    positions: PositionPanels,
-}
-
-/// The 16 packed position matrices, in the layout of one GEMM tile.
-#[derive(Debug)]
-enum PositionPanels {
-    Wide(Vec<PackedA>),
-    Narrow(Vec<PackedANarrow>),
+    /// The packed `Ū` of each position `p = 4i + j`, all in the layout of
+    /// the GEMM tile [`position_gemm`] picks.
+    positions: Vec<PackedWeights>,
 }
 
 impl WinogradWeights {
@@ -224,28 +217,14 @@ impl WinogradWeights {
                 u[pos][row] = tv;
             }
         }
-        let positions = if winograd_uses_narrow_tile(bits) {
-            PositionPanels::Narrow(u.iter().map(|a| pack_a_narrow(a, c_out, c_in)).collect())
-        } else {
-            PositionPanels::Wide(u.iter().map(|a| pack_a(a, c_out, c_in)).collect())
-        };
+        let tile = position_gemm(bits);
+        let positions = u.iter().map(|a| PackedWeights::pack_gemm(tile, a, c_out, c_in)).collect();
         WinogradWeights { bits, c_out, c_in, positions }
     }
 
     /// Packed bytes held over all 16 positions.
     pub fn bytes(&self) -> usize {
-        match &self.positions {
-            PositionPanels::Wide(p) => p.iter().map(|a| a.data.len()).sum(),
-            PositionPanels::Narrow(p) => p.iter().map(|a| a.data.len()).sum(),
-        }
-    }
-
-    /// The packed `Ū` of position `p` (`p = 4i + j`).
-    fn position(&self, p: usize) -> SharedWeights<'_> {
-        match &self.positions {
-            PositionPanels::Wide(a) => SharedWeights::Wide(&a[p]),
-            PositionPanels::Narrow(a) => SharedWeights::Narrow(&a[p]),
-        }
+        self.positions.iter().map(PackedWeights::bytes).sum()
     }
 }
 
@@ -435,7 +414,7 @@ impl SpanJob<'_> {
         for (p, (v_p, coef)) in v.chunks_exact(k * cols).zip(&coef).enumerate() {
             let c = {
                 let _s = tracer.span("wg gemm", track);
-                let pw = self.weights.position(p);
+                let pw = self.weights.positions[p].operand();
                 let null = Tracer::null();
                 gemm_parallel_cm_on(isa, &scheme, pw, v_p, k, cols, &self.cfg, gemm, &null)
             };
@@ -587,11 +566,7 @@ pub fn schedule_winograd_conv(bits: BitWidth, shape: &ConvShape) -> KernelSchedu
 
     // 16 Winograd-domain GEMMs (pack A is the offline-transformed weight, so
     // only its packing is charged, consistent with the GEMM path).
-    let gemm_sched = if winograd_uses_narrow_tile(bits) {
-        schedule_gemm_narrow(&scheme, shape.c_out, shape.c_in, n_tiles)
-    } else {
-        schedule_gemm(&scheme, shape.c_out, shape.c_in, n_tiles)
-    };
+    let gemm_sched = position_gemm(bits).schedule(&scheme, shape.c_out, shape.c_in, n_tiles);
     for stage in gemm_sched.stages {
         let mut counts = InstCounts::default();
         counts.add_scaled(&stage.counts, 16);
@@ -744,7 +719,7 @@ mod tests {
 
         // 16 position-wise GEMMs in the Winograd domain.
         let scheme = winograd_scheme(bits);
-        let narrow = winograd_uses_narrow_tile(bits);
+        let narrow = position_gemm(bits) == TileKind::Narrow;
         let mut m_mats = Vec::with_capacity(16);
         for pos in 0..16 {
             let out = if narrow {
@@ -1028,8 +1003,8 @@ mod tests {
     #[test]
     fn six_bit_winograd_takes_the_narrow_tile() {
         // Ratio 7 at 6-bit: the tailored allocation must kick in and help.
-        assert!(super::winograd_uses_narrow_tile(BitWidth::W6));
-        assert!(!super::winograd_uses_narrow_tile(BitWidth::W4)); // ratio 14: wide wins
+        assert_eq!(super::position_gemm(BitWidth::W6), TileKind::Narrow);
+        assert_eq!(super::position_gemm(BitWidth::W4), TileKind::Wide); // ratio 14: wide wins
         // And the narrow-tile path stays bit-consistent (rounded mode bound
         // already verified; exactness at 4-bit is unaffected since it keeps
         // the wide tile).

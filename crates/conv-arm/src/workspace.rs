@@ -29,7 +29,7 @@ use lowbit_isa::Isa;
 use lowbit_qgemm::narrow::pack_a_narrow;
 use lowbit_qgemm::parallel::{gemm_parallel_nchw_on, ParallelConfig, SharedWeights};
 use lowbit_qgemm::workspace::{GemmWorkspace, WorkspaceStats};
-use lowbit_qgemm::{pack_a, PackedA, PackedANarrow, PackedAQuads, Scheme};
+use lowbit_qgemm::{pack_a, PackedA, PackedANarrow, PackedAQuads, Scheme, TileKind};
 use lowbit_tensor::{
     im2col_nchw_into, BitWidth, ConvShape, Fnv1a, Im2colMatrix, Layout, QTensor, Tensor,
 };
@@ -54,20 +54,42 @@ pub enum PackedWeights {
 impl PackedWeights {
     /// Packs `weights` (NCHW) once into the layout `algo`'s kernel reads at
     /// the effective width `bits`; only Winograd's weight transform depends
-    /// on `bits`. The ncnn baseline reads the narrow tile's layout. `None`
-    /// for the bitserial baseline, which packs per call, and for `Auto`.
+    /// on `bits`. `None` for the bitserial baseline, which packs per call,
+    /// and for `Auto`.
     pub fn pack(weights: &QTensor, algo: ArmAlgo, bits: BitWidth) -> Option<PackedWeights> {
         let (c_out, c_in, kh, kw) = weights.dims();
-        let (w, m, k) = (weights.data(), c_out, c_in * kh * kw);
-        Some(match algo {
-            ArmAlgo::Gemm => PackedWeights::Wide(pack_a(w, m, k)),
-            ArmAlgo::GemmNarrow | ArmAlgo::NcnnBaseline => {
-                PackedWeights::Narrow(pack_a_narrow(w, m, k))
+        let k = c_in * kh * kw;
+        Some(match (algo.tile(), algo) {
+            (Some(tile), _) => PackedWeights::pack_gemm(tile, weights.data(), c_out, k),
+            (None, ArmAlgo::Winograd) => {
+                PackedWeights::Winograd(WinogradWeights::pack(weights, bits))
             }
-            ArmAlgo::GemmSdot => PackedWeights::Quads(PackedAQuads::from_a(w, m, k)),
-            ArmAlgo::Winograd => PackedWeights::Winograd(WinogradWeights::pack(weights, bits)),
-            ArmAlgo::BitserialBaseline | ArmAlgo::Auto => return None,
+            (None, _) => return None,
         })
+    }
+
+    /// Packs the row-major `m x k` matrix `a` into the layout the host
+    /// block kernel of `tile` reads; the ncnn baseline's is the narrow
+    /// tile's.
+    pub(crate) fn pack_gemm(tile: TileKind, a: &[i8], m: usize, k: usize) -> PackedWeights {
+        match tile {
+            TileKind::Wide => PackedWeights::Wide(pack_a(a, m, k)),
+            TileKind::Narrow | TileKind::Ncnn => PackedWeights::Narrow(pack_a_narrow(a, m, k)),
+            TileKind::Sdot => PackedWeights::Quads(PackedAQuads::from_a(a, m, k)),
+        }
+    }
+
+    /// The GEMM operand the driver reads from a GEMM-family layout.
+    ///
+    /// # Panics
+    /// On Winograd's weights, which are 16 operands, one per position.
+    pub(crate) fn operand(&self) -> SharedWeights<'_> {
+        match self {
+            PackedWeights::Wide(p) => SharedWeights::Wide(p),
+            PackedWeights::Narrow(p) => SharedWeights::Narrow(p),
+            PackedWeights::Quads(p) => SharedWeights::Quads(p),
+            PackedWeights::Winograd(_) => panic!("Winograd weights are one operand per position"),
+        }
     }
 
     /// Packed bytes held.
@@ -178,12 +200,10 @@ pub fn gemm_conv_ws(
     ws: &mut ConvWorkspace,
     tracer: &Tracer,
 ) -> Tensor<i32> {
-    let weights = match pa {
-        PackedWeights::Wide(p) => SharedWeights::Wide(p),
-        PackedWeights::Narrow(p) => SharedWeights::Narrow(p),
-        PackedWeights::Quads(p) => SharedWeights::Quads(p),
-        PackedWeights::Winograd(w) => return winograd_conv_ws(input, w, shape, cfg, ws, tracer),
-    };
+    if let PackedWeights::Winograd(w) = pa {
+        return winograd_conv_ws(input, w, shape, cfg, ws, tracer);
+    }
+    let weights = pa.operand();
     let (m, k, n) = (weights.m(), weights.k(), shape.gemm_n());
     assert_eq!(m, shape.gemm_m(), "packed weights disagree with shape on M");
     assert_eq!(k, shape.gemm_k(), "packed weights disagree with shape on K");

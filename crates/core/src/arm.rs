@@ -20,10 +20,7 @@ use lowbit_conv_arm::{
     bitserial_conv, explicit_gemm_schedule, gemm_conv_ws, schedule_bitserial_conv,
     schedule_winograd_conv, ConvWorkspace, PackedWeights,
 };
-use lowbit_qgemm::gemm::schedule_gemm;
-use lowbit_qgemm::narrow::schedule_gemm_narrow;
 use lowbit_qgemm::parallel::{threads_from_env, ParallelConfig, MAX_THREADS};
-use lowbit_qgemm::sdot::schedule_gemm_sdot;
 use lowbit_qgemm::workspace::WorkspaceStats;
 use lowbit_tensor::{BitWidth, ConvShape, Layout, QTensor, Tensor};
 use lowbit_trace::{PipeAttribution, Tracer, MAIN_TRACK};
@@ -57,9 +54,10 @@ pub struct ArmConvResult {
 ///
 /// With `warm == false` this is the one-shot pipeline, including the
 /// per-call weight pack (what the paper's per-layer figures measure). With
-/// `warm == true` it is the modeled price of repeated calls: the four GEMM
-/// kernels run from the prepack cache, so their `pack A` stage is amortized
-/// away; every other algorithm keeps its one-shot schedule. For Winograd
+/// `warm == true` it is the modeled price of repeated calls: the GEMM
+/// family, priced by its [`ArmAlgo::tile`] row, runs from the prepack
+/// cache, so its `pack A` stage is amortized away; every other algorithm
+/// keeps its one-shot schedule. For Winograd
 /// that still charges the weight transform and the 16 `pack A` stages,
 /// which the engine caches too, so its warm price is conservative; dropping
 /// them would change the prediction of every plan with a Winograd layer.
@@ -73,23 +71,21 @@ pub fn arm_schedule(
     shape: &ConvShape,
     warm: bool,
 ) -> KernelSchedule {
-    let scheme = algo.scheme(bits);
     let (m, k, n) = (shape.gemm_m(), shape.gemm_k(), shape.gemm_n());
-    let gemm_conv = |gemm| (explicit_gemm_schedule(gemm, shape), true);
-    let (mut sched, prepacked) = match algo {
-        // The baseline's schedule prices ncnn's pre-widened i16 panels on
-        // the wide kernel's loop, not the host's narrow tile.
-        ArmAlgo::Gemm | ArmAlgo::NcnnBaseline => gemm_conv(schedule_gemm(&scheme, m, k, n)),
-        ArmAlgo::GemmNarrow => gemm_conv(schedule_gemm_narrow(&scheme, m, k, n)),
-        ArmAlgo::GemmSdot => gemm_conv(schedule_gemm_sdot(m, k, n)),
-        ArmAlgo::Winograd => (schedule_winograd_conv(bits, shape), false),
-        ArmAlgo::BitserialBaseline => (schedule_bitserial_conv(shape), false),
-        ArmAlgo::Auto => panic!("ArmAlgo::Auto has no schedule; resolve it first"),
-    };
-    if warm && prepacked {
-        sched.stages.retain(|s| s.name != "pack A");
+    match (algo.tile(), algo) {
+        // The baseline's row prices ncnn's pre-widened i16 panels, not the
+        // host's narrow tile.
+        (Some(tile), _) => {
+            let mut sched = tile.schedule(&algo.scheme(bits), m, k, n);
+            if warm {
+                sched.stages.retain(|s| s.name != "pack A");
+            }
+            explicit_gemm_schedule(sched, shape)
+        }
+        (None, ArmAlgo::Winograd) => schedule_winograd_conv(bits, shape),
+        (None, ArmAlgo::BitserialBaseline) => schedule_bitserial_conv(shape),
+        (None, _) => panic!("ArmAlgo::Auto has no schedule; resolve it first"),
     }
-    sched
 }
 
 /// Converts one analytic schedule stage into the trace's pipe attribution

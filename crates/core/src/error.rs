@@ -49,6 +49,17 @@ pub enum CoreError {
         /// The bias vector length supplied.
         got: usize,
     },
+    /// A layer whose effective truncation floor (`requant.clamp_min` after
+    /// the ReLU fold) lies outside its output width's `[qmin, qmax]`, so its
+    /// outputs would escape the width.
+    ClampOutOfRange {
+        /// The offending layer.
+        layer: String,
+        /// The effective `clamp_min`.
+        clamp_min: i8,
+        /// The layer's output width (`requant.bits`).
+        bits: BitWidth,
+    },
     /// A network must have at least one layer.
     EmptyNetwork,
     /// The input tensor's dimensions do not match the first layer.
@@ -177,6 +188,12 @@ impl std::fmt::Display for CoreError {
                 f,
                 "{layer} has {expects} output channels but its bias has {got} entries"
             ),
+            CoreError::ClampOutOfRange { layer, clamp_min, bits } => write!(
+                f,
+                "{layer}: clamp_min {clamp_min} outside {bits}'s [{}, {}]",
+                bits.qmin(),
+                bits.qmax()
+            ),
             CoreError::EmptyNetwork => write!(f, "network must have at least one layer"),
             CoreError::InputShapeMismatch { expected, got } => write!(
                 f,
@@ -250,6 +267,7 @@ mod tests {
             },
             CoreError::BatchMismatch { producer: "a".into(), consumer: "b".into() },
             CoreError::BiasLengthMismatch { layer: "a".into(), expects: 4, got: 3 },
+            CoreError::ClampOutOfRange { layer: "a".into(), clamp_min: -100, bits: BitWidth::W4 },
             CoreError::EmptyNetwork,
             CoreError::InputShapeMismatch { expected: (1, 3, 8, 8), got: (1, 3, 9, 9) },
             CoreError::UnsupportedBitWidth {

@@ -25,52 +25,25 @@ use lowbit_tensor::{Layout, QTensor, Tensor};
 use lowbit_trace::{Tracer, MAIN_TRACK};
 use turing_sim::KernelTime;
 
-/// What a backend hands back after executing one planned layer.
-#[derive(Clone, Debug)]
-pub struct BackendLayerRun {
-    /// Exact i32 accumulators, in the backend's native layout.
-    pub acc: Tensor<i32>,
-    /// Modeled milliseconds.
-    pub millis: f64,
-    /// Whether the prepack cache served the weights (`None` for algorithms
-    /// without a prepacked layout).
-    pub prepack_hit: Option<bool>,
-    /// Bytes the backend's workspace arena grew by (0 in the steady state).
-    pub workspace_growth_bytes: usize,
-    /// Full modeled stage breakdown for GPU layers.
-    pub gpu_time: Option<KernelTime>,
-}
-
-/// A backend's estimate for one planned layer.
-#[derive(Clone, Debug)]
-pub struct BackendLayerEstimate {
-    /// Modeled milliseconds.
-    pub millis: f64,
-    /// Full modeled stage breakdown for GPU layers.
-    pub gpu_time: Option<KernelTime>,
-}
-
 /// An engine that can execute and estimate planned layers. Implemented by
 /// [`ArmEngine`] and [`GpuEngine`]; the executor only ever talks through
 /// this trait.
 pub trait Backend {
     /// Executes one planned layer on quantized activations, recording the
-    /// same spans the engine's direct API records.
+    /// same spans the engine's direct API records: the exact i32
+    /// accumulators, in the backend's native layout, and the layer's report.
     fn execute_layer(
         &self,
         plan: &LayerPlan,
         act: &QTensor,
         weights: &QTensor,
         tracer: &Tracer,
-    ) -> Result<BackendLayerRun, CoreError>;
+    ) -> Result<(Tensor<i32>, LayerReport), CoreError>;
 
     /// Models one planned layer without executing (recording modeled-stage
-    /// spans when the tracer is live).
-    fn estimate_layer(
-        &self,
-        plan: &LayerPlan,
-        tracer: &Tracer,
-    ) -> Result<BackendLayerEstimate, CoreError>;
+    /// spans when the tracer is live); the report's prepack and workspace
+    /// fields are zero, as estimation touches no state.
+    fn estimate_layer(&self, plan: &LayerPlan, tracer: &Tracer) -> Result<LayerReport, CoreError>;
 }
 
 /// The error of a [`Backend`] handed a layer whose algorithm another engine
@@ -89,32 +62,26 @@ impl Backend for ArmEngine {
         act: &QTensor,
         weights: &QTensor,
         tracer: &Tracer,
-    ) -> Result<BackendLayerRun, CoreError> {
+    ) -> Result<(Tensor<i32>, LayerReport), CoreError> {
         let PlanAlgo::Arm(algo) = plan.algo else {
             return Err(wrong_algo(plan, BackendKind::Arm));
         };
         let out = self.conv_traced(act, weights, &plan.shape, algo, tracer, &plan.name);
-        Ok(BackendLayerRun {
-            acc: out.acc,
-            millis: out.millis,
-            prepack_hit: out.prepack_hit,
+        let report = LayerReport {
+            prepack_hits: u64::from(out.prepack_hit == Some(true)),
+            prepack_misses: u64::from(out.prepack_hit == Some(false)),
             workspace_growth_bytes: out.workspace_growth_bytes,
-            gpu_time: None,
-        })
+            ..LayerReport::modeled(plan, out.millis, None)
+        };
+        Ok((out.acc, report))
     }
 
-    fn estimate_layer(
-        &self,
-        plan: &LayerPlan,
-        _tracer: &Tracer,
-    ) -> Result<BackendLayerEstimate, CoreError> {
+    fn estimate_layer(&self, plan: &LayerPlan, _tracer: &Tracer) -> Result<LayerReport, CoreError> {
         let PlanAlgo::Arm(algo) = plan.algo else {
             return Err(wrong_algo(plan, BackendKind::Arm));
         };
-        Ok(BackendLayerEstimate {
-            millis: self.estimate_millis(plan.bits, &plan.shape, algo),
-            gpu_time: None,
-        })
+        let millis = self.estimate_millis(plan.bits, &plan.shape, algo);
+        Ok(LayerReport::modeled(plan, millis, None))
     }
 }
 
@@ -125,7 +92,7 @@ impl Backend for GpuEngine {
         act: &QTensor,
         weights: &QTensor,
         tracer: &Tracer,
-    ) -> Result<BackendLayerRun, CoreError> {
+    ) -> Result<(Tensor<i32>, LayerReport), CoreError> {
         let PlanAlgo::GpuImplicitGemm(cfg) = plan.algo else {
             return Err(wrong_algo(plan, BackendKind::GpuModel));
         };
@@ -144,29 +111,16 @@ impl Backend for GpuEngine {
             &in_layout(act, Layout::Nhwc),
             &in_layout(weights, Layout::Nhwc),
         );
-        Ok(BackendLayerRun {
-            acc,
-            millis: time.total_s * 1e3,
-            prepack_hit: None,
-            workspace_growth_bytes: 0,
-            gpu_time: Some(time),
-        })
+        Ok((acc, LayerReport::modeled(plan, time.total_s * 1e3, Some(time))))
     }
 
-    fn estimate_layer(
-        &self,
-        plan: &LayerPlan,
-        tracer: &Tracer,
-    ) -> Result<BackendLayerEstimate, CoreError> {
+    fn estimate_layer(&self, plan: &LayerPlan, tracer: &Tracer) -> Result<LayerReport, CoreError> {
         let PlanAlgo::GpuImplicitGemm(cfg) = plan.algo else {
             return Err(wrong_algo(plan, BackendKind::GpuModel));
         };
         let gpu_plan = self.plan(&plan.shape, plan.bits, Tuning::Fixed(cfg));
         let time = modeled_gpu_time(self, &gpu_plan, plan, tracer);
-        Ok(BackendLayerEstimate {
-            millis: time.total_s * 1e3,
-            gpu_time: Some(time),
-        })
+        Ok(LayerReport::modeled(plan, time.total_s * 1e3, Some(time)))
     }
 }
 
@@ -463,27 +417,18 @@ impl Executor {
                 let backend = self.backend_for(lp.algo.backend())?;
                 let mut layer_span = tracer.span("layer", MAIN_TRACK);
                 let act = slots[node.inputs[0]].as_ref().expect("verified dataflow");
-                let out = backend.execute_layer(lp, act, &layer.weights, tracer)?;
+                let (acc, report) = backend.execute_layer(lp, act, &layer.weights, tracer)?;
                 if let Some(metrics) = &self.metrics {
-                    metrics.record_layer(ExecKey::of(lp), lp.predicted_millis, out.millis);
+                    metrics.record_layer(ExecKey::of(lp), lp.predicted_millis, report.millis);
                 }
                 layer_span.set_label(|| {
-                    let cache = match out.prepack_hit {
-                        Some(true) => "prepack hit",
-                        Some(false) => "prepack miss",
-                        None => "no prepack",
+                    let cache = match (report.prepack_hits, report.prepack_misses) {
+                        (1, _) => "prepack hit",
+                        (_, 1) => "prepack miss",
+                        _ => "no prepack",
                     };
                     format!("n{step} {}: {} ({cache})", lp.name, lp.algo)
                 });
-                let report = LayerReport {
-                    name: lp.name.clone(),
-                    algo: lp.algo,
-                    millis: out.millis,
-                    prepack_hits: u64::from(out.prepack_hit == Some(true)),
-                    prepack_misses: u64::from(out.prepack_hit == Some(false)),
-                    workspace_growth_bytes: out.workspace_growth_bytes,
-                    gpu_time: out.gpu_time,
-                };
                 // Fused epilogue: per-channel bias, then re-quantization
                 // with the ReLU folded into the truncation bound where
                 // requested, then the folded residual add if the graph
@@ -491,7 +436,7 @@ impl Executor {
                 let rq = lp.epilogue.effective_requant();
                 let mut q = {
                     let _span = tracer.span("requantize", MAIN_TRACK);
-                    requantize_with_bias(&out.acc, lp.epilogue.bias.as_deref(), &rq)
+                    requantize_with_bias(&acc, lp.epilogue.bias.as_deref(), &rq)
                 };
                 if let Some(r) = fused_add {
                     let residual = slots[r].as_ref().expect("verified dataflow");
@@ -547,21 +492,10 @@ impl Executor {
         plan: &ExecutionPlan,
         tracer: &Tracer,
     ) -> Result<Vec<LayerReport>, CoreError> {
-        let mut reports = Vec::with_capacity(plan.layers().len());
-        for lp in plan.layers() {
-            let backend = self.backend_for(lp.algo.backend())?;
-            let est = backend.estimate_layer(lp, tracer)?;
-            reports.push(LayerReport {
-                name: lp.name.clone(),
-                algo: lp.algo,
-                millis: est.millis,
-                prepack_hits: 0,
-                prepack_misses: 0,
-                workspace_growth_bytes: 0,
-                gpu_time: est.gpu_time,
-            });
-        }
-        Ok(reports)
+        let reports = plan.layers().iter().map(|lp| {
+            self.backend_for(lp.algo.backend())?.estimate_layer(lp, tracer)
+        });
+        reports.collect()
     }
 }
 

@@ -61,7 +61,7 @@ pub use arm::{
     PrepackStats, DEFAULT_PREPACK_CAPACITY_BYTES,
 };
 pub use error::CoreError;
-pub use executor::{Backend, BackendLayerEstimate, BackendLayerRun, Executor, NetworkRun};
+pub use executor::{Backend, Executor, NetworkRun};
 pub use gpu::{GpuConvResult, GpuEngine, Tuning};
 pub use graph::{GraphNode, GraphTopology, NodeOp, ValueId, ValueInfo};
 pub use memplan::{assign_arena, assign_arena_with, max_cut_bytes, sum_bytes, Assignment, ValueSpec};

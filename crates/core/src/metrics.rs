@@ -14,13 +14,13 @@ use crate::plan::{BackendKind, LayerPlan};
 use lowbit_metrics::drift::{DriftBand, DriftReport, DriftTracker};
 use lowbit_metrics::{HistShard, HistSpec, Registry};
 use lowbit_tensor::ConvShape;
-use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
-/// The drift-audit key: one cost-model row.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+/// The drift-audit key: one cost-model row. Ordered by shape (field by
+/// field), then bits, then backend, as drift reports list their rows.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct ExecKey {
     /// Convolution geometry.
     pub shape: ConvShape,
@@ -34,38 +34,6 @@ impl ExecKey {
     /// The key for one planned layer.
     pub fn of(plan: &LayerPlan) -> ExecKey {
         ExecKey { shape: plan.shape, bits: plan.bits.bits(), backend: plan.algo.backend() }
-    }
-
-    fn as_tuple(&self) -> (usize, usize, usize, usize, usize, usize, usize, usize, usize, u8, u8) {
-        let s = &self.shape;
-        (
-            s.batch,
-            s.c_in,
-            s.h,
-            s.w,
-            s.c_out,
-            s.kh,
-            s.kw,
-            s.stride,
-            s.pad,
-            self.bits,
-            match self.backend {
-                BackendKind::Arm => 0,
-                BackendKind::GpuModel => 1,
-            },
-        )
-    }
-}
-
-impl PartialOrd for ExecKey {
-    fn partial_cmp(&self, other: &ExecKey) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for ExecKey {
-    fn cmp(&self, other: &ExecKey) -> Ordering {
-        self.as_tuple().cmp(&other.as_tuple())
     }
 }
 

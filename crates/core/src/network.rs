@@ -11,7 +11,7 @@
 use crate::arm::ArmAlgo;
 use crate::error::CoreError;
 use crate::graph::{GraphNode, GraphTopology, NodeOp, ValueInfo};
-use crate::plan::PlanAlgo;
+use crate::plan::{Epilogue, LayerPlan, PlanAlgo};
 use lowbit_qnn::RequantParams;
 use lowbit_tensor::{BitWidth, ConvShape, Layout, QTensor};
 use turing_sim::KernelTime;
@@ -32,6 +32,14 @@ pub struct NetLayer {
     pub relu: bool,
     /// Re-quantization multiplier into the next layer's activation scale.
     pub requant: RequantParams,
+}
+
+impl NetLayer {
+    /// The layer's fused tail (bias, re-quantization, ReLU), as its plan
+    /// carries it.
+    pub(crate) fn epilogue(&self) -> Epilogue {
+        Epilogue { bias: self.bias.clone(), requant: self.requant, relu: self.relu }
+    }
 }
 
 /// A validated network: conv layers plus the DAG topology that connects
@@ -68,6 +76,20 @@ pub struct LayerReport {
 }
 
 impl LayerReport {
+    /// The report of `plan` at `millis` modeled milliseconds, with no
+    /// prepack or workspace activity.
+    pub(crate) fn modeled(plan: &LayerPlan, millis: f64, gpu_time: Option<KernelTime>) -> LayerReport {
+        LayerReport {
+            name: plan.name.clone(),
+            algo: plan.algo,
+            millis,
+            prepack_hits: 0,
+            prepack_misses: 0,
+            workspace_growth_bytes: 0,
+            gpu_time,
+        }
+    }
+
     /// The ARM kernel that ran, if this layer ran on the ARM backend.
     pub fn arm_algo(&self) -> Option<ArmAlgo> {
         match self.algo {
@@ -86,8 +108,9 @@ impl Network {
     /// Builds a chain network: layer `i + 1` reads layer `i`'s output. The
     /// chain is validated as the graph it is ([`Network::from_graph`]):
     /// channel counts, spatial dimensions and batch agree along every edge,
-    /// each layer requantizes into its successor's weight width, and any
-    /// bias matches its layer's `c_out`.
+    /// each layer requantizes into its successor's weight width, any bias
+    /// matches its layer's `c_out`, and every effective truncation floor
+    /// lies inside its output width.
     pub fn sequential(layers: Vec<NetLayer>) -> Result<Network, CoreError> {
         if layers.is_empty() {
             return Err(CoreError::EmptyNetwork);
@@ -99,7 +122,11 @@ impl Network {
     /// Builds a graph-shaped network: conv layers wired by an explicit DAG
     /// topology (residual adds, dense concats). The topology is validated
     /// against the layers — per-edge geometry, joining-operand agreement,
-    /// static scale alignment — before the network exists.
+    /// static scale alignment — before the network exists. Each layer's
+    /// bias must match its `c_out` ([`CoreError::BiasLengthMismatch`]), and
+    /// its effective `clamp_min` ([`Epilogue::effective_requant`], after the
+    /// ReLU fold) must lie in `[qmin, qmax]` of `requant.bits`
+    /// ([`CoreError::ClampOutOfRange`]).
     pub fn from_graph(layers: Vec<NetLayer>, topology: GraphTopology) -> Result<Network, CoreError> {
         if layers.is_empty() {
             return Err(CoreError::EmptyNetwork);
@@ -113,6 +140,14 @@ impl Network {
                         got: bias.len(),
                     });
                 }
+            }
+            let rq = l.epilogue().effective_requant();
+            if !(rq.bits.qmin()..=rq.bits.qmax()).contains(&rq.clamp_min) {
+                return Err(CoreError::ClampOutOfRange {
+                    layer: l.name.clone(),
+                    clamp_min: rq.clamp_min,
+                    bits: rq.bits,
+                });
             }
         }
         topology.validate(&layers)?;
@@ -559,5 +594,45 @@ mod tests {
         ));
         // Empty.
         assert!(matches!(Network::sequential(vec![]), Err(CoreError::EmptyNetwork)));
+    }
+
+    #[test]
+    fn constructors_reject_clamp_floors_outside_the_width() {
+        // Every constructor reaches `from_graph`: a chain through
+        // `sequential`, a graph-def network through its own topology.
+        let chain = Network::demo(BitWidth::W4, 12, 9);
+        let dense = Network::from_graph_defs(
+            &lowbit_models::densenet121_dense_block(8),
+            BitWidth::W4,
+            7,
+        )
+        .unwrap();
+        for (net, is_chain) in [(&chain, true), (&dense, false)] {
+            let rebuild = |relu: bool, clamp_min: i8| {
+                let mut layers = net.layers().to_vec();
+                assert_eq!(layers[0].requant.bits, BitWidth::W4);
+                layers[0].relu = relu;
+                layers[0].requant.clamp_min = clamp_min;
+                match is_chain {
+                    true => Network::sequential(layers),
+                    false => Network::from_graph(layers, net.topology().clone()),
+                }
+            };
+            let first = net.layers()[0].name.clone();
+            // Below qmin without a ReLU: the outputs would fall under -8.
+            assert_eq!(
+                rebuild(false, -100).unwrap_err(),
+                CoreError::ClampOutOfRange { layer: first.clone(), clamp_min: -100, bits: BitWidth::W4 }
+            );
+            // Above qmax under a ReLU, whose fold keeps the higher floor:
+            // every output would be pinned past 7.
+            assert_eq!(
+                rebuild(true, 8).unwrap_err(),
+                CoreError::ClampOutOfRange { layer: first, clamp_min: 8, bits: BitWidth::W4 }
+            );
+            // The ReLU fold raises a floor below qmin to 0, inside the width.
+            assert!(rebuild(true, -100).is_ok());
+            assert!(rebuild(false, BitWidth::W4.qmin()).is_ok());
+        }
     }
 }

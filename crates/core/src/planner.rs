@@ -255,11 +255,7 @@ impl Planner {
                 NodeOp::Conv { layer: li } => {
                     let layer = &net.layers()[li];
                     let bits = layer.weights.bits();
-                    let epilogue = Epilogue {
-                        bias: layer.bias.clone(),
-                        requant: layer.requant,
-                        relu: layer.relu,
-                    };
+                    let epilogue = layer.epilogue();
                     let arm_plan = self.arm.as_ref().map(|engine| {
                         Self::plan_arm_layer(engine, &layer.name, &layer.shape, bits, &layer.weights, epilogue.clone())
                     });

@@ -102,8 +102,8 @@ pub fn verify_compiled(plan: &ExecutionPlan, net: &Network) -> Result<PlanProof,
 /// Lowers a plan into the concurrency verifier's [`ConcSpec`]: each of the
 /// plan's nodes, cloned, beside its explicit workspace slice, and the
 /// plan's value table, cloned, under the parallel workspace-arena size.
-/// Conv nodes on the ARM GEMM families (the ncnn baseline among them) and
-/// Winograd carry their GEMM footprint and the per-thread column (or tile)
+/// Conv nodes on the ARM GEMM family (every algorithm with a tile row, the
+/// ncnn baseline among them) and Winograd carry their GEMM footprint and the per-thread column (or tile)
 /// partition at the maximum thread count; Add/Concat, GPU and
 /// per-call-buffer bitserial layers get footprint-free nodes.
 pub fn lower_conc_spec(
@@ -122,13 +122,11 @@ pub fn lower_conc_spec(
                 PlanOp::Conv { layer, .. } => {
                     let lp = &plan.layers()[layer];
                     match lp.algo {
-                        PlanAlgo::Arm(
-                            algo @ (ArmAlgo::Gemm
-                            | ArmAlgo::GemmNarrow
-                            | ArmAlgo::GemmSdot
-                            | ArmAlgo::NcnnBaseline
-                            | ArmAlgo::Winograd),
-                        ) => Some(GemmFootprint::of(&lp.shape, algo)),
+                        PlanAlgo::Arm(algo)
+                            if algo.tile().is_some() || algo == ArmAlgo::Winograd =>
+                        {
+                            Some(GemmFootprint::of(&lp.shape, algo))
+                        }
                         _ => None,
                     }
                 }

@@ -1,5 +1,5 @@
-//! The one-shot GEMM entry point and its analytic schedule (paper Fig. 1(b)
-//! + Fig. 2 pipeline).
+//! The one-shot GEMM entry points and the wide tile's analytic schedule
+//! (paper Fig. 1(b) + Fig. 2 pipeline).
 //!
 //! Pipeline stages, mirrored in the analytic [`KernelSchedule`]:
 //! 1. pack A (weights) — amortizable across calls, but charged here as the
@@ -7,19 +7,21 @@
 //! 2. pack B (the im2col matrix),
 //! 3. the register-tiled inner loop over all `(M/16) x (N/4)` tiles.
 //!
-//! [`gemm`] packs A and runs the one tiled driver every caller shares at one
-//! thread, into its row-major NCHW target
+//! Every one-shot — [`gemm`], the ncnn baseline's [`gemm_ncnn`],
+//! [`crate::gemm_narrow`] and [`crate::gemm_sdot`] — packs A for its tile
+//! and runs one body: the tiled driver every caller shares, at one thread,
+//! into its row-major NCHW target
 //! ([`crate::parallel::gemm_parallel_nchw_on`] with the whole result as one
-//! image of `n` pixels, so no column-major result or transpose); so does the
-//! ncnn baseline ([`gemm_ncnn`]), on the narrow tile under its own scheme.
+//! image of `n` pixels, so no column-major result or transpose), priced by
+//! its [`TileKind`] row.
 
-use crate::micro::tile_counts;
-use crate::narrow::{pack_a_narrow, NA8};
-use crate::pack::{pack_a, NA, NB};
+use crate::kind::TileKind;
+use crate::narrow::pack_a_narrow;
+use crate::pack::pack_a;
 use crate::parallel::{gemm_row_major_on, SharedWeights};
-use crate::scheme::{Scheme, SchemeKind};
+use crate::scheme::Scheme;
 use lowbit_isa::Isa;
-use neon_sim::{InstCounts, KernelSchedule, StageCost};
+use neon_sim::{InstCounts, KernelSchedule};
 
 /// Result of a GEMM call: the `M x N` i32 matrix plus the analytic schedule.
 #[derive(Clone, Debug)]
@@ -32,6 +34,21 @@ pub struct GemmOutput {
     pub c: Vec<i32>,
     /// Analytic cost schedule for the whole call.
     pub schedule: KernelSchedule,
+}
+
+/// The one body of every one-shot GEMM: `weights`, packed for `tile`, times
+/// the row-major `k x n` matrix `b` on the host at one thread, with `tile`'s
+/// schedule of the whole call.
+pub(crate) fn one_shot(
+    tile: TileKind,
+    scheme: &Scheme,
+    weights: SharedWeights,
+    b: &[i8],
+    n: usize,
+) -> GemmOutput {
+    let (m, k) = (weights.m(), weights.k());
+    let c = gemm_row_major_on(Isa::host(), scheme, weights, b, n);
+    GemmOutput { m, n, c, schedule: tile.schedule(scheme, m, k, n) }
 }
 
 /// Computes `C = A x B` with the re-designed low-bit GEMM.
@@ -50,47 +67,26 @@ pub struct GemmOutput {
 /// assert_eq!(out.c, vec![19, 22, 43, 50]);
 /// ```
 pub fn gemm(scheme: &Scheme, a: &[i8], b: &[i8], m: usize, k: usize, n: usize) -> GemmOutput {
-    let pa = pack_a(a, m, k);
-    let c = gemm_row_major_on(Isa::host(), scheme, SharedWeights::Wide(&pa), b, n);
-    GemmOutput { m, n, c, schedule: schedule_gemm(scheme, m, k, n) }
+    one_shot(TileKind::Wide, scheme, SharedWeights::Wide(&pack_a(a, m, k)), b, n)
 }
 
 /// Computes `C = A x B` with the ncnn-like 16-bit baseline: the narrow 8x4
-/// tile under [`Scheme::ncnn16`], packed and run like [`gemm`].
+/// tile under [`Scheme::ncnn16`] on the host, priced as ncnn's own 8-row
+/// panels pre-widened to i16 ([`TileKind::Ncnn`]).
 pub fn gemm_ncnn(a: &[i8], b: &[i8], m: usize, k: usize, n: usize) -> GemmOutput {
-    let (scheme, pa) = (Scheme::ncnn16(), pack_a_narrow(a, m, k));
-    let c = gemm_row_major_on(Isa::host(), &scheme, SharedWeights::Narrow(&pa), b, n);
-    GemmOutput { m, n, c, schedule: schedule_gemm(&scheme, m, k, n) }
+    let weights = SharedWeights::Narrow(&pack_a_narrow(a, m, k));
+    one_shot(TileKind::Ncnn, &Scheme::ncnn16(), weights, b, n)
 }
 
-/// Analytic schedule for a full GEMM of the given logical dimensions,
-/// including both packing stages (paper Fig. 2) and the tiled inner loop.
-/// Under [`Scheme::ncnn16`] it prices ncnn's own 8-row panels pre-widened to
-/// i16, which the host kernel does not build: it widens in registers.
+/// Analytic schedule for a full GEMM on the wide 16x4 tile
+/// ([`TileKind::Wide`]), including both packing stages (paper Fig. 2) and
+/// the tiled inner loop.
+///
+/// # Panics
+/// Under [`Scheme::ncnn16`], which the wide tile does not run: price the
+/// ncnn baseline with `TileKind::Ncnn.schedule`.
 pub fn schedule_gemm(scheme: &Scheme, m: usize, k: usize, n: usize) -> KernelSchedule {
-    let (na, elem) = match scheme.kind() {
-        SchemeKind::Ncnn16 => (NA8, 2u64), // ncnn packs widened i16
-        _ => (NA, 1u64),
-    };
-    let m_pad = m.div_ceil(na) * na;
-    let n_pad = n.div_ceil(NB) * NB;
-    let tiles = (m_pad / na) as u64 * (n_pad / NB) as u64;
-
-    let mut sched = KernelSchedule::new();
-    sched.push(StageCost::bulk_move(
-        "pack A",
-        (m * k) as u64,
-        m_pad as u64 * k as u64 * elem,
-    ));
-    sched.push(StageCost::bulk_move(
-        "pack B",
-        (k * n) as u64,
-        k as u64 * n_pad as u64 * elem,
-    ));
-    let mut counts = InstCounts::default();
-    counts.add_scaled(&tile_counts(scheme, k), tiles);
-    sched.push(StageCost::compute("gemm", counts));
-    sched
+    TileKind::Wide.schedule(scheme, m, k, n)
 }
 
 /// Inner-loop utilization summary for the redesign ablation (Eq. 1–4).
@@ -217,7 +213,7 @@ mod tests {
         let (m, k, n) = (64, 576, 3136);
         let ours = schedule_gemm(&Scheme::for_bits(BitWidth::W8), m, k, n)
             .stage_cycles("gemm", &model);
-        let ncnn = schedule_gemm(&Scheme::ncnn16(), m, k, n).stage_cycles("gemm", &model);
+        let ncnn = TileKind::Ncnn.schedule(&Scheme::ncnn16(), m, k, n).stage_cycles("gemm", &model);
         assert!(ours >= 0.9 * ncnn, "8-bit should be roughly at parity");
         assert!(ours <= 1.3 * ncnn);
     }

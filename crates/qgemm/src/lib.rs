@@ -18,9 +18,13 @@
 //!   path runs a register block of consecutive A tiles per dispatch on the
 //!   host's widest vector ISA through [`lowbit_isa::Isa`] (same source and
 //!   same bits on every ISA and at every block size),
-//! * [`mod@gemm`] — the one-shot GEMM and the ncnn baseline's (pack A, then
-//!   the [`parallel`] driver at one thread) with their pipeline schedule,
-//!   and the i32 reference oracle,
+//! * [`kind`] — the table of modeled tile kinds (wide, narrow, ncnn, SDOT),
+//!   one [`TileKind`] variant each, and the two builders that read a row: the
+//!   GEMM schedule and the tile's [`KernelStream`],
+//! * [`mod@gemm`] — the one body of every one-shot GEMM (pack A, then the
+//!   [`parallel`] driver at one thread, priced by the tile's row): [`gemm()`],
+//!   the ncnn baseline's, [`gemm_narrow`] and [`gemm_sdot`]; the wide row's
+//!   schedule; and the i32 reference oracle,
 //! * [`traditional`] — the Fig. 1(a) traditional GEMM used for the Eq. 1–4
 //!   load/arithmetic ablation,
 //! * [`narrow`] — an 8x4 spill-free micro-kernel variant that wins at tight
@@ -43,6 +47,7 @@
 
 pub mod emit_gemm;
 pub mod gemm;
+pub mod kind;
 pub mod micro;
 pub mod narrow;
 pub mod pack;
@@ -55,15 +60,13 @@ pub mod workspace;
 
 pub use emit_gemm::{emit_gemm, GemmLayout};
 pub use gemm::{gemm, GemmOutput};
-pub use narrow::{gemm_narrow, schedule_gemm_narrow};
+pub use kind::TileKind;
+pub use narrow::gemm_narrow;
 pub use parallel::{partition_columns, threads_from_env, ColumnSpan, ParallelConfig, SharedWeights};
-pub use sdot::{gemm_sdot, schedule_gemm_sdot};
+pub use sdot::gemm_sdot;
 pub use pack::{
     pack_a, PackedA, PackedANarrow, PackedAQuads, PackedB, PackedBQuads, Panels, NA, NB,
 };
 pub use scheme::{Scheme, SchemeError, SchemeKind};
-pub use stream::{
-    gemm_stream, tile_stream_narrow, tile_stream_ncnn, tile_stream_sdot, tile_stream_wide,
-    KernelStream, OperandRegion,
-};
+pub use stream::{gemm_stream, KernelStream, OperandRegion};
 pub use workspace::{GemmWorkspace, WorkspaceStats};

@@ -15,8 +15,8 @@
 //!    ncnn baseline's functional form is the narrow tile under
 //!    [`Scheme::ncnn16`], which runs the SMLAL block kernel draining after
 //!    every K step;
-//! 2. [`tile_counts`] — analytic instruction counts for the same shape, fed to
-//!    the cost model;
+//! 2. [`tile_counts`] (and [`tile_counts_ncnn`]) — analytic instruction
+//!    counts for the same shape, fed to the cost model;
 //! 3. [`emit_tile`] (and [`emit_tile_ncnn`]) — the actual instruction stream
 //!    for the `neon-sim` interpreter, used by tests to prove (1) and (2)
 //!    faithful: the interpreted output must equal the functional output,
@@ -264,15 +264,22 @@ pub fn tile_counts(scheme: &Scheme, k: usize) -> InstCounts {
             c.stores = 16;
             c.store_bytes = 16 * 16;
         }
-        SchemeKind::Ncnn16 => {
-            c.loads = 2 * k as u64; // LD1 (8 x i16) + LD4R.8h
-            c.load_bytes = 24 * k as u64; // 16 + 8 bytes
-            c.neon_mac = 8 * k as u64; // SMLAL(2).4s x 4 columns
-            c.neon_mov = 8; // accumulator zeroing prologue
-            c.stores = 8;
-            c.store_bytes = 8 * 16;
-        }
+        SchemeKind::Ncnn16 => panic!("Ncnn16 uses tile_counts_ncnn"),
     }
+    c
+}
+
+/// Analytic instruction counts for one ncnn-like 8x4 tile on pre-widened
+/// i16 operands (must match [`emit_tile_ncnn`]; enforced by tests).
+pub fn tile_counts_ncnn(k: usize) -> InstCounts {
+    assert!(k > 0);
+    let mut c = InstCounts::default();
+    c.loads = 2 * k as u64; // LD1 (8 x i16) + LD4R.8h
+    c.load_bytes = 24 * k as u64; // 16 + 8 bytes
+    c.neon_mac = 8 * k as u64; // SMLAL(2).4s x 4 columns
+    c.neon_mov = 8; // accumulator zeroing prologue
+    c.stores = 8;
+    c.store_bytes = 8 * 16;
     c
 }
 
@@ -533,6 +540,7 @@ pub fn emit_tile_ncnn(k: usize, addr_a: u32, addr_b: u32, addr_c: u32) -> Vec<In
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kind::TileKind;
     use crate::narrow::{pack_a_narrow, NA8, NARROW_TILE_LEN};
     use crate::pack::{pack_a, PackedA, PackedB};
     use crate::parallel::{run_tile, SharedWeights};
@@ -646,8 +654,8 @@ mod tests {
         }
     }
 
-    /// Loads a packed tile into simulator memory, runs the emitted program
-    /// and returns (result, interpreter counts).
+    /// Loads a packed tile into simulator memory, runs the wide row's
+    /// emitted stream and returns (result, interpreter counts).
     fn interpret_tile(
         scheme: &Scheme,
         pa: &PackedA,
@@ -655,94 +663,12 @@ mod tests {
         ti: usize,
         tj: usize,
     ) -> (Vec<i32>, InstCounts) {
-        let k = pa.k;
-        let addr_a = 0u32;
-        let addr_b = (k * NA) as u32;
-        let addr_c = (k * NA + k * NB).next_multiple_of(16) as u32;
-        let mem_len = addr_c as usize + TILE_LEN * 4 + 64;
-        let mut machine = Machine::new(mem_len, CortexA53::cost_model());
-        machine.write_mem_i8(addr_a as usize, pa.block(ti, 0, k));
-        machine.write_mem_i8(addr_b as usize, pb.block(tj, 0, k));
-        let prog = emit_tile(scheme, k, addr_a, addr_b, addr_c);
-        machine.run(&prog);
-        (
-            machine.read_mem_i32(addr_c as usize, TILE_LEN),
-            machine.stats().counts,
-        )
-    }
-
-    #[test]
-    fn emitted_kernel_matches_functional_and_counts() {
-        for bits in BitWidth::ALL {
-            let scheme = Scheme::for_bits(bits);
-            // K chosen to hit drains mid-loop *and* a remainder drain.
-            let k = match bits.bits() {
-                2 => 70,  // two full level-1 drains + remainder
-                3 => 23,  // three full drains + remainder
-                _ => (scheme.ratio().min(64) * 2 + 1).min(200),
-            };
-            let (m, n) = (16, 4);
-            let (a, b) = random_operands(m, k, n, bits, 1000 + bits.bits() as u64);
-            let pa = pack_a(&a, m, k);
-            let pb = PackedB::from_b(&b, k, n);
-            let functional = run_tile(&scheme, SharedWeights::Wide(&pa), &pb, 0, 0);
-            let (interpreted, counts) = interpret_tile(&scheme, &pa, &pb, 0, 0);
-            assert_eq!(interpreted, functional, "{bits}: interpreter vs functional");
-            let analytic = tile_counts(&scheme, k);
-            assert_eq!(counts, analytic, "{bits}: interpreter vs analytic counts");
-        }
-    }
-
-    #[test]
-    fn emitted_mla_kernel_crosses_second_level_drain() {
-        // 3-bit: r1 = 7, r2 = 292 would need K ~ 2044 to cross naturally;
-        // shrink r2 artificially via a custom product bound to prove the
-        // drain2 plumbing: bound 16 with ratio2 forced small is not
-        // constructible through the public API, so use 2-bit with K > 31*r2.
-        let scheme = Scheme::for_bits(BitWidth::W2);
-        assert!(scheme.ratio2() >= 2);
-        let k = scheme.ratio() * scheme.ratio2() + 5; // crosses one drain2 boundary
-        let (m, n) = (16, 4);
-        let (a, b) = random_operands(m, k, n, BitWidth::W2, 77);
-        let pa = pack_a(&a, m, k);
-        let pb = PackedB::from_b(&b, k, n);
-        let functional = run_tile(&scheme, SharedWeights::Wide(&pa), &pb, 0, 0);
-        let want = reference_tile(&a, &b, m, k, n, 0, 0, NA);
-        assert_eq!(functional, want);
-        let (interpreted, counts) = interpret_tile(&scheme, &pa, &pb, 0, 0);
-        assert_eq!(interpreted, functional);
-        assert_eq!(counts, tile_counts(&scheme, k));
-    }
-
-    #[test]
-    fn emitted_ncnn_kernel_matches_functional_and_counts() {
-        // The A53 program reads ncnn's pre-widened i16 panels: the narrow A
-        // block and the `PackedB` tile, each widened to i16. The host kernel
-        // reads the same panels as i8 and must compute the same tile.
-        let (m, k, n) = (8, 33, 4);
-        let (a, b) = random_operands(m, k, n, BitWidth::W8, 13);
-        let pa = pack_a_narrow(&a, m, k);
-        let pb = PackedB::from_b(&b, k, n);
-        let functional = run_tile(&Scheme::ncnn16(), SharedWeights::Narrow(&pa), &pb, 0, 0);
-
-        let addr_a = 0u32;
-        let addr_b = (k * 16) as u32;
-        let addr_c = (k * 16 + k * 8).next_multiple_of(16) as u32;
-        let mut machine = Machine::new(addr_c as usize + 256, CortexA53::cost_model());
-        let widened = |panel: &[i8]| -> Vec<u8> {
-            panel.iter().flat_map(|&v| (v as i16).to_le_bytes()).collect()
-        };
-        machine.write_mem(addr_a as usize, &widened(pa.block(0, 0, k)));
-        machine.write_mem(addr_b as usize, &widened(pb.block(0, 0, k)));
-        machine.run(&emit_tile_ncnn(k, addr_a, addr_b, addr_c));
-        assert_eq!(
-            machine.read_mem_i32(addr_c as usize, NARROW_TILE_LEN),
-            functional
-        );
-        assert_eq!(
-            machine.stats().counts,
-            tile_counts(&Scheme::ncnn16(), k)
-        );
+        let s = TileKind::Wide.stream(scheme, pa.k);
+        let mut machine = Machine::new(s.mem_len(), CortexA53::cost_model());
+        machine.write_mem_i8(s.a.span.start as usize, pa.block(ti, 0, pa.k));
+        machine.write_mem_i8(s.b.span.start as usize, pb.block(tj, 0, pb.k));
+        machine.run(&s.prog);
+        (machine.read_mem_i32(s.c.start as usize, TILE_LEN), machine.stats().counts)
     }
 
     #[test]

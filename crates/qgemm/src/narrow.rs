@@ -21,13 +21,15 @@
 
 #![allow(clippy::field_reassign_with_default)] // InstCounts builders read clearer this way
 
+use crate::gemm::{one_shot, GemmOutput};
+use crate::kind::TileKind;
 use crate::micro::accumulate_smlal;
 use crate::pack::{PackedANarrow, NB};
-use crate::parallel::{gemm_row_major_on, SharedWeights};
+use crate::parallel::SharedWeights;
 use crate::scheme::{Scheme, SchemeKind};
 use lowbit_isa::Isa;
 use neon_sim::inst::{Half, Inst};
-use neon_sim::{InstCounts, KernelSchedule, StageCost};
+use neon_sim::InstCounts;
 
 /// Rows per narrow A tile.
 pub const NA8: usize = 8;
@@ -154,7 +156,7 @@ pub fn emit_tile_narrow(
 }
 
 /// Full GEMM with the narrow tile: packs A into 8-row tiles and runs the
-/// tiled driver at one thread (functional path + schedule).
+/// one-shot body of [`crate::gemm()`] (functional path + schedule).
 pub fn gemm_narrow(
     scheme: &Scheme,
     a: &[i8],
@@ -162,32 +164,8 @@ pub fn gemm_narrow(
     m: usize,
     k: usize,
     n: usize,
-) -> crate::gemm::GemmOutput {
-    let pa = pack_a_narrow(a, m, k);
-    let c = gemm_row_major_on(Isa::host(), scheme, SharedWeights::Narrow(&pa), b, n);
-    crate::gemm::GemmOutput { m, n, c, schedule: schedule_gemm_narrow(scheme, m, k, n) }
-}
-
-/// Analytic schedule for the narrow-tile GEMM.
-pub fn schedule_gemm_narrow(scheme: &Scheme, m: usize, k: usize, n: usize) -> KernelSchedule {
-    let m_pad = m.div_ceil(NA8) * NA8;
-    let n_pad = n.div_ceil(NB) * NB;
-    let tiles = (m_pad / NA8) as u64 * (n_pad / NB) as u64;
-    let mut sched = KernelSchedule::new();
-    sched.push(StageCost::bulk_move(
-        "pack A",
-        (m * k) as u64,
-        (m_pad * k) as u64,
-    ));
-    sched.push(StageCost::bulk_move(
-        "pack B",
-        (k * n) as u64,
-        (k * n_pad) as u64,
-    ));
-    let mut counts = InstCounts::default();
-    counts.add_scaled(&tile_counts_narrow(scheme, k), tiles);
-    sched.push(StageCost::compute("gemm", counts));
-    sched
+) -> GemmOutput {
+    one_shot(TileKind::Narrow, scheme, SharedWeights::Narrow(&pack_a_narrow(a, m, k)), b, n)
 }
 
 #[cfg(test)]
@@ -195,9 +173,9 @@ mod tests {
     use super::*;
     use crate::gemm::{reference_gemm, schedule_gemm};
     use crate::pack::PackedB;
-    use crate::parallel::{run_tile, run_tile_on};
+    use crate::parallel::{gemm_row_major_on, run_tile};
     use lowbit_tensor::BitWidth;
-    use neon_sim::{CortexA53, Machine};
+    use neon_sim::CortexA53;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -226,34 +204,6 @@ mod tests {
     }
 
     #[test]
-    fn emitted_narrow_kernel_matches_functional_and_counts() {
-        let bits = BitWidth::W8; // tight ratio: many drains + remainder
-        let scheme = Scheme::for_bits(bits);
-        let (m, k, n) = (8, 33, 4);
-        let a = random_mat(m * k, bits, 81);
-        let b = random_mat(k * n, bits, 82);
-        let pa = pack_a_narrow(&a, m, k);
-        let pb = PackedB::from_b(&b, k, n);
-        let weights = SharedWeights::Narrow(&pa);
-        let baseline = run_tile_on(Isa::BASELINE, &scheme, weights, &pb, 0, 0);
-
-        let addr_a = 0u32;
-        let addr_b = (k * NA8) as u32;
-        let addr_c = (k * NA8 + k * NB).next_multiple_of(16) as u32;
-        let mut machine = Machine::new(addr_c as usize + 256, CortexA53::cost_model());
-        machine.write_mem_i8(addr_a as usize, &pa.data[..k * NA8]);
-        machine.write_mem_i8(addr_b as usize, &pb.data[..k * NB]);
-        machine.run(&emit_tile_narrow(&scheme, k, addr_a, addr_b, addr_c));
-        assert_eq!(machine.read_mem_i32(addr_c as usize, NARROW_TILE_LEN), baseline);
-        assert_eq!(machine.stats().counts, tile_counts_narrow(&scheme, k));
-        for isa in Isa::supported() {
-            let functional = run_tile_on(isa, &scheme, weights, &pb, 0, 0);
-            assert_eq!(functional, baseline, "{isa} vs the baseline instance");
-        }
-        assert_eq!(run_tile(&scheme, weights, &pb, 0, 0), baseline, "host dispatch");
-    }
-
-    #[test]
     fn narrow_tile_has_no_spill_moves() {
         let scheme = Scheme::for_bits(BitWidth::W8);
         let counts = tile_counts_narrow(&scheme, 128);
@@ -271,10 +221,10 @@ mod tests {
         // inner loop only (packing identical in structure).
         let model = CortexA53::cost_model();
         let (m, k, n) = (128, 512, 128);
-        let inner = |sched: &KernelSchedule| sched.stage_cycles("gemm", &model);
+        let inner = |sched: &neon_sim::KernelSchedule| sched.stage_cycles("gemm", &model);
         // 8-bit (ratio 2): narrow wins.
         let s8 = Scheme::for_bits(BitWidth::W8);
-        let narrow8 = inner(&schedule_gemm_narrow(&s8, m, k, n));
+        let narrow8 = inner(&TileKind::Narrow.schedule(&s8, m, k, n));
         let wide8 = inner(&schedule_gemm(&s8, m, k, n));
         assert!(
             narrow8 < wide8,
@@ -282,7 +232,7 @@ mod tests {
         );
         // 4-bit (ratio 511): wide wins.
         let s4 = Scheme::for_bits(BitWidth::W4);
-        let narrow4 = inner(&schedule_gemm_narrow(&s4, m, k, n));
+        let narrow4 = inner(&TileKind::Narrow.schedule(&s4, m, k, n));
         let wide4 = inner(&schedule_gemm(&s4, m, k, n));
         assert!(
             wide4 < narrow4,

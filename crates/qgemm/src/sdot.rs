@@ -25,15 +25,16 @@
 
 #![allow(clippy::field_reassign_with_default)] // InstCounts builders read clearer this way
 
-use crate::gemm::GemmOutput;
+use crate::gemm::{one_shot, GemmOutput};
+use crate::kind::TileKind;
 use crate::micro::TILE_LEN;
 use crate::pack::{PackedAQuads, NB};
-use crate::parallel::{gemm_row_major_on, SharedWeights};
+use crate::parallel::SharedWeights;
 use crate::scheme::Scheme;
 use lowbit_isa::Isa;
 use lowbit_tensor::BitWidth;
 use neon_sim::inst::Inst;
-use neon_sim::{InstCounts, KernelSchedule, StageCost};
+use neon_sim::InstCounts;
 
 /// Rows per SDOT A tile.
 pub const SDOT_NA: usize = 16;
@@ -157,29 +158,12 @@ pub fn emit_tile_sdot(k: usize, addr_a: u32, addr_b: u32, addr_c: u32) -> Vec<In
     prog
 }
 
-/// Full GEMM on the SDOT path: packs A into k-quads and runs the one tiled
-/// driver, [`crate::parallel`], at one thread into a row-major result.
+/// Full GEMM on the SDOT path: packs A into k-quads and runs the one-shot
+/// body of [`crate::gemm()`] (functional path + schedule).
 pub fn gemm_sdot(a: &[i8], b: &[i8], m: usize, k: usize, n: usize) -> GemmOutput {
-    let pa = PackedAQuads::from_a(a, m, k);
     // The SDOT tile has no drain machinery: any scheme passes and none applies.
     let scheme = Scheme::for_bits(BitWidth::W8);
-    let c = gemm_row_major_on(Isa::host(), &scheme, SharedWeights::Quads(&pa), b, n);
-    GemmOutput { m, n, c, schedule: schedule_gemm_sdot(m, k, n) }
-}
-
-/// Analytic schedule of the SDOT GEMM.
-pub fn schedule_gemm_sdot(m: usize, k: usize, n: usize) -> KernelSchedule {
-    let m_pad = m.div_ceil(SDOT_NA) * SDOT_NA;
-    let n_pad = n.div_ceil(NB) * NB;
-    let k_pad = k.div_ceil(KQ) * KQ;
-    let tiles = (m_pad / SDOT_NA) as u64 * (n_pad / NB) as u64;
-    let mut sched = KernelSchedule::new();
-    sched.push(StageCost::bulk_move("pack A", (m * k) as u64, (m_pad * k_pad) as u64));
-    sched.push(StageCost::bulk_move("pack B", (k * n) as u64, (k_pad * n_pad) as u64));
-    let mut counts = InstCounts::default();
-    counts.add_scaled(&tile_counts_sdot(k), tiles);
-    sched.push(StageCost::compute("gemm", counts));
-    sched
+    one_shot(TileKind::Sdot, &scheme, SharedWeights::Quads(&PackedAQuads::from_a(a, m, k)), b, n)
 }
 
 /// Largest bit width the SDOT path accepts (full 8-bit — the whole point).
@@ -191,10 +175,8 @@ pub fn sdot_supported(bits: BitWidth) -> bool {
 mod tests {
     use super::*;
     use crate::gemm::{reference_gemm, schedule_gemm};
-    use crate::pack::{PackedB, PackedBQuads};
-    use crate::parallel::run_tile;
     use crate::scheme::Scheme;
-    use neon_sim::{CortexA53, Machine};
+    use neon_sim::CortexA53;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -217,36 +199,14 @@ mod tests {
     }
 
     #[test]
-    fn emitted_sdot_kernel_matches_functional_and_counts() {
-        let bits = BitWidth::W8;
-        let (m, k, n) = (16, 22, 4); // k not a multiple of 4: quad padding
-        let a = random_mat(m * k, bits, 301);
-        let b = random_mat(k * n, bits, 302);
-        let pa = PackedAQuads::from_a(&a, m, k);
-        let pb = PackedBQuads::from_b(&b, k, n);
-        let (scheme, weights) = (Scheme::for_bits(bits), SharedWeights::Quads(&pa));
-        let functional = run_tile(&scheme, weights, &PackedB::from_b(&b, k, n), 0, 0);
-
-        let addr_a = 0u32;
-        let addr_b = (pa.k_pad * SDOT_NA) as u32;
-        let addr_c = (pa.k_pad * SDOT_NA + pb.k_pad * NB).next_multiple_of(16) as u32;
-        let mut machine = Machine::new(addr_c as usize + 300, CortexA53::cost_model());
-        machine.write_mem_i8(addr_a as usize, &pa.data[..pa.k_pad * SDOT_NA]);
-        machine.write_mem_i8(addr_b as usize, &pb.data[..pb.k_pad * NB]);
-        machine.run(&emit_tile_sdot(k, addr_a, addr_b, addr_c));
-        assert_eq!(machine.read_mem_i32(addr_c as usize, 64), functional);
-        assert_eq!(machine.stats().counts, tile_counts_sdot(k));
-    }
-
-    #[test]
     fn sdot_models_far_faster_than_the_v81_schemes_at_8_bit() {
         // The extension's headline: on a v8.2 core the drain machinery is
         // obsolete — SDOT models several times faster at 8-bit.
         let model = CortexA53::cost_model();
         let (m, k, n) = (128, 512, 128);
-        let sdot = schedule_gemm_sdot(m, k, n).stage_cycles("gemm", &model);
-        let smlal = schedule_gemm(&Scheme::for_bits(BitWidth::W8), m, k, n)
-            .stage_cycles("gemm", &model);
+        let s8 = Scheme::for_bits(BitWidth::W8);
+        let sdot = TileKind::Sdot.schedule(&s8, m, k, n).stage_cycles("gemm", &model);
+        let smlal = schedule_gemm(&s8, m, k, n).stage_cycles("gemm", &model);
         assert!(
             sdot * 2.5 < smlal,
             "SDOT ({sdot:.0}) should be >2.5x faster than the SMLAL scheme ({smlal:.0})"

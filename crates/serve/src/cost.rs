@@ -45,9 +45,12 @@ pub fn bucket_for(n: usize) -> usize {
 /// Modeled ARM milliseconds for one batched run of `class` at `batch` on
 /// `threads` workers (warm prepack cache). GEMM-family layers split into
 /// serial + parallel cycles with the worst thread's column share; other
-/// algorithms (Winograd, baselines) run serial. The wide-GEMM schedule's
-/// serial/parallel split is used for all three GEMM variants — the stage
-/// structure (im2col/pack/gemm/requant) is shared, only tile widths differ.
+/// algorithms (Winograd, the bitserial baseline) run serial. The GEMM family
+/// is every algorithm with a tile row ([`ArmAlgo::tile`]), the ncnn
+/// baseline among them, which runs on the same parallel driver. The
+/// wide-GEMM schedule's serial/parallel split is used for every row — the
+/// stage structure (im2col/pack/gemm/requant) is shared, only tile widths
+/// differ.
 pub fn arm_batch_millis(class: &RequestClass, batch: usize, engine: &ArmEngine) -> f64 {
     let model = engine.model();
     let threads = engine.threads();
@@ -57,8 +60,8 @@ pub fn arm_batch_millis(class: &RequestClass, batch: usize, engine: &ArmEngine) 
         let shape = l.shape.with_batch(batch);
         let algo = select_arm_algo(model, bits, &shape);
         let warm = engine.estimate_millis(bits, &shape, algo);
-        total += match algo {
-            ArmAlgo::Gemm | ArmAlgo::GemmNarrow | ArmAlgo::GemmSdot => {
+        total += match algo.tile() {
+            Some(_) => {
                 let sched = arm_schedule(ArmAlgo::Gemm, bits, &shape, true);
                 let (s, p) = parallel_cycle_split(&sched, model);
                 let n = shape.gemm_n();
@@ -69,7 +72,7 @@ pub fn arm_batch_millis(class: &RequestClass, batch: usize, engine: &ArmEngine) 
                 let share = worst as f64 / n as f64;
                 warm * (s + p * share) / (s + p)
             }
-            _ => warm,
+            None => warm,
         };
     }
     total

@@ -6,8 +6,8 @@ use std::fmt;
 ///
 /// Matches the layers evaluated in the paper: square stride/padding, no
 /// dilation, no groups (ResNet-50 / SCR-ResNet-50 / DenseNet-121 only use
-/// plain convolutions).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+/// plain convolutions). Ordered field by field, in declaration order.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct ConvShape {
     /// Batch size.
     pub batch: usize,

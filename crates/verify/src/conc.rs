@@ -91,18 +91,17 @@ impl GemmFootprint {
     /// declared workspace slice must dominate.
     pub fn required_workspace(&self) -> ArenaRequirement {
         let (m, k, n) = (self.m, self.k, self.n);
-        match self.algo {
-            ArmAlgo::Gemm | ArmAlgo::GemmNarrow | ArmAlgo::GemmSdot | ArmAlgo::NcnnBaseline => {
-                ArenaRequirement {
-                    col: k * n,
-                    c_cm: 4 * m * n,
-                    panels: max_panel_bytes(k, n),
-                    ..ArenaRequirement::default()
-                }
-            }
+        match (self.algo.tile(), self.algo) {
+            // The GEMM family: the im2col matrix and the B panels.
+            (Some(_), _) => ArenaRequirement {
+                col: k * n,
+                c_cm: 4 * m * n,
+                panels: max_panel_bytes(k, n),
+                ..ArenaRequirement::default()
+            },
             // The transformed input, the four output planes, and each tile
             // span's position-GEMM result and panel.
-            ArmAlgo::Winograd => ArenaRequirement {
+            (None, ArmAlgo::Winograd) => ArenaRequirement {
                 wg_v: 16 * k * n,
                 wg_planes: 16 * m * n,
                 wg_c_cm: 4 * m * n,
@@ -112,7 +111,7 @@ impl GemmFootprint {
             // The bitserial baseline allocates its own buffers per call; it
             // does not grow the shared arena. `Auto` names no kernel; both
             // verifiers reject it.
-            ArmAlgo::BitserialBaseline | ArmAlgo::Auto => ArenaRequirement::default(),
+            (None, _) => ArenaRequirement::default(),
         }
     }
 }
@@ -610,18 +609,16 @@ pub fn verify_conc(spec: &ConcSpec, sched: &ScheduleSpec) -> Result<ConcProof, C
             });
         }
         let req = g.required_workspace();
-        let certified = match g.algo {
-            ArmAlgo::Gemm | ArmAlgo::GemmNarrow | ArmAlgo::GemmSdot | ArmAlgo::NcnnBaseline => {
-                Some(req.panels)
-            }
-            ArmAlgo::Winograd => Some(req.wg_panels),
-            ArmAlgo::Auto => {
+        let certified = match (g.algo.tile(), g.algo) {
+            (Some(_), _) => Some(req.panels),
+            (None, ArmAlgo::Winograd) => Some(req.wg_panels),
+            (None, ArmAlgo::Auto) => {
                 return Err(ConcViolation::PartitionOverlap {
                     node: node.name.clone(),
                     detail: "an unresolved Auto kernel has no certified panel budget".into(),
                 });
             }
-            ArmAlgo::BitserialBaseline => None,
+            (None, _) => None,
         };
         if let Some(certified) = certified {
             let panel_total = panel_bytes(g.k, partition.iter().copied());

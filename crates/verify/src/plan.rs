@@ -91,7 +91,7 @@ pub struct ChannelSums {
 
 /// Which engine a layer runs on. `Hash` so serving-layer caches can key
 /// compiled plans by `(network fingerprint, batch, backend)`.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum BackendKind {
     /// The ARM CPU engine (executes kernels, models a Cortex core).
     Arm,

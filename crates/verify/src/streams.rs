@@ -17,10 +17,7 @@
 use crate::absint::OperandBounds;
 use crate::interval::Interval;
 use lowbit_conv_arm::{winograd_operand_bounds, winograd_scheme, winograd_supported};
-use lowbit_qgemm::{
-    gemm_stream, tile_stream_narrow, tile_stream_ncnn, tile_stream_sdot, tile_stream_wide,
-    KernelStream, Scheme,
-};
+use lowbit_qgemm::{gemm_stream, KernelStream, Scheme, TileKind};
 use lowbit_tensor::BitWidth;
 
 impl OperandBounds {
@@ -77,12 +74,12 @@ pub fn direct_cases(bits: BitWidth) -> Vec<VerifyCase> {
     let bounds = OperandBounds::for_bits(bits);
     let mut cases = Vec::new();
     for k in interesting_ks(&scheme) {
-        cases.push(VerifyCase::new(tile_stream_wide(&scheme, k), bounds));
+        cases.push(VerifyCase::new(TileKind::Wide.stream(&scheme, k), bounds));
     }
     if !bits.uses_mla_scheme() {
         let r = scheme.ratio();
         for k in [1, r, 2 * r + 1] {
-            cases.push(VerifyCase::new(tile_stream_narrow(&scheme, k), bounds));
+            cases.push(VerifyCase::new(TileKind::Narrow.stream(&scheme, k), bounds));
         }
     }
     cases
@@ -100,8 +97,8 @@ pub fn winograd_cases(bits: BitWidth) -> Vec<VerifyCase> {
     let r = scheme.ratio();
     let mut cases = Vec::new();
     for k in [1, r, 2 * r + 1] {
-        cases.push(VerifyCase::new(tile_stream_wide(&scheme, k), bounds));
-        cases.push(VerifyCase::new(tile_stream_narrow(&scheme, k), bounds));
+        cases.push(VerifyCase::new(TileKind::Wide.stream(&scheme, k), bounds));
+        cases.push(VerifyCase::new(TileKind::Narrow.stream(&scheme, k), bounds));
     }
     cases
 }
@@ -110,14 +107,10 @@ pub fn winograd_cases(bits: BitWidth) -> Vec<VerifyCase> {
 /// ARMv8.2 `SDOT` kernel, both at 8-bit operand ranges.
 pub fn baseline_cases() -> Vec<VerifyCase> {
     let i8_bounds = OperandBounds::for_bits(BitWidth::W8);
-    let mut cases = Vec::new();
-    for k in [1, 5, 64] {
-        cases.push(VerifyCase::new(tile_stream_ncnn(k), i8_bounds));
-    }
-    for k in [1, 7, 64] {
-        cases.push(VerifyCase::new(tile_stream_sdot(k), i8_bounds));
-    }
-    cases
+    let ncnn = [1, 5, 64].map(|k| (TileKind::Ncnn, Scheme::ncnn16(), k));
+    let sdot = [1, 7, 64].map(|k| (TileKind::Sdot, Scheme::for_bits(BitWidth::W8), k));
+    let streams = ncnn.into_iter().chain(sdot).map(|(tile, scheme, k)| tile.stream(&scheme, k));
+    streams.map(|stream| VerifyCase::new(stream, i8_bounds)).collect()
 }
 
 /// Whole multi-tile GEMM programs (ragged M/N edges, tile-major C) at a

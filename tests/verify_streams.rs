@@ -8,7 +8,7 @@
 //! accumulator and an overlapping thread partition, and checks each is
 //! rejected with the right violation.
 
-use lowbit_qgemm::{tile_stream_narrow, tile_stream_wide, ColumnSpan, Scheme};
+use lowbit_qgemm::{ColumnSpan, Scheme, TileKind};
 use lowbit_tensor::BitWidth;
 use lowbit_verify::{
     check_spans, standard_cases, verify_case, verify_stream, OperandBounds, Violation,
@@ -36,7 +36,7 @@ fn paper_ratios_sit_at_the_saturation_edge() {
             continue;
         }
         let scheme = Scheme::for_bits(bits);
-        let stream = tile_stream_wide(&scheme, scheme.ratio());
+        let stream = TileKind::Wide.stream(&scheme, scheme.ratio());
         let proof = verify_stream(&stream, &OperandBounds::for_bits(bits)).unwrap();
         let product = bits.max_abs_product() as i64;
         assert!(
@@ -58,7 +58,7 @@ fn ratio_plus_one_overflows_at_every_bit_width() {
         let scheme = Scheme::for_bits(bits);
         let broken = scheme.with_ratio_unchecked(scheme.ratio() + 1);
         // One unsound drain group is enough to wrap the intermediate.
-        let stream = tile_stream_wide(&broken, broken.ratio());
+        let stream = TileKind::Wide.stream(&broken, broken.ratio());
         let expect = if bits.uses_mla_scheme() { ElemWidth::B } else { ElemWidth::H };
         match verify_stream(&stream, &OperandBounds::for_bits(bits)) {
             Err(Violation::SaturationOverflow { width, .. }) => assert_eq!(
@@ -84,7 +84,7 @@ fn mla_second_level_ratio_plus_one_overflows_i16() {
         let scheme = Scheme::for_bits(bits);
         let broken = scheme.with_ratio2_unchecked(scheme.ratio2() + 1);
         let k = broken.ratio() * (broken.ratio2() + 1);
-        let stream = tile_stream_wide(&broken, k);
+        let stream = TileKind::Wide.stream(&broken, k);
         match verify_stream(&stream, &OperandBounds::for_bits(bits)) {
             Err(Violation::SaturationOverflow { width: ElemWidth::H, .. }) => {}
             other => panic!("{}-bit ratio2 bump must wrap i16, got {other:?}", bits.bits()),
@@ -98,7 +98,7 @@ fn winograd_inflated_ranges_break_the_direct_ratio() {
     // scheduled for the *natural* 4-bit ranges must fail: the inflated
     // products overrun the direct scheme's drain ratio.
     let direct = Scheme::for_bits(BitWidth::W4);
-    let stream = tile_stream_narrow(&direct, direct.ratio());
+    let stream = TileKind::Narrow.stream(&direct, direct.ratio());
     match verify_stream(&stream, &OperandBounds::winograd(BitWidth::W4)) {
         Err(Violation::SaturationOverflow { width: ElemWidth::H, .. }) => {}
         other => panic!("inflated ranges must be rejected, got {other:?}"),
@@ -110,7 +110,7 @@ fn clobbered_accumulator_is_rejected() {
     // Destroy a live i32 accumulator with a load before its store: the lint
     // pass must name the clobbered register and the producing instruction.
     let scheme = Scheme::for_bits(BitWidth::W8);
-    let mut stream = tile_stream_narrow(&scheme, 2);
+    let mut stream = TileKind::Narrow.stream(&scheme, 2);
     let store_at = stream
         .prog
         .iter()
@@ -129,7 +129,7 @@ fn dropped_drain_is_rejected_as_unconsumed() {
     // Truncate the stream before its stores: the computed accumulators are
     // never consumed, which the lint pass must flag as dead work.
     let scheme = Scheme::for_bits(BitWidth::W8);
-    let mut stream = tile_stream_narrow(&scheme, 2);
+    let mut stream = TileKind::Narrow.stream(&scheme, 2);
     let first_store = stream
         .prog
         .iter()
@@ -147,7 +147,7 @@ fn uninitialized_accumulator_is_rejected() {
     // Drop the prologue's accumulator zeroing: the first MAC then reads an
     // undefined register.
     let scheme = Scheme::for_bits(BitWidth::W4);
-    let mut stream = tile_stream_wide(&scheme, 1);
+    let mut stream = TileKind::Wide.stream(&scheme, 1);
     let zero_at = stream
         .prog
         .iter()
