@@ -9,8 +9,9 @@
 //! Each ARM algorithm gets two times, each naming its clock: the modeled
 //! Cortex-A53 cold time, and the measured host wall time of a warm
 //! `ArmEngine::conv` (min of [`RUNS`], on the host's dispatched vector ISA),
-//! whose output is first checked bit-exact against `direct_conv`.
-use lowbit::conv_arm::direct_conv;
+//! whose output is first checked bit-exact against `direct_conv` (Winograd's
+//! at 5 and 6 bits, where it rounds by design, against `winograd_conv`).
+use lowbit::conv_arm::{direct_conv, winograd::winograd_exact, winograd_conv};
 use lowbit::prelude::*;
 use lowbit::ArmAlgo;
 use lowbit_bench::harness::Table;
@@ -22,17 +23,17 @@ const RUNS: usize = 5;
 
 /// Host wall ms of `engine.conv` (min of [`RUNS`], after one warm-up call
 /// that fills the prepack cache), panicking unless the output is bit-exact
-/// against `oracle`.
+/// against `oracle`, the output of `oracle_name`.
 fn measure_host_ms(
     engine: &ArmEngine,
     input: &QTensor,
     weights: &QTensor,
     shape: &ConvShape,
     algo: ArmAlgo,
-    oracle: &Tensor<i32>,
+    (oracle, oracle_name): (&Tensor<i32>, &str),
 ) -> f64 {
     let warm = engine.conv(input, weights, shape, algo);
-    assert_eq!(warm.acc.data(), oracle.data(), "{algo:?} disagrees with direct_conv");
+    assert_eq!(warm.acc.data(), oracle.data(), "{algo:?} disagrees with {oracle_name}");
     (0..RUNS)
         .map(|_| {
             let start = Instant::now();
@@ -79,9 +80,13 @@ fn main() {
             .iter()
             .map(|s| format!("{} {:.2}", s.name, model.millis(s.cycles(&model))))
             .collect();
-        let host_ms = measure_host_ms(&engine, &input, &weights, &shape, algo, &oracle);
+        let rounded = algo == ArmAlgo::Winograd && !winograd_exact(bits);
+        let one_shot = rounded.then(|| winograd_conv(&input, &weights, &shape).acc);
+        let check = one_shot.as_ref().map_or((&oracle, "direct_conv"), |w| (w, "winograd_conv"));
+        let host_ms = measure_host_ms(&engine, &input, &weights, &shape, algo, check);
+        let note = if rounded { " (rounds; checked against winograd_conv)" } else { "" };
         table.push_row(vec![
-            format!("{algo:?}"),
+            format!("{algo:?}{note}"),
             format!("{:.3}", sched.millis(&model)),
             format!("{host_ms:.3}"),
             breakdown.join(", "),

@@ -34,15 +34,18 @@
 //! On the host the two phases are separate calls: [`WinogradWeights::pack`]
 //! transforms and packs the weights once (the engine's prepack cache holds
 //! the result), and [`winograd_conv_ws`] runs the input transform, the 16
-//! position GEMMs on `lowbit_qgemm::parallel`, the output transform and the
-//! NCHW scatter over a reusable [`ConvWorkspace`].
+//! position GEMMs on `lowbit_qgemm::parallel` and the NCHW scatter over a
+//! reusable [`ConvWorkspace`]. The output transform `Aᵀ M A` is linear in
+//! each position's result `M`, so it has no pass of its own: each position
+//! GEMM adds its weighted micro-tiles straight into the four output planes
+//! as it stores them (`gemm_parallel_cm_weighted`).
 
 #![allow(clippy::field_reassign_with_default)] // InstCounts builders read clearer this way
 
 use crate::workspace::{ConvWorkspace, PackedWeights};
 use crate::{ArmAlgo, ConvOutput};
 use lowbit_isa::Isa;
-use lowbit_qgemm::parallel::{fan_out, gemm_parallel_cm_on, worker_track, ParallelConfig};
+use lowbit_qgemm::parallel::{fan_out, gemm_parallel_cm_weighted, worker_track, ParallelConfig};
 use lowbit_qgemm::{partition_columns, ColumnSpan, GemmWorkspace, Scheme, SchemeKind, TileKind};
 use lowbit_tensor::{BitWidth, ConvShape, Layout, QTensor, Tensor};
 use lowbit_trace::{Tracer, MAIN_TRACK};
@@ -172,7 +175,8 @@ fn output_rows(bits: BitWidth) -> ([i32; 4], [i32; 4], u32) {
 /// `(r, c)` of a tile (plane `q = 2r + c`) is
 /// `Σ_p coef[p][q] · M_p >> shift` over the position GEMM results `M_p`,
 /// `p = 4i + j`, with `coef[p][q] = row_r[i] · row_c[j]`. The sum is exact in
-/// wrapping i32 because the final value fits i32.
+/// wrapping i32 because the final value fits i32. Every coefficient is 0 or
+/// `±2^s`, as the GEMM driver's weighted sink requires.
 fn output_coefficients(bits: BitWidth) -> ([[i32; 4]; 16], u32) {
     let (row0, row1, shift) = output_rows(bits);
     let rows = [row0, row1];
@@ -234,9 +238,11 @@ impl WinogradWeights {
 pub(crate) struct WinogradScratch {
     /// Transformed input: per span, 16 row-major `c_in x cols` matrices.
     v: Vec<i8>,
-    /// Output planes: per span, 4 column-major `c_out x cols` i32 matrices.
+    /// Output planes: per span, 4 column-major `c_out x cols` i32 matrices,
+    /// which the position GEMMs add into.
     planes: Vec<i32>,
-    /// Per span, the result and packed-B panel of its position GEMMs.
+    /// Per span, the packed-B panel of its position GEMMs (they keep no
+    /// result buffer).
     gemm: Vec<GemmWorkspace>,
 }
 
@@ -250,7 +256,7 @@ impl WinogradScratch {
 
     /// Sizes the buffers for one call; capacities grow to exactly the
     /// largest request. Neither buffer is cleared: the transform writes all
-    /// of `v`, and [`accumulate`] stores each plane's first term.
+    /// of `v`, and the position GEMMs store each plane's first term.
     fn prepare(&mut self, spans: usize, v_len: usize, planes_len: usize) {
         self.v.reserve_exact(v_len.saturating_sub(self.v.len()));
         self.v.resize(v_len, 0);
@@ -329,30 +335,6 @@ fn transform_input(input: &[i8], shape: &ConvShape, span: ColumnSpan, v: &mut [i
     }
 }
 
-/// Adds one position's column-major GEMM result `c` into the four output
-/// planes (each `c.len()` long), weighted by its output-transform
-/// coefficients. A plane's first nonzero term is stored rather than added
-/// (`started` tracks which planes have one), so the planes need no
-/// zeroing; every plane has a nonzero coefficient at some position.
-#[inline(always)]
-fn accumulate(planes: &mut [i32], c: &[i32], coef: &[i32; 4], started: &mut [bool; 4]) {
-    for ((plane, &a), started) in planes.chunks_exact_mut(c.len()).zip(coef).zip(started) {
-        if a == 0 {
-            continue;
-        }
-        if *started {
-            for (y, &x) in plane.iter_mut().zip(c) {
-                *y = y.wrapping_add(a.wrapping_mul(x));
-            }
-        } else {
-            for (y, &x) in plane.iter_mut().zip(c) {
-                *y = a.wrapping_mul(x);
-            }
-            *started = true;
-        }
-    }
-}
-
 /// Writes a span's four planes, shifted, to their 2x2 output pixels of the
 /// NCHW accumulator `out` (pixels past the output edge are dropped).
 #[inline(always)]
@@ -393,8 +375,9 @@ struct SpanJob<'a> {
 }
 
 impl SpanJob<'_> {
-    /// Input transform, the 16 position GEMMs and their accumulation into
-    /// the span's planes, recorded on the span's track.
+    /// Input transform, then the 16 position GEMMs, each adding its
+    /// output-transform terms straight into the span's planes, recorded on
+    /// the span's track.
     fn run(&self, (span, track, v, planes, gemm): SpanShare<'_>) {
         let (isa, tracer) = (self.isa, self.tracer);
         let mut worker_span = tracer.span("winograd worker", track);
@@ -406,22 +389,15 @@ impl SpanJob<'_> {
                 || transform_input(self.input, self.shape, span, v),
             );
         }
-        let (k, cols) = (self.shape.c_in, span.cols);
-        let bits = self.weights.bits;
-        let scheme = winograd_scheme(bits);
-        let (coef, _) = output_coefficients(bits);
+        let (k, cols, bits) = (self.shape.c_in, span.cols, self.weights.bits);
+        let (scheme, (coef, _)) = (winograd_scheme(bits), output_coefficients(bits));
         let mut started = [false; 4];
-        for (p, (v_p, coef)) in v.chunks_exact(k * cols).zip(&coef).enumerate() {
-            let c = {
-                let _s = tracer.span("wg gemm", track);
-                let pw = self.weights.positions[p].operand();
-                let null = Tracer::null();
-                gemm_parallel_cm_on(isa, &scheme, pw, v_p, k, cols, &self.cfg, gemm, &null)
-            };
-            let _s = tracer.span("wg accumulate", track);
-            isa.run(
-                #[inline(always)]
-                || accumulate(planes, c, coef, &mut started),
+        let positions = v.chunks_exact(k * cols).zip(&self.weights.positions).zip(coef);
+        for ((v_p, pw), coef) in positions {
+            let _s = tracer.span("wg gemm", track);
+            let (pw, cfg, null) = (pw.operand(), &self.cfg, &Tracer::null());
+            gemm_parallel_cm_weighted(
+                isa, &scheme, pw, v_p, k, cols, cfg, gemm, planes, coef, &mut started, null,
             );
         }
     }
@@ -430,9 +406,10 @@ impl SpanJob<'_> {
 /// The engine's Winograd `F(2x2, 3x3)` convolution from prepacked
 /// [`WinogradWeights`], with every intermediate buffer in the reusable
 /// `ws` arena: the slice-based input transform, the 16 position GEMMs on
-/// the host ISA's micro-tiles (`lowbit_qgemm::parallel`), their weighted
-/// accumulation into four i32 output planes, and one shift-and-scatter
-/// into the returned NCHW accumulators.
+/// the host ISA's micro-tiles (`lowbit_qgemm::parallel`), each adding its
+/// output-transform terms into four i32 output planes as it stores its
+/// micro-tiles, and one shift-and-scatter into the returned NCHW
+/// accumulators.
 ///
 /// With `cfg.threads > 1` the tiles are split by
 /// [`lowbit_qgemm::partition_columns`] and each span runs all of its
@@ -852,7 +829,7 @@ mod tests {
                 let on_track: Vec<_> = cap.spans_on(track).collect();
                 let outer =
                     on_track.iter().find(|s| s.name == "winograd worker").expect("worker span");
-                for stage in ["wg input transform", "wg gemm", "wg accumulate"] {
+                for stage in ["wg input transform", "wg gemm"] {
                     assert!(on_track.iter().any(|s| s.name == stage), "{name}: {stage}");
                 }
                 for child in on_track.iter().filter(|s| s.name != "winograd worker") {

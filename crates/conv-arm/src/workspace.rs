@@ -144,7 +144,7 @@ pub fn prepack_fingerprint(weights: &QTensor, algo: ArmAlgo, bits: BitWidth) -> 
 /// Caller-owned scratch for [`gemm_conv_ws`]: the im2col matrix, the
 /// parallel-GEMM arena (B panels only: every GEMM kernel stores into the
 /// output tensor), and Winograd's transformed input, output planes and
-/// per-thread GEMM arenas.
+/// per-span B panels (its position GEMMs add into the planes).
 #[derive(Default)]
 pub struct ConvWorkspace {
     col: Im2colMatrix,

@@ -798,7 +798,7 @@ mod tests {
         // 1 to 2T + 1 tiles (the last one ragged), so full register blocks
         // and the one-tile remainder both run.
         use crate::gemm::reference_gemm;
-        use crate::parallel::{gemm_parallel_cm_on, ParallelConfig, SharedWeights};
+        use crate::parallel::{gemm_parallel_cm_weighted, ParallelConfig, SharedWeights};
         use crate::workspace::GemmWorkspace;
         use lowbit_trace::Tracer;
         let (k, n) = (150, 9);
@@ -813,11 +813,11 @@ mod tests {
                 for (threads, kc) in [(1, 1), (1, 7), (2, 31), (2, 32), (3, 64), (1, 149), (2, 150)] {
                     let cfg = ParallelConfig { threads, kc, nc: 8 };
                     for isa in Isa::supported() {
-                        let mut ws = GemmWorkspace::new();
-                        let weights = SharedWeights::Wide(&pa);
-                        let tracer = Tracer::null();
-                        let c_cm = gemm_parallel_cm_on(
-                            isa, &scheme, weights, &b, k, n, &cfg, &mut ws, &tracer,
+                        let (mut ws, mut c_cm) = (GemmWorkspace::new(), vec![i32::MIN; m * n]);
+                        let (weights, null) = (SharedWeights::Wide(&pa), Tracer::null());
+                        gemm_parallel_cm_weighted(
+                            isa, &scheme, weights, &b, k, n, &cfg, &mut ws, &mut c_cm, [1],
+                            &mut [false], &null,
                         );
                         for i in 0..m {
                             for j in 0..n {

@@ -11,13 +11,14 @@
 //! the first span and each other span gets one scoped thread ([`fan_out`]);
 //! Winograd's tile spans and the executor's waves start the same way.
 //!
-//! The result has one of two layouts. [`gemm_parallel_cm`] fills a
-//! column-major buffer in the workspace, each thread's share one contiguous
-//! column range. [`gemm_parallel_nchw_on`] stores every micro-tile straight
-//! into a caller's NCHW tensor (rows are output channels, columns run image
-//! by image), each thread's share the plane-row runs its columns cover: the
-//! convolution needs no reshape pass, and at one image the same target is
-//! the row-major matrix.
+//! Each micro-tile goes to one of two sinks. [`gemm_parallel_cm_weighted`]
+//! adds it, times a weight per plane, into column-major planes, each
+//! thread's share one contiguous column range of every plane ([`gemm_parallel_cm`]
+//! is its one-plane, unit-weight call). [`gemm_parallel_nchw_on`] stores it
+//! straight into a caller's NCHW tensor (rows are output channels, columns
+//! run image by image), each thread's share the plane-row runs its columns
+//! cover: the convolution needs no reshape pass, and at one image the same
+//! target is the row-major matrix.
 //!
 //! This is the one driver of the wide, narrow and SDOT tiles: the engine,
 //! the Winograd path and the one-shot [`crate::gemm()`],
@@ -39,7 +40,7 @@ use crate::narrow::{accumulate_tiles_narrow_on, NARROW_BLOCK, NARROW_TILE_LEN};
 use crate::pack::{PackedA, PackedANarrow, PackedAQuads, PackedB, NB};
 use crate::scheme::{Scheme, SchemeKind};
 use crate::sdot::{accumulate_sdot_on, KQ, SDOT_BLOCK};
-use crate::workspace::{GemmWorkspace, ThreadScratch};
+use crate::workspace::GemmWorkspace;
 use lowbit_isa::Isa;
 use lowbit_trace::{Tracer, MAIN_TRACK};
 use std::ops::Range;
@@ -190,11 +191,12 @@ impl SharedWeights<'_> {
 
 /// Runs `C = A x B` across `cfg.threads` scoped threads into the caller's
 /// workspace, returning the **column-major** `m x n` result
-/// (`c[col * m + row]`) borrowed from `ws`.
+/// (`c[col * m + row]`) borrowed from `ws`: the one-plane, unit-weight
+/// [`gemm_parallel_cm_weighted`].
 ///
 /// Steady state (same or smaller shape, same thread count) grows no
-/// workspace buffer (see [`GemmWorkspace::stats`]) and makes no heap
-/// allocation.
+/// workspace buffer (see [`GemmWorkspace::footprint_bytes`]) and makes no
+/// heap allocation.
 pub fn gemm_parallel_cm<'w>(
     scheme: &Scheme,
     weights: SharedWeights<'_>,
@@ -204,18 +206,28 @@ pub fn gemm_parallel_cm<'w>(
     cfg: &ParallelConfig,
     ws: &'w mut GemmWorkspace,
 ) -> &'w [i32] {
-    gemm_parallel_cm_on(Isa::host(), scheme, weights, b, k, n, cfg, ws, &Tracer::null())
+    let len = weights.m() * n;
+    let mut c = std::mem::take(&mut ws.c_cm);
+    c.reserve_exact(len.saturating_sub(c.len()));
+    c.resize(len, 0); // not cleared: the first K block stores every element
+    let (isa, planes, started, null) = (Isa::host(), &mut c, &mut [false], &Tracer::null());
+    gemm_parallel_cm_weighted(isa, scheme, weights, b, k, n, cfg, ws, planes, [1], started, null);
+    ws.c_cm = c;
+    &ws.c_cm
 }
 
-/// [`gemm_parallel_cm`] with every micro-tile compiled for `isa` (kernel
-/// tests run each [`Isa::supported`] instance through it) and with span
-/// recording: each span's worker gets its own timeline track (named
-/// after its [`ColumnSpan`]) carrying a `gemm worker` parent span (labelled
-/// with its columns and the vector ISA the tiles run on) with
-/// `pack B panel` and `gemm tile` children. With a null tracer every
-/// recording call reduces to one branch and allocates nothing.
+/// Adds `coef[q] x A x B` into plane `q` of `planes`, `P` column-major
+/// `m x n` matrices (`planes[(q * n + col) * m + row]`), as each micro-tile
+/// (compiled for `isa`) is stored: a weight is 0 or `±2^s`, so a term is a
+/// shift and an add or subtract. A plane's first nonzero term is stored
+/// (`started[q]` records that plane `q` has one), so no plane needs
+/// zeroing. Each span's worker records a `gemm worker` span with
+/// `pack B panel` and `gemm tile` children on its own track.
+///
+/// # Panics
+/// If `planes` is not `P` planes of `m x n`, or a weight is not 0 or `±2^s`.
 #[allow(clippy::too_many_arguments)]
-pub fn gemm_parallel_cm_on<'w>(
+pub fn gemm_parallel_cm_weighted<const P: usize>(
     isa: Isa,
     scheme: &Scheme,
     weights: SharedWeights<'_>,
@@ -223,32 +235,44 @@ pub fn gemm_parallel_cm_on<'w>(
     k: usize,
     n: usize,
     cfg: &ParallelConfig,
-    ws: &'w mut GemmWorkspace,
+    ws: &mut GemmWorkspace,
+    planes: &mut [i32],
+    coef: [i32; P],
+    started: &mut [bool; P],
     tracer: &Tracer,
-) -> &'w [i32] {
+) {
     check_operands(scheme, weights, b, k, n);
-    let cfg = cfg.normalized();
     let m = weights.m();
+    assert_eq!(planes.len(), P * m * n, "column-major planes have wrong length");
+    let valid = |c: i32| c == 0 || c.unsigned_abs().is_power_of_two();
+    assert!(coef.into_iter().all(valid), "weights {coef:?} are not 0 or ±2^s");
+    let terms: [(i32, bool); P] = std::array::from_fn(|q| (coef[q], !started[q]));
+    let cfg = cfg.normalized();
     let spans = partition_columns(n, cfg.threads);
-    let before = ws.footprint_bytes();
-    ws.prepare(spans.len(), m * n);
-    if k == 0 {
-        ws.c_cm.fill(0); // no K block stores the result
-    }
-    // Each span's share is its contiguous column range, carved off with
-    // split_at_mut.
-    let mut rest: &mut [i32] = &mut ws.c_cm;
-    let shares = spans.clone().map(|span| {
-        let (c, tail) = std::mem::take(&mut rest).split_at_mut(span.cols * m);
-        rest = tail;
-        ColMajorShare { c, m, cols: span.cols }
+    ws.prepare_panels(spans.len());
+    let mut tail = planes;
+    let mut rest: [&mut [i32]; P] = std::array::from_fn(|q| {
+        let (plane, t) = std::mem::take(&mut tail).split_at_mut(m * n);
+        if k == 0 && coef[q] != 0 && !started[q] {
+            plane.fill(0); // no K block stores the result: a plane the call starts is zero
+        }
+        tail = t;
+        plane
     });
-    drive(isa, scheme, weights, b, n, &cfg, spans, &mut ws.scratch, shares, tracer);
-    ws.note_call(before);
-    &ws.c_cm
+    // Each span's share is its contiguous column range of every plane.
+    let shares = spans.clone().map(|span| {
+        let planes = std::array::from_fn(|q| {
+            let (c, tail) = std::mem::take(&mut rest[q]).split_at_mut(span.cols * m);
+            rest[q] = tail;
+            c
+        });
+        ColMajorShare { planes, terms, m, cols: span.cols }
+    });
+    drive(isa, scheme, weights, b, n, &cfg, spans, &mut ws.panels, shares, tracer);
+    started.iter_mut().zip(coef).for_each(|(started, c)| *started |= c != 0);
 }
 
-/// [`gemm_parallel_cm_on`] into an **NCHW** result instead: `out` holds
+/// The GEMM of [`gemm_parallel_cm_weighted`] into an **NCHW** result: `out` holds
 /// `n / hw` images of `m x hw` (`out[(image * m + row) * hw + pixel]`),
 /// and column `image * hw + pixel` of C lands on its pixel. At `hw == n`
 /// that is the row-major `m x n` product.
@@ -277,14 +301,12 @@ pub fn gemm_parallel_nchw_on(
     assert!(n.is_multiple_of(hw), "{n} columns are not whole images of {hw}");
     let cfg = cfg.normalized();
     let spans = partition_columns(n, cfg.threads);
-    let before = ws.footprint_bytes();
-    ws.prepare_scratch(spans.len());
+    ws.prepare_panels(spans.len());
     if k == 0 {
         out.fill(0); // no K block stores the result
     }
     let shares = nchw_shares(out, m, hw, spans.clone());
-    drive(isa, scheme, weights, b, n, &cfg, spans, &mut ws.scratch, shares, tracer);
-    ws.note_call(before);
+    drive(isa, scheme, weights, b, n, &cfg, spans, &mut ws.panels, shares, tracer);
 }
 
 /// Panics unless the operands agree with each other and the tile kind
@@ -317,13 +339,13 @@ fn drive<S: TileSink + Send>(
     n: usize,
     cfg: &ParallelConfig,
     spans: impl Iterator<Item = ColumnSpan>,
-    scratch: &mut [ThreadScratch],
+    panels: &mut [Vec<i8>],
     shares: impl IntoIterator<Item = S>,
     tracer: &Tracer,
 ) {
-    let jobs = spans.zip(scratch).zip(shares).filter(|((span, _), _)| span.cols > 0);
-    let jobs = jobs.map(|((span, s), share)| {
-        (span, worker_track(tracer, "gemm worker", &span), &mut s.b_panel, share)
+    let jobs = spans.zip(panels).zip(shares).filter(|((span, _), _)| span.cols > 0);
+    let jobs = jobs.map(|((span, panel), share)| {
+        (span, worker_track(tracer, "gemm worker", &span), panel, share)
     });
     fan_out(jobs, |(span, track, panel, mut share)| {
         worker(isa, scheme, weights, b, n, &span, cfg, panel, &mut share, tracer, track)
@@ -373,23 +395,48 @@ trait TileSink {
     fn put(&mut self, tile: &[i32], ti: usize, jt: usize, first_k_block: bool);
 }
 
-/// A span's contiguous column range of the column-major result
-/// (`c[j * m + i]` for local column `j`).
-struct ColMajorShare<'c> {
-    c: &'c mut [i32],
+/// A span's column range of each of `P` column-major planes, and each
+/// plane's weight and whether the call starts it.
+struct ColMajorShare<'c, const P: usize> {
+    planes: [&'c mut [i32]; P],
+    terms: [(i32, bool); P],
     m: usize,
     cols: usize,
 }
 
-impl TileSink for ColMajorShare<'_> {
+impl<const P: usize> TileSink for ColMajorShare<'_, P> {
     fn put(&mut self, tile: &[i32], ti: usize, jt: usize, first_k_block: bool) {
         let rows = tile.len() / NB;
         let (row0, m) = (ti * rows, self.m);
-        let live = rows.min(m - row0);
-        for (j, src) in (jt * NB..self.cols).zip(tile.chunks_exact(rows)) {
-            let dst = &mut self.c[j * m + row0..][..live];
-            store_run(dst, src.iter().copied(), first_k_block);
+        let run = (jt * NB * m + row0, m, rows.min(m - row0), NB.min(self.cols - jt * NB));
+        for (plane, &(coef, fresh)) in self.planes.iter_mut().zip(&self.terms) {
+            if coef == 0 {
+                continue;
+            }
+            let s = coef.unsigned_abs().trailing_zeros();
+            match (coef > 0, first_k_block && fresh) {
+                (true, true) => each(plane, tile, run, |_, v| v << s),
+                (false, true) => each(plane, tile, run, |_, v| (v << s).wrapping_neg()),
+                (true, false) => each(plane, tile, run, |d, v| d.wrapping_add(v << s)),
+                (false, false) => each(plane, tile, run, |d, v| d.wrapping_sub(v << s)),
+            }
         }
+    }
+}
+
+/// `d = f(d, v)` over the first `width` columns of the column-major tile,
+/// the top `live` rows of each; column `c` lands at `plane[at + c * m..]`.
+#[inline(always)]
+fn each(
+    plane: &mut [i32],
+    tile: &[i32],
+    (at, m, live, width): (usize, usize, usize, usize),
+    f: impl Fn(i32, i32) -> i32,
+) {
+    let rows = tile.len() / NB;
+    for c in 0..width {
+        let (d, s) = (&mut plane[at + c * m..][..live], &tile[c * rows..][..live]);
+        d.iter_mut().zip(s).for_each(|(d, &v)| *d = f(*d, v));
     }
 }
 
@@ -736,12 +783,13 @@ mod tests {
             for threads in [1, 2, 3] {
                 let cfg = ParallelConfig { threads, kc: 7, nc: 4 };
                 for isa in Isa::supported() {
-                    let mut ws = GemmWorkspace::new();
-                    let weights = SharedWeights::Narrow(&pa);
-                    let tracer = Tracer::null();
-                    let c_cm =
-                        gemm_parallel_cm_on(isa, &scheme, weights, &b, k, n, &cfg, &mut ws, &tracer);
-                    assert_eq!(col_to_row_major(c_cm, m, n), want, "m {m} x{threads} {isa}");
+                    let (mut ws, mut c) = (GemmWorkspace::new(), vec![i32::MIN; m * n]);
+                    let (weights, null) = (SharedWeights::Narrow(&pa), Tracer::null());
+                    gemm_parallel_cm_weighted(
+                        isa, &scheme, weights, &b, k, n, &cfg, &mut ws, &mut c, [1], &mut [false],
+                        &null,
+                    );
+                    assert_eq!(col_to_row_major(&c, m, n), want, "m {m} x{threads} {isa}");
                 }
             }
         }
@@ -818,6 +866,71 @@ mod tests {
     }
 
     #[test]
+    fn weighted_planes_sum_every_call_and_start_without_zeroing() {
+        // Three GEMMs into four planes with Winograd-like weights: a plane
+        // is started by its first nonzero weight (plane 3 only by the last
+        // call), so planes that start as garbage must come out as the exact
+        // weighted sums. K = 0 starts its planes at zero. Each tile kind,
+        // on every ISA, with K blocks inside and across calls, and up to
+        // more threads than column tiles.
+        let coefs = [[2, 0, -1, 0], [1, -4, 1, 0], [0, 2, -2, -1]];
+        let tiles = [(BitWidth::W4, "wide"), (BitWidth::W6, "narrow"), (BitWidth::W8, "sdot")];
+        for (bits, tile) in tiles {
+            let scheme = Scheme::for_bits(bits);
+            for (m, k, n) in [(21, 40, 19), (9, 17, 6), (16, 0, 5)] {
+                let calls: Vec<(Vec<i8>, Vec<i8>)> = (0..coefs.len() as u64)
+                    .map(|c| (random_mat(m * k, bits, 700 + c), random_mat(k * n, bits, 800 + c)))
+                    .collect();
+                let mut want = vec![0i32; 4 * m * n];
+                for ((a, b), coef) in calls.iter().zip(coefs) {
+                    let c = reference_gemm(a, b, m, k, n);
+                    for (q, plane) in want.chunks_exact_mut(m * n).enumerate() {
+                        for (idx, w) in plane.iter_mut().enumerate() {
+                            *w = w.wrapping_add(coef[q] * c[idx % m * n + idx / m]);
+                        }
+                    }
+                }
+                for (threads, isa) in [1, 2, 6].into_iter().zip(Isa::supported().iter().cycle()) {
+                    let cfg = ParallelConfig { threads, kc: 16, nc: 8 };
+                    let (mut ws, mut planes) = (GemmWorkspace::new(), vec![i32::MIN; 4 * m * n]);
+                    let mut started = [false; 4];
+                    for ((a, b), coef) in calls.iter().zip(coefs) {
+                        let (pa, pn) = (pack_a(a, m, k), pack_a_narrow(a, m, k));
+                        let pq = PackedAQuads::from_a(a, m, k);
+                        let weights = match tile {
+                            "narrow" => SharedWeights::Narrow(&pn),
+                            "sdot" => SharedWeights::Quads(&pq),
+                            _ => SharedWeights::Wide(&pa),
+                        };
+                        let (planes, null) = (&mut planes, &Tracer::null());
+                        gemm_parallel_cm_weighted(
+                            *isa, &scheme, weights, b, k, n, &cfg, &mut ws, planes, coef,
+                            &mut started, null,
+                        );
+                    }
+                    assert_eq!(started, [true; 4]);
+                    assert_eq!(planes, want, "{tile} m {m} k {k} n {n} x{threads} {isa}");
+                    assert_eq!(ws.c_cm.capacity(), 0, "the planes need no result buffer");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "weights [3] are not 0 or ±2^s")]
+    fn weights_are_zero_or_signed_powers_of_two() {
+        let (a, b) = (random_mat(16, BitWidth::W4, 1), random_mat(16, BitWidth::W4, 2));
+        let pa = pack_a(&a, 4, 4);
+        let (mut ws, mut c) = (GemmWorkspace::new(), vec![0; 16]);
+        let (isa, scheme) = (Isa::host(), Scheme::for_bits(BitWidth::W4));
+        let (weights, cfg) = (SharedWeights::Wide(&pa), ParallelConfig::default());
+        let (c, started, null) = (&mut c, &mut [false], &Tracer::null());
+        gemm_parallel_cm_weighted(
+            isa, &scheme, weights, &b, 4, 4, &cfg, &mut ws, c, [3], started, null,
+        );
+    }
+
+    #[test]
     fn workspace_is_reused_across_calls() {
         let bits = BitWidth::W4;
         let scheme = Scheme::for_bits(bits);
@@ -828,14 +941,14 @@ mod tests {
         let cfg = ParallelConfig { threads: 2, kc: 32, nc: 8 };
         let mut ws = GemmWorkspace::new();
         let want = reference_gemm(&a, &b, m, k, n);
-        for call in 0..4 {
+        let mut footprints = (0..4).map(|call| {
             let c_cm = gemm_parallel_cm(&scheme, SharedWeights::Wide(&pa), &b, k, n, &cfg, &mut ws);
             assert_eq!(col_to_row_major(c_cm, m, n), want, "call {call}");
-        }
-        let stats = ws.stats();
-        assert_eq!(stats.calls, 4);
-        assert_eq!(stats.alloc_events, 1, "only the first call may allocate");
-        assert!(stats.high_water_bytes >= m * n * 4);
+            ws.footprint_bytes()
+        });
+        let first = footprints.next().unwrap();
+        assert!(first >= m * n * 4);
+        assert!(footprints.all(|f| f == first), "only the first call may allocate");
     }
 
     #[test]
@@ -1007,19 +1120,13 @@ mod tests {
             gemm_parallel_cm(&scheme, SharedWeights::Wide(&pa), &b, k, n, &cfg, &mut ws).to_vec();
 
         let (tracer, sink) = lowbit_trace::Tracer::recording();
-        let mut ws2 = GemmWorkspace::new();
-        let traced = gemm_parallel_cm_on(
-            Isa::host(),
-            &scheme,
-            SharedWeights::Wide(&pa),
-            &b,
-            k,
-            n,
-            &cfg,
-            &mut ws2,
-            &tracer,
-        )
-        .to_vec();
+        let (mut ws2, mut traced) = (GemmWorkspace::new(), vec![0; m * n]);
+        let weights = SharedWeights::Wide(&pa);
+        let (c, started) = (&mut traced, &mut [false]);
+        let isa = Isa::host();
+        gemm_parallel_cm_weighted(
+            isa, &scheme, weights, &b, k, n, &cfg, &mut ws2, c, [1], started, &tracer,
+        );
         assert_eq!(traced, plain, "tracing must not change the result");
 
         let cap = sink.capture();

@@ -1,7 +1,8 @@
 //! Reusable GEMM workspace: the scratch memory the parallel driver needs
 //! per call (one packed-B panel per thread, plus the result buffer of the
-//! column-major entry point), owned by the caller so steady-state inference
-//! re-runs the same layer shapes without growing it. What a warm call
+//! unit-weight column-major entry point, which only that entry point
+//! grows), owned by the caller so steady-state inference re-runs the same
+//! layer shapes without growing it. What a warm call
 //! still allocates is small and independent of the shape: on the NCHW
 //! target, the list of per-thread shares and each share's list of
 //! plane-row slices ([`crate::partition_columns`] computes the spans
@@ -11,9 +12,10 @@
 //! track the current call, capacities only ever grow, and only to the
 //! largest length requested (no amortized doubling past it), so a
 //! certified bound on the requested lengths bounds the footprint.
-//! [`WorkspaceStats`] records the capacity high-water mark and counts calls
-//! that grew any buffer (`alloc_events`), so tests can assert that repeated
-//! runs over a fixed layer set stop allocating after the first pass.
+//! [`WorkspaceStats`] records an arena's capacity high-water mark and counts
+//! calls that grew any buffer (`alloc_events`), so tests can assert that
+//! repeated runs over a fixed layer set stop allocating after the first
+//! pass.
 
 /// Allocation bookkeeping for a workspace arena.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -38,22 +40,16 @@ impl WorkspaceStats {
     }
 }
 
-/// Per-thread scratch: the cache-blocked packed-B panel.
-#[derive(Default)]
-pub(crate) struct ThreadScratch {
-    pub(crate) b_panel: Vec<i8>,
-}
-
-/// Caller-owned arena for [`crate::parallel::gemm_parallel_cm`] and
-/// [`crate::parallel::gemm_parallel_nchw_on`].
+/// Caller-owned arena for the parallel driver: one packed-B panel per
+/// thread, and the result that [`crate::parallel::gemm_parallel_cm`]
+/// returns (the other entry points write the caller's target). An owning
+/// arena records its [`WorkspaceStats`] from [`GemmWorkspace::footprint_bytes`].
 #[derive(Default)]
 pub struct GemmWorkspace {
-    /// Column-major `m x n` result (`c_cm[col * m + row]`), so each worker
-    /// thread's column range is one contiguous `&mut [i32]`. Only the
-    /// column-major entry point sizes it; the NCHW one leaves it empty.
+    /// Column-major `m x n` result of the unit-weight entry point.
     pub(crate) c_cm: Vec<i32>,
-    pub(crate) scratch: Vec<ThreadScratch>,
-    stats: WorkspaceStats,
+    /// One cache-blocked packed-B panel per thread.
+    pub(crate) panels: Vec<Vec<i8>>,
 }
 
 impl GemmWorkspace {
@@ -62,41 +58,16 @@ impl GemmWorkspace {
         GemmWorkspace::default()
     }
 
-    /// Allocation statistics accumulated over all calls.
-    pub fn stats(&self) -> WorkspaceStats {
-        self.stats
-    }
-
     /// Current total buffer capacity in bytes.
     pub fn footprint_bytes(&self) -> usize {
-        self.c_cm.capacity() * std::mem::size_of::<i32>()
-            + self
-                .scratch
-                .iter()
-                .map(|s| s.b_panel.capacity())
-                .sum::<usize>()
+        self.c_cm.capacity() * 4 + self.panels.iter().map(Vec::capacity).sum::<usize>()
     }
 
-    /// Sizes the arena for one call: a `c_len` result buffer and at least
-    /// `threads` scratch slots. The result is not cleared (it holds the
-    /// previous call's values): the driver's first K block stores every
-    /// element.
-    pub(crate) fn prepare(&mut self, threads: usize, c_len: usize) {
-        self.prepare_scratch(threads);
-        self.c_cm.reserve_exact(c_len.saturating_sub(self.c_cm.len()));
-        self.c_cm.resize(c_len, 0);
-    }
-
-    /// Ensures at least `threads` scratch slots.
-    pub(crate) fn prepare_scratch(&mut self, threads: usize) {
-        if self.scratch.len() < threads {
-            self.scratch.resize_with(threads, ThreadScratch::default);
+    /// Ensures at least `threads` panels.
+    pub(crate) fn prepare_panels(&mut self, threads: usize) {
+        if self.panels.len() < threads {
+            self.panels.resize_with(threads, Vec::new);
         }
-    }
-
-    /// Records one served call given the footprint measured before it.
-    pub(crate) fn note_call(&mut self, footprint_before: usize) {
-        self.stats.note_call(footprint_before, self.footprint_bytes());
     }
 }
 
@@ -107,23 +78,26 @@ mod tests {
     #[test]
     fn stats_track_growth_and_steady_state() {
         let mut ws = GemmWorkspace::new();
+        let mut stats = WorkspaceStats::default();
         let before = ws.footprint_bytes();
-        ws.prepare(2, 100);
-        ws.scratch[0].b_panel.resize(64, 0);
-        ws.note_call(before);
-        assert_eq!(ws.stats().calls, 1);
-        assert_eq!(ws.stats().alloc_events, 1);
-        let hw = ws.stats().high_water_bytes;
+        ws.c_cm.resize(100, 0);
+        ws.prepare_panels(2);
+        ws.panels[0].resize(64, 0);
+        stats.note_call(before, ws.footprint_bytes());
+        assert_eq!(stats.calls, 1);
+        assert_eq!(stats.alloc_events, 1);
+        let hw = stats.high_water_bytes;
         assert!(hw >= 100 * 4 + 64);
 
         // Same-size call: no growth, high-water unchanged.
         let before = ws.footprint_bytes();
-        ws.prepare(2, 80);
-        ws.scratch[0].b_panel.clear();
-        ws.scratch[0].b_panel.resize(64, 0);
-        ws.note_call(before);
-        assert_eq!(ws.stats().calls, 2);
-        assert_eq!(ws.stats().alloc_events, 1, "steady state must not allocate");
-        assert_eq!(ws.stats().high_water_bytes, hw);
+        ws.c_cm.resize(80, 0);
+        ws.prepare_panels(2);
+        ws.panels[0].clear();
+        ws.panels[0].resize(64, 0);
+        stats.note_call(before, ws.footprint_bytes());
+        assert_eq!(stats.calls, 2);
+        assert_eq!(stats.alloc_events, 1, "steady state must not allocate");
+        assert_eq!(stats.high_water_bytes, hw);
     }
 }

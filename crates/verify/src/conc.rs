@@ -95,16 +95,14 @@ impl GemmFootprint {
             // The GEMM family: the im2col matrix and the B panels.
             (Some(_), _) => ArenaRequirement {
                 col: k * n,
-                c_cm: 4 * m * n,
                 panels: max_panel_bytes(k, n),
                 ..ArenaRequirement::default()
             },
-            // The transformed input, the four output planes, and each tile
-            // span's position-GEMM result and panel.
+            // The transformed input, the four output planes the position
+            // GEMMs add into, and each tile span's B panel.
             (None, ArmAlgo::Winograd) => ArenaRequirement {
                 wg_v: 16 * k * n,
                 wg_planes: 16 * m * n,
-                wg_c_cm: 4 * m * n,
                 wg_panels: max_panel_bytes(k, n),
                 ..ArenaRequirement::default()
             },

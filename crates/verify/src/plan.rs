@@ -33,13 +33,13 @@
 //!    which must sit inside the range the *stream* proofs assumed for that
 //!    layer's bit width (Winograd layers additionally re-check the paper's
 //!    4x input-transform inflation against the live interval).
-//! 4. **Workspace certification** — a sound upper bound on the arena each
-//!    ARM layer grows (im2col matrix, per-thread packed-B panels maximized
-//!    over every legal thread count, Winograd's transform buffers) is
-//!    recomputed from the blocking constants the engine really uses, and the
-//!    plan's declared per-layer and whole-plan high-water figures must
-//!    dominate it. The bound still counts a column-major GEMM result that
-//!    the GEMM layers no longer allocate (see [`ArenaRequirement::c_cm`]).
+//! 4. **Workspace certification** — the arena each ARM layer grows
+//!    (im2col matrix, per-thread packed-B panels maximized over every legal
+//!    thread count, Winograd's transformed input, output planes and
+//!    position-GEMM panels) is recomputed from the blocking constants the
+//!    engine really uses, and the plan's declared per-layer and whole-plan
+//!    high-water figures must dominate it. For one layer the bound is exact:
+//!    the largest real footprint over the thread counts.
 //! 5. **Activation arena** — simultaneously-live values occupy disjoint
 //!    byte spans, and the declared activation high-water dominates them.
 //!
@@ -528,18 +528,14 @@ impl std::fmt::Display for PlanViolation {
     }
 }
 
-/// The shared arena's per-buffer byte requirement for one layer. The arena
-/// is reused across a plan's layers, so the whole-plan high-water is the
-/// *component-wise* maximum summed — not the max of per-layer totals.
+/// The shared arena's per-buffer byte requirement for one layer, one term
+/// per buffer its kernels grow. The arena is reused across a plan's layers,
+/// so the whole-plan high-water is the *component-wise* maximum summed —
+/// not the max of per-layer totals.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct ArenaRequirement {
     /// im2col matrix bytes (`K x N` i8).
     pub col: usize,
-    /// Column-major parallel-GEMM result bytes (`4 * M * N`). The engine's
-    /// GEMM conv path (wide, narrow and SDOT tiles) stores into its output
-    /// tensor and allocates no such buffer, so this term is slack but sound;
-    /// it stays until the plan goldens are next regenerated.
-    pub c_cm: usize,
     /// Per-thread packed-B panel bytes, maximized over every legal thread
     /// count the engine accepts.
     pub panels: usize,
@@ -547,9 +543,6 @@ pub struct ArenaRequirement {
     pub wg_v: usize,
     /// Winograd output-plane bytes (four `c_out x tiles` i32 planes).
     pub wg_planes: usize,
-    /// Winograd position-GEMM result bytes, summed over the tile spans
-    /// (`4 * c_out * tiles`).
-    pub wg_c_cm: usize,
     /// Winograd position-GEMM packed-B panel bytes, summed over the tile
     /// spans and maximized over every legal thread count.
     pub wg_panels: usize,
@@ -558,24 +551,16 @@ pub struct ArenaRequirement {
 impl ArenaRequirement {
     /// Total bytes this layer needs from the arena.
     pub fn total(&self) -> usize {
-        self.col
-            + self.c_cm
-            + self.panels
-            + self.wg_v
-            + self.wg_planes
-            + self.wg_c_cm
-            + self.wg_panels
+        self.col + self.panels + self.wg_v + self.wg_planes + self.wg_panels
     }
 
     /// Component-wise maximum (the arena's growth rule across layers).
     pub fn max(self, o: ArenaRequirement) -> ArenaRequirement {
         ArenaRequirement {
             col: self.col.max(o.col),
-            c_cm: self.c_cm.max(o.c_cm),
             panels: self.panels.max(o.panels),
             wg_v: self.wg_v.max(o.wg_v),
             wg_planes: self.wg_planes.max(o.wg_planes),
-            wg_c_cm: self.wg_c_cm.max(o.wg_c_cm),
             wg_panels: self.wg_panels.max(o.wg_panels),
         }
     }
@@ -1782,67 +1767,78 @@ mod tests {
     }
 
     /// The certified arena bound must dominate what the real kernels
-    /// allocate, at every thread count, for every GEMM-family path — and be
-    /// exact for the single-layer case (no slack hiding in the formula).
+    /// allocate, at every thread count, for every GEMM-family path and for
+    /// Winograd at W2, W4 and W6 (wide and narrow position tiles) — and be
+    /// exact for the single-layer case: the largest real footprint over the
+    /// thread counts equals it (no slack hiding in the formula).
     #[test]
     fn certified_workspace_dominates_real_arena_growth() {
         let shapes = [
             ConvShape::new(1, 5, 9, 7, 11, 3, 2, 1),
             ConvShape::new(2, 4, 10, 10, 8, 3, 1, 1),
             ConvShape::new(1, 8, 5, 5, 16, 1, 1, 0),
+            ConvShape::new(1, 7, 13, 9, 19, 3, 1, 1),
         ];
-        let bits = BitWidth::W8;
         for shape in &shapes {
-            let input = QTensor::random(
-                (shape.batch, shape.c_in, shape.h, shape.w),
-                Layout::Nchw,
-                bits,
-                3,
-            );
-            let weights = QTensor::random(
-                (shape.c_out, shape.c_in, shape.kh, shape.kw),
-                Layout::Nchw,
-                bits,
-                4,
-            );
-            let (w, m, k) = (weights.data(), shape.gemm_m(), shape.gemm_k());
+            let input = |bits, seed| {
+                let dims = (shape.batch, shape.c_in, shape.h, shape.w);
+                QTensor::random(dims, Layout::Nchw, bits, seed)
+            };
+            let weights = |bits, seed| {
+                let dims = (shape.c_out, shape.c_in, shape.kh, shape.kw);
+                QTensor::random(dims, Layout::Nchw, bits, seed)
+            };
+            let w8 = weights(BitWidth::W8, 4);
+            let (w, m, k) = (w8.data(), shape.gemm_m(), shape.gemm_k());
             // Each packing runs its kernel's own scheme; the ncnn baseline
             // runs the narrow tile's packing under its own.
             let narrow = || PackedWeights::Narrow(pack_a_narrow(w, m, k));
-            let packings = [
+            let mut runs = vec![
                 (ArmAlgo::Gemm, PackedWeights::Wide(pack_a(w, m, k))),
                 (ArmAlgo::GemmNarrow, narrow()),
                 (ArmAlgo::GemmSdot, PackedWeights::Quads(PackedAQuads::from_a(w, m, k))),
                 (ArmAlgo::NcnnBaseline, narrow()),
-            ];
-            for (kind, pa) in &packings {
+            ]
+            .into_iter()
+            .map(|(kind, pa)| (kind, BitWidth::W8, pa))
+            .collect::<Vec<_>>();
+            for bits in [BitWidth::W2, BitWidth::W4, BitWidth::W6] {
+                if ArmAlgo::Winograd.applies(bits, shape) {
+                    let pa = PackedWeights::pack(&weights(bits, 6), ArmAlgo::Winograd, bits);
+                    runs.push((ArmAlgo::Winograd, bits, pa.expect("Winograd packs")));
+                }
+            }
+            for (kind, bits, pa) in &runs {
                 let bound = arm_workspace_requirement(shape, *kind).total();
-                let scheme = kind.scheme(bits);
-                for threads in [1, 2, 4, 16] {
+                let (input, scheme) = (input(*bits, 3), kind.scheme(*bits));
+                let footprints = (1..=MAX_THREADS).map(|threads| {
                     let cfg = ParallelConfig::with_threads(threads);
                     let mut ws = ConvWorkspace::new();
                     gemm_conv_ws(&input, pa, &scheme, shape, &cfg, &mut ws, &Tracer::null());
-                    assert!(
-                        ws.footprint_bytes() <= bound,
-                        "{kind:?} {shape} x{threads}: {} > {bound}",
-                        ws.footprint_bytes()
-                    );
-                }
+                    let real = ws.footprint_bytes();
+                    assert!(real <= bound, "{kind:?} {bits} {shape} x{threads}: {real} > {bound}");
+                    real
+                });
+                let largest = footprints.max().unwrap();
+                assert_eq!(largest, bound, "{kind:?} {bits} {shape}: the bound is not exact");
             }
         }
     }
 
     #[test]
     fn high_water_is_component_wise_not_total_max() {
-        // One im2col-heavy layer + one result-heavy layer: the arena keeps
+        // One im2col-heavy layer + one panel-heavy layer: the arena keeps
         // the max of each buffer, so the certified bound exceeds either
-        // layer's own total.
-        let a = ConvShape::new(1, 32, 16, 16, 4, 3, 1, 1); // big K -> big col
-        let b = ConvShape::new(1, 4, 16, 16, 64, 1, 1, 0); // big M -> big c_cm
+        // layer's own total. Past kc = 384 a longer K grows the im2col
+        // matrix but not the panels; a wider N grows the panels.
+        let a = ConvShape::new(1, 64, 16, 16, 4, 3, 1, 1); // K 576 -> big col
+        let b = ConvShape::new(1, 384, 16, 20, 4, 1, 1, 0); // N 320 -> big panels
+        let req = |shape| arm_workspace_requirement(&shape, ArmAlgo::Gemm);
+        let (ra, rb) = (req(a), req(b));
+        assert!(ra.col > rb.col && rb.panels > ra.panels, "{ra:?} vs {rb:?}");
         let layers = vec![gemm_layer("a", a, false), gemm_layer("b", b, false)];
         let hw = high_water(&layers);
-        let ta = arm_workspace_requirement(&a, ArmAlgo::Gemm).total();
-        let tb = arm_workspace_requirement(&b, ArmAlgo::Gemm).total();
+        let (ta, tb) = (ra.total(), rb.total());
         assert!(hw > ta.max(tb), "{hw} vs {ta}/{tb}");
         assert!(hw <= ta + tb);
     }

@@ -119,7 +119,7 @@ fn published_fingerprint_and_certificate_are_pinned() {
     let engine = ArmEngine::cortex_a53();
     let plan = Planner::for_arm(&engine).with_parallel_nodes(true).compile(&net).unwrap();
     let schedule = plan.parallel_schedule().expect("parallel plans carry a certificate");
-    assert_eq!(schedule.certificate, 0x170f_bf05_0fb6_b211);
+    assert_eq!(schedule.certificate, 0xe1e2_d237_a012_f5fd);
     assert_eq!(lowbit::verify_conc_compiled(&plan).unwrap().certificate, schedule.certificate);
 }
 
