@@ -12,6 +12,7 @@
 //! cargo run --release -p lowbit-bench --bin lowbit-plan -- --json
 //! cargo run --release -p lowbit-bench --bin lowbit-plan -- --check tests/golden/plan_demo.json
 //! cargo run --release -p lowbit-bench --bin lowbit-plan -- --model dense-block --check tests/golden/plan_dense_block.json
+//! cargo run --release -p lowbit-bench --bin lowbit-plan -- --model residual-block --hw 56 --check tests/golden/plan_residual_block.json
 //! ```
 
 use lowbit::prelude::*;
@@ -103,8 +104,8 @@ fn main() {
     };
     let json = plan.to_json();
 
-    if let Some(golden_path) = args.check {
-        let golden = std::fs::read_to_string(&golden_path).unwrap_or_else(|e| {
+    if let Some(golden_path) = &args.check {
+        let golden = std::fs::read_to_string(golden_path).unwrap_or_else(|e| {
             eprintln!("cannot read golden file {golden_path}: {e}");
             std::process::exit(2);
         });
@@ -122,9 +123,10 @@ fn main() {
         if gl != nl {
             eprintln!("line counts differ: golden {gl}, current {nl}");
         }
+        let Args { model, bits, hw, seed, backend, .. } = &args;
         eprintln!(
-            "\nif the change is intended, regenerate with:\n  cargo run --release -p lowbit-bench --bin lowbit-plan -- --model {} --json > {golden_path}",
-            args.model
+            "\nif the change is intended, regenerate with:\n  cargo run --release -p lowbit-bench --bin lowbit-plan -- --model {model} --bits {} --hw {hw} --seed {seed} --backend {backend} --json > {golden_path}",
+            bits.bits()
         );
         std::process::exit(1);
     }

@@ -13,8 +13,8 @@
 //!   and [`explicit_gemm_schedule`] prices any GEMM micro-kernel inside it,
 //! * [`winograd`] — the integer `F(2x2, 3x3)` fast path for 3x3/stride-1
 //!   layers at ≤ 6 bit (Sec. 3.4): weights transformed once into
-//!   [`WinogradWeights`], then [`winograd_conv_ws`] on the shared arena and
-//!   the GEMM driver,
+//!   [`WinogradWeights`], then run by [`gemm_conv_ws`] on the shared arena
+//!   and the GEMM driver,
 //! * [`bitserial`] — the TVM-like popcount (bit-serial) 2-bit baseline
 //!   (Fig. 9),
 //! * [`range_analysis`] — computed Winograd transform ranges, deriving the
@@ -22,7 +22,8 @@
 //! * [`workspace`] — the engine's steady-state convolution: one entry
 //!   point, [`gemm_conv_ws`], runs any of the three GEMM micro-kernels or
 //!   Winograd from [`PackedWeights`] packed once per layer, with every
-//!   intermediate buffer in a reusable [`ConvWorkspace`] arena.
+//!   intermediate buffer in a reusable [`ConvWorkspace`] arena of three
+//!   buffers that both families share.
 //!
 //! Every kernel returns a [`ConvOutput`]: the exact i32 accumulator tensor in
 //! NCHW plus the analytic [`neon_sim::KernelSchedule`] that prices the whole
@@ -56,8 +57,8 @@ pub use bitserial::{bitserial_conv, schedule_bitserial_conv};
 pub use direct::{direct_conv, schedule_direct_conv};
 pub use gemm_conv::{explicit_gemm_schedule, gemm_conv, schedule_gemm_conv};
 pub use winograd::{
-    schedule_winograd_conv, winograd_conv, winograd_conv_ws, winograd_operand_bounds,
-    winograd_scheme, winograd_supported, WinogradWeights,
+    schedule_winograd_conv, winograd_conv, winograd_operand_bounds, winograd_scheme,
+    winograd_supported, WinogradWeights,
 };
 pub use workspace::{
     gemm_conv_ws, parallel_cycle_split, prepack_fingerprint, ConvWorkspace, PackedWeights,

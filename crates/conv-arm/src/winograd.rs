@@ -33,9 +33,12 @@
 //!
 //! On the host the two phases are separate calls: [`WinogradWeights::pack`]
 //! transforms and packs the weights once (the engine's prepack cache holds
-//! the result), and [`winograd_conv_ws`] runs the input transform, the 16
-//! position GEMMs on `lowbit_qgemm::parallel` and the NCHW scatter over a
-//! reusable [`ConvWorkspace`]. The output transform `Aᵀ M A` is linear in
+//! the result), and [`crate::gemm_conv_ws`] on those weights runs the input
+//! transform, the 16 position GEMMs on `lowbit_qgemm::parallel` and the
+//! NCHW scatter over a reusable [`ConvWorkspace`], in the same three
+//! buffers as the GEMM family: the transformed input is the layer's B
+//! operand, and each tile span's position GEMMs pack into its slice of the
+//! B panels. The output transform `Aᵀ M A` is linear in
 //! each position's result `M`, so it has no pass of its own: each position
 //! GEMM adds its weighted micro-tiles straight into the four output planes
 //! as it stores them (`gemm_parallel_cm_weighted`).
@@ -45,8 +48,9 @@
 use crate::workspace::{ConvWorkspace, PackedWeights};
 use crate::{ArmAlgo, ConvOutput};
 use lowbit_isa::Isa;
-use lowbit_qgemm::parallel::{fan_out, gemm_parallel_cm_weighted, worker_track, ParallelConfig};
-use lowbit_qgemm::{partition_columns, ColumnSpan, GemmWorkspace, Scheme, SchemeKind, TileKind};
+use lowbit_qgemm::parallel::{fan_out, gemm_parallel_cm_weighted, panel_len, panels_len};
+use lowbit_qgemm::parallel::{worker_track, ParallelConfig};
+use lowbit_qgemm::{grow_exact, partition_columns, ColumnSpan, Scheme, SchemeKind, TileKind};
 use lowbit_tensor::{BitWidth, ConvShape, Layout, QTensor, Tensor};
 use lowbit_trace::{Tracer, MAIN_TRACK};
 use neon_sim::{InstCounts, KernelSchedule, StageCost};
@@ -232,42 +236,6 @@ impl WinogradWeights {
     }
 }
 
-/// Winograd's buffers in the [`ConvWorkspace`] arena, each carved into one
-/// block per tile span (the partition of the tiles across threads).
-#[derive(Default)]
-pub(crate) struct WinogradScratch {
-    /// Transformed input: per span, 16 row-major `c_in x cols` matrices.
-    v: Vec<i8>,
-    /// Output planes: per span, 4 column-major `c_out x cols` i32 matrices,
-    /// which the position GEMMs add into.
-    planes: Vec<i32>,
-    /// Per span, the packed-B panel of its position GEMMs (they keep no
-    /// result buffer).
-    gemm: Vec<GemmWorkspace>,
-}
-
-impl WinogradScratch {
-    /// Current total buffer capacity in bytes.
-    pub(crate) fn footprint_bytes(&self) -> usize {
-        self.v.capacity()
-            + self.planes.capacity() * std::mem::size_of::<i32>()
-            + self.gemm.iter().map(GemmWorkspace::footprint_bytes).sum::<usize>()
-    }
-
-    /// Sizes the buffers for one call; capacities grow to exactly the
-    /// largest request. Neither buffer is cleared: the transform writes all
-    /// of `v`, and the position GEMMs store each plane's first term.
-    fn prepare(&mut self, spans: usize, v_len: usize, planes_len: usize) {
-        self.v.reserve_exact(v_len.saturating_sub(self.v.len()));
-        self.v.resize(v_len, 0);
-        self.planes.reserve_exact(planes_len.saturating_sub(self.planes.len()));
-        self.planes.resize(planes_len, 0);
-        if self.gemm.len() < spans {
-            self.gemm.resize_with(spans, GemmWorkspace::new);
-        }
-    }
-}
-
 /// Tiles per input-transform block: bounds the stack buffers of
 /// [`transform_input`].
 const TRANSFORM_BLOCK: usize = 64;
@@ -360,8 +328,9 @@ fn scatter(planes: &[i32], shape: &ConvShape, span: ColumnSpan, shift: u32, out:
 }
 
 /// One tile span's share of the arena, carved on the caller: its span,
-/// trace track, `v` and `planes` blocks, and GEMM workspace.
-type SpanShare<'w> = (ColumnSpan, u32, &'w mut [i8], &'w mut [i32], &'w mut GemmWorkspace);
+/// trace track, and its blocks of the transformed input `v`, the output
+/// planes and the B panels.
+type SpanShare<'w> = (ColumnSpan, u32, &'w mut [i8], &'w mut [i32], &'w mut [i8]);
 
 /// Everything one tile span's worker reads.
 struct SpanJob<'a> {
@@ -378,7 +347,7 @@ impl SpanJob<'_> {
     /// Input transform, then the 16 position GEMMs, each adding its
     /// output-transform terms straight into the span's planes, recorded on
     /// the span's track.
-    fn run(&self, (span, track, v, planes, gemm): SpanShare<'_>) {
+    fn run(&self, (span, track, v, planes, panel): SpanShare<'_>) {
         let (isa, tracer) = (self.isa, self.tracer);
         let mut worker_span = tracer.span("winograd worker", track);
         worker_span.set_label(|| format!("tiles [{}..{}) {isa}", span.col0, span.end()));
@@ -397,7 +366,7 @@ impl SpanJob<'_> {
             let _s = tracer.span("wg gemm", track);
             let (pw, cfg, null) = (pw.operand(), &self.cfg, &Tracer::null());
             gemm_parallel_cm_weighted(
-                isa, &scheme, pw, v_p, k, cols, cfg, gemm, planes, coef, &mut started, null,
+                isa, &scheme, pw, v_p, k, cols, cfg, panel, planes, coef, &mut started, null,
             );
         }
     }
@@ -416,7 +385,9 @@ impl SpanJob<'_> {
 /// stages on one thread through [`lowbit_qgemm::parallel::fan_out`], the
 /// first span on the caller; the output is bit-identical for every thread
 /// count. Input bits above the transform width of `weights` are rejected.
-pub fn winograd_conv_ws(
+/// The engine reaches it through [`crate::gemm_conv_ws`], which records
+/// the call in the arena's stats.
+pub(crate) fn winograd_conv_ws(
     input: &QTensor,
     weights: &WinogradWeights,
     shape: &ConvShape,
@@ -447,11 +418,8 @@ pub(crate) fn winograd_conv_ws_on(
     let bits = weights.bits;
     assert!(input.bits() <= bits, "input wider than the transform width {bits}");
 
-    let before = ws.footprint_bytes();
     let tiles = shape.winograd_tiles();
     let spans = partition_columns(tiles, cfg.threads);
-    let wg = &mut ws.wg;
-    wg.prepare(spans.len(), 16 * k * tiles, 4 * m * tiles);
     let job = SpanJob {
         isa,
         input: input.data(),
@@ -461,15 +429,20 @@ pub(crate) fn winograd_conv_ws_on(
         tracer,
     };
     // Carve each span's blocks off the front of the arena buffers and
-    // register its track, on the calling thread in span order.
-    let (mut v, mut planes) = (&mut wg.v[..], &mut wg.planes[..]);
-    let shares = spans.clone().zip(wg.gemm.iter_mut()).filter(|(span, _)| span.cols > 0);
-    let shares = shares.map(|(span, gemm)| {
+    // register its track, on the calling thread in span order. Nothing is
+    // cleared: the transform writes all of `v`, the position GEMMs store
+    // each plane's first term, and each packs every panel byte it reads.
+    let mut v = grow_exact(&mut ws.b, 16 * k * tiles);
+    let mut planes = grow_exact(&mut ws.planes, 4 * m * tiles);
+    let mut panels = grow_exact(&mut ws.panels, panels_len(k, tiles, cfg));
+    let shares = spans.clone().filter(|span| span.cols > 0).map(|span| {
         let (v_t, rest) = std::mem::take(&mut v).split_at_mut(16 * k * span.cols);
         v = rest;
         let (planes_t, rest) = std::mem::take(&mut planes).split_at_mut(4 * m * span.cols);
         planes = rest;
-        (span, worker_track(tracer, "winograd worker", &span), v_t, planes_t, gemm)
+        let (panel, rest) = std::mem::take(&mut panels).split_at_mut(panel_len(k, span.cols, cfg));
+        panels = rest;
+        (span, worker_track(tracer, "winograd worker", &span), v_t, planes_t, panel)
     });
     fan_out(shares, |share| job.run(share));
 
@@ -477,7 +450,7 @@ pub(crate) fn winograd_conv_ws_on(
     let mut acc = vec![0i32; shape.output_len()];
     {
         let _span = tracer.span("wg scatter nchw", MAIN_TRACK);
-        let mut planes = &wg.planes[..];
+        let mut planes = &ws.planes[..];
         for span in spans.filter(|s| s.cols > 0) {
             let (planes_t, rest) = planes.split_at(4 * m * span.cols);
             planes = rest;
@@ -487,7 +460,6 @@ pub(crate) fn winograd_conv_ws_on(
             );
         }
     }
-    ws.note_call(before);
     let (oh, ow) = (shape.out_h(), shape.out_w());
     Tensor::from_vec((shape.batch, m, oh, ow), Layout::Nchw, acc)
 }
@@ -788,14 +760,16 @@ mod tests {
         let weights = QTensor::random((7, 5, 3, 3), Layout::Nchw, BitWidth::W5, 42);
         let one_shot = winograd_conv(&input, &weights, &shape);
         assert_eq!(one_shot.acc.data(), per_tile_oracle(&input, &weights, &shape).data());
-        let packed = WinogradWeights::pack(&weights, BitWidth::W5);
-        let cfg = ParallelConfig::with_threads(3);
+        let packed = PackedWeights::pack(&weights, ArmAlgo::Winograd, BitWidth::W5).unwrap();
+        let (cfg, scheme) = (ParallelConfig::with_threads(3), winograd_scheme(BitWidth::W5));
         let mut ws = ConvWorkspace::new();
-        let _ = winograd_conv_ws(&input, &packed, &shape, &cfg, &mut ws, &Tracer::null());
+        let run = |ws: &mut ConvWorkspace| {
+            crate::gemm_conv_ws(&input, &packed, &scheme, &shape, &cfg, ws, &Tracer::null())
+        };
+        let _ = run(&mut ws);
         let warm = ws.stats();
         for _ in 0..3 {
-            let acc = winograd_conv_ws(&input, &packed, &shape, &cfg, &mut ws, &Tracer::null());
-            assert_eq!(acc.data(), one_shot.acc.data());
+            assert_eq!(run(&mut ws).data(), one_shot.acc.data());
         }
         assert_eq!(ws.stats().alloc_events, warm.alloc_events, "steady state allocated");
         assert_eq!(ws.stats().calls, warm.calls + 3);

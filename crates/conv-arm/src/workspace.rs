@@ -8,9 +8,9 @@
 //! * the weights arrive packed once per layer as a [`PackedWeights`] value
 //!   (the engine's prepack cache holds them), so no call pays `pack A` —
 //!   nor, for Winograd, the weight transform;
-//! * the im2col matrix, the per-thread packed-B panels and Winograd's
-//!   transform buffers live in one reusable arena, which stops growing
-//!   after a warm-up pass over a network's layer shapes. What a warm call
+//! * both families share one reusable arena of three buffers (B operand,
+//!   B panels, Winograd's output planes), which stops growing after a
+//!   warm-up pass over a network's layer shapes. What a warm call
 //!   still allocates does not grow with the layer: the returned output
 //!   tensor, and on the GEMM kernels the NCHW share list and one row-slice
 //!   list per working thread; on Winograd, its output buffer and, above
@@ -24,11 +24,11 @@
 //!   ([`ArmAlgo::scheme`]), on the narrow tile's packed weights.
 
 use crate::algo::ArmAlgo;
-use crate::winograd::{winograd_conv_ws, WinogradScratch, WinogradWeights};
+use crate::winograd::{winograd_conv_ws, WinogradWeights};
 use lowbit_isa::Isa;
 use lowbit_qgemm::narrow::pack_a_narrow;
-use lowbit_qgemm::parallel::{gemm_parallel_nchw_on, ParallelConfig, SharedWeights};
-use lowbit_qgemm::workspace::{GemmWorkspace, WorkspaceStats};
+use lowbit_qgemm::parallel::{gemm_parallel_nchw_on, panels_len, ParallelConfig, SharedWeights};
+use lowbit_qgemm::workspace::{grow_exact, WorkspaceStats};
 use lowbit_qgemm::{pack_a, PackedA, PackedANarrow, PackedAQuads, Scheme, TileKind};
 use lowbit_tensor::{
     im2col_nchw_into, BitWidth, ConvShape, Fnv1a, Im2colMatrix, Layout, QTensor, Tensor,
@@ -141,15 +141,19 @@ pub fn prepack_fingerprint(weights: &QTensor, algo: ArmAlgo, bits: BitWidth) -> 
     Some(h.0)
 }
 
-/// Caller-owned scratch for [`gemm_conv_ws`]: the im2col matrix, the
-/// parallel-GEMM arena (B panels only: every GEMM kernel stores into the
-/// output tensor), and Winograd's transformed input, output planes and
-/// per-span B panels (its position GEMMs add into the planes).
+/// Caller-owned scratch for [`gemm_conv_ws`]: three flat buffers that the
+/// GEMM family and Winograd use alike, so a plan that mixes the two grows
+/// each to its largest layer. No buffer holds a GEMM result.
 #[derive(Default)]
 pub struct ConvWorkspace {
-    col: Im2colMatrix,
-    gemm: GemmWorkspace,
-    pub(crate) wg: WinogradScratch,
+    /// The layer's B operand: the im2col matrix, or per tile span
+    /// Winograd's 16 row-major `c_in x cols` transformed-input matrices.
+    pub(crate) b: Vec<i8>,
+    /// One `panel_len` B panel per GEMM worker or Winograd tile span (span
+    /// `t` runs on thread `t`), carved off the front with `split_at_mut`.
+    pub(crate) panels: Vec<i8>,
+    /// Per Winograd tile span, four column-major `c_out x cols` planes.
+    pub(crate) planes: Vec<i32>,
     stats: WorkspaceStats,
 }
 
@@ -166,13 +170,7 @@ impl ConvWorkspace {
 
     /// Current total buffer capacity in bytes.
     pub fn footprint_bytes(&self) -> usize {
-        self.col.data.capacity()
-            + self.gemm.footprint_bytes()
-            + self.wg.footprint_bytes()
-    }
-
-    pub(crate) fn note_call(&mut self, footprint_before: usize) {
-        self.stats.note_call(footprint_before, self.footprint_bytes());
+        self.b.capacity() + self.panels.capacity() + self.planes.capacity() * 4
     }
 }
 
@@ -183,14 +181,16 @@ impl ConvWorkspace {
 /// wider of the two operand bit widths: the paper's scheme for that width,
 /// or [`Scheme::ncnn16`] on narrow weights for the ncnn baseline (the SDOT
 /// kernel has no drain machinery and ignores it; Winograd weights carry
-/// their own width and run [`winograd_conv_ws`]). Every GEMM kernel runs
+/// their own width and run Winograd's transform and position GEMMs on the
+/// same arena). Every GEMM kernel runs
 /// across `cfg`'s threads, recording onto per-worker tracks after an
 /// `im2col` span, and stores each micro-tile straight into the returned
 /// NCHW tensor: the output channels are the GEMM rows and the
 /// `batch * oh * ow` columns run image by image.
 ///
 /// The call never pays `pack A`; its analytic price is the one-shot
-/// pipeline schedule without that stage.
+/// pipeline schedule without that stage. It is the arena's one entry
+/// point: it records each call in the arena's [`WorkspaceStats`].
 pub fn gemm_conv_ws(
     input: &QTensor,
     pa: &PackedWeights,
@@ -200,24 +200,30 @@ pub fn gemm_conv_ws(
     ws: &mut ConvWorkspace,
     tracer: &Tracer,
 ) -> Tensor<i32> {
-    if let PackedWeights::Winograd(w) = pa {
-        return winograd_conv_ws(input, w, shape, cfg, ws, tracer);
-    }
-    let weights = pa.operand();
-    let (m, k, n) = (weights.m(), weights.k(), shape.gemm_n());
-    assert_eq!(m, shape.gemm_m(), "packed weights disagree with shape on M");
-    assert_eq!(k, shape.gemm_k(), "packed weights disagree with shape on K");
     let before = ws.footprint_bytes();
-    {
-        let mut span = tracer.span("im2col", MAIN_TRACK);
-        span.set_label(|| format!("{k}x{n}"));
-        im2col_nchw_into(input, shape, &mut ws.col);
-    }
-    let (oh, ow) = (shape.out_h(), shape.out_w());
-    let mut acc = Tensor::zeros((shape.batch, m, oh, ow), Layout::Nchw);
-    let (isa, b, gemm, out) = (Isa::host(), &ws.col.data, &mut ws.gemm, acc.data_mut());
-    gemm_parallel_nchw_on(isa, scheme, weights, b, k, n, oh * ow, cfg, gemm, out, tracer);
-    ws.note_call(before);
+    let acc = match pa {
+        PackedWeights::Winograd(w) => winograd_conv_ws(input, w, shape, cfg, ws, tracer),
+        _ => {
+            let weights = pa.operand();
+            let (m, k, n) = (weights.m(), weights.k(), shape.gemm_n());
+            assert_eq!(m, shape.gemm_m(), "packed weights disagree with shape on M");
+            assert_eq!(k, shape.gemm_k(), "packed weights disagree with shape on K");
+            {
+                let mut span = tracer.span("im2col", MAIN_TRACK);
+                span.set_label(|| format!("{k}x{n}"));
+                let mut col = Im2colMatrix { k, n, data: std::mem::take(&mut ws.b) };
+                im2col_nchw_into(input, shape, &mut col);
+                ws.b = col.data;
+            }
+            let (oh, ow) = (shape.out_h(), shape.out_w());
+            let mut acc = Tensor::zeros((shape.batch, m, oh, ow), Layout::Nchw);
+            let (isa, panels) = (Isa::host(), grow_exact(&mut ws.panels, panels_len(k, n, cfg)));
+            let (b, out) = (&ws.b, acc.data_mut());
+            gemm_parallel_nchw_on(isa, scheme, weights, b, k, n, oh * ow, cfg, panels, out, tracer);
+            acc
+        }
+    };
+    ws.stats.note_call(before, ws.footprint_bytes());
     acc
 }
 
@@ -356,19 +362,16 @@ mod tests {
         );
         assert_eq!(steady.high_water_bytes, warm.high_water_bytes);
         // Both GEMMs store into the output tensor: the arena holds the
-        // im2col matrix and one B panel per thread, no `m x n` result and
-        // no SDOT buffer.
-        let panel_bytes: usize = (0..cfg.threads)
-            .map(|t| {
-                let panel = |shape: &ConvShape| {
-                    let span = partition_columns(shape.gemm_n(), cfg.threads).nth(t).unwrap();
-                    let tiles = span.cols.div_ceil(NB);
-                    tiles.min(cfg.nc / NB) * NB * shape.gemm_k().min(cfg.kc)
-                };
-                shapes.iter().map(panel).max().unwrap_or(0)
-            })
-            .sum();
-        assert_eq!(steady.high_water_bytes, ws.col.data.capacity() + panel_bytes);
+        // largest im2col matrix and one buffer of per-thread B panels sized
+        // for the largest layer, no `m x n` result and no SDOT buffer.
+        let panels = |shape: &ConvShape| -> usize {
+            let (k, nc_tiles) = (shape.gemm_k().min(cfg.kc), cfg.nc / NB);
+            let spans = partition_columns(shape.gemm_n(), cfg.threads);
+            spans.map(|span| span.cols.div_ceil(NB).min(nc_tiles) * NB * k).sum()
+        };
+        let col = shapes.iter().map(|s| s.gemm_k() * s.gemm_n()).max().unwrap_or(0);
+        let panels = shapes.iter().map(panels).max().unwrap_or(0);
+        assert_eq!(steady.high_water_bytes, col + panels);
     }
 
     #[test]

@@ -34,14 +34,16 @@
 //!   unnecessary on newer cores (extension; Sec. 2.3's forward pointer),
 //! * [`parallel`] — the one tiled driver of the wide, narrow and SDOT
 //!   kernels, and the only host loop over GEMM tiles: column spans over N
-//!   with per-span cache-blocked B panels, register blocks of A tiles
+//!   with per-span cache-blocked B panels carved off one caller buffer
+//!   ([`parallel::panel_len`]), register blocks of A tiles
 //!   against each B tile, bit-exact versus the i32 reference for every
 //!   thread count; its [`parallel::fan_out`] is the one place the ARM path
 //!   starts threads (the caller runs the first job, each other job gets a
 //!   scoped thread),
 //! * [`workspace`] — the caller-owned scratch arena that repeated GEMM
 //!   calls stop growing after the first (a call still allocates its small,
-//!   shape-independent span and share lists).
+//!   shape-independent span and share lists), and [`grow_exact`], the one
+//!   growth rule of every arena buffer.
 
 #![forbid(unsafe_code)]
 
@@ -69,4 +71,4 @@ pub use pack::{
 };
 pub use scheme::{Scheme, SchemeError, SchemeKind};
 pub use stream::{gemm_stream, KernelStream, OperandRegion};
-pub use workspace::{GemmWorkspace, WorkspaceStats};
+pub use workspace::{grow_exact, GemmWorkspace, WorkspaceStats};

@@ -798,8 +798,7 @@ mod tests {
         // 1 to 2T + 1 tiles (the last one ragged), so full register blocks
         // and the one-tile remainder both run.
         use crate::gemm::reference_gemm;
-        use crate::parallel::{gemm_parallel_cm_weighted, ParallelConfig, SharedWeights};
-        use crate::workspace::GemmWorkspace;
+        use crate::parallel::{gemm_parallel_cm_weighted, panels_len, ParallelConfig, SharedWeights};
         use lowbit_trace::Tracer;
         let (k, n) = (150, 9);
         for bits in [BitWidth::W2, BitWidth::W3, BitWidth::W4, BitWidth::W8] {
@@ -813,11 +812,11 @@ mod tests {
                 for (threads, kc) in [(1, 1), (1, 7), (2, 31), (2, 32), (3, 64), (1, 149), (2, 150)] {
                     let cfg = ParallelConfig { threads, kc, nc: 8 };
                     for isa in Isa::supported() {
-                        let (mut ws, mut c_cm) = (GemmWorkspace::new(), vec![i32::MIN; m * n]);
-                        let (weights, null) = (SharedWeights::Wide(&pa), Tracer::null());
+                        let mut panels = vec![0; panels_len(k, n, &cfg)];
+                        let (mut c_cm, weights) = (vec![i32::MIN; m * n], SharedWeights::Wide(&pa));
                         gemm_parallel_cm_weighted(
-                            isa, &scheme, weights, &b, k, n, &cfg, &mut ws, &mut c_cm, [1],
-                            &mut [false], &null,
+                            isa, &scheme, weights, &b, k, n, &cfg, &mut panels, &mut c_cm, [1],
+                            &mut [false], &Tracer::null(),
                         );
                         for i in 0..m {
                             for j in 0..n {

@@ -4,7 +4,8 @@
 //! Parallelism follows the im2col structure of the convolution: the N
 //! dimension (output pixels) is partitioned into per-thread column-tile
 //! blocks. Packed A (the weights) is shared read-only across threads; each
-//! span's worker packs its own cache-blocked B panels and writes a
+//! span's worker packs its cache-blocked B panels into its own
+//! [`panel_len`] slice of the caller's panel buffer and writes a
 //! **disjoint** share of the result, so the driver needs no atomics, no
 //! locks and no `unsafe` — and the output is bit-exact versus the plain i32
 //! product for every thread count and blocking parameter. The caller runs
@@ -40,7 +41,7 @@ use crate::narrow::{accumulate_tiles_narrow_on, NARROW_BLOCK, NARROW_TILE_LEN};
 use crate::pack::{PackedA, PackedANarrow, PackedAQuads, PackedB, NB};
 use crate::scheme::{Scheme, SchemeKind};
 use crate::sdot::{accumulate_sdot_on, KQ, SDOT_BLOCK};
-use crate::workspace::GemmWorkspace;
+use crate::workspace::{grow_exact, GemmWorkspace};
 use lowbit_isa::Isa;
 use lowbit_trace::{Tracer, MAIN_TRACK};
 use std::ops::Range;
@@ -148,6 +149,20 @@ pub fn partition_columns(
     (0..threads).map(move |t| ColumnSpan { col0: start(t), cols: start(t + 1) - start(t) })
 }
 
+/// The packed-B panel bytes of a worker owning `cols` columns of a GEMM
+/// with shared dimension `k`: at most `nc / NB` column tiles of at most
+/// `kc` packed rows. The one panel sizing, for the driver and the verifier.
+pub fn panel_len(k: usize, cols: usize, cfg: &ParallelConfig) -> usize {
+    let cfg = cfg.normalized();
+    (cfg.nc / NB).min(cols.div_ceil(NB)) * NB * cfg.kc.min(k)
+}
+
+/// The panel buffer a `K x N` GEMM needs across `cfg.threads`: one
+/// [`panel_len`] per span of [`partition_columns`].
+pub fn panels_len(k: usize, n: usize, cfg: &ParallelConfig) -> usize {
+    partition_columns(n, cfg.threads).map(|span| panel_len(k, span.cols, cfg)).sum()
+}
+
 /// The shared, read-only packed weights a parallel GEMM runs against: one
 /// variant per tile kind, each holding that kind's [`crate::pack::Panels`]
 /// image, so weights packed for one kind cannot reach another's kernel.
@@ -207,13 +222,12 @@ pub fn gemm_parallel_cm<'w>(
     ws: &'w mut GemmWorkspace,
 ) -> &'w [i32] {
     let len = weights.m() * n;
-    let mut c = std::mem::take(&mut ws.c_cm);
-    c.reserve_exact(len.saturating_sub(c.len()));
-    c.resize(len, 0); // not cleared: the first K block stores every element
-    let (isa, planes, started, null) = (Isa::host(), &mut c, &mut [false], &Tracer::null());
-    gemm_parallel_cm_weighted(isa, scheme, weights, b, k, n, cfg, ws, planes, [1], started, null);
-    ws.c_cm = c;
-    &ws.c_cm
+    // Not cleared: the first K block stores every element.
+    let c = grow_exact(&mut ws.c_cm, len);
+    let panels = grow_exact(&mut ws.panels, panels_len(k, n, cfg));
+    let (isa, started, null) = (Isa::host(), &mut [false], &Tracer::null());
+    gemm_parallel_cm_weighted(isa, scheme, weights, b, k, n, cfg, panels, c, [1], started, null);
+    &ws.c_cm[..len]
 }
 
 /// Adds `coef[q] x A x B` into plane `q` of `planes`, `P` column-major
@@ -225,7 +239,8 @@ pub fn gemm_parallel_cm<'w>(
 /// `pack B panel` and `gemm tile` children on its own track.
 ///
 /// # Panics
-/// If `planes` is not `P` planes of `m x n`, or a weight is not 0 or `±2^s`.
+/// If `planes` is not `P` planes of `m x n`, `panels` is shorter than
+/// [`panels_len`], or a weight is not 0 or `±2^s`.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_parallel_cm_weighted<const P: usize>(
     isa: Isa,
@@ -235,7 +250,7 @@ pub fn gemm_parallel_cm_weighted<const P: usize>(
     k: usize,
     n: usize,
     cfg: &ParallelConfig,
-    ws: &mut GemmWorkspace,
+    panels: &mut [i8],
     planes: &mut [i32],
     coef: [i32; P],
     started: &mut [bool; P],
@@ -249,7 +264,6 @@ pub fn gemm_parallel_cm_weighted<const P: usize>(
     let terms: [(i32, bool); P] = std::array::from_fn(|q| (coef[q], !started[q]));
     let cfg = cfg.normalized();
     let spans = partition_columns(n, cfg.threads);
-    ws.prepare_panels(spans.len());
     let mut tail = planes;
     let mut rest: [&mut [i32]; P] = std::array::from_fn(|q| {
         let (plane, t) = std::mem::take(&mut tail).split_at_mut(m * n);
@@ -268,7 +282,7 @@ pub fn gemm_parallel_cm_weighted<const P: usize>(
         });
         ColMajorShare { planes, terms, m, cols: span.cols }
     });
-    drive(isa, scheme, weights, b, n, &cfg, spans, &mut ws.panels, shares, tracer);
+    drive(isa, scheme, weights, b, n, &cfg, spans, panels, shares, tracer);
     started.iter_mut().zip(coef).for_each(|(started, c)| *started |= c != 0);
 }
 
@@ -279,8 +293,9 @@ pub fn gemm_parallel_cm_weighted<const P: usize>(
 ///
 /// Each worker stores its micro-tiles straight into the plane-row runs its
 /// [`ColumnSpan`] owns, so there is no column-major result buffer and no
-/// reshape pass; `ws` holds only the B panels. The first K block stores
-/// every element, so `out` need not be zeroed.
+/// reshape pass; `panels` holds only the B panels ([`panels_len`] bytes at
+/// least). The first K block stores every element, so `out` need not be
+/// zeroed.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_parallel_nchw_on(
     isa: Isa,
@@ -291,7 +306,7 @@ pub fn gemm_parallel_nchw_on(
     n: usize,
     hw: usize,
     cfg: &ParallelConfig,
-    ws: &mut GemmWorkspace,
+    panels: &mut [i8],
     out: &mut [i32],
     tracer: &Tracer,
 ) {
@@ -301,12 +316,11 @@ pub fn gemm_parallel_nchw_on(
     assert!(n.is_multiple_of(hw), "{n} columns are not whole images of {hw}");
     let cfg = cfg.normalized();
     let spans = partition_columns(n, cfg.threads);
-    ws.prepare_panels(spans.len());
     if k == 0 {
         out.fill(0); // no K block stores the result
     }
     let shares = nchw_shares(out, m, hw, spans.clone());
-    drive(isa, scheme, weights, b, n, &cfg, spans, &mut ws.panels, shares, tracer);
+    drive(isa, scheme, weights, b, n, &cfg, spans, panels, shares, tracer);
 }
 
 /// Panics unless the operands agree with each other and the tile kind
@@ -326,10 +340,11 @@ fn check_operands(scheme: &Scheme, weights: SharedWeights<'_>, b: &[i8], k: usiz
     }
 }
 
-/// Runs one worker per non-empty span against that span's share of C
-/// through [`fan_out`]. The shares are disjoint because the spans are
-/// (checked statically by lowbit-verify), so the workers need no lock and
-/// no `unsafe`. Empty spans (more threads than column tiles) get no worker.
+/// Runs one worker per non-empty span against that span's share of C and
+/// its [`panel_len`] slice of `panels` through [`fan_out`]. The shares are
+/// disjoint because the spans are (checked statically by lowbit-verify), so
+/// the workers need no lock and no `unsafe`. Empty spans (more threads than
+/// column tiles) get no worker.
 #[allow(clippy::too_many_arguments)]
 fn drive<S: TileSink + Send>(
     isa: Isa,
@@ -339,12 +354,15 @@ fn drive<S: TileSink + Send>(
     n: usize,
     cfg: &ParallelConfig,
     spans: impl Iterator<Item = ColumnSpan>,
-    panels: &mut [Vec<i8>],
+    mut panels: &mut [i8],
     shares: impl IntoIterator<Item = S>,
     tracer: &Tracer,
 ) {
-    let jobs = spans.zip(panels).zip(shares).filter(|((span, _), _)| span.cols > 0);
-    let jobs = jobs.map(|((span, panel), share)| {
+    let k = weights.k();
+    let jobs = spans.zip(shares).filter(|(span, _)| span.cols > 0);
+    let jobs = jobs.map(|(span, share)| {
+        let (panel, rest) = std::mem::take(&mut panels).split_at_mut(panel_len(k, span.cols, cfg));
+        panels = rest;
         (span, worker_track(tracer, "gemm worker", &span), panel, share)
     });
     fan_out(jobs, |(span, track, panel, mut share)| {
@@ -544,7 +562,7 @@ fn worker(
     n: usize,
     span: &ColumnSpan,
     cfg: &ParallelConfig,
-    panel: &mut Vec<i8>,
+    panel: &mut [i8],
     sink: &mut impl TileSink,
     tracer: &Tracer,
     track: u32,
@@ -676,8 +694,9 @@ pub(crate) fn run_tile_on(
 }
 
 /// Packs the `klen x (tiles * NB)` sub-block of row-major B starting at row
-/// `k0`, column `col_base` into panel layout
-/// `panel[(tile * klen + step) * NB + c]` (columns past `n` zero-padded).
+/// `k0`, column `col_base` into the front of `panel`, in the layout
+/// `panel[(tile * klen + step) * NB + c]`, writing the columns past `n` as
+/// zeros, so a reused panel needs no clearing.
 fn pack_b_panel(
     b: &[i8],
     n: usize,
@@ -685,23 +704,22 @@ fn pack_b_panel(
     tiles: usize,
     k0: usize,
     klen: usize,
-    panel: &mut Vec<i8>,
+    panel: &mut [i8],
 ) {
-    panel.clear();
-    panel.reserve_exact(tiles * klen * NB);
-    panel.resize(tiles * klen * NB, 0);
-    for tile in 0..tiles {
+    for (tile, block) in panel[..tiles * klen * NB].chunks_exact_mut(klen * NB).enumerate() {
         let first = col_base + tile * NB;
         let width = NB.min(n.saturating_sub(first));
-        for step in 0..klen {
-            let dst = (tile * klen + step) * NB;
+        if width < NB {
+            block.fill(0); // the one fringe tile
+        }
+        for (step, dst) in block.chunks_exact_mut(NB).enumerate() {
             let src = (k0 + step) * n + first;
-            panel[dst..dst + width].copy_from_slice(&b[src..src + width]);
+            dst[..width].copy_from_slice(&b[src..src + width]);
         }
     }
 }
 
-/// One single-threaded driver call on `isa` into a fresh workspace and a
+/// One single-threaded driver call on `isa` into fresh panels and a
 /// row-major `m x n` result (the NCHW target as one image of `n` pixels):
 /// the functional half of the one-shot [`crate::gemm()`],
 /// [`crate::gemm_narrow`], [`crate::gemm::gemm_ncnn`] and
@@ -714,9 +732,9 @@ pub(crate) fn gemm_row_major_on(
     n: usize,
 ) -> Vec<i32> {
     let (m, k) = (weights.m(), weights.k());
-    let mut c = vec![0; m * n];
-    let (cfg, mut ws) = (ParallelConfig::default(), GemmWorkspace::new());
-    gemm_parallel_nchw_on(isa, scheme, weights, b, k, n, n, &cfg, &mut ws, &mut c, &Tracer::null());
+    let (mut c, cfg) = (vec![0; m * n], ParallelConfig::default());
+    let (mut panels, null) = (vec![0; panels_len(k, n, &cfg)], Tracer::null());
+    gemm_parallel_nchw_on(isa, scheme, weights, b, k, n, n, &cfg, &mut panels, &mut c, &null);
     c
 }
 
@@ -783,11 +801,12 @@ mod tests {
             for threads in [1, 2, 3] {
                 let cfg = ParallelConfig { threads, kc: 7, nc: 4 };
                 for isa in Isa::supported() {
-                    let (mut ws, mut c) = (GemmWorkspace::new(), vec![i32::MIN; m * n]);
+                    let mut panels = vec![0; panels_len(k, n, &cfg)];
+                    let mut c = vec![i32::MIN; m * n];
                     let (weights, null) = (SharedWeights::Narrow(&pa), Tracer::null());
                     gemm_parallel_cm_weighted(
-                        isa, &scheme, weights, &b, k, n, &cfg, &mut ws, &mut c, [1], &mut [false],
-                        &null,
+                        isa, &scheme, weights, &b, k, n, &cfg, &mut panels, &mut c, [1],
+                        &mut [false], &null,
                     );
                     assert_eq!(col_to_row_major(&c, m, n), want, "m {m} x{threads} {isa}");
                 }
@@ -801,9 +820,9 @@ mod tests {
         // below, at, just past and past twice kc (K of 9, 17 and 40 ends a
         // block inside an SDOT quad); threads up to 6 exceed the column
         // tiles of the small cases; M, K and N each reach 0. Every result
-        // starts as garbage, so each element must be stored, through one
-        // workspace.
-        let mut ws = GemmWorkspace::new();
+        // and the one panel buffer start as garbage, so each element must
+        // be stored and each packed panel byte written.
+        let mut panels = vec![0x55; 1024];
         let cases = [
             (21, 40, 5, 3),
             (9, 16, 7, 1),
@@ -837,8 +856,9 @@ mod tests {
                     let cfg = ParallelConfig { threads, kc: 16, nc: 8 };
                     let mut out = vec![i32::MIN; m * n];
                     let (isa, null) = (Isa::host(), Tracer::null());
+                    assert!(panels_len(k, n, &cfg) <= panels.len());
                     gemm_parallel_nchw_on(
-                        isa, &scheme, weights, &b, k, n, hw, &cfg, &mut ws, &mut out, &null,
+                        isa, &scheme, weights, &b, k, n, hw, &cfg, &mut panels, &mut out, &null,
                     );
                     for (idx, &got) in out.iter().enumerate() {
                         let (image, row, pixel) = (idx / (m * hw), idx / hw % m, idx % hw);
@@ -848,7 +868,6 @@ mod tests {
                 }
             }
         }
-        assert_eq!(ws.c_cm.capacity(), 0, "the NCHW target needs no result buffer");
     }
 
     #[test]
@@ -892,7 +911,8 @@ mod tests {
                 }
                 for (threads, isa) in [1, 2, 6].into_iter().zip(Isa::supported().iter().cycle()) {
                     let cfg = ParallelConfig { threads, kc: 16, nc: 8 };
-                    let (mut ws, mut planes) = (GemmWorkspace::new(), vec![i32::MIN; 4 * m * n]);
+                    let mut panels = vec![0; panels_len(k, n, &cfg)];
+                    let mut planes = vec![i32::MIN; 4 * m * n];
                     let mut started = [false; 4];
                     for ((a, b), coef) in calls.iter().zip(coefs) {
                         let (pa, pn) = (pack_a(a, m, k), pack_a_narrow(a, m, k));
@@ -904,13 +924,12 @@ mod tests {
                         };
                         let (planes, null) = (&mut planes, &Tracer::null());
                         gemm_parallel_cm_weighted(
-                            *isa, &scheme, weights, b, k, n, &cfg, &mut ws, planes, coef,
+                            *isa, &scheme, weights, b, k, n, &cfg, &mut panels, planes, coef,
                             &mut started, null,
                         );
                     }
                     assert_eq!(started, [true; 4]);
                     assert_eq!(planes, want, "{tile} m {m} k {k} n {n} x{threads} {isa}");
-                    assert_eq!(ws.c_cm.capacity(), 0, "the planes need no result buffer");
                 }
             }
         }
@@ -921,12 +940,12 @@ mod tests {
     fn weights_are_zero_or_signed_powers_of_two() {
         let (a, b) = (random_mat(16, BitWidth::W4, 1), random_mat(16, BitWidth::W4, 2));
         let pa = pack_a(&a, 4, 4);
-        let (mut ws, mut c) = (GemmWorkspace::new(), vec![0; 16]);
+        let (mut panels, mut c) = (vec![0; 64], vec![0; 16]);
         let (isa, scheme) = (Isa::host(), Scheme::for_bits(BitWidth::W4));
         let (weights, cfg) = (SharedWeights::Wide(&pa), ParallelConfig::default());
         let (c, started, null) = (&mut c, &mut [false], &Tracer::null());
         gemm_parallel_cm_weighted(
-            isa, &scheme, weights, &b, 4, 4, &cfg, &mut ws, c, [3], started, null,
+            isa, &scheme, weights, &b, 4, 4, &cfg, &mut panels, c, [3], started, null,
         );
     }
 
@@ -1120,12 +1139,12 @@ mod tests {
             gemm_parallel_cm(&scheme, SharedWeights::Wide(&pa), &b, k, n, &cfg, &mut ws).to_vec();
 
         let (tracer, sink) = lowbit_trace::Tracer::recording();
-        let (mut ws2, mut traced) = (GemmWorkspace::new(), vec![0; m * n]);
+        let (mut panels, mut traced) = (vec![0; panels_len(k, n, &cfg)], vec![0; m * n]);
         let weights = SharedWeights::Wide(&pa);
         let (c, started) = (&mut traced, &mut [false]);
         let isa = Isa::host();
         gemm_parallel_cm_weighted(
-            isa, &scheme, weights, &b, k, n, &cfg, &mut ws2, c, [1], started, &tracer,
+            isa, &scheme, weights, &b, k, n, &cfg, &mut panels, c, [1], started, &tracer,
         );
         assert_eq!(traced, plain, "tracing must not change the result");
 

@@ -1,21 +1,20 @@
 //! Reusable GEMM workspace: the scratch memory the parallel driver needs
-//! per call (one packed-B panel per thread, plus the result buffer of the
-//! unit-weight column-major entry point, which only that entry point
-//! grows), owned by the caller so steady-state inference re-runs the same
-//! layer shapes without growing it. What a warm call
-//! still allocates is small and independent of the shape: on the NCHW
-//! target, the list of per-thread shares and each share's list of
-//! plane-row slices ([`crate::partition_columns`] computes the spans
+//! per call (one packed-B panel per thread, carved off one buffer, plus
+//! the result buffer of the unit-weight column-major entry point, which
+//! only that entry point grows), owned by the caller so steady-state
+//! inference re-runs the same layer shapes without growing it. What a
+//! warm call still allocates is small and independent of the shape: on
+//! the NCHW target, the list of per-thread shares and each share's list
+//! of plane-row slices ([`crate::partition_columns`] computes the spans
 //! without a list).
 //!
-//! Buffer reuse is `clear()` + `reserve_exact()` + `resize()`: lengths
-//! track the current call, capacities only ever grow, and only to the
-//! largest length requested (no amortized doubling past it), so a
-//! certified bound on the requested lengths bounds the footprint.
-//! [`WorkspaceStats`] records an arena's capacity high-water mark and counts
-//! calls that grew any buffer (`alloc_events`), so tests can assert that
-//! repeated runs over a fixed layer set stop allocating after the first
-//! pass.
+//! Every arena buffer grows through [`grow_exact`]: capacities only ever
+//! grow, and only to the largest length requested (no amortized doubling
+//! past it), so a certified bound on the requested lengths bounds the
+//! footprint. [`WorkspaceStats`] records an arena's capacity high-water
+//! mark and counts calls that grew any buffer (`alloc_events`), so tests
+//! can assert that repeated runs over a fixed layer set stop allocating
+//! after the first pass.
 
 /// Allocation bookkeeping for a workspace arena.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -40,16 +39,30 @@ impl WorkspaceStats {
     }
 }
 
-/// Caller-owned arena for the parallel driver: one packed-B panel per
-/// thread, and the result that [`crate::parallel::gemm_parallel_cm`]
-/// returns (the other entry points write the caller's target). An owning
-/// arena records its [`WorkspaceStats`] from [`GemmWorkspace::footprint_bytes`].
+/// Grows `buf` to at least `len` elements and returns its first `len`.
+/// The capacity grows with `reserve_exact`, so it is the largest length
+/// ever requested, and the length never shrinks, so a smaller request
+/// re-zeroes nothing. Nothing is cleared: every caller writes each
+/// element it later reads.
+pub fn grow_exact<T: Copy + Default>(buf: &mut Vec<T>, len: usize) -> &mut [T] {
+    if buf.len() < len {
+        buf.reserve_exact(len - buf.len());
+        buf.resize(len, T::default());
+    }
+    &mut buf[..len]
+}
+
+/// Caller-owned arena for [`crate::parallel::gemm_parallel_cm`]: the
+/// column-major result it returns and one flat buffer of B panels, one
+/// per thread (the other entry points take the caller's target and panel
+/// slice). An owning arena records its [`WorkspaceStats`] from
+/// [`GemmWorkspace::footprint_bytes`].
 #[derive(Default)]
 pub struct GemmWorkspace {
     /// Column-major `m x n` result of the unit-weight entry point.
     pub(crate) c_cm: Vec<i32>,
-    /// One cache-blocked packed-B panel per thread.
-    pub(crate) panels: Vec<Vec<i8>>,
+    /// The cache-blocked packed-B panels, one per thread.
+    pub(crate) panels: Vec<i8>,
 }
 
 impl GemmWorkspace {
@@ -60,14 +73,7 @@ impl GemmWorkspace {
 
     /// Current total buffer capacity in bytes.
     pub fn footprint_bytes(&self) -> usize {
-        self.c_cm.capacity() * 4 + self.panels.iter().map(Vec::capacity).sum::<usize>()
-    }
-
-    /// Ensures at least `threads` panels.
-    pub(crate) fn prepare_panels(&mut self, threads: usize) {
-        if self.panels.len() < threads {
-            self.panels.resize_with(threads, Vec::new);
-        }
+        self.c_cm.capacity() * 4 + self.panels.capacity()
     }
 }
 
@@ -80,24 +86,24 @@ mod tests {
         let mut ws = GemmWorkspace::new();
         let mut stats = WorkspaceStats::default();
         let before = ws.footprint_bytes();
-        ws.c_cm.resize(100, 0);
-        ws.prepare_panels(2);
-        ws.panels[0].resize(64, 0);
+        grow_exact(&mut ws.c_cm, 100);
+        grow_exact(&mut ws.panels, 64);
         stats.note_call(before, ws.footprint_bytes());
         assert_eq!(stats.calls, 1);
         assert_eq!(stats.alloc_events, 1);
         let hw = stats.high_water_bytes;
-        assert!(hw >= 100 * 4 + 64);
+        assert_eq!(hw, 100 * 4 + 64);
 
-        // Same-size call: no growth, high-water unchanged.
+        // Same-size and smaller calls: no growth, high-water unchanged.
         let before = ws.footprint_bytes();
-        ws.c_cm.resize(80, 0);
-        ws.prepare_panels(2);
-        ws.panels[0].clear();
-        ws.panels[0].resize(64, 0);
+        grow_exact(&mut ws.c_cm, 80);
+        grow_exact(&mut ws.panels, 64);
         stats.note_call(before, ws.footprint_bytes());
         assert_eq!(stats.calls, 2);
         assert_eq!(stats.alloc_events, 1, "steady state must not allocate");
         assert_eq!(stats.high_water_bytes, hw);
+        // Growth keeps the contents and zero-fills only the new tail.
+        ws.panels.fill(7);
+        assert_eq!(grow_exact(&mut ws.panels, 66)[62..], [7, 7, 0, 0]);
     }
 }

@@ -42,7 +42,9 @@ pub fn im2col_nchw(input: &QTensor, shape: &ConvShape) -> Im2colMatrix {
 /// [`im2col_nchw`] into a caller-owned matrix, reusing its buffer.
 ///
 /// Steady-state expansion of a fixed layer set performs no heap allocation
-/// once `out.data`'s capacity has grown to the largest `k * n` seen.
+/// once `out.data`'s capacity has grown to the largest `k * n` seen; it
+/// grows with `reserve_exact`, so the capacity is exactly that largest
+/// `k * n`, never an amortized doubling past it.
 pub fn im2col_nchw_into(input: &QTensor, shape: &ConvShape, out: &mut Im2colMatrix) {
     assert_eq!(input.layout(), Layout::Nchw, "ARM path expects NCHW");
     assert_eq!(
@@ -56,6 +58,7 @@ pub fn im2col_nchw_into(input: &QTensor, shape: &ConvShape, out: &mut Im2colMatr
     out.k = k;
     out.n = n;
     out.data.clear();
+    out.data.reserve_exact(k * n);
     out.data.resize(k * n, 0);
     if k * n == 0 {
         return;
@@ -205,6 +208,9 @@ mod tests {
             let hw = hw / 8 + 3;
             shapes.push(ConvShape::new(1, c_in / 64 + 1, hw, hw, 4, k, stride, pad));
         }
+        // One matrix is also reused across every shape: stale rows must not
+        // show, and its capacity is the largest `k * n` so far.
+        let (mut reused, mut largest) = (Im2colMatrix::default(), 0);
         for (i, shape) in shapes.iter().enumerate() {
             let input = QTensor::random(
                 (shape.batch, shape.c_in, shape.h, shape.w),
@@ -216,6 +222,10 @@ mod tests {
             assert_eq!(m.k, shape.gemm_k());
             assert_eq!(m.n, shape.gemm_n());
             assert_eq!(m.data, reference_im2col(&input, shape), "{shape}");
+            im2col_nchw_into(&input, shape, &mut reused);
+            largest = largest.max(m.data.len());
+            assert_eq!(reused, m, "{shape}: reused");
+            assert_eq!(reused.data.capacity(), largest, "{shape}: capacity");
         }
     }
 

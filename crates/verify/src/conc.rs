@@ -91,26 +91,19 @@ impl GemmFootprint {
     /// declared workspace slice must dominate.
     pub fn required_workspace(&self) -> ArenaRequirement {
         let (m, k, n) = (self.m, self.k, self.n);
-        match (self.algo.tile(), self.algo) {
-            // The GEMM family: the im2col matrix and the B panels.
-            (Some(_), _) => ArenaRequirement {
-                col: k * n,
-                panels: max_panel_bytes(k, n),
-                ..ArenaRequirement::default()
-            },
-            // The transformed input, the four output planes the position
-            // GEMMs add into, and each tile span's B panel.
-            (None, ArmAlgo::Winograd) => ArenaRequirement {
-                wg_v: 16 * k * n,
-                wg_planes: 16 * m * n,
-                wg_panels: max_panel_bytes(k, n),
-                ..ArenaRequirement::default()
-            },
+        let (b, planes) = match (self.algo.tile(), self.algo) {
+            // The GEMM family's B operand is the im2col matrix.
+            (Some(_), _) => (k * n, 0),
+            // Winograd's is the 16 transformed-input matrices, and its
+            // position GEMMs add into four i32 output planes.
+            (None, ArmAlgo::Winograd) => (16 * k * n, 16 * m * n),
             // The bitserial baseline allocates its own buffers per call; it
             // does not grow the shared arena. `Auto` names no kernel; both
             // verifiers reject it.
-            (None, _) => ArenaRequirement::default(),
-        }
+            (None, _) => return ArenaRequirement::default(),
+        };
+        // Both families' GEMMs pack one B panel per column or tile span.
+        ArenaRequirement { b, panels: max_panel_bytes(k, n), planes }
     }
 }
 
@@ -594,7 +587,8 @@ pub fn verify_conc(spec: &ConcSpec, sched: &ScheduleSpec) -> Result<ConcProof, C
     // -- 4. Per-thread partitions: disjoint, covering, panel-bounded. --------
     // `check_spans` accepts the hardened empty spans and proves contiguity,
     // disjointness, NB alignment and coverage; on top of it the packed-panel
-    // slices (prefix-carved per thread) must fit the certified panel budget.
+    // slices (carved off one buffer in span order) must fit the certified
+    // panel budget, which is the same for the GEMM family and Winograd.
     // The NB-aligned interior boundaries give the final padded column tile —
     // the columns `[n, n.next_multiple_of(NB))` a B panel zero-fills — to
     // exactly one thread, for every tile kind of the driver.
@@ -606,28 +600,21 @@ pub fn verify_conc(spec: &ConcSpec, sched: &ScheduleSpec) -> Result<ConcProof, C
                 detail: v.to_string(),
             });
         }
-        let req = g.required_workspace();
-        let certified = match (g.algo.tile(), g.algo) {
-            (Some(_), _) => Some(req.panels),
-            (None, ArmAlgo::Winograd) => Some(req.wg_panels),
-            (None, ArmAlgo::Auto) => {
-                return Err(ConcViolation::PartitionOverlap {
-                    node: node.name.clone(),
-                    detail: "an unresolved Auto kernel has no certified panel budget".into(),
-                });
-            }
-            (None, _) => None,
-        };
-        if let Some(certified) = certified {
-            let panel_total = panel_bytes(g.k, partition.iter().copied());
-            if panel_total > certified {
-                return Err(ConcViolation::PartitionOverlap {
-                    node: node.name.clone(),
-                    detail: format!(
-                        "packed panels need {panel_total} bytes but {certified} are certified"
-                    ),
-                });
-            }
+        if g.algo == ArmAlgo::Auto {
+            return Err(ConcViolation::PartitionOverlap {
+                node: node.name.clone(),
+                detail: "an unresolved Auto kernel has no certified panel budget".into(),
+            });
+        }
+        let certified = g.required_workspace().panels;
+        let panel_total = panel_bytes(g.k, partition.iter().copied());
+        if panel_total > certified {
+            return Err(ConcViolation::PartitionOverlap {
+                node: node.name.clone(),
+                detail: format!(
+                    "packed panels need {panel_total} bytes but {certified} are certified"
+                ),
+            });
         }
     }
 

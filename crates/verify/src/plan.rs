@@ -33,13 +33,15 @@
 //!    which must sit inside the range the *stream* proofs assumed for that
 //!    layer's bit width (Winograd layers additionally re-check the paper's
 //!    4x input-transform inflation against the live interval).
-//! 4. **Workspace certification** — the arena each ARM layer grows
-//!    (im2col matrix, per-thread packed-B panels maximized over every legal
-//!    thread count, Winograd's transformed input, output planes and
-//!    position-GEMM panels) is recomputed from the blocking constants the
-//!    engine really uses, and the plan's declared per-layer and whole-plan
+//! 4. **Workspace certification** — the arena each ARM layer grows (its B
+//!    operand: the im2col matrix or Winograd's transformed input; the
+//!    packed-B panels, maximized over every legal thread count; Winograd's
+//!    output planes) is recomputed from the blocking constants the engine
+//!    really uses, and the plan's declared per-layer and whole-plan
 //!    high-water figures must dominate it. For one layer the bound is exact:
-//!    the largest real footprint over the thread counts.
+//!    the largest real footprint over the thread counts. The two families
+//!    share the three buffers, so the component-wise maximum bounds a whole
+//!    plan run through one arena.
 //! 5. **Activation arena** — simultaneously-live values occupy disjoint
 //!    byte spans, and the declared activation high-water dominates them.
 //!
@@ -58,8 +60,8 @@ use crate::interval::Interval;
 use lowbit_conv_arm::range_analysis::f23_range_halved;
 use lowbit_conv_arm::ArmAlgo;
 use lowbit_conv_gpu::TileConfig;
-use lowbit_qgemm::parallel::{partition_columns, DEFAULT_KC, DEFAULT_NC, MAX_THREADS};
-use lowbit_qgemm::{ColumnSpan, NB};
+use lowbit_qgemm::parallel::{panel_len, panels_len, ParallelConfig, MAX_THREADS};
+use lowbit_qgemm::ColumnSpan;
 use lowbit_qnn::RequantParams;
 use lowbit_tensor::{BitWidth, ConvShape, Layout};
 use neon_sim::meta::ElemWidth;
@@ -529,59 +531,51 @@ impl std::fmt::Display for PlanViolation {
 }
 
 /// The shared arena's per-buffer byte requirement for one layer, one term
-/// per buffer its kernels grow. The arena is reused across a plan's layers,
-/// so the whole-plan high-water is the *component-wise* maximum summed —
-/// not the max of per-layer totals.
+/// per buffer of `ConvWorkspace`, which the GEMM family and Winograd grow
+/// alike. Each buffer is one flat allocation that grows to its largest
+/// request, so the whole-plan high-water is the *component-wise* maximum
+/// summed — not the max of per-layer totals.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct ArenaRequirement {
-    /// im2col matrix bytes (`K x N` i8).
-    pub col: usize,
-    /// Per-thread packed-B panel bytes, maximized over every legal thread
-    /// count the engine accepts.
+    /// The layer's i8 B operand: the `K x N` im2col matrix, or Winograd's
+    /// transformed input (`16 x c_in x tiles`).
+    pub b: usize,
+    /// Packed-B panel bytes, summed over the column (or tile) spans and
+    /// maximized over every legal thread count the engine accepts.
     pub panels: usize,
-    /// Winograd transformed-input bytes (`16 x c_in x tiles` i8).
-    pub wg_v: usize,
     /// Winograd output-plane bytes (four `c_out x tiles` i32 planes).
-    pub wg_planes: usize,
-    /// Winograd position-GEMM packed-B panel bytes, summed over the tile
-    /// spans and maximized over every legal thread count.
-    pub wg_panels: usize,
+    pub planes: usize,
 }
 
 impl ArenaRequirement {
     /// Total bytes this layer needs from the arena.
     pub fn total(&self) -> usize {
-        self.col + self.panels + self.wg_v + self.wg_planes + self.wg_panels
+        self.b + self.panels + self.planes
     }
 
     /// Component-wise maximum (the arena's growth rule across layers).
     pub fn max(self, o: ArenaRequirement) -> ArenaRequirement {
         ArenaRequirement {
-            col: self.col.max(o.col),
+            b: self.b.max(o.b),
             panels: self.panels.max(o.panels),
-            wg_v: self.wg_v.max(o.wg_v),
-            wg_planes: self.wg_planes.max(o.wg_planes),
-            wg_panels: self.wg_panels.max(o.wg_panels),
+            planes: self.planes.max(o.planes),
         }
     }
 }
 
-/// The total packed-B panel bytes the parallel driver allocates for a GEMM
-/// of shared dimension `k` whose columns the workers split as `spans`, at
-/// the default cache blocking. Mirrors the sizing in
-/// `lowbit_qgemm::parallel::pack_b_panel`: each worker's panel holds
-/// `min(nc/NB, ceil(cols_t/NB))` column tiles of `min(kc, K)` packed rows.
+/// The total packed-B panel bytes the parallel driver carves for a GEMM of
+/// shared dimension `k` whose columns the workers split as `spans`, at the
+/// default cache blocking: the driver's own `panel_len` per span.
 pub fn panel_bytes(k: usize, spans: impl IntoIterator<Item = ColumnSpan>) -> usize {
-    let klen = DEFAULT_KC.min(k);
-    let nc_tiles = DEFAULT_NC / NB;
-    spans.into_iter().map(|span| nc_tiles.min(span.cols.div_ceil(NB)) * NB * klen).sum()
+    let cfg = ParallelConfig::default();
+    spans.into_iter().map(|span| panel_len(k, span.cols, &cfg)).sum()
 }
 
 /// The largest [`panel_bytes`] of a `K x N` GEMM over every thread count
 /// the engine accepts (`1..=MAX_THREADS`).
 pub fn max_panel_bytes(k: usize, n: usize) -> usize {
     (1..=MAX_THREADS)
-        .map(|threads| panel_bytes(k, partition_columns(n, threads)))
+        .map(|threads| panels_len(k, n, &ParallelConfig::with_threads(threads)))
         .max()
         .unwrap_or(0)
 }
@@ -1333,7 +1327,6 @@ mod tests {
     use super::*;
     use lowbit_conv_arm::workspace::{gemm_conv_ws, ConvWorkspace, PackedWeights};
     use lowbit_qgemm::narrow::pack_a_narrow;
-    use lowbit_qgemm::parallel::ParallelConfig;
     use lowbit_qgemm::{pack_a, PackedAQuads};
     use lowbit_tensor::{Layout, QTensor};
     use lowbit_trace::Tracer;
@@ -1770,7 +1763,9 @@ mod tests {
     /// allocate, at every thread count, for every GEMM-family path and for
     /// Winograd at W2, W4 and W6 (wide and narrow position tiles) — and be
     /// exact for the single-layer case: the largest real footprint over the
-    /// thread counts equals it (no slack hiding in the formula).
+    /// thread counts equals it (no slack hiding in the formula). Over a
+    /// sequence of layers sharing one arena, the whole-plan bound must
+    /// dominate the arena after every layer.
     #[test]
     fn certified_workspace_dominates_real_arena_growth() {
         let shapes = [
@@ -1823,6 +1818,56 @@ mod tests {
                 assert_eq!(largest, bound, "{kind:?} {bits} {shape}: the bound is not exact");
             }
         }
+
+        // A plan runs all its layers through one arena, so the certified
+        // whole-plan bound must dominate the arena after every layer of a
+        // sequence, at every thread count. The sequences: a wider K after a
+        // narrower one (the im2col matrix must grow to exactly the larger),
+        // a wide-N layer whose panels split evenly over many threads before
+        // a long-K layer whose panels fill few (the panels of one layer must
+        // not stay beside the other's), and a Gemm -> Winograd -> Gemm chain
+        // (the two families share the B operand and the panels).
+        let sequences = [
+            vec![
+                (ConvShape::new(1, 8, 10, 10, 8, 1, 1, 0), ArmAlgo::Gemm),
+                (ConvShape::new(1, 12, 10, 10, 8, 1, 1, 0), ArmAlgo::Gemm),
+            ],
+            vec![
+                (ConvShape::new(1, 8, 48, 48, 4, 1, 1, 0), ArmAlgo::Gemm),
+                (ConvShape::new(1, 384, 5, 5, 4, 1, 1, 0), ArmAlgo::Gemm),
+            ],
+            vec![
+                (ConvShape::new(1, 16, 12, 12, 8, 1, 1, 0), ArmAlgo::Gemm),
+                (ConvShape::new(1, 8, 12, 12, 8, 3, 1, 1), ArmAlgo::Winograd),
+                (ConvShape::new(1, 8, 12, 12, 16, 1, 1, 0), ArmAlgo::Gemm),
+            ],
+        ];
+        let bits = BitWidth::W4;
+        for layers in &sequences {
+            let runs: Vec<_> = (0..layers.len() as u64)
+                .zip(layers)
+                .map(|(seed, &(shape, algo))| {
+                    let dims = (shape.batch, shape.c_in, shape.h, shape.w);
+                    let input = QTensor::random(dims, Layout::Nchw, bits, 10 + seed);
+                    let dims = (shape.c_out, shape.c_in, shape.kh, shape.kw);
+                    let weights = QTensor::random(dims, Layout::Nchw, bits, 20 + seed);
+                    let pa = PackedWeights::pack(&weights, algo, bits).expect("packs");
+                    (shape, algo, input, pa)
+                })
+                .collect();
+            for threads in 1..=MAX_THREADS {
+                let cfg = ParallelConfig::with_threads(threads);
+                let mut ws = ConvWorkspace::new();
+                for (i, (shape, algo, input, pa)) in runs.iter().enumerate() {
+                    let scheme = algo.scheme(bits);
+                    gemm_conv_ws(input, pa, &scheme, shape, &cfg, &mut ws, &Tracer::null());
+                    let so_far = runs[..=i].iter().map(|r| arm_workspace_requirement(&r.0, r.1));
+                    let (real, bound) = (ws.footprint_bytes(), arena_high_water(so_far));
+                    let at = format!("layer {i} ({algo:?} {shape}) x{threads}");
+                    assert!(real <= bound, "{at}: {real} > {bound}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -1835,12 +1880,24 @@ mod tests {
         let b = ConvShape::new(1, 384, 16, 20, 4, 1, 1, 0); // N 320 -> big panels
         let req = |shape| arm_workspace_requirement(&shape, ArmAlgo::Gemm);
         let (ra, rb) = (req(a), req(b));
-        assert!(ra.col > rb.col && rb.panels > ra.panels, "{ra:?} vs {rb:?}");
+        assert!(ra.b > rb.b && rb.panels > ra.panels, "{ra:?} vs {rb:?}");
         let layers = vec![gemm_layer("a", a, false), gemm_layer("b", b, false)];
         let hw = high_water(&layers);
         let (ta, tb) = (ra.total(), rb.total());
         assert!(hw > ta.max(tb), "{hw} vs {ta}/{tb}");
         assert!(hw <= ta + tb);
+
+        // A Gemm and a Winograd layer share the B operand and the panels:
+        // each takes the larger of the two, and only the planes add.
+        let g = ConvShape::new(1, 32, 14, 14, 16, 1, 1, 0);
+        let w = ConvShape::new(1, 16, 14, 14, 16, 3, 1, 1);
+        let (rg, rw) = (req(g), arm_workspace_requirement(&w, ArmAlgo::Winograd));
+        assert!(rg.b < rw.b && rg.panels > rw.panels && rg.planes == 0, "{rg:?} vs {rw:?}");
+        let mut winograd = gemm_layer("w", w, false);
+        winograd.plan.algo = PlanAlgo::Arm(ArmAlgo::Winograd);
+        let hw = high_water(&[gemm_layer("g", g, false), winograd]);
+        assert_eq!(hw, rw.b + rg.panels + rw.planes);
+        assert!(hw < rg.total() + rw.total(), "{hw} vs {rg:?} + {rw:?}");
     }
 
     #[test]

@@ -125,31 +125,37 @@ fn published_fingerprint_and_certificate_are_pinned() {
 
 #[test]
 fn certified_high_water_dominates_real_execution() {
-    // Execute each plan repeatedly on a fresh engine: the engine's observed
-    // arena high-water must stay under the plan's certified figure (the
-    // declared bound is what capacity planning reads). The W4 bottleneck
-    // runs its 3x3 layer on Winograd.
+    // Execute each plan repeatedly on a fresh engine, at one and at four
+    // threads: the engine's observed arena high-water must stay under the
+    // plan's certified figure (the declared bound is what capacity planning
+    // reads). The W4 bottleneck runs its 3x3 layer on Winograd, and the W4
+    // dense block alternates Gemm bottlenecks with Winograd growth layers
+    // through one arena.
     let bottleneck = lowbit_models::resnet50_bottleneck();
+    let dense = lowbit_models::densenet121_dense_block_n(12, 6);
     let cases = [
         (BitWidth::W4, Network::demo(BitWidth::W4, 12, 9)),
         (BitWidth::W8, Network::demo(BitWidth::W8, 12, 9)),
         (BitWidth::W4, Network::from_layer_defs(&bottleneck, BitWidth::W4, 9).unwrap()),
+        (BitWidth::W4, Network::from_graph_defs(&dense, BitWidth::W4, 9).unwrap()),
     ];
     for (bits, net) in cases {
-        let engine = ArmEngine::cortex_a53();
-        let plan = Planner::for_arm(&engine).compile(&net).unwrap();
-        let s = net.layers()[0].shape;
-        let input = Tensor::zeros((s.batch, s.c_in, s.h, s.w), Layout::Nchw);
-        let executor = Executor::for_arm(&engine);
-        for _ in 0..3 {
-            executor.run(&plan, &net, &input).unwrap();
+        for threads in [1, 4] {
+            let engine = ArmEngine::cortex_a53().with_threads(threads);
+            let plan = Planner::for_arm(&engine).compile(&net).unwrap();
+            let s = net.layers()[0].shape;
+            let input = Tensor::zeros((s.batch, s.c_in, s.h, s.w), Layout::Nchw);
+            let executor = Executor::for_arm(&engine);
+            for _ in 0..3 {
+                executor.run(&plan, &net, &input).unwrap();
+            }
+            let observed = engine.workspace_stats().high_water_bytes;
+            assert!(
+                observed <= plan.workspace_high_water_bytes(),
+                "{bits} x{threads}: observed {observed} > declared {}",
+                plan.workspace_high_water_bytes()
+            );
         }
-        let observed = engine.workspace_stats().high_water_bytes;
-        assert!(
-            observed <= plan.workspace_high_water_bytes(),
-            "{bits}: observed {observed} > declared {}",
-            plan.workspace_high_water_bytes()
-        );
     }
 }
 
