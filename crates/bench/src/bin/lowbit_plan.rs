@@ -13,6 +13,7 @@
 //! cargo run --release -p lowbit-bench --bin lowbit-plan -- --check tests/golden/plan_demo.json
 //! cargo run --release -p lowbit-bench --bin lowbit-plan -- --model dense-block --check tests/golden/plan_dense_block.json
 //! cargo run --release -p lowbit-bench --bin lowbit-plan -- --model residual-block --hw 56 --check tests/golden/plan_residual_block.json
+//! cargo run --release -p lowbit-bench --bin lowbit-plan -- --backend gpu --check tests/golden/plan_demo_gpu.json
 //! ```
 
 use lowbit::prelude::*;

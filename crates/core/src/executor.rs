@@ -4,8 +4,9 @@
 //!
 //! The executor owns the inter-layer glue: quantize the float input once,
 //! keep activations quantized through every node, apply each layer's fused
-//! epilogue (bias + re-quantization + ReLU truncation), normalize layouts
-//! between heterogeneous backends, and dequantize at the end. Serial and
+//! epilogue (bias + re-quantization + ReLU truncation), store each value in
+//! the layout the plan records for it (each backend converts its own input
+//! to its native layout), and dequantize at the end. Serial and
 //! parallel runs share one wave loop: serial execution is the schedule of
 //! one-node waves in node order, the parallel mode runs the plan's
 //! certified waves.
@@ -29,9 +30,11 @@ use turing_sim::KernelTime;
 /// [`ArmEngine`] and [`GpuEngine`]; the executor only ever talks through
 /// this trait.
 pub trait Backend {
-    /// Executes one planned layer on quantized activations, recording the
-    /// same spans the engine's direct API records: the exact i32
-    /// accumulators, in the backend's native layout, and the layer's report.
+    /// Executes one planned layer on quantized activations in any layout
+    /// (the backend converts them to its native layout, borrowing when they
+    /// already are), recording the same spans the engine's direct API
+    /// records: the exact i32 accumulators, in the backend's native layout,
+    /// and the layer's report.
     fn execute_layer(
         &self,
         plan: &LayerPlan,
@@ -66,7 +69,8 @@ impl Backend for ArmEngine {
         let PlanAlgo::Arm(algo) = plan.algo else {
             return Err(wrong_algo(plan, BackendKind::Arm));
         };
-        let out = self.conv_traced(act, weights, &plan.shape, algo, tracer, &plan.name);
+        let act = in_layout(act, BackendKind::Arm.native_layout());
+        let out = self.conv_traced(&act, weights, &plan.shape, algo, tracer, &plan.name);
         let report = LayerReport {
             prepack_hits: u64::from(out.prepack_hit == Some(true)),
             prepack_misses: u64::from(out.prepack_hit == Some(false)),
@@ -104,13 +108,10 @@ impl Backend for GpuEngine {
                 detail: format!("{}: {wide} operands on a {} plan", plan.name, plan.bits),
             });
         }
-        // The GPU kernel is NHWC-native; normalize whatever arrived.
         let gpu_plan = self.plan(&plan.shape, plan.bits, Tuning::Fixed(cfg));
         let time = modeled_gpu_time(self, &gpu_plan, plan, tracer);
-        let (acc, _) = gpu_plan.execute(
-            &in_layout(act, Layout::Nhwc),
-            &in_layout(weights, Layout::Nhwc),
-        );
+        let native = BackendKind::GpuModel.native_layout();
+        let (acc, _) = gpu_plan.execute(&in_layout(act, native), &in_layout(weights, native));
         Ok((acc, LayerReport::modeled(plan, time.total_s * 1e3, Some(time))))
     }
 

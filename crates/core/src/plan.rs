@@ -23,7 +23,6 @@ use crate::error::CoreError;
 use crate::graph::ValueId;
 use crate::memplan::{assign_arena, assign_arena_with, Assignment, ValueSpec};
 use crate::network::Network;
-use lowbit_verify::LayoutConversion;
 // The plan's tables are defined beside the verifiers that check them, so
 // the verifiers read the very tables the executor runs.
 pub use lowbit_verify::{BackendKind, Epilogue, LayerPlan, NodePlan, PlanAlgo, PlanOp, ValuePlan};
@@ -406,14 +405,9 @@ certificate {:016x}\n",
                     Some(fp) => format!("\"{fp:016x}\""),
                     None => "null".into(),
                 };
-                let conv = |c: &Option<LayoutConversion>| match c {
-                    Some(c) => format!("\"{c}\""),
-                    None => "null".into(),
-                };
                 format!(
                     "    {{\"name\":\"{}\",\"node\":{},\"backend\":\"{}\",\"algo\":\"{}\",\"bits\":{},\
-\"predicted_millis\":{:.9},\"prepack_fingerprint\":{},\"workspace_bytes\":{},\"relu\":{},\
-\"pre_conversion\":{},\"post_conversion\":{}}}",
+\"predicted_millis\":{:.9},\"prepack_fingerprint\":{},\"workspace_bytes\":{},\"relu\":{}}}",
                     l.name,
                     self.node_of_layer(i),
                     l.algo.backend(),
@@ -422,9 +416,7 @@ certificate {:016x}\n",
                     l.predicted_millis,
                     fp,
                     l.workspace_bytes,
-                    l.epilogue.relu,
-                    conv(&l.pre_conversion),
-                    conv(&l.post_conversion)
+                    l.epilogue.relu
                 )
             })
             .collect();

@@ -165,10 +165,6 @@ impl Planner {
             workspace_bytes: 0,
             predicted_millis: engine.estimate_millis(bits, shape, algo),
             epilogue,
-            // The ARM kernels are NCHW-native: no conversions at the
-            // canonical inter-layer boundary.
-            pre_conversion: None,
-            post_conversion: None,
         };
         // The declared sizing is the verifier's certified bound, so the two
         // cannot diverge; kernels outside the shared arena declare 0.
@@ -215,18 +211,6 @@ impl Planner {
             workspace_bytes: 0,
             predicted_millis: time.total_s * 1e3,
             epilogue,
-            // The GPU kernel is NHWC-native: the executor converts the
-            // canonical NCHW activations on entry and normalizes back after
-            // the epilogue. Recording both lets the plan verifier prove the
-            // layout dataflow stitches.
-            pre_conversion: Some(lowbit_verify::LayoutConversion {
-                from: lowbit_tensor::Layout::Nchw,
-                to: lowbit_tensor::Layout::Nhwc,
-            }),
-            post_conversion: Some(lowbit_verify::LayoutConversion {
-                from: lowbit_tensor::Layout::Nhwc,
-                to: lowbit_tensor::Layout::Nchw,
-            }),
         })
     }
 
@@ -314,7 +298,7 @@ impl Planner {
             .collect();
         if !self.graph_fusion_off {
             fuse_residual_adds(&mut nodes, self.parallel_nodes);
-            elide_layout_roundtrips(&mut nodes, &mut values, &mut layers);
+            elide_layout_roundtrips(&nodes, &mut values, &layers);
         }
         let (nodes, values) = compact_graph(nodes, values);
         let workspace = crate::verify::plan_high_water(&layers);
@@ -483,56 +467,32 @@ fn fuse_residual_adds(nodes: &mut Vec<NodePlan>, preserve_width: bool) {
 }
 
 /// Graph-level fusion pass 2: elide NCHW round-trips between same-backend
-/// GPU neighbors. A value produced by a GPU conv (post-conversion
-/// NHWC→NCHW) and consumed *only* as the activation input of GPU convs
-/// (pre-conversion NCHW→NHWC) can stay NHWC: drop the producer's post and
-/// every consumer's pre, and record the value's inter-node layout as NHWC.
-/// The plan output is excluded — callers receive canonical NCHW.
-fn elide_layout_roundtrips(
-    nodes: &mut [NodePlan],
-    values: &mut [ValuePlan],
-    layers: &mut [LayerPlan],
-) {
+/// neighbors. A value produced by a conv and read *only* as the activation
+/// input of convs native in the producer's layout is stored in that layout,
+/// so no backend converts it. The plan output is excluded — callers receive
+/// canonical NCHW. Only the value table changes: each backend converts
+/// whatever layout arrives, so the layers record nothing.
+fn elide_layout_roundtrips(nodes: &[NodePlan], values: &mut [ValuePlan], layers: &[LayerPlan]) {
     let plan_output = nodes.last().expect("plans are non-empty").output;
-    let on_gpu = |l: &LayerPlan| l.algo.backend() == BackendKind::GpuModel;
+    let native = |layer: usize| layers[layer].algo.backend().native_layout();
     for (v, value) in values.iter_mut().enumerate().skip(1) {
-        if v == plan_output {
+        if v == plan_output || read_count(nodes, v) == 0 {
             continue;
         }
         let Some(p) = producer_of(nodes, v) else { continue };
         let PlanOp::Conv { layer: pl, .. } = nodes[p].op else { continue };
-        if !on_gpu(&layers[pl]) || layers[pl].post_conversion.is_none() {
-            continue;
+        // Every read of v must be a same-layout conv's activation input
+        // (not a fused residual, not a join operand).
+        let native_reads = nodes.iter().all(|node| {
+            node.inputs.iter().enumerate().all(|(slot, &x)| {
+                x != v
+                    || matches!(node.op, PlanOp::Conv { layer: cl, .. }
+                        if slot == 0 && native(cl) == native(pl))
+            })
+        });
+        if native_reads {
+            value.layout = native(pl);
         }
-        // Every read of v must be a GPU conv's activation input (not a
-        // fused residual, not a join operand).
-        let mut consumer_layers = Vec::new();
-        let mut eligible = read_count(nodes, v) > 0;
-        for node in nodes.iter() {
-            for (slot, &x) in node.inputs.iter().enumerate() {
-                if x != v {
-                    continue;
-                }
-                match node.op {
-                    PlanOp::Conv { layer: cl, .. }
-                        if slot == 0
-                            && on_gpu(&layers[cl])
-                            && layers[cl].pre_conversion.is_some() =>
-                    {
-                        consumer_layers.push(cl);
-                    }
-                    _ => eligible = false,
-                }
-            }
-        }
-        if !eligible {
-            continue;
-        }
-        layers[pl].post_conversion = None;
-        for cl in consumer_layers {
-            layers[cl].pre_conversion = None;
-        }
-        value.layout = lowbit_tensor::Layout::Nhwc;
     }
 }
 

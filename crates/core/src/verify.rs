@@ -365,6 +365,7 @@ mod tests {
     use super::*;
     use crate::arm::ArmEngine;
     use crate::gpu::{GpuEngine, Tuning};
+    use crate::plan::BackendKind;
     use crate::planner::Planner;
     use lowbit_tensor::Layout;
 
@@ -384,7 +385,7 @@ mod tests {
     }
 
     #[test]
-    fn heterogeneous_plans_prove_with_recorded_conversions() {
+    fn heterogeneous_plans_prove_with_nhwc_values_between_gpu_layers() {
         let arm = ArmEngine::cortex_a53();
         let gpu = GpuEngine::rtx2080ti();
         for bits in [BitWidth::W4, BitWidth::W8] {
@@ -394,6 +395,11 @@ mod tests {
                 .with_gpu(&gpu, Tuning::Default)
                 .compile(&net)
                 .unwrap();
+            let on_gpu = |l: &LayerPlan| l.algo.backend() == BackendKind::GpuModel;
+            if plan.layers().iter().all(on_gpu) {
+                let nhwc = plan.values().iter().filter(|v| v.layout == Layout::Nhwc);
+                assert_eq!(nhwc.count(), 2, "{bits}: v1 and v2 stay NHWC");
+            }
             verify_compiled(&plan, &net).unwrap();
         }
     }
@@ -421,18 +427,15 @@ mod tests {
                 violation: PlanViolation::WorkspaceUnderstated { .. }
             })
         ));
-        // A dangling conversion (recorded NHWC->NCHW where the dataflow is
-        // NCHW).
-        let mut layers = plan.layers().to_vec();
-        layers[1].pre_conversion = Some(lowbit_verify::LayoutConversion {
-            from: Layout::Nhwc,
-            to: Layout::Nchw,
-        });
-        let dangling = plan.clone().with_layers(layers, plan.workspace_high_water_bytes());
+        // A value kept NHWC between ARM convs, which read and write NCHW
+        // (plan values are private, so the lowered spec is mutated).
+        let mut spec = lower_plan(&plan, &net).unwrap();
+        spec.values[1].layout = Layout::Nhwc;
         assert!(matches!(
-            verify_compiled(&dangling, &net),
-            Err(CoreError::PlanRejected {
-                violation: PlanViolation::DanglingConversion { .. }
+            verify_plan(&spec),
+            Err(PlanViolation::LayoutMismatch {
+                site: "layer output",
+                ..
             })
         ));
     }

@@ -37,12 +37,12 @@
 use lowbit_verify::gpu::{gpu_demo_report, gpu_sweep_layers, precision_label};
 use lowbit_verify::{
     schedule_digest, standard_cases, verify_case, verify_conc, verify_gpu_plan, verify_plan,
-    ChannelSums, ConcProof, ConcSpec, ConcViolation, LayoutConversion, PlanProof, PlanSpec,
-    PlanViolation, ScheduleSpec,
+    ChannelSums, ConcProof, ConcSpec, ConcViolation, PlanProof, PlanSpec, PlanViolation,
+    ScheduleSpec,
 };
 
 use lowbit::prelude::*;
-use lowbit_conv_gpu::{default_config, search_space_stats, ConvGpuPlan};
+use lowbit_conv_gpu::{search_space_stats, ConvGpuPlan};
 use turing_sim::{Device, Precision};
 
 fn arm_sweep() -> usize {
@@ -206,7 +206,6 @@ fn witness_label(v: &PlanViolation) -> &'static str {
     match v {
         PlanViolation::ShapeBreak { .. } => "ShapeBreak",
         PlanViolation::LayoutMismatch { .. } => "LayoutMismatch",
-        PlanViolation::DanglingConversion { .. } => "DanglingConversion",
         PlanViolation::AccOverflow { .. } => "AccOverflow",
         PlanViolation::OperandRangeBreak { .. } => "OperandRangeBreak",
         PlanViolation::RequantWidthBreak { .. } => "RequantWidthBreak",
@@ -259,18 +258,9 @@ fn mutant_catalog(base: &PlanSpec) -> Vec<Mutant> {
         out.push(Mutant { name, expected, spec });
     };
     push("shape-break", "ShapeBreak", &|s| s.layers[1].plan.shape.c_in += 1);
-    // A layer rerouted to the NHWC-native GPU kernel with the entry
-    // conversion dropped.
-    push("dropped-layout-conversion", "LayoutMismatch", &|s| {
-        let l = &mut s.layers[0].plan;
-        l.algo = PlanAlgo::GpuImplicitGemm(default_config(Precision::TensorCoreInt4));
-        l.pre_conversion = None;
-        l.post_conversion = Some(LayoutConversion { from: Layout::Nhwc, to: Layout::Nchw });
-    });
-    push("dangling-conversion", "DanglingConversion", &|s| {
-        s.layers[1].plan.pre_conversion =
-            Some(LayoutConversion { from: Layout::Nhwc, to: Layout::Nchw });
-    });
+    // The demo's first activation kept NHWC between its ARM layers, which
+    // write and read NCHW.
+    push("nhwc-value-into-arm", "LayoutMismatch", &|s| s.values[1].layout = Layout::Nhwc);
     push("acc-overflow", "AccOverflow", &|s| {
         s.layers[0].channel_sums[0] = ChannelSums { neg: 0, pos: i32::MAX as i64 };
     });

@@ -37,12 +37,12 @@
 //! [`plan::verify_plan`] takes the backend-neutral lowering of a compiled
 //! `ExecutionPlan` and proves the *composition* — activation ranges
 //! propagate through every layer without i32 overflow and land inside the
-//! operand ranges the stream proofs assumed, the recorded NCHW/NHWC
-//! conversions stitch the layers' layouts together, and the declared
-//! workspace figures dominate what the engines will actually request. The
-//! plan's tables — its layers ([`LayerPlan`] with [`PlanAlgo`] and
-//! [`Epilogue`]), nodes ([`NodePlan`], [`PlanOp`]) and values
-//! ([`ValuePlan`]) — are defined in [`plan`] and re-exported by core, so a
+//! operand ranges the stream proofs assumed, every value kept NHWC sits
+//! between NHWC-native kernels only, and the declared workspace figures
+//! dominate what the engines will actually request. The plan's tables —
+//! its layers ([`LayerPlan`] with [`PlanAlgo`] and [`Epilogue`]), nodes
+//! ([`NodePlan`], [`PlanOp`]) and values ([`ValuePlan`]) — are defined in
+//! [`plan`] and re-exported by core, so a
 //! lowering carries the tables the executor runs, cloned, not a mirror of
 //! them: a [`LayerSpec`] is a plan layer plus its channel weight sums.
 //!
@@ -90,8 +90,8 @@ pub use interval::Interval;
 pub use lint::lint_stream;
 pub use plan::{
     arena_high_water, arm_workspace_requirement, verify_plan, workspace_requirement,
-    ArenaRequirement, BackendKind, ChannelSums, Epilogue, LayerPlan, LayerSpec, LayoutConversion,
-    NodePlan, PlanAlgo, PlanOp, PlanProof, PlanSpec, PlanViolation, ValuePlan,
+    ArenaRequirement, BackendKind, ChannelSums, Epilogue, LayerPlan, LayerSpec, NodePlan, PlanAlgo,
+    PlanOp, PlanProof, PlanSpec, PlanViolation, ValuePlan,
 };
 pub use report::{StreamProof, Violation};
 pub use streams::{

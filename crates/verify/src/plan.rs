@@ -6,7 +6,7 @@
 //! the GPU verifier ([`crate::gpu`]) proves each tile configuration's
 //! geometry and resource discipline. Neither can catch a cross-layer bug:
 //! a re-quantization that emits values outside the range the next layer's
-//! kernel proof assumed, a dropped NCHW/NHWC conversion between backends, or
+//! kernel proof assumed, a value kept NHWC where a consumer reads NCHW, or
 //! a workspace high-water figure that understates what the arena will
 //! actually grow to. This module closes that gap with a plan-level pass
 //! over a backend-neutral [`PlanSpec`]: a DAG of nodes over arena-placed
@@ -17,12 +17,13 @@
 //!    bytes and live ranges consistent with the node table
 //!    ([`PlanViolation::GraphStructureBroken`]).
 //! 2. **Layout/shape dataflow** — per edge: each conv's operand value must
-//!    have the layer's input shape and bit width, and its stored layout must
-//!    reach the kernel's native layout (and the kernel's output the stored
-//!    output layout) through the plan's *recorded* conversions; joins and
-//!    the plan output consume NCHW ([`PlanViolation::LayoutMismatch`],
-//!    [`PlanViolation::ShapeBreak`], [`PlanViolation::DanglingConversion`],
-//!    [`PlanViolation::RequantWidthBreak`]).
+//!    have the layer's input shape and bit width. A value's layout is
+//!    recorded once, in [`ValuePlan::layout`], and every backend takes its
+//!    activation in any layout, so one rule covers layouts: a value stored
+//!    other than NCHW is neither the graph input nor the plan output, is
+//!    produced by a conv native in that layout, and is read only as the
+//!    activation of convs native in it ([`PlanViolation::LayoutMismatch`],
+//!    [`PlanViolation::ShapeBreak`], [`PlanViolation::RequantWidthBreak`]).
 //! 3. **Numeric soundness** — interval abstract interpretation of the
 //!    activation range through every node: per-output-channel accumulator
 //!    bounds from the actual packed weights (positive/negative column sums x
@@ -65,21 +66,6 @@ use lowbit_qgemm::ColumnSpan;
 use lowbit_qnn::RequantParams;
 use lowbit_tensor::{BitWidth, ConvShape, Layout};
 use neon_sim::meta::ElemWidth;
-
-/// One recorded layout conversion the executor performs at a plan boundary.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct LayoutConversion {
-    /// Layout the activations are in before the conversion.
-    pub from: Layout,
-    /// Layout they are in afterwards.
-    pub to: Layout,
-}
-
-impl std::fmt::Display for LayoutConversion {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{:?}->{:?}", self.from, self.to)
-    }
-}
 
 /// Per-output-channel signed weight sums: the exact extreme contributions a
 /// channel's row of the GEMM can make given an activation interval.
@@ -207,13 +193,6 @@ pub struct LayerPlan {
     pub predicted_millis: f64,
     /// The fused epilogue.
     pub epilogue: Epilogue,
-    /// Layout conversion the executor applies to the activations before the
-    /// kernel (`None` when the canonical NCHW inter-layer form is already
-    /// the kernel's native layout). The plan verifier walks these.
-    pub pre_conversion: Option<LayoutConversion>,
-    /// Layout conversion applied to the kernel output to restore the
-    /// canonical inter-layer form.
-    pub post_conversion: Option<LayoutConversion>,
 }
 
 /// One layer of the plan spec: the plan's own layer, cloned, beside the one
@@ -263,9 +242,11 @@ pub struct NodePlan {
 
 /// One activation value of the compiled plan: its geometry, its inter-node
 /// layout (NHWC when the planner elided a round-trip between same-backend
-/// GPU neighbors), and its slot in the shared activation arena. The
-/// verifiers re-prove the recorded placement and live range, not trust
-/// them.
+/// GPU neighbors), and its slot in the shared activation arena. The layout
+/// is the plan's only record of one: the executor stores the value in it
+/// and each backend converts its input to its own native layout. The
+/// verifiers re-prove the recorded layout, placement and live range, not
+/// trust them.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct ValuePlan {
     /// `(batch, channels, h, w)`.
@@ -320,27 +301,18 @@ pub enum PlanViolation {
         /// `(batch, c, h, w)` it expects.
         expects: (usize, usize, usize, usize),
     },
-    /// The layout entering a kernel (or leaving the plan boundary) is not
-    /// the one the site requires.
+    /// A value stored other than NCHW where the plan boundary, its producer
+    /// or one of its readers is not native in that layout.
     LayoutMismatch {
-        /// The offending layer.
+        /// The node (or `"input"`) at the offending site.
         layer: String,
-        /// Where the mismatch bites (`"kernel input"` / `"layer output"`).
+        /// Where the mismatch bites (`"graph input"`, `"plan output"`,
+        /// `"layer output"`, `"kernel input"` or `"join operand"`).
         site: &'static str,
-        /// Layout the site requires.
+        /// Layout the site is native in.
         expected: Layout,
-        /// Layout the dataflow actually has there.
+        /// Layout the value is stored in.
         found: Layout,
-    },
-    /// A recorded conversion whose source layout is not the layout the
-    /// dataflow is actually in — the conversion is anchored to nothing.
-    DanglingConversion {
-        /// The offending layer.
-        layer: String,
-        /// The conversion's claimed source layout.
-        from: Layout,
-        /// The layout the activations are actually in.
-        current: Layout,
     },
     /// A per-channel i32 accumulator can overflow before re-quantization.
     AccOverflow {
@@ -470,10 +442,6 @@ impl std::fmt::Display for PlanViolation {
             PlanViolation::LayoutMismatch { layer, site, expected, found } => write!(
                 f,
                 "{layer}: {site} requires {expected:?} but the dataflow is {found:?}"
-            ),
-            PlanViolation::DanglingConversion { layer, from, current } => write!(
-                f,
-                "{layer}: recorded conversion from {from:?} but the activations are {current:?}"
             ),
             PlanViolation::AccOverflow { layer, channel, acc } => write!(
                 f,
@@ -1016,10 +984,10 @@ fn check_graph_structure(spec: &PlanSpec) -> Result<(), PlanViolation> {
     Ok(())
 }
 
-/// Dataflow pass over the DAG: operand shapes, bit widths and layouts at
-/// every edge, with the recorded conversions anchored to the stored value
-/// layouts (this is what proves an elided NCHW round-trip sound: the value
-/// stays NHWC only if every consumer's kernel is NHWC-native).
+/// Dataflow pass over the DAG: operand shapes and bit widths at every
+/// edge, then the one layout rule over the value table (this is what proves
+/// an elided NCHW round-trip sound: a value stays NHWC only if its producer
+/// and every reader are NHWC-native).
 fn check_graph_dataflow(spec: &PlanSpec) -> Result<(), PlanViolation> {
     let (nodes, values) = (&spec.nodes, &spec.values);
     let producer_name = |v: usize| -> String {
@@ -1085,47 +1053,6 @@ fn check_graph_dataflow(spec: &PlanSpec) -> Result<(), PlanViolation> {
                         ));
                     }
                 }
-                // Layout walk: stored layout -> (pre) -> kernel-native ->
-                // (post) -> stored output layout.
-                let mut current = act.layout;
-                if let Some(c) = l.pre_conversion {
-                    if c.from != current {
-                        return Err(PlanViolation::DanglingConversion {
-                            layer: l.name.clone(),
-                            from: c.from,
-                            current,
-                        });
-                    }
-                    current = c.to;
-                }
-                let native = l.algo.backend().native_layout();
-                if current != native {
-                    return Err(PlanViolation::LayoutMismatch {
-                        layer: l.name.clone(),
-                        site: "kernel input",
-                        expected: native,
-                        found: current,
-                    });
-                }
-                current = native;
-                if let Some(c) = l.post_conversion {
-                    if c.from != current {
-                        return Err(PlanViolation::DanglingConversion {
-                            layer: l.name.clone(),
-                            from: c.from,
-                            current,
-                        });
-                    }
-                    current = c.to;
-                }
-                if current != out.layout {
-                    return Err(PlanViolation::LayoutMismatch {
-                        layer: l.name.clone(),
-                        site: "layer output",
-                        expected: out.layout,
-                        found: current,
-                    });
-                }
             }
             PlanOp::Add => {
                 let (a, b) = (&values[n.inputs[0]], &values[n.inputs[1]]);
@@ -1178,36 +1105,43 @@ fn check_graph_dataflow(spec: &PlanSpec) -> Result<(), PlanViolation> {
                 }
             }
         }
-        // Joins and the plan boundary consume canonical NCHW.
-        if !matches!(n.op, PlanOp::Conv { .. }) {
-            for &v in &n.inputs {
-                if values[v].layout != Layout::Nchw {
-                    return Err(PlanViolation::LayoutMismatch {
-                        layer: n.name.clone(),
-                        site: "join operand",
-                        expected: Layout::Nchw,
-                        found: values[v].layout,
-                    });
+    }
+    // The one layout rule. A value stored other than NCHW must stay inside
+    // the plan, come from a conv native in its layout, and be read only as
+    // the activation of convs native in it, so no node converts it.
+    let native = |n: &NodePlan| match n.op {
+        PlanOp::Conv { layer, .. } => spec.layers[layer].plan.algo.backend().native_layout(),
+        PlanOp::Add | PlanOp::Concat => Layout::Nchw,
+    };
+    let output = nodes.last().expect("non-empty").output;
+    for (v, value) in values.iter().enumerate().filter(|(_, x)| x.layout != Layout::Nchw) {
+        let mismatch = |layer: String, site, expected| PlanViolation::LayoutMismatch {
+            layer,
+            site,
+            expected,
+            found: value.layout,
+        };
+        if v == 0 {
+            return Err(mismatch("input".into(), "graph input", Layout::Nchw));
+        }
+        if v == output {
+            return Err(mismatch(producer_name(v), "plan output", Layout::Nchw));
+        }
+        let producer = nodes.iter().find(|n| n.output == v).expect("structure pass");
+        if native(producer) != value.layout {
+            return Err(mismatch(producer.name.clone(), "layer output", native(producer)));
+        }
+        for n in nodes {
+            for (slot, _) in n.inputs.iter().enumerate().filter(|&(_, &x)| x == v) {
+                let (site, expected) = match n.op {
+                    PlanOp::Conv { .. } if slot == 0 => ("kernel input", native(n)),
+                    _ => ("join operand", Layout::Nchw),
+                };
+                if expected != value.layout {
+                    return Err(mismatch(n.name.clone(), site, expected));
                 }
             }
-            if out.layout != Layout::Nchw {
-                return Err(PlanViolation::LayoutMismatch {
-                    layer: n.name.clone(),
-                    site: "layer output",
-                    expected: Layout::Nchw,
-                    found: out.layout,
-                });
-            }
         }
-    }
-    let output = nodes.last().expect("non-empty").output;
-    if values[output].layout != Layout::Nchw {
-        return Err(PlanViolation::LayoutMismatch {
-            layer: producer_name(output),
-            site: "plan output",
-            expected: Layout::Nchw,
-            found: values[output].layout,
-        });
     }
     Ok(())
 }
@@ -1355,8 +1289,6 @@ mod tests {
                     requant: RequantParams { bits: BitWidth::W4, multiplier: 0.01, clamp_min: -8 },
                     relu,
                 },
-                pre_conversion: None,
-                post_conversion: None,
             },
             channel_sums: vec![ChannelSums { neg: -40, pos: 44 }; shape.c_out],
         }
@@ -1470,37 +1402,133 @@ mod tests {
         ));
     }
 
+    /// The GPU demo's shape in miniature: three NHWC-native GPU convs in a
+    /// chain, whose inner values v1 and v2 the planner keeps NHWC. Every
+    /// value has its own arena span, so a mutant that lengthens a live
+    /// range trips only the layout rule.
+    fn gpu_chain_spec() -> PlanSpec {
+        let gpu = lowbit_conv_gpu::default_config(turing_sim::Precision::TensorCoreInt4);
+        let shapes = [
+            ConvShape::new(1, 3, 8, 8, 4, 3, 1, 1),
+            ConvShape::new(1, 4, 8, 8, 4, 3, 1, 1),
+            ConvShape::new(1, 4, 8, 8, 4, 1, 1, 0),
+        ];
+        let layers: Vec<LayerSpec> = (0..3)
+            .map(|i| {
+                let mut l = gemm_layer(&format!("g{i}"), shapes[i], i < 2);
+                l.plan.algo = PlanAlgo::GpuImplicitGemm(gpu);
+                l.plan.workspace_bytes = 0;
+                l
+            })
+            .collect();
+        let nodes = (0..3)
+            .map(|i| NodePlan {
+                name: format!("g{i}"),
+                op: PlanOp::Conv { layer: i, fused_add: None },
+                inputs: vec![i],
+                output: i + 1,
+            })
+            .collect();
+        let mut offset = 0;
+        let values = [(3, Layout::Nchw), (4, Layout::Nhwc), (4, Layout::Nhwc), (4, Layout::Nchw)]
+            .into_iter()
+            .enumerate()
+            .map(|(v, (c, layout))| {
+                let bytes = c * 8 * 8;
+                offset += bytes;
+                ValuePlan {
+                    dims: (1, c, 8, 8),
+                    bits: BitWidth::W4,
+                    layout,
+                    bytes,
+                    offset: offset - bytes,
+                    def: v.saturating_sub(1),
+                    last_use: v.min(2),
+                }
+            })
+            .collect();
+        PlanSpec {
+            layers,
+            nodes,
+            values,
+            declared_high_water_bytes: 0,
+            declared_activation_high_water_bytes: offset,
+        }
+    }
+
+    /// Moves layer `i` of a spec onto the ARM GEMM, re-declaring its
+    /// workspace and the plan's high-water so only the layout rule can
+    /// object.
+    fn move_to_arm(spec: &mut PlanSpec, i: usize) {
+        let l = &mut spec.layers[i].plan;
+        l.algo = PlanAlgo::Arm(ArmAlgo::Gemm);
+        l.workspace_bytes = arm_workspace_requirement(&l.shape, ArmAlgo::Gemm).total();
+        spec.declared_high_water_bytes = high_water(&spec.layers);
+    }
+
+    /// Appends a join reading `[v3, v1]` into a new NCHW plan output v4.
+    fn join_v1(spec: &mut PlanSpec, op: PlanOp) {
+        let c = if op == PlanOp::Concat { 8 } else { 4 };
+        let last = spec.values[3];
+        spec.values[1].last_use = 3;
+        spec.values[3].last_use = 3;
+        spec.nodes.push(NodePlan { name: "join".into(), op, inputs: vec![3, 1], output: 4 });
+        spec.values.push(ValuePlan {
+            dims: (1, c, 8, 8),
+            bytes: c * 64,
+            offset: last.offset + last.bytes,
+            def: 3,
+            last_use: 3,
+            ..last
+        });
+        spec.declared_activation_high_water_bytes += c * 64;
+    }
+
     #[test]
-    fn layout_witnesses_fire() {
-        // A GPU layer with no recorded pre-conversion: NCHW hits an
-        // NHWC-native kernel.
+    fn nhwc_values_between_gpu_convs_prove() {
+        let spec = gpu_chain_spec();
+        assert_eq!(verify_plan(&spec).unwrap().layers.len(), 3);
+        // An NCHW value read by an NHWC-native kernel proves as well: the
+        // backend converts its own input.
         let mut spec = toy_spec();
         let gpu = lowbit_conv_gpu::default_config(turing_sim::Precision::TensorCoreInt4);
-        spec.layers[0].plan.algo = PlanAlgo::GpuImplicitGemm(gpu);
-        spec.layers[0].plan.post_conversion =
-            Some(LayoutConversion { from: Layout::Nhwc, to: Layout::Nchw });
-        assert!(matches!(
-            verify_plan(&spec),
-            Err(PlanViolation::LayoutMismatch { site: "kernel input", .. })
-        ));
-        // Recorded properly, it proves.
-        spec.layers[0].plan.pre_conversion =
-            Some(LayoutConversion { from: Layout::Nchw, to: Layout::Nhwc });
+        spec.layers[1].plan.algo = PlanAlgo::GpuImplicitGemm(gpu);
         assert!(verify_plan(&spec).is_ok());
-        // Dropping the post-conversion leaves NHWC at the plan boundary.
-        spec.layers[0].plan.post_conversion = None;
-        assert!(matches!(
-            verify_plan(&spec),
-            Err(PlanViolation::LayoutMismatch { site: "layer output", .. })
-        ));
-        // A conversion anchored to the wrong source layout dangles.
-        let mut spec = toy_spec();
-        spec.layers[1].plan.pre_conversion =
-            Some(LayoutConversion { from: Layout::Nhwc, to: Layout::Nchw });
-        assert!(matches!(
-            verify_plan(&spec),
-            Err(PlanViolation::DanglingConversion { .. })
-        ));
+    }
+
+    #[test]
+    fn the_layout_rule_rejects_each_clause() {
+        let rejects = |spec: &PlanSpec, want_site: &str, want_layer: &str| match verify_plan(spec) {
+            Err(PlanViolation::LayoutMismatch { layer, site, found: Layout::Nhwc, .. }) => {
+                assert_eq!((site, layer.as_str()), (want_site, want_layer));
+            }
+            other => panic!("{want_site}: expected LayoutMismatch, got {other:?}"),
+        };
+        let mut spec = gpu_chain_spec();
+        spec.values[0].layout = Layout::Nhwc;
+        rejects(&spec, "graph input", "input");
+        let mut spec = gpu_chain_spec();
+        spec.values[3].layout = Layout::Nhwc;
+        rejects(&spec, "plan output", "g2");
+        // v1 produced by an ARM conv, which writes NCHW.
+        let mut spec = gpu_chain_spec();
+        move_to_arm(&mut spec, 0);
+        rejects(&spec, "layer output", "g0");
+        // v1 read by a join: an add, a concat, or a residual fused into g2.
+        for op in [PlanOp::Add, PlanOp::Concat] {
+            let mut spec = gpu_chain_spec();
+            join_v1(&mut spec, op);
+            rejects(&spec, "join operand", "join");
+        }
+        let mut spec = gpu_chain_spec();
+        spec.nodes[2].op = PlanOp::Conv { layer: 2, fused_add: Some(1) };
+        spec.nodes[2].inputs.push(1);
+        spec.values[1].last_use = 2;
+        rejects(&spec, "join operand", "g2");
+        // v1 read by an ARM conv, which reads NCHW.
+        let mut spec = gpu_chain_spec();
+        move_to_arm(&mut spec, 1);
+        rejects(&spec, "kernel input", "g1");
     }
 
     #[test]
@@ -1677,9 +1705,8 @@ mod tests {
 
     #[test]
     fn graph_dataflow_witnesses_fire() {
-        // A value recorded NHWC that no conversion ever produces: the
-        // ARM producer writes NCHW, so the recorded store layout dangles
-        // (an unsound elision is caught at whichever edge breaks first).
+        // A value recorded NHWC between ARM convs: its producer writes
+        // NCHW, so the unsound elision is caught at the producer.
         let mut spec = toy_graph_spec();
         spec.values[1].layout = Layout::Nhwc;
         spec.values[1].offset = 2 * 4 * 8 * 8;
@@ -1713,11 +1740,6 @@ mod tests {
                 site: "kernel input",
                 expected: Layout::Nhwc,
                 found: Layout::Nchw,
-            },
-            PlanViolation::DanglingConversion {
-                layer: "a".into(),
-                from: Layout::Nhwc,
-                current: Layout::Nchw,
             },
             PlanViolation::AccOverflow {
                 layer: "a".into(),

@@ -2,7 +2,9 @@
 //! choices (backend, algorithm, predicted millis, prepack fingerprint,
 //! workspace sizing) for `Network::demo(W4, 12, 9)` must match
 //! `tests/golden/plan_demo.json` byte for byte, so any planner or cost-model
-//! change shows up in review as a golden diff.
+//! change shows up in review as a golden diff. The same network planned on
+//! the GPU backend is pinned in `tests/golden/plan_demo_gpu.json`, the one
+//! golden whose values stay NHWC between layers.
 //!
 //! Regenerate after an intended change with:
 //! `cargo run --release -p lowbit-bench --bin lowbit-plan -- --json > tests/golden/plan_demo.json`
@@ -43,6 +45,29 @@ fn dense_block_plan_matches_golden_file() {
         "compiled dense-block plan diverged from tests/golden/plan_dense_block.json — \
          if intended, regenerate with: cargo run --release -p lowbit-bench \
          --bin lowbit-plan -- --model dense-block --json > tests/golden/plan_dense_block.json"
+    );
+}
+
+#[test]
+fn gpu_demo_plan_matches_golden_file() {
+    let net = Network::demo(BitWidth::W4, 12, 9);
+    let plan = Planner::for_gpu(&GpuEngine::rtx2080ti(), Tuning::Default)
+        .compile(&net)
+        .expect("the Tensor Core path serves W4");
+    let golden = include_str!("golden/plan_demo_gpu.json");
+    assert_eq!(
+        plan.to_json(),
+        golden,
+        "compiled GPU demo plan diverged from tests/golden/plan_demo_gpu.json — \
+         if intended, regenerate with: cargo run --release -p lowbit-bench \
+         --bin lowbit-plan -- --backend gpu --json > tests/golden/plan_demo_gpu.json"
+    );
+    // The golden pins the elided round-trips: the two values between the
+    // GPU layers stay NHWC, the graph input and the plan output are NCHW.
+    let layouts: Vec<_> = plan.values().iter().map(|v| v.layout).collect();
+    assert_eq!(
+        layouts,
+        [Layout::Nchw, Layout::Nhwc, Layout::Nhwc, Layout::Nchw]
     );
 }
 

@@ -282,6 +282,47 @@ fn heterogeneous_execution_matches_arm_output() {
     }
 }
 
+/// The all-GPU W4 demo plan with layer 1 moved to the ARM GEMM keeps v1
+/// NHWC into an NCHW-native kernel. The verifier rejects it with a typed
+/// layout witness; release builds do not verify, and the forged plan still
+/// runs bit-identically to the ARM plan, because the ARM backend converts
+/// its own input.
+#[test]
+fn nhwc_value_into_an_arm_layer_is_rejected_yet_runs_bit_exact() {
+    let arm = ArmEngine::cortex_a53();
+    let gpu = GpuEngine::rtx2080ti();
+    let net = Network::demo(BitWidth::W4, 12, 9);
+    let input = float_input((1, 3, 12, 12), 5);
+    let arm_plan = Planner::for_arm(&arm).compile(&net).unwrap();
+    let arm_run = Executor::for_arm(&arm)
+        .run(&arm_plan, &net, &input)
+        .unwrap();
+
+    let gpu_plan = Planner::for_arm(&arm)
+        .with_gpu(&gpu, Tuning::Default)
+        .compile(&net)
+        .unwrap();
+    assert_eq!(gpu_plan.values()[1].layout, Layout::Nhwc);
+    let mut layers = gpu_plan.layers().to_vec();
+    layers[1].algo = PlanAlgo::Arm(ArmAlgo::Gemm);
+    layers[1].workspace_bytes =
+        lowbit_verify::workspace_requirement(layers[1].algo, &layers[1].shape).total();
+    let high_water = lowbit::plan_high_water(&layers);
+    let forged = gpu_plan.with_layers(layers, high_water);
+    match lowbit::verify::verify_compiled(&forged, &net) {
+        Err(CoreError::PlanRejected {
+            violation: lowbit_verify::PlanViolation::LayoutMismatch { .. },
+        }) => {}
+        other => panic!("expected a LayoutMismatch rejection, got {other:?}"),
+    }
+    let run = Executor::new()
+        .with_arm(&arm)
+        .with_gpu(&gpu)
+        .run(&forged, &net, &input)
+        .unwrap();
+    assert_eq!(run.output.data(), arm_run.output.data());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
 
